@@ -12,12 +12,11 @@ pointwise rotation u = phi * exp(i |phi|^2 t).  The Wick variant replaces
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import fft, next_fast_len
+from scipy.fft import fft, irfft, next_fast_len, rfft
 
 from .torus import (
     BudgetExceededError,
@@ -349,95 +348,67 @@ def _order_one_coeffs(
     return out
 
 
+def _reachable_modes(n_sup: np.ndarray, out_band: int) -> np.ndarray:
+    """Sorted output modes n = n1 - n2 + n3 (n1, n2, n3 in the support)
+    with |n| <= out_band.
+
+    The number of triples hitting n is the triple correlation
+    (ind * ind * reversed ind)[n] of the support's indicator array, taken
+    with one real FFT of length g >= 3 * width, so O(width log width)
+    instead of O(|support|^2).
+    """
+    lo = int(n_sup.min())
+    width = int(n_sup.max()) - lo + 1
+    ind = np.zeros(width)
+    ind[n_sup - lo] = 1.0
+    # offsets k1 - k2 + k3 span -(width-1) .. 2(width-1), fewer than g, so
+    # the circular correlation does not alias
+    g = next_fast_len(3 * width, real=True)
+    spec = rfft(ind, g)
+    count = irfft(spec * spec * np.conj(spec), g)
+    offsets = np.arange(-(width - 1), 2 * width - 1)
+    # The counts are integers no larger than |support|^2 (5.2e7 for
+    # crit_half at N = 4096).  The FFT roundoff on them is far below 0.5
+    # (at most 2e-8 there), so rounding recovers them exactly.
+    hit = np.rint(count[offsets % g]) > 0
+    modes = offsets[hit] + lo
+    return modes[np.abs(modes) <= out_band]
+
+
 def picard_expansion(
     phi: SpectralField,
     t: float,
     alpha: float,
-    order: int = 1,
     budget: int = 200_000_000,
     dispersion_coeff: float = 1.0,
     dispersion_sign: int = 1,
-    nodes_per_panel: int = 6,
 ) -> SpectralField:
-    """Picard iterates of the interaction-picture Duhamel equation.
+    """First Picard iterate of the interaction-picture Duhamel equation:
+    phi + i sum over the resonance set n = n1 - n2 + n3 of the closed-form
+    time integral of exp(-i Phi t') times the coefficient triple product.
 
-    Order 1: phi + i sum over the resonance set of the closed-form time
-    integral of exp(-i Phi t') times the coefficient triple product.
-    Order 2: the same Duhamel map applied to the order-1 iterate, with the
-    time integral done by composite Gauss-Legendre panels sized to the
-    largest realized phase (the integrand oscillates at rate |Phi|).
-
-    Refuses with a size report when the direct triple summation would
-    exceed ``budget`` kernel evaluations.
+    The reachable output modes are found in O(width log width), and the
+    work |support|^2 * |output modes| is checked against ``budget`` before
+    any O(|support|^2) summation; over budget it refuses with a size report.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     if t < 0.0:
         raise ValueError("t must be >= 0")
     n_sup, c_sup = _support_arrays(phi)
     if n_sup.size == 0:
         return phi
-    n_max = int(np.max(np.abs(n_sup)))
-    out_band = 3 * n_max
-    symbol_scale = dispersion_sign * dispersion_coeff * (2.0 * np.pi / phi.period) ** (2.0 * alpha)
-    a2 = 2.0 * alpha
-    pow_offset = out_band
-    pow_table = np.abs(np.arange(-out_band, out_band + 1, dtype=float)) ** a2
-
-    # output modes worth visiting: all n with n = n1 - n2 + n3 solvable
-    sup_set = set(int(v) for v in n_sup)
-    sums = sorted({a + b for a in sup_set for b in sup_set})
-    reachable = sorted({sv - n2 for sv in sums for n2 in sup_set})
-    out_modes = np.array([n for n in reachable if abs(n) <= out_band], dtype=int)
-
+    out_band = 3 * int(np.max(np.abs(n_sup)))
+    out_modes = _reachable_modes(n_sup, out_band)
     work = n_sup.size ** 2 * out_modes.size
-    if order == 1 and work > budget:
+    if work > budget:
         raise BudgetExceededError(
             f"order-1 triple summation needs {work} kernel evaluations (budget {budget})",
             required=work,
             budget=budget,
         )
 
-    base = enlarge_band(phi, out_band)
-    if order == 1:
-        first = _order_one_coeffs(n_sup, c_sup, pow_table, pow_offset, out_modes, symbol_scale, t)
-        coeffs = base.coeffs.copy()
-        coeffs[out_modes + out_band] += first
-        return SpectralField(phi.period, coeffs)
-
-    # order 2: u2(t) = phi + i * integral of the phase-wrapped cubic of u1(t')
-    phase_max = abs(symbol_scale) * 4.0 * float(out_band) ** a2
-    panels = max(1, math.ceil(t * phase_max / 3.0))
-    glx, glw = np.polynomial.legendre.leggauss(nodes_per_panel)
-    nodes = []
-    weights = []
-    edges = np.linspace(0.0, t, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.extend(0.5 * (b - a) * glx + 0.5 * (a + b))
-        weights.extend(0.5 * (b - a) * glw)
-    work = n_sup.size ** 2 * out_modes.size * len(nodes)
-    if work > budget:
-        raise BudgetExceededError(
-            f"order-2 quadrature needs {work} kernel evaluations (budget {budget})",
-            required=work,
-            budget=budget,
-        )
-    band2 = 3 * out_band
-    rates = None
-    acc = np.zeros(2 * band2 + 1, dtype=complex)
-    for tp, wq in zip(nodes, weights):
-        first = _order_one_coeffs(n_sup, c_sup, pow_table, pow_offset, out_modes, symbol_scale, tp)
-        u1 = base.coeffs.copy()
-        u1[out_modes + out_band] += first
-        u1f = SpectralField(phi.period, u1)
-        # wrap into the lab frame, take the exact cubic, wrap back
-        if rates is None:
-            eq = EquationSpec(alpha=alpha, dispersion_coeff=dispersion_coeff, dispersion_sign=dispersion_sign)
-            rates_in = free_rotation_rates(u1f, eq)
-            rates_out = free_rotation_rates(SpectralField(phi.period, np.zeros(2 * band2 + 1, dtype=complex)), eq)
-            rates = (rates_in, rates_out)
-        lab = u1f.with_coeffs(u1f.coeffs * np.exp(1j * rates[0] * tp))
-        cubic = cubic_density(enlarge_band(lab, band2))
-        acc += wq * cubic.coeffs * np.exp(-1j * rates[1] * tp)
-    out = enlarge_band(phi, band2).coeffs + 1j * acc
-    return SpectralField(phi.period, out)
+    symbol_scale = dispersion_sign * dispersion_coeff * (2.0 * np.pi / phi.period) ** (2.0 * alpha)
+    pow_table = np.abs(np.arange(-out_band, out_band + 1, dtype=float)) ** (2.0 * alpha)
+    first = _order_one_coeffs(n_sup, c_sup, pow_table, out_band, out_modes, symbol_scale, t)
+    coeffs = enlarge_band(phi, out_band).coeffs.copy()
+    coeffs[out_modes + out_band] += first
+    return SpectralField(phi.period, coeffs)

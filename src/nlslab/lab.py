@@ -49,6 +49,9 @@ CSV_COLUMNS = (
 )
 
 
+METHODS = ("ode", "split_step", "picard")
+
+
 class MethodDisagreementError(RuntimeError):
     """Evolution methods disagreed beyond their stated error budget."""
 
@@ -76,7 +79,7 @@ class ExperimentConfig:
     threads: int = 1
     timing: bool = False
     # experiment-specific knobs
-    methods: tuple = ("ode", "split_step", "picard")
+    methods: tuple = METHODS
     picard_budget: int = 200_000_000
     surrogate_period: float = 32.0
     profile: str = "bump"
@@ -102,6 +105,18 @@ class ExperimentConfig:
                 raise ValueError("sweep must be nonempty")
             if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
                 raise ValueError("sweep must be strictly increasing")
+        if self.experiment in ("inflate", "gamma"):  # sweeps N and j
+            bad = [v for v in self.sweep if not float(v).is_integer()]
+            if bad:
+                raise ValueError(f"{self.experiment} sweep values must be integers, got {bad[0]!r}")
+        if not self.methods or not set(self.methods) <= set(METHODS):
+            raise ValueError(f"methods must be a nonempty subset of {', '.join(METHODS)}; "
+                             f"got {', '.join(self.methods) or 'none'}")
+        for key in ("periods", "s_list", "N_list"):
+            if len(getattr(self, key)) == 0:
+                raise ValueError(f"{key} must be nonempty")
+        if self.grid_points < 1:
+            raise ValueError("grid_points must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.fmt not in ("csv", "json"):
@@ -286,8 +301,7 @@ def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
         results["split_step"] = evo.interaction_picture(u, T, cfg.alpha)
     if "picard" in methods:
         try:
-            results["picard"] = evo.picard_expansion(
-                phi, T, cfg.alpha, order=1, budget=cfg.picard_budget)
+            results["picard"] = evo.picard_expansion(phi, T, cfg.alpha, budget=cfg.picard_budget)
         except torus.BudgetExceededError:
             skipped.append("picard")
 
@@ -538,8 +552,6 @@ def feasibility_scan(s: float, alpha: float, cfg: ExperimentConfig) -> Inflation
     P = cfg.grid_points
     rows = []
     for N in cfg.N_list:
-        if P <= 0:
-            continue
         N = float(N)
         logN = math.log(N)
         R = np.logspace(0.0, 0.75 * math.log10(N), P)[:, None, None]

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nlslab as nl
 from nlslab import (
@@ -31,6 +32,7 @@ from nlslab import (
     synthesize,
     xi_term,
 )
+from nlslab.evolution import _reachable_modes
 
 from _helpers import coeff_gap, l2_gap, l2_norm, random_field
 
@@ -431,6 +433,53 @@ def test_picard_budget_refusal_reports_sizes():
         picard_expansion(f, 0.1, 1.0, budget=10)
     assert err.value.budget == 10
     assert err.value.required > 10
+
+
+@st.composite
+def _supports(draw):
+    """(bandwidth, sorted support): a single mode, gapped, all-negative, or
+    touching +-bandwidth."""
+    band = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("single", "gapped", "negative", "edge")))
+    if kind == "single":
+        return band, [draw(st.integers(-band, band))]
+    lo = -band
+    hi = -1 if kind == "negative" else band
+    modes = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=12))
+    if kind == "edge":
+        modes += draw(st.sampled_from(([band], [-band], [-band, band])))
+    return band, sorted(set(modes))
+
+
+def test_reachable_modes_match_brute_force_and_set_the_budget():
+    def reference(modes, out_band):
+        sup = set(modes)
+        sums = {a + b for a in sup for b in sup}
+        return sorted(n for n in {v - n2 for v in sums for n2 in sup} if abs(n) <= out_band)
+
+    def required(phi):
+        with pytest.raises(BudgetExceededError) as err:
+            picard_expansion(phi, 0.1, 1.0, budget=0)
+        return err.value.required
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_supports(), st.integers(0, 120))
+    def matches(drawn, out_band):
+        band, modes = drawn
+        assert _reachable_modes(np.array(modes), out_band).tolist() == reference(modes, out_band)
+        coeffs = np.zeros(2 * band + 1, dtype=complex)
+        coeffs[np.array(modes) + band] = 0.6 - 0.2j
+        reach = reference(modes, 3 * max(abs(n) for n in modes))
+        assert required(SpectralField(1.0, coeffs)) == len(modes) ** 2 * len(reach)
+
+    matches()
+
+    # the refusal's size report on the inflate data: |S|^2 * |reachable set|
+    for regime, kw in (("crit_half", {}), ("frac_crit", dict(s=-1.0, theta=0.1))):
+        phi = nl.build_two_block_data(regime, 256, **kw)
+        modes = phi.modes()[phi.coeffs != 0.0].tolist()
+        reach = reference(modes, 3 * max(abs(n) for n in modes))
+        assert required(phi) == len(modes) ** 2 * len(reach)
 
 
 def test_picard_first_iterate_within_oscillatory_bound():

@@ -59,6 +59,7 @@ def small_report():
         (dict(experiment="inflate", sweep=(1.0,), threads=0), "threads must be >= 1"),
         (dict(experiment="inflate", sweep=(1.0,), dt_steps=0), "dt_steps must be >= 1"),
         (dict(experiment="inflate", sweep=(1.0,), c_fraction=0.0), "c_fraction must lie in"),
+        (dict(experiment="feasibility", grid_points=0), "grid_points must be >= 1"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):
@@ -282,11 +283,6 @@ def test_feasibility_scan_fills_up_at_lower_regularity():
     assert abs(best[-1] - 2738.99) <= 1e-4 * best[-1]
 
 
-def test_feasibility_scan_empty_grid():
-    cfg = ExperimentConfig(experiment="feasibility", grid_points=0)
-    assert feasibility_scan(-0.75, 0.375, cfg).rows == []
-
-
 def test_run_experiment_dispatches():
     cfg = ExperimentConfig(experiment="feasibility", grid_points=10)
     direct = feasibility_scan(cfg.s, cfg.alpha, cfg)
@@ -379,6 +375,26 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
     assert "no [gamma] section" in capsys.readouterr().err
     assert cli.main(["feasibility", "--seed", "-3"]) == 1
     assert "unsigned 64-bit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, ini, message",
+    [
+        ("inflate", "methods = bogus", "methods must be a nonempty subset of ode, split_step, picard"),
+        ("approx", "periods =", "periods must be nonempty"),
+        ("inflate", "sweep = 64.7", "inflate sweep values must be integers, got 64.7"),
+        ("gamma", "sweep = 0.5", "gamma sweep values must be integers, got 0.5"),
+        ("feasibility", "grid_points = 0", "grid_points must be >= 1"),
+    ],
+)
+def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{experiment}]\n{ini}\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlslab: error: ") and message in err
+    assert not out.exists()
 
 
 def test_cli_parser_covers_all_experiments():
