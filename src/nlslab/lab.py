@@ -100,6 +100,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in ("inflate", "approx", "periodize", "gamma", "feasibility"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            bad = [v for v in (value if isinstance(value, tuple) else (value,))
+                   if isinstance(v, float) and not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{f.name} must be finite, got {bad[0]!r}")
         if self.experiment != "feasibility":
             if len(self.sweep) == 0:
                 raise ValueError("sweep must be nonempty")
@@ -125,6 +131,13 @@ class ExperimentConfig:
             raise ValueError("dt_steps must be >= 1")
         if not 0.0 < self.c_fraction <= 1.0:
             raise ValueError("c_fraction must lie in (0, 1]")
+        if self.picard_budget < 0:
+            raise ValueError("picard_budget must be >= 0")
+        # sweeps are increasing, so sweep[0] is the smallest value
+        if self.experiment == "inflate" and self.sweep[0] < 2:
+            raise ValueError(f"inflate sweep values must be >= 2, got {self.sweep[0]!r}")
+        if self.experiment == "approx" and not self.sweep[0] > 0.0:
+            raise ValueError(f"approx sweep values must be > 0, got {self.sweep[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -354,8 +367,6 @@ def _approx_error(profile, delta: float, L: float, t: float, band: int,
     """H^1(T_L) distance at time t between the small-dispersion flow and
     the exact dispersionless flow; also the latter's spectral tail mass."""
     phi = torus.periodize(profile, L, band)
-    if delta == 0.0:
-        return 0.0, 0.0
     eq = evo.EquationSpec.small_dispersion(delta)
     stepper = evo.StepperConfig(dt=t / steps, grid_oversample=oversample)
     v = evo.split_step_evolve(phi, eq, t, stepper)

@@ -7,6 +7,7 @@ phase integral); smooth kinds fall back to quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,10 +32,17 @@ def _raw_bump(y):
 
 BUMP_MASS = quad(lambda y: math.exp(-1.0 / (1.0 - y * y)), -1.0, 1.0, epsabs=1e-15)[0]
 
-_GL_N, _GL_W = np.polynomial.legendre.leggauss(400)
-_GL_F = _raw_bump(_GL_N) / BUMP_MASS
-_GL2_N, _GL2_W = np.polynomial.legendre.leggauss(2000)
-_GL2_F = _raw_bump(_GL2_N) / BUMP_MASS
+
+@functools.cache
+def _gauss_rule(n: int):
+    """n-node Gauss-Legendre rule on [-1, 1] and the unit bump at its nodes.
+
+    Built on first use, not at import: the 2000-node rule solves a
+    2000 x 2000 eigenvalue problem, which was most of the import time.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return nodes, weights, _raw_bump(nodes) / BUMP_MASS
+
 
 # dense CDF table for evaluating mollified steps pointwise
 _CDF_X = np.linspace(-1.0, 1.0, 200001)
@@ -51,11 +59,14 @@ def mollifier_transform(zeta):
     oscillation; accuracy degrades only where the value is below 1e-25.
     """
     z = np.atleast_1d(np.asarray(zeta, dtype=float))
-    if np.max(np.abs(z)) <= 25.0:
-        nodes, wf = _GL_N, _GL_W * _GL_F
-    else:
-        nodes, wf = _GL2_N, _GL2_W * _GL2_F
-    vals = np.cos(2.0 * np.pi * np.outer(z, nodes)) @ wf
+    nodes, weights, bump = _gauss_rule(400 if np.max(np.abs(z)) <= 25.0 else 2000)
+    wf = weights * bump
+    # periodize passes thousands of z at once, so the z x nodes array runs
+    # to megabytes: update one in place rather than allocate three, which
+    # the allocator would map and page in afresh on every call
+    arg = np.outer(z, nodes)
+    arg *= 2.0 * np.pi
+    vals = np.cos(arg, out=arg) @ wf
     return vals if np.ndim(zeta) else float(vals[0])
 
 
@@ -177,9 +188,8 @@ class CompactProfile:
     def _base_transform(self, xi_arr):
         # quadrature transform of the underived base eta_raw * p0
         p0 = np.asarray(self._base_poly())
-        big = np.max(np.abs(xi_arr)) > 25.0
-        nodes = _GL2_N if big else _GL_N
-        w = (_GL2_W if big else _GL_W) * _raw_bump(nodes) * npoly.polyval(nodes, p0)
+        nodes, weights, _ = _gauss_rule(2000 if np.max(np.abs(xi_arr)) > 25.0 else 400)
+        w = weights * _raw_bump(nodes) * npoly.polyval(nodes, p0)
         ph = np.exp(-2j * np.pi * np.outer(xi_arr, nodes))
         return ph @ w
 
@@ -328,7 +338,7 @@ def appendix_profile(kind: str, kappa: int = 1, eps: float = 0.1) -> CompactProf
 def _derivative_profile(kappa: int) -> CompactProfile:
     base = (1.0, 0.5)  # 1 + x/2, asymmetric so odd kappa survives the quintic
     p, m = _derivative_rep(base, kappa)
-    nodes, wts = np.polynomial.legendre.leggauss(2000)
+    nodes, wts, _ = _gauss_rule(2000)
     vals = _eval_poly_over_bump(nodes, np.asarray(p), m)
     quintic = float(np.sum(wts * vals**5))
     scale = float(np.max(np.abs(vals))) or 1.0

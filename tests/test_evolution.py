@@ -482,6 +482,97 @@ def test_reachable_modes_match_brute_force_and_set_the_budget():
         assert required(phi) == len(modes) ** 2 * len(reach)
 
 
+def _picard_reference(phi, t, alpha, dispersion_coeff, dispersion_sign):
+    """Brute-force first Picard iterate over all ordered triples, and a
+    per-mode rounding bound on the distance of the fast sum from it."""
+    nz = phi.coeffs != 0.0
+    n, c = phi.modes()[nz], phi.coeffs[nz]
+    ob = max(3 * int(np.max(np.abs(n))), phi.bandwidth)
+    s = dispersion_sign * dispersion_coeff * (2.0 * np.pi / phi.period) ** (2.0 * alpha)
+    u = np.finfo(float).eps / 2.0
+
+    def power(k):
+        return np.abs(k).astype(float) ** (2.0 * alpha)
+
+    # The fast sum forms exp(-i Phi t) from four phase-table entries, each
+    # rounded by about u (1 + |s P t|), and three products: within
+    # 10 u (1 + |s| t max P).  The reference forms Phi first, whose P terms
+    # round by u P when alpha != 1: within 6 u (1 + |s| t max P).  Their
+    # difference delta reaches i K = (1 - exp(-i Phi t)) / Phi divided by
+    # |Phi|, at least 1e-4 / t outside the series branch (inside it the two
+    # differ only by the rounding of Phi, a smaller error).  Each sum also
+    # adds its count of terms, each at most |c1 c2 c3| t, with relative
+    # rounding u per add.
+    delta = 16.0 * u * (1.0 + abs(s) * t * float(ob) ** (2.0 * alpha))
+    first = np.zeros(2 * ob + 1, dtype=complex)
+    phase_err = np.zeros(2 * ob + 1)
+    size = np.zeros(2 * ob + 1)
+    count = np.zeros(2 * ob + 1)
+    small_seen = big_seen = False
+    n1, n3 = np.meshgrid(n, n, indexing="ij")
+    c13 = np.outer(c, c)
+    for n2, c2 in zip(n, c):
+        out = n1 - n2 + n3 + ob
+        ph = s * (power(out - ob) - power(n1) + power(n2) - power(n3))
+        amp = np.abs(c13 * c2)
+        np.add.at(first, out, 1j * c13 * np.conj(c2) * duhamel_kernel(ph, t))
+        np.add.at(phase_err, out, amp * delta * t / np.maximum(np.abs(ph * t), 1e-4))
+        np.add.at(size, out, amp * t)
+        np.add.at(count, out, 1.0)
+        small_seen |= bool(np.any(np.abs(ph * t) < 1e-4))
+        big_seen |= bool(np.any(np.abs(ph * t) >= 1e-4))
+    want = nl.enlarge_band(phi, ob).coeffs + first
+    tol = phase_err + 2.0 * (count + 4.0) * u * size
+    return want, tol, (small_seen, big_seen)
+
+
+def test_picard_pair_sum_matches_brute_force():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_supports(), st.integers(0, 2**32 - 1),
+           st.sampled_from((1.0, 0.75, 1.5)), st.sampled_from((-1, 1)),
+           st.sampled_from((0.0, 1e-3, 1.0)), st.sampled_from((0.0, 1e-7, 1e-5, 1e-3, 0.3)),
+           st.sampled_from((1.0, 2.5)))
+    def matches(drawn, seed, alpha, sign, coeff, t, period):
+        band, modes = drawn
+        rng = np.random.default_rng(seed)
+        coeffs = np.zeros(2 * band + 1, dtype=complex)
+        coeffs[np.array(modes) + band] = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+        phi = SpectralField(period, coeffs)
+        got = picard_expansion(phi, t, alpha, dispersion_coeff=coeff, dispersion_sign=sign)
+        want, tol, branches = _picard_reference(phi, t, alpha, coeff, sign)
+        seen.update(k for k, hit in zip(("series", "closed form"), branches) if hit)
+        assert got.coeffs.shape == want.shape
+        assert np.all(np.abs(got.coeffs - want) <= tol)
+
+    matches()
+    # the draws reach both sides of the |Phi t| < 1e-4 branch
+    assert seen == {"series", "closed form"}
+
+    # the inflate data: crit_half two-block data at N = 64 and its T_N
+    phi = nl.build_two_block_data("crit_half", 64)
+    t = nl.inflation_time("crit_half", 64, -0.5).T_N
+    got = picard_expansion(phi, t, 1.0)
+    want, _, _ = _picard_reference(phi, t, 1.0, 1.0, 1)
+    first = want - nl.enlarge_band(phi, got.bandwidth).coeffs
+    assert np.max(np.abs(got.coeffs - want)) <= 1e-12 * np.max(np.abs(first))
+
+
+def test_picard_on_padded_fields_matches_the_unpadded_field():
+    # the output band is 3 max|n| over the support, widened to the input
+    # band: padding the input must not change a coefficient
+    for band, modes in ((10, [0, 1]), (3, [0]), (40, [-2, 5])):
+        top = max(abs(m) for m in modes)
+        tight_band = max(1, top)  # a field holds at least the modes -1..1
+        coeffs = np.zeros(2 * tight_band + 1, dtype=complex)
+        coeffs[np.array(modes) + tight_band] = 0.6 - 0.2j
+        tight = SpectralField(1.0, coeffs)
+        padded = picard_expansion(nl.enlarge_band(tight, band), 0.1, 1.0)
+        assert padded.bandwidth == max(3 * top, band)
+        assert coeff_gap(padded, picard_expansion(tight, 0.1, 1.0)) <= 1e-15
+
+
 def test_picard_first_iterate_within_oscillatory_bound():
     f = random_field(1.0, 6, seed=8, l2=0.5, decay=1.5)
     t = 0.3

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import nlslab
 from nlslab import (
     CompactProfile,
     appendix_profile,
@@ -190,3 +195,30 @@ def test_two_step_profile_pins():
     assert abs(two.integral_moment(0)) <= 1e-13
     scaled = centered_two_step(2.0, 0.3)
     assert abs(scaled.evaluate(-1.0) - 2.0 * SQRT_PI) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+_IMPORT_PROBE = """
+import sys
+import numpy.polynomial.legendre as legendre
+
+built = []
+leggauss = legendre.leggauss
+legendre.leggauss = lambda n: built.append(n) or leggauss(n)
+import nlslab
+print(max(built, default=0), "scipy.signal" in sys.modules)
+"""
+
+
+def test_import_builds_no_large_quadrature_rule():
+    # Importing the package must not pay for quadrature rules or modules a
+    # run may never use: the 2000-node Gauss-Legendre rule (an eigenvalue
+    # problem of size 2000) is built on first use, and scipy.signal, slow
+    # to import, is not imported.
+    env = dict(os.environ, PYTHONPATH=str(Path(nlslab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert int(out[0]) < 2000, f"import built a {out[0]}-node quadrature rule"
+    assert out[1] == "False", "import pulled in scipy.signal"
