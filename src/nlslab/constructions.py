@@ -84,11 +84,16 @@ class InflationTime(NamedTuple):
     T_star: float
 
 
+# smallest N the asymptotic factor g(N, s), and so every two-block schedule,
+# is defined for
+MIN_BLOCK_N = 16
+
+
 def g_factor(N: float, s: float) -> float:
     """Low-frequency gain factor of the negative-order lower bound."""
     if not s < 0.0:
         raise ValueError("defined for s < 0")
-    if N < 16:
+    if N < MIN_BLOCK_N:
         raise ValueError("N too small for the asymptotic factor")
     if s < -0.5:
         return 1.0

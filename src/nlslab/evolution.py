@@ -16,17 +16,16 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import fft, irfft, next_fast_len, rfft
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .torus import (
     BudgetExceededError,
     SpectralField,
     _band_of_spectrum,
-    analyze,
-    cubic_density,
+    _cubic_coeffs,
+    _spectrum_of_band,
     enlarge_band,
     mean_and_l2,
-    synthesize,
 )
 
 
@@ -98,6 +97,21 @@ class EvolveResult(NamedTuple):
     tail_mass: float
 
 
+def _rotate_in_place(u: np.ndarray, t: float, shift: float, theta: np.ndarray,
+                     phase: np.ndarray) -> None:
+    """u *= exp(i t (|u|^2 - shift)) pointwise; theta (float) and phase
+    (complex) are scratch arrays of u's size."""
+    np.multiply(u.real, u.real, out=theta)
+    np.multiply(u.imag, u.imag, out=phase.real)  # phase is free until the cos below
+    theta += phase.real
+    if shift:
+        theta -= shift
+    theta *= t
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    u *= phase
+
+
 def ode_exact_evolve(
     field: SpectralField,
     t: float,
@@ -124,27 +138,27 @@ def ode_exact_evolve(
     # factor `oversample` relative to the data band, and at least Nyquist x2
     # for the retained output band
     g = next_fast_len(max(oversample * (2 * m + 1), 2 * (2 * m_out + 1)))
-    u = synthesize(enlarge_band(field, m_out), g)
+    u = ifft(_spectrum_of_band(field.coeffs, g), norm="forward", overwrite_x=True)
     shift = 2.0 * mean_and_l2(field)[1] if wick else 0.0
-    w = u * np.exp(1j * t * (np.abs(u) ** 2 - shift))
-    spec = fft(w) / g
-    out = _band_of_spectrum(spec, field.period, m_out)
+    _rotate_in_place(u, t, shift, np.empty(g), np.empty(g, dtype=complex))
+    spec = fft(u, norm="forward", overwrite_x=True)
+    out = SpectralField(field.period, _band_of_spectrum(spec, m_out))
     # bins m_out+1 .. g-m_out-1 are exactly the modes outside |n| <= m_out
     dropped = spec[m_out + 1 : g - m_out]
     tail = float(np.vdot(dropped, dropped).real) * field.period
     return EvolveResult(out, tail)
 
 
-def _nonlinear_rotation(u: np.ndarray, dt: float, wick: bool, msq: float) -> np.ndarray:
-    shift = 2.0 * msq if wick else 0.0
-    return u * np.exp(1j * dt * (np.abs(u) ** 2 - shift))
-
-
 def split_step_evolve(
     field: SpectralField, eq: EquationSpec, t: float, cfg: StepperConfig
 ) -> SpectralField:
     """Strang splitting: exact free half-steps around the exact pointwise
-    nonlinear rotation.  Second order in dt globally."""
+    nonlinear rotation.  Second order in dt globally.
+
+    The coefficients are scattered once into a DFT-order spectrum and every
+    step runs on that array and its grid values in place; they are gathered
+    back to a field once at the end.
+    """
     if t < 0.0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
@@ -154,17 +168,24 @@ def split_step_evolve(
     m = field.bandwidth
     g = next_fast_len(cfg.grid_oversample * (2 * m + 1))
     half = np.exp(1j * free_rotation_rates(field, eq) * dt / 2.0)
-    coeffs = field.coeffs.copy()
+    half_lo, half_hi = half[m:], half[:m]  # modes 0..M and -M..-1, as in the spectrum
+    theta, phase = np.empty(g), np.empty(g, dtype=complex)
+    spec = _spectrum_of_band(field.coeffs, g)
     for _ in range(n_steps):
-        coeffs *= half
-        u = synthesize(SpectralField(field.period, coeffs), g)
-        msq = float(np.sum(np.abs(coeffs) ** 2))
-        u = _nonlinear_rotation(u, dt, eq.wick, msq)
-        coeffs = analyze(u, field.period, m).coeffs.copy()
-        coeffs *= half
-        if not np.all(np.isfinite(coeffs)):
+        lo, hi = spec[: m + 1], spec[g - m :]  # the band bins
+        lo *= half_lo
+        hi *= half_hi
+        shift = 2.0 * (np.vdot(lo, lo).real + np.vdot(hi, hi).real) if eq.wick else 0.0
+        u = ifft(spec, norm="forward", overwrite_x=True)
+        _rotate_in_place(u, dt, shift, theta, phase)
+        spec = fft(u, norm="forward", overwrite_x=True)
+        spec[m + 1 : g - m] = 0.0
+        lo, hi = spec[: m + 1], spec[g - m :]
+        lo *= half_lo
+        hi *= half_hi
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise BlowupError(f"non-finite coefficients at step size {dt}")
-    return field.with_coeffs(coeffs)
+    return field.with_coeffs(_band_of_spectrum(spec, m))
 
 
 def rk4_spectral_evolve(
@@ -181,8 +202,7 @@ def rk4_spectral_evolve(
     rates = free_rotation_rates(field, eq)
 
     def rhs(c):
-        f = field.with_coeffs(c)
-        return 1j * rates * c + 1j * cubic_density(f, wick=eq.wick).coeffs
+        return 1j * (rates * c + _cubic_coeffs(c, eq.wick))
 
     n_steps = max(1, round(t / cfg.dt))
     dt = t / n_steps

@@ -133,9 +133,13 @@ class ExperimentConfig:
             raise ValueError("c_fraction must lie in (0, 1]")
         if self.picard_budget < 0:
             raise ValueError("picard_budget must be >= 0")
+        for key in ("time_horizon", "band_per_period", "base_delta", "delta_decay"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)!r}")
         # sweeps are increasing, so sweep[0] is the smallest value
-        if self.experiment == "inflate" and self.sweep[0] < 2:
-            raise ValueError(f"inflate sweep values must be >= 2, got {self.sweep[0]!r}")
+        if self.experiment == "inflate" and self.sweep[0] < cons.MIN_BLOCK_N:
+            raise ValueError(f"inflate sweep values must be >= {cons.MIN_BLOCK_N} (the smallest N "
+                             f"of the two-block schedules), got {self.sweep[0]!r}")
         if self.experiment == "approx" and not self.sweep[0] > 0.0:
             raise ValueError(f"approx sweep values must be > 0, got {self.sweep[0]!r}")
 

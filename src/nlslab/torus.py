@@ -103,6 +103,43 @@ class NormSpec:
             raise ValueError("homogeneous norms are defined with p = 2 only")
 
 
+def _negate_odd_modes(a: np.ndarray, first_mode: int) -> None:
+    """Negate, in place, the entries of a run of consecutive modes
+    first_mode, first_mode + 1, ... whose mode number is odd."""
+    a[(first_mode + 1) % 2 :: 2] *= -1.0
+
+
+# The band <-> grid path.  exp(2*pi*i*(n/L)*x_j) at x_j = j*L/G - L/2 picks
+# up (-1)^n against the standard DFT kernel exp(2*pi*i*n*j/G), and mode n
+# sits in DFT bin n mod G: bins 0..M hold n = 0..M, bins G-M..G-1 hold
+# n = -M..-1.
+
+
+def _spectrum_of_band(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
+    """Scatter band coefficients (mode n at index n + M) into a length-G
+    DFT-order spectrum with the (-1)^n twiddle; ifft(..., norm="forward")
+    of it is the field on the centered grid.  Needs G >= 2M + 1."""
+    m = (coeffs.size - 1) // 2
+    spec = np.zeros(grid_size, dtype=complex)
+    spec[: m + 1] = coeffs[m:]
+    spec[grid_size - m :] = coeffs[:m]
+    _negate_odd_modes(spec[: m + 1], 0)
+    _negate_odd_modes(spec[grid_size - m :], -m)
+    return spec
+
+
+def _band_of_spectrum(spec: np.ndarray, bandwidth: int) -> np.ndarray:
+    """Gather modes |n| <= bandwidth of a DFT-order spectrum (such as
+    fft(u, norm="forward") on the centered grid) back to band order, undoing
+    the (-1)^n twiddle.  Needs 2 * bandwidth + 1 <= spec.size."""
+    m = bandwidth
+    out = np.empty(2 * m + 1, dtype=complex)
+    out[m:] = spec[: m + 1]
+    out[:m] = spec[spec.size - m :]
+    _negate_odd_modes(out, -m)
+    return out
+
+
 def synthesize(field: SpectralField, grid_size: int) -> np.ndarray:
     """Evaluate the field on the centered grid x_j = j*L/G - L/2.
 
@@ -113,13 +150,7 @@ def synthesize(field: SpectralField, grid_size: int) -> np.ndarray:
     g = int(grid_size)
     if g < 2 * m + 1:
         raise ValueError(f"grid_size {g} < 2M+1 = {2 * m + 1} would alias")
-    spec = np.zeros(g, dtype=complex)
-    n = field.modes()
-    # exp(2*pi*i*(n/L)*x_j) at x_j = j*L/G - L/2 picks up (-1)^n vs the
-    # standard DFT kernel exp(2*pi*i*n*j/G)
-    twiddle = np.where(n % 2 == 0, 1.0, -1.0)
-    spec[n % g] = field.coeffs * twiddle
-    return ifft(spec) * g
+    return ifft(_spectrum_of_band(field.coeffs, g), norm="forward", overwrite_x=True)
 
 
 def analyze(samples: np.ndarray, L: float, bandwidth: int | None = None) -> SpectralField:
@@ -135,15 +166,7 @@ def analyze(samples: np.ndarray, L: float, bandwidth: int | None = None) -> Spec
     m = (g - 1) // 2 if bandwidth is None else int(bandwidth)
     if 2 * m + 1 > g:
         raise ValueError(f"bandwidth {m} not resolved by {g} samples")
-    return _band_of_spectrum(fft(u) / g, L, m)
-
-
-def _band_of_spectrum(spec: np.ndarray, L: float, bandwidth: int) -> SpectralField:
-    """Modes |n| <= bandwidth of a trapezoid spectrum fft(u) / G on the
-    centered grid; the caller guarantees 2 * bandwidth + 1 <= G."""
-    n = np.arange(-bandwidth, bandwidth + 1)
-    twiddle = np.where(n % 2 == 0, 1.0, -1.0)
-    return SpectralField(L, spec[n % spec.size] * twiddle)
+    return SpectralField(L, _band_of_spectrum(fft(u, norm="forward"), m))
 
 
 def sobolev_norm(field: SpectralField, spec: NormSpec) -> float:
@@ -203,6 +226,18 @@ def enlarge_band(field: SpectralField, bandwidth: int) -> SpectralField:
     return SpectralField(field.period, c)
 
 
+def _cubic_coeffs(coeffs: np.ndarray, wick: bool = False) -> np.ndarray:
+    """cubic_density on a raw band-order coefficient array."""
+    m = (coeffs.size - 1) // 2
+    g = next_fast_len(6 * m + 1)
+    u = ifft(_spectrum_of_band(coeffs, g), norm="forward", overwrite_x=True)
+    u *= u.real**2 + u.imag**2
+    cubic = _band_of_spectrum(fft(u, norm="forward", overwrite_x=True), m)
+    if wick:
+        cubic -= 2.0 * np.vdot(coeffs, coeffs).real * coeffs
+    return cubic
+
+
 def cubic_density(field: SpectralField, wick: bool = False) -> SpectralField:
     """Coefficients of |u|^2 u, exactly, truncated back to the band.
 
@@ -211,14 +246,7 @@ def cubic_density(field: SpectralField, wick: bool = False) -> SpectralField:
     equal the triple convolution sum over n = n1 - n2 + n3.  The Wick
     variant subtracts 2 * (mean of |u|^2) * u.
     """
-    m = field.bandwidth
-    g = next_fast_len(6 * m + 1)
-    u = synthesize(field, g)
-    cubic = analyze((np.abs(u) ** 2) * u, field.period, m)
-    if wick:
-        _, msq = mean_and_l2(field)
-        return field.with_coeffs(cubic.coeffs - 2.0 * msq * field.coeffs)
-    return cubic
+    return field.with_coeffs(_cubic_coeffs(field.coeffs, wick))
 
 
 def periodize(profile, L: float, bandwidth: int) -> SpectralField:

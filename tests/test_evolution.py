@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len
 
 import nlslab as nl
 from nlslab import (
@@ -16,6 +17,7 @@ from nlslab import (
     NormSpec,
     SpectralField,
     StepperConfig,
+    analyze,
     duhamel_kernel,
     free_rotation_rates,
     galilean_boost,
@@ -208,6 +210,96 @@ def test_split_step_blowup_diagnostic():
     with np.errstate(all="ignore"):
         with pytest.raises(BlowupError):
             split_step_evolve(big, EquationSpec.cubic_nls(), 0.01, StepperConfig(dt=0.01))
+
+
+def _direct_synthesis(field, g):
+    """sum_n c_n exp(2 pi i (n/L) x_j) at x_j = j L/G - L/2, term by term."""
+    x = np.arange(g) / g - 0.5  # in units of L
+    return np.exp(2j * np.pi * np.outer(x, field.modes())) @ field.coeffs
+
+
+def _reference_split_step(field, eq, t, cfg):
+    """Textbook Strang loop: a fresh SpectralField, synthesize, rotate and
+    analyze on every step."""
+    n_steps = max(1, round(t / cfg.dt))
+    dt = t / n_steps
+    m, L = field.bandwidth, field.period
+    g = next_fast_len(cfg.grid_oversample * (2 * m + 1))
+    half = np.exp(1j * free_rotation_rates(field, eq) * dt / 2.0)
+    c = field.coeffs.copy()
+    for _ in range(n_steps):
+        c = c * half
+        u = synthesize(SpectralField(L, c), g)
+        shift = 2.0 * float(np.sum(np.abs(c) ** 2)) if eq.wick else 0.0
+        u = u * np.exp(1j * dt * (np.abs(u) ** 2 - shift))
+        c = analyze(u, L, m).coeffs * half
+    return c
+
+
+def _reference_ode(field, t, wick, out_band):
+    """Closed form on the padded field; the tail sums every numpy.fft bin
+    whose mode lies outside |n| <= out_band."""
+    m, L = field.bandwidth, field.period
+    g = next_fast_len(max(8 * (2 * m + 1), 2 * (2 * out_band + 1)))
+    u = synthesize(nl.enlarge_band(field, out_band), g)
+    shift = 2.0 * float(np.sum(np.abs(field.coeffs) ** 2)) if wick else 0.0
+    w = u * np.exp(1j * t * (np.abs(u) ** 2 - shift))
+    spec = np.fft.fft(w) / g
+    modes = np.rint(np.fft.fftfreq(g, 1.0 / g))
+    tail = L * float(np.sum(np.abs(spec[np.abs(modes) > out_band]) ** 2))
+    return analyze(w, L, out_band).coeffs, tail
+
+
+@pytest.mark.parametrize("wick", [False, True])
+@pytest.mark.parametrize("alpha", [1.0, 0.75])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_lean_integrators_match_the_reference_loops(wick, alpha, sign):
+    eq = EquationSpec(alpha=alpha, dispersion_sign=sign, wick=wick)
+    cfg = StepperConfig(dt=5e-3)
+    data = random_field(2.5, 8, seed=31, l2=2.0)
+    # the reference loops rest on synthesize; pin it to the term-by-term sum
+    g = next_fast_len(3 * (2 * 24 + 1))
+    padded = nl.enlarge_band(data, 24)  # 3x the data band, as lab pads split-step
+    direct = _direct_synthesis(padded, g)
+    assert np.max(np.abs(synthesize(padded, g) - direct)) <= 1e-12 * np.max(np.abs(direct))
+    for f in (data, padded):
+        want = _reference_split_step(f, eq, 0.2, cfg)
+        got = split_step_evolve(f, eq, 0.2, cfg).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    mass = l2_norm(data) ** 2
+    for out_band in (8, 24, 136):
+        want, want_tail = _reference_ode(data, 0.7, wick, out_band)
+        got = ode_exact_evolve(data, 0.7, wick=wick, out_bandwidth=out_band)
+        assert np.max(np.abs(got.field.coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+        assert abs(got.tail_mass - want_tail) <= 1e-12 * want_tail + 1e-20 * mass
+
+
+def test_split_step_builds_no_field_per_step(monkeypatch):
+    # the steps run on raw arrays: no synthesize/analyze call and a fixed
+    # number of SpectralField constructions, whatever the step count
+    built = 0
+    post_init = SpectralField.__post_init__
+
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("split_step_evolve called synthesize/analyze")
+
+    f = random_field(1.0, 8, seed=32, l2=1.0)
+    monkeypatch.setattr(SpectralField, "__post_init__", counting_post_init)
+    for module in (nl.torus, nl.evolution):
+        for name in ("synthesize", "analyze"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    counts = []
+    for eq in (EquationSpec.cubic_nls(), EquationSpec.wick_nls()):
+        for n_steps in (4, 64):
+            built = 0
+            split_step_evolve(f, eq, 0.1, StepperConfig(dt=0.1 / n_steps))
+            counts.append(built)
+    assert len(set(counts)) == 1 and counts[0] <= 2, counts
 
 
 # ---------------------------------------------------------------------------

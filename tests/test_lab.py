@@ -385,11 +385,19 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("inflate", "sweep = 64.7", "inflate sweep values must be integers, got 64.7"),
         ("gamma", "sweep = 0.5", "gamma sweep values must be integers, got 0.5"),
         ("feasibility", "grid_points = 0", "grid_points must be >= 1"),
-        ("inflate", "sweep = 1", "inflate sweep values must be >= 2, got 1.0"),
-        ("inflate", "sweep = 0", "inflate sweep values must be >= 2, got 0.0"),
+        ("inflate", "sweep = 1", "inflate sweep values must be >= 16 (the smallest N of the two-block "
+                                 "schedules), got 1.0"),
+        ("inflate", "sweep = 0", "inflate sweep values must be >= 16 (the smallest N of the two-block "
+                                 "schedules), got 0.0"),
         ("approx", "sweep = -0.1 0.1", "approx sweep values must be > 0, got -0.1"),
         ("inflate", "picard_budget = -1", "picard_budget must be >= 0"),
         ("inflate", "s = nan", "s must be finite, got nan"),
+        ("gamma", "base_delta = 0", "base_delta must be > 0, got 0.0"),
+        ("gamma", "delta_decay = 0", "delta_decay must be > 0, got 0.0"),
+        ("approx", "time_horizon = 0", "time_horizon must be > 0, got 0.0"),
+        ("periodize", "band_per_period = 0", "band_per_period must be > 0, got 0.0"),
+        ("inflate", "sweep = 2", "inflate sweep values must be >= 16 (the smallest N of the two-block "
+                                 "schedules), got 2.0"),
     ],
 )
 def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):

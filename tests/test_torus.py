@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import nlslab as nl
@@ -113,6 +114,29 @@ def test_round_trip_identity(period, bandwidth, seed):
     for g in (2 * bandwidth + 1, 4 * bandwidth + 3):
         back = analyze(synthesize(f, g), period, bandwidth)
         assert coeff_gap(back, f) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 40), st.integers(0, 60), st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, 2.5, 32.0]))
+@example(1, 0, 0, 1.0)  # G = 2M+1 = 3
+@example(5, 1, 1, 2.5)  # even G = 12
+@example(30, 6, 2, 1.0)  # G = 67, a prime, so no fast FFT length
+@example(40, 0, 3, 32.0)  # G = 2M+1 = 81
+def test_band_grid_round_trip(bandwidth, extra, seed, period):
+    # the slice-based scatter/gather behind synthesize and analyze, on odd
+    # and even grids from G = 2M+1 up, fast FFT lengths or not
+    g = 2 * bandwidth + 1 + extra
+    f = random_field(period, bandwidth, seed)
+    scale = float(np.max(np.abs(f.coeffs)))
+    u = synthesize(f, g)
+    x = np.arange(g) / g - 0.5  # x_j = j L/G - L/2 in units of L
+    direct = np.exp(2j * np.pi * np.outer(x, f.modes())) @ f.coeffs
+    assert np.max(np.abs(u - direct)) <= 1e-12 * scale * f.coeffs.size
+    assert coeff_gap(analyze(u, period, bandwidth), f) <= 1e-12 * scale
+    full = analyze(u, period)  # default bandwidth: every unaliased mode
+    assert full.bandwidth == (g - 1) // 2 and full.period == period
+    assert coeff_gap(full, f) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
