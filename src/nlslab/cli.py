@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: inflate, approx, periodize, gamma, feasibility.  Each reads
-an optional INI config file (one [<experiment>] section per experiment,
-typed keys, unknown keys rejected), applies flag overrides, runs the
-experiment, writes the report, and prints a one-line summary.
+One subcommand per experiment in lab.RUNNERS.  Each reads an optional INI
+config file (one [<experiment>] section per experiment, unknown keys
+rejected), applies flag overrides, runs the experiment, writes the report,
+and prints a one-line summary.  The INI keys and their types are the
+annotated fields of lab.ExperimentConfig.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import types
+import typing
 
 from . import lab
-
-EXPERIMENTS = ("inflate", "approx", "periodize", "gamma", "feasibility")
 
 # Per-experiment defaults layered over ExperimentConfig's own defaults.
 SUBCOMMAND_DEFAULTS: dict[str, dict] = {
@@ -48,21 +49,6 @@ SUBCOMMAND_DEFAULTS: dict[str, dict] = {
     },
 }
 
-_INT_KEYS = {"dt_steps", "grid_oversample", "seed", "threads", "picard_budget", "grid_points"}
-_FLOAT_KEYS = {
-    "s", "alpha", "theta", "surrogate_period", "amplitude", "width", "eps",
-    "time_horizon", "band_per_period", "c_fraction", "base_delta",
-    "delta_decay", "margin",
-}
-_STR_KEYS = {"regime", "output_path", "fmt", "profile"}
-_BOOL_KEYS = {"timing"}
-_FLOAT_TUPLE_KEYS = {"sweep", "periods", "s_list"}
-_INT_TUPLE_KEYS = {"N_list"}
-_STR_TUPLE_KEYS = {"methods"}
-
-KNOWN_KEYS = (_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS
-              | _FLOAT_TUPLE_KEYS | _INT_TUPLE_KEYS | _STR_TUPLE_KEYS)
-
 
 def _split_items(raw: str) -> list[str]:
     return [tok for tok in raw.replace(",", " ").split() if tok]
@@ -77,26 +63,34 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+_SCALAR_PARSERS = {int: int, float: float, bool: _parse_bool, str: str.strip}
+
+
+def _value_parser(tp):
+    """Parser for one field annotation: a scalar, `X | None` (parsed as X),
+    or `tuple[T, ...]` (items split on spaces/commas, each parsed as T)."""
+    if isinstance(tp, types.UnionType):
+        (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+    if typing.get_origin(tp) is tuple:
+        item = _SCALAR_PARSERS[typing.get_args(tp)[0]]
+        return lambda raw: tuple(item(tok) for tok in _split_items(raw))
+    return _SCALAR_PARSERS[tp]
+
+
+# INI key -> parser.  `experiment` is chosen by the subcommand, never by the file.
+_PARSERS = {key: _value_parser(tp)
+            for key, tp in typing.get_type_hints(lab.ExperimentConfig).items()
+            if key != "experiment"}
+
+
 def parse_config_value(key: str, raw: str):
     """Convert one config-file string to the typed value for `key`."""
+    if key not in _PARSERS:
+        raise ValueError(f"unknown config key {key!r}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            return _parse_bool(raw)
-        if key in _STR_KEYS:
-            return raw.strip()
-        if key in _FLOAT_TUPLE_KEYS:
-            return tuple(float(tok) for tok in _split_items(raw))
-        if key in _INT_TUPLE_KEYS:
-            return tuple(int(tok) for tok in _split_items(raw))
-        if key in _STR_TUPLE_KEYS:
-            return tuple(_split_items(raw))
+        return _PARSERS[key](raw)
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: cannot parse {raw!r}: {exc}") from exc
-    raise ValueError(f"unknown config key {key!r}")
 
 
 def load_config_file(path: str, experiment: str) -> dict:
@@ -115,7 +109,7 @@ def load_config_file(path: str, experiment: str) -> dict:
         raise ValueError(f"config file {path!r} has no [{experiment}] section")
     out = {}
     for key, raw in parser.items(experiment):
-        if key not in KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r} in [{experiment}] of {path!r}")
         out[key] = parse_config_value(key, raw)
     return out
@@ -133,8 +127,6 @@ def build_config(experiment: str, args: argparse.Namespace) -> lab.ExperimentCon
     if args.threads is not None:
         kwargs["threads"] = args.threads
     if args.seed is not None:
-        if args.seed < 0 or args.seed >= 2**64:
-            raise ValueError("--seed must fit in an unsigned 64-bit integer")
         kwargs["seed"] = args.seed
     return lab.ExperimentConfig(**kwargs)
 
@@ -145,15 +137,8 @@ def make_parser() -> argparse.ArgumentParser:
         description="Spectral experiments for norm growth of cubic dispersive flows on scaled tori.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    descriptions = {
-        "inflate": "norm-growth sweep for two-block spectral data",
-        "approx": "small-dispersion vs dispersionless error scaling",
-        "periodize": "circle-norm convergence to real-line norms",
-        "gamma": "discrepancy-mode counting along a dilation schedule",
-        "feasibility": "parameter-space scan for the smallness/largeness conditions",
-    }
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=descriptions[name])
+    for name, runner in lab.RUNNERS.items():
+        p = sub.add_parser(name, help=runner.__doc__)
         p.add_argument("--config", default=None, help="INI config file with an [%s] section" % name)
         p.add_argument("--out", default=None, help="output path (default: %s_report.<format>)" % name)
         p.add_argument("--format", default=None, choices=("csv", "json"), help="report format (default csv)")

@@ -20,7 +20,6 @@ from .torus import (
     NormSpec,
     SpectralField,
     analyze,
-    enlarge_band,
     project_below,
     sobolev_norm,
     synthesize,
@@ -261,7 +260,7 @@ def xi_term(phi: SpectralField, k: int, t: float, max_bandwidth: int = 2**21) ->
             budget=max_bandwidth,
         )
     g = next_fast_len(2 * band + 1)
-    u = synthesize(enlarge_band(phi, band), g)
+    u = synthesize(phi, g)
     w = (1j * t) ** k / math.factorial(k) * np.abs(u) ** (2 * k) * u
     return analyze(w, phi.period, band)
 

@@ -74,14 +74,11 @@ class EquationSpec:
 @dataclass(frozen=True)
 class StepperConfig:
     dt: float
-    method: str = "split_step"
     grid_oversample: int = 3
 
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.method not in ("split_step", "rk4"):
-            raise ValueError("method must be split_step or rk4")
         if self.grid_oversample < 3:
             raise ValueError("grid_oversample must be >= 3 (cubic dealiasing)")
 

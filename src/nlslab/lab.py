@@ -63,6 +63,9 @@ class ExperimentConfig:
     `sweep` holds the swept values: N for 'inflate', delta for 'approx',
     the period L for 'periodize', the schedule index j for 'gamma'.  The
     'feasibility' experiment sweeps `N_list` instead.
+
+    The field annotations are the config schema: the command line derives
+    its INI keys and their parsers from them.
     """
 
     experiment: str
@@ -70,7 +73,7 @@ class ExperimentConfig:
     s: float = -0.5
     alpha: float = 1.0
     theta: float | None = None
-    sweep: tuple = ()
+    sweep: tuple[float, ...] = ()
     dt_steps: int = 200
     grid_oversample: int = 3
     output_path: str | None = None
@@ -79,7 +82,7 @@ class ExperimentConfig:
     threads: int = 1
     timing: bool = False
     # experiment-specific knobs
-    methods: tuple = METHODS
+    methods: tuple[str, ...] = METHODS
     picard_budget: int = 200_000_000
     surrogate_period: float = 32.0
     profile: str = "bump"
@@ -87,18 +90,18 @@ class ExperimentConfig:
     width: float = 2.0
     eps: float = 0.1
     time_horizon: float = 1.0
-    periods: tuple = (32.0, 64.0, 128.0)
-    s_list: tuple = (-1.0, -0.5, 0.0, 1.0)
+    periods: tuple[float, ...] = (32.0, 64.0, 128.0)
+    s_list: tuple[float, ...] = (-1.0, -0.5, 0.0, 1.0)
     band_per_period: float = 8.0
     c_fraction: float = 0.5
     base_delta: float = 0.16
     delta_decay: float = 0.8408964152537145  # 2**(-1/4)
     grid_points: int = 50
     margin: float = 10.0
-    N_list: tuple = (2**16, 2**24, 2**32, 2**40, 2**48)
+    N_list: tuple[int, ...] = (2**16, 2**24, 2**32, 2**40, 2**48)
 
     def __post_init__(self):
-        if self.experiment not in ("inflate", "approx", "periodize", "gamma", "feasibility"):
+        if self.experiment not in RUNNERS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
@@ -125,6 +128,8 @@ class ExperimentConfig:
             raise ValueError("grid_points must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         if self.dt_steps < 1:
@@ -234,18 +239,13 @@ def emit_report(report: InflationReport, fmt: str, path: str) -> str:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    for key in ("sweep", "methods", "periods", "s_list", "N_list"):
-        d[key] = list(d[key])
-    return d
+    """Field values by name, with tuple fields as lists (JSON arrays)."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    kwargs = dict(d)
-    for key in ("sweep", "methods", "periods", "s_list", "N_list"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = tuple(kwargs[key])
-    return ExperimentConfig(**kwargs)
+    """Inverse of config_to_dict: list values become tuples again."""
+    return ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 def _map_ordered(fn, items, threads: int):
@@ -347,6 +347,7 @@ def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
 
 
 def run_inflation(cfg: ExperimentConfig) -> InflationReport:
+    """Norm-growth sweep for two-block spectral data."""
     pairs = _map_ordered(lambda N: _inflate_point(cfg, int(N)),
                          list(cfg.sweep), resolve_threads(cfg))
     rows = [p[0] for p in pairs]
@@ -380,6 +381,7 @@ def _approx_error(profile, delta: float, L: float, t: float, band: int,
 
 
 def run_approximation(cfg: ExperimentConfig) -> InflationReport:
+    """Small-dispersion vs dispersionless error scaling."""
     profile = _approx_profile(cfg)
     L0 = cfg.periods[0]
     band0 = math.ceil(cfg.band_per_period * L0)
@@ -446,6 +448,7 @@ def line_sobolev_norm(profile, s: float, homogeneous: bool = True,
 
 
 def run_periodization(cfg: ExperimentConfig) -> InflationReport:
+    """Circle-norm convergence to real-line norms."""
     profile = _approx_profile(cfg)
     rows = []
     for s in cfg.s_list:
@@ -539,6 +542,7 @@ def _gamma_point(cfg: ExperimentConfig, j: int) -> ReportRow:
 
 
 def run_gamma(cfg: ExperimentConfig) -> InflationReport:
+    """Discrepancy-mode counting along a dilation schedule."""
     rows = _map_ordered(lambda j: _gamma_point(cfg, int(j)),
                         list(cfg.sweep), resolve_threads(cfg))
     return InflationReport(rows, _metadata(cfg))
@@ -591,11 +595,14 @@ def feasibility_scan(s: float, alpha: float, cfg: ExperimentConfig) -> Inflation
 
 
 def run_feasibility(cfg: ExperimentConfig) -> InflationReport:
+    """Parameter-space scan for the smallness/largeness conditions."""
     return feasibility_scan(cfg.s, cfg.alpha, cfg)
 
 
 # ---------------------------------------------------------------------------
 
+# The one list of experiment names: ExperimentConfig checks against it and
+# the command line builds one subcommand per entry.
 RUNNERS = {
     "inflate": run_inflation,
     "approx": run_approximation,

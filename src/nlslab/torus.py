@@ -77,16 +77,6 @@ class SpectralField:
     def with_coeffs(self, coeffs) -> "SpectralField":
         return SpectralField(self.period, coeffs)
 
-    @staticmethod
-    def from_modes(period: float, entries: dict, bandwidth: int) -> "SpectralField":
-        """Build a field from a {mode: coefficient} dict."""
-        c = np.zeros(2 * bandwidth + 1, dtype=complex)
-        for n, v in entries.items():
-            if abs(n) > bandwidth:
-                raise ValueError(f"mode {n} outside band [-{bandwidth}, {bandwidth}]")
-            c[n + bandwidth] = v
-        return SpectralField(period, c)
-
 
 @dataclass(frozen=True)
 class NormSpec:

@@ -61,8 +61,6 @@ def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt=0.0)
     with pytest.raises(ValueError):
-        StepperConfig(dt=0.1, method="euler")
-    with pytest.raises(ValueError):
         StepperConfig(dt=0.1, grid_oversample=2)
 
 

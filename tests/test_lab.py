@@ -2,6 +2,7 @@
 command-line interface."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -306,6 +307,28 @@ def test_parse_config_value_types():
         cli.parse_config_value("threads", "many")
     with pytest.raises(ValueError, match="unknown config key"):
         cli.parse_config_value("bogus", "1")
+    with pytest.raises(ValueError, match="unknown config key 'experiment'"):
+        cli.parse_config_value("experiment", "gamma")
+    # Every field but `experiment` is a key, and the INI spelling of each
+    # default parses back to that default with the default's own types.
+    defaults = [{f.name: f.default for f in dataclasses.fields(ExperimentConfig)},
+                *cli.SUBCOMMAND_DEFAULTS.values()]
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name != "experiment":
+            cli.parse_config_value(f.name, "1")
+    for layer in defaults:
+        for key, default in layer.items():
+            if key == "experiment" or default is None:
+                continue
+            items = default if isinstance(default, tuple) else (default,)
+            raw = " ".join(str(v) for v in items)
+            got = cli.parse_config_value(key, raw)
+            assert got == default, key
+            got_items = got if isinstance(default, tuple) else (got,)
+            assert [type(v) for v in got_items] == [type(v) for v in items], key
+    assert type(cli.parse_config_value("N_list", "65536")[0]) is int
+    assert type(cli.parse_config_value("sweep", "256")[0]) is float
+    assert type(cli.parse_config_value("timing", "False")) is bool
 
 
 def test_load_config_file(tmp_path):
@@ -329,6 +352,10 @@ def test_load_config_file(tmp_path):
     bad.write_text("[feasibility]\nbogus = 1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key 'bogus'"):
         cli.load_config_file(str(bad), "feasibility")
+    chosen = tmp_path / "chosen.ini"
+    chosen.write_text("[gamma]\nexperiment = gamma\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown config key 'experiment'"):
+        cli.load_config_file(str(chosen), "gamma")
     with pytest.raises(OSError, match="cannot read config file"):
         cli.load_config_file(str(tmp_path / "absent.ini"), "feasibility")
 
@@ -398,6 +425,9 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("periodize", "band_per_period = 0", "band_per_period must be > 0, got 0.0"),
         ("inflate", "sweep = 2", "inflate sweep values must be >= 16 (the smallest N of the two-block "
                                  "schedules), got 2.0"),
+        ("feasibility", "seed = -5", "seed must fit in an unsigned 64-bit integer, got -5"),
+        ("feasibility", "seed = 18446744073709551616",
+         "seed must fit in an unsigned 64-bit integer, got 18446744073709551616"),
     ],
 )
 def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):
@@ -412,10 +442,10 @@ def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, messag
 
 def test_cli_parser_covers_all_experiments():
     parser = cli.make_parser()
-    for name in cli.EXPERIMENTS:
+    for name in lab.RUNNERS:
         args = parser.parse_args([name])
         assert args.experiment == name
         assert args.config is None and args.out is None
-    assert set(cli.SUBCOMMAND_DEFAULTS) == set(cli.EXPERIMENTS)
+    assert set(cli.SUBCOMMAND_DEFAULTS) == set(lab.RUNNERS)
     with pytest.raises(SystemExit):
         parser.parse_args(["bogus"])
