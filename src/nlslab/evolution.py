@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
+from scipy.fft import fft, ifft, next_fast_len
 
 from .torus import (
     BudgetExceededError,
@@ -113,28 +113,25 @@ def ode_exact_evolve(
     field: SpectralField,
     t: float,
     wick: bool = False,
-    oversample: int = 8,
     out_bandwidth: int | None = None,
 ) -> EvolveResult:
     """Closed-form dispersionless solution phi * exp(i |phi|^2 t).
 
-    The rotation is not band-limited, so it is sampled on a grid with the
-    requested oversampling and re-analyzed.  The discarded tail mass, L
-    times the grid spectrum's mass beyond the retained band |n| <= M_out,
-    is summed directly over the discarded FFT bins (Parseval), so it is
+    The rotation is not band-limited, so it is sampled on a grid 8 times
+    the data band and re-analyzed.  The discarded tail mass, L times the
+    grid spectrum's mass beyond the retained band |n| <= M_out, is summed
+    directly over the discarded FFT bins (Parseval), so it is
     non-negative and free of cancellation against the total mass.  For the
     inflate data and out band it sits at the FFT roundoff floor, about
     1e-31 of the data mass (7e-29 against 462 for crit_half at N = 256).
     """
-    if oversample < 8:
-        raise ValueError("oversample must be >= 8")
     m = field.bandwidth
     m_out = m if out_bandwidth is None else int(out_bandwidth)
     if m_out < m:
         raise ValueError("out_bandwidth cannot be below the input band")
-    # factor `oversample` relative to the data band, and at least Nyquist x2
-    # for the retained output band
-    g = next_fast_len(max(oversample * (2 * m + 1), 2 * (2 * m_out + 1)))
+    # factor 8 relative to the data band, and at least Nyquist x2 for the
+    # retained output band
+    g = next_fast_len(max(8 * (2 * m + 1), 2 * (2 * m_out + 1)))
     u = ifft(_spectrum_of_band(field.coeffs, g), norm="forward", overwrite_x=True)
     shift = 2.0 * mean_and_l2(field)[1] if wick else 0.0
     _rotate_in_place(u, t, shift, np.empty(g), np.empty(g, dtype=complex))
@@ -333,6 +330,11 @@ def _support_arrays(field: SpectralField):
     return n[nz], field.coeffs[nz]
 
 
+# default order-1 triple budget: admits crit_half N = 128 (6.1e6 triples)
+# and frac_crit theta = 0.1 N = 256 (1.3e7), refuses crit_half N = 256
+# (4.9e7) and frac_crit N = 512 (8.3e7)
+PICARD_BUDGET = 25_000_000
+
 # pairs per vectorised block of the order-1 sum: bounds its temporaries
 # (about 0.5 MB per array) whatever the support size
 _PAIR_BLOCK = 32768
@@ -353,8 +355,7 @@ def _order_one_coeffs(
     The summand is symmetric in n1 <-> n3, so each unordered pair n1 <= n3
     is taken once, with weight 2 off the diagonal, and every n2 in the
     support completes it to a triple with n = n1 + n3 - n2: |S|^2 (|S|+1)/2
-    terms and no masking.  The caller's budget is the problem size
-    |S|^2 * |out modes|, not this count.
+    terms and no masking.
     """
     i1, i3 = np.triu_indices(n_sup.size)
     b1, b3 = n_sup[i1] + out_band, n_sup[i3] + out_band  # band indices
@@ -389,38 +390,11 @@ def _order_one_coeffs(
     return acc
 
 
-def _reachable_modes(n_sup: np.ndarray, out_band: int) -> np.ndarray:
-    """Sorted output modes n = n1 - n2 + n3 (n1, n2, n3 in the support)
-    with |n| <= out_band.
-
-    The number of triples hitting n is the triple correlation
-    (ind * ind * reversed ind)[n] of the support's indicator array, taken
-    with one real FFT of length g >= 3 * width, so O(width log width)
-    instead of O(|support|^2).
-    """
-    lo = int(n_sup.min())
-    width = int(n_sup.max()) - lo + 1
-    ind = np.zeros(width)
-    ind[n_sup - lo] = 1.0
-    # offsets k1 - k2 + k3 span -(width-1) .. 2(width-1), fewer than g, so
-    # the circular correlation does not alias
-    g = next_fast_len(3 * width, real=True)
-    spec = rfft(ind, g)
-    count = irfft(spec * spec * np.conj(spec), g)
-    offsets = np.arange(-(width - 1), 2 * width - 1)
-    # The counts are integers no larger than |support|^2 (5.2e7 for
-    # crit_half at N = 4096).  The FFT roundoff on them is far below 0.5
-    # (at most 2e-8 there), so rounding recovers them exactly.
-    hit = np.rint(count[offsets % g]) > 0
-    modes = offsets[hit] + lo
-    return modes[np.abs(modes) <= out_band]
-
-
 def picard_expansion(
     phi: SpectralField,
     t: float,
     alpha: float,
-    budget: int = 200_000_000,
+    budget: int = PICARD_BUDGET,
     dispersion_coeff: float = 1.0,
     dispersion_sign: int = 1,
 ) -> SpectralField:
@@ -428,22 +402,17 @@ def picard_expansion(
     phi + i sum over the resonance set n = n1 - n2 + n3 of the closed-form
     time integral of exp(-i Phi t') times the coefficient triple product.
 
-    The reachable output modes are found in O(width log width), and the
-    problem size |support|^2 * |output modes| is checked against ``budget``
-    before any O(|support|^2) summation; over budget it refuses with a size
-    report.  The budget is this size, not the |S|^2 (|S| + 1) / 2 triples
-    the summation actually visits, so the refusal frontier does not depend
-    on how the sum is taken.  The output band is 3 max|n| over the support,
-    or phi's own band if that is wider.
+    The |S|^2 (|S| + 1) / 2 triples the summation visits (S the support)
+    are checked against ``budget`` before any O(|S|^2) work; over budget
+    it refuses with a size report.  The output band is 3 max|n| over the
+    support, or phi's own band if that is wider.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
     n_sup, c_sup = _support_arrays(phi)
     if n_sup.size == 0:
         return phi
-    out_band = max(3 * int(np.max(np.abs(n_sup))), phi.bandwidth)
-    out_modes = _reachable_modes(n_sup, out_band)
-    work = n_sup.size ** 2 * out_modes.size
+    work = n_sup.size ** 2 * (n_sup.size + 1) // 2
     if work > budget:
         raise BudgetExceededError(
             f"order-1 triple summation needs {work} kernel evaluations (budget {budget})",
@@ -451,6 +420,7 @@ def picard_expansion(
             budget=budget,
         )
 
+    out_band = max(3 * int(np.max(np.abs(n_sup))), phi.bandwidth)
     symbol_scale = dispersion_sign * dispersion_coeff * (2.0 * np.pi / phi.period) ** (2.0 * alpha)
     pow_table = np.abs(np.arange(-out_band, out_band + 1, dtype=float)) ** (2.0 * alpha)
     first = _order_one_coeffs(n_sup, c_sup, pow_table, out_band, symbol_scale, t)

@@ -83,7 +83,7 @@ class ExperimentConfig:
     timing: bool = False
     # experiment-specific knobs
     methods: tuple[str, ...] = METHODS
-    picard_budget: int = 200_000_000
+    picard_budget: int = evo.PICARD_BUDGET
     surrogate_period: float = 32.0
     profile: str = "bump"
     amplitude: float = 1.0
@@ -131,7 +131,7 @@ class ExperimentConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
         if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
+            raise ValueError(f"fmt must be csv or json, got {self.fmt!r}")
         if self.dt_steps < 1:
             raise ValueError("dt_steps must be >= 1")
         if not 0.0 < self.c_fraction <= 1.0:
@@ -147,6 +147,9 @@ class ExperimentConfig:
                              f"of the two-block schedules), got {self.sweep[0]!r}")
         if self.experiment == "approx" and not self.sweep[0] > 0.0:
             raise ValueError(f"approx sweep values must be > 0, got {self.sweep[0]!r}")
+        # _approx_error evolves the alpha = 1 equation, whose error rate is delta^(3/2)
+        if self.experiment == "approx" and self.alpha != 1.0:
+            raise ValueError(f"approx requires alpha = 1, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)

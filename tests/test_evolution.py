@@ -34,7 +34,6 @@ from nlslab import (
     synthesize,
     xi_term,
 )
-from nlslab.evolution import _reachable_modes
 
 from _helpers import coeff_gap, l2_gap, l2_norm, random_field
 
@@ -107,8 +106,6 @@ def test_ode_exact_tail_closes_the_mass_budget():
 
 def test_ode_exact_parameter_validation():
     f = random_field(1.0, 4, seed=4)
-    with pytest.raises(ValueError):
-        ode_exact_evolve(f, 0.1, oversample=4)
     with pytest.raises(ValueError):
         ode_exact_evolve(f, 0.1, out_bandwidth=3)
 
@@ -541,35 +538,60 @@ def _supports(draw):
     return band, sorted(set(modes))
 
 
-def test_reachable_modes_match_brute_force_and_set_the_budget():
-    def reference(modes, out_band):
-        sup = set(modes)
-        sums = {a + b for a in sup for b in sup}
-        return sorted(n for n in {v - n2 for v in sums for n2 in sup} if abs(n) <= out_band)
-
-    def required(phi):
+def test_picard_budget_counts_the_summed_triples(monkeypatch):
+    def required(phi, budget=0):
         with pytest.raises(BudgetExceededError) as err:
-            picard_expansion(phi, 0.1, 1.0, budget=0)
+            picard_expansion(phi, 0.1, 1.0, budget=budget)
         return err.value.required
 
+    def triples(phi):
+        k = int(np.count_nonzero(phi.coeffs))
+        assert len(np.triu_indices(k)[0]) * k == k * k * (k + 1) // 2
+        return k * k * (k + 1) // 2
+
     @settings(max_examples=300, deadline=None, database=None)
-    @given(_supports(), st.integers(0, 120))
-    def matches(drawn, out_band):
+    @given(_supports())
+    def counts(drawn):
         band, modes = drawn
-        assert _reachable_modes(np.array(modes), out_band).tolist() == reference(modes, out_band)
         coeffs = np.zeros(2 * band + 1, dtype=complex)
         coeffs[np.array(modes) + band] = 0.6 - 0.2j
-        reach = reference(modes, 3 * max(abs(n) for n in modes))
-        assert required(SpectralField(1.0, coeffs)) == len(modes) ** 2 * len(reach)
+        phi = SpectralField(1.0, coeffs)
+        assert required(phi) == triples(phi)
+        picard_expansion(phi, 0.1, 1.0, budget=triples(phi))  # exactly at the budget: runs
 
-    matches()
+    counts()
 
-    # the refusal's size report on the inflate data: |S|^2 * |reachable set|
-    for regime, kw in (("crit_half", {}), ("frac_crit", dict(s=-1.0, theta=0.1))):
-        phi = nl.build_two_block_data(regime, 256, **kw)
-        modes = phi.modes()[phi.coeffs != 0.0].tolist()
-        reach = reference(modes, 3 * max(abs(n) for n in modes))
-        assert required(phi) == len(modes) ** 2 * len(reach)
+    data = {
+        ("crit_half", 128): nl.build_two_block_data("crit_half", 128),
+        ("crit_half", 256): nl.build_two_block_data("crit_half", 256),
+        ("frac_crit", 256): nl.build_two_block_data("frac_crit", 256, s=-1.0, theta=0.1),
+        ("frac_crit", 512): nl.build_two_block_data("frac_crit", 512, s=-1.0, theta=0.1),
+    }
+    for key in (("crit_half", 256), ("frac_crit", 256)):
+        phi = data[key]
+        assert required(phi) == triples(phi)
+        assert required(phi, budget=triples(phi) - 1) == triples(phi)
+
+    # the default budget keeps the C08 refusal frontier: (|S|, runs)
+    frontier = {("crit_half", 128): (230, True), ("crit_half", 256): (462, False),
+                ("frac_crit", 256): (294, True), ("frac_crit", 512): (550, False)}
+    for key, (size, runs) in frontier.items():
+        phi = data[key]
+        assert np.count_nonzero(phi.coeffs) == size
+        if runs:
+            picard_expansion(phi, 0.1, 1.0)
+        else:
+            assert required(phi, budget=nl.evolution.PICARD_BUDGET) == triples(phi)
+
+    # a refusal does no O(|S|^2) work: neither the pair sum nor its index arrays
+    def forbidden(*args, **kwargs):
+        raise AssertionError("O(|S|^2) work before the budget check")
+
+    monkeypatch.setattr(nl.evolution, "_order_one_coeffs", forbidden)
+    monkeypatch.setattr(np, "triu_indices", forbidden)
+    for key in (("crit_half", 256), ("frac_crit", 512)):
+        with pytest.raises(BudgetExceededError):
+            picard_expansion(data[key], 0.1, 1.0)
 
 
 def _picard_reference(phi, t, alpha, dispersion_coeff, dispersion_sign):

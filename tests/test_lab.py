@@ -56,7 +56,7 @@ def small_report():
         (dict(experiment="nope", sweep=(1.0,)), "unknown experiment 'nope'"),
         (dict(experiment="inflate", sweep=()), "sweep must be nonempty"),
         (dict(experiment="inflate", sweep=(2.0, 1.0)), "sweep must be strictly increasing"),
-        (dict(experiment="inflate", sweep=(1.0,), fmt="xml"), "format must be csv or json"),
+        (dict(experiment="inflate", sweep=(1.0,), fmt="xml"), "fmt must be csv or json, got 'xml'"),
         (dict(experiment="inflate", sweep=(1.0,), threads=0), "threads must be >= 1"),
         (dict(experiment="inflate", sweep=(1.0,), dt_steps=0), "dt_steps must be >= 1"),
         (dict(experiment="inflate", sweep=(1.0,), c_fraction=0.0), "c_fraction must lie in"),
@@ -428,6 +428,8 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("feasibility", "seed = -5", "seed must fit in an unsigned 64-bit integer, got -5"),
         ("feasibility", "seed = 18446744073709551616",
          "seed must fit in an unsigned 64-bit integer, got 18446744073709551616"),
+        ("approx", "alpha = 0.5", "approx requires alpha = 1, got 0.5"),
+        ("gamma", "fmt = xml", "fmt must be csv or json, got 'xml'"),
     ],
 )
 def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):
