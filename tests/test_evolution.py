@@ -722,3 +722,126 @@ def test_picard_tracks_interaction_picture_solution():
     err = float(np.max(np.abs(a.coeffs - b.coeffs)))
     budget = nl.wiener_error_budget(phi, t, n0)
     assert err <= budget
+
+
+# ---------------------------------------------------------------------------
+# flow properties on random small bands
+#
+# Every tolerance below is a bound derived from the step size and the unit
+# roundoff u.  Two facts carry them.
+#
+# Sup bound: the Wiener norm A = sum |c_n| bounds sup |u| and grows at most
+# as A' = A^3, since the cubic term's Wiener norm is at most A^3 and neither
+# the free rotation nor the band projection raises it.  A split step does
+# the same (A -> A exp(dt A^2), which the ODE dominates; aliasing only folds
+# coefficients together).  So S = A0^2 / (1 - 2 t A0^2) bounds sup |u|^2 up
+# to time t.  With the weight exp(sigma |n|) the same argument bounds the
+# coefficients beyond |n| = R by exp(-sigma R) times the weighted norm.
+#
+# Split-step mass: the free half-steps are unitary and the pointwise rotation
+# keeps the grid mass, so mass leaves only through the band projection.  Per
+# step it drops part of (exp(i dt |u|^2) - 1) u, whose mass is at most
+# (dt S)^2 times the field's: over t/dt steps the relative loss is at most
+# t dt S^2.
+
+U = np.finfo(float).eps / 2.0
+
+
+def _sup_sq_bound(f, t):
+    a0 = float(np.sum(np.abs(f.coeffs))) ** 2
+    assert 2.0 * t * a0 < 1.0
+    return a0 / (1.0 - 2.0 * t * a0)
+
+
+def _roundoff(steps, grid):
+    """Relative mass rounding of `steps` steps, each two FFTs of `grid`
+    points (about u log2(grid) each on the norm) and four pointwise
+    products; mass doubles a norm's relative error."""
+    return 2.0 * steps * (2.0 * math.log2(grid) + 4.0) * U
+
+
+@st.composite
+def _small_band(draw):
+    period = draw(st.sampled_from((1.0, 2.0, 4.0)))
+    band = draw(st.integers(1, 8))
+    l2 = draw(st.floats(0.05, 0.4))
+    return random_field(period, band, seed=draw(st.integers(0, 2**32 - 1)), l2=l2)
+
+
+_SPECS = (EquationSpec.cubic_nls(), EquationSpec.wick_nls(), EquationSpec.fractional(0.75),
+          EquationSpec(dispersion_sign=-1))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_small_band(), st.sampled_from(_SPECS), st.floats(0.01, 0.05), st.integers(1, 40))
+def test_split_step_loses_mass_only_to_its_band(f, eq, t, steps):
+    dt = t / steps
+    out = split_step_evolve(f, eq, t, StepperConfig(dt=dt))
+    loss = 1.0 - (l2_norm(out) / l2_norm(f)) ** 2
+    rnd = _roundoff(steps, next_fast_len(3 * (2 * f.bandwidth + 1)))
+    assert -rnd <= loss <= t * dt * _sup_sq_bound(f, t) ** 2 + rnd
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_small_band(), st.floats(0.0, 1.0), st.integers(0, 16), st.booleans())
+def test_ode_exact_keeps_mass_with_its_tail(f, t, extra, wick):
+    m, m_out = f.bandwidth, f.bandwidth + extra
+    out = ode_exact_evolve(f, t, wick=wick, out_bandwidth=m_out)
+    mass = l2_norm(f) ** 2
+    rnd = _roundoff(1, next_fast_len(max(8 * (2 * m + 1), 2 * (2 * m_out + 1))))
+    assert abs(l2_norm(out.field) ** 2 + out.tail_mass - mass) <= rnd * mass
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_small_band(), st.floats(0.01, 0.05), st.integers(1, 40))
+def test_gauge_maps_the_plain_flow_to_the_wick_flow(f, t, steps):
+    # A Wick step is the plain step times exp(-2 i dt m_k), m_k the mean
+    # |u|^2 entering step k; the gauge applies exp(-2 i t m(t)) at the end.
+    # m falls by at most m(0) t dt S^2 in all, so the phases differ by at
+    # most 2 t m(0) t dt S^2.  Rounding the phases costs u t (S + 4 m(0)).
+    # The closed form shifts by the input's mean |u|^2 and the gauge by the
+    # output's, which is tail_mass / L lower.
+    dt = t / steps
+    cfg = StepperConfig(dt=dt)
+    norm, msq, sup = l2_norm(f), nl.mean_and_l2(f)[1], _sup_sq_bound(f, t)
+    plain = split_step_evolve(f, EquationSpec.cubic_nls(), t, cfg)
+    wick = split_step_evolve(f, EquationSpec.wick_nls(), t, cfg)
+    phase = 2.0 * t * msq * t * dt * sup**2 + U * t * (sup + 4.0 * msq)
+    rnd = 2.0 * _roundoff(steps, next_fast_len(3 * (2 * f.bandwidth + 1)))
+    assert l2_gap(gauge_transform(plain, t), wick) <= norm * (phase + rnd)
+
+    plain, wick = ode_exact_evolve(f, t), ode_exact_evolve(f, t, wick=True)
+    phase = 2.0 * t * plain.tail_mass / f.period + U * t * (sup + 4.0 * msq)
+    rnd = 2.0 * _roundoff(1, next_fast_len(8 * (2 * f.bandwidth + 1)))
+    assert l2_gap(gauge_transform(plain.field, t), wick.field) <= norm * (phase + rnd)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.integers(1, 2), st.sampled_from((-2, -1, 1, 2)), st.sampled_from((1.0, 2.0, 4.0)),
+       st.floats(0.05, 0.4), st.integers(0, 2**32 - 1), st.floats(0.01, 0.05), st.integers(1, 40))
+def test_galilean_boost_commutes_with_split_step(radius, shift, period, l2, seed, t, steps):
+    # The two runs keep different windows, |n| <= M in the data's frame and
+    # |n + shift| <= M in the boosted one, so they differ only through the
+    # coefficients beyond R = M - 2 |shift|; grid aliasing reaches even
+    # fewer.  Starting from radius rho = radius + |shift| in either frame,
+    # sigma with 4 t exp(2 sigma rho) A0^2 = 1 keeps the weighted norm below
+    # (2 t)^(-1/2), so those coefficients stay below exp(-sigma R) (2 t)^(-1/2).
+    # Through the cubic term's Lipschitz growth over t (at most a factor of
+    # 8 for t S <= 1/2) and the final boost's own cut, the runs part by at
+    # most 16 sqrt(L) exp(-sigma R) (2 t)^(-1/2); M is chosen to put that
+    # below u |f|.  What is left is rounding: the transforms, and each mode's
+    # phase angle, at most (2 pi (M + |shift|) / L)^2 t, rounded by u a few
+    # times over.
+    data = random_field(period, radius, seed=seed, l2=l2)
+    norm, a0 = l2_norm(data), float(np.sum(np.abs(data.coeffs))) ** 2
+    rho = radius + abs(shift)
+    sigma = math.log(1.0 / (4.0 * t * a0)) / (2.0 * rho)
+    cut = math.log(16.0 * math.sqrt(period) / (math.sqrt(2.0 * t) * U * norm)) / sigma
+    m = 2 * abs(shift) + math.ceil(cut)
+    f = nl.enlarge_band(data, m)
+    eq, cfg = EquationSpec.cubic_nls(), StepperConfig(dt=t / steps)
+    evolve_then_boost = galilean_boost(split_step_evolve(f, eq, t, cfg), 2 * shift, t)
+    boost_then_evolve = split_step_evolve(galilean_boost(f, 2 * shift, 0.0), eq, t, cfg)
+    angle = (2.0 * np.pi * (m + abs(shift)) / period) ** 2 * t
+    tol = norm * (U + 2.0 * _roundoff(steps, next_fast_len(3 * (2 * m + 1))) + 8.0 * U * angle)
+    assert l2_gap(evolve_then_boost, boost_then_evolve) <= tol

@@ -3,12 +3,14 @@ command-line interface."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from nlslab import (
     CSV_COLUMNS,
@@ -19,6 +21,7 @@ from nlslab import (
     ReportRow,
     SpectralField,
     appendix_profile,
+    centered_two_step,
     config_from_dict,
     config_to_dict,
     emit_report,
@@ -34,6 +37,7 @@ from nlslab import (
     run_experiment,
     run_gamma,
     run_inflation,
+    smooth_bump,
     wiener_error_budget,
 )
 from nlslab import cli, lab
@@ -190,6 +194,96 @@ def test_line_sobolev_norm_pins():
     # truncating the frequency integral at 80 loses under a tenth of a percent
     assert abs(line_sobolev_norm(box, 0.0) - 0.9993665469833218) <= 1e-9
     assert abs(line_sobolev_norm(box, 0.0) - 1.0) <= 1e-3
+
+
+ORDERS = (-1.0, -0.5, 0.0, 1.0)
+# off the integers |xi|^(2s) is singular at 0, where the first panel must resolve it
+FRACTIONAL = (-0.75, -0.25, 0.25, 0.75)
+
+
+def _line_profiles():
+    return {
+        "two_step": centered_two_step(1.0, 0.1),
+        "psi1": appendix_profile("psi1"),
+        "box": CompactProfile("step", ((-0.5, 0.5, 1.0),), 0.5),
+        "mollified": appendix_profile("mollified", eps=0.1),
+        "bump": smooth_bump(1.0, 2.0),
+    }
+
+
+def _tight_line_norm(folded, zero_mean, s, homogeneous=True):
+    # adaptive reference on the folded half-line: |F(xi)|^2 + |F(-xi)|^2
+    tight = dict(limit=800, epsabs=1e-14, epsrel=1e-13)
+    if not homogeneous:
+        total = quad(lambda xi: (1.0 + xi * xi) ** s * folded(xi), 0.0, 80.0, points=[1.0], **tight)[0]
+        return math.sqrt(total)
+    if zero_mean:
+        head = quad(lambda xi: xi ** (2.0 * s) * folded(xi) if xi else 0.0, 0.0, 1.0, **tight)[0]
+    else:
+        # the density is non-zero at 0: QAWS takes xi^(2s) as its weight
+        head = quad(folded, 0.0, 1.0, weight="alg", wvar=(2.0 * s, 0.0), **tight)[0]
+    tail = quad(lambda xi: xi ** (2.0 * s) * folded(xi), 1.0, 80.0, **tight)[0]
+    return math.sqrt(head + tail)
+
+
+@pytest.mark.parametrize("name, fractional, inhomogeneous", [
+    ("two_step", (), ()),
+    ("psi1", FRACTIONAL, ()),
+    ("box", FRACTIONAL, (-1.0, 1.0)),
+    ("mollified", (), ()),
+    ("bump", FRACTIONAL, (-1.0, 1.0)),
+])
+def test_line_sobolev_norm_matches_tight_quadrature(name, fractional, inhomogeneous):
+    profile = _line_profiles()[name]
+    zero_mean = abs(profile.fourier_transform(0.0)) <= 1e-12
+
+    @functools.cache
+    def folded(xi):
+        return float(np.sum(np.abs(profile.fourier_transform(np.array([xi, -xi]))) ** 2))
+
+    orders = ORDERS + fractional
+    norms = line_sobolev_norm(profile, orders)
+    assert norms[1] == line_sobolev_norm(profile, orders[1])  # one order takes the same path
+    for s, got in zip(orders, norms):
+        if not zero_mean and s <= -0.5:  # nonzero mean: the norm diverges
+            assert got == math.inf
+            continue
+        want = _tight_line_norm(folded, zero_mean, s)
+        assert abs(got - want) <= 1e-12 * want, f"{name}, s={s}: {got!r} vs {want!r}"
+    for s, got in zip(inhomogeneous, line_sobolev_norm(profile, inhomogeneous, homogeneous=False)):
+        want = _tight_line_norm(folded, zero_mean, s, homogeneous=False)
+        assert abs(got - want) <= 1e-12 * want, f"{name}, inhomogeneous s={s}: {got!r} vs {want!r}"
+
+
+def test_line_sobolev_norm_is_converged_in_the_panels(monkeypatch):
+    profiles = _line_profiles()
+    base = {name: line_sobolev_norm(p, ORDERS + FRACTIONAL) for name, p in profiles.items()}
+    monkeypatch.setattr(lab, "LINE_PANELS", 2 * lab.LINE_PANELS)
+    for name, p in profiles.items():
+        for s, a, b in zip(ORDERS + FRACTIONAL, base[name], line_sobolev_norm(p, ORDERS + FRACTIONAL)):
+            assert a == b if a == math.inf else abs(a - b) <= 1e-12 * a, f"{name}, s={s}"
+
+
+def test_line_sobolev_norm_refuses_zero_mean_below_minus_three_halves():
+    psi1 = appendix_profile("psi1")
+    assert math.isfinite(line_sobolev_norm(psi1, -1.25))
+    with pytest.raises(ValueError, match="needs s > -3/2"):
+        line_sobolev_norm(psi1, (0.0, -1.5))
+
+
+def test_periodization_evaluates_the_transform_a_few_times(monkeypatch):
+    calls = []
+    transform = CompactProfile.fourier_transform
+
+    def counted(self, xi):
+        calls.append(xi)
+        return transform(self, xi)
+
+    monkeypatch.setattr(CompactProfile, "fourier_transform", counted)
+    cfg = ExperimentConfig(experiment="periodize", **cli.SUBCOMMAND_DEFAULTS["periodize"])
+    rows = lab.run_periodization(cfg).rows
+    assert len(rows) == len(cfg.s_list) * len(cfg.sweep)
+    assert len(calls) < 100, f"{len(calls)} transform calls"
 
 
 # ---------------------------------------------------------------------------

@@ -357,10 +357,11 @@ def test_riemann_lower_period_is_out_of_domain():
 @pytest.mark.parametrize("s", [-1.0, -0.5, 0.0, 1.0])
 def test_riemann_error_strictly_decreasing(s):
     # circle-norm error vs the line norm must strictly decrease in the period.
-    # For integer s >= 0 the lattice sum reproduces the line integral exactly
-    # once the period clears the autocorrelation support, so the error sits at
-    # the quadrature floor and cannot decrease: those cases fail and the
-    # failure is recorded as a genuine finding, not patched over.
+    # For s >= 0 it cannot: once the period clears the support, the lattice
+    # sum reproduces the line integral over the circle band |xi| <= 32, and
+    # the error settles at the line norm's share beyond 32, up to the line
+    # cutoff 80 (1.75e-8 at s = 0, 4.39e-5 at s = 1).  Those cases fail and
+    # the failure is recorded as a genuine finding, not patched over.
     prof = appendix_profile("mollified", eps=0.1)
     line = nl.line_sobolev_norm(prof, s, homogeneous=True)
     errs = []
