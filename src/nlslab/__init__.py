@@ -80,6 +80,7 @@ from .lab import (
     InflationReport,
     MethodDisagreementError,
     ReportRow,
+    TailTargetError,
     config_from_dict,
     config_to_dict,
     emit_report,

@@ -109,6 +109,17 @@ def _rotate_in_place(u: np.ndarray, t: float, shift: float, theta: np.ndarray,
     u *= phase
 
 
+# grid points per rotation chunk of the closed form: bounds its scratch
+# arrays (1.5 MB together) whatever the grid size
+_ROTATE_CHUNK = 1 << 16
+
+
+def ode_grid_size(bandwidth: int, out_bandwidth: int) -> int:
+    """Grid of the closed form: 8 times the data band, and at least twice
+    the retained output band, rounded up to a fast FFT length."""
+    return next_fast_len(max(8 * (2 * bandwidth + 1), 2 * (2 * out_bandwidth + 1)))
+
+
 def ode_exact_evolve(
     field: SpectralField,
     t: float,
@@ -117,24 +128,26 @@ def ode_exact_evolve(
 ) -> EvolveResult:
     """Closed-form dispersionless solution phi * exp(i |phi|^2 t).
 
-    The rotation is not band-limited, so it is sampled on a grid 8 times
-    the data band and re-analyzed.  The discarded tail mass, L times the
+    The rotation is not band-limited, so it is sampled on the grid of
+    ode_grid_size and re-analyzed.  The discarded tail mass, L times the
     grid spectrum's mass beyond the retained band |n| <= M_out, is summed
     directly over the discarded FFT bins (Parseval), so it is
-    non-negative and free of cancellation against the total mass.  For the
-    inflate data and out band it sits at the FFT roundoff floor, about
-    1e-31 of the data mass (7e-29 against 462 for crit_half at N = 256).
+    non-negative and free of cancellation against the total mass.  The
+    inflate experiment picks its out band from this value: the smallest
+    band whose tail is at most 1e-20 of the data mass.
     """
     m = field.bandwidth
     m_out = m if out_bandwidth is None else int(out_bandwidth)
     if m_out < m:
         raise ValueError("out_bandwidth cannot be below the input band")
-    # factor 8 relative to the data band, and at least Nyquist x2 for the
-    # retained output band
-    g = next_fast_len(max(8 * (2 * m + 1), 2 * (2 * m_out + 1)))
+    g = ode_grid_size(m, m_out)
     u = ifft(_spectrum_of_band(field.coeffs, g), norm="forward", overwrite_x=True)
     shift = 2.0 * mean_and_l2(field)[1] if wick else 0.0
-    _rotate_in_place(u, t, shift, np.empty(g), np.empty(g, dtype=complex))
+    chunk = min(g, _ROTATE_CHUNK)
+    theta, phase = np.empty(chunk), np.empty(chunk, dtype=complex)
+    for lo in range(0, g, chunk):
+        part = u[lo : lo + chunk]
+        _rotate_in_place(part, t, shift, theta[: part.size], phase[: part.size])
     spec = fft(u, norm="forward", overwrite_x=True)
     out = SpectralField(field.period, _band_of_spectrum(spec, m_out))
     # bins m_out+1 .. g-m_out-1 are exactly the modes outside |n| <= m_out

@@ -57,6 +57,10 @@ class MethodDisagreementError(RuntimeError):
     """Evolution methods disagreed beyond their stated error budget."""
 
 
+class TailTargetError(RuntimeError):
+    """No allowed out band brings the closed form's tail under its target."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Typed configuration for one experiment run.
@@ -284,6 +288,29 @@ def _fl_inf_distance(a: torus.SpectralField, b: torus.SpectralField) -> float:
     return float(np.max(np.abs(diff)))
 
 
+# The closed form keeps the out band (2k+1) n_max for the first k in
+# ODE_K_RANGE whose dropped tail is at most ODE_TAIL_REL of the data's L^2
+# mass.  k = 1 leaves 1e-13..1e-7 of it in every regime.  The grid is at
+# least twice the out band, so the modes that alias back into the band
+# carry no more than the measured tail.
+ODE_TAIL_REL = 1e-20
+ODE_K_RANGE = range(2, 9)
+
+
+def _closed_form_on_tail_target(phi: torus.SpectralField, T: float,
+                                N: int) -> tuple[int, evo.EvolveResult]:
+    """(k, closed form at T on the out band (2k+1) n_max) for the first k
+    that meets the tail target; refuses if none does."""
+    mass = torus.mean_and_l2(phi)[1] * phi.period
+    for k in ODE_K_RANGE:
+        ode = evo.ode_exact_evolve(phi, T, out_bandwidth=(2 * k + 1) * phi.bandwidth)
+        if ode.tail_mass <= ODE_TAIL_REL * mass:
+            return k, ode
+    raise TailTargetError(
+        f"closed form at N={N} keeps a tail of {ode.tail_mass:.3e} at out band "
+        f"(2*{k}+1)*{phi.bandwidth}, above {ODE_TAIL_REL:g} of the data mass {mass:.6g}")
+
+
 def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
     s, theta = cfg.s, cfg.theta
     scenario = cons.InflationScenario(regime=cfg.regime, s=s, N=N, theta=theta)
@@ -308,12 +335,15 @@ def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
 
     results: dict[str, torus.SpectralField] = {}
     skipped: list[str] = []
+    aux = {}
     tail = 0.0
     if "ode" in methods:
-        k_cap = 8 if cfg.regime != "negative_s" else 5
-        ode = evo.ode_exact_evolve(phi, T, out_bandwidth=(2 * k_cap + 1) * n_max)
+        k, ode = _closed_form_on_tail_target(phi, T, N)
         results["ode"] = ode.field
         tail = ode.tail_mass
+        out_band = ode.field.bandwidth
+        aux.update(ode_k=k, ode_out_bandwidth=out_band,
+                   ode_grid_points=evo.ode_grid_size(n_max, out_band))
     if "split_step" in methods:
         eq = evo.EquationSpec(alpha=cfg.alpha)
         wide = torus.enlarge_band(phi, 3 * n_max)
@@ -346,7 +376,7 @@ def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
         cfg.experiment, cfg.regime, s, cfg.alpha, N, N,
         norm0, normT, normT / norm0, ref,
         normT / ref if ref else None, tail, disagreement)
-    aux = {"projected_norm": norm_low, "T": T, "skipped": skipped}
+    aux.update(projected_norm=norm_low, T=T, skipped=skipped)
     return row, aux
 
 
@@ -447,7 +477,7 @@ def _line_rule(xi_max: float, panels: int):
 def _head_rule(beta: float, h: float):
     """64-node Gauss-Jacobi rule for the integral of xi^beta f(xi) over
     [0, h], by Golub-Welsch on the weight u^beta over [0, 1].  The nodes
-    come from eigvalsh, which the transform rules already use, and the
+    come from eigvalsh, which _line_rule's leggauss already uses, and the
     weights from the three-term recurrence (Christoffel numbers): taking
     eigenvectors or scipy's roots_jacobi would page in LAPACK code this
     program does not otherwise run, up to 0.9 MB of RSS."""

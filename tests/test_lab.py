@@ -21,6 +21,7 @@ from nlslab import (
     ReportRow,
     SpectralField,
     appendix_profile,
+    build_two_block_data,
     centered_two_step,
     config_from_dict,
     config_to_dict,
@@ -30,6 +31,7 @@ from nlslab import (
     gamma_discrepancy,
     line_sobolev_norm,
     measure_plateau,
+    ode_exact_evolve,
     report_to_csv,
     report_to_json,
     resolve_threads,
@@ -338,6 +340,54 @@ def test_run_inflation_methods_agree_within_budget():
     assert rep.metadata["per_N"]["64"]["skipped"] == []
     assert rep.rows[0].method_disagreement is not None
     assert rep.rows[0].ratio > 1.0
+
+
+# the benchmark's inflate configs, and the out band each picks at N = 256
+INFLATE_REGIMES = {
+    "crit_half": (dict(s=-0.5), 3),
+    "frac_crit": (dict(s=-1.0, theta=0.1), 2),
+    "negative_s": (dict(s=-0.25, surrogate_period=32.0), 2),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(INFLATE_REGIMES))
+def test_inflate_out_band_meets_the_tail_target(regime, monkeypatch):
+    params, k_want = INFLATE_REGIMES[regime]
+    cfg = ExperimentConfig(experiment="inflate", regime=regime, sweep=(256.0,), **params)
+    data = build_two_block_data(regime, 256, s=cfg.s, theta=cfg.theta)
+    phi = data.periodize(cfg.surrogate_period) if regime == "negative_s" else data
+    mass = phi.period * float(np.sum(np.abs(phi.coeffs) ** 2))
+
+    rep = run_inflation(cfg)
+    row, aux = rep.rows[0], rep.metadata["per_N"]["256"]
+    k = aux["ode_k"]
+    assert k == k_want
+    assert aux["ode_out_bandwidth"] == (2 * k + 1) * phi.bandwidth
+    assert aux["ode_grid_points"] >= 2 * (2 * aux["ode_out_bandwidth"] + 1)
+    assert 0.0 <= row.tail_mass <= lab.ODE_TAIL_REL * mass
+    if k > lab.ODE_K_RANGE[0]:  # the chosen band is the smallest that meets the target
+        narrower = ode_exact_evolve(phi, aux["T"], out_bandwidth=(2 * k - 1) * phi.bandwidth)
+        assert narrower.tail_mass > lab.ODE_TAIL_REL * mass
+
+    # the report matches the one taken on the widest band, (2*8+1) n_max
+    monkeypatch.setattr(lab, "ODE_K_RANGE", range(8, 9))
+    wide = run_inflation(cfg)
+    assert wide.metadata["per_N"]["256"]["ode_k"] == 8
+    for got, want in ((row.norm_T, wide.rows[0].norm_T), (row.ratio, wide.rows[0].ratio),
+                      (aux["projected_norm"], wide.metadata["per_N"]["256"]["projected_norm"])):
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_cli_refuses_an_unmet_tail_target(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(lab, "ODE_TAIL_REL", 0.0)
+    ini = tmp_path / "inflate.ini"
+    ini.write_text("[inflate]\nsweep = 64\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main(["inflate", "--config", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlslab: error: closed form at N=64 keeps a tail of ")
+    assert "at out band (2*8+1)*" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_approximation_report():

@@ -208,7 +208,8 @@ built = []
 leggauss = legendre.leggauss
 legendre.leggauss = lambda n: built.append(n) or leggauss(n)
 import nlslab
-print(max(built, default=0), "scipy.signal" in sys.modules)
+print(max(built, default=0), "scipy.signal" in sys.modules,
+      nlslab.profiles._gauss_rule.cache_info().currsize)
 """
 
 
@@ -222,3 +223,19 @@ def test_import_builds_no_large_quadrature_rule():
                          capture_output=True, text=True, check=True).stdout.split()
     assert int(out[0]) < 2000, f"import built a {out[0]}-node quadrature rule"
     assert out[1] == "False", "import pulled in scipy.signal"
+    assert out[2] == "0", "import built a transform quadrature rule"
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 400, 2000])
+def test_gauss_rule_matches_leggauss(n):
+    nodes, weights, _ = nlslab.profiles._gauss_rule(n)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(nodes - want_nodes)) <= 1e-13
+    assert np.max(np.abs(weights - want_weights)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [400, 2000])
+def test_gauss_rule_integrates_the_unit_bump(n):
+    # leggauss's weights miss this by 2.9e-14 (n = 400) and 1.1e-13 (n = 2000)
+    _, weights, bump = nlslab.profiles._gauss_rule(n)
+    assert abs(weights @ bump - 1.0) <= 1e-14
