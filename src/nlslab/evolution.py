@@ -418,8 +418,10 @@ def picard_expansion(
     The |S|^2 (|S| + 1) / 2 triples the summation visits (S the support)
     are checked against ``budget`` before any O(|S|^2) work; over budget
     it refuses with a size report.  The output band is 3 max|n| over the
-    support, or phi's own band if that is wider.
+    support, or phi's own band if that is wider.  The equation data are
+    checked as EquationSpec checks them.
     """
+    EquationSpec(alpha=alpha, dispersion_coeff=dispersion_coeff, dispersion_sign=dispersion_sign)
     if t < 0.0:
         raise ValueError("t must be >= 0")
     n_sup, c_sup = _support_arrays(phi)

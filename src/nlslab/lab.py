@@ -465,22 +465,13 @@ LINE_CHUNK = 512  # transform points per call: bounds mollifier_transform's z x 
 
 
 @functools.cache
-def _line_rule(xi_max: float, panels: int):
-    """64-node Gauss-Legendre on each equal panel but the first, [0, h]."""
-    h = xi_max / panels
-    t, w = np.polynomial.legendre.leggauss(64)
-    starts = h * np.arange(1, panels)
-    return (starts[:, None] + 0.5 * h * (1.0 + t)).ravel(), np.tile(0.5 * h * w, panels - 1)
-
-
-@functools.cache
 def _head_rule(beta: float, h: float):
     """64-node Gauss-Jacobi rule for the integral of xi^beta f(xi) over
     [0, h], by Golub-Welsch on the weight u^beta over [0, 1].  The nodes
-    come from eigvalsh, which _line_rule's leggauss already uses, and the
-    weights from the three-term recurrence (Christoffel numbers): taking
-    eigenvectors or scipy's roots_jacobi would page in LAPACK code this
-    program does not otherwise run, up to 0.9 MB of RSS."""
+    come from eigvalsh, a 64 x 64 eigenvalue problem, and the weights from
+    the three-term recurrence (Christoffel numbers): taking eigenvectors
+    or scipy's roots_jacobi would page in more LAPACK code, up to 0.9 MB
+    of RSS."""
     k = np.arange(1.0, 64.0)
     m = 2.0 * k + beta
     diag = 0.5 + 0.5 * np.concatenate([[beta / (beta + 2.0)], beta * beta / (m * (m + 2.0))])
@@ -514,12 +505,13 @@ def line_sobolev_norm(profile, s, homogeneous: bool = True, xi_max: float = 80.0
     |F(-xi)|^2), which holds for complex profiles too, and cut into
     LINE_PANELS equal panels (width 0.5 at the default xi_max, so 0 and 1
     are panel edges).  Every panel but the first takes 64-node
-    Gauss-Legendre.  On the first, |xi|^(2s) is not smooth at 0 unless 2s
-    is an integer, so it takes 64-node Gauss-Jacobi with the weight
-    xi^beta built in: beta = 2s, or 2s + 2 with the density divided by
-    xi^2 when the profile has vanishing mean.  The rule matches a tight
-    adaptive quadrature to 1e-12 relative, fractional s included, and
-    doubling the panels moves it by less than that.
+    Gauss-Legendre (profiles._panel_rule).  On the first, |xi|^(2s) is
+    not smooth at 0 unless 2s is an integer, so it takes 64-node
+    Gauss-Jacobi (_head_rule) with the weight xi^beta built in: beta =
+    2s, or 2s + 2 with the density divided by xi^2 when the profile has
+    vanishing mean.  The rule matches a tight scipy quad oracle to 1e-12
+    relative, fractional s included, and doubling the panels moves it by
+    less than that.
 
     The cutoff xi_max is part of the norm: a circle norm whose band stops
     below it misses the share beyond that band, which at s >= 0 is what
@@ -534,7 +526,7 @@ def line_sobolev_norm(profile, s, homogeneous: bool = True, xi_max: float = 80.0
     """
     orders = np.atleast_1d(np.asarray(s, dtype=float))
     h = xi_max / LINE_PANELS
-    xi, weights = _line_rule(float(xi_max), LINE_PANELS)
+    xi, weights = prof._panel_rule(h * np.arange(1, LINE_PANELS + 1), 64)
     density = weights * _folded_density(profile, xi)
     zero_mean = abs(profile.fourier_transform(0.0)) <= 1e-12
     norms = []
@@ -559,10 +551,9 @@ def run_periodization(cfg: ExperimentConfig) -> InflationReport:
     profile = _approx_profile(cfg)
     rows = []
     line_norms = line_sobolev_norm(profile, cfg.s_list, homogeneous=True)
+    fields = [torus.periodize(profile, L, math.ceil(cfg.band_per_period * L)) for L in cfg.sweep]
     for s, line_norm in zip(cfg.s_list, line_norms):
-        for L in cfg.sweep:
-            band = math.ceil(cfg.band_per_period * L)
-            f_L = torus.periodize(profile, L, band)
+        for L, f_L in zip(cfg.sweep, fields):
             circle = torus.sobolev_norm(f_L, torus.NormSpec(s=s, homogeneous=True))
             rows.append(ReportRow(
                 cfg.experiment, cfg.regime, s, cfg.alpha, 0, L,

@@ -2,7 +2,8 @@
 
 These are the initial-data building blocks that get periodized onto a
 circle.  Step profiles carry exact closed forms (transform, moments,
-phase integral); smooth kinds fall back to quadrature.
+phase integral); smooth kinds are integrated by Gauss-Legendre on panels
+(`_panel_rule`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -30,7 +30,7 @@ def _raw_bump(y):
     return out
 
 
-BUMP_MASS = quad(lambda y: math.exp(-1.0 / (1.0 - y * y)), -1.0, 1.0, epsabs=1e-15)[0]
+BUMP_MASS = 0.4439938161680794  # integral of exp(-1/(1-y^2)): exp(-1/2) (K_1(1/2) - K_0(1/2))
 
 
 def _legendre_pair(n: int, x: np.ndarray):
@@ -49,13 +49,13 @@ def _gauss_rule(n: int):
     Newton steps on P_n, evaluated by its recurrence; the weights are
     2 / ((1 - x^2) P_n'(x)^2) and the rest follows by symmetry.  That is
     O(n^2) numpy work, 0.1 s for n = 2000 on a 2-CPU x86 host, where
-    leggauss solves an n x n eigenproblem (0.7-1.7 s there on first use)
-    and pages in LAPACK code.  The nodes are
-    within a unit roundoff of the true ones, and the weights closer to
-    their true values than leggauss's, which err by up to 1e-8 relative
-    near the ends at n = 2000: these rules integrate the unit bump to
-    1 within 1.3e-15, where leggauss's miss by 2.9e-14 (n = 400) and
-    1.1e-13 (n = 2000).
+    numpy's Golub-Welsch rule solves an n x n eigenproblem (0.7-1.7 s
+    there on first use) and pages in LAPACK code.  The nodes are within a
+    unit roundoff of the true ones, and the weights closer to their true
+    values than Golub-Welsch's, which err by up to 1e-8 relative near the
+    ends at n = 2000: these rules integrate the unit bump to 1 within
+    1.3e-15, where Golub-Welsch's miss by 2.9e-14 (n = 400) and 1.1e-13
+    (n = 2000).
     """
     half = (n + 1) // 2
     theta = np.pi * (4.0 * np.arange(1, half + 1) - 1.0) / (4.0 * n + 2.0)
@@ -75,12 +75,18 @@ def _gauss_rule(n: int):
     return nodes, weights, _raw_bump(nodes) / BUMP_MASS
 
 
-# dense CDF table for evaluating mollified steps pointwise
-_CDF_X = np.linspace(-1.0, 1.0, 200001)
-_CDF_Y = np.concatenate(
-    [[0.0], np.cumsum((_raw_bump(_CDF_X)[1:] + _raw_bump(_CDF_X)[:-1]) * 0.5 * (_CDF_X[1] - _CDF_X[0]))]
-) / BUMP_MASS
-_CDF_Y /= _CDF_Y[-1]
+def _panel_rule(edges, n: int):
+    """Nodes and weights of n-node Gauss-Legendre on each panel between
+    consecutive entries along the last axis of `edges`, flattened along
+    it; leading axes index independent panel sets.  The package's
+    integrals over the line are sums over this rule, bar the singular
+    first panel of lab.line_sobolev_norm (lab._head_rule)."""
+    t, w, _ = _gauss_rule(n)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[..., None]
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
+    shape = edges.shape[:-1] + (-1,)
+    return (mid + half * t).reshape(shape), (half * w).reshape(shape)
 
 
 def mollifier_transform(zeta):
@@ -102,8 +108,17 @@ def mollifier_transform(zeta):
 
 
 def mollifier_cdf(u):
-    """Cumulative integral of the unit bump from -1 to u."""
-    return np.interp(np.asarray(u, dtype=float), _CDF_X, _CDF_Y, left=0.0, right=1.0)
+    """Cumulative integral of the unit bump from -1 to u: the 128-node rule
+    on [-1, u] over the same rule on [-1, 1] (within 2e-16 of the exact
+    mass), so the value is 0 for u <= -1 and 1 for u >= 1 exactly."""
+    u = np.asarray(u, dtype=float)
+    out = np.array(u >= 1.0, dtype=float)
+    inside = np.abs(u) < 1.0
+    ends = np.append(u[inside], 1.0)
+    x, w = _panel_rule(np.stack([np.full_like(ends, -1.0), ends], axis=-1), 128)
+    mass = np.sum(w * _raw_bump(x), axis=-1)
+    out[inside] = mass[:-1] / mass[-1]
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +232,12 @@ class CompactProfile:
         return out if np.ndim(xi) else complex(out[0])
 
     def _base_transform(self, xi_arr):
-        # quadrature transform of the underived base eta_raw * p0
-        p0 = np.asarray(self._base_poly())
-        nodes, weights, _ = _gauss_rule(2000 if np.max(np.abs(xi_arr)) > 25.0 else 400)
-        w = weights * _raw_bump(nodes) * npoly.polyval(nodes, p0)
-        ph = np.exp(-2j * np.pi * np.outer(xi_arr, nodes))
-        return ph @ w
-
-    def _base_poly(self):
-        if self.kind != "derivative":
-            raise ValueError("base polynomial only exists for derivative kind")
-        return self._stored_base
-
-    @property
-    def _stored_base(self):
-        # the kappa = 0 polynomial is recoverable: it was saved alongside
-        return self.pieces[0] if self.pieces else (1.0,)
+        # quadrature transform of the underived base eta_raw * p0, with p0
+        # saved in pieces alongside the derived polynomial
+        p0 = np.asarray(self.pieces[0] if self.pieces else (1.0,))
+        x, w = _panel_rule((-1.0, 1.0), 2000 if np.max(np.abs(xi_arr)) > 25.0 else 400)
+        ph = np.exp(-2j * np.pi * np.outer(xi_arr, x))
+        return ph @ (w * _raw_bump(x) * npoly.polyval(x, p0))
 
     # -- integrals ----------------------------------------------------------
 
@@ -250,12 +255,11 @@ class CompactProfile:
                 if mu != 0.0:
                     total += math.comb(j, i) * step.integral_moment(i) * mu
             return total
-        re = quad(lambda x: (x**j * self.evaluate(x)).real, -self.support_radius, self.support_radius, limit=300)[0]
-        im = quad(lambda x: (x**j * self.evaluate(x)).imag, -self.support_radius, self.support_radius, limit=300)[0]
-        return complex(re, im)
+        x, w = _panel_rule((-self.support_radius, self.support_radius), 400)
+        return complex(w @ (x**j * self.evaluate(x)))
 
     def breakpoints(self):
-        """Interior non-smooth points, for adaptive quadrature hints."""
+        """Interior non-smooth points: the panel edges of phase_integral."""
         pts = set()
         for a, b, _ in self.pieces if self.kind in ("step", "mollified") else ():
             for e in (a, b):
@@ -276,17 +280,12 @@ def _step_transform(pieces, xi_arr):
     return out
 
 
-_BUMP_MOMENTS = {}
-
-
 def _bump_moment(k: int) -> float:
+    """k-th moment of the unit bump."""
     if k % 2 == 1:
         return 0.0
-    if k not in _BUMP_MOMENTS:
-        _BUMP_MOMENTS[k] = quad(
-            lambda y: y**k * math.exp(-1.0 / (1.0 - y * y)), -1.0, 1.0, epsabs=1e-15
-        )[0] / BUMP_MASS
-    return _BUMP_MOMENTS[k]
+    x, w = _panel_rule((-1.0, 1.0), 400)
+    return float(w @ (x**k * _raw_bump(x))) / BUMP_MASS
 
 
 # ---------------------------------------------------------------------------
@@ -437,22 +436,26 @@ def moment_vanishing(profile: CompactProfile, kappa: int) -> MomentReport:
 def phase_integral(profile: CompactProfile, t0: float) -> PhaseIntegral:
     """integral of f(x) exp(i |f(x)|^2 t0) dx.
 
-    Exact for step profiles; adaptive quadrature with breakpoint hints
-    otherwise.
+    Exact for step profiles.  Otherwise 400-node Gauss-Legendre on each
+    panel between the breakpoints, and again on those panels halved; the
+    halved sum is returned.  If the two differ by more than 1e-10 of the
+    integral of |f|, the rule has not resolved the oscillation and the
+    call refuses with ValueError.
     """
     if profile.kind == "step":
         total = sum(v * (b - a) * np.exp(1j * abs(v) ** 2 * t0) for a, b, v in profile.pieces)
         total = complex(total) if profile.pieces else 0.0 + 0.0j
         return PhaseIntegral(total, abs(total))
     K = profile.support_radius
-    pts = profile.breakpoints()
-
-    def integrand(x, part):
+    edges = np.array([-K, *profile.breakpoints(), K])
+    sums = []
+    for parts in (1, 2):
+        x, w = _panel_rule(np.linspace(edges[:-1], edges[1:], parts + 1, axis=-1), 400)
         f = profile.evaluate(x)
-        w = f * np.exp(1j * np.abs(f) ** 2 * t0)
-        return w.real if part == "re" else w.imag
-
-    re = quad(integrand, -K, K, args=("re",), points=pts or None, limit=400)[0]
-    im = quad(integrand, -K, K, args=("im",), points=pts or None, limit=400)[0]
-    val = complex(re, im)
+        sums.append(np.sum(w * f * np.exp(1j * np.abs(f) ** 2 * t0)))
+    gap, scale = abs(sums[1] - sums[0]), np.sum(w * np.abs(f))
+    if gap > 1e-10 * scale:
+        raise ValueError(f"phase integral unresolved at t0={t0}: halving the panels moves it by "
+                         f"{gap / scale:.1e} of the integral of |f| (tolerance 1e-10)")
+    val = complex(sums[1])
     return PhaseIntegral(val, abs(val))

@@ -522,6 +522,17 @@ def test_picard_budget_refusal_reports_sizes():
     assert err.value.required > 10
 
 
+@pytest.mark.parametrize("eq", [
+    dict(dispersion_sign=2),
+    dict(dispersion_coeff=-1.0),
+    dict(alpha=0.0),
+    dict(alpha=-1.0),
+])
+def test_picard_refuses_the_equation_data_equation_spec_refuses(eq):
+    with pytest.raises(ValueError):
+        picard_expansion(random_field(1.0, 5, seed=24), 0.1, **{"alpha": 1.0, **eq})
+
+
 @st.composite
 def _supports(draw):
     """(bandwidth, sorted support): a single mode, gapped, all-negative, or

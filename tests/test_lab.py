@@ -42,7 +42,7 @@ from nlslab import (
     smooth_bump,
     wiener_error_budget,
 )
-from nlslab import cli, lab
+from nlslab import cli, lab, torus
 
 from _helpers import random_field
 
@@ -286,6 +286,20 @@ def test_periodization_evaluates_the_transform_a_few_times(monkeypatch):
     rows = lab.run_periodization(cfg).rows
     assert len(rows) == len(cfg.s_list) * len(cfg.sweep)
     assert len(calls) < 100, f"{len(calls)} transform calls"
+
+
+def test_periodization_periodizes_once_per_period(monkeypatch):
+    calls = []
+    periodize = torus.periodize
+
+    def counted(profile, L, bandwidth):
+        calls.append(L)
+        return periodize(profile, L, bandwidth)
+
+    monkeypatch.setattr(torus, "periodize", counted)
+    cfg = ExperimentConfig(experiment="periodize", **cli.SUBCOMMAND_DEFAULTS["periodize"])
+    lab.run_periodization(cfg)
+    assert calls == list(cfg.sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
 
 import nlslab
@@ -138,6 +139,12 @@ def test_mollified_phase_integral_keeps_half(eps):
     assert phase_integral(prof, 1.0).modulus >= 2.0 * SQRT_PI
 
 
+def test_phase_integral_refuses_an_unresolved_oscillation():
+    # |f| reaches 268 here, so the phase |f|^2 t0 turns through 2e4 radians
+    with pytest.raises(ValueError, match="phase integral unresolved"):
+        phase_integral(appendix_profile("derivative", kappa=3), 0.3)
+
+
 # ---------------------------------------------------------------------------
 # mollification
 
@@ -165,6 +172,21 @@ def test_mollifier_cdf_and_transform():
     assert np.all(np.diff(vals) >= -1e-15)
     assert abs(mollifier_transform(0.0) - 1.0) <= 1e-12
     assert abs(mollifier_transform(5.0)) < 1.0
+
+
+def test_bump_mass_is_its_closed_form():
+    want = math.exp(-0.5) * (scipy.special.k1(0.5) - scipy.special.k0(0.5))
+    assert abs(nlslab.profiles.BUMP_MASS - want) <= 2.0 * math.ulp(want)
+
+
+@pytest.mark.parametrize("u", [-0.9, -0.5, 0.3, 0.77])
+def test_mollifier_cdf_matches_a_quadrature_oracle(u):
+    def bump(y):
+        return math.exp(-1.0 / (1.0 - y * y))
+
+    tight = dict(epsabs=0.0, epsrel=1.2e-14, limit=200)  # epsrel just above 50 eps, the least quad accepts
+    want = quad(bump, -1.0, u, **tight)[0] / quad(bump, -1.0, 1.0, **tight)[0]
+    assert abs(mollifier_cdf(u) - want) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +231,24 @@ leggauss = legendre.leggauss
 legendre.leggauss = lambda n: built.append(n) or leggauss(n)
 import nlslab
 print(max(built, default=0), "scipy.signal" in sys.modules,
-      nlslab.profiles._gauss_rule.cache_info().currsize)
+      nlslab.profiles._gauss_rule.cache_info().currsize,
+      "scipy.integrate" in sys.modules)
 """
 
 
 def test_import_builds_no_large_quadrature_rule():
     # Importing the package must not pay for quadrature rules or modules a
     # run may never use: the 2000-node Gauss-Legendre rule (an eigenvalue
-    # problem of size 2000) is built on first use, and scipy.signal, slow
-    # to import, is not imported.
+    # problem of size 2000) is built on first use, and neither scipy.signal,
+    # slow to import, nor scipy.integrate, which the package does not use,
+    # is imported.
     env = dict(os.environ, PYTHONPATH=str(Path(nlslab.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout.split()
     assert int(out[0]) < 2000, f"import built a {out[0]}-node quadrature rule"
     assert out[1] == "False", "import pulled in scipy.signal"
     assert out[2] == "0", "import built a transform quadrature rule"
+    assert out[3] == "False", "import pulled in scipy.integrate"
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 400, 2000])
