@@ -80,6 +80,7 @@ from .lab import (
     InflationReport,
     MethodDisagreementError,
     ReportRow,
+    StepTargetError,
     TailTargetError,
     config_from_dict,
     config_to_dict,

@@ -155,7 +155,8 @@ def main(argv=None) -> int:
         report = lab.run_experiment(cfg)
         path = cfg.output_path or f"{cfg.experiment}_report.{cfg.fmt}"
         lab.emit_report(report, cfg.fmt, path)
-    except (ValueError, OSError, lab.MethodDisagreementError, lab.TailTargetError) as exc:
+    except (ValueError, OSError, lab.MethodDisagreementError, lab.TailTargetError,
+            lab.StepTargetError) as exc:
         print(f"nlslab: error: {exc}", file=sys.stderr)
         return 1
     print(f"nlslab: wrote {cfg.experiment} report ({len(report.rows)} rows) to {path}")

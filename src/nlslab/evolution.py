@@ -226,19 +226,14 @@ def rk4_spectral_evolve(
 
 
 def interaction_picture(
-    field: SpectralField,
-    t: float,
-    alpha: float,
-    dispersion_coeff: float = 1.0,
-    dispersion_sign: int = 1,
-    inverse: bool = False,
+    field: SpectralField, t: float, eq: EquationSpec, inverse: bool = False
 ) -> SpectralField:
-    """Undo the free rotation: mode n is multiplied by exp(-i rate t).
+    """Undo the free rotation of `eq`: mode n is multiplied by
+    exp(-i rate t), with the rates of free_rotation_rates.
 
     A free solution becomes constant in time; all weighted-coefficient
     norms are unchanged (modulus-1 multipliers).
     """
-    eq = EquationSpec(alpha=alpha, dispersion_coeff=dispersion_coeff, dispersion_sign=dispersion_sign)
     phase = -free_rotation_rates(field, eq) * t
     if inverse:
         phase = -phase

@@ -61,6 +61,10 @@ class TailTargetError(RuntimeError):
     """No allowed out band brings the closed form's tail under its target."""
 
 
+class StepTargetError(RuntimeError):
+    """No allowed split-step count brings the halving estimate under its tolerance."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Typed configuration for one experiment run.
@@ -79,6 +83,8 @@ class ExperimentConfig:
     alpha: float = 1.0
     theta: float | None = None
     sweep: tuple[float, ...] = ()
+    # split-step count: 'approx' and 'gamma' run exactly this many; for
+    # 'inflate' it is the largest count the step doubling may reach
     dt_steps: int = 200
     grid_oversample: int = 3
     output_path: str | None = None
@@ -311,6 +317,44 @@ def _closed_form_on_tail_target(phi: torus.SpectralField, T: float,
         f"(2*{k}+1)*{phi.bandwidth}, above {ODE_TAIL_REL:g} of the data mass {mass:.6g}")
 
 
+# Split-step runs Strang at n and 2n steps, n = dt_steps // 8 doubling while
+# 2n <= dt_steps, and stops at the first pair whose halving estimate
+# ||u_2n - u_n||_FLinf / 3 of u_2n's error is at most SPLIT_STEP_REL of
+# ||phi||_FLinf.  Strang is symmetric, so its error runs in even powers of
+# dt and the Richardson value (4 u_2n - u_n) / 3 cancels the dt^2 term.
+SPLIT_STEP_REL = 1e-3
+
+
+def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: float,
+                             N: int, cfg: ExperimentConfig) -> tuple[int, float, torus.SpectralField]:
+    """(2n, halving estimate over ||phi||_FLinf, Richardson value at T) for
+    the first step pair that meets SPLIT_STEP_REL; refuses if none does.
+    Split-step runs on the band 3 n_max, and each run's 2n-step field is
+    the next pair's n-step one."""
+    wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
+    scale = torus.fourier_lebesgue_norm(phi, 0.0, np.inf)
+
+    def strang(steps: int) -> torus.SpectralField:
+        stepper = evo.StepperConfig(dt=T / steps, grid_oversample=cfg.grid_oversample)
+        return evo.split_step_evolve(wide, eq, T, stepper)
+
+    n = max(1, cfg.dt_steps // 8)
+    coarse = None
+    while 2 * n <= cfg.dt_steps:
+        if coarse is None:
+            coarse = strang(n)
+        fine = strang(2 * n)
+        estimate = float(np.max(np.abs(fine.coeffs - coarse.coeffs))) / (3.0 * scale)
+        if estimate <= SPLIT_STEP_REL:
+            return 2 * n, estimate, fine.with_coeffs((4.0 * fine.coeffs - coarse.coeffs) / 3.0)
+        coarse, n = fine, 2 * n
+    tried = (f"at {n} steps, the largest count dt_steps = {cfg.dt_steps} allows, the estimate "
+             f"is {estimate:.3e}"
+             if coarse is not None else f"dt_steps = {cfg.dt_steps} allows no step pair (n, 2n)")
+    raise StepTargetError(f"split-step at N={N} misses the halving tolerance "
+                          f"{SPLIT_STEP_REL:g} of ||phi||_FLinf: {tried}")
+
+
 def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
     s, theta = cfg.s, cfg.theta
     scenario = cons.InflationScenario(regime=cfg.regime, s=s, N=N, theta=theta)
@@ -346,10 +390,9 @@ def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
                    ode_grid_points=evo.ode_grid_size(n_max, out_band))
     if "split_step" in methods:
         eq = evo.EquationSpec(alpha=cfg.alpha)
-        wide = torus.enlarge_band(phi, 3 * n_max)
-        stepper = evo.StepperConfig(dt=T / cfg.dt_steps, grid_oversample=cfg.grid_oversample)
-        u = evo.split_step_evolve(wide, eq, T, stepper)
-        results["split_step"] = evo.interaction_picture(u, T, cfg.alpha)
+        steps, estimate, u = _split_step_on_tolerance(phi, eq, T, N, cfg)
+        results["split_step"] = evo.interaction_picture(u, T, eq)
+        aux.update(split_steps=steps, split_estimate=estimate)
     if "picard" in methods:
         try:
             results["picard"] = evo.picard_expansion(phi, T, cfg.alpha, budget=cfg.picard_budget)

@@ -127,15 +127,15 @@ def test_free_rotation_rates_formula():
 
 def test_interaction_picture_identity_isometry_inversion():
     f = random_field(2.0, 10, seed=6, l2=1.0)
-    assert coeff_gap(interaction_picture(f, 0.0, 1.0), f) == 0.0
-    moved = interaction_picture(f, 0.37, 0.75, dispersion_coeff=1.3, dispersion_sign=-1)
+    assert coeff_gap(interaction_picture(f, 0.0, EquationSpec.cubic_nls()), f) == 0.0
+    eq = EquationSpec(alpha=0.75, dispersion_coeff=1.3, dispersion_sign=-1)
+    moved = interaction_picture(f, 0.37, eq)
     for spec in (NormSpec(s=0.0), NormSpec(s=1.0), NormSpec(s=-0.5, homogeneous=True)):
         assert abs(sobolev_norm(moved, spec) - sobolev_norm(f, spec)) <= 1e-12
     for p in (1.0, 2.0, np.inf):
         assert abs(nl.fourier_lebesgue_norm(moved, 0.3, p)
                    - nl.fourier_lebesgue_norm(f, 0.3, p)) <= 1e-12
-    back = interaction_picture(moved, 0.37, 0.75, dispersion_coeff=1.3,
-                               dispersion_sign=-1, inverse=True)
+    back = interaction_picture(moved, 0.37, eq, inverse=True)
     assert coeff_gap(back, f) <= 1e-15
 
 
@@ -145,7 +145,7 @@ def test_interaction_picture_freezes_free_solutions():
     t = 0.29
     rates = free_rotation_rates(f, eq)
     free_sol = f.with_coeffs(f.coeffs * np.exp(1j * rates * t))
-    frozen = interaction_picture(free_sol, t, 0.75, dispersion_coeff=1.3, dispersion_sign=-1)
+    frozen = interaction_picture(free_sol, t, eq)
     assert coeff_gap(frozen, f) <= 1e-14
 
 
@@ -726,7 +726,7 @@ def test_picard_tracks_interaction_picture_solution():
     p1 = picard_expansion(phi, t, 1.0)
     stepped = split_step_evolve(phi, EquationSpec.cubic_nls(), t,
                                 StepperConfig(dt=t / 200.0))
-    moved = interaction_picture(stepped, t, 1.0)
+    moved = interaction_picture(stepped, t, EquationSpec.cubic_nls())
     bw = max(p1.bandwidth, moved.bandwidth)
     a = nl.enlarge_band(p1, bw)
     b = nl.enlarge_band(moved, bw)

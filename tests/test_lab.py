@@ -42,7 +42,7 @@ from nlslab import (
     smooth_bump,
     wiener_error_budget,
 )
-from nlslab import cli, lab, torus
+from nlslab import cli, evolution, lab, torus
 
 from _helpers import random_field
 
@@ -401,6 +401,65 @@ def test_cli_refuses_an_unmet_tail_target(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("nlslab: error: closed form at N=64 keeps a tail of ")
     assert "at out band (2*8+1)*" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# cheap sizes of the two split-step regimes, and the step count each picks
+SPLIT_CASES = [("crit_half", 64, 100), ("crit_half", 256, 100),
+               ("frac_crit", 128, 50), ("frac_crit", 256, 50)]
+
+
+@pytest.mark.parametrize("regime,N,steps_want", SPLIT_CASES)
+def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
+    cfg = ExperimentConfig(experiment="inflate", regime=regime, sweep=(float(N),),
+                           methods=("ode", "split_step"), **INFLATE_REGIMES[regime][0])
+    aux = run_inflation(cfg).metadata["per_N"][str(N)]
+    assert aux["split_steps"] == steps_want
+    assert 0.0 < aux["split_estimate"] <= lab.SPLIT_STEP_REL
+
+    phi = build_two_block_data(regime, N, s=cfg.s, theta=cfg.theta)
+    T, eq = aux["T"], evolution.EquationSpec()
+    steps, estimate, u = lab._split_step_on_tolerance(phi, eq, T, N, cfg)
+    assert (steps, estimate) == (aux["split_steps"], aux["split_estimate"])
+    wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
+    scale = float(np.max(np.abs(phi.coeffs)))
+
+    def strang(k):
+        return evolution.split_step_evolve(wide, eq, T, evolution.StepperConfig(dt=T / k)).coeffs
+
+    # the reported field lies within its estimate of a fine reference, and
+    # closer to it than the finer run of its pair: it is the Richardson value
+    coarse, fine = strang(1600), strang(3200)
+    ref = (4.0 * fine - coarse) / 3.0
+    err = float(np.max(np.abs(u.coeffs - ref)))
+    assert err <= estimate * scale
+    assert err < float(np.max(np.abs(strang(steps) - ref)))
+
+    # the chosen count is the smallest in the sequence that meets the tolerance
+    first = 2 * max(1, cfg.dt_steps // 8)
+    if steps > first:
+        n = steps // 2
+        missed = float(np.max(np.abs(strang(n) - strang(n // 2)))) / (3.0 * scale)
+        assert missed > lab.SPLIT_STEP_REL
+
+
+@pytest.mark.parametrize("patch,dt_steps,message", [
+    (True, 200, "misses the halving tolerance 0 of ||phi||_FLinf: at 200 steps, "
+                "the largest count dt_steps = 200 allows, the estimate is "),
+    (False, 1, "misses the halving tolerance 0.001 of ||phi||_FLinf: "
+               "dt_steps = 1 allows no step pair (n, 2n)"),
+])
+def test_cli_refuses_an_unmet_step_tolerance(patch, dt_steps, message, tmp_path, monkeypatch,
+                                             capsys):
+    if patch:
+        monkeypatch.setattr(lab, "SPLIT_STEP_REL", 0.0)
+    ini = tmp_path / "inflate.ini"
+    ini.write_text(f"[inflate]\nsweep = 64\ndt_steps = {dt_steps}\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main(["inflate", "--config", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlslab: error: split-step at N=64 " + message)
+    assert "Traceback" not in err
     assert not out.exists()
 
 
