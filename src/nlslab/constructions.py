@@ -26,7 +26,8 @@ from .torus import (
     synthesize,
 )
 
-REGIMES = ("crit_half", "negative_s", "frac_crit", "supercritical_scaling", "positive_s")
+# the two-block regimes, each with a schedule in regime_parameters
+REGIMES = ("crit_half", "negative_s", "frac_crit")
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,7 @@ class InflationScenario:
 
     regime: str
     s: float
-    alpha: float = 1.0
     N: int | None = None
-    j: int | None = None
     theta: float | None = None
 
     def __post_init__(self):
@@ -52,9 +51,7 @@ class InflationScenario:
                 raise ValueError("frac_crit regime requires theta > 0")
             if not self.s < -0.5 - 3.0 * self.theta:
                 raise ValueError("frac_crit regime requires s < -1/2 - 3 theta")
-        if self.regime == "supercritical_scaling" and self.j is None:
-            raise ValueError("supercritical_scaling requires the index j")
-        if self.regime in ("crit_half", "negative_s", "frac_crit") and self.N is None:
+        if self.N is None:
             raise ValueError(f"regime {self.regime} requires N")
 
 
@@ -128,14 +125,12 @@ def regime_parameters(scenario: InflationScenario) -> RegimeSchedule:
         A = logn
         T = N ** (2.0 * s) / logn
         predicted = N ** (-s) * logn ** (-2.0) * g_factor(N, s)
-    elif scenario.regime == "frac_crit":
+    else:  # frac_crit
         th = scenario.theta
         R = N ** (-0.5 - s)
         A = N ** (1.0 - th)
         T = N ** (2.0 * s - 1.0 - th)
         predicted = N ** (-0.5 - s - 3.0 * th)
-    else:
-        raise ValueError(f"no two-block schedule for regime {scenario.regime!r}")
     half = math.floor(A / 2.0)
     width = 2 * half + 1
     T_star = 1.0 / (2.0 * R * width) ** 2 if width > 0 else math.inf

@@ -74,13 +74,16 @@ class EquationSpec:
 @dataclass(frozen=True)
 class StepperConfig:
     dt: float
-    grid_oversample: int = 3
 
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.grid_oversample < 3:
-            raise ValueError("grid_oversample must be >= 3 (cubic dealiasing)")
+
+
+# split-step samples a band-M field on next_fast_len(SPLIT_GRID_FACTOR *
+# (2M + 1)) points (cubic dealiasing): the cubic term |u|^2 u has band 3M,
+# which this grid holds without aliasing
+SPLIT_GRID_FACTOR = 3
 
 
 def free_rotation_rates(field: SpectralField, eq: EquationSpec) -> np.ndarray:
@@ -173,7 +176,7 @@ def split_step_evolve(
     n_steps = max(1, round(t / cfg.dt))
     dt = t / n_steps
     m = field.bandwidth
-    g = next_fast_len(cfg.grid_oversample * (2 * m + 1))
+    g = next_fast_len(SPLIT_GRID_FACTOR * (2 * m + 1))
     half = np.exp(1j * free_rotation_rates(field, eq) * dt / 2.0)
     half_lo, half_hi = half[m:], half[:m]  # modes 0..M and -M..-1, as in the spectrum
     theta, phase = np.empty(g), np.empty(g, dtype=complex)
@@ -226,7 +229,7 @@ def rk4_spectral_evolve(
 
 
 def interaction_picture(
-    field: SpectralField, t: float, eq: EquationSpec, inverse: bool = False
+    field: SpectralField, eq: EquationSpec, t: float, inverse: bool = False
 ) -> SpectralField:
     """Undo the free rotation of `eq`: mode n is multiplied by
     exp(-i rate t), with the rates of free_rotation_rates.
@@ -399,12 +402,7 @@ def _order_one_coeffs(
 
 
 def picard_expansion(
-    phi: SpectralField,
-    t: float,
-    alpha: float,
-    budget: int = PICARD_BUDGET,
-    dispersion_coeff: float = 1.0,
-    dispersion_sign: int = 1,
+    phi: SpectralField, eq: EquationSpec, t: float, budget: int = PICARD_BUDGET
 ) -> SpectralField:
     """First Picard iterate of the interaction-picture Duhamel equation:
     phi + i sum over the resonance set n = n1 - n2 + n3 of the closed-form
@@ -413,10 +411,12 @@ def picard_expansion(
     The |S|^2 (|S| + 1) / 2 triples the summation visits (S the support)
     are checked against ``budget`` before any O(|S|^2) work; over budget
     it refuses with a size report.  The output band is 3 max|n| over the
-    support, or phi's own band if that is wider.  The equation data are
-    checked as EquationSpec checks them.
+    support, or phi's own band if that is wider.  The sum has no Wick
+    form, so it refuses a Wick equation.
     """
-    EquationSpec(alpha=alpha, dispersion_coeff=dispersion_coeff, dispersion_sign=dispersion_sign)
+    if eq.wick:
+        raise ValueError("picard_expansion has no Wick form: the order-1 sum omits the "
+                         "-2 mean|u|^2 u term")
     if t < 0.0:
         raise ValueError("t must be >= 0")
     n_sup, c_sup = _support_arrays(phi)
@@ -431,7 +431,8 @@ def picard_expansion(
         )
 
     out_band = max(3 * int(np.max(np.abs(n_sup))), phi.bandwidth)
-    symbol_scale = dispersion_sign * dispersion_coeff * (2.0 * np.pi / phi.period) ** (2.0 * alpha)
-    pow_table = np.abs(np.arange(-out_band, out_band + 1, dtype=float)) ** (2.0 * alpha)
+    a2 = 2.0 * eq.alpha
+    symbol_scale = eq.dispersion_sign * eq.dispersion_coeff * (2.0 * np.pi / phi.period) ** a2
+    pow_table = np.abs(np.arange(-out_band, out_band + 1, dtype=float)) ** a2
     first = _order_one_coeffs(n_sup, c_sup, pow_table, out_band, symbol_scale, t)
     return SpectralField(phi.period, enlarge_band(phi, out_band).coeffs + first)

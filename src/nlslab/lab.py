@@ -86,7 +86,6 @@ class ExperimentConfig:
     # split-step count: 'approx' and 'gamma' run exactly this many; for
     # 'inflate' it is the largest count the step doubling may reach
     dt_steps: int = 200
-    grid_oversample: int = 3
     output_path: str | None = None
     fmt: str = "csv"
     seed: int = 0
@@ -114,6 +113,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in RUNNERS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.regime not in cons.REGIMES:  # every report row echoes it
+            raise ValueError(f"unknown regime {self.regime!r}; expected one of "
+                             f"{', '.join(cons.REGIMES)}")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             bad = [v for v in (value if isinstance(value, tuple) else (value,))
@@ -335,8 +337,7 @@ def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: 
     scale = torus.fourier_lebesgue_norm(phi, 0.0, np.inf)
 
     def strang(steps: int) -> torus.SpectralField:
-        stepper = evo.StepperConfig(dt=T / steps, grid_oversample=cfg.grid_oversample)
-        return evo.split_step_evolve(wide, eq, T, stepper)
+        return evo.split_step_evolve(wide, eq, T, evo.StepperConfig(dt=T / steps))
 
     n = max(1, cfg.dt_steps // 8)
     coarse = None
@@ -357,6 +358,7 @@ def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: 
 
 def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
     s, theta = cfg.s, cfg.theta
+    eq = evo.EquationSpec(alpha=cfg.alpha)
     scenario = cons.InflationScenario(regime=cfg.regime, s=s, N=N, theta=theta)
     sched = cons.regime_parameters(scenario)
     T = sched.T_N
@@ -389,13 +391,12 @@ def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
         aux.update(ode_k=k, ode_out_bandwidth=out_band,
                    ode_grid_points=evo.ode_grid_size(n_max, out_band))
     if "split_step" in methods:
-        eq = evo.EquationSpec(alpha=cfg.alpha)
         steps, estimate, u = _split_step_on_tolerance(phi, eq, T, N, cfg)
-        results["split_step"] = evo.interaction_picture(u, T, eq)
+        results["split_step"] = evo.interaction_picture(u, eq, T)
         aux.update(split_steps=steps, split_estimate=estimate)
     if "picard" in methods:
         try:
-            results["picard"] = evo.picard_expansion(phi, T, cfg.alpha, budget=cfg.picard_budget)
+            results["picard"] = evo.picard_expansion(phi, eq, T, budget=cfg.picard_budget)
         except torus.BudgetExceededError:
             skipped.append("picard")
 
@@ -445,13 +446,12 @@ def _approx_profile(cfg: ExperimentConfig) -> prof.CompactProfile:
 
 
 def _approx_error(profile, delta: float, L: float, t: float, band: int,
-                  steps: int, oversample: int) -> tuple[float, float]:
+                  steps: int) -> tuple[float, float]:
     """H^1(T_L) distance at time t between the small-dispersion flow and
     the exact dispersionless flow; also the latter's spectral tail mass."""
     phi = torus.periodize(profile, L, band)
     eq = evo.EquationSpec.small_dispersion(delta)
-    stepper = evo.StepperConfig(dt=t / steps, grid_oversample=oversample)
-    v = evo.split_step_evolve(phi, eq, t, stepper)
+    v = evo.split_step_evolve(phi, eq, t, evo.StepperConfig(dt=t / steps))
     w = evo.ode_exact_evolve(phi, t)
     diff = v.with_coeffs(v.coeffs - w.field.coeffs)
     return torus.sobolev_norm(diff, torus.NormSpec(s=1.0)), w.tail_mass
@@ -465,10 +465,8 @@ def run_approximation(cfg: ExperimentConfig) -> InflationReport:
     t_half, t_full = cfg.time_horizon / 2.0, cfg.time_horizon
 
     def point(delta: float) -> ReportRow:
-        e_half, _ = _approx_error(profile, delta, L0, t_half, band0,
-                                  cfg.dt_steps, cfg.grid_oversample)
-        e_full, tail = _approx_error(profile, delta, L0, t_full, band0,
-                                     cfg.dt_steps, cfg.grid_oversample)
+        e_half, _ = _approx_error(profile, delta, L0, t_half, band0, cfg.dt_steps)
+        e_full, tail = _approx_error(profile, delta, L0, t_full, band0, cfg.dt_steps)
         ref = delta**1.5
         return ReportRow(
             cfg.experiment, cfg.regime, cfg.s, cfg.alpha, 0, delta,
@@ -491,8 +489,7 @@ def run_approximation(cfg: ExperimentConfig) -> InflationReport:
         errs_L = []
         for L in cfg.periods:
             b = math.ceil(cfg.band_per_period * L)
-            errs_L.append(_approx_error(profile, d_mid, L, t_full, b,
-                                        cfg.dt_steps, cfg.grid_oversample)[0])
+            errs_L.append(_approx_error(profile, d_mid, L, t_full, b, cfg.dt_steps)[0])
         spread = max(errs_L) / min(errs_L)
         report.metadata["period_errors"] = {format(L, ".12g"): e for L, e in zip(cfg.periods, errs_L)}
         report.metadata["period_spread"] = spread
@@ -670,8 +667,7 @@ def _gamma_point(cfg: ExperimentConfig, j: int) -> ReportRow:
     t = cfg.time_horizon
     w = evo.ode_exact_evolve(phi, t).field
     eq = evo.EquationSpec.small_dispersion(delta, cfg.alpha)
-    stepper = evo.StepperConfig(dt=t / cfg.dt_steps, grid_oversample=cfg.grid_oversample)
-    v = evo.split_step_evolve(phi, eq, t, stepper)
+    v = evo.split_step_evolve(phi, eq, t, evo.StepperConfig(dt=t / cfg.dt_steps))
     c_measured, C0 = measure_plateau(w, cfg.c_fraction)
     g = gamma_discrepancy(w, v, L, c_measured, C0, delta, cfg.alpha)
     # ratio column carries the raw discrepancy count for this experiment

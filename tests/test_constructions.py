@@ -47,7 +47,7 @@ from _helpers import random_field
         (dict(regime="frac_crit", s=-1.0, N=64), "frac_crit regime requires theta > 0"),
         (dict(regime="frac_crit", s=-0.7, N=64, theta=0.1),
          "frac_crit regime requires s < -1/2 - 3 theta"),
-        (dict(regime="supercritical_scaling", s=-1.0), "supercritical_scaling requires the index j"),
+        (dict(regime="supercritical_scaling", s=-1.0, N=64), "unknown regime"),
         (dict(regime="crit_half", s=-0.5), "regime crit_half requires N"),
     ],
 )
@@ -57,8 +57,9 @@ def test_scenario_validation_messages(kwargs, message):
 
 
 def test_no_two_block_schedule_for_other_regimes():
-    with pytest.raises(ValueError, match="no two-block schedule for regime 'positive_s'"):
-        regime_parameters(InflationScenario(regime="positive_s", s=0.5))
+    # REGIMES holds exactly the regimes regime_parameters has a schedule for
+    with pytest.raises(ValueError, match="unknown regime 'positive_s'"):
+        InflationScenario(regime="positive_s", s=0.5, N=64)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 symmetry maps, and the low-order expansion of the Duhamel solution."""
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -59,8 +61,16 @@ def test_equation_spec_validation_and_factories():
 def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        StepperConfig(dt=0.1, grid_oversample=2)
+
+
+def test_signatures_the_benchmark_tracer_reads():
+    # benchmarks/tracer.py reads integrator arguments by position or name:
+    # _split_step_notes takes t and cfg.dt from split_step_evolve's 3rd and
+    # 4th, _picard_notes takes phi from picard_expansion's 1st.  Moving them
+    # would break its per-layer metrics without any other test failing.
+    assert list(inspect.signature(split_step_evolve).parameters)[2:4] == ["t", "cfg"]
+    assert "dt" in {f.name for f in dataclasses.fields(StepperConfig)}
+    assert list(inspect.signature(picard_expansion).parameters)[0] == "phi"
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +137,15 @@ def test_free_rotation_rates_formula():
 
 def test_interaction_picture_identity_isometry_inversion():
     f = random_field(2.0, 10, seed=6, l2=1.0)
-    assert coeff_gap(interaction_picture(f, 0.0, EquationSpec.cubic_nls()), f) == 0.0
+    assert coeff_gap(interaction_picture(f, EquationSpec.cubic_nls(), 0.0), f) == 0.0
     eq = EquationSpec(alpha=0.75, dispersion_coeff=1.3, dispersion_sign=-1)
-    moved = interaction_picture(f, 0.37, eq)
+    moved = interaction_picture(f, eq, 0.37)
     for spec in (NormSpec(s=0.0), NormSpec(s=1.0), NormSpec(s=-0.5, homogeneous=True)):
         assert abs(sobolev_norm(moved, spec) - sobolev_norm(f, spec)) <= 1e-12
     for p in (1.0, 2.0, np.inf):
         assert abs(nl.fourier_lebesgue_norm(moved, 0.3, p)
                    - nl.fourier_lebesgue_norm(f, 0.3, p)) <= 1e-12
-    back = interaction_picture(moved, 0.37, eq, inverse=True)
+    back = interaction_picture(moved, eq, 0.37, inverse=True)
     assert coeff_gap(back, f) <= 1e-15
 
 
@@ -145,7 +155,7 @@ def test_interaction_picture_freezes_free_solutions():
     t = 0.29
     rates = free_rotation_rates(f, eq)
     free_sol = f.with_coeffs(f.coeffs * np.exp(1j * rates * t))
-    frozen = interaction_picture(free_sol, t, eq)
+    frozen = interaction_picture(free_sol, eq, t)
     assert coeff_gap(frozen, f) <= 1e-14
 
 
@@ -219,7 +229,7 @@ def _reference_split_step(field, eq, t, cfg):
     n_steps = max(1, round(t / cfg.dt))
     dt = t / n_steps
     m, L = field.bandwidth, field.period
-    g = next_fast_len(cfg.grid_oversample * (2 * m + 1))
+    g = next_fast_len(3 * (2 * m + 1))
     half = np.exp(1j * free_rotation_rates(field, eq) * dt / 2.0)
     c = field.coeffs.copy()
     for _ in range(n_steps):
@@ -504,33 +514,27 @@ def test_galilean_boost_maps_trajectories_to_trajectories():
 
 def test_picard_time_zero_and_single_mode():
     f = random_field(1.0, 5, seed=22)
-    assert coeff_gap(picard_expansion(f, 0.0, 1.0), f) <= 1e-15
+    assert coeff_gap(picard_expansion(f, EquationSpec.cubic_nls(), 0.0), f) <= 1e-15
     c = 0.8 + 0.1j
     coeffs = np.zeros(7, dtype=complex)
     coeffs[3 + 2] = c
     mode = SpectralField(1.0, coeffs)
     t = 0.2
-    out = picard_expansion(mode, t, 1.0)
+    out = picard_expansion(mode, EquationSpec.cubic_nls(), t)
     assert abs(out.coefficient(2) - (c + 1j * t * abs(c) ** 2 * c)) <= 1e-14
 
 
 def test_picard_budget_refusal_reports_sizes():
     f = random_field(1.0, 40, seed=23)
     with pytest.raises(BudgetExceededError) as err:
-        picard_expansion(f, 0.1, 1.0, budget=10)
+        picard_expansion(f, EquationSpec.cubic_nls(), 0.1, budget=10)
     assert err.value.budget == 10
     assert err.value.required > 10
 
 
-@pytest.mark.parametrize("eq", [
-    dict(dispersion_sign=2),
-    dict(dispersion_coeff=-1.0),
-    dict(alpha=0.0),
-    dict(alpha=-1.0),
-])
-def test_picard_refuses_the_equation_data_equation_spec_refuses(eq):
-    with pytest.raises(ValueError):
-        picard_expansion(random_field(1.0, 5, seed=24), 0.1, **{"alpha": 1.0, **eq})
+def test_picard_refuses_the_wick_equation():
+    with pytest.raises(ValueError, match="no Wick form"):
+        picard_expansion(random_field(1.0, 5, seed=24), EquationSpec.wick_nls(), 0.1)
 
 
 @st.composite
@@ -552,7 +556,7 @@ def _supports(draw):
 def test_picard_budget_counts_the_summed_triples(monkeypatch):
     def required(phi, budget=0):
         with pytest.raises(BudgetExceededError) as err:
-            picard_expansion(phi, 0.1, 1.0, budget=budget)
+            picard_expansion(phi, EquationSpec.cubic_nls(), 0.1, budget=budget)
         return err.value.required
 
     def triples(phi):
@@ -568,7 +572,8 @@ def test_picard_budget_counts_the_summed_triples(monkeypatch):
         coeffs[np.array(modes) + band] = 0.6 - 0.2j
         phi = SpectralField(1.0, coeffs)
         assert required(phi) == triples(phi)
-        picard_expansion(phi, 0.1, 1.0, budget=triples(phi))  # exactly at the budget: runs
+        # exactly at the budget: runs
+        picard_expansion(phi, EquationSpec.cubic_nls(), 0.1, budget=triples(phi))
 
     counts()
 
@@ -590,7 +595,7 @@ def test_picard_budget_counts_the_summed_triples(monkeypatch):
         phi = data[key]
         assert np.count_nonzero(phi.coeffs) == size
         if runs:
-            picard_expansion(phi, 0.1, 1.0)
+            picard_expansion(phi, EquationSpec.cubic_nls(), 0.1)
         else:
             assert required(phi, budget=nl.evolution.PICARD_BUDGET) == triples(phi)
 
@@ -602,7 +607,7 @@ def test_picard_budget_counts_the_summed_triples(monkeypatch):
     monkeypatch.setattr(np, "triu_indices", forbidden)
     for key in (("crit_half", 256), ("frac_crit", 512)):
         with pytest.raises(BudgetExceededError):
-            picard_expansion(data[key], 0.1, 1.0)
+            picard_expansion(data[key], EquationSpec.cubic_nls(), 0.1)
 
 
 def _picard_reference(phi, t, alpha, dispersion_coeff, dispersion_sign):
@@ -663,7 +668,7 @@ def test_picard_pair_sum_matches_brute_force():
         coeffs = np.zeros(2 * band + 1, dtype=complex)
         coeffs[np.array(modes) + band] = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
         phi = SpectralField(period, coeffs)
-        got = picard_expansion(phi, t, alpha, dispersion_coeff=coeff, dispersion_sign=sign)
+        got = picard_expansion(phi, EquationSpec(alpha, coeff, sign), t)
         want, tol, branches = _picard_reference(phi, t, alpha, coeff, sign)
         seen.update(k for k, hit in zip(("series", "closed form"), branches) if hit)
         assert got.coeffs.shape == want.shape
@@ -676,7 +681,7 @@ def test_picard_pair_sum_matches_brute_force():
     # the inflate data: crit_half two-block data at N = 64 and its T_N
     phi = nl.build_two_block_data("crit_half", 64)
     t = nl.inflation_time("crit_half", 64, -0.5).T_N
-    got = picard_expansion(phi, t, 1.0)
+    got = picard_expansion(phi, EquationSpec.cubic_nls(), t)
     want, _, _ = _picard_reference(phi, t, 1.0, 1.0, 1)
     first = want - nl.enlarge_band(phi, got.bandwidth).coeffs
     assert np.max(np.abs(got.coeffs - want)) <= 1e-12 * np.max(np.abs(first))
@@ -691,15 +696,16 @@ def test_picard_on_padded_fields_matches_the_unpadded_field():
         coeffs = np.zeros(2 * tight_band + 1, dtype=complex)
         coeffs[np.array(modes) + tight_band] = 0.6 - 0.2j
         tight = SpectralField(1.0, coeffs)
-        padded = picard_expansion(nl.enlarge_band(tight, band), 0.1, 1.0)
+        eq = EquationSpec.cubic_nls()
+        padded = picard_expansion(nl.enlarge_band(tight, band), eq, 0.1)
         assert padded.bandwidth == max(3 * top, band)
-        assert coeff_gap(padded, picard_expansion(tight, 0.1, 1.0)) <= 1e-15
+        assert coeff_gap(padded, picard_expansion(tight, eq, 0.1)) <= 1e-15
 
 
 def test_picard_first_iterate_within_oscillatory_bound():
     f = random_field(1.0, 6, seed=8, l2=0.5, decay=1.5)
     t = 0.3
-    p1 = picard_expansion(f, t, 1.0)
+    p1 = picard_expansion(f, EquationSpec.cubic_nls(), t)
     base = xi_term(f, 1, t)
     m = f.bandwidth
     bw = max(p1.bandwidth, base.bandwidth, m)
@@ -723,10 +729,9 @@ def test_picard_tracks_interaction_picture_solution():
     n0 = 64
     phi = nl.build_two_block_data("crit_half", n0)
     t = nl.inflation_time("crit_half", n0, -0.5).T_N
-    p1 = picard_expansion(phi, t, 1.0)
-    stepped = split_step_evolve(phi, EquationSpec.cubic_nls(), t,
-                                StepperConfig(dt=t / 200.0))
-    moved = interaction_picture(stepped, t, EquationSpec.cubic_nls())
+    eq = EquationSpec.cubic_nls()
+    p1 = picard_expansion(phi, eq, t)
+    moved = interaction_picture(split_step_evolve(phi, eq, t, StepperConfig(dt=t / 200.0)), eq, t)
     bw = max(p1.bandwidth, moved.bandwidth)
     a = nl.enlarge_band(p1, bw)
     b = nl.enlarge_band(moved, bw)

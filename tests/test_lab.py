@@ -356,6 +356,25 @@ def test_run_inflation_methods_agree_within_budget():
     assert rep.rows[0].ratio > 1.0
 
 
+def test_inflate_passes_one_equation_spec_to_every_integrator(monkeypatch):
+    # alpha = 0.75 at N = 64 runs all three methods; each dispersive one
+    # must receive the very spec _inflate_point builds from the config
+    seen = []
+    for name in ("split_step_evolve", "interaction_picture", "picard_expansion"):
+        def recorder(field, eq, *args, _fn=getattr(evolution, name), _name=name, **kwargs):
+            seen.append((_name, eq))
+            return _fn(field, eq, *args, **kwargs)
+        monkeypatch.setattr(evolution, name, recorder)
+    cfg = ExperimentConfig(experiment="inflate", regime="crit_half", s=-0.5, alpha=0.75,
+                           sweep=(64.0,))
+    rep = run_inflation(cfg)
+    assert rep.metadata["per_N"]["64"]["skipped"] == []
+    assert {name for name, _ in seen} == {"split_step_evolve", "interaction_picture",
+                                          "picard_expansion"}
+    assert all(eq is seen[0][1] for _, eq in seen)
+    assert seen[0][1] == evolution.EquationSpec(alpha=0.75)
+
+
 # the benchmark's inflate configs, and the out band each picks at N = 256
 INFLATE_REGIMES = {
     "crit_half": (dict(s=-0.5), 3),
@@ -647,6 +666,9 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
          "seed must fit in an unsigned 64-bit integer, got 18446744073709551616"),
         ("approx", "alpha = 0.5", "approx requires alpha = 1, got 0.5"),
         ("gamma", "fmt = xml", "fmt must be csv or json, got 'xml'"),
+        ("approx", "regime = bogus",
+         "unknown regime 'bogus'; expected one of crit_half, negative_s, frac_crit"),
+        ("inflate", "regime = supercritical_scaling", "unknown regime 'supercritical_scaling'"),
     ],
 )
 def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):
@@ -656,6 +678,7 @@ def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, messag
     assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("nlslab: error: ") and message in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
