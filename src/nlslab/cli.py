@@ -20,21 +20,14 @@ from . import lab
 # Per-experiment defaults layered over ExperimentConfig's own defaults.
 SUBCOMMAND_DEFAULTS: dict[str, dict] = {
     "inflate": {
-        "regime": "crit_half",
-        "s": -0.5,
         "sweep": (256.0, 512.0, 1024.0, 2048.0, 4096.0),
     },
     "approx": {
         "sweep": (0.025, 0.05, 0.1, 0.2),
-        "profile": "bump",
-        "periods": (32.0, 64.0, 128.0),
-        "band_per_period": 8.0,
     },
     "periodize": {
         "sweep": (8.0, 16.0, 32.0, 64.0),
         "profile": "two_step",
-        "amplitude": 1.0,
-        "eps": 0.1,
         "band_per_period": 32.0,
     },
     "gamma": {

@@ -80,17 +80,10 @@ class SpectralField:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which norm to take: Sobolev index s, exponent p, homogeneous flag."""
+    """Which L^2-based Sobolev norm to take: index s, homogeneous flag."""
 
     s: float
-    p: float = 2.0
     homogeneous: bool = False
-
-    def __post_init__(self):
-        if not (1.0 <= self.p or self.p == np.inf):
-            raise ValueError("p must lie in [1, inf]")
-        if self.homogeneous and self.p != 2.0:
-            raise ValueError("homogeneous norms are defined with p = 2 only")
 
 
 def _negate_odd_modes(a: np.ndarray, first_mode: int) -> None:
@@ -165,8 +158,6 @@ def sobolev_norm(field: SpectralField, spec: NormSpec) -> float:
     Homogeneous: L^{1/2} (sum_{n != 0} |n/L|^{2s} |c_n|^2)^{1/2}.
     Inhomogeneous: same with weight (1 + |n/L|^2)^s over all n.
     """
-    if spec.p != 2.0:
-        raise ValueError("sobolev_norm requires p = 2")
     xi = field.frequencies()
     a2 = np.abs(field.coeffs) ** 2
     if spec.homogeneous:

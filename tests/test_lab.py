@@ -80,10 +80,9 @@ def test_feasibility_config_needs_no_sweep():
 
 
 def test_config_dict_round_trip():
-    cfg = ExperimentConfig(experiment="gamma", sweep=(1.0, 2.0), seed=7,
-                           threads=3, methods=("ode",))
+    cfg = ExperimentConfig(experiment="gamma", sweep=(1.0, 2.0), seed=7, threads=3)
     d = config_to_dict(cfg)
-    assert isinstance(d["sweep"], list) and isinstance(d["methods"], list)
+    assert isinstance(d["sweep"], list) and isinstance(d["periods"], list)
     assert config_from_dict(d) == cfg
 
 
@@ -107,7 +106,8 @@ def test_resolve_threads(monkeypatch):
 def test_csv_header_and_empty_cells():
     text = report_to_csv(small_report())
     lines = text.splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == ("experiment,regime,s,alpha,N_or_j,param,norm_t0,norm_T,ratio,"
+                        "reference,constant,tail_mass,method_disagreement,wall_ms")
     assert lines[1] == "inflate,crit_half,-0.5,1,0,0,0,0,,,,,,0"
     assert text.endswith("\n")
 
@@ -375,6 +375,19 @@ def test_inflate_passes_one_equation_spec_to_every_integrator(monkeypatch):
     assert seen[0][1] == evolution.EquationSpec(alpha=0.75)
 
 
+def test_negative_s_runs_the_closed_form_alone():
+    # the surrogate circle's band is too wide for the two cross-checks; the
+    # report lists both as skipped and has no disagreement to show
+    cfg = ExperimentConfig(experiment="inflate", regime="negative_s", s=-0.25,
+                           surrogate_period=32.0, sweep=(256.0,))
+    rep = run_inflation(cfg)
+    aux = rep.metadata["per_N"]["256"]
+    assert aux["skipped"] == ["picard", "split_step"]
+    assert "split_steps" not in aux
+    assert rep.rows[0].method_disagreement is None
+    assert rep.rows[0].ratio > 1.0
+
+
 # the benchmark's inflate configs, and the out band each picks at N = 256
 INFLATE_REGIMES = {
     "crit_half": (dict(s=-0.5), 3),
@@ -431,7 +444,7 @@ SPLIT_CASES = [("crit_half", 64, 100), ("crit_half", 256, 100),
 @pytest.mark.parametrize("regime,N,steps_want", SPLIT_CASES)
 def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
     cfg = ExperimentConfig(experiment="inflate", regime=regime, sweep=(float(N),),
-                           methods=("ode", "split_step"), **INFLATE_REGIMES[regime][0])
+                           **INFLATE_REGIMES[regime][0])
     aux = run_inflation(cfg).metadata["per_N"][str(N)]
     assert aux["split_steps"] == steps_want
     assert 0.0 < aux["split_estimate"] <= lab.SPLIT_STEP_REL
@@ -533,7 +546,6 @@ def test_run_experiment_dispatches():
 def test_parse_config_value_types():
     assert cli.parse_config_value("sweep", "1, 2 4") == (1.0, 2.0, 4.0)
     assert cli.parse_config_value("N_list", "65536,16777216") == (65536, 16777216)
-    assert cli.parse_config_value("methods", "ode split_step") == ("ode", "split_step")
     assert cli.parse_config_value("timing", "on") is True
     assert cli.parse_config_value("timing", "false") is False
     assert cli.parse_config_value("threads", "3") == 3
@@ -643,7 +655,7 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize(
     "experiment, ini, message",
     [
-        ("inflate", "methods = bogus", "methods must be a nonempty subset of ode, split_step, picard"),
+        ("inflate", "methods = picard", "unknown config key 'methods'"),
         ("approx", "periods =", "periods must be nonempty"),
         ("inflate", "sweep = 64.7", "inflate sweep values must be integers, got 64.7"),
         ("gamma", "sweep = 0.5", "gamma sweep values must be integers, got 0.5"),
@@ -669,6 +681,8 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("approx", "regime = bogus",
          "unknown regime 'bogus'; expected one of crit_half, negative_s, frac_crit"),
         ("inflate", "regime = supercritical_scaling", "unknown regime 'supercritical_scaling'"),
+        ("periodize", "alpha = -3", "alpha must be > 0, got -3.0"),
+        ("feasibility", "alpha = -3", "alpha must be > 0, got -3.0"),
     ],
 )
 def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):
