@@ -9,7 +9,6 @@ maps), `constructions` (two-block data, series terms, schedules), and
 
 from .torus import (
     BudgetExceededError,
-    NormSpec,
     SpectralField,
     analyze,
     cubic_density,
@@ -17,7 +16,6 @@ from .torus import (
     fourier_lebesgue_norm,
     mean_and_l2,
     periodize,
-    profile_fourier,
     project_below,
     sobolev_norm,
     synthesize,
@@ -25,7 +23,6 @@ from .torus import (
 from .profiles import (
     CompactProfile,
     MomentReport,
-    PhaseIntegral,
     appendix_profile,
     centered_two_step,
     mollifier_cdf,
@@ -57,7 +54,6 @@ from .evolution import (
 from .constructions import (
     REGIMES,
     InflationScenario,
-    InflationTime,
     LineBlockData,
     RegimeSchedule,
     Xi1Measurement,
@@ -65,7 +61,6 @@ from .constructions import (
     certify_tail,
     f_factor,
     g_factor,
-    inflation_time,
     regime_parameters,
     supercritical_schedule,
     xi1_lower_measurement,

@@ -16,6 +16,7 @@ import types
 import typing
 
 from . import lab
+from .evolution import BlowupError
 
 # Per-experiment defaults layered over ExperimentConfig's own defaults.
 SUBCOMMAND_DEFAULTS: dict[str, dict] = {
@@ -148,8 +149,8 @@ def main(argv=None) -> int:
         report = lab.run_experiment(cfg)
         path = cfg.output_path or f"{cfg.experiment}_report.{cfg.fmt}"
         lab.emit_report(report, cfg.fmt, path)
-    except (ValueError, OSError, lab.MethodDisagreementError, lab.TailTargetError,
-            lab.StepTargetError) as exc:
+    except (ValueError, OSError, OverflowError, BlowupError, lab.MethodDisagreementError,
+            lab.TailTargetError, lab.StepTargetError) as exc:
         print(f"nlslab: error: {exc}", file=sys.stderr)
         return 1
     print(f"nlslab: wrote {cfg.experiment} report ({len(report.rows)} rows) to {path}")

@@ -18,7 +18,6 @@ from scipy.fft import next_fast_len
 from .profiles import _panel_rule
 from .torus import (
     BudgetExceededError,
-    NormSpec,
     SpectralField,
     analyze,
     project_below,
@@ -59,8 +58,10 @@ class InflationScenario:
 class RegimeSchedule:
     """Concrete parameter values for one scenario instance.
 
-    Two-block regimes fill R, A, T_N (and the lower-bound reference);
-    scaling schedules fill lam, delta, L.  Unused entries stay None.
+    Two-block regimes fill R, A, T_N (and the lower-bound reference),
+    with the fixed-point horizon T_star = 1/(2 ||data||_W)^2 alongside T_N
+    (reported, never enforced); scaling schedules fill lam, delta, L.
+    Unused entries stay None.
     """
 
     R: float | None = None
@@ -74,11 +75,6 @@ class RegimeSchedule:
     f_factor: float | None = None
     T_star: float | None = None
     prefactor: float | None = None
-
-
-class InflationTime(NamedTuple):
-    T_N: float
-    T_star: float
 
 
 # smallest N the asymptotic factor g(N, s), and so every two-block schedule,
@@ -99,15 +95,14 @@ def g_factor(N: float, s: float) -> float:
     return math.log(N) ** (0.5 + s)
 
 
-def f_factor(A: float, s: float) -> float:
-    """Block-width factor in the series bounds: 1, sqrt(log A), or A^(1/2+s)."""
-    if A <= 1.0:
+def f_factor(A: float | np.ndarray, s: float) -> float | np.ndarray:
+    """Block-width factor in the series bounds: 1 for s < -1/2, sqrt(log A)
+    at s = -1/2, A^(1/2+s) above; elementwise when A is an array."""
+    if not np.min(A) > 1.0:
         raise ValueError("A must exceed 1")
-    if s < -0.5:
-        return 1.0
     if s == -0.5:
-        return math.sqrt(math.log(A))
-    return A ** (0.5 + s)
+        return np.sqrt(np.log(A))
+    return A ** max(0.0, 0.5 + s)  # A^0 = 1 below s = -1/2
 
 
 def regime_parameters(scenario: InflationScenario) -> RegimeSchedule:
@@ -143,14 +138,6 @@ def regime_parameters(scenario: InflationScenario) -> RegimeSchedule:
         f_factor=f_factor(A, s),
         T_star=T_star,
     )
-
-
-def inflation_time(regime: str, N: int, s: float, theta: float | None = None) -> InflationTime:
-    """The regime's inflation time T_N, with the fixed-point horizon
-    1/(2 ||data||_W)^2 alongside for sanity reporting (never enforced)."""
-    scenario = InflationScenario(regime=regime, s=s, N=N, theta=theta)
-    sched = regime_parameters(scenario)
-    return InflationTime(sched.T_N, sched.T_star)
 
 
 def _block_modes(N: int, half: int) -> np.ndarray:
@@ -316,7 +303,7 @@ def xi1_lower_measurement(
         A = float(nz.size / 2.0) if A is None else A
     xi1 = xi_term(phi, 1, t)
     low = project_below(xi1, N)
-    measured = sobolev_norm(low, NormSpec(s=s))
+    measured = sobolev_norm(low, s)
     reference = t * R**3 * A**2 * f_factor(A, s)
     return Xi1Measurement(measured, reference, measured / reference if reference else math.inf)
 

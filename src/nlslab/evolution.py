@@ -51,22 +51,6 @@ class EquationSpec:
             raise ValueError("dispersion_sign must be +1 or -1")
 
     @staticmethod
-    def cubic_nls() -> "EquationSpec":
-        return EquationSpec()
-
-    @staticmethod
-    def wick_nls() -> "EquationSpec":
-        return EquationSpec(wick=True)
-
-    @staticmethod
-    def ode() -> "EquationSpec":
-        return EquationSpec(dispersion_coeff=0.0)
-
-    @staticmethod
-    def fractional(alpha: float) -> "EquationSpec":
-        return EquationSpec(alpha=alpha)
-
-    @staticmethod
     def small_dispersion(delta: float, alpha: float = 1.0) -> "EquationSpec":
         return EquationSpec(alpha=alpha, dispersion_coeff=delta ** (2.0 * alpha))
 
@@ -228,18 +212,15 @@ def rk4_spectral_evolve(
     return field.with_coeffs(c)
 
 
-def interaction_picture(
-    field: SpectralField, eq: EquationSpec, t: float, inverse: bool = False
-) -> SpectralField:
+def interaction_picture(field: SpectralField, eq: EquationSpec, t: float) -> SpectralField:
     """Undo the free rotation of `eq`: mode n is multiplied by
-    exp(-i rate t), with the rates of free_rotation_rates.
+    exp(-i rate t), with the rates of free_rotation_rates.  Passing -t
+    undoes time t.
 
     A free solution becomes constant in time; all weighted-coefficient
     norms are unchanged (modulus-1 multipliers).
     """
     phase = -free_rotation_rates(field, eq) * t
-    if inverse:
-        phase = -phase
     return field.with_coeffs(field.coeffs * np.exp(1j * phase))
 
 
@@ -287,11 +268,11 @@ def duhamel_kernel(phi: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def gauge_transform(field: SpectralField, t: float, inverse: bool = False) -> SpectralField:
-    """Global phase exp(-2 i t mean|u|^2); bridges the plain and Wick flows."""
+def gauge_transform(field: SpectralField, t: float) -> SpectralField:
+    """Global phase exp(-2 i t mean|u|^2); bridges the plain and Wick flows.
+    Passing -t undoes time t."""
     _, msq = mean_and_l2(field)
-    sign = 1.0 if inverse else -1.0
-    return field.with_coeffs(field.coeffs * np.exp(sign * 2j * t * msq))
+    return field.with_coeffs(field.coeffs * np.exp(-2j * t * msq))
 
 
 def scale_map(field: SpectralField, lam: float, delta: float, alpha: float) -> SpectralField:

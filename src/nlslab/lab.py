@@ -32,6 +32,12 @@ VERSION = "nlslab-0.1.0"
 
 THREADS_ENV_VAR = "NLSLAB_THREADS"
 
+# feasibility_scan holds P^3 float64 temporaries for grid_points = P; the
+# peak RSS of run_feasibility at the CLI's s and alpha is 63 MB at P = 50,
+# 103 MB at P = 100 and 432 MB at P = 200
+MAX_GRID_POINTS = 200
+
+
 class MethodDisagreementError(RuntimeError):
     """Evolution methods disagreed beyond their stated error budget."""
 
@@ -112,8 +118,9 @@ class ExperimentConfig:
         for key in ("periods", "s_list", "N_list"):
             if len(getattr(self, key)) == 0:
                 raise ValueError(f"{key} must be nonempty")
-        if self.grid_points < 1:
-            raise ValueError("grid_points must be >= 1")
+        if not 1 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must be >= 1 and <= {MAX_GRID_POINTS} (the scan "
+                             f"holds grid_points^3 floats), got {self.grid_points!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -341,7 +348,6 @@ def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
     scenario = cons.InflationScenario(regime=cfg.regime, s=s, N=N, theta=theta)
     sched = cons.regime_parameters(scenario)
     T = sched.T_N
-    norm_spec = torus.NormSpec(s=s)
 
     # negative_s periodizes line data onto the surrogate circle, whose band
     # is about 26x crit_half's at the same N (16472 modes at N = 256), so it
@@ -351,7 +357,7 @@ def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
     phi = data if on_circle else data.periodize(cfg.surrogate_period)
 
     n_max = phi.bandwidth
-    norm0 = torus.sobolev_norm(phi, norm_spec)
+    norm0 = torus.sobolev_norm(phi, s)
     if norm0 == 0.0:
         row = ReportRow(cfg.experiment, cfg.regime, s, cfg.alpha, N, N,
                         0.0, 0.0, None, sched.predicted_lower_bound, None, 0.0, None)
@@ -385,9 +391,9 @@ def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
                     f"{a} vs {b} differ by {d:.3e} > 10x budget {budget:.3e} at N={N}")
 
     w = ode.field
-    normT = torus.sobolev_norm(w, norm_spec)
+    normT = torus.sobolev_norm(w, s)
     cutoff = int(round(N * phi.period))
-    norm_low = torus.sobolev_norm(torus.project_below(w, cutoff), norm_spec)
+    norm_low = torus.sobolev_norm(torus.project_below(w, cutoff), s)
     ref = sched.predicted_lower_bound
     row = ReportRow(
         cfg.experiment, cfg.regime, s, cfg.alpha, N, N,
@@ -427,7 +433,7 @@ def _approx_error(profile, delta: float, L: float, t: float, band: int,
     v = evo.split_step_evolve(phi, eq, t, evo.StepperConfig(dt=t / steps))
     w = evo.ode_exact_evolve(phi, t)
     diff = v.with_coeffs(v.coeffs - w.field.coeffs)
-    return torus.sobolev_norm(diff, torus.NormSpec(s=1.0)), w.tail_mass
+    return torus.sobolev_norm(diff, 1.0), w.tail_mass
 
 
 def run_approximation(cfg: ExperimentConfig) -> InflationReport:
@@ -568,7 +574,7 @@ def run_periodization(cfg: ExperimentConfig) -> InflationReport:
     fields = [torus.periodize(profile, L, math.ceil(cfg.band_per_period * L)) for L in cfg.sweep]
     for s, line_norm in zip(cfg.s_list, line_norms):
         for L, f_L in zip(cfg.sweep, fields):
-            circle = torus.sobolev_norm(f_L, torus.NormSpec(s=s, homogeneous=True))
+            circle = torus.sobolev_norm(f_L, s, homogeneous=True)
             rows.append(ReportRow(
                 cfg.experiment, cfg.regime, s, cfg.alpha, 0, L,
                 circle, line_norm,
@@ -662,16 +668,6 @@ def run_gamma(cfg: ExperimentConfig) -> InflationReport:
 # ---------------------------------------------------------------------------
 # feasibility
 
-def _f_weights(A: np.ndarray, s: float) -> np.ndarray:
-    """Vectorized low-mode counting weight: 1 for s < -1/2, sqrt(log A)
-    at s = -1/2, A^(1/2+s) for s > -1/2."""
-    if s < -0.5 - 1e-12:
-        return np.ones_like(A)
-    if abs(s + 0.5) <= 1e-12:
-        return np.sqrt(np.log(A))
-    return A ** (0.5 + s)
-
-
 def feasibility_scan(s: float, alpha: float, cfg: ExperimentConfig) -> InflationReport:
     """Log-grid scan of (R, A, T) at each N for the four requirements:
     (a) small data R*sqrt(A)*N^s, (b) contractive horizon T*R^2*A^2,
@@ -688,7 +684,7 @@ def feasibility_scan(s: float, alpha: float, cfg: ExperimentConfig) -> Inflation
         A = np.logspace(math.log10(4.0), math.log10(N), P)[None, :, None]
         t_top = -2.0 * alpha * math.log10(N)
         T = np.logspace(t_top - 10.0, t_top, P)[None, None, :]
-        fA = _f_weights(A, s)
+        fA = cons.f_factor(A, s)
         q1 = 1.0 / (R * np.sqrt(A) * N**s)
         q2 = 1.0 / (T * R**2 * A**2)
         q3 = T * R**3 * A**2 * fA

@@ -156,11 +156,6 @@ def _eval_poly_over_bump(x, p, m):
 
 # ---------------------------------------------------------------------------
 
-class PhaseIntegral(NamedTuple):
-    value: complex
-    modulus: float
-
-
 class MomentReport(NamedTuple):
     max_moment: float
     fourier_ratio_max: float
@@ -438,7 +433,7 @@ def moment_vanishing(profile: CompactProfile, kappa: int) -> MomentReport:
 PHASE_MAX_PARTS = 64
 
 
-def phase_integral(profile: CompactProfile, t0: float) -> PhaseIntegral:
+def phase_integral(profile: CompactProfile, t0: float) -> complex:
     """integral of f(x) exp(i |f(x)|^2 t0) dx.
 
     Exact for step profiles.  Otherwise 400-node Gauss-Legendre on each
@@ -449,9 +444,8 @@ def phase_integral(profile: CompactProfile, t0: float) -> PhaseIntegral:
     refuses with ValueError.
     """
     if profile.kind == "step":
-        total = sum(v * (b - a) * np.exp(1j * abs(v) ** 2 * t0) for a, b, v in profile.pieces)
-        total = complex(total) if profile.pieces else 0.0 + 0.0j
-        return PhaseIntegral(total, abs(total))
+        return complex(sum(v * (b - a) * np.exp(1j * abs(v) ** 2 * t0)
+                           for a, b, v in profile.pieces))
     K = profile.support_radius
     edges = np.array([-K, *profile.breakpoints(), K])
     prev, parts = None, 1
@@ -462,7 +456,7 @@ def phase_integral(profile: CompactProfile, t0: float) -> PhaseIntegral:
         if prev is not None:
             gap, scale = abs(val - prev), np.sum(w * np.abs(f))
             if gap <= 1e-10 * scale:
-                return PhaseIntegral(val, abs(val))
+                return val
             if parts >= PHASE_MAX_PARTS:
                 raise ValueError(
                     f"phase integral unresolved at t0={t0}: tried 1 to {parts} panels per "

@@ -12,7 +12,7 @@ Sample grids are centered: x_j = j*L/G - L/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -76,14 +76,6 @@ class SpectralField:
 
     def with_coeffs(self, coeffs) -> "SpectralField":
         return SpectralField(self.period, coeffs)
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Which L^2-based Sobolev norm to take: index s, homogeneous flag."""
-
-    s: float
-    homogeneous: bool = False
 
 
 def _negate_odd_modes(a: np.ndarray, first_mode: int) -> None:
@@ -152,7 +144,7 @@ def analyze(samples: np.ndarray, L: float, bandwidth: int | None = None) -> Spec
     return SpectralField(L, _band_of_spectrum(fft(u, norm="forward"), m))
 
 
-def sobolev_norm(field: SpectralField, spec: NormSpec) -> float:
+def sobolev_norm(field: SpectralField, s: float, homogeneous: bool = False) -> float:
     """Sobolev norm with the period-aware prefactor L^{1/2}.
 
     Homogeneous: L^{1/2} (sum_{n != 0} |n/L|^{2s} |c_n|^2)^{1/2}.
@@ -160,12 +152,12 @@ def sobolev_norm(field: SpectralField, spec: NormSpec) -> float:
     """
     xi = field.frequencies()
     a2 = np.abs(field.coeffs) ** 2
-    if spec.homogeneous:
+    if homogeneous:
         mask = field.modes() != 0
-        w = np.abs(xi[mask]) ** (2.0 * spec.s)
+        w = np.abs(xi[mask]) ** (2.0 * s)
         total = np.sum(w * a2[mask])
     else:
-        w = (1.0 + xi * xi) ** spec.s
+        w = (1.0 + xi * xi) ** s
         total = np.sum(w * a2)
     return float(np.sqrt(field.period * total))
 
@@ -243,8 +235,3 @@ def periodize(profile, L: float, bandwidth: int) -> SpectralField:
     n = np.arange(-bandwidth, bandwidth + 1)
     vals = profile.fourier_transform(n / L) / L
     return SpectralField(L, vals)
-
-
-def profile_fourier(profile, xi) -> complex | np.ndarray:
-    """Line Fourier transform of a compactly supported profile at xi."""
-    return profile.fourier_transform(xi)

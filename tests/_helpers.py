@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nlslab import NormSpec, SpectralField, enlarge_band, sobolev_norm
+from nlslab import SpectralField, enlarge_band, sobolev_norm
 
 
 def random_field(period, bandwidth, seed, l2=None, decay=0.0, mean_zero=False,
@@ -27,13 +27,13 @@ def random_field(period, bandwidth, seed, l2=None, decay=0.0, mean_zero=False,
         coeffs[bandwidth] = 0.0
     field = SpectralField(period, coeffs)
     if l2 is not None:
-        norm = sobolev_norm(field, NormSpec(s=0.0))
+        norm = sobolev_norm(field, 0.0)
         field = field.with_coeffs(field.coeffs * (l2 / norm))
     return field
 
 
 def l2_norm(field):
-    return sobolev_norm(field, NormSpec(s=0.0))
+    return sobolev_norm(field, 0.0)
 
 
 def coeff_gap(a, b):

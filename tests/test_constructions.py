@@ -12,7 +12,6 @@ from nlslab import (
     BudgetExceededError,
     InflationScenario,
     LineBlockData,
-    NormSpec,
     SpectralField,
     Xi1Measurement,
     build_two_block_data,
@@ -20,7 +19,6 @@ from nlslab import (
     f_factor,
     fourier_lebesgue_norm,
     g_factor,
-    inflation_time,
     ode_exact_evolve,
     project_below,
     regime_parameters,
@@ -81,6 +79,15 @@ def test_f_factor_pins_and_validation():
     assert abs(f_factor(16.0, -0.25) - 2.0) <= 1e-12
     with pytest.raises(ValueError, match="A must exceed 1"):
         f_factor(1.0, -0.5)
+    with pytest.raises(ValueError, match="A must exceed 1"):
+        f_factor(np.array([4.0, 1.0]), -0.25)
+
+
+@pytest.mark.parametrize("s", [-1.0, -0.75, -0.5, -0.25, 0.0, 0.3])
+def test_f_factor_is_elementwise_on_arrays(s):
+    A = np.logspace(math.log10(4.0), 12.0, 17).reshape(1, 17, 1)
+    want = np.array([f_factor(float(a), s) for a in A.ravel()]).reshape(A.shape)
+    np.testing.assert_allclose(f_factor(A, s), want, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +128,6 @@ def test_negative_s_schedule_pins():
     assert abs(sched.T_N - math.exp(-5.0) / 10.0) <= 1e-4 * sched.T_N
 
 
-def test_inflation_time_matches_schedule():
-    for regime, n, s, theta in (
-        ("crit_half", 512, -0.5, None),
-        ("frac_crit", 512, -1.0, 0.1),
-        ("negative_s", 512, -0.25, None),
-    ):
-        sched = regime_parameters(InflationScenario(regime=regime, s=s, N=n, theta=theta))
-        tn, tstar = inflation_time(regime, n, s, theta)
-        assert tn == sched.T_N and tstar == sched.T_star
-
-
 def test_inflation_time_shrinks_against_the_fixed_point_horizon():
     # the ratio T_N / T* decreases along N in every two-block regime
     cases = (
@@ -142,8 +138,8 @@ def test_inflation_time_shrinks_against_the_fixed_point_horizon():
     for regime, s, theta, ns, lo, hi in cases:
         ratios = []
         for n in ns:
-            tn, tstar = inflation_time(regime, n, s, theta)
-            ratios.append(tn / tstar)
+            sched = regime_parameters(InflationScenario(regime=regime, s=s, N=n, theta=theta))
+            ratios.append(sched.T_N / sched.T_star)
         assert all(lo < r < hi for r in ratios), (regime, ratios)
         assert all(a > b for a, b in zip(ratios, ratios[1:])), (regime, ratios)
 
@@ -181,7 +177,7 @@ def test_two_block_low_regularity_norm_is_nearly_flat():
     vals = []
     for n in (2**8, 2**9, 2**10):
         phi = build_two_block_data("crit_half", n)
-        vals.append(sobolev_norm(phi, NormSpec(s=-0.5)) * math.log(n) ** (1.0 / 32.0))
+        vals.append(sobolev_norm(phi, -0.5) * math.log(n) ** (1.0 / 32.0))
     assert all(1.0 < v < 1.5 for v in vals), vals
     assert max(vals) / min(vals) <= 1.01
     assert vals[0] > vals[1] > vals[2]
@@ -341,7 +337,7 @@ def test_xi1_low_frequency_measurement_pins():
     assert abs(got.reference - want_ref) <= 1e-12
     # measured really is the low band of the first term
     low = project_below(xi_term(phi, 1, sched.T_N), n)
-    assert abs(got.measured - sobolev_norm(low, NormSpec(s=-0.5))) <= 1e-12
+    assert abs(got.measured - sobolev_norm(low, -0.5)) <= 1e-12
 
 
 def test_xi1_measurement_at_time_zero():

@@ -16,7 +16,6 @@ from nlslab import (
     BlowupError,
     BudgetExceededError,
     EquationSpec,
-    NormSpec,
     SpectralField,
     StepperConfig,
     analyze,
@@ -43,17 +42,13 @@ from _helpers import coeff_gap, l2_gap, l2_norm, random_field
 # ---------------------------------------------------------------------------
 # specs and steppers
 
-def test_equation_spec_validation_and_factories():
+def test_equation_spec_validation():
     with pytest.raises(ValueError):
         EquationSpec(alpha=0.0)
     with pytest.raises(ValueError):
         EquationSpec(dispersion_coeff=-1.0)
     with pytest.raises(ValueError):
         EquationSpec(dispersion_sign=2)
-    assert EquationSpec.cubic_nls() == EquationSpec(1.0, 1.0, 1, False)
-    assert EquationSpec.wick_nls().wick is True
-    assert EquationSpec.ode().dispersion_coeff == 0.0
-    assert EquationSpec.fractional(0.75).alpha == 0.75
     small = EquationSpec.small_dispersion(0.1, 1.0)
     assert abs(small.dispersion_coeff - 0.01) <= 1e-17
 
@@ -137,15 +132,16 @@ def test_free_rotation_rates_formula():
 
 def test_interaction_picture_identity_isometry_inversion():
     f = random_field(2.0, 10, seed=6, l2=1.0)
-    assert coeff_gap(interaction_picture(f, EquationSpec.cubic_nls(), 0.0), f) == 0.0
+    assert coeff_gap(interaction_picture(f, EquationSpec(), 0.0), f) == 0.0
     eq = EquationSpec(alpha=0.75, dispersion_coeff=1.3, dispersion_sign=-1)
     moved = interaction_picture(f, eq, 0.37)
-    for spec in (NormSpec(s=0.0), NormSpec(s=1.0), NormSpec(s=-0.5, homogeneous=True)):
-        assert abs(sobolev_norm(moved, spec) - sobolev_norm(f, spec)) <= 1e-12
+    for s, homogeneous in ((0.0, False), (1.0, False), (-0.5, True)):
+        assert abs(sobolev_norm(moved, s, homogeneous)
+                   - sobolev_norm(f, s, homogeneous)) <= 1e-12
     for p in (1.0, 2.0, np.inf):
         assert abs(nl.fourier_lebesgue_norm(moved, 0.3, p)
                    - nl.fourier_lebesgue_norm(f, 0.3, p)) <= 1e-12
-    back = interaction_picture(moved, eq, 0.37, inverse=True)
+    back = interaction_picture(moved, eq, -0.37)
     assert coeff_gap(back, f) <= 1e-15
 
 
@@ -164,7 +160,7 @@ def test_interaction_picture_freezes_free_solutions():
 
 def test_split_step_zero_field_stays_zero():
     f = SpectralField(1.0, np.zeros(9, dtype=complex))
-    out = split_step_evolve(f, EquationSpec.cubic_nls(), 0.5, StepperConfig(dt=1e-2))
+    out = split_step_evolve(f, EquationSpec(), 0.5, StepperConfig(dt=1e-2))
     assert np.max(np.abs(out.coeffs)) == 0.0
 
 
@@ -185,7 +181,7 @@ def test_split_step_is_second_order_in_dt():
     # Richardson quotient of the aggregate error over a seed bank; individual
     # seeds can sit near a sign change of the leading error term, so the
     # quotient is taken on the root-mean-square error.
-    eq = EquationSpec.cubic_nls()
+    eq = EquationSpec()
     t = 0.5
     coarse, fine = [], []
     for seed in range(21, 31):
@@ -203,7 +199,7 @@ def test_split_step_dispersionless_matches_exact_flow_any_dt():
     # generations stay inside the band, so per-step projection costs nothing
     # and the stepper must match the closed form at any step size
     f = nl.enlarge_band(random_field(1.0, 2, seed=22, l2=0.04), 16)
-    eq = EquationSpec.ode()
+    eq = EquationSpec(dispersion_coeff=0.0)
     exact = ode_exact_evolve(f, 1.0, out_bandwidth=16).field
     for dt in (0.1, 0.025, 0.005):
         stepped = split_step_evolve(f, eq, 1.0, StepperConfig(dt=dt))
@@ -214,7 +210,7 @@ def test_split_step_blowup_diagnostic():
     big = SpectralField(1.0, np.full(9, 1e200, dtype=complex))
     with np.errstate(all="ignore"):
         with pytest.raises(BlowupError):
-            split_step_evolve(big, EquationSpec.cubic_nls(), 0.01, StepperConfig(dt=0.01))
+            split_step_evolve(big, EquationSpec(), 0.01, StepperConfig(dt=0.01))
 
 
 def _direct_synthesis(field, g):
@@ -299,7 +295,7 @@ def test_split_step_builds_no_field_per_step(monkeypatch):
         for name in ("synthesize", "analyze"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     counts = []
-    for eq in (EquationSpec.cubic_nls(), EquationSpec.wick_nls()):
+    for eq in (EquationSpec(), EquationSpec(wick=True)):
         for n_steps in (4, 64):
             built = 0
             split_step_evolve(f, eq, 0.1, StepperConfig(dt=0.1 / n_steps))
@@ -312,12 +308,12 @@ def test_split_step_builds_no_field_per_step(monkeypatch):
 
 def test_rk4_zero_field_stays_zero():
     f = SpectralField(1.0, np.zeros(9, dtype=complex))
-    out = rk4_spectral_evolve(f, EquationSpec.cubic_nls(), 0.5, StepperConfig(dt=1e-2))
+    out = rk4_spectral_evolve(f, EquationSpec(), 0.5, StepperConfig(dt=1e-2))
     assert np.max(np.abs(out.coeffs)) == 0.0
 
 
 def test_rk4_matches_exact_flow_without_dispersion():
-    eq = EquationSpec.ode()
+    eq = EquationSpec(dispersion_coeff=0.0)
     for seed in range(100, 105):
         f = random_field(1.0, 64, seed=seed, l2=0.01)
         stepped = rk4_spectral_evolve(f, eq, 1.0, StepperConfig(dt=0.01))
@@ -326,7 +322,7 @@ def test_rk4_matches_exact_flow_without_dispersion():
 
 
 def test_rk4_matches_split_step_on_full_equation():
-    eq = EquationSpec.cubic_nls()
+    eq = EquationSpec()
     for seed in (7001, 7002):
         f = random_field(1.0, 8, seed=seed, l2=0.3)
         a = rk4_spectral_evolve(f, eq, 0.1, StepperConfig(dt=1e-5))
@@ -338,11 +334,11 @@ def test_rk4_blowup_diagnostic():
     big = SpectralField(1.0, np.full(9, 1e200, dtype=complex))
     with np.errstate(all="ignore"):
         with pytest.raises(BlowupError):
-            rk4_spectral_evolve(big, EquationSpec.cubic_nls(), 0.01, StepperConfig(dt=0.01))
+            rk4_spectral_evolve(big, EquationSpec(), 0.01, StepperConfig(dt=0.01))
 
 
 def test_both_integrators_conserve_l2():
-    specs = (EquationSpec.cubic_nls(), EquationSpec.wick_nls(), EquationSpec.fractional(0.5))
+    specs = (EquationSpec(), EquationSpec(wick=True), EquationSpec(alpha=0.5))
     f = random_field(1.0, 32, seed=40, l2=1.0, decay=2.0)
     for eq in specs:
         out = split_step_evolve(f, eq, 1.0, StepperConfig(dt=1e-4))
@@ -402,7 +398,7 @@ def test_gauge_transform_pins():
 
 def test_gauge_inverse_composes_to_identity():
     f = random_field(1.0, 12, seed=9, l2=0.8)
-    back = gauge_transform(gauge_transform(f, 0.41), 0.41, inverse=True)
+    back = gauge_transform(gauge_transform(f, 0.41), -0.41)
     assert coeff_gap(back, f) <= 1e-14
 
 
@@ -410,7 +406,7 @@ def test_gauge_bridges_constant_trajectories():
     c = 1.0
     f = SpectralField(1.0, np.array([0, c, 0], dtype=complex))
     t = 0.3
-    plain = split_step_evolve(f, EquationSpec.cubic_nls(), t, StepperConfig(dt=1e-4))
+    plain = split_step_evolve(f, EquationSpec(), t, StepperConfig(dt=1e-4))
     bridged = gauge_transform(plain, t)
     want = c * np.exp(-1j * abs(c) ** 2 * t)
     assert abs(bridged.coefficient(0) - want) <= 1e-8
@@ -420,8 +416,8 @@ def test_gauge_bridges_random_trajectories():
     f = random_field(1.0, 32, seed=12, l2=0.5, decay=1.5)
     t = 0.1
     cfg = StepperConfig(dt=1e-4)
-    plain = split_step_evolve(f, EquationSpec.cubic_nls(), t, cfg)
-    wick = split_step_evolve(f, EquationSpec.wick_nls(), t, cfg)
+    plain = split_step_evolve(f, EquationSpec(), t, cfg)
+    wick = split_step_evolve(f, EquationSpec(wick=True), t, cfg)
     assert l2_gap(gauge_transform(plain, t), wick) <= 1e-6
 
 
@@ -436,8 +432,8 @@ def test_scale_map_norm_identity():
         assert u.period == 1.0
         for s in (-1.0, -0.5, 0.5):
             pref = lam ** (-s + 0.5 - alpha) * delta ** (s - 0.5)
-            left = sobolev_norm(u, NormSpec(s=s, homogeneous=True))
-            right = pref * sobolev_norm(v, NormSpec(s=s, homogeneous=True))
+            left = sobolev_norm(u, s, homogeneous=True)
+            right = pref * sobolev_norm(v, s, homogeneous=True)
             assert abs(left - right) <= 1e-12 * max(1.0, right)
 
 
@@ -446,8 +442,8 @@ def test_scale_map_unit_prefactor_pin():
     assert abs(lam ** (-s + 0.5 - alpha) * delta ** (s - 0.5) - 1.0) <= 1e-15
     v = random_field(4.0, 6, seed=16, mean_zero=True)
     u = scale_map(v, lam, delta, alpha)
-    spec = NormSpec(s=s, homogeneous=True)
-    assert abs(sobolev_norm(u, spec) - sobolev_norm(v, spec)) <= 1e-12
+    assert abs(sobolev_norm(u, s, homogeneous=True)
+               - sobolev_norm(v, s, homogeneous=True)) <= 1e-12
 
 
 def test_scale_map_relabels_single_mode():
@@ -500,7 +496,7 @@ def test_galilean_boost_is_isometry_and_shifts_modes():
 def test_galilean_boost_maps_trajectories_to_trajectories():
     # boosting the initial data and evolving agrees with evolving first and
     # boosting the result at the evolved time
-    eq = EquationSpec.cubic_nls()
+    eq = EquationSpec()
     cfg = StepperConfig(dt=1e-4)
     f = nl.enlarge_band(random_field(2.0, 4, seed=21, l2=0.5), 12)
     t = 0.1
@@ -514,27 +510,27 @@ def test_galilean_boost_maps_trajectories_to_trajectories():
 
 def test_picard_time_zero_and_single_mode():
     f = random_field(1.0, 5, seed=22)
-    assert coeff_gap(picard_expansion(f, EquationSpec.cubic_nls(), 0.0), f) <= 1e-15
+    assert coeff_gap(picard_expansion(f, EquationSpec(), 0.0), f) <= 1e-15
     c = 0.8 + 0.1j
     coeffs = np.zeros(7, dtype=complex)
     coeffs[3 + 2] = c
     mode = SpectralField(1.0, coeffs)
     t = 0.2
-    out = picard_expansion(mode, EquationSpec.cubic_nls(), t)
+    out = picard_expansion(mode, EquationSpec(), t)
     assert abs(out.coefficient(2) - (c + 1j * t * abs(c) ** 2 * c)) <= 1e-14
 
 
 def test_picard_budget_refusal_reports_sizes():
     f = random_field(1.0, 40, seed=23)
     with pytest.raises(BudgetExceededError) as err:
-        picard_expansion(f, EquationSpec.cubic_nls(), 0.1, budget=10)
+        picard_expansion(f, EquationSpec(), 0.1, budget=10)
     assert err.value.budget == 10
     assert err.value.required > 10
 
 
 def test_picard_refuses_the_wick_equation():
     with pytest.raises(ValueError, match="no Wick form"):
-        picard_expansion(random_field(1.0, 5, seed=24), EquationSpec.wick_nls(), 0.1)
+        picard_expansion(random_field(1.0, 5, seed=24), EquationSpec(wick=True), 0.1)
 
 
 @st.composite
@@ -556,7 +552,7 @@ def _supports(draw):
 def test_picard_budget_counts_the_summed_triples(monkeypatch):
     def required(phi, budget=0):
         with pytest.raises(BudgetExceededError) as err:
-            picard_expansion(phi, EquationSpec.cubic_nls(), 0.1, budget=budget)
+            picard_expansion(phi, EquationSpec(), 0.1, budget=budget)
         return err.value.required
 
     def triples(phi):
@@ -573,7 +569,7 @@ def test_picard_budget_counts_the_summed_triples(monkeypatch):
         phi = SpectralField(1.0, coeffs)
         assert required(phi) == triples(phi)
         # exactly at the budget: runs
-        picard_expansion(phi, EquationSpec.cubic_nls(), 0.1, budget=triples(phi))
+        picard_expansion(phi, EquationSpec(), 0.1, budget=triples(phi))
 
     counts()
 
@@ -595,7 +591,7 @@ def test_picard_budget_counts_the_summed_triples(monkeypatch):
         phi = data[key]
         assert np.count_nonzero(phi.coeffs) == size
         if runs:
-            picard_expansion(phi, EquationSpec.cubic_nls(), 0.1)
+            picard_expansion(phi, EquationSpec(), 0.1)
         else:
             assert required(phi, budget=nl.evolution.PICARD_BUDGET) == triples(phi)
 
@@ -607,7 +603,7 @@ def test_picard_budget_counts_the_summed_triples(monkeypatch):
     monkeypatch.setattr(np, "triu_indices", forbidden)
     for key in (("crit_half", 256), ("frac_crit", 512)):
         with pytest.raises(BudgetExceededError):
-            picard_expansion(data[key], EquationSpec.cubic_nls(), 0.1)
+            picard_expansion(data[key], EquationSpec(), 0.1)
 
 
 def _picard_reference(phi, t, alpha, dispersion_coeff, dispersion_sign):
@@ -680,8 +676,8 @@ def test_picard_pair_sum_matches_brute_force():
 
     # the inflate data: crit_half two-block data at N = 64 and its T_N
     phi = nl.build_two_block_data("crit_half", 64)
-    t = nl.inflation_time("crit_half", 64, -0.5).T_N
-    got = picard_expansion(phi, EquationSpec.cubic_nls(), t)
+    t = nl.regime_parameters(nl.InflationScenario("crit_half", -0.5, N=64)).T_N
+    got = picard_expansion(phi, EquationSpec(), t)
     want, _, _ = _picard_reference(phi, t, 1.0, 1.0, 1)
     first = want - nl.enlarge_band(phi, got.bandwidth).coeffs
     assert np.max(np.abs(got.coeffs - want)) <= 1e-12 * np.max(np.abs(first))
@@ -696,7 +692,7 @@ def test_picard_on_padded_fields_matches_the_unpadded_field():
         coeffs = np.zeros(2 * tight_band + 1, dtype=complex)
         coeffs[np.array(modes) + tight_band] = 0.6 - 0.2j
         tight = SpectralField(1.0, coeffs)
-        eq = EquationSpec.cubic_nls()
+        eq = EquationSpec()
         padded = picard_expansion(nl.enlarge_band(tight, band), eq, 0.1)
         assert padded.bandwidth == max(3 * top, band)
         assert coeff_gap(padded, picard_expansion(tight, eq, 0.1)) <= 1e-15
@@ -705,7 +701,7 @@ def test_picard_on_padded_fields_matches_the_unpadded_field():
 def test_picard_first_iterate_within_oscillatory_bound():
     f = random_field(1.0, 6, seed=8, l2=0.5, decay=1.5)
     t = 0.3
-    p1 = picard_expansion(f, EquationSpec.cubic_nls(), t)
+    p1 = picard_expansion(f, EquationSpec(), t)
     base = xi_term(f, 1, t)
     m = f.bandwidth
     bw = max(p1.bandwidth, base.bandwidth, m)
@@ -728,8 +724,8 @@ def test_picard_first_iterate_within_oscillatory_bound():
 def test_picard_tracks_interaction_picture_solution():
     n0 = 64
     phi = nl.build_two_block_data("crit_half", n0)
-    t = nl.inflation_time("crit_half", n0, -0.5).T_N
-    eq = EquationSpec.cubic_nls()
+    t = nl.regime_parameters(nl.InflationScenario("crit_half", -0.5, N=n0)).T_N
+    eq = EquationSpec()
     p1 = picard_expansion(phi, eq, t)
     moved = interaction_picture(split_step_evolve(phi, eq, t, StepperConfig(dt=t / 200.0)), eq, t)
     bw = max(p1.bandwidth, moved.bandwidth)
@@ -784,7 +780,7 @@ def _small_band(draw):
     return random_field(period, band, seed=draw(st.integers(0, 2**32 - 1)), l2=l2)
 
 
-_SPECS = (EquationSpec.cubic_nls(), EquationSpec.wick_nls(), EquationSpec.fractional(0.75),
+_SPECS = (EquationSpec(), EquationSpec(wick=True), EquationSpec(alpha=0.75),
           EquationSpec(dispersion_sign=-1))
 
 
@@ -820,8 +816,8 @@ def test_gauge_maps_the_plain_flow_to_the_wick_flow(f, t, steps):
     dt = t / steps
     cfg = StepperConfig(dt=dt)
     norm, msq, sup = l2_norm(f), nl.mean_and_l2(f)[1], _sup_sq_bound(f, t)
-    plain = split_step_evolve(f, EquationSpec.cubic_nls(), t, cfg)
-    wick = split_step_evolve(f, EquationSpec.wick_nls(), t, cfg)
+    plain = split_step_evolve(f, EquationSpec(), t, cfg)
+    wick = split_step_evolve(f, EquationSpec(wick=True), t, cfg)
     phase = 2.0 * t * msq * t * dt * sup**2 + U * t * (sup + 4.0 * msq)
     rnd = 2.0 * _roundoff(steps, next_fast_len(3 * (2 * f.bandwidth + 1)))
     assert l2_gap(gauge_transform(plain, t), wick) <= norm * (phase + rnd)
@@ -855,7 +851,7 @@ def test_galilean_boost_commutes_with_split_step(radius, shift, period, l2, seed
     cut = math.log(16.0 * math.sqrt(period) / (math.sqrt(2.0 * t) * U * norm)) / sigma
     m = 2 * abs(shift) + math.ceil(cut)
     f = nl.enlarge_band(data, m)
-    eq, cfg = EquationSpec.cubic_nls(), StepperConfig(dt=t / steps)
+    eq, cfg = EquationSpec(), StepperConfig(dt=t / steps)
     evolve_then_boost = galilean_boost(split_step_evolve(f, eq, t, cfg), 2 * shift, t)
     boost_then_evolve = split_step_evolve(galilean_boost(f, 2 * shift, 0.0), eq, t, cfg)
     angle = (2.0 * np.pi * (m + abs(shift)) / period) ** 2 * t

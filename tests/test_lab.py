@@ -660,6 +660,8 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("inflate", "sweep = 64.7", "inflate sweep values must be integers, got 64.7"),
         ("gamma", "sweep = 0.5", "gamma sweep values must be integers, got 0.5"),
         ("feasibility", "grid_points = 0", "grid_points must be >= 1"),
+        ("feasibility", "grid_points = 201",
+         "grid_points must be >= 1 and <= 200 (the scan holds grid_points^3 floats), got 201"),
         ("inflate", "sweep = 1", "inflate sweep values must be >= 16 (the smallest N of the two-block "
                                  "schedules), got 1.0"),
         ("inflate", "sweep = 0", "inflate sweep values must be >= 16 (the smallest N of the two-block "
@@ -692,6 +694,29 @@ def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, messag
     assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("nlslab: error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# amplitude 1e200 overflows |u|^2 in the first split step; the negative_s
+# schedule's R = N^(-s) / log N overflows a float at s = -200, with a message
+# from the C library
+@pytest.mark.parametrize(
+    "experiment, ini, message",
+    [
+        ("approx", "amplitude = 1e200", "non-finite coefficients at step size "),
+        ("gamma", "amplitude = 1e200", "non-finite coefficients at step size "),
+        ("inflate", "regime = negative_s\ns = -200\nsweep = 256", ""),
+    ],
+)
+def test_cli_refuses_a_run_that_overflows(tmp_path, capsys, experiment, ini, message):
+    path = tmp_path / "big.ini"
+    path.write_text(f"[{experiment}]\n{ini}\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    with np.errstate(all="ignore"):
+        assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlslab: error: " + message)
     assert "Traceback" not in err
     assert not out.exists()
 

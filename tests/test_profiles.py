@@ -122,21 +122,19 @@ def test_psi4_second_moment_quadrature_oracle():
 
 def test_phase_integral_step_pins():
     psi1 = appendix_profile("psi1")
-    out = phase_integral(psi1, 1.0)
-    assert abs(out.value - (-4.0 * SQRT_PI)) <= 1e-10
-    assert abs(out.modulus - 4.0 * SQRT_PI) <= 1e-10
+    assert abs(phase_integral(psi1, 1.0) - (-4.0 * SQRT_PI)) <= 1e-10
     psi2 = appendix_profile("psi2")
-    assert abs(phase_integral(psi2, 1.0).modulus - 8.0 * SQRT_PI) <= 1e-10
+    assert abs(abs(phase_integral(psi2, 1.0)) - 8.0 * SQRT_PI) <= 1e-10
     zero = CompactProfile("step", ((-0.5, 0.5, 0.0),), 0.5)
-    assert phase_integral(zero, 1.0).modulus == 0.0
+    assert phase_integral(zero, 1.0) == 0.0
     # at t0 = 0 the two blocks cancel exactly (mean zero)
-    assert phase_integral(psi1, 0.0).modulus <= 1e-15
+    assert abs(phase_integral(psi1, 0.0)) <= 1e-15
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
 def test_mollified_phase_integral_keeps_half(eps):
     prof = appendix_profile("mollified", eps=eps)
-    assert phase_integral(prof, 1.0).modulus >= 2.0 * SQRT_PI
+    assert abs(phase_integral(prof, 1.0)) >= 2.0 * SQRT_PI
 
 
 def test_phase_integral_halves_its_panels_until_resolved():
@@ -151,7 +149,7 @@ def test_phase_integral_halves_its_panels_until_resolved():
 
     want = complex(quad(integrand, -K, K, args=(np.real,), limit=2000, epsabs=0.0, epsrel=1e-12)[0],
                    quad(integrand, -K, K, args=(np.imag,), limit=2000, epsabs=0.0, epsrel=1e-12)[0])
-    assert abs(phase_integral(prof, 1.0).value - want) <= 1e-12
+    assert abs(phase_integral(prof, 1.0) - want) <= 1e-12
 
 
 def test_phase_integral_refuses_an_unresolved_oscillation():

@@ -2,7 +2,7 @@
 periodization of compactly supported line profiles."""
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -13,7 +13,6 @@ from scipy.integrate import quad
 import nlslab as nl
 from nlslab import (
     CompactProfile,
-    NormSpec,
     SpectralField,
     analyze,
     appendix_profile,
@@ -22,7 +21,6 @@ from nlslab import (
     fourier_lebesgue_norm,
     mean_and_l2,
     periodize,
-    profile_fourier,
     project_below,
     smooth_bump,
     sobolev_norm,
@@ -48,10 +46,11 @@ def test_spectral_field_requires_odd_coeff_vector():
     assert f.coefficient(-1) == 0.0
 
 
-def test_norm_spec_validation():
-    # the norms are L^2-based, so the spec carries no exponent to check
-    spec = NormSpec(s=-0.5, homogeneous=True)
-    assert [f.name for f in dataclasses.fields(spec)] == ["s", "homogeneous"]
+def test_sobolev_norm_signature():
+    # the norm is named by its index and homogeneous flag, inhomogeneous by default
+    params = inspect.signature(sobolev_norm).parameters
+    assert list(params) == ["field", "s", "homogeneous"]
+    assert params["homogeneous"].default is False
 
 
 def test_enlarge_band_pads_and_refuses_shrink():
@@ -144,7 +143,7 @@ def test_band_grid_round_trip(bandwidth, extra, seed, period):
 def test_plancherel_matches_quadrature():
     for period, bandwidth, seed in ((1.0, 12, 4), (8.0, 5, 5)):
         f = random_field(period, bandwidth, seed)
-        direct = sobolev_norm(f, NormSpec(s=0.0))
+        direct = sobolev_norm(f, 0.0)
         series = math.sqrt(period) * math.sqrt(float(np.sum(np.abs(f.coeffs) ** 2)))
         g = 8 * bandwidth + 9
         u = synthesize(f, g)
@@ -156,9 +155,9 @@ def test_plancherel_matches_quadrature():
 def test_sobolev_norm_mean_mode_pins():
     f = SpectralField(1.0, np.array([0, 1.0, 0], dtype=complex))
     for s in (-2.0, -0.5, 0.0, 1.0, 3.0):
-        assert abs(sobolev_norm(f, NormSpec(s=s)) - 1.0) <= 1e-14
+        assert abs(sobolev_norm(f, s) - 1.0) <= 1e-14
     # the homogeneous norm drops the mean mode entirely
-    assert sobolev_norm(f, NormSpec(s=1.0, homogeneous=True)) == 0.0
+    assert sobolev_norm(f, 1.0, homogeneous=True) == 0.0
 
 
 def test_sobolev_norm_single_high_mode_pin():
@@ -167,7 +166,7 @@ def test_sobolev_norm_single_high_mode_pin():
     coeffs[8 + 8] = 1.0
     f = SpectralField(4.0, coeffs)
     want = 2.0 / math.sqrt(5.0)  # L^(1/2) * (1+4)^(-1/2)
-    assert abs(sobolev_norm(f, NormSpec(s=-1.0)) - want) <= 1e-14
+    assert abs(sobolev_norm(f, -1.0) - want) <= 1e-14
 
 
 def test_fourier_lebesgue_pins():
@@ -193,8 +192,8 @@ def test_inhomogeneous_below_homogeneous_for_mean_zero_nonpositive_s():
     for (period, seed) in ((1.0, 7), (4.0, 8)):
         f = random_field(period, 10, seed=seed, mean_zero=True)
         for s in (-1.5, -0.5, 0.0):
-            inhom = sobolev_norm(f, NormSpec(s=s))
-            hom = sobolev_norm(f, NormSpec(s=s, homogeneous=True))
+            inhom = sobolev_norm(f, s)
+            hom = sobolev_norm(f, s, homogeneous=True)
             assert inhom <= hom + 1e-12
 
 
@@ -214,7 +213,7 @@ def test_project_below_is_a_contraction():
     for n in (1, 4, 9):
         p = project_below(f, n)
         assert l2_norm(p) <= l2_norm(f) + 1e-14
-        assert sobolev_norm(p, NormSpec(s=-0.5)) <= sobolev_norm(f, NormSpec(s=-0.5)) + 1e-14
+        assert sobolev_norm(p, -0.5) <= sobolev_norm(f, -0.5) + 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +307,22 @@ def test_periodize_psi1_pointwise_reconstruction():
 
 def test_profile_fourier_zero_frequency_is_integral():
     box = CompactProfile("step", ((0.0, 1.0, 1.0),), 1.0)
-    assert abs(profile_fourier(box, 0.0) - 1.0) <= 1e-14
+    assert abs(box.fourier_transform(0.0) - 1.0) <= 1e-14
     psi1 = appendix_profile("psi1")
-    assert abs(profile_fourier(psi1, 0.0)) <= 1e-14
+    assert abs(psi1.fourier_transform(0.0)) <= 1e-14
     two = nl.centered_two_step(1.0, 0.3)
-    assert abs(profile_fourier(two, 0.0)) <= 1e-14
+    assert abs(two.fourier_transform(0.0)) <= 1e-14
 
 
 def test_profile_fourier_indicator_integer_zero():
     box = CompactProfile("step", ((0.0, 1.0, 1.0),), 1.0)
-    assert abs(profile_fourier(box, 1.0)) <= 1e-15
+    assert abs(box.fourier_transform(1.0)) <= 1e-15
 
 
 @pytest.mark.parametrize("xi", [0.37, 1.9])
 def test_profile_fourier_quadrature_oracle(xi):
     psi1 = appendix_profile("psi1")
-    got = profile_fourier(psi1, xi)
+    got = psi1.fourier_transform(xi)
     re = quad(lambda x: (psi1.evaluate(x) * np.exp(-2j * np.pi * xi * x)).real, -5, 5,
               points=[1, 3, 4, 5], limit=200)[0]
     im = quad(lambda x: (psi1.evaluate(x) * np.exp(-2j * np.pi * xi * x)).imag, -5, 5,
@@ -341,7 +340,7 @@ def test_uniform_embedding_constant_stable_across_periods():
         band = math.ceil(30 * period)
         f = periodize(bump, period, band)
         u = synthesize(f, 4 * band + 5)
-        ratios.append(float(np.max(np.abs(u))) / sobolev_norm(f, NormSpec(s=1.0)))
+        ratios.append(float(np.max(np.abs(u))) / sobolev_norm(f, 1.0))
     assert max(ratios) / min(ratios) <= 2.0
 
 
@@ -366,6 +365,6 @@ def test_riemann_error_strictly_decreasing(s):
     errs = []
     for period in (16.0, 32.0, 64.0):
         band = math.ceil(32 * period)
-        circle = sobolev_norm(periodize(prof, period, band), NormSpec(s=s, homogeneous=True))
+        circle = sobolev_norm(periodize(prof, period, band), s, homogeneous=True)
         errs.append(abs(circle - line))
     assert all(a > b for a, b in zip(errs, errs[1:])), f"s={s}: errors {errs} not strictly decreasing"
