@@ -70,10 +70,14 @@ from .constructions import (
 )
 from .lab import (
     CSV_COLUMNS,
-    ExperimentConfig,
+    ApproxConfig,
+    FeasibilityConfig,
+    GammaConfig,
     GammaCount,
+    InflateConfig,
     InflationReport,
     MethodDisagreementError,
+    PeriodizeConfig,
     ReportRow,
     StepTargetError,
     TailTargetError,
@@ -86,7 +90,6 @@ from .lab import (
     measure_plateau,
     report_to_csv,
     report_to_json,
-    resolve_threads,
     run_approximation,
     run_experiment,
     run_feasibility,

@@ -3,8 +3,8 @@
 One subcommand per experiment in lab.RUNNERS.  Each reads an optional INI
 config file (one [<experiment>] section per experiment, unknown keys
 rejected), applies flag overrides, runs the experiment, writes the report,
-and prints a one-line summary.  The INI keys and their types are the
-annotated fields of lab.ExperimentConfig.
+and prints a one-line summary.  An experiment's INI keys and their types
+are the annotated fields of its config class in lab.CONFIGS.
 """
 
 from __future__ import annotations
@@ -17,31 +17,6 @@ import typing
 
 from . import lab
 from .evolution import BlowupError
-
-# Per-experiment defaults layered over ExperimentConfig's own defaults.
-SUBCOMMAND_DEFAULTS: dict[str, dict] = {
-    "inflate": {
-        "sweep": (256.0, 512.0, 1024.0, 2048.0, 4096.0),
-    },
-    "approx": {
-        "sweep": (0.025, 0.05, 0.1, 0.2),
-    },
-    "periodize": {
-        "sweep": (8.0, 16.0, 32.0, 64.0),
-        "profile": "two_step",
-        "band_per_period": 32.0,
-    },
-    "gamma": {
-        "sweep": (1.0, 2.0, 3.0, 4.0),
-        "amplitude": 0.7,
-        "eps": 0.3,
-        "band_per_period": 4.0,
-    },
-    "feasibility": {
-        "s": -0.25,
-        "alpha": 0.375,
-    },
-}
 
 
 def _split_items(raw: str) -> list[str]:
@@ -71,18 +46,20 @@ def _value_parser(tp):
     return _SCALAR_PARSERS[tp]
 
 
-# INI key -> parser.  `experiment` is chosen by the subcommand, never by the file.
-_PARSERS = {key: _value_parser(tp)
-            for key, tp in typing.get_type_hints(lab.ExperimentConfig).items()
-            if key != "experiment"}
+# experiment -> INI key -> parser, one key per field of the experiment's
+# class.  The experiment itself is chosen by the subcommand, never by the file.
+_PARSERS = {name: {key: _value_parser(tp) for key, tp in typing.get_type_hints(cls).items()
+                   if key != "experiment"}
+            for name, cls in lab.CONFIGS.items()}
 
 
-def parse_config_value(key: str, raw: str):
-    """Convert one config-file string to the typed value for `key`."""
-    if key not in _PARSERS:
-        raise ValueError(f"unknown config key {key!r}")
+def parse_config_value(experiment: str, key: str, raw: str):
+    """Convert one config-file string to the typed value of `experiment`'s `key`."""
+    parsers = _PARSERS[experiment]
+    if key not in parsers:
+        raise ValueError(f"unknown config key {key!r} in [{experiment}]")
     try:
-        return _PARSERS[key](raw)
+        return parsers[key](raw)
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: cannot parse {raw!r}: {exc}") from exc
 
@@ -91,7 +68,7 @@ def load_config_file(path: str, experiment: str) -> dict:
     """Read the [experiment] section of an INI file into typed kwargs.
     Unknown keys are errors, never silently ignored."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keys are case-sensitive ("N_list")
+    parser.optionxform = str  # keys are case-sensitive
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -103,26 +80,18 @@ def load_config_file(path: str, experiment: str) -> dict:
         raise ValueError(f"config file {path!r} has no [{experiment}] section")
     out = {}
     for key, raw in parser.items(experiment):
-        if key not in _PARSERS:
+        if key not in _PARSERS[experiment]:
             raise ValueError(f"unknown config key {key!r} in [{experiment}] of {path!r}")
-        out[key] = parse_config_value(key, raw)
+        out[key] = parse_config_value(experiment, key, raw)
     return out
 
 
 def build_config(experiment: str, args: argparse.Namespace) -> lab.ExperimentConfig:
-    kwargs: dict = {"experiment": experiment}
-    kwargs.update(SUBCOMMAND_DEFAULTS[experiment])
-    if args.config is not None:
-        kwargs.update(load_config_file(args.config, experiment))
-    if args.out is not None:
-        kwargs["output_path"] = args.out
-    if args.format is not None:
-        kwargs["fmt"] = args.format
-    if args.threads is not None:
-        kwargs["threads"] = args.threads
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return lab.ExperimentConfig(**kwargs)
+    """The experiment's config: its class defaults, then the INI file, then the flags."""
+    kwargs = load_config_file(args.config, experiment) if args.config is not None else {}
+    flags = {"output_path": args.out, "fmt": args.format, "threads": args.threads, "seed": args.seed}
+    kwargs.update((key, value) for key, value in flags.items() if value is not None)
+    return lab.CONFIGS[experiment](**kwargs)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -108,24 +108,29 @@ def f_factor(A: float | np.ndarray, s: float) -> float | np.ndarray:
 def regime_parameters(scenario: InflationScenario) -> RegimeSchedule:
     """R, A, T_N and reference values for the two-block regimes."""
     s, N = scenario.s, scenario.N
-    if scenario.regime == "crit_half":
-        logn = math.log(N)
-        R = 1.0
-        A = N / logn ** (1.0 / 16.0)
-        T = 1.0 / (N * N * logn ** 0.125)
-        predicted = logn**0.25
-    elif scenario.regime == "negative_s":
-        logn = math.log(N)
-        R = N ** (-s) / logn
-        A = logn
-        T = N ** (2.0 * s) / logn
-        predicted = N ** (-s) * logn ** (-2.0) * g_factor(N, s)
-    else:  # frac_crit
-        th = scenario.theta
-        R = N ** (-0.5 - s)
-        A = N ** (1.0 - th)
-        T = N ** (2.0 * s - 1.0 - th)
-        predicted = N ** (-0.5 - s - 3.0 * th)
+    try:
+        if scenario.regime == "crit_half":
+            logn = math.log(N)
+            R = 1.0
+            A = N / logn ** (1.0 / 16.0)
+            T = 1.0 / (N * N * logn ** 0.125)
+            predicted = logn**0.25
+        elif scenario.regime == "negative_s":
+            logn = math.log(N)
+            R = N ** (-s) / logn
+            A = logn
+            T = N ** (2.0 * s) / logn
+            predicted = N ** (-s) * logn ** (-2.0) * g_factor(N, s)
+        else:  # frac_crit
+            th = scenario.theta
+            R = N ** (-0.5 - s)
+            A = N ** (1.0 - th)
+            T = N ** (2.0 * s - 1.0 - th)
+            predicted = N ** (-0.5 - s - 3.0 * th)
+    except OverflowError:
+        amplitude = "N^(-s)/log N" if scenario.regime == "negative_s" else "N^(-1/2-s)"
+        raise ValueError(f"the {scenario.regime} schedule at N={N}, s={s} overflows a float: "
+                         f"R = {amplitude} is out of float range") from None
     half = math.floor(A / 2.0)
     width = 2 * half + 1
     T_star = 1.0 / (2.0 * R * width) ** 2 if width > 0 else math.inf
@@ -247,11 +252,9 @@ def xi_term(phi: SpectralField, k: int, t: float, max_bandwidth: int = 2**21) ->
 
 def xi_series_tail(phi: SpectralField, K: int, t: float) -> float:
     """Upper bound on the L^2(T_L) norm of the series tail beyond K terms:
-    ||phi||_L2 times the factorial remainder of exp(t max|phi|^2)."""
-    m = phi.bandwidth
-    g = next_fast_len(8 * (2 * m + 1))
-    sup2 = float(np.max(np.abs(synthesize(phi, g)) ** 2))
-    r = t * sup2
+    ||phi||_L2 times the factorial remainder of exp(t ||phi||_FL1^2).
+    ||phi||_FL1 = sum |c_n| bounds max|phi| without sampling the field."""
+    r = t * float(np.sum(np.abs(phi.coeffs))) ** 2
     l2 = math.sqrt(phi.period * float(np.sum(np.abs(phi.coeffs) ** 2)))
     # remainder sum_{k>K} r^k/k! computed by scaling down from exp(r)
     tail = math.exp(r)

@@ -132,14 +132,17 @@ def ode_exact_evolve(
     shift = 2.0 * mean_and_l2(field)[1] if wick else 0.0
     chunk = min(g, _ROTATE_CHUNK)
     theta, phase = np.empty(chunk), np.empty(chunk, dtype=complex)
-    for lo in range(0, g, chunk):
-        part = u[lo : lo + chunk]
-        _rotate_in_place(part, t, shift, theta[: part.size], phase[: part.size])
-    spec = fft(u, norm="forward", overwrite_x=True)
-    out = SpectralField(field.period, _band_of_spectrum(spec, m_out))
-    # bins m_out+1 .. g-m_out-1 are exactly the modes outside |n| <= m_out
-    dropped = spec[m_out + 1 : g - m_out]
-    tail = float(np.vdot(dropped, dropped).real) * field.period
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite output is refused below
+        for lo in range(0, g, chunk):
+            part = u[lo : lo + chunk]
+            _rotate_in_place(part, t, shift, theta[: part.size], phase[: part.size])
+        spec = fft(u, norm="forward", overwrite_x=True)
+        out = SpectralField(field.period, _band_of_spectrum(spec, m_out))
+        # bins m_out+1 .. g-m_out-1 are exactly the modes outside |n| <= m_out
+        dropped = spec[m_out + 1 : g - m_out]
+        tail = float(np.vdot(dropped, dropped).real) * field.period
+    if not (np.isfinite(out.coeffs).all() and np.isfinite(tail)):
+        raise BlowupError(f"non-finite coefficients in the closed form at t = {t}")
     return EvolveResult(out, tail)
 
 
@@ -165,20 +168,21 @@ def split_step_evolve(
     half_lo, half_hi = half[m:], half[:m]  # modes 0..M and -M..-1, as in the spectrum
     theta, phase = np.empty(g), np.empty(g, dtype=complex)
     spec = _spectrum_of_band(field.coeffs, g)
-    for _ in range(n_steps):
-        lo, hi = spec[: m + 1], spec[g - m :]  # the band bins
-        lo *= half_lo
-        hi *= half_hi
-        shift = 2.0 * (np.vdot(lo, lo).real + np.vdot(hi, hi).real) if eq.wick else 0.0
-        u = ifft(spec, norm="forward", overwrite_x=True)
-        _rotate_in_place(u, dt, shift, theta, phase)
-        spec = fft(u, norm="forward", overwrite_x=True)
-        spec[m + 1 : g - m] = 0.0
-        lo, hi = spec[: m + 1], spec[g - m :]
-        lo *= half_lo
-        hi *= half_hi
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise BlowupError(f"non-finite coefficients at step size {dt}")
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite output is refused below
+        for _ in range(n_steps):
+            lo, hi = spec[: m + 1], spec[g - m :]  # the band bins
+            lo *= half_lo
+            hi *= half_hi
+            shift = 2.0 * (np.vdot(lo, lo).real + np.vdot(hi, hi).real) if eq.wick else 0.0
+            u = ifft(spec, norm="forward", overwrite_x=True)
+            _rotate_in_place(u, dt, shift, theta, phase)
+            spec = fft(u, norm="forward", overwrite_x=True)
+            spec[m + 1 : g - m] = 0.0
+            lo, hi = spec[: m + 1], spec[g - m :]
+            lo *= half_lo
+            hi *= half_hi
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+                raise BlowupError(f"non-finite coefficients at step size {dt}")
     return field.with_coeffs(_band_of_spectrum(spec, m))
 
 

@@ -16,10 +16,9 @@ import functools
 import io
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, asdict
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -29,8 +28,6 @@ from . import profiles as prof
 from . import torus
 
 VERSION = "nlslab-0.1.0"
-
-THREADS_ENV_VAR = "NLSLAB_THREADS"
 
 # feasibility_scan holds P^3 float64 temporaries for grid_points = P; the
 # peak RSS of run_feasibility at the CLI's s and alpha is 63 MB at P = 50,
@@ -50,101 +47,152 @@ class StepTargetError(RuntimeError):
     """No allowed split-step count brings the halving estimate under its tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Typed configuration for one experiment run.
+    """The keys and checks every experiment shares.  Each experiment's
+    subclass adds its own keys and defaults; the command line derives its
+    INI keys and their parsers from those annotated fields.
 
-    `sweep` holds the swept values: N for 'inflate', delta for 'approx',
-    the period L for 'periodize', the schedule index j for 'gamma'.  The
-    'feasibility' experiment sweeps `N_list` instead.
-
-    The field annotations are the config schema: the command line derives
-    its INI keys and their parsers from them.
+    `sweep` holds the swept values: N for 'inflate' and 'feasibility',
+    delta for 'approx', the period L for 'periodize', the index j for 'gamma'.
     """
 
-    experiment: str
+    experiment: ClassVar[str]
     regime: str = "crit_half"
-    s: float = -0.5
     alpha: float = 1.0
-    theta: float | None = None
-    sweep: tuple[float, ...] = ()
-    # split-step count: 'approx' and 'gamma' run exactly this many; for
-    # 'inflate' it is the largest count the step doubling may reach
-    dt_steps: int = 200
+    sweep: tuple[float, ...]
     output_path: str | None = None
     fmt: str = "csv"
     seed: int = 0
     threads: int = 1
     timing: bool = False
-    # experiment-specific knobs
+    # lower bounds and positivity, checked on whichever of these keys a config has
+    _at_least = {"threads": 1, "dt_steps": 1, "picard_budget": 0}
+    _positive = ("alpha", "time_horizon", "band_per_period", "base_delta", "delta_decay")
+
+    def __post_init__(self):
+        if self.regime not in cons.REGIMES:  # every report row echoes it
+            raise ValueError(f"unknown regime {self.regime!r}; expected one of "
+                             f"{', '.join(cons.REGIMES)}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            bad = [v for v in items if isinstance(v, float) and not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{f.name} must be finite, got {bad[0]!r}")
+            if not items:
+                raise ValueError(f"{f.name} must be nonempty")
+            if f.name in self._at_least and not value >= self._at_least[f.name]:
+                raise ValueError(f"{f.name} must be >= {self._at_least[f.name]}, got {value!r}")
+            if f.name in self._positive and not value > 0.0:
+                raise ValueError(f"{f.name} must be > 0, got {value!r}")
+        if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
+            raise ValueError("sweep must be strictly increasing")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
+        if self.fmt not in ("csv", "json"):
+            raise ValueError(f"fmt must be csv or json, got {self.fmt!r}")
+
+    def _require_integer_sweep(self):
+        bad = [v for v in self.sweep if not float(v).is_integer()]
+        if bad:
+            raise ValueError(f"{self.experiment} sweep values must be integers, got {bad[0]!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class InflateConfig(ExperimentConfig):
+    experiment = "inflate"
+    sweep: tuple[float, ...] = (256.0, 512.0, 1024.0, 2048.0, 4096.0)
+    s: float = -0.5
+    theta: float | None = None
+    # the largest split-step count the step doubling may reach
+    dt_steps: int = 200
     picard_budget: int = evo.PICARD_BUDGET
     surrogate_period: float = 32.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._require_integer_sweep()
+        # sweeps are increasing, so sweep[0] is the smallest value
+        if self.sweep[0] < cons.MIN_BLOCK_N:
+            raise ValueError(f"inflate sweep values must be >= {cons.MIN_BLOCK_N} (the smallest N "
+                             f"of the two-block schedules), got {self.sweep[0]!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ApproxConfig(ExperimentConfig):
+    experiment = "approx"
+    sweep: tuple[float, ...] = (0.025, 0.05, 0.1, 0.2)
+    s: float = -0.5
+    dt_steps: int = 200
     profile: str = "bump"
     amplitude: float = 1.0
     width: float = 2.0
     eps: float = 0.1
     time_horizon: float = 1.0
     periods: tuple[float, ...] = (32.0, 64.0, 128.0)
-    s_list: tuple[float, ...] = (-1.0, -0.5, 0.0, 1.0)
     band_per_period: float = 8.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.sweep[0] > 0.0:
+            raise ValueError(f"approx sweep values must be > 0, got {self.sweep[0]!r}")
+        # _approx_error evolves the alpha = 1 equation, whose error rate is delta^(3/2)
+        if self.alpha != 1.0:
+            raise ValueError(f"approx requires alpha = 1, got {self.alpha!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class PeriodizeConfig(ExperimentConfig):
+    experiment = "periodize"
+    sweep: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
+    profile: str = "two_step"
+    amplitude: float = 1.0
+    width: float = 2.0
+    eps: float = 0.1
+    s_list: tuple[float, ...] = (-1.0, -0.5, 0.0, 1.0)
+    band_per_period: float = 32.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class GammaConfig(ExperimentConfig):
+    experiment = "gamma"
+    sweep: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
+    s: float = -0.5
+    dt_steps: int = 200
+    amplitude: float = 0.7
+    eps: float = 0.3
+    time_horizon: float = 1.0
+    band_per_period: float = 4.0
     c_fraction: float = 0.5
     base_delta: float = 0.16
     delta_decay: float = 0.8408964152537145  # 2**(-1/4)
-    grid_points: int = 50
-    margin: float = 10.0
-    N_list: tuple[int, ...] = (2**16, 2**24, 2**32, 2**40, 2**48)
 
     def __post_init__(self):
-        if self.experiment not in RUNNERS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.regime not in cons.REGIMES:  # every report row echoes it
-            raise ValueError(f"unknown regime {self.regime!r}; expected one of "
-                             f"{', '.join(cons.REGIMES)}")
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            bad = [v for v in (value if isinstance(value, tuple) else (value,))
-                   if isinstance(v, float) and not math.isfinite(v)]
-            if bad:
-                raise ValueError(f"{f.name} must be finite, got {bad[0]!r}")
-        if self.experiment != "feasibility":
-            if len(self.sweep) == 0:
-                raise ValueError("sweep must be nonempty")
-            if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
-                raise ValueError("sweep must be strictly increasing")
-        if self.experiment in ("inflate", "gamma"):  # sweeps N and j
-            bad = [v for v in self.sweep if not float(v).is_integer()]
-            if bad:
-                raise ValueError(f"{self.experiment} sweep values must be integers, got {bad[0]!r}")
-        for key in ("periods", "s_list", "N_list"):
-            if len(getattr(self, key)) == 0:
-                raise ValueError(f"{key} must be nonempty")
+        super().__post_init__()
+        self._require_integer_sweep()
+        if not 0.0 < self.c_fraction <= 1.0:
+            raise ValueError("c_fraction must lie in (0, 1]")
+
+
+@dataclass(frozen=True, kw_only=True)
+class FeasibilityConfig(ExperimentConfig):
+    experiment = "feasibility"
+    alpha: float = 0.375
+    sweep: tuple[float, ...] = (2.0**16, 2.0**24, 2.0**32, 2.0**40, 2.0**48)
+    s: float = -0.25
+    grid_points: int = 50
+    margin: float = 10.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._require_integer_sweep()
+        if self.sweep[0] < 4:
+            raise ValueError(f"feasibility sweep values must be >= 4 (the A grid runs over "
+                             f"[4, N]), got {self.sweep[0]!r}")
         if not 1 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(f"grid_points must be >= 1 and <= {MAX_GRID_POINTS} (the scan "
                              f"holds grid_points^3 floats), got {self.grid_points!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"fmt must be csv or json, got {self.fmt!r}")
-        if self.dt_steps < 1:
-            raise ValueError("dt_steps must be >= 1")
-        if not 0.0 < self.c_fraction <= 1.0:
-            raise ValueError("c_fraction must lie in (0, 1]")
-        if self.picard_budget < 0:
-            raise ValueError("picard_budget must be >= 0")
-        for key in ("alpha", "time_horizon", "band_per_period", "base_delta", "delta_decay"):
-            if not getattr(self, key) > 0.0:
-                raise ValueError(f"{key} must be > 0, got {getattr(self, key)!r}")
-        # sweeps are increasing, so sweep[0] is the smallest value
-        if self.experiment == "inflate" and self.sweep[0] < cons.MIN_BLOCK_N:
-            raise ValueError(f"inflate sweep values must be >= {cons.MIN_BLOCK_N} (the smallest N "
-                             f"of the two-block schedules), got {self.sweep[0]!r}")
-        if self.experiment == "approx" and not self.sweep[0] > 0.0:
-            raise ValueError(f"approx sweep values must be > 0, got {self.sweep[0]!r}")
-        # _approx_error evolves the alpha = 1 equation, whose error rate is delta^(3/2)
-        if self.experiment == "approx" and self.alpha != 1.0:
-            raise ValueError(f"approx requires alpha = 1, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -173,21 +221,6 @@ CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ReportRow))
 class InflationReport:
     rows: list
     metadata: dict = dc_field(default_factory=dict)
-
-
-def resolve_threads(cfg: ExperimentConfig) -> int:
-    """Worker count: the NLSLAB_THREADS environment variable overrides
-    the config value.  Thread count never changes report content."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return cfg.threads
-    try:
-        k = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if k < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {k}")
-    return k
 
 
 def _fmt_cell(v) -> str:
@@ -241,13 +274,20 @@ def emit_report(report: InflationReport, fmt: str, path: str) -> str:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Field values by name, with tuple fields as lists (JSON arrays)."""
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
+    """The experiment's name and its field values by name, with tuple
+    fields as lists (JSON arrays)."""
+    d = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
+    return {"experiment": cfg.experiment, **d}
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """Inverse of config_to_dict: list values become tuples again."""
-    return ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+    """Inverse of config_to_dict: the experiment's class, with list values
+    as tuples again."""
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+    name = kwargs.pop("experiment")
+    if name not in CONFIGS:
+        raise ValueError(f"unknown experiment {name!r}")
+    return CONFIGS[name](**kwargs)
 
 
 def _map_ordered(fn, items, threads: int):
@@ -267,13 +307,13 @@ def _metadata(cfg: ExperimentConfig) -> dict:
 def wiener_error_budget(phi: torus.SpectralField, T: float, N: int) -> float:
     """Size budget for the gap between the exact flow and its first-order
     expansion: the second-iterate term T^2 N^2 ||phi||_1^2 ||phi||_inf plus
-    the generation-k terms T^k ||phi||_1^(2k) ||phi||_inf for k = 2..4."""
+    the generation-k terms T^k ||phi||_1^(2k) ||phi||_inf for k = 2..4,
+    summed in powers of x = T ||phi||_1^2, the Duhamel iterate's O(1)
+    parameter: ||phi||_1^8 alone overflows on data whose budget does not."""
     w1 = torus.fourier_lebesgue_norm(phi, 0.0, 1.0)
     winf = torus.fourier_lebesgue_norm(phi, 0.0, np.inf)
-    total = T**2 * N**2 * w1**2 * winf
-    for k in range(2, 5):
-        total += T**k * w1 ** (2 * k) * winf
-    return total
+    x = T * w1 * w1
+    return (T * N**2 * x + x**2 + x**3 + x**4) * winf
 
 
 def _fl_inf_distance(a: torus.SpectralField, b: torus.SpectralField) -> float:
@@ -314,7 +354,7 @@ SPLIT_STEP_REL = 1e-3
 
 
 def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: float,
-                             N: int, cfg: ExperimentConfig) -> tuple[int, float, torus.SpectralField]:
+                             N: int, cfg: InflateConfig) -> tuple[int, float, torus.SpectralField]:
     """(2n, halving estimate over ||phi||_FLinf, Richardson value at T) for
     the first step pair that meets SPLIT_STEP_REL; refuses if none does.
     Split-step runs on the band 3 n_max, and each run's 2n-step field is
@@ -342,7 +382,7 @@ def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: 
                           f"{SPLIT_STEP_REL:g} of ||phi||_FLinf: {tried}")
 
 
-def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
+def _inflate_point(cfg: InflateConfig, N: int) -> tuple[ReportRow, dict]:
     s, theta = cfg.s, cfg.theta
     eq = evo.EquationSpec(alpha=cfg.alpha)
     scenario = cons.InflationScenario(regime=cfg.regime, s=s, N=N, theta=theta)
@@ -403,10 +443,10 @@ def _inflate_point(cfg: ExperimentConfig, N: int) -> tuple[ReportRow, dict]:
     return row, aux
 
 
-def run_inflation(cfg: ExperimentConfig) -> InflationReport:
+def run_inflation(cfg: InflateConfig) -> InflationReport:
     """Norm-growth sweep for two-block spectral data."""
     pairs = _map_ordered(lambda N: _inflate_point(cfg, int(N)),
-                         list(cfg.sweep), resolve_threads(cfg))
+                         list(cfg.sweep), cfg.threads)
     rows = [p[0] for p in pairs]
     meta = _metadata(cfg)
     meta["per_N"] = {str(int(N)): p[1] for N, p in zip(cfg.sweep, pairs)}
@@ -416,7 +456,7 @@ def run_inflation(cfg: ExperimentConfig) -> InflationReport:
 # ---------------------------------------------------------------------------
 # approx
 
-def _approx_profile(cfg: ExperimentConfig) -> prof.CompactProfile:
+def _approx_profile(cfg: ApproxConfig | PeriodizeConfig) -> prof.CompactProfile:
     if cfg.profile == "bump":
         return prof.smooth_bump(cfg.amplitude, cfg.width)
     if cfg.profile == "two_step":
@@ -436,7 +476,7 @@ def _approx_error(profile, delta: float, L: float, t: float, band: int,
     return torus.sobolev_norm(diff, 1.0), w.tail_mass
 
 
-def run_approximation(cfg: ExperimentConfig) -> InflationReport:
+def run_approximation(cfg: ApproxConfig) -> InflationReport:
     """Small-dispersion vs dispersionless error scaling."""
     profile = _approx_profile(cfg)
     L0 = cfg.periods[0]
@@ -452,7 +492,7 @@ def run_approximation(cfg: ExperimentConfig) -> InflationReport:
             e_half, e_full, e_full / e_half if e_half else None,
             ref, e_full / ref, tail, None)
 
-    rows = _map_ordered(point, list(cfg.sweep), resolve_threads(cfg))
+    rows = _map_ordered(point, list(cfg.sweep), cfg.threads)
     report = InflationReport(rows, _metadata(cfg))
 
     deltas = np.array([r.param for r in rows], dtype=float)
@@ -566,7 +606,7 @@ def line_sobolev_norm(profile, s, homogeneous: bool = True, xi_max: float = 80.0
     return norms[0] if np.ndim(s) == 0 else norms
 
 
-def run_periodization(cfg: ExperimentConfig) -> InflationReport:
+def run_periodization(cfg: PeriodizeConfig) -> InflationReport:
     """Circle-norm convergence to real-line norms."""
     profile = _approx_profile(cfg)
     rows = []
@@ -638,7 +678,7 @@ def measure_plateau(w_field: torus.SpectralField, c_fraction: float) -> tuple[fl
     return c_measured, k / L
 
 
-def _gamma_point(cfg: ExperimentConfig, j: int) -> ReportRow:
+def _gamma_point(cfg: GammaConfig, j: int) -> ReportRow:
     delta = cfg.base_delta * cfg.delta_decay ** (j - 1)
     L = float(round(delta ** (-2.5)))
     profile = prof.centered_two_step(cfg.amplitude, cfg.eps)
@@ -658,17 +698,17 @@ def _gamma_point(cfg: ExperimentConfig, j: int) -> ReportRow:
         None, float(g.complement_count))
 
 
-def run_gamma(cfg: ExperimentConfig) -> InflationReport:
+def run_gamma(cfg: GammaConfig) -> InflationReport:
     """Discrepancy-mode counting along a dilation schedule."""
     rows = _map_ordered(lambda j: _gamma_point(cfg, int(j)),
-                        list(cfg.sweep), resolve_threads(cfg))
+                        list(cfg.sweep), cfg.threads)
     return InflationReport(rows, _metadata(cfg))
 
 
 # ---------------------------------------------------------------------------
 # feasibility
 
-def feasibility_scan(s: float, alpha: float, cfg: ExperimentConfig) -> InflationReport:
+def feasibility_scan(s: float, alpha: float, cfg: FeasibilityConfig) -> InflationReport:
     """Log-grid scan of (R, A, T) at each N for the four requirements:
     (a) small data R*sqrt(A)*N^s, (b) contractive horizon T*R^2*A^2,
     (c) large first-order transfer T*R^3*A^2*f(A), (d) dispersion window
@@ -677,7 +717,7 @@ def feasibility_scan(s: float, alpha: float, cfg: ExperimentConfig) -> Inflation
     the best point's exponents log_N R, log_N A, log_N T."""
     P = cfg.grid_points
     rows = []
-    for N in cfg.N_list:
+    for N in cfg.sweep:
         N = float(N)
         logN = math.log(N)
         R = np.logspace(0.0, 0.75 * math.log10(N), P)[:, None, None]
@@ -701,15 +741,15 @@ def feasibility_scan(s: float, alpha: float, cfg: ExperimentConfig) -> Inflation
     return InflationReport(rows, _metadata(cfg))
 
 
-def run_feasibility(cfg: ExperimentConfig) -> InflationReport:
+def run_feasibility(cfg: FeasibilityConfig) -> InflationReport:
     """Parameter-space scan for the smallness/largeness conditions."""
     return feasibility_scan(cfg.s, cfg.alpha, cfg)
 
 
 # ---------------------------------------------------------------------------
 
-# The one list of experiment names: ExperimentConfig checks against it and
-# the command line builds one subcommand per entry.
+# The one list of experiment names: the command line builds one subcommand
+# per entry, with the INI keys of its config class in CONFIGS.
 RUNNERS = {
     "inflate": run_inflation,
     "approx": run_approximation,
@@ -717,6 +757,9 @@ RUNNERS = {
     "gamma": run_gamma,
     "feasibility": run_feasibility,
 }
+
+
+CONFIGS = {cls.experiment: cls for cls in ExperimentConfig.__subclasses__()}
 
 
 def run_experiment(cfg: ExperimentConfig) -> InflationReport:

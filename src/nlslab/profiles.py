@@ -305,20 +305,18 @@ def _psi4_pieces(a: float):
     return tuple(sorted(left + right))
 
 
-def solve_psi4_parameter(tol: float = 1e-12) -> float:
+def solve_psi4_parameter() -> float:
     """Shift parameter that kills the second moment of the three-block
     even profile, found by bisection on (5, 10).
 
-    The bracket is refined past ``tol`` all the way to the floating-point
-    floor, so downstream moment residuals stay near machine precision.
+    The bracket is refined all the way to the floating-point floor, so
+    downstream moment residuals stay near machine precision.
     """
 
     def second_moment(a):
         pieces = _psi4_pieces(a)
         return sum(v * (b**3 - a_**3) / 3.0 for a_, b, v in pieces)
 
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     lo, hi = 5.0, 10.0
     flo = second_moment(lo)
     if not flo < 0.0 < second_moment(hi):

@@ -14,9 +14,13 @@ import numpy as np
 import nlslab as nl
 from nlslab import (
     CompactProfile,
+    ApproxConfig,
     EquationSpec,
-    ExperimentConfig,
+    FeasibilityConfig,
+    GammaConfig,
+    InflateConfig,
     InflationScenario,
+    PeriodizeConfig,
     SpectralField,
     StepperConfig,
     appendix_profile,
@@ -170,12 +174,9 @@ def test_criterion_07_first_term_dominates_the_series():
 def test_criterion_08_inflation_ratios_grow_in_all_three_regimes():
     sweep = (256.0, 512.0, 1024.0, 2048.0, 4096.0)
     runs = {
-        "crit_half": ExperimentConfig(experiment="inflate", regime="crit_half",
-                                      s=-0.5, sweep=sweep),
-        "frac_crit": ExperimentConfig(experiment="inflate", regime="frac_crit",
-                                      s=-1.0, theta=0.1, sweep=sweep),
-        "negative_s": ExperimentConfig(experiment="inflate", regime="negative_s",
-                                       s=-0.25, sweep=sweep),
+        "crit_half": InflateConfig(regime="crit_half", s=-0.5, sweep=sweep),
+        "frac_crit": InflateConfig(regime="frac_crit", s=-1.0, theta=0.1, sweep=sweep),
+        "negative_s": InflateConfig(regime="negative_s", s=-0.25, sweep=sweep),
     }
     ok = True
     notes = []
@@ -209,8 +210,7 @@ def test_criterion_09_first_order_wiener_approximation():
 
 def test_criterion_10_small_dispersion_error_scaling():
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(experiment="approx", profile="bump",
-                           sweep=(0.025, 0.05, 0.1, 0.2))
+    cfg = ApproxConfig(profile="bump", sweep=(0.025, 0.05, 0.1, 0.2))
     rep = run_approximation(cfg)
     slope = rep.metadata["fitted_slope"]
     spread = rep.metadata["period_spread"]
@@ -244,17 +244,15 @@ def test_criterion_11_profile_algebra():
 
 
 def test_criterion_12_periodization_error_decreases():
-    stated = ExperimentConfig(experiment="periodize", profile="mollified", eps=0.1,
-                              band_per_period=32.0, sweep=(8.0, 16.0, 32.0, 64.0),
-                              s_list=(-1.0, -0.5, 0.0, 1.0))
+    stated = PeriodizeConfig(profile="mollified", eps=0.1, band_per_period=32.0,
+                             sweep=(8.0, 16.0, 32.0, 64.0), s_list=(-1.0, -0.5, 0.0, 1.0))
     refusal = None
     try:
         run_periodization(stated)
     except ValueError as exc:
         refusal = str(exc)
-    admissible = ExperimentConfig(experiment="periodize", profile="mollified", eps=0.1,
-                                  band_per_period=32.0, sweep=(16.0, 32.0, 64.0),
-                                  s_list=(-1.0, -0.5, 0.0, 1.0))
+    admissible = PeriodizeConfig(profile="mollified", eps=0.1, band_per_period=32.0,
+                                 sweep=(16.0, 32.0, 64.0), s_list=(-1.0, -0.5, 0.0, 1.0))
     rows = run_periodization(admissible).rows
     notes = []
     all_decreasing = True
@@ -270,7 +268,8 @@ def test_criterion_12_periodization_error_decreases():
 
 
 def test_criterion_13_discrepancy_count_tracks_the_reference():
-    rows = run_gamma(ExperimentConfig(experiment="gamma", sweep=(1.0, 2.0, 3.0, 4.0))).rows
+    rows = run_gamma(GammaConfig(sweep=(1.0, 2.0, 3.0, 4.0), amplitude=1.0, eps=0.1,
+                                 band_per_period=8.0)).rows
     counts = [int(r.ratio) for r in rows]
     quotients = [r.constant for r in rows]
     spread = max(quotients) / min(quotients)
@@ -281,7 +280,7 @@ def test_criterion_13_discrepancy_count_tracks_the_reference():
 
 
 def test_criterion_14_feasibility_obstruction_and_window():
-    cfg = ExperimentConfig(experiment="feasibility")
+    cfg = FeasibilityConfig()
     blocked = feasibility_scan(-0.25, 0.375, cfg)
     none_found = all(int(r.param) == 0 for r in blocked.rows)
     margins_small = all(r.constant < cfg.margin for r in blocked.rows)
@@ -302,11 +301,9 @@ def test_criterion_14_feasibility_obstruction_and_window():
 
 
 def test_criterion_15_reports_are_byte_deterministic():
-    import os
-
     def once(threads: int) -> tuple[str, str]:
-        cfg = ExperimentConfig(experiment="gamma", sweep=(1.0, 2.0), seed=42,
-                               threads=threads)
+        cfg = GammaConfig(sweep=(1.0, 2.0), amplitude=1.0, eps=0.1, band_per_period=8.0,
+                          seed=42, threads=threads)
         rep = run_gamma(cfg)
         return report_to_csv(rep), report_to_json(rep)
 
@@ -317,19 +314,7 @@ def test_criterion_15_reports_are_byte_deterministic():
     # the tabular CSV must not move at all
     c4, _ = once(4)
     csv_same = c1 == c4
-    # parallelism set through the environment leaves the config untouched,
-    # so both formats must be byte-identical
-    saved = os.environ.get("NLSLAB_THREADS")
-    try:
-        os.environ["NLSLAB_THREADS"] = "4"
-        c_env, j_env = once(1)
-    finally:
-        if saved is None:
-            os.environ.pop("NLSLAB_THREADS", None)
-        else:
-            os.environ["NLSLAB_THREADS"] = saved
-    env_same = (c_env, j_env) == (c1, j1)
     header_ok = c1.splitlines()[0] == ",".join(nl.CSV_COLUMNS)
-    ok = rerun_same and csv_same and env_same and header_ok
+    ok = rerun_same and csv_same and header_ok
     _report(15, ok, f"rerun identical: {rerun_same}; csv stable under config threads 1->4: "
-            f"{csv_same}; bytes stable under env threads 4: {env_same}; header: {header_ok}")
+            f"{csv_same}; header: {header_ok}")

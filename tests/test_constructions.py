@@ -275,6 +275,15 @@ def test_partial_sums_approach_the_exact_flow_at_factorial_rate():
     assert residuals[0] > residuals[1] > residuals[2]
 
 
+def test_xi_series_tail_bounds_the_sup_without_sampling():
+    # modes 1 and 2 at relative phase pi/40: |phi| peaks at 2 between the
+    # points of an 8x-oversampled grid, which reads max|phi|^2 = 3.99383;
+    # the bound must hold against the true sup, which sum |c_n| = 2 gives
+    phi = SpectralField(1.0, np.array([0.0, 0.0, 0.0, 1.0, np.exp(1j * math.pi / 40)]))
+    l2 = math.sqrt(2.0)
+    assert xi_series_tail(phi, 0, 1.0) >= (1.0 - 1e-12) * l2 * (math.exp(4.0) - 1.0)
+
+
 def test_certify_tail_returns_minimal_order():
     phi = random_field(1.0, 4, seed=32, l2=0.5)
     t = 0.3

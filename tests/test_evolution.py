@@ -115,6 +115,14 @@ def test_ode_exact_parameter_validation():
         ode_exact_evolve(f, 0.1, out_bandwidth=3)
 
 
+def test_ode_exact_blowup_diagnostic():
+    # |u|^2 t overflows on this bump; the closed form must refuse it rather
+    # than return NaN coefficients, and let no RuntimeWarning escape
+    bump = nl.periodize(nl.smooth_bump(1e200, 2.0), 32.0, 256)
+    with pytest.raises(BlowupError, match="non-finite coefficients in the closed form at t = 1.0"):
+        ode_exact_evolve(bump, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # free propagator bookkeeping
 
@@ -208,9 +216,8 @@ def test_split_step_dispersionless_matches_exact_flow_any_dt():
 
 def test_split_step_blowup_diagnostic():
     big = SpectralField(1.0, np.full(9, 1e200, dtype=complex))
-    with np.errstate(all="ignore"):
-        with pytest.raises(BlowupError):
-            split_step_evolve(big, EquationSpec(), 0.01, StepperConfig(dt=0.01))
+    with pytest.raises(BlowupError):
+        split_step_evolve(big, EquationSpec(), 0.01, StepperConfig(dt=0.01))
 
 
 def _direct_synthesis(field, g):

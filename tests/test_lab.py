@@ -6,7 +6,7 @@ import dataclasses
 import functools
 import json
 import math
-import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,10 +14,14 @@ from scipy.integrate import quad
 
 from nlslab import (
     CSV_COLUMNS,
+    ApproxConfig,
     CompactProfile,
-    ExperimentConfig,
+    FeasibilityConfig,
+    GammaConfig,
     GammaCount,
+    InflateConfig,
     InflationReport,
+    PeriodizeConfig,
     ReportRow,
     SpectralField,
     appendix_profile,
@@ -34,7 +38,6 @@ from nlslab import (
     ode_exact_evolve,
     report_to_csv,
     report_to_json,
-    resolve_threads,
     run_approximation,
     run_experiment,
     run_gamma,
@@ -65,39 +68,50 @@ def small_report():
         (dict(experiment="inflate", sweep=(1.0,), fmt="xml"), "fmt must be csv or json, got 'xml'"),
         (dict(experiment="inflate", sweep=(1.0,), threads=0), "threads must be >= 1"),
         (dict(experiment="inflate", sweep=(1.0,), dt_steps=0), "dt_steps must be >= 1"),
-        (dict(experiment="inflate", sweep=(1.0,), c_fraction=0.0), "c_fraction must lie in"),
+        (dict(experiment="gamma", c_fraction=0.0), "c_fraction must lie in"),
         (dict(experiment="feasibility", grid_points=0), "grid_points must be >= 1"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):
+    # config_from_dict picks the class from the `experiment` key
     with pytest.raises(ValueError, match=message):
-        ExperimentConfig(**kwargs)
+        config_from_dict(kwargs)
 
 
-def test_feasibility_config_needs_no_sweep():
-    cfg = ExperimentConfig(experiment="feasibility")
-    assert cfg.sweep == ()
+def test_feasibility_sweeps_the_N_values():
+    cfg = FeasibilityConfig(grid_points=10)
+    assert cfg.sweep == tuple(2.0**k for k in (16, 24, 32, 40, 48))
+    rows = feasibility_scan(cfg.s, cfg.alpha, cfg).rows
+    assert [r.N_or_j for r in rows] == list(cfg.sweep)
 
 
 def test_config_dict_round_trip():
-    cfg = ExperimentConfig(experiment="gamma", sweep=(1.0, 2.0), seed=7, threads=3)
+    cfg = GammaConfig(sweep=(1.0, 2.0), seed=7, threads=3)
     d = config_to_dict(cfg)
-    assert isinstance(d["sweep"], list) and isinstance(d["periods"], list)
+    assert d["experiment"] == "gamma" and isinstance(d["sweep"], list)
+    assert set(d) == {f.name for f in dataclasses.fields(GammaConfig)} | {"experiment"}
     assert config_from_dict(d) == cfg
+    for name, cls in lab.CONFIGS.items():
+        assert config_from_dict(config_to_dict(cls())) == cls()
 
 
-def test_resolve_threads(monkeypatch):
-    cfg = ExperimentConfig(experiment="feasibility", threads=2)
-    monkeypatch.delenv(lab.THREADS_ENV_VAR, raising=False)
-    assert resolve_threads(cfg) == 2
-    monkeypatch.setenv(lab.THREADS_ENV_VAR, "4")
-    assert resolve_threads(cfg) == 4
-    monkeypatch.setenv(lab.THREADS_ENV_VAR, "abc")
-    with pytest.raises(ValueError, match="must be an integer"):
-        resolve_threads(cfg)
-    monkeypatch.setenv(lab.THREADS_ENV_VAR, "0")
-    with pytest.raises(ValueError, match="must be >= 1"):
-        resolve_threads(cfg)
+def test_each_config_class_owns_exactly_its_keys():
+    own = {
+        "inflate": {"s", "theta", "dt_steps", "picard_budget", "surrogate_period"},
+        "approx": {"s", "dt_steps", "profile", "amplitude", "width", "eps", "time_horizon",
+                   "periods", "band_per_period"},
+        "periodize": {"profile", "amplitude", "width", "eps", "s_list", "band_per_period"},
+        "gamma": {"s", "dt_steps", "amplitude", "eps", "time_horizon", "band_per_period",
+                  "c_fraction", "base_delta", "delta_decay"},
+        "feasibility": {"s", "grid_points", "margin"},
+    }
+    shared = {"regime", "alpha", "sweep", "output_path", "fmt", "seed", "threads", "timing"}
+    assert {f.name for f in dataclasses.fields(lab.ExperimentConfig)} == shared
+    assert set(lab.CONFIGS) == set(own)
+    for name, cls in lab.CONFIGS.items():
+        assert cls.experiment == name
+        assert {f.name for f in dataclasses.fields(cls)} == shared | own[name], name
+    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 72
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +153,11 @@ def test_emit_report_writes_both_formats(tmp_path):
         emit_report(rep, "csv", str(tmp_path / "missing" / "r.csv"))
 
 
-def test_csv_bytes_are_stable_across_threads_and_reruns(monkeypatch):
-    monkeypatch.delenv(lab.THREADS_ENV_VAR, raising=False)
+def test_csv_bytes_are_stable_across_threads_and_reruns():
     texts = []
     for threads in (1, 4, 1):
-        cfg = ExperimentConfig(experiment="gamma", sweep=(1.0, 2.0), threads=threads)
+        cfg = GammaConfig(sweep=(1.0, 2.0), amplitude=1.0, eps=0.1, band_per_period=8.0,
+                          threads=threads)
         texts.append(report_to_csv(run_gamma(cfg)))
     assert texts[0] == texts[1] == texts[2]
 
@@ -282,7 +296,7 @@ def test_periodization_evaluates_the_transform_a_few_times(monkeypatch):
         return transform(self, xi)
 
     monkeypatch.setattr(CompactProfile, "fourier_transform", counted)
-    cfg = ExperimentConfig(experiment="periodize", **cli.SUBCOMMAND_DEFAULTS["periodize"])
+    cfg = PeriodizeConfig()
     rows = lab.run_periodization(cfg).rows
     assert len(rows) == len(cfg.s_list) * len(cfg.sweep)
     assert len(calls) < 100, f"{len(calls)} transform calls"
@@ -297,7 +311,7 @@ def test_periodization_periodizes_once_per_period(monkeypatch):
         return periodize(profile, L, bandwidth)
 
     monkeypatch.setattr(torus, "periodize", counted)
-    cfg = ExperimentConfig(experiment="periodize", **cli.SUBCOMMAND_DEFAULTS["periodize"])
+    cfg = PeriodizeConfig()
     lab.run_periodization(cfg)
     assert calls == list(cfg.sweep)
 
@@ -306,7 +320,7 @@ def test_periodization_periodizes_once_per_period(monkeypatch):
 # runners
 
 def test_run_gamma_counts_and_quotients():
-    cfg = ExperimentConfig(experiment="gamma", sweep=(1.0, 2.0, 3.0, 4.0))
+    cfg = GammaConfig(amplitude=1.0, eps=0.1, band_per_period=8.0)
     rows = run_gamma(cfg).rows
     assert [int(r.ratio) for r in rows] == [25, 39, 59, 91]
     quotients = [r.constant for r in rows]
@@ -322,8 +336,7 @@ def test_run_gamma_counts_and_quotients():
 
 
 def test_run_inflation_small_sweep():
-    cfg = ExperimentConfig(experiment="inflate", regime="crit_half", s=-0.5,
-                           sweep=(256.0, 512.0))
+    cfg = InflateConfig(regime="crit_half", s=-0.5, sweep=(256.0, 512.0))
     rep = run_inflation(cfg)
     rows = rep.rows
     assert abs(rows[0].ratio - 1.75427506) <= 1e-6
@@ -348,8 +361,7 @@ def test_run_inflation_small_sweep():
 def test_run_inflation_methods_agree_within_budget():
     # restrict to a size where the first-order expansion fits the budget,
     # so all three methods run and cross-check one another
-    cfg = ExperimentConfig(experiment="inflate", regime="crit_half", s=-0.5,
-                           sweep=(64.0,))
+    cfg = InflateConfig(regime="crit_half", s=-0.5, sweep=(64.0,))
     rep = run_inflation(cfg)
     assert rep.metadata["per_N"]["64"]["skipped"] == []
     assert rep.rows[0].method_disagreement is not None
@@ -365,8 +377,7 @@ def test_inflate_passes_one_equation_spec_to_every_integrator(monkeypatch):
             seen.append((_name, eq))
             return _fn(field, eq, *args, **kwargs)
         monkeypatch.setattr(evolution, name, recorder)
-    cfg = ExperimentConfig(experiment="inflate", regime="crit_half", s=-0.5, alpha=0.75,
-                           sweep=(64.0,))
+    cfg = InflateConfig(regime="crit_half", s=-0.5, alpha=0.75, sweep=(64.0,))
     rep = run_inflation(cfg)
     assert rep.metadata["per_N"]["64"]["skipped"] == []
     assert {name for name, _ in seen} == {"split_step_evolve", "interaction_picture",
@@ -378,8 +389,7 @@ def test_inflate_passes_one_equation_spec_to_every_integrator(monkeypatch):
 def test_negative_s_runs_the_closed_form_alone():
     # the surrogate circle's band is too wide for the two cross-checks; the
     # report lists both as skipped and has no disagreement to show
-    cfg = ExperimentConfig(experiment="inflate", regime="negative_s", s=-0.25,
-                           surrogate_period=32.0, sweep=(256.0,))
+    cfg = InflateConfig(regime="negative_s", s=-0.25, surrogate_period=32.0, sweep=(256.0,))
     rep = run_inflation(cfg)
     aux = rep.metadata["per_N"]["256"]
     assert aux["skipped"] == ["picard", "split_step"]
@@ -399,7 +409,7 @@ INFLATE_REGIMES = {
 @pytest.mark.parametrize("regime", sorted(INFLATE_REGIMES))
 def test_inflate_out_band_meets_the_tail_target(regime, monkeypatch):
     params, k_want = INFLATE_REGIMES[regime]
-    cfg = ExperimentConfig(experiment="inflate", regime=regime, sweep=(256.0,), **params)
+    cfg = InflateConfig(regime=regime, sweep=(256.0,), **params)
     data = build_two_block_data(regime, 256, s=cfg.s, theta=cfg.theta)
     phi = data.periodize(cfg.surrogate_period) if regime == "negative_s" else data
     mass = phi.period * float(np.sum(np.abs(phi.coeffs) ** 2))
@@ -443,8 +453,7 @@ SPLIT_CASES = [("crit_half", 64, 100), ("crit_half", 256, 100),
 
 @pytest.mark.parametrize("regime,N,steps_want", SPLIT_CASES)
 def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
-    cfg = ExperimentConfig(experiment="inflate", regime=regime, sweep=(float(N),),
-                           **INFLATE_REGIMES[regime][0])
+    cfg = InflateConfig(regime=regime, sweep=(float(N),), **INFLATE_REGIMES[regime][0])
     aux = run_inflation(cfg).metadata["per_N"][str(N)]
     assert aux["split_steps"] == steps_want
     assert 0.0 < aux["split_estimate"] <= lab.SPLIT_STEP_REL
@@ -496,8 +505,7 @@ def test_cli_refuses_an_unmet_step_tolerance(patch, dt_steps, message, tmp_path,
 
 
 def test_run_approximation_report():
-    cfg = ExperimentConfig(experiment="approx", profile="bump",
-                           sweep=(0.025, 0.05, 0.1, 0.2))
+    cfg = ApproxConfig(profile="bump", sweep=(0.025, 0.05, 0.1, 0.2))
     rep = run_approximation(cfg)
     meta = rep.metadata
     assert set(meta) == {"version", "seed", "config", "fitted_slope",
@@ -513,7 +521,7 @@ def test_run_approximation_report():
 
 
 def test_feasibility_scan_finds_nothing_at_the_obstructed_exponents():
-    cfg = ExperimentConfig(experiment="feasibility")
+    cfg = FeasibilityConfig()
     rep = feasibility_scan(-0.25, 0.375, cfg)
     assert len(rep.rows) == 5
     best = [r.constant for r in rep.rows]
@@ -525,7 +533,7 @@ def test_feasibility_scan_finds_nothing_at_the_obstructed_exponents():
 
 
 def test_feasibility_scan_fills_up_at_lower_regularity():
-    cfg = ExperimentConfig(experiment="feasibility")
+    cfg = FeasibilityConfig()
     rep = feasibility_scan(-0.75, 0.375, cfg)
     assert [int(r.param) for r in rep.rows] == [10, 1093, 3026, 3464, 3468]
     assert all(r.constant >= cfg.margin for r in rep.rows)
@@ -534,7 +542,7 @@ def test_feasibility_scan_fills_up_at_lower_regularity():
 
 
 def test_run_experiment_dispatches():
-    cfg = ExperimentConfig(experiment="feasibility", grid_points=10)
+    cfg = FeasibilityConfig(grid_points=10, s=-0.5, alpha=1.0)
     direct = feasibility_scan(cfg.s, cfg.alpha, cfg)
     routed = run_experiment(cfg)
     assert routed.rows == direct.rows
@@ -544,39 +552,34 @@ def test_run_experiment_dispatches():
 # command-line interface
 
 def test_parse_config_value_types():
-    assert cli.parse_config_value("sweep", "1, 2 4") == (1.0, 2.0, 4.0)
-    assert cli.parse_config_value("N_list", "65536,16777216") == (65536, 16777216)
-    assert cli.parse_config_value("timing", "on") is True
-    assert cli.parse_config_value("timing", "false") is False
-    assert cli.parse_config_value("threads", "3") == 3
-    assert cli.parse_config_value("s", "-0.5") == -0.5
-    assert cli.parse_config_value("regime", " crit_half ") == "crit_half"
+    assert cli.parse_config_value("inflate", "sweep", "1, 2 4") == (1.0, 2.0, 4.0)
+    assert cli.parse_config_value("gamma", "timing", "on") is True
+    assert cli.parse_config_value("gamma", "timing", "false") is False
+    assert cli.parse_config_value("approx", "threads", "3") == 3
+    assert cli.parse_config_value("inflate", "s", "-0.5") == -0.5
+    assert cli.parse_config_value("feasibility", "regime", " crit_half ") == "crit_half"
     with pytest.raises(ValueError, match="cannot parse"):
-        cli.parse_config_value("threads", "many")
+        cli.parse_config_value("inflate", "threads", "many")
     with pytest.raises(ValueError, match="unknown config key"):
-        cli.parse_config_value("bogus", "1")
+        cli.parse_config_value("inflate", "bogus", "1")
     with pytest.raises(ValueError, match="unknown config key 'experiment'"):
-        cli.parse_config_value("experiment", "gamma")
-    # Every field but `experiment` is a key, and the INI spelling of each
-    # default parses back to that default with the default's own types.
-    defaults = [{f.name: f.default for f in dataclasses.fields(ExperimentConfig)},
-                *cli.SUBCOMMAND_DEFAULTS.values()]
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name != "experiment":
-            cli.parse_config_value(f.name, "1")
-    for layer in defaults:
-        for key, default in layer.items():
-            if key == "experiment" or default is None:
+        cli.parse_config_value("gamma", "experiment", "gamma")
+    with pytest.raises(ValueError, match=r"unknown config key 's' in \[periodize\]"):
+        cli.parse_config_value("periodize", "s", "-0.5")
+    # Every field of an experiment's class is one of its keys, and the INI
+    # spelling of each default parses back to that default with its own types.
+    for name, cls in lab.CONFIGS.items():
+        for f in dataclasses.fields(cls):
+            cli.parse_config_value(name, f.name, "1")
+            if f.default is None:
                 continue
-            items = default if isinstance(default, tuple) else (default,)
-            raw = " ".join(str(v) for v in items)
-            got = cli.parse_config_value(key, raw)
-            assert got == default, key
-            got_items = got if isinstance(default, tuple) else (got,)
-            assert [type(v) for v in got_items] == [type(v) for v in items], key
-    assert type(cli.parse_config_value("N_list", "65536")[0]) is int
-    assert type(cli.parse_config_value("sweep", "256")[0]) is float
-    assert type(cli.parse_config_value("timing", "False")) is bool
+            items = f.default if isinstance(f.default, tuple) else (f.default,)
+            got = cli.parse_config_value(name, f.name, " ".join(str(v) for v in items))
+            assert got == f.default, (name, f.name)
+            got_items = got if isinstance(f.default, tuple) else (got,)
+            assert [type(v) for v in got_items] == [type(v) for v in items], (name, f.name)
+    assert type(cli.parse_config_value("feasibility", "sweep", "65536")[0]) is float
+    assert type(cli.parse_config_value("inflate", "timing", "False")) is bool
 
 
 def test_load_config_file(tmp_path):
@@ -585,14 +588,14 @@ def test_load_config_file(tmp_path):
         "[feasibility]\n"
         "grid_points = 10\n"
         "margin = 5\n"
-        "N_list = 65536 16777216\n",
+        "sweep = 65536 16777216\n",
         encoding="utf-8",
     )
     got = cli.load_config_file(str(path), "feasibility")
-    assert got == {"grid_points": 10, "margin": 5.0, "N_list": (65536, 16777216)}
+    assert got == {"grid_points": 10, "margin": 5.0, "sweep": (65536.0, 16777216.0)}
     wrong_case = tmp_path / "case.ini"
-    wrong_case.write_text("[feasibility]\nn_list = 8\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown config key 'n_list'"):
+    wrong_case.write_text("[feasibility]\nSweep = 8\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown config key 'Sweep'"):
         cli.load_config_file(str(wrong_case), "feasibility")
     with pytest.raises(ValueError, match="no \\[gamma\\] section"):
         cli.load_config_file(str(path), "gamma")
@@ -608,6 +611,17 @@ def test_load_config_file(tmp_path):
         cli.load_config_file(str(tmp_path / "absent.ini"), "feasibility")
 
 
+BENCHMARK_CONFIGS = sorted((pathlib.Path(__file__).resolve().parents[1]
+                            / "benchmarks" / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", BENCHMARK_CONFIGS, ids=lambda p: p.name)
+def test_benchmark_configs_load_as_inflate_configs(path):
+    # every key a benchmark config sets must stay an inflate key
+    cfg = InflateConfig(**cli.load_config_file(str(path), "inflate"))
+    assert isinstance(cfg, InflateConfig)
+
+
 def test_build_config_layers_defaults_file_and_flags(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text("[inflate]\nsweep = 256 512\ndt_steps = 50\n", encoding="utf-8")
@@ -615,7 +629,7 @@ def test_build_config_layers_defaults_file_and_flags(tmp_path):
     args = parser.parse_args(["inflate", "--config", str(path), "--format", "json",
                               "--threads", "2", "--seed", "9"])
     cfg = cli.build_config("inflate", args)
-    assert cfg.regime == "crit_half" and cfg.s == -0.5  # subcommand defaults
+    assert cfg.regime == "crit_half" and cfg.s == -0.5  # class defaults
     assert cfg.sweep == (256.0, 512.0) and cfg.dt_steps == 50  # file
     assert cfg.fmt == "json" and cfg.threads == 2 and cfg.seed == 9  # flags
     args = parser.parse_args(["inflate", "--seed", "-1"])
@@ -624,6 +638,9 @@ def test_build_config_layers_defaults_file_and_flags(tmp_path):
     args = parser.parse_args(["inflate", "--seed", str(2**64)])
     with pytest.raises(ValueError, match="unsigned 64-bit"):
         cli.build_config("inflate", args)
+    # with no file and no flags, the command line runs the class defaults
+    for name, cls in lab.CONFIGS.items():
+        assert cli.build_config(name, parser.parse_args([name])) == cls()
 
 
 def test_cli_main_success_and_default_output(tmp_path, monkeypatch, capsys):
@@ -685,6 +702,17 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("inflate", "regime = supercritical_scaling", "unknown regime 'supercritical_scaling'"),
         ("periodize", "alpha = -3", "alpha must be > 0, got -3.0"),
         ("feasibility", "alpha = -3", "alpha must be > 0, got -3.0"),
+        ("feasibility", "sweep = 65536.5", "feasibility sweep values must be integers, got 65536.5"),
+        ("feasibility", "sweep = 2", "feasibility sweep values must be >= 4 (the A grid runs over "
+                                     "[4, N]), got 2.0"),
+        ("feasibility", "sweep = 1", "feasibility sweep values must be >= 4"),
+        ("feasibility", "sweep = 0", "feasibility sweep values must be >= 4"),
+        # each experiment refuses a key it does not own
+        ("approx", "picard_budget = 5", "unknown config key 'picard_budget' in [approx] of "),
+        ("inflate", "grid_points = 10", "unknown config key 'grid_points' in [inflate] of "),
+        ("periodize", "s = -0.5", "unknown config key 's' in [periodize] of "),
+        ("gamma", "profile = bump", "unknown config key 'profile' in [gamma] of "),
+        ("feasibility", "N_list = 65536", "unknown config key 'N_list' in [feasibility] of "),
     ],
 )
 def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):
@@ -698,27 +726,40 @@ def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, messag
     assert not out.exists()
 
 
-# amplitude 1e200 overflows |u|^2 in the first split step; the negative_s
-# schedule's R = N^(-s) / log N overflows a float at s = -200, with a message
-# from the C library
+# amplitude 1e200 overflows |u|^2 t in the first split step (approx) and in
+# the closed form, which gamma evolves first; the block amplitude R of the
+# negative_s and frac_crit schedules overflows a float at s = -200.  Numpy's
+# RuntimeWarning is an error under the test settings, so none may escape.
 @pytest.mark.parametrize(
     "experiment, ini, message",
     [
         ("approx", "amplitude = 1e200", "non-finite coefficients at step size "),
-        ("gamma", "amplitude = 1e200", "non-finite coefficients at step size "),
-        ("inflate", "regime = negative_s\ns = -200\nsweep = 256", ""),
+        ("gamma", "amplitude = 1e200", "non-finite coefficients in the closed form at t = 1.0"),
+        ("inflate", "regime = negative_s\ns = -200\nsweep = 256",
+         "the negative_s schedule at N=256, s=-200.0 overflows a float: R = N^(-s)/log N "),
+        ("inflate", "regime = frac_crit\ns = -200\ntheta = 0.1\nsweep = 256",
+         "the frac_crit schedule at N=256, s=-200.0 overflows a float: R = N^(-1/2-s) "),
     ],
 )
 def test_cli_refuses_a_run_that_overflows(tmp_path, capsys, experiment, ini, message):
     path = tmp_path / "big.ini"
     path.write_text(f"[{experiment}]\n{ini}\n", encoding="utf-8")
     out = tmp_path / "report.csv"
-    with np.errstate(all="ignore"):
-        assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 1
+    assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("nlslab: error: " + message)
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_runs_a_negative_s_config_whose_wiener_budget_needs_no_high_power(tmp_path, capsys):
+    # ||phi||_1^8 overflows a float here, while the budget in powers of
+    # T ||phi||_1^2 does not; negative_s never compares methods against it
+    path = tmp_path / "deep.ini"
+    path.write_text("[inflate]\nregime = negative_s\ns = -20\nsweep = 256\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main(["inflate", "--config", str(path), "--out", str(out)]) == 0
+    assert "wrote inflate report (1 rows)" in capsys.readouterr().out
 
 
 def test_cli_parser_covers_all_experiments():
@@ -727,6 +768,6 @@ def test_cli_parser_covers_all_experiments():
         args = parser.parse_args([name])
         assert args.experiment == name
         assert args.config is None and args.out is None
-    assert set(cli.SUBCOMMAND_DEFAULTS) == set(lab.RUNNERS)
+    assert set(lab.CONFIGS) == set(lab.RUNNERS)
     with pytest.raises(SystemExit):
         parser.parse_args(["bogus"])

@@ -96,8 +96,6 @@ def test_second_moment_sign_change_on_bracket():
 def test_psi4_parameter_matches_closed_form():
     a = solve_psi4_parameter()
     assert abs(a - (-1.0 + math.sqrt(153.0)) / 2.0) <= 1e-10
-    with pytest.raises(ValueError):
-        solve_psi4_parameter(tol=0.0)
 
 
 def test_psi4_moments_vanish():
