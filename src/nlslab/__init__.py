@@ -44,11 +44,8 @@ from .evolution import (
     gauge_transform,
     interaction_picture,
     ode_exact_evolve,
-    oscillatory_integral,
-    phase_weight,
     picard_expansion,
     rk4_spectral_evolve,
-    scale_map,
     split_step_evolve,
 )
 from .constructions import (
@@ -62,11 +59,9 @@ from .constructions import (
     f_factor,
     g_factor,
     regime_parameters,
-    supercritical_schedule,
     xi1_lower_measurement,
     xi_series_tail,
     xi_term,
-    xi_upper_bound,
 )
 from .lab import (
     CSV_COLUMNS,

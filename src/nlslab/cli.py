@@ -23,16 +23,7 @@ def _split_items(raw: str) -> list[str]:
     return [tok for tok in raw.replace(",", " ").split() if tok]
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-_SCALAR_PARSERS = {int: int, float: float, bool: _parse_bool, str: str.strip}
+_SCALAR_PARSERS = {int: int, float: float, str: str.strip}
 
 
 def _value_parser(tp):

@@ -56,25 +56,18 @@ class InflationScenario:
 
 @dataclass(frozen=True)
 class RegimeSchedule:
-    """Concrete parameter values for one scenario instance.
+    """One two-block schedule: block height R, block width A, time T_N,
+    the predicted lower bound on the inflated norm, the factors g(N, s)
+    and f(A, s), and the fixed-point horizon T_star = 1/(2 ||data||_W)^2
+    for comparison with T_N (computed, never enforced)."""
 
-    Two-block regimes fill R, A, T_N (and the lower-bound reference),
-    with the fixed-point horizon T_star = 1/(2 ||data||_W)^2 alongside T_N
-    (reported, never enforced); scaling schedules fill lam, delta, L.
-    Unused entries stay None.
-    """
-
-    R: float | None = None
-    A: float | None = None
-    T_N: float | None = None
-    lam: float | None = None
-    delta: float | None = None
-    L: float | None = None
-    predicted_lower_bound: float | None = None
-    g_factor: float | None = None
-    f_factor: float | None = None
-    T_star: float | None = None
-    prefactor: float | None = None
+    R: float
+    A: float
+    T_N: float
+    predicted_lower_bound: float
+    g_factor: float
+    f_factor: float
+    T_star: float
 
 
 # smallest N the asymptotic factor g(N, s), and so every two-block schedule,
@@ -275,15 +268,6 @@ def certify_tail(phi: SpectralField, t: float, target: float, k_max: int = 80) -
     raise BudgetExceededError(f"tail bound not below {target} by K={k_max}", required=k_max)
 
 
-def xi_upper_bound(k: int, t: float, R: float, A: float, s: float, C: float = 1.0) -> float:
-    """Size bound C^k t^k/k! (RA)^(2k) R f(A) for the k-th series term."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not s < 0.0:
-        raise ValueError("defined for s < 0")
-    return C**k * t**k / math.factorial(k) * (R * A) ** (2 * k) * R * f_factor(A, s)
-
-
 class Xi1Measurement(NamedTuple):
     measured: float
     reference: float
@@ -309,70 +293,3 @@ def xi1_lower_measurement(
     measured = sobolev_norm(low, s)
     reference = t * R**3 * A**2 * f_factor(A, s)
     return Xi1Measurement(measured, reference, measured / reference if reference else math.inf)
-
-
-# ---------------------------------------------------------------------------
-# scaling schedules
-
-def supercritical_schedule(
-    j: int,
-    s: float,
-    alpha: float = 1.0,
-    theta: float = 0.25,
-    branch: str = "power",
-    c0: float = 1.0,
-    margin: float = 100.0,
-    L_min: float = 10.0,
-) -> RegimeSchedule:
-    """Dilation parameters (lam, delta, L) for the j-th inflation step.
-
-    branch 'power' solves lam^(-s-1/2) delta^(s-1/2) = delta^theta (needs
-    s < -1/2); 'half_wave' forces the norm prefactor
-    lam^(-s+1/2-alpha) delta^(s-1/2) to 1; 'log' matches it to
-    |log delta|^(-c0 s/2).  delta is then shrunk until the branch target
-    holds with the stated margin (power: prefactor <= 1/(margin j);
-    half_wave: prefactor = 1; log: prefactor >= margin j, since there the
-    prefactor is the diverging gain), plus lam <= delta/margin and
-    L = delta/lam >= L_min.  Refuses at the floating-point floor.
-    """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if branch == "power" and not s < -0.5:
-        raise ValueError("power branch requires s < -1/2")
-    if branch in ("half_wave", "log") and abs(-s + 0.5 - alpha) < 1e-12:
-        raise ValueError(f"{branch} branch degenerate: -s + 1/2 - alpha = 0")
-
-    def solve(delta: float) -> tuple[float, float]:
-        if branch == "power":
-            lam = delta ** ((theta - s + 0.5) / (-s - 0.5))
-            pref = lam ** (-s - 0.5) * delta ** (s - 0.5)
-        elif branch == "half_wave":
-            lam = delta ** ((0.5 - s) / (-s + 0.5 - alpha))
-            pref = lam ** (-s + 0.5 - alpha) * delta ** (s - 0.5)
-        elif branch == "log":
-            target = abs(math.log(delta)) ** (-c0 * s / 2.0)
-            lam = (delta ** (0.5 - s) * target) ** (1.0 / (-s + 0.5 - alpha))
-            pref = lam ** (-s + 0.5 - alpha) * delta ** (s - 0.5)
-        else:
-            raise ValueError(f"unknown branch {branch!r}")
-        return lam, pref
-
-    delta = 0.01
-    while True:
-        lam, pref = solve(delta)
-        if branch == "power":
-            # the dilation prefactor is what must vanish along j
-            target_ok = pref <= 1.0 / (margin * j)
-        elif branch == "half_wave":
-            # prefactor is pinned to 1 by construction; nothing to shrink
-            target_ok = abs(pref - 1.0) < 1e-9
-        else:
-            # log branch: the prefactor is the diverging gain
-            target_ok = pref >= margin * j
-        ok = target_ok and 0.0 < lam <= delta / margin and delta / lam >= L_min
-        if ok:
-            break
-        delta *= 0.5
-        if delta < 1e-300:
-            raise BudgetExceededError("no admissible delta above the floating-point floor")
-    return RegimeSchedule(lam=lam, delta=delta, L=delta / lam, prefactor=pref)

@@ -228,38 +228,6 @@ def interaction_picture(field: SpectralField, eq: EquationSpec, t: float) -> Spe
     return field.with_coeffs(field.coeffs * np.exp(1j * phase))
 
 
-def phase_weight(n: int, n1: int, n2: int, n3: int, alpha: float) -> float:
-    """|n|^2a - |n1|^2a + |n2|^2a - |n3|^2a on the resonance set n = n1-n2+n3."""
-    if n != n1 - n2 + n3:
-        raise ValueError(f"modes violate n = n1 - n2 + n3: {(n, n1, n2, n3)}")
-    a2 = 2.0 * alpha
-    return float(abs(n) ** a2 - abs(n1) ** a2 + abs(n2) ** a2 - abs(n3) ** a2)
-
-
-def oscillatory_integral(phi: float, t: float) -> complex:
-    """Integral over [0, t] of (1 - exp(-i phi t')): the defect of the
-    Duhamel kernel from its resonant value.
-
-    Closed form t - (1 - exp(-i phi t))/(i phi); exactly 0 at phi = 0;
-    modulus at most min(2t, t^2 |phi|).
-    """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    z = phi * t
-    if z == 0.0:
-        return 0.0 + 0.0j
-    if abs(z) < 1e-4:
-        # series of 1 - (1 - exp(-iz))/(iz), scaled by t, to avoid cancellation
-        iz = 1j * z
-        acc = 0.0 + 0.0j
-        term = 1.0 + 0.0j
-        for k in range(2, 9):
-            term *= -iz / k
-            acc += term
-        return -t * acc
-    return t - (1.0 - np.exp(-1j * z)) / (1j * phi)
-
-
 def duhamel_kernel(phi: np.ndarray, t: float) -> np.ndarray:
     """Integral over [0, t] of exp(-i phi t'), elementwise, exact at phi=0."""
     phi = np.asarray(phi, dtype=float)
@@ -277,20 +245,6 @@ def gauge_transform(field: SpectralField, t: float) -> SpectralField:
     Passing -t undoes time t."""
     _, msq = mean_and_l2(field)
     return field.with_coeffs(field.coeffs * np.exp(-2j * t * msq))
-
-
-def scale_map(field: SpectralField, lam: float, delta: float, alpha: float) -> SpectralField:
-    """Relabel a field on the circle of circumference delta/lam down to the
-    unit circle: mode n/L becomes integer mode n, amplitude times lam^(-alpha).
-
-    Time arguments transform as t = lam^(2 alpha) t_long (caller's books).
-    """
-    if not 0.0 < lam <= delta:
-        raise ValueError("need 0 < lam <= delta")
-    L = delta / lam
-    if abs(field.period - L) > 1e-9 * L:
-        raise ValueError(f"field period {field.period} != delta/lam = {L}")
-    return SpectralField(1.0, field.coeffs * lam ** (-alpha))
 
 
 def galilean_boost(field: SpectralField, beta: int, t: float) -> SpectralField:

@@ -65,7 +65,6 @@ class ExperimentConfig:
     fmt: str = "csv"
     seed: int = 0
     threads: int = 1
-    timing: bool = False
     # lower bounds and positivity, checked on whichever of these keys a config has
     _at_least = {"threads": 1, "dt_steps": 1, "picard_budget": 0}
     _positive = ("alpha", "time_horizon", "band_per_period", "base_delta", "delta_decay")
@@ -282,12 +281,20 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Inverse of config_to_dict: the experiment's class, with list values
-    as tuples again."""
+    as tuples again.  A key the class lacks, such as one retired since the
+    echo was written, is refused by name."""
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+    if "experiment" not in kwargs:
+        raise ValueError("config has no 'experiment' key")
     name = kwargs.pop("experiment")
     if name not in CONFIGS:
         raise ValueError(f"unknown experiment {name!r}")
-    return CONFIGS[name](**kwargs)
+    cls = CONFIGS[name]
+    keys = {f.name for f in dataclasses.fields(cls)}
+    for key in kwargs:
+        if key not in keys:
+            raise ValueError(f"unknown config key {key!r} in [{name}]")
+    return cls(**kwargs)
 
 
 def _map_ordered(fn, items, threads: int):

@@ -1,5 +1,5 @@
-"""Two-block data families, their parameter schedules, the power-series
-terms of the dispersionless solution, and the dilation schedules."""
+"""Two-block data families, their parameter schedules, and the power-series
+terms of the dispersionless solution."""
 from __future__ import annotations
 
 import math
@@ -23,11 +23,9 @@ from nlslab import (
     project_below,
     regime_parameters,
     sobolev_norm,
-    supercritical_schedule,
     xi1_lower_measurement,
     xi_series_tail,
     xi_term,
-    xi_upper_bound,
 )
 
 from _helpers import random_field
@@ -297,24 +295,6 @@ def test_certify_tail_returns_minimal_order():
         certify_tail(phi, t, 0.0, k_max=5)
 
 
-def test_xi_upper_bound_closed_form_and_pins():
-    t, r, a, s = 3e-4, 1.3, 24.0, -0.5
-    want = [6.7679e-1, 9.8822e-2, 9.6198e-3, 7.0232e-4, 4.1020e-5]
-    for k, w in enumerate(want, start=1):
-        b = xi_upper_bound(k, t, r, a, s)
-        form = t**k / math.factorial(k) * (r * a) ** (2 * k) * r * f_factor(a, s)
-        assert abs(b - form) <= 1e-15 * form
-        assert abs(b - w) <= 1e-4 * w
-    # consecutive terms shrink by t (RA)^2 / (k+1)
-    for k in (1, 2, 3):
-        ratio = xi_upper_bound(k + 1, t, r, a, s) / xi_upper_bound(k, t, r, a, s)
-        assert abs(ratio - t * (r * a) ** 2 / (k + 1)) <= 1e-12
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        xi_upper_bound(0, t, r, a, s)
-    with pytest.raises(ValueError, match="defined for s < 0"):
-        xi_upper_bound(1, t, r, a, 0.0)
-
-
 def test_series_terms_concentrate_near_multiples_of_the_block_frequency():
     n0, half = 200, 8
     m = 2 * n0 + half
@@ -356,59 +336,3 @@ def test_xi1_measurement_at_time_zero():
     assert got.constant == math.inf
     assert isinstance(got, Xi1Measurement)
 
-
-# ---------------------------------------------------------------------------
-# dilation schedules
-
-def test_supercritical_power_branch_pins():
-    sched = supercritical_schedule(1, -1.0, theta=0.25)
-    delta = 0.01 * 2.0**-20
-    assert sched.delta == delta
-    assert abs(sched.lam - delta**3.5) <= 1e-15 * delta**3.5
-    assert abs(sched.L - delta**-2.5) <= 1e-9 * delta**-2.5
-    assert abs(sched.prefactor - 0.009882117688026186) <= 1e-15
-    assert abs(sched.prefactor - math.sqrt(sched.lam) * sched.delta**-1.5) <= 1e-12
-    assert sched.prefactor <= 0.01
-
-
-def test_supercritical_power_branch_tightens_with_j():
-    prev_delta = 1.0
-    for j in (1, 2, 4, 8):
-        sched = supercritical_schedule(j, -1.0, theta=0.25)
-        assert sched.prefactor <= 1.0 / (100.0 * j)
-        assert 0.0 < sched.lam < sched.delta < 1.0
-        assert sched.L >= 10.0
-        assert sched.delta <= prev_delta
-        prev_delta = sched.delta
-
-
-def test_supercritical_half_wave_branch_pins():
-    sched = supercritical_schedule(1, -0.25, alpha=0.5, branch="half_wave")
-    assert sched.delta == 0.01
-    assert abs(sched.lam - 0.01**3) <= 1e-21
-    assert abs(sched.L - 1e4) <= 1e-8
-    assert abs(sched.prefactor - 1.0) <= 1e-9
-
-
-def test_supercritical_log_branch_pins():
-    sched = supercritical_schedule(1, -0.5, alpha=0.5, branch="log", c0=1.0, margin=2.0)
-    assert sched.delta == 0.01 * 2.0**-17
-    pref = abs(math.log(sched.delta)) ** 0.25
-    assert abs(sched.prefactor - pref) <= 1e-12
-    assert abs(sched.prefactor - 2.012036906000915) <= 1e-12
-    lam = (sched.delta * pref) ** 2.0
-    assert abs(sched.lam - lam) <= 1e-12 * lam
-    assert abs(sched.L - 3237710.7049527406) <= 1e-6
-
-
-def test_supercritical_schedule_refusals():
-    with pytest.raises(ValueError, match="j must be >= 1"):
-        supercritical_schedule(0, -1.0)
-    with pytest.raises(ValueError, match="power branch requires s < -1/2"):
-        supercritical_schedule(1, -0.5)
-    with pytest.raises(ValueError, match="degenerate"):
-        supercritical_schedule(1, -0.25, alpha=0.75, branch="half_wave")
-    with pytest.raises(ValueError, match="unknown branch"):
-        supercritical_schedule(1, -1.0, branch="nope")
-    with pytest.raises(BudgetExceededError):
-        supercritical_schedule(1, -0.5, alpha=0.5, branch="log", margin=100.0)

@@ -25,11 +25,8 @@ from nlslab import (
     gauge_transform,
     interaction_picture,
     ode_exact_evolve,
-    oscillatory_integral,
-    phase_weight,
     picard_expansion,
     rk4_spectral_evolve,
-    scale_map,
     sobolev_norm,
     split_step_evolve,
     synthesize,
@@ -361,34 +358,20 @@ def test_both_integrators_conserve_l2():
 
 
 # ---------------------------------------------------------------------------
-# resonance bookkeeping
+# Duhamel kernel
 
-def test_phase_weight_pins():
-    assert phase_weight(1, 1, 2, 2, 1.0) == 0.0
-    assert phase_weight(0, 1, 2, 1, 1.0) == 2.0
-    assert abs(phase_weight(0, 1, 2, 1, 0.5)) <= 1e-12
-    with pytest.raises(ValueError):
-        phase_weight(1, 1, 2, 3, 1.0)
-
-
-def test_oscillatory_integral_pins_and_bound():
-    assert oscillatory_integral(0.0, 1.0) == 0.0
-    want = 1.0 + 2j / np.pi
-    assert abs(oscillatory_integral(np.pi, 1.0) - want) <= 1e-14
-    for phi in np.concatenate([-np.logspace(-6, 3, 12), np.logspace(-6, 3, 12)]):
-        for t in (0.1, 1.0, 3.0):
-            val = abs(oscillatory_integral(phi, t))
-            assert val <= min(2.0 * t, t * t * abs(phi)) + 1e-12
-    # continuity across the resonant branch
-    assert abs(oscillatory_integral(1e-9, 1.0)) <= 1e-8
-
-
-def test_duhamel_kernel_complements_oscillatory_integral():
+def test_duhamel_kernel_matches_closed_form():
     phis = np.array([-3.0, -1e-12, 0.0, 0.5, 40.0])
     t = 0.7
     kern = duhamel_kernel(phis, t)
     for phi, k in zip(phis, kern):
-        assert abs(k - (t - oscillatory_integral(phi, t))) <= 1e-14
+        z = phi * t
+        # (1 - exp(-i phi t))/(i phi), by its Taylor series where that cancels
+        if abs(z) >= 1e-4:
+            want = (1.0 - np.exp(-1j * z)) / (1j * phi)
+        else:
+            want = t * (1.0 - 0.5j * z - z * z / 6.0)
+        assert abs(k - want) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -426,53 +409,6 @@ def test_gauge_bridges_random_trajectories():
     plain = split_step_evolve(f, EquationSpec(), t, cfg)
     wick = split_step_evolve(f, EquationSpec(wick=True), t, cfg)
     assert l2_gap(gauge_transform(plain, t), wick) <= 1e-6
-
-
-# ---------------------------------------------------------------------------
-# scaling map
-
-def test_scale_map_norm_identity():
-    for lam, delta, alpha, seed in ((0.25, 0.5, 0.75, 13), (0.1, 0.4, 1.0, 14), (0.05, 0.3, 0.5, 15)):
-        period = delta / lam
-        v = random_field(period, 7, seed=seed)
-        u = scale_map(v, lam, delta, alpha)
-        assert u.period == 1.0
-        for s in (-1.0, -0.5, 0.5):
-            pref = lam ** (-s + 0.5 - alpha) * delta ** (s - 0.5)
-            left = sobolev_norm(u, s, homogeneous=True)
-            right = pref * sobolev_norm(v, s, homogeneous=True)
-            assert abs(left - right) <= 1e-12 * max(1.0, right)
-
-
-def test_scale_map_unit_prefactor_pin():
-    lam, delta, alpha, s = 0.125, 0.5, 1.0, -1.0
-    assert abs(lam ** (-s + 0.5 - alpha) * delta ** (s - 0.5) - 1.0) <= 1e-15
-    v = random_field(4.0, 6, seed=16, mean_zero=True)
-    u = scale_map(v, lam, delta, alpha)
-    assert abs(sobolev_norm(u, s, homogeneous=True)
-               - sobolev_norm(v, s, homogeneous=True)) <= 1e-12
-
-
-def test_scale_map_relabels_single_mode():
-    lam, delta, alpha = 0.25, 0.5, 0.75
-    coeffs = np.zeros(11, dtype=complex)
-    coeffs[5 + 3] = 1.0
-    v = SpectralField(2.0, coeffs)
-    u = scale_map(v, lam, delta, alpha)
-    assert abs(u.coefficient(3) - lam ** (-alpha)) <= 1e-14
-    other = u.coeffs.copy()
-    other[u.bandwidth + 3] = 0.0
-    assert np.max(np.abs(other)) == 0.0
-    # mean mode maps to the mean mode: zero-mean input stays zero-mean
-    assert u.coefficient(0) == 0.0
-
-
-def test_scale_map_domain_errors():
-    v = random_field(2.0, 4, seed=17)
-    with pytest.raises(ValueError):
-        scale_map(v, 0.25, 0.25, 1.0)  # period != delta/lam
-    with pytest.raises(ValueError):
-        scale_map(random_field(0.5, 4, seed=18), 0.4, 0.2, 1.0)  # lam > delta
 
 
 # ---------------------------------------------------------------------------
@@ -715,13 +651,16 @@ def test_picard_first_iterate_within_oscillatory_bound():
     got = nl.enlarge_band(p1, bw).coeffs
     ref = nl.enlarge_band(base, bw).coeffs + nl.enlarge_band(f, bw).coeffs
     c = f.coeffs
+    # each triple's term differs from its resonant value t by the integral of
+    # 1 - exp(-i phi t') over [0, t], at most min(2t, t^2 |phi|), with the
+    # resonance phase phi = (2 pi)^2 (n^2 - n1^2 + n2^2 - n3^2)
     bound = np.zeros(2 * bw + 1)
     scale = (2.0 * np.pi) ** 2
     for n1 in range(-m, m + 1):
         for n2 in range(-m, m + 1):
             for n3 in range(-m, m + 1):
                 n = n1 - n2 + n3
-                phi = scale * phase_weight(n, n1, n2, n3, 1.0)
+                phi = scale * (n * n - n1 * n1 + n2 * n2 - n3 * n3)
                 amp = abs(c[n1 + m]) * abs(c[n2 + m]) * abs(c[n3 + m])
                 bound[n + bw] += amp * min(2.0 * t, t * t * abs(phi))
     excess = np.abs(got - ref) - bound

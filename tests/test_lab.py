@@ -70,6 +70,11 @@ def small_report():
         (dict(experiment="inflate", sweep=(1.0,), dt_steps=0), "dt_steps must be >= 1"),
         (dict(experiment="gamma", c_fraction=0.0), "c_fraction must lie in"),
         (dict(experiment="feasibility", grid_points=0), "grid_points must be >= 1"),
+        # config echoes of reports written before a key was retired
+        (dict(experiment="inflate", timing=False), r"unknown config key 'timing' in \[inflate\]"),
+        (dict(experiment="inflate", methods=["ode", "split_step"]),
+         r"unknown config key 'methods' in \[inflate\]"),
+        (dict(sweep=(256.0,)), "config has no 'experiment' key"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):
@@ -105,13 +110,13 @@ def test_each_config_class_owns_exactly_its_keys():
                   "c_fraction", "base_delta", "delta_decay"},
         "feasibility": {"s", "grid_points", "margin"},
     }
-    shared = {"regime", "alpha", "sweep", "output_path", "fmt", "seed", "threads", "timing"}
+    shared = {"regime", "alpha", "sweep", "output_path", "fmt", "seed", "threads"}
     assert {f.name for f in dataclasses.fields(lab.ExperimentConfig)} == shared
     assert set(lab.CONFIGS) == set(own)
     for name, cls in lab.CONFIGS.items():
         assert cls.experiment == name
         assert {f.name for f in dataclasses.fields(cls)} == shared | own[name], name
-    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 72
+    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 67
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +558,6 @@ def test_run_experiment_dispatches():
 
 def test_parse_config_value_types():
     assert cli.parse_config_value("inflate", "sweep", "1, 2 4") == (1.0, 2.0, 4.0)
-    assert cli.parse_config_value("gamma", "timing", "on") is True
-    assert cli.parse_config_value("gamma", "timing", "false") is False
     assert cli.parse_config_value("approx", "threads", "3") == 3
     assert cli.parse_config_value("inflate", "s", "-0.5") == -0.5
     assert cli.parse_config_value("feasibility", "regime", " crit_half ") == "crit_half"
@@ -566,6 +569,8 @@ def test_parse_config_value_types():
         cli.parse_config_value("gamma", "experiment", "gamma")
     with pytest.raises(ValueError, match=r"unknown config key 's' in \[periodize\]"):
         cli.parse_config_value("periodize", "s", "-0.5")
+    with pytest.raises(ValueError, match=r"unknown config key 'timing' in \[gamma\]"):
+        cli.parse_config_value("gamma", "timing", "on")
     # Every field of an experiment's class is one of its keys, and the INI
     # spelling of each default parses back to that default with its own types.
     for name, cls in lab.CONFIGS.items():
@@ -579,7 +584,6 @@ def test_parse_config_value_types():
             got_items = got if isinstance(f.default, tuple) else (got,)
             assert [type(v) for v in got_items] == [type(v) for v in items], (name, f.name)
     assert type(cli.parse_config_value("feasibility", "sweep", "65536")[0]) is float
-    assert type(cli.parse_config_value("inflate", "timing", "False")) is bool
 
 
 def test_load_config_file(tmp_path):
@@ -713,6 +717,7 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("periodize", "s = -0.5", "unknown config key 's' in [periodize] of "),
         ("gamma", "profile = bump", "unknown config key 'profile' in [gamma] of "),
         ("feasibility", "N_list = 65536", "unknown config key 'N_list' in [feasibility] of "),
+        ("inflate", "timing = true", "unknown config key 'timing' in [inflate] of "),
     ],
 )
 def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):
