@@ -50,8 +50,6 @@ from .evolution import (
 )
 from .constructions import (
     REGIMES,
-    InflationScenario,
-    LineBlockData,
     RegimeSchedule,
     Xi1Measurement,
     build_two_block_data,

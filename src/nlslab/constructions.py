@@ -1,9 +1,11 @@
 """Norm-inflating data families, parameter schedules, and the power-series
 terms of the exact dispersionless solution.
 
-Two-block data puts a constant coefficient R on the integer frequencies of
-two width-A blocks centered at N and 2N.  Its cubic self-interaction dumps
-mass near frequency zero, which the negative-order norms amplify.
+Two-block data is the line transform R on two width-A blocks centered at N
+and 2N, sampled on the lattice n/L of a circle of circumference L; on the
+unit circle it puts R on the integer frequencies of the blocks.  Its cubic
+self-interaction dumps mass near frequency zero, which the negative-order
+norms amplify.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .profiles import _panel_rule
 from .torus import (
     BudgetExceededError,
     SpectralField,
@@ -30,44 +31,15 @@ REGIMES = ("crit_half", "negative_s", "frac_crit")
 
 
 @dataclass(frozen=True)
-class InflationScenario:
-    """Which inflation mechanism to run and at what parameters."""
-
-    regime: str
-    s: float
-    N: int | None = None
-    theta: float | None = None
-
-    def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if self.regime == "crit_half" and self.s != -0.5:
-            raise ValueError("crit_half regime requires s = -1/2")
-        if self.regime == "negative_s" and not self.s < 0.0:
-            raise ValueError("negative_s regime requires s < 0")
-        if self.regime == "frac_crit":
-            if self.theta is None or not self.theta > 0.0:
-                raise ValueError("frac_crit regime requires theta > 0")
-            if not self.s < -0.5 - 3.0 * self.theta:
-                raise ValueError("frac_crit regime requires s < -1/2 - 3 theta")
-        if self.N is None:
-            raise ValueError(f"regime {self.regime} requires N")
-
-
-@dataclass(frozen=True)
 class RegimeSchedule:
-    """One two-block schedule: block height R, block width A, time T_N,
-    the predicted lower bound on the inflated norm, the factors g(N, s)
-    and f(A, s), and the fixed-point horizon T_star = 1/(2 ||data||_W)^2
-    for comparison with T_N (computed, never enforced)."""
+    """One two-block schedule at frequency scale N: block height R, block
+    width A, time T_N and the predicted lower bound on the inflated norm."""
 
+    N: int
     R: float
     A: float
     T_N: float
     predicted_lower_bound: float
-    g_factor: float
-    f_factor: float
-    T_star: float
 
 
 # smallest N the asymptotic factor g(N, s), and so every two-block schedule,
@@ -98,122 +70,76 @@ def f_factor(A: float | np.ndarray, s: float) -> float | np.ndarray:
     return A ** max(0.0, 0.5 + s)  # A^0 = 1 below s = -1/2
 
 
-def regime_parameters(scenario: InflationScenario) -> RegimeSchedule:
-    """R, A, T_N and reference values for the two-block regimes."""
-    s, N = scenario.s, scenario.N
+def regime_parameters(regime: str, N: int, s: float, theta: float | None = None) -> RegimeSchedule:
+    """R, A, T_N and the predicted lower bound of a two-block regime at N."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
+    if regime == "crit_half" and s != -0.5:
+        raise ValueError("crit_half regime requires s = -1/2")
+    if regime == "negative_s" and not s < 0.0:
+        raise ValueError("negative_s regime requires s < 0")
+    if regime == "frac_crit":
+        if theta is None or not theta > 0.0:
+            raise ValueError("frac_crit regime requires theta > 0")
+        if not s < -0.5 - 3.0 * theta:
+            raise ValueError("frac_crit regime requires s < -1/2 - 3 theta")
+    if not N >= MIN_BLOCK_N:
+        raise ValueError(f"N too small: regime {regime} requires N >= {MIN_BLOCK_N}, got {N}")
+    logn = math.log(N)
     try:
-        if scenario.regime == "crit_half":
-            logn = math.log(N)
+        if regime == "crit_half":
             R = 1.0
             A = N / logn ** (1.0 / 16.0)
             T = 1.0 / (N * N * logn ** 0.125)
             predicted = logn**0.25
-        elif scenario.regime == "negative_s":
-            logn = math.log(N)
+        elif regime == "negative_s":
             R = N ** (-s) / logn
             A = logn
             T = N ** (2.0 * s) / logn
             predicted = N ** (-s) * logn ** (-2.0) * g_factor(N, s)
         else:  # frac_crit
-            th = scenario.theta
             R = N ** (-0.5 - s)
-            A = N ** (1.0 - th)
-            T = N ** (2.0 * s - 1.0 - th)
-            predicted = N ** (-0.5 - s - 3.0 * th)
+            A = N ** (1.0 - theta)
+            T = N ** (2.0 * s - 1.0 - theta)
+            predicted = N ** (-0.5 - s - 3.0 * theta)
     except OverflowError:
-        amplitude = "N^(-s)/log N" if scenario.regime == "negative_s" else "N^(-1/2-s)"
-        raise ValueError(f"the {scenario.regime} schedule at N={N}, s={s} overflows a float: "
+        amplitude = "N^(-s)/log N" if regime == "negative_s" else "N^(-1/2-s)"
+        raise ValueError(f"the {regime} schedule at N={N}, s={s} overflows a float: "
                          f"R = {amplitude} is out of float range") from None
-    half = math.floor(A / 2.0)
-    width = 2 * half + 1
-    T_star = 1.0 / (2.0 * R * width) ** 2 if width > 0 else math.inf
-    return RegimeSchedule(
-        R=R,
-        A=A,
-        T_N=T,
-        predicted_lower_bound=predicted,
-        g_factor=g_factor(N, s),
-        f_factor=f_factor(A, s),
-        T_star=T_star,
-    )
+    return RegimeSchedule(N=N, R=R, A=A, T_N=T, predicted_lower_bound=predicted)
 
 
-def _block_modes(N: int, half: int) -> np.ndarray:
-    b1 = np.arange(N - half, N + half + 1)
-    b2 = np.arange(2 * N - half, 2 * N + half + 1)
-    return np.concatenate([b1, b2])
+# largest band floor((2N + A/2) L) build_two_block_data allocates, twice the
+# 262 277 of negative_s at N = 4096 on L = 32.  An inflate point near it is
+# costly: negative_s at N = 4096 on L = 63 (band 516 358) runs the closed
+# form on 10.3 million grid points and peaks at 570 MB in 3.6 s on a 2-CPU
+# Xeon, and data that needs a wider out band than 5x the band (lab's
+# ODE_K_RANGE) grows that grid up to 17/5-fold
+MAX_TWO_BLOCK_BAND = 2**19
 
 
-@dataclass(frozen=True)
-class LineBlockData:
-    """Two-block data on the real line: transform R on [N +- A/2] and
-    [2N +- A/2].  Periodize onto a circle to compute with it."""
+def build_two_block_data(sched: RegimeSchedule, period: float = 1.0) -> SpectralField:
+    """Two-block data on the circle of circumference L = period: the line
+    transform R on [N +- A/2] and [2N +- A/2], sampled on the lattice n/L
+    and scaled by 1/L.  On the unit circle that is R on the integers within
+    floor(A/2) of N and 2N, on the band 2N + floor(A/2).
 
-    R: float
-    A: float
-    N: int
-
-    def fourier_transform(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        half = self.A / 2.0
-        in_blocks = (np.abs(xi - self.N) <= half) | (np.abs(xi - 2.0 * self.N) <= half)
-        return self.R * in_blocks.astype(complex)
-
-    def periodize(self, L: float, bandwidth: int | None = None) -> SpectralField:
-        """Coefficients R/L on every lattice point n/L inside the blocks."""
-        if L < 1.0:
-            raise ValueError("period must be >= 1")
-        top = math.floor((2.0 * self.N + self.A / 2.0) * L)
-        m = top if bandwidth is None else int(bandwidth)
-        if m < top:
-            raise ValueError(f"bandwidth {m} clips the blocks (need {top})")
-        n = np.arange(-m, m + 1)
-        return SpectralField(L, self.fourier_transform(n / L) / L)
-
-    def line_sobolev_norm(self, s: float, homogeneous: bool = False) -> float:
-        """Exact line norm: R * (integral of the weight over the blocks)^(1/2),
-        by 64-node Gauss-Legendre on each block."""
-        half = self.A / 2.0
-        x, w = _panel_rule(np.add.outer([self.N, 2.0 * self.N], [-half, half]), 64)
-        weight = np.abs(x) ** (2.0 * s) if homogeneous else (1.0 + x * x) ** s
-        return self.R * math.sqrt(float(np.sum(w * weight)))
-
-
-def build_two_block_data(
-    regime: str,
-    N: int,
-    s: float | None = None,
-    theta: float | None = None,
-    bandwidth: int | None = None,
-):
-    """Two-block initial data for the given regime.
-
-    Regimes 'crit_half' and 'frac_crit' return a SpectralField on the unit
-    circle; 'negative_s' follows the real-line normalization, so it returns
-    LineBlockData for the caller to periodize.
-
-    Refuses when the blocks would overlap each other or reach frequency 0.
+    Refuses when the blocks would overlap, when L < 1, and when the band
+    floor((2N + A/2) L) exceeds MAX_TWO_BLOCK_BAND.
     """
-    if regime == "crit_half":
-        s = -0.5
-    if s is None:
-        raise ValueError("s is required")
-    scenario = InflationScenario(regime=regime, s=s, N=N, theta=theta)
-    sched = regime_parameters(scenario)
-    half = math.floor(sched.A / 2.0)
+    N, R, A, L = sched.N, sched.R, sched.A, period
+    half = math.floor(A / 2.0)
     if 2 * half >= N:
         raise ValueError(f"blocks overlap: width {2 * half + 1} vs separation {N}")
-    if half >= N:
-        raise ValueError("block touches frequency 0")
-    if regime == "negative_s":
-        return LineBlockData(R=sched.R, A=sched.A, N=N)
-    m = (2 * N + half) if bandwidth is None else int(bandwidth)
-    modes = _block_modes(N, half)
-    if m < modes.max():
-        raise ValueError(f"bandwidth {m} clips the blocks (need {modes.max()})")
-    coeffs = np.zeros(2 * m + 1, dtype=complex)
-    coeffs[modes + m] = sched.R
-    return SpectralField(1.0, coeffs)
+    if L < 1.0:
+        raise ValueError("period must be >= 1")
+    m = math.floor((2.0 * N + A / 2.0) * L)
+    if m > MAX_TWO_BLOCK_BAND:
+        raise ValueError(f"two-block data at N={N} on period {L:g} needs band {m}, above "
+                         f"the limit {MAX_TWO_BLOCK_BAND}")
+    xi = np.arange(-m, m + 1) / L
+    in_blocks = (np.abs(xi - N) <= A / 2.0) | (np.abs(xi - 2.0 * N) <= A / 2.0)
+    return SpectralField(L, np.where(in_blocks, complex(R / L), 0j))
 
 
 # ---------------------------------------------------------------------------

@@ -390,18 +390,16 @@ def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: 
 
 
 def _inflate_point(cfg: InflateConfig, N: int) -> tuple[ReportRow, dict]:
-    s, theta = cfg.s, cfg.theta
+    s = cfg.s
     eq = evo.EquationSpec(alpha=cfg.alpha)
-    scenario = cons.InflationScenario(regime=cfg.regime, s=s, N=N, theta=theta)
-    sched = cons.regime_parameters(scenario)
+    sched = cons.regime_parameters(cfg.regime, N, s, cfg.theta)
     T = sched.T_N
 
-    # negative_s periodizes line data onto the surrogate circle, whose band
+    # negative_s samples the line data on the surrogate circle, whose band
     # is about 26x crit_half's at the same N (16472 modes at N = 256), so it
     # runs the closed form alone and skips the two cross-checks
     on_circle = cfg.regime != "negative_s"
-    data = cons.build_two_block_data(cfg.regime, N, s=s, theta=theta)
-    phi = data if on_circle else data.periodize(cfg.surrogate_period)
+    phi = cons.build_two_block_data(sched, 1.0 if on_circle else cfg.surrogate_period)
 
     n_max = phi.bandwidth
     norm0 = torus.sobolev_norm(phi, s)

@@ -19,7 +19,6 @@ from nlslab import (
     FeasibilityConfig,
     GammaConfig,
     InflateConfig,
-    InflationScenario,
     PeriodizeConfig,
     SpectralField,
     StepperConfig,
@@ -136,8 +135,8 @@ def test_criterion_05_block_convolution_floor():
 def test_criterion_06_first_term_constant_is_stable():
     consts = []
     for n in (2**8, 2**9, 2**10, 2**11, 2**12):
-        phi = build_two_block_data("crit_half", n)
-        sched = regime_parameters(InflationScenario(regime="crit_half", s=-0.5, N=n))
+        sched = regime_parameters("crit_half", n, -0.5)
+        phi = build_two_block_data(sched)
         consts.append(xi1_lower_measurement(phi, sched.T_N, -0.5, n).constant)
     spread = max(consts) / min(consts)
     ok = spread <= 4.0 and all(c > 0 for c in consts)
@@ -148,8 +147,8 @@ def test_criterion_06_first_term_constant_is_stable():
 def test_criterion_07_first_term_dominates_the_series():
     ratios, tail_ok, tail_note = [], True, ""
     for n in (2**8, 2**9, 2**10, 2**11, 2**12):
-        phi = build_two_block_data("crit_half", n)
-        t = regime_parameters(InflationScenario(regime="crit_half", s=-0.5, N=n)).T_N
+        sched = regime_parameters("crit_half", n, -0.5)
+        phi, t = build_two_block_data(sched), sched.T_N
         n0 = sobolev_norm(phi, -0.5)
         n1_low = sobolev_norm(project_below(xi_term(phi, 1, t), n), -0.5)
         top = max(xi_term(phi, k, t).bandwidth for k in range(2, 7))
@@ -193,8 +192,8 @@ def test_criterion_09_first_order_wiener_approximation():
     quotients = []
     ok = True
     for n in (2**6, 2**7, 2**8, 2**9, 2**10):
-        phi = build_two_block_data("crit_half", n)
-        t = regime_parameters(InflationScenario(regime="crit_half", s=-0.5, N=n)).T_N
+        sched = regime_parameters("crit_half", n, -0.5)
+        phi, t = build_two_block_data(sched), sched.T_N
         xi1 = xi_term(phi, 1, t)
         approx = nl.enlarge_band(phi, xi1.bandwidth).coeffs + xi1.coeffs
         w = ode_exact_evolve(phi, t, out_bandwidth=xi1.bandwidth).field

@@ -10,8 +10,7 @@ import pytest
 import nlslab as nl
 from nlslab import (
     BudgetExceededError,
-    InflationScenario,
-    LineBlockData,
+    RegimeSchedule,
     SpectralField,
     Xi1Measurement,
     build_two_block_data,
@@ -27,12 +26,13 @@ from nlslab import (
     xi_series_tail,
     xi_term,
 )
+from nlslab.constructions import MAX_TWO_BLOCK_BAND
 
 from _helpers import random_field
 
 
 # ---------------------------------------------------------------------------
-# scenario validation
+# scenario validation: regime_parameters checks its (regime, N, s, theta)
 
 @pytest.mark.parametrize(
     "kwargs, message",
@@ -44,18 +44,19 @@ from _helpers import random_field
         (dict(regime="frac_crit", s=-0.7, N=64, theta=0.1),
          "frac_crit regime requires s < -1/2 - 3 theta"),
         (dict(regime="supercritical_scaling", s=-1.0, N=64), "unknown regime"),
-        (dict(regime="crit_half", s=-0.5), "regime crit_half requires N"),
+        (dict(regime="crit_half", s=-0.5, N=8), "regime crit_half requires N"),
+        (dict(regime="negative_s", s=-0.25, N=2), "N too small"),
     ],
 )
 def test_scenario_validation_messages(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        InflationScenario(**kwargs)
+        regime_parameters(**kwargs)
 
 
 def test_no_two_block_schedule_for_other_regimes():
     # REGIMES holds exactly the regimes regime_parameters has a schedule for
     with pytest.raises(ValueError, match="unknown regime 'positive_s'"):
-        InflationScenario(regime="positive_s", s=0.5, N=64)
+        regime_parameters("positive_s", 64, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -92,32 +93,30 @@ def test_f_factor_is_elementwise_on_arrays(s):
 # parameter schedules for the two-block regimes
 
 def test_crit_half_schedule_pins():
-    sched = regime_parameters(InflationScenario(regime="crit_half", s=-0.5, N=256))
+    sched = regime_parameters("crit_half", 256, -0.5)
     logn = math.log(256.0)
-    assert sched.R == 1.0
+    assert sched.N == 256 and sched.R == 1.0
     assert abs(sched.A - 256.0 / logn ** (1.0 / 16.0)) <= 1e-12
     assert abs(sched.A - 230.00922243457174) <= 1e-10
     assert abs(sched.T_N - 1.0 / (256.0**2 * logn**0.125)) <= 1e-18
     assert abs(sched.T_N - 1.2317728811166322e-05) <= 1e-15
     assert abs(sched.predicted_lower_bound - logn**0.25) <= 1e-12
-    assert abs(sched.g_factor - math.sqrt(math.log(logn))) <= 1e-12
-    assert abs(sched.f_factor - math.sqrt(math.log(sched.A))) <= 1e-12
-    width = 2 * math.floor(sched.A / 2.0) + 1
-    assert abs(sched.T_star - 1.0 / (2.0 * width) ** 2) <= 1e-18
+    assert abs(g_factor(256, -0.5) - math.sqrt(math.log(logn))) <= 1e-12
+    assert abs(f_factor(sched.A, -0.5) - math.sqrt(math.log(sched.A))) <= 1e-12
 
 
 def test_frac_crit_schedule_pins():
-    sched = regime_parameters(InflationScenario(regime="frac_crit", s=-1.0, N=1024, theta=0.1))
+    sched = regime_parameters("frac_crit", 1024, -1.0, theta=0.1)
     assert abs(sched.R - 32.0) <= 1e-12
     assert abs(sched.A - 1024.0**0.9) <= 1e-9
     assert abs(sched.T_N - 2.0**-31) <= 1e-22
     assert abs(sched.predicted_lower_bound - 1024.0**0.2) <= 1e-12
-    assert sched.g_factor == 1.0 and sched.f_factor == 1.0
+    assert g_factor(1024, -1.0) == 1.0 and f_factor(sched.A, -1.0) == 1.0
 
 
 def test_negative_s_schedule_pins():
     n = 22026  # just below e^10
-    sched = regime_parameters(InflationScenario(regime="negative_s", s=-0.25, N=n))
+    sched = regime_parameters("negative_s", n, -0.25)
     logn = math.log(n)
     assert abs(sched.R - n**0.25 / logn) <= 1e-12
     assert abs(sched.R - math.exp(2.5) / 10.0) <= 1e-4 * sched.R
@@ -127,7 +126,8 @@ def test_negative_s_schedule_pins():
 
 
 def test_inflation_time_shrinks_against_the_fixed_point_horizon():
-    # the ratio T_N / T* decreases along N in every two-block regime
+    # the ratio T_N / T* decreases along N in every two-block regime, where
+    # T* = 1/(2 ||phi||_W)^2 is the fixed-point horizon of the unit-circle data
     cases = (
         ("crit_half", -0.5, None, (2**8, 2**10, 2**12), 2.0, 3.0),
         ("frac_crit", -1.0, 0.1, (2**8, 2**10, 2**12), 0.2, 1.0),
@@ -136,8 +136,9 @@ def test_inflation_time_shrinks_against_the_fixed_point_horizon():
     for regime, s, theta, ns, lo, hi in cases:
         ratios = []
         for n in ns:
-            sched = regime_parameters(InflationScenario(regime=regime, s=s, N=n, theta=theta))
-            ratios.append(sched.T_N / sched.T_star)
+            sched = regime_parameters(regime, n, s, theta)
+            t_star = 1.0 / (2.0 * sched.R * (2 * math.floor(sched.A / 2.0) + 1)) ** 2
+            ratios.append(sched.T_N / t_star)
         assert all(lo < r < hi for r in ratios), (regime, ratios)
         assert all(a > b for a, b in zip(ratios, ratios[1:])), (regime, ratios)
 
@@ -146,8 +147,8 @@ def test_inflation_time_shrinks_against_the_fixed_point_horizon():
 # two-block data
 
 def test_two_block_field_structure():
-    phi = build_two_block_data("crit_half", 64)
-    sched = regime_parameters(InflationScenario(regime="crit_half", s=-0.5, N=64))
+    sched = regime_parameters("crit_half", 64, -0.5)
+    phi = build_two_block_data(sched)
     half = math.floor(sched.A / 2.0)
     assert phi.period == 1.0
     assert phi.bandwidth == 2 * 64 + half
@@ -158,55 +159,67 @@ def test_two_block_field_structure():
     assert int(np.count_nonzero(phi.coeffs)) == 2 * (2 * half + 1)
     assert fourier_lebesgue_norm(phi, 0.0, np.inf) == sched.R
     assert abs(fourier_lebesgue_norm(phi, 0.0, 1.0) - sched.R * 2 * (2 * half + 1)) <= 1e-9
+    # the band floor((2N + A/2) L) and the support at N = 256
+    phi = build_two_block_data(regime_parameters("crit_half", 256, -0.5))
+    assert phi.bandwidth == 627 and int(np.count_nonzero(phi.coeffs)) == 462
 
 
 def test_two_block_field_refusals():
     with pytest.raises(ValueError, match="N too small"):
-        build_two_block_data("crit_half", 2)
-    build_two_block_data("crit_half", 16)  # smallest admissible decade
-    with pytest.raises(ValueError, match="clips the blocks"):
-        build_two_block_data("crit_half", 64, bandwidth=100)
-    with pytest.raises(ValueError, match="s is required"):
-        build_two_block_data("frac_crit", 64)
+        regime_parameters("crit_half", 2, -0.5)
+    build_two_block_data(regime_parameters("crit_half", 16, -0.5))  # smallest admissible decade
+    with pytest.raises(ValueError, match="blocks overlap: width 17 vs separation 16"):
+        build_two_block_data(RegimeSchedule(N=16, R=1.0, A=16.0, T_N=0.1, predicted_lower_bound=1.0))
+    # the band is refused before any array is allocated
+    with pytest.raises(ValueError, match=r"at N=1000000000000 on period 1 needs band 2\d{12}, "
+                                         f"above the limit {MAX_TWO_BLOCK_BAND}"):
+        build_two_block_data(regime_parameters("crit_half", 10**12, -0.5))
 
 
 def test_two_block_low_regularity_norm_is_nearly_flat():
     # H^(-1/2) size of the crit_half data drifts only at rate (log N)^(-1/32)
     vals = []
     for n in (2**8, 2**9, 2**10):
-        phi = build_two_block_data("crit_half", n)
+        phi = build_two_block_data(regime_parameters("crit_half", n, -0.5))
         vals.append(sobolev_norm(phi, -0.5) * math.log(n) ** (1.0 / 32.0))
     assert all(1.0 < v < 1.5 for v in vals), vals
     assert max(vals) / min(vals) <= 1.01
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_negative_s_regime_returns_line_data():
-    n = 22026
-    data = build_two_block_data("negative_s", n, s=-0.25)
-    sched = regime_parameters(InflationScenario(regime="negative_s", s=-0.25, N=n))
-    assert isinstance(data, LineBlockData)
-    assert data.R == sched.R and data.A == sched.A and data.N == n
+def test_negative_s_regime_samples_the_line_data_on_the_lattice():
+    # the surrogate circle L = 32 of inflate, and the unit circle
+    sched = regime_parameters("negative_s", 256, -0.25)
+    for L, band, support in ((32.0, 16472, 354), (1.0, 514, 10)):
+        phi = build_two_block_data(sched, L)
+        assert phi.period == L and phi.bandwidth == band
+        nonzero = phi.coeffs[phi.coeffs != 0.0]
+        assert nonzero.size == support and np.all(nonzero == sched.R / L)
+
+
+# two-block data with blocks [9.7, 14.3] and [21.7, 26.3]
+SMALL_BLOCKS = RegimeSchedule(N=12, R=0.7, A=4.6, T_N=0.1, predicted_lower_bound=1.0)
 
 
 def test_line_block_transform_and_l2():
-    data = LineBlockData(R=0.7, A=4.6, N=12)
-    assert data.fourier_transform(12.0) == 0.7
-    assert data.fourier_transform(12.0 + 2.2) == 0.7
-    assert data.fourier_transform(24.0 - 2.2) == 0.7
-    assert data.fourier_transform(12.0 + 2.4) == 0.0
-    assert data.fourier_transform(9.59) == 0.0
-    assert data.fourier_transform(0.0) == 0.0
+    # on L = 5 the lattice n/5 puts 23 points in each block
+    phi = build_two_block_data(SMALL_BLOCKS, 5.0)
+    assert phi.period == 5.0 and phi.bandwidth == 131
+    for xi in (12.0, 12.0 + 2.2, 12.0 - 2.2, 24.0 - 2.2, 24.0 + 2.2):
+        assert phi.coefficient(round(5 * xi)) == 0.7 / 5.0
+    for xi in (12.0 + 2.4, 12.0 - 2.4, 24.0 + 2.4, 18.0, 0.0, -12.0):
+        assert phi.coefficient(round(5 * xi)) == 0.0
+    assert int(np.count_nonzero(phi.coeffs)) == 46
+    # so its L^2 norm is the line norm R sqrt(2A) exactly
     want = 0.7 * math.sqrt(2.0 * 4.6)
-    assert abs(data.line_sobolev_norm(0.0) - want) <= 1e-15 * want
+    assert abs(math.sqrt(5.0 * float(np.sum(np.abs(phi.coeffs) ** 2))) - want) <= 1e-15 * want
 
 
 def test_line_block_periodization_converges_in_l2():
-    data = LineBlockData(R=0.7, A=4.6, N=12)
-    line = data.line_sobolev_norm(0.0)
+    line = 0.7 * math.sqrt(2.0 * 4.6)  # R sqrt(2A), the L^2 norm on the line
     gaps = []
     for L in (8.0, 32.0, 128.0):
-        circle = data.periodize(L)
+        circle = build_two_block_data(SMALL_BLOCKS, L)
         mass = float(np.sum(np.abs(circle.coeffs) ** 2))
         gaps.append(abs(math.sqrt(L * mass) - line))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -214,11 +227,11 @@ def test_line_block_periodization_converges_in_l2():
 
 
 def test_line_block_periodize_refusals():
-    data = LineBlockData(R=0.7, A=4.6, N=12)
     with pytest.raises(ValueError, match="period must be >= 1"):
-        data.periodize(0.5)
-    with pytest.raises(ValueError, match="clips the blocks"):
-        data.periodize(8.0, bandwidth=5)
+        build_two_block_data(SMALL_BLOCKS, 0.5)
+    with pytest.raises(ValueError, match=f"at N=12 on period 1e[+]06 needs band 26300000, "
+                                         f"above the limit {MAX_TWO_BLOCK_BAND}"):
+        build_two_block_data(SMALL_BLOCKS, 1e6)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +327,8 @@ def test_series_terms_concentrate_near_multiples_of_the_block_frequency():
 
 def test_xi1_low_frequency_measurement_pins():
     n = 256
-    phi = build_two_block_data("crit_half", n)
-    sched = regime_parameters(InflationScenario(regime="crit_half", s=-0.5, N=n))
+    sched = regime_parameters("crit_half", n, -0.5)
+    phi = build_two_block_data(sched)
     got = xi1_lower_measurement(phi, sched.T_N, -0.5, n)
     assert abs(got.measured - 2.52802161843981) <= 1e-9
     assert abs(got.reference - 1.5333826104436064) <= 1e-9
@@ -330,7 +343,7 @@ def test_xi1_low_frequency_measurement_pins():
 
 
 def test_xi1_measurement_at_time_zero():
-    phi = build_two_block_data("crit_half", 64)
+    phi = build_two_block_data(regime_parameters("crit_half", 64, -0.5))
     got = xi1_lower_measurement(phi, 0.0, -0.5, 64)
     assert got.measured == 0.0 and got.reference == 0.0
     assert got.constant == math.inf

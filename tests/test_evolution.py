@@ -3,8 +3,10 @@ symmetry maps, and the low-order expansion of the Duhamel solution."""
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import inspect
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -56,10 +58,20 @@ def test_stepper_config_validation():
 
 
 def test_signatures_the_benchmark_tracer_reads():
-    # benchmarks/tracer.py reads integrator arguments by position or name:
-    # _split_step_notes takes t and cfg.dt from split_step_evolve's 3rd and
-    # 4th, _picard_notes takes phi from picard_expansion's 1st.  Moving them
-    # would break its per-layer metrics without any other test failing.
+    # benchmarks/tracer.py wraps each function its TRACED table names, and
+    # reads integrator arguments by position or name: _split_step_notes
+    # takes t and cfg.dt from split_step_evolve's 3rd and 4th, _picard_notes
+    # takes phi from picard_expansion's 1st.  Renaming or moving them would
+    # break its trace mode without any other test failing.
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.TRACED.items():
+        for name in names:
+            owner = importlib.import_module(f"nlslab.{module}")
+            assert callable(getattr(owner, name, None)), f"{module}.{name}"
+    assert callable(nl.CompactProfile.fourier_transform)  # tracer.FOURIER
     assert list(inspect.signature(split_step_evolve).parameters)[2:4] == ["t", "cfg"]
     assert "dt" in {f.name for f in dataclasses.fields(StepperConfig)}
     assert list(inspect.signature(picard_expansion).parameters)[0] == "phi"
@@ -517,10 +529,10 @@ def test_picard_budget_counts_the_summed_triples(monkeypatch):
     counts()
 
     data = {
-        ("crit_half", 128): nl.build_two_block_data("crit_half", 128),
-        ("crit_half", 256): nl.build_two_block_data("crit_half", 256),
-        ("frac_crit", 256): nl.build_two_block_data("frac_crit", 256, s=-1.0, theta=0.1),
-        ("frac_crit", 512): nl.build_two_block_data("frac_crit", 512, s=-1.0, theta=0.1),
+        ("crit_half", 128): nl.build_two_block_data(nl.regime_parameters("crit_half", 128, -0.5)),
+        ("crit_half", 256): nl.build_two_block_data(nl.regime_parameters("crit_half", 256, -0.5)),
+        ("frac_crit", 256): nl.build_two_block_data(nl.regime_parameters("frac_crit", 256, -1.0, 0.1)),
+        ("frac_crit", 512): nl.build_two_block_data(nl.regime_parameters("frac_crit", 512, -1.0, 0.1)),
     }
     for key in (("crit_half", 256), ("frac_crit", 256)):
         phi = data[key]
@@ -618,8 +630,8 @@ def test_picard_pair_sum_matches_brute_force():
     assert seen == {"series", "closed form"}
 
     # the inflate data: crit_half two-block data at N = 64 and its T_N
-    phi = nl.build_two_block_data("crit_half", 64)
-    t = nl.regime_parameters(nl.InflationScenario("crit_half", -0.5, N=64)).T_N
+    sched = nl.regime_parameters("crit_half", 64, -0.5)
+    phi, t = nl.build_two_block_data(sched), sched.T_N
     got = picard_expansion(phi, EquationSpec(), t)
     want, _, _ = _picard_reference(phi, t, 1.0, 1.0, 1)
     first = want - nl.enlarge_band(phi, got.bandwidth).coeffs
@@ -669,8 +681,8 @@ def test_picard_first_iterate_within_oscillatory_bound():
 
 def test_picard_tracks_interaction_picture_solution():
     n0 = 64
-    phi = nl.build_two_block_data("crit_half", n0)
-    t = nl.regime_parameters(nl.InflationScenario("crit_half", -0.5, N=n0)).T_N
+    sched = nl.regime_parameters("crit_half", n0, -0.5)
+    phi, t = nl.build_two_block_data(sched), sched.T_N
     eq = EquationSpec()
     p1 = picard_expansion(phi, eq, t)
     moved = interaction_picture(split_step_evolve(phi, eq, t, StepperConfig(dt=t / 200.0)), eq, t)

@@ -7,6 +7,7 @@ import functools
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from nlslab import (
     line_sobolev_norm,
     measure_plateau,
     ode_exact_evolve,
+    regime_parameters,
     report_to_csv,
     report_to_json,
     run_approximation,
@@ -415,8 +417,8 @@ INFLATE_REGIMES = {
 def test_inflate_out_band_meets_the_tail_target(regime, monkeypatch):
     params, k_want = INFLATE_REGIMES[regime]
     cfg = InflateConfig(regime=regime, sweep=(256.0,), **params)
-    data = build_two_block_data(regime, 256, s=cfg.s, theta=cfg.theta)
-    phi = data.periodize(cfg.surrogate_period) if regime == "negative_s" else data
+    L = cfg.surrogate_period if regime == "negative_s" else 1.0
+    phi = build_two_block_data(regime_parameters(regime, 256, cfg.s, cfg.theta), L)
     mass = phi.period * float(np.sum(np.abs(phi.coeffs) ** 2))
 
     rep = run_inflation(cfg)
@@ -463,7 +465,7 @@ def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
     assert aux["split_steps"] == steps_want
     assert 0.0 < aux["split_estimate"] <= lab.SPLIT_STEP_REL
 
-    phi = build_two_block_data(regime, N, s=cfg.s, theta=cfg.theta)
+    phi = build_two_block_data(regime_parameters(regime, N, cfg.s, cfg.theta))
     T, eq = aux["T"], evolution.EquationSpec()
     steps, estimate, u = lab._split_step_on_tolerance(phi, eq, T, N, cfg)
     assert (steps, estimate) == (aux["split_steps"], aux["split_estimate"])
@@ -647,6 +649,17 @@ def test_build_config_layers_defaults_file_and_flags(tmp_path):
         assert cli.build_config(name, parser.parse_args([name])) == cls()
 
 
+def test_readme_python_example_runs(capsys):
+    # README's Python API block, run as written; its inflate sweep
+    # (N = 64, 128) takes well under 2 s
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert [line.split(",")[4] for line in lines[1:3]] == ["64", "128"]
+
+
 def test_cli_main_success_and_default_output(tmp_path, monkeypatch, capsys):
     out = tmp_path / "feas.json"
     rc = cli.main(["feasibility", "--out", str(out), "--format", "json", "--seed", "7"])
@@ -718,6 +731,9 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("gamma", "profile = bump", "unknown config key 'profile' in [gamma] of "),
         ("feasibility", "N_list = 65536", "unknown config key 'N_list' in [feasibility] of "),
         ("inflate", "timing = true", "unknown config key 'timing' in [inflate] of "),
+        # refused before the data builder allocates its band (2N + A/2) L
+        ("inflate", "sweep = 1000000000000",
+         "two-block data at N=1000000000000 on period 1 needs band 2"),
     ],
 )
 def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):

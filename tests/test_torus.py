@@ -173,7 +173,7 @@ def test_fourier_lebesgue_pins():
     f = SpectralField(1.0, np.array([0, 3.0, 0], dtype=complex))
     assert abs(fourier_lebesgue_norm(f, 0.0, 1.0) - 3.0) <= 1e-14
     assert abs(fourier_lebesgue_norm(f, 0.0, np.inf) - 3.0) <= 1e-14
-    two = nl.build_two_block_data("crit_half", 256)
+    two = nl.build_two_block_data(nl.regime_parameters("crit_half", 256, -0.5))
     assert fourier_lebesgue_norm(two, 0.0, np.inf) == 1.0
     count = int(np.count_nonzero(two.coeffs))
     assert fourier_lebesgue_norm(two, 0.0, 1.0) == float(count) == 462.0
