@@ -64,12 +64,6 @@ class StepperConfig:
             raise ValueError("dt must be positive")
 
 
-# split-step samples a band-M field on next_fast_len(SPLIT_GRID_FACTOR *
-# (2M + 1)) points (cubic dealiasing): the cubic term |u|^2 u has band 3M,
-# which this grid holds without aliasing
-SPLIT_GRID_FACTOR = 3
-
-
 def free_rotation_rates(field: SpectralField, eq: EquationSpec) -> np.ndarray:
     """Per-mode angular rates: mode n rotates as exp(+i rate t) freely."""
     xi = np.abs(2.0 * np.pi * field.frequencies())
@@ -99,6 +93,17 @@ def _rotate_in_place(u: np.ndarray, t: float, shift: float, theta: np.ndarray,
 # grid points per rotation chunk of the closed form: bounds its scratch
 # arrays (1.5 MB together) whatever the grid size
 _ROTATE_CHUNK = 1 << 16
+
+
+def split_grid_size(bandwidth: int) -> int:
+    """Grid of split-step: twice the band, next_fast_len(2 (2M + 1)).
+
+    The cubic term |u|^2 u of a band-M field has band 3M; on G >= 4M + 2
+    points its modes beyond M fold to |n| >= G - 3M > M, so it stays
+    alias-free on the band (the cubic one-half rule).  Only the rotation's
+    terms of order (dt |u|^2)^2 and above, of band 5M and more, fold back.
+    """
+    return next_fast_len(2 * (2 * bandwidth + 1))
 
 
 def ode_grid_size(bandwidth: int, out_bandwidth: int) -> int:
@@ -152,9 +157,9 @@ def split_step_evolve(
     """Strang splitting: exact free half-steps around the exact pointwise
     nonlinear rotation.  Second order in dt globally.
 
-    The coefficients are scattered once into a DFT-order spectrum and every
-    step runs on that array and its grid values in place; they are gathered
-    back to a field once at the end.
+    The coefficients are scattered once into a DFT-order spectrum on the
+    grid of split_grid_size, and every step runs on that array and its grid
+    values in place; they are gathered back to a field once at the end.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
@@ -163,7 +168,7 @@ def split_step_evolve(
     n_steps = max(1, round(t / cfg.dt))
     dt = t / n_steps
     m = field.bandwidth
-    g = next_fast_len(SPLIT_GRID_FACTOR * (2 * m + 1))
+    g = split_grid_size(m)
     half = np.exp(1j * free_rotation_rates(field, eq) * dt / 2.0)
     half_lo, half_hi = half[m:], half[:m]  # modes 0..M and -M..-1, as in the spectrum
     theta, phase = np.empty(g), np.empty(g, dtype=complex)

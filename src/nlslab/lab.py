@@ -66,7 +66,7 @@ class ExperimentConfig:
     seed: int = 0
     threads: int = 1
     # lower bounds and positivity, checked on whichever of these keys a config has
-    _at_least = {"threads": 1, "dt_steps": 1, "picard_budget": 0}
+    _at_least = {"threads": 1, "dt_steps": 1, "picard_budget": 0, "surrogate_period": 1}
     _positive = ("alpha", "time_horizon", "band_per_period", "base_delta", "delta_decay")
 
     def __post_init__(self):
@@ -418,7 +418,8 @@ def _inflate_point(cfg: InflateConfig, N: int) -> tuple[ReportRow, dict]:
     if on_circle:
         steps, estimate, u = _split_step_on_tolerance(phi, eq, T, N, cfg)
         results["split_step"] = evo.interaction_picture(u, eq, T)
-        aux.update(split_steps=steps, split_estimate=estimate)
+        aux.update(split_steps=steps, split_estimate=estimate,
+                   split_grid_points=evo.split_grid_size(3 * n_max))
         try:
             results["picard"] = evo.picard_expansion(phi, eq, T, budget=cfg.picard_budget)
         except torus.BudgetExceededError:

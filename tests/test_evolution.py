@@ -34,6 +34,7 @@ from nlslab import (
     synthesize,
     xi_term,
 )
+from nlslab.evolution import split_grid_size
 
 from _helpers import coeff_gap, l2_gap, l2_norm, random_field
 
@@ -241,7 +242,7 @@ def _reference_split_step(field, eq, t, cfg):
     n_steps = max(1, round(t / cfg.dt))
     dt = t / n_steps
     m, L = field.bandwidth, field.period
-    g = next_fast_len(3 * (2 * m + 1))
+    g = split_grid_size(m)
     half = np.exp(1j * free_rotation_rates(field, eq) * dt / 2.0)
     c = field.coeffs.copy()
     for _ in range(n_steps):
@@ -275,7 +276,7 @@ def test_lean_integrators_match_the_reference_loops(wick, alpha, sign):
     cfg = StepperConfig(dt=5e-3)
     data = random_field(2.5, 8, seed=31, l2=2.0)
     # the reference loops rest on synthesize; pin it to the term-by-term sum
-    g = next_fast_len(3 * (2 * 24 + 1))
+    g = split_grid_size(24)
     padded = nl.enlarge_band(data, 24)  # 3x the data band, as lab pads split-step
     direct = _direct_synthesis(padded, g)
     assert np.max(np.abs(synthesize(padded, g) - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -317,6 +318,48 @@ def test_split_step_builds_no_field_per_step(monkeypatch):
             split_step_evolve(f, eq, 0.1, StepperConfig(dt=0.1 / n_steps))
             counts.append(built)
     assert len(set(counts)) == 1 and counts[0] <= 2, counts
+
+
+def test_split_step_grid_matches_the_wider_grid(monkeypatch):
+    # The split-step grid of 2 (2M + 1) points holds the cubic term without
+    # aliasing; only the rotation's (dt |u|^2)^2 terms and higher fold into
+    # the band.  Against the wider 3 (2M + 1) grid, which holds the cubic
+    # term outright, that fold is roundoff on inflate's padded band and a
+    # small part of the run's own error on a full-band field.
+    def old_grid(m):
+        return next_fast_len(3 * (2 * m + 1))
+
+    def on_both_grids(run):
+        new = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(nl.evolution, "split_grid_size", old_grid)
+            return new, run()
+
+    eq = EquationSpec()
+    for regime, N, params in (("crit_half", 64, dict(s=-0.5)), ("crit_half", 256, dict(s=-0.5)),
+                              ("frac_crit", 128, dict(s=-1.0, theta=0.1)),
+                              ("frac_crit", 256, dict(s=-1.0, theta=0.1))):
+        cfg = nl.InflateConfig(regime=regime, sweep=(float(N),), **params)
+        sched = nl.regime_parameters(regime, N, cfg.s, cfg.theta)
+        phi = nl.build_two_block_data(sched)
+        wide = nl.enlarge_band(phi, 3 * phi.bandwidth)  # lab's padded band
+        scale = float(np.max(np.abs(phi.coeffs)))
+        for steps in (25, 50, 100):
+            cfg_dt = StepperConfig(dt=sched.T_N / steps)
+            new, old = on_both_grids(lambda: split_step_evolve(wide, eq, sched.T_N, cfg_dt))
+            assert coeff_gap(new, old) <= 1e-12 * scale, (regime, N, steps)
+        new, old = on_both_grids(
+            lambda: nl.lab._split_step_on_tolerance(phi, eq, sched.T_N, N, cfg))
+        assert new[0] == old[0], (regime, N)
+
+    t, cfg_dt = 0.2, StepperConfig(dt=5e-3)
+    for eq in (EquationSpec(), EquationSpec(alpha=0.75)):
+        for seed in (31, 32, 33, 34):
+            for l2 in (0.5, 2.0):
+                f = random_field(2.5, 8, seed=seed, l2=l2)
+                ref = split_step_evolve(f, eq, t, StepperConfig(dt=t / 6400))
+                new, old = on_both_grids(lambda: split_step_evolve(f, eq, t, cfg_dt))
+                assert coeff_gap(new, old) <= 0.2 * coeff_gap(new, ref), (eq, seed, l2)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +791,7 @@ def test_split_step_loses_mass_only_to_its_band(f, eq, t, steps):
     dt = t / steps
     out = split_step_evolve(f, eq, t, StepperConfig(dt=dt))
     loss = 1.0 - (l2_norm(out) / l2_norm(f)) ** 2
-    rnd = _roundoff(steps, next_fast_len(3 * (2 * f.bandwidth + 1)))
+    rnd = _roundoff(steps, split_grid_size(f.bandwidth))
     assert -rnd <= loss <= t * dt * _sup_sq_bound(f, t) ** 2 + rnd
 
 
@@ -777,7 +820,7 @@ def test_gauge_maps_the_plain_flow_to_the_wick_flow(f, t, steps):
     plain = split_step_evolve(f, EquationSpec(), t, cfg)
     wick = split_step_evolve(f, EquationSpec(wick=True), t, cfg)
     phase = 2.0 * t * msq * t * dt * sup**2 + U * t * (sup + 4.0 * msq)
-    rnd = 2.0 * _roundoff(steps, next_fast_len(3 * (2 * f.bandwidth + 1)))
+    rnd = 2.0 * _roundoff(steps, split_grid_size(f.bandwidth))
     assert l2_gap(gauge_transform(plain, t), wick) <= norm * (phase + rnd)
 
     plain, wick = ode_exact_evolve(f, t), ode_exact_evolve(f, t, wick=True)
@@ -813,5 +856,5 @@ def test_galilean_boost_commutes_with_split_step(radius, shift, period, l2, seed
     evolve_then_boost = galilean_boost(split_step_evolve(f, eq, t, cfg), 2 * shift, t)
     boost_then_evolve = split_step_evolve(galilean_boost(f, 2 * shift, 0.0), eq, t, cfg)
     angle = (2.0 * np.pi * (m + abs(shift)) / period) ** 2 * t
-    tol = norm * (U + 2.0 * _roundoff(steps, next_fast_len(3 * (2 * m + 1))) + 8.0 * U * angle)
+    tol = norm * (U + 2.0 * _roundoff(steps, split_grid_size(m)) + 8.0 * U * angle)
     assert l2_gap(evolve_then_boost, boost_then_evolve) <= tol

@@ -400,7 +400,7 @@ def test_negative_s_runs_the_closed_form_alone():
     rep = run_inflation(cfg)
     aux = rep.metadata["per_N"]["256"]
     assert aux["skipped"] == ["picard", "split_step"]
-    assert "split_steps" not in aux
+    assert "split_steps" not in aux and "split_grid_points" not in aux
     assert rep.rows[0].method_disagreement is None
     assert rep.rows[0].ratio > 1.0
 
@@ -466,6 +466,8 @@ def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
     assert 0.0 < aux["split_estimate"] <= lab.SPLIT_STEP_REL
 
     phi = build_two_block_data(regime_parameters(regime, N, cfg.s, cfg.theta))
+    # split-step runs on the band 3 n_max, on that band's grid
+    assert aux["split_grid_points"] == evolution.split_grid_size(3 * phi.bandwidth)
     T, eq = aux["T"], evolution.EquationSpec()
     steps, estimate, u = lab._split_step_on_tolerance(phi, eq, T, N, cfg)
     assert (steps, estimate) == (aux["split_steps"], aux["split_estimate"])
@@ -702,6 +704,9 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
                                  "schedules), got 0.0"),
         ("approx", "sweep = -0.1 0.1", "approx sweep values must be > 0, got -0.1"),
         ("inflate", "picard_budget = -1", "picard_budget must be >= 0"),
+        ("inflate", "regime = negative_s\nsurrogate_period = 0.5",
+         "surrogate_period must be >= 1, got 0.5"),
+        ("inflate", "surrogate_period = 0.5", "surrogate_period must be >= 1, got 0.5"),
         ("inflate", "s = nan", "s must be finite, got nan"),
         ("gamma", "base_delta = 0", "base_delta must be > 0, got 0.0"),
         ("gamma", "delta_decay = 0", "delta_decay must be > 0, got 0.0"),
