@@ -26,6 +26,8 @@ from .torus import (
     _spectrum_of_band,
     enlarge_band,
     mean_and_l2,
+    split_grid_size,
+    synthesize,
 )
 
 
@@ -95,17 +97,6 @@ def _rotate_in_place(u: np.ndarray, t: float, shift: float, theta: np.ndarray,
 _ROTATE_CHUNK = 1 << 16
 
 
-def split_grid_size(bandwidth: int) -> int:
-    """Grid of split-step: twice the band, next_fast_len(2 (2M + 1)).
-
-    The cubic term |u|^2 u of a band-M field has band 3M; on G >= 4M + 2
-    points its modes beyond M fold to |n| >= G - 3M > M, so it stays
-    alias-free on the band (the cubic one-half rule).  Only the rotation's
-    terms of order (dt |u|^2)^2 and above, of band 5M and more, fold back.
-    """
-    return next_fast_len(2 * (2 * bandwidth + 1))
-
-
 def ode_grid_size(bandwidth: int, out_bandwidth: int) -> int:
     """Grid of the closed form: 8 times the data band, and at least twice
     the retained output band, rounded up to a fast FFT length."""
@@ -133,7 +124,7 @@ def ode_exact_evolve(
     if m_out < m:
         raise ValueError("out_bandwidth cannot be below the input band")
     g = ode_grid_size(m, m_out)
-    u = ifft(_spectrum_of_band(field.coeffs, g), norm="forward", overwrite_x=True)
+    u = synthesize(field, g)
     shift = 2.0 * mean_and_l2(field)[1] if wick else 0.0
     chunk = min(g, _ROTATE_CHUNK)
     theta, phase = np.empty(chunk), np.empty(chunk, dtype=complex)
@@ -160,6 +151,7 @@ def split_step_evolve(
     The coefficients are scattered once into a DFT-order spectrum on the
     grid of split_grid_size, and every step runs on that array and its grid
     values in place; they are gathered back to a field once at the end.
+    Only the rotation's terms of order (dt |u|^2)^2 and above alias into the band.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")

@@ -58,8 +58,6 @@ class ExperimentConfig:
     """
 
     experiment: ClassVar[str]
-    regime: str = "crit_half"
-    alpha: float = 1.0
     sweep: tuple[float, ...]
     output_path: str | None = None
     fmt: str = "csv"
@@ -70,9 +68,6 @@ class ExperimentConfig:
     _positive = ("alpha", "time_horizon", "band_per_period", "base_delta", "delta_decay")
 
     def __post_init__(self):
-        if self.regime not in cons.REGIMES:  # every report row echoes it
-            raise ValueError(f"unknown regime {self.regime!r}; expected one of "
-                             f"{', '.join(cons.REGIMES)}")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             items = value if isinstance(value, tuple) else (value,)
@@ -101,6 +96,8 @@ class ExperimentConfig:
 @dataclass(frozen=True, kw_only=True)
 class InflateConfig(ExperimentConfig):
     experiment = "inflate"
+    regime: str = "crit_half"
+    alpha: float = 1.0
     sweep: tuple[float, ...] = (256.0, 512.0, 1024.0, 2048.0, 4096.0)
     s: float = -0.5
     theta: float | None = None
@@ -111,6 +108,9 @@ class InflateConfig(ExperimentConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.regime not in cons.REGIMES:
+            raise ValueError(f"unknown regime {self.regime!r}; expected one of "
+                             f"{', '.join(cons.REGIMES)}")
         self._require_integer_sweep()
         # sweeps are increasing, so sweep[0] is the smallest value
         if self.sweep[0] < cons.MIN_BLOCK_N:
@@ -122,7 +122,6 @@ class InflateConfig(ExperimentConfig):
 class ApproxConfig(ExperimentConfig):
     experiment = "approx"
     sweep: tuple[float, ...] = (0.025, 0.05, 0.1, 0.2)
-    s: float = -0.5
     dt_steps: int = 200
     profile: str = "bump"
     amplitude: float = 1.0
@@ -136,9 +135,8 @@ class ApproxConfig(ExperimentConfig):
         super().__post_init__()
         if not self.sweep[0] > 0.0:
             raise ValueError(f"approx sweep values must be > 0, got {self.sweep[0]!r}")
-        # _approx_error evolves the alpha = 1 equation, whose error rate is delta^(3/2)
-        if self.alpha != 1.0:
-            raise ValueError(f"approx requires alpha = 1, got {self.alpha!r}")
+        if self.amplitude == 0.0:  # zero data: the period spread divides by zero errors
+            raise ValueError(f"amplitude must be nonzero, got {self.amplitude!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -156,8 +154,8 @@ class PeriodizeConfig(ExperimentConfig):
 @dataclass(frozen=True, kw_only=True)
 class GammaConfig(ExperimentConfig):
     experiment = "gamma"
+    alpha: float = 1.0
     sweep: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
-    s: float = -0.5
     dt_steps: int = 200
     amplitude: float = 0.7
     eps: float = 0.3
@@ -170,6 +168,8 @@ class GammaConfig(ExperimentConfig):
     def __post_init__(self):
         super().__post_init__()
         self._require_integer_sweep()
+        if self.amplitude == 0.0:  # zero data: a zero plateau threshold counts mode 0
+            raise ValueError(f"amplitude must be nonzero, got {self.amplitude!r}")
         if not 0.0 < self.c_fraction <= 1.0:
             raise ValueError("c_fraction must lie in (0, 1]")
 
@@ -197,9 +197,11 @@ class FeasibilityConfig(ExperimentConfig):
 @dataclass(frozen=True)
 class ReportRow:
     experiment: str
-    regime: str
-    s: float
-    alpha: float
+    # what the run used: two-block regime, Sobolev order of the norm columns
+    # and order of the evolved equation; None where the experiment has none
+    regime: str | None
+    s: float | None
+    alpha: float | None
     N_or_j: float
     param: float
     norm_t0: float | None = None
@@ -360,12 +362,12 @@ def _closed_form_on_tail_target(phi: torus.SpectralField, T: float,
 SPLIT_STEP_REL = 1e-3
 
 
-def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: float,
-                             N: int, cfg: InflateConfig) -> tuple[int, float, torus.SpectralField]:
-    """(2n, halving estimate over ||phi||_FLinf, Richardson value at T) for
-    the first step pair that meets SPLIT_STEP_REL; refuses if none does.
-    Split-step runs on the band 3 n_max, and each run's 2n-step field is
-    the next pair's n-step one."""
+def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: float, N: int,
+                             cfg: InflateConfig) -> tuple[int, float, int, torus.SpectralField]:
+    """(2n, halving estimate over ||phi||_FLinf, grid points, Richardson
+    value at T) for the first step pair that meets SPLIT_STEP_REL; refuses
+    if none does.  Split-step runs on the band 3 n_max, and each run's
+    2n-step field is the next pair's n-step one."""
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
     scale = torus.fourier_lebesgue_norm(phi, 0.0, np.inf)
 
@@ -380,7 +382,8 @@ def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: 
         fine = strang(2 * n)
         estimate = float(np.max(np.abs(fine.coeffs - coarse.coeffs))) / (3.0 * scale)
         if estimate <= SPLIT_STEP_REL:
-            return 2 * n, estimate, fine.with_coeffs((4.0 * fine.coeffs - coarse.coeffs) / 3.0)
+            return (2 * n, estimate, evo.split_grid_size(wide.bandwidth),
+                    fine.with_coeffs((4.0 * fine.coeffs - coarse.coeffs) / 3.0))
         coarse, n = fine, 2 * n
     tried = (f"at {n} steps, the largest count dt_steps = {cfg.dt_steps} allows, the estimate "
              f"is {estimate:.3e}"
@@ -401,7 +404,6 @@ def _inflate_point(cfg: InflateConfig, N: int) -> tuple[ReportRow, dict]:
     on_circle = cfg.regime != "negative_s"
     phi = cons.build_two_block_data(sched, 1.0 if on_circle else cfg.surrogate_period)
 
-    n_max = phi.bandwidth
     norm0 = torus.sobolev_norm(phi, s)
     if norm0 == 0.0:
         row = ReportRow(cfg.experiment, cfg.regime, s, cfg.alpha, N, N,
@@ -412,14 +414,13 @@ def _inflate_point(cfg: InflateConfig, N: int) -> tuple[ReportRow, dict]:
     k, ode = _closed_form_on_tail_target(phi, T, N)
     out_band = ode.field.bandwidth
     aux = dict(ode_k=k, ode_out_bandwidth=out_band,
-               ode_grid_points=evo.ode_grid_size(n_max, out_band))
+               ode_grid_points=evo.ode_grid_size(phi.bandwidth, out_band))
     results = {"ode": ode.field}
     skipped = [] if on_circle else ["picard", "split_step"]
     if on_circle:
-        steps, estimate, u = _split_step_on_tolerance(phi, eq, T, N, cfg)
+        steps, estimate, grid, u = _split_step_on_tolerance(phi, eq, T, N, cfg)
         results["split_step"] = evo.interaction_picture(u, eq, T)
-        aux.update(split_steps=steps, split_estimate=estimate,
-                   split_grid_points=evo.split_grid_size(3 * n_max))
+        aux.update(split_steps=steps, split_estimate=estimate, split_grid_points=grid)
         try:
             results["picard"] = evo.picard_expansion(phi, eq, T, budget=cfg.picard_budget)
         except torus.BudgetExceededError:
@@ -493,8 +494,8 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
         e_half, _ = _approx_error(profile, delta, L0, t_half, band0, cfg.dt_steps)
         e_full, tail = _approx_error(profile, delta, L0, t_full, band0, cfg.dt_steps)
         ref = delta**1.5
-        return ReportRow(
-            cfg.experiment, cfg.regime, cfg.s, cfg.alpha, 0, delta,
+        return ReportRow(  # H^1 errors of the alpha = 1 flow, as _approx_error takes them
+            cfg.experiment, None, 1.0, 1.0, 0, delta,
             e_half, e_full, e_full / e_half if e_half else None,
             ref, e_full / ref, tail, None)
 
@@ -622,7 +623,7 @@ def run_periodization(cfg: PeriodizeConfig) -> InflationReport:
         for L, f_L in zip(cfg.sweep, fields):
             circle = torus.sobolev_norm(f_L, s, homogeneous=True)
             rows.append(ReportRow(
-                cfg.experiment, cfg.regime, s, cfg.alpha, 0, L,
+                cfg.experiment, None, s, None, 0, L,
                 circle, line_norm,
                 circle / line_norm if line_norm not in (0.0, math.inf) else None,
                 line_norm, abs(circle - line_norm), None, None))
@@ -698,7 +699,7 @@ def _gamma_point(cfg: GammaConfig, j: int) -> ReportRow:
     g = gamma_discrepancy(w, v, L, c_measured, C0, delta, cfg.alpha)
     # ratio column carries the raw discrepancy count for this experiment
     return ReportRow(
-        cfg.experiment, cfg.regime, cfg.s, cfg.alpha, j, delta,
+        cfg.experiment, None, None, cfg.alpha, j, delta,
         c_measured, C0, float(g.count), g.reference,
         g.count / g.reference if g.reference else None,
         None, float(g.complement_count))
@@ -714,14 +715,14 @@ def run_gamma(cfg: GammaConfig) -> InflationReport:
 # ---------------------------------------------------------------------------
 # feasibility
 
-def feasibility_scan(s: float, alpha: float, cfg: FeasibilityConfig) -> InflationReport:
+def feasibility_scan(cfg: FeasibilityConfig) -> InflationReport:
     """Log-grid scan of (R, A, T) at each N for the four requirements:
     (a) small data R*sqrt(A)*N^s, (b) contractive horizon T*R^2*A^2,
     (c) large first-order transfer T*R^3*A^2*f(A), (d) dispersion window
     T <= N^(-2*alpha).  A triple is feasible when every requirement holds
     with the stated margin; the row reports the feasible-triple count and
     the best point's exponents log_N R, log_N A, log_N T."""
-    P = cfg.grid_points
+    s, alpha, P = cfg.s, cfg.alpha, cfg.grid_points
     rows = []
     for N in cfg.sweep:
         N = float(N)
@@ -741,7 +742,7 @@ def feasibility_scan(s: float, alpha: float, cfg: FeasibilityConfig) -> Inflatio
         i, jj, kk = np.unravel_index(int(np.argmax(q)), q.shape)
         bR, bA, bT = float(R[i, 0, 0]), float(A[0, jj, 0]), float(T[0, 0, kk])
         rows.append(ReportRow(
-            cfg.experiment, cfg.regime, s, alpha, N, feasible,
+            cfg.experiment, None, s, alpha, N, feasible,
             math.log(bR) / logN, math.log(bA) / logN, math.log(bT) / logN,
             cfg.margin, best, None, None))
     return InflationReport(rows, _metadata(cfg))
@@ -749,7 +750,7 @@ def feasibility_scan(s: float, alpha: float, cfg: FeasibilityConfig) -> Inflatio
 
 def run_feasibility(cfg: FeasibilityConfig) -> InflationReport:
     """Parameter-space scan for the smallness/largeness conditions."""
-    return feasibility_scan(cfg.s, cfg.alpha, cfg)
+    return feasibility_scan(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -199,10 +199,17 @@ def enlarge_band(field: SpectralField, bandwidth: int) -> SpectralField:
     return SpectralField(field.period, c)
 
 
+def split_grid_size(bandwidth: int) -> int:
+    """Grid on which the cubic term of a band-M field is exact on the band:
+    next_fast_len(2 (2M + 1)).  |u|^2 u has band 3M; on G >= 4M + 1 points
+    its modes beyond M fold to |n| >= G - 3M > M (the cubic one-half rule)."""
+    return next_fast_len(2 * (2 * bandwidth + 1))
+
+
 def _cubic_coeffs(coeffs: np.ndarray, wick: bool = False) -> np.ndarray:
     """cubic_density on a raw band-order coefficient array."""
     m = (coeffs.size - 1) // 2
-    g = next_fast_len(6 * m + 1)
+    g = split_grid_size(m)
     u = ifft(_spectrum_of_band(coeffs, g), norm="forward", overwrite_x=True)
     u *= u.real**2 + u.imag**2
     cubic = _band_of_spectrum(fft(u, norm="forward", overwrite_x=True), m)
@@ -214,10 +221,10 @@ def _cubic_coeffs(coeffs: np.ndarray, wick: bool = False) -> np.ndarray:
 def cubic_density(field: SpectralField, wick: bool = False) -> SpectralField:
     """Coefficients of |u|^2 u, exactly, truncated back to the band.
 
-    The product of three band-M series is band-3M, so a grid of at least
-    6M+1 points dealiases it completely; the retained coefficients then
-    equal the triple convolution sum over n = n1 - n2 + n3.  The Wick
-    variant subtracts 2 * (mean of |u|^2) * u.
+    The product of three band-M series is band-3M; on the grid of
+    split_grid_size (at least 4M+1 points) its aliases all land outside the
+    band, so the retained coefficients equal the triple convolution sum
+    over n = n1 - n2 + n3.  The Wick variant subtracts 2 * (mean of |u|^2) * u.
     """
     return field.with_coeffs(_cubic_coeffs(field.coeffs, wick))
 

@@ -119,6 +119,21 @@ def test_ode_exact_tail_closes_the_mass_budget():
     assert abs(l2_norm(out.field) ** 2 + out.tail_mass - mass) <= 1e-12 * mass
 
 
+def test_ode_exact_samples_the_data_through_synthesize(monkeypatch):
+    # one synthesize call on the closed-form grid, so anything that wraps
+    # torus.synthesize sees the closed form's grid
+    grids = []
+
+    def spy(field, grid_size, _fn=nl.evolution.synthesize):
+        grids.append(grid_size)
+        return _fn(field, grid_size)
+
+    monkeypatch.setattr(nl.evolution, "synthesize", spy)
+    f = random_field(1.0, 8, seed=3, l2=0.3)
+    ode_exact_evolve(f, 1.0, out_bandwidth=40)
+    assert grids == [nl.evolution.ode_grid_size(8, 40)]
+
+
 def test_ode_exact_parameter_validation():
     f = random_field(1.0, 4, seed=4)
     with pytest.raises(ValueError):

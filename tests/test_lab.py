@@ -77,6 +77,11 @@ def small_report():
         (dict(experiment="inflate", methods=["ode", "split_step"]),
          r"unknown config key 'methods' in \[inflate\]"),
         (dict(sweep=(256.0,)), "config has no 'experiment' key"),
+        # regime, s and alpha belong only to the experiments that read them
+        (dict(experiment="approx", regime="crit_half"),
+         r"unknown config key 'regime' in \[approx\]"),
+        (dict(experiment="gamma", s=-0.5), r"unknown config key 's' in \[gamma\]"),
+        (dict(experiment="periodize", alpha=1.0), r"unknown config key 'alpha' in \[periodize\]"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):
@@ -88,7 +93,7 @@ def test_experiment_config_validation(kwargs, message):
 def test_feasibility_sweeps_the_N_values():
     cfg = FeasibilityConfig(grid_points=10)
     assert cfg.sweep == tuple(2.0**k for k in (16, 24, 32, 40, 48))
-    rows = feasibility_scan(cfg.s, cfg.alpha, cfg).rows
+    rows = feasibility_scan(cfg).rows
     assert [r.N_or_j for r in rows] == list(cfg.sweep)
 
 
@@ -104,21 +109,22 @@ def test_config_dict_round_trip():
 
 def test_each_config_class_owns_exactly_its_keys():
     own = {
-        "inflate": {"s", "theta", "dt_steps", "picard_budget", "surrogate_period"},
-        "approx": {"s", "dt_steps", "profile", "amplitude", "width", "eps", "time_horizon",
+        "inflate": {"regime", "alpha", "s", "theta", "dt_steps", "picard_budget",
+                    "surrogate_period"},
+        "approx": {"dt_steps", "profile", "amplitude", "width", "eps", "time_horizon",
                    "periods", "band_per_period"},
         "periodize": {"profile", "amplitude", "width", "eps", "s_list", "band_per_period"},
-        "gamma": {"s", "dt_steps", "amplitude", "eps", "time_horizon", "band_per_period",
+        "gamma": {"alpha", "dt_steps", "amplitude", "eps", "time_horizon", "band_per_period",
                   "c_fraction", "base_delta", "delta_decay"},
-        "feasibility": {"s", "grid_points", "margin"},
+        "feasibility": {"alpha", "s", "grid_points", "margin"},
     }
-    shared = {"regime", "alpha", "sweep", "output_path", "fmt", "seed", "threads"}
+    shared = {"sweep", "output_path", "fmt", "seed", "threads"}
     assert {f.name for f in dataclasses.fields(lab.ExperimentConfig)} == shared
     assert set(lab.CONFIGS) == set(own)
     for name, cls in lab.CONFIGS.items():
         assert cls.experiment == name
         assert {f.name for f in dataclasses.fields(cls)} == shared | own[name], name
-    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 67
+    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 59
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +362,7 @@ def test_run_inflation_small_sweep():
         assert abs(row.constant - row.norm_T / row.reference) <= 1e-12
         assert 0.0 <= row.tail_mass <= 1e-20
         assert row.method_disagreement is not None
+        assert (row.regime, row.s, row.alpha) == ("crit_half", -0.5, 1.0)
     per_n = rep.metadata["per_N"]
     assert set(per_n) == {"256", "512"}
     for n in ("256", "512"):
@@ -469,8 +476,9 @@ def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
     # split-step runs on the band 3 n_max, on that band's grid
     assert aux["split_grid_points"] == evolution.split_grid_size(3 * phi.bandwidth)
     T, eq = aux["T"], evolution.EquationSpec()
-    steps, estimate, u = lab._split_step_on_tolerance(phi, eq, T, N, cfg)
-    assert (steps, estimate) == (aux["split_steps"], aux["split_estimate"])
+    steps, estimate, grid, u = lab._split_step_on_tolerance(phi, eq, T, N, cfg)
+    assert (steps, estimate, grid) == (aux["split_steps"], aux["split_estimate"],
+                                       aux["split_grid_points"])
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
     scale = float(np.max(np.abs(phi.coeffs)))
 
@@ -491,6 +499,23 @@ def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
         n = steps // 2
         missed = float(np.max(np.abs(strang(n) - strang(n // 2)))) / (3.0 * scale)
         assert missed > lab.SPLIT_STEP_REL
+
+
+def test_reported_split_grid_is_the_grid_split_step_ran_on(tmp_path, monkeypatch):
+    bands = []
+
+    def spy(field, *args, _fn=evolution.split_step_evolve, **kwargs):
+        bands.append(field.bandwidth)
+        return _fn(field, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "split_step_evolve", spy)
+    out = tmp_path / "inflate.json"
+    ini = tmp_path / "inflate.ini"
+    ini.write_text("[inflate]\nsweep = 64\n", encoding="utf-8")
+    assert cli.main(["inflate", "--config", str(ini), "--out", str(out), "--format", "json"]) == 0
+    aux = json.loads(out.read_text(encoding="utf-8"))["metadata"]["per_N"]["64"]
+    assert len(bands) == 3 and len(set(bands)) == 1  # 25, 50 and 100 steps, one band
+    assert aux["split_grid_points"] == evolution.split_grid_size(bands[0])
 
 
 @pytest.mark.parametrize("patch,dt_steps,message", [
@@ -531,7 +556,8 @@ def test_run_approximation_report():
 
 def test_feasibility_scan_finds_nothing_at_the_obstructed_exponents():
     cfg = FeasibilityConfig()
-    rep = feasibility_scan(-0.25, 0.375, cfg)
+    assert (cfg.s, cfg.alpha) == (-0.25, 0.375)
+    rep = feasibility_scan(cfg)
     assert len(rep.rows) == 5
     best = [r.constant for r in rep.rows]
     assert [int(r.param) for r in rep.rows] == [0, 0, 0, 0, 0]
@@ -542,17 +568,36 @@ def test_feasibility_scan_finds_nothing_at_the_obstructed_exponents():
 
 
 def test_feasibility_scan_fills_up_at_lower_regularity():
-    cfg = FeasibilityConfig()
-    rep = feasibility_scan(-0.75, 0.375, cfg)
+    cfg = FeasibilityConfig(s=-0.75)
+    rep = feasibility_scan(cfg)
+    assert all((r.s, r.alpha) == (-0.75, 0.375) for r in rep.rows)
+    assert rep.metadata["config"]["s"] == -0.75
     assert [int(r.param) for r in rep.rows] == [10, 1093, 3026, 3464, 3468]
     assert all(r.constant >= cfg.margin for r in rep.rows)
     best = [r.constant for r in rep.rows]
     assert abs(best[-1] - 2738.99) <= 1e-4 * best[-1]
 
 
+def test_rows_state_the_regime_order_and_equation_they_used():
+    # regime only where a two-block schedule ran, s the order of the norm
+    # columns, alpha the order of the evolved equation; empty otherwise
+    cases = [
+        (ApproxConfig(sweep=(0.2,), periods=(32.0,), dt_steps=20), [(None, 1.0, 1.0)]),
+        (PeriodizeConfig(sweep=(8.0,), s_list=(-0.5, 1.0)),
+         [(None, -0.5, None), (None, 1.0, None)]),
+        (GammaConfig(sweep=(1.0,), alpha=0.75, dt_steps=20), [(None, None, 0.75)]),
+        (FeasibilityConfig(grid_points=5, s=-0.5, alpha=0.5), [(None, -0.5, 0.5)] * 5),
+    ]
+    for cfg, want in cases:
+        rep = run_experiment(cfg)
+        assert [(r.regime, r.s, r.alpha) for r in rep.rows] == want, cfg.experiment
+        cells = [line.split(",")[1:4] for line in report_to_csv(rep).splitlines()[1:]]
+        assert cells == [[lab._fmt_cell(v) for v in w] for w in want], cfg.experiment
+
+
 def test_run_experiment_dispatches():
     cfg = FeasibilityConfig(grid_points=10, s=-0.5, alpha=1.0)
-    direct = feasibility_scan(cfg.s, cfg.alpha, cfg)
+    direct = feasibility_scan(cfg)
     routed = run_experiment(cfg)
     assert routed.rows == direct.rows
 
@@ -564,7 +609,7 @@ def test_parse_config_value_types():
     assert cli.parse_config_value("inflate", "sweep", "1, 2 4") == (1.0, 2.0, 4.0)
     assert cli.parse_config_value("approx", "threads", "3") == 3
     assert cli.parse_config_value("inflate", "s", "-0.5") == -0.5
-    assert cli.parse_config_value("feasibility", "regime", " crit_half ") == "crit_half"
+    assert cli.parse_config_value("inflate", "regime", " crit_half ") == "crit_half"
     with pytest.raises(ValueError, match="cannot parse"):
         cli.parse_config_value("inflate", "threads", "many")
     with pytest.raises(ValueError, match="unknown config key"):
@@ -717,12 +762,14 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("feasibility", "seed = -5", "seed must fit in an unsigned 64-bit integer, got -5"),
         ("feasibility", "seed = 18446744073709551616",
          "seed must fit in an unsigned 64-bit integer, got 18446744073709551616"),
-        ("approx", "alpha = 0.5", "approx requires alpha = 1, got 0.5"),
+        ("approx", "alpha = 0.5", "unknown config key 'alpha' in [approx] of "),
         ("gamma", "fmt = xml", "fmt must be csv or json, got 'xml'"),
-        ("approx", "regime = bogus",
+        ("approx", "regime = crit_half", "unknown config key 'regime' in [approx] of "),
+        ("inflate", "regime = bogus",
          "unknown regime 'bogus'; expected one of crit_half, negative_s, frac_crit"),
         ("inflate", "regime = supercritical_scaling", "unknown regime 'supercritical_scaling'"),
-        ("periodize", "alpha = -3", "alpha must be > 0, got -3.0"),
+        ("periodize", "alpha = -3", "unknown config key 'alpha' in [periodize] of "),
+        ("gamma", "alpha = -3", "alpha must be > 0, got -3.0"),
         ("feasibility", "alpha = -3", "alpha must be > 0, got -3.0"),
         ("feasibility", "sweep = 65536.5", "feasibility sweep values must be integers, got 65536.5"),
         ("feasibility", "sweep = 2", "feasibility sweep values must be >= 4 (the A grid runs over "
@@ -736,6 +783,16 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("gamma", "profile = bump", "unknown config key 'profile' in [gamma] of "),
         ("feasibility", "N_list = 65536", "unknown config key 'N_list' in [feasibility] of "),
         ("inflate", "timing = true", "unknown config key 'timing' in [inflate] of "),
+        # keys retired from the experiments that only echoed them into rows
+        ("periodize", "regime = crit_half", "unknown config key 'regime' in [periodize] of "),
+        ("gamma", "regime = crit_half", "unknown config key 'regime' in [gamma] of "),
+        ("feasibility", "regime = crit_half", "unknown config key 'regime' in [feasibility] of "),
+        ("approx", "s = -0.5", "unknown config key 's' in [approx] of "),
+        ("gamma", "s = -0.5", "unknown config key 's' in [gamma] of "),
+        # zero data: approx's period spread would divide by zero, and gamma's
+        # zero plateau threshold would count mode 0 as a discrepancy
+        ("approx", "amplitude = 0", "amplitude must be nonzero, got 0.0"),
+        ("gamma", "amplitude = 0", "amplitude must be nonzero, got 0.0"),
         # refused before the data builder allocates its band (2N + A/2) L
         ("inflate", "sweep = 1000000000000",
          "two-block data at N=1000000000000 on period 1 needs band 2"),
