@@ -226,14 +226,23 @@ def interaction_picture(field: SpectralField, eq: EquationSpec, t: float) -> Spe
 
 
 def duhamel_kernel(phi: np.ndarray, t: float) -> np.ndarray:
-    """Integral over [0, t] of exp(-i phi t'), elementwise, exact at phi=0."""
+    """Integral over [0, t] of exp(-i phi t'), elementwise, exact at phi=0.
+
+    With z = phi t that is (1 - exp(-i z)) / (i phi) = (sin z - 2i sin^2(z/2)) / phi;
+    the half-angle form keeps 1 - cos z free of cancellation.  Below
+    |z| = 1e-4 it takes the Taylor series instead.
+    """
     phi = np.asarray(phi, dtype=float)
+    z = phi * t
     out = np.empty(phi.shape, dtype=complex)
-    small = np.abs(phi * t) < 1e-4
-    ps = phi[~small]
-    out[~small] = (1.0 - np.exp(-1j * ps * t)) / (1j * ps)
-    zs = phi[small] * t
-    out[small] = t * (1.0 - 0.5j * zs - zs**2 / 6.0 + 1j * zs**3 / 24.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # phi = 0 takes the series below
+        half = np.sin(0.5 * z)
+        np.divide(np.sin(z), phi, out=out.real)
+        np.divide(-2.0 * half * half, phi, out=out.imag)
+    small = np.abs(z) < 1e-4
+    if small.any():
+        zs = z[small]
+        out[small] = t * (1.0 - 0.5j * zs - zs**2 / 6.0 + 1j * zs**3 / 24.0)
     return out
 
 
@@ -277,14 +286,24 @@ def _support_arrays(field: SpectralField):
     return n[nz], field.coeffs[nz]
 
 
-# default order-1 triple budget: admits crit_half N = 128 (6.1e6 triples)
-# and frac_crit theta = 0.1 N = 256 (1.3e7), refuses crit_half N = 256
-# (4.9e7) and frac_crit N = 512 (8.3e7)
+# default order-1 budget, in the triples of picard_triples: admits crit_half
+# N = 128 (6.1e6 triples) and frac_crit theta = 0.1 N = 256 (1.3e7),
+# refuses crit_half N = 256 (4.9e7) and frac_crit N = 512 (8.3e7).  The
+# alpha != 1 pair sum visits every triple; the alpha = 1 sum runs once per
+# offset n1 - n2 (_order_one_factored) in at most |S|^3 kernel values.  On
+# a 2-CPU Xeon one call takes 0.02 / 0.05 / 0.17 s at crit_half N = 64 /
+# 128 / 256 and 0.04 / 0.10 s at frac_crit N = 128 / 256 (the pair sum:
+# 0.02 / 0.17 / 1.08 s and 0.04 / 0.29 s)
 PICARD_BUDGET = 25_000_000
 
-# pairs per vectorised block of the order-1 sum: bounds its temporaries
-# (about 0.5 MB per array) whatever the support size
+# pairs, or gathered kernel values, per vectorised block of the order-1
+# sums: bounds their temporaries (about 0.5 MB per array) whatever the
+# support size
 _PAIR_BLOCK = 32768
+
+# cost of one duhamel_kernel value in _order_one_factored, in multiply-adds
+# of np.convolve: measured 37-64 ns against 0.34-0.56 ns on a 2-CPU Xeon
+_KERNEL_COST = 100
 
 
 def _order_one_coeffs(
@@ -297,7 +316,9 @@ def _order_one_coeffs(
 ) -> np.ndarray:
     """i * sum over n = n1 - n2 + n3 of K(Phi) c1 conj(c2) c3, on the band
     |n| <= out_band, where pow_table[n + out_band] = |n|^(2 alpha) and
-    Phi = symbol_scale * (P[n] - P[n1] + P[n2] - P[n3]).
+    Phi = symbol_scale * (P[n] - P[n1] + P[n2] - P[n3]).  It serves
+    alpha != 1 only, where Phi does not factor; alpha = 1 takes
+    _order_one_factored.
 
     The summand is symmetric in n1 <-> n3, so each unordered pair n1 <= n3
     is taken once, with weight 2 off the diagonal, and every n2 in the
@@ -314,8 +335,7 @@ def _order_one_coeffs(
     # u |symbol_scale P[k] t| (u = 2^-53), at most 2e-13 on the inflate data
     # at N <= 256, so a triple's i K(Phi) = (1 - exp(-i Phi t)) / Phi errs
     # by at most about 4 u max|symbol_scale P t| / |Phi|.  Taking
-    # exp(-i Phi t) directly errs as much for alpha != 1, where the P[k]
-    # round; for alpha = 1 it errs by only u |Phi t|.
+    # exp(-i Phi t) directly errs as much, since the P[k] round.
     rot = np.exp(-1j * (symbol_scale * t) * pow_table)
     v13 = w13 * np.conj(rot[b1] * rot[b3])  # (1 - e) w13 = w13 - v13 rot[n] rot[n2]
     size = 2 * out_band + 1
@@ -337,6 +357,64 @@ def _order_one_coeffs(
     return acc
 
 
+def _order_one_factored(
+    n_sup: np.ndarray, c_sup: np.ndarray, out_band: int, symbol_scale: float, t: float
+) -> np.ndarray:
+    """The order-1 sum of _order_one_coeffs for alpha = 1, where the
+    resonance factors: Phi = symbol_scale * 2 a d with a = n1 - n2 and
+    d = n3 - n2.  So for each offset a in S - S, with X_a[n2] =
+    c[n2 + a] conj(c[n2]) on I_a = {n2 in S : n2 + a in S}, the sum is one
+    Toeplitz product
+
+        acc[n3 + a] += c[n3] * sum over n2 of X_a[n2] K(symbol_scale 2 a (n3 - n2)),
+
+    with K evaluated by duhamel_kernel from the exact integer a d.  Each
+    offset takes whichever exact evaluation costs less, a kernel value
+    counting as _KERNEL_COST multiply-adds:
+    - np.convolve of X_a over its run (min I_a .. max I_a) with the kernel
+      on the run + W - 1 differences, W the span of S: run * W multiply-adds;
+    - the kernel gathered at the |I_a| |S| differences S - I_a, times X_a.
+    The sum of |I_a| over the offsets is |S|^2, so the kernel values stay
+    within |S|^3, twice the triples the budget counts, and the
+    multiply-adds within _KERNEL_COST |S|^3.
+    """
+    k = n_sup.size
+    lo_s, hi_s = int(n_sup[0]), int(n_sup[-1])  # the support is sorted
+    window = hi_s - lo_s + 1
+    scale = 2.0 * symbol_scale
+    # the ordered pairs i1 * |S| + i2 grouped by offset; within a group i2 ascends
+    diff = np.subtract.outer(n_sup, n_sup).ravel()
+    order = np.argsort(diff, kind="stable")
+    diff = diff[order]
+    starts = np.concatenate(([0], np.flatnonzero(diff[1:] != diff[:-1]) + 1))
+    ends = np.append(starts[1:], diff.size)
+    rows = max(1, _PAIR_BLOCK // k)  # gathered rows per block: bounds the temporaries
+    acc = np.zeros(2 * out_band + 1, dtype=complex)
+    for a, lo, hi in zip(diff[starts].tolist(), starts, ends):
+        i1, i2 = np.divmod(order[lo:hi], k)
+        x = c_sup[i1] * np.conj(c_sup[i2])
+        n2 = n_sup[i2]
+        run = int(n2[-1]) - int(n2[0]) + 1
+        if run * window + _KERNEL_COST * (run + window - 1) <= _KERNEL_COST * n2.size * k:
+            dense = np.zeros(run, dtype=complex)
+            dense[n2 - n2[0]] = x
+            d = np.arange(lo_s - int(n2[-1]), hi_s - int(n2[0]) + 1)
+            y = np.convolve(duhamel_kernel(scale * (a * d), t), dense, "valid")[n_sup - lo_s]
+        else:
+            y = sum(np.matmul(x[j : j + rows],
+                              duhamel_kernel(scale * (a * (n_sup - n2[j : j + rows, None])), t))
+                    for j in range(0, n2.size, rows))
+        acc[n_sup + (a + out_band)] += c_sup * y
+    return 1j * acc
+
+
+def picard_triples(phi: SpectralField) -> int:
+    """The |S|^2 (|S| + 1) / 2 coefficient triples of the order-1 sum, S
+    the support of phi: what picard_expansion checks against its budget."""
+    k = int(np.count_nonzero(phi.coeffs))
+    return k * k * (k + 1) // 2
+
+
 def picard_expansion(
     phi: SpectralField, eq: EquationSpec, t: float, budget: int = PICARD_BUDGET
 ) -> SpectralField:
@@ -344,9 +422,11 @@ def picard_expansion(
     phi + i sum over the resonance set n = n1 - n2 + n3 of the closed-form
     time integral of exp(-i Phi t') times the coefficient triple product.
 
-    The |S|^2 (|S| + 1) / 2 triples the summation visits (S the support)
-    are checked against ``budget`` before any O(|S|^2) work; over budget
-    it refuses with a size report.  The output band is 3 max|n| over the
+    The |S|^2 (|S| + 1) / 2 triples of picard_triples (S the support) are
+    checked against ``budget`` before any O(|S|^2) work; over budget it
+    refuses with a size report.  For alpha = 1 the sum runs once per offset
+    n1 - n2 (_order_one_factored), for other alpha once per triple
+    (_order_one_coeffs).  The output band is 3 max|n| over the
     support, or phi's own band if that is wider.  The sum has no Wick
     form, so it refuses a Wick equation.
     """
@@ -358,10 +438,10 @@ def picard_expansion(
     n_sup, c_sup = _support_arrays(phi)
     if n_sup.size == 0:
         return phi
-    work = n_sup.size ** 2 * (n_sup.size + 1) // 2
+    work = picard_triples(phi)
     if work > budget:
         raise BudgetExceededError(
-            f"order-1 triple summation needs {work} kernel evaluations (budget {budget})",
+            f"order-1 sum over {work} coefficient triples exceeds the budget {budget}",
             required=work,
             budget=budget,
         )
@@ -369,6 +449,9 @@ def picard_expansion(
     out_band = max(3 * int(np.max(np.abs(n_sup))), phi.bandwidth)
     a2 = 2.0 * eq.alpha
     symbol_scale = eq.dispersion_sign * eq.dispersion_coeff * (2.0 * np.pi / phi.period) ** a2
-    pow_table = np.abs(np.arange(-out_band, out_band + 1, dtype=float)) ** a2
-    first = _order_one_coeffs(n_sup, c_sup, pow_table, out_band, symbol_scale, t)
+    if eq.alpha == 1.0:
+        first = _order_one_factored(n_sup, c_sup, out_band, symbol_scale, t)
+    else:
+        pow_table = np.abs(np.arange(-out_band, out_band + 1, dtype=float)) ** a2
+        first = _order_one_coeffs(n_sup, c_sup, pow_table, out_band, symbol_scale, t)
     return SpectralField(phi.period, enlarge_band(phi, out_band).coeffs + first)

@@ -70,6 +70,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            if value is None:  # an unset optional key
+                continue
             items = value if isinstance(value, tuple) else (value,)
             bad = [v for v in items if isinstance(v, float) and not math.isfinite(v)]
             if bad:
@@ -86,6 +88,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"fmt must be csv or json, got {self.fmt!r}")
+
+    def unread_keys(self) -> set[str]:
+        """Fields this config's run never reads; the report echo leaves them out."""
+        return set()
 
     def _require_integer_sweep(self):
         bad = [v for v in self.sweep if not float(v).is_integer()]
@@ -104,18 +110,30 @@ class InflateConfig(ExperimentConfig):
     # the largest split-step count the step doubling may reach
     dt_steps: int = 200
     picard_budget: int = evo.PICARD_BUDGET
-    surrogate_period: float = 32.0
+    # unset outside negative_s, which takes 32 when it is unset
+    surrogate_period: float | None = None
+    # keys that one regime alone reads; the others refuse them
+    _regime_keys = {"theta": "frac_crit", "surrogate_period": "negative_s"}
 
     def __post_init__(self):
-        super().__post_init__()
         if self.regime not in cons.REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; expected one of "
                              f"{', '.join(cons.REGIMES)}")
+        for key in self.unread_keys():
+            if getattr(self, key) is not None:
+                raise ValueError(f"{key} is read only by the {self._regime_keys[key]} regime, "
+                                 f"not by {self.regime}")
+        if self.regime == "negative_s" and self.surrogate_period is None:
+            object.__setattr__(self, "surrogate_period", 32.0)
+        super().__post_init__()
         self._require_integer_sweep()
         # sweeps are increasing, so sweep[0] is the smallest value
         if self.sweep[0] < cons.MIN_BLOCK_N:
             raise ValueError(f"inflate sweep values must be >= {cons.MIN_BLOCK_N} (the smallest N "
                              f"of the two-block schedules), got {self.sweep[0]!r}")
+
+    def unread_keys(self) -> set[str]:
+        return {key for key, regime in self._regime_keys.items() if regime != self.regime}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -149,6 +167,11 @@ class PeriodizeConfig(ExperimentConfig):
     eps: float = 0.1
     s_list: tuple[float, ...] = (-1.0, -0.5, 0.0, 1.0)
     band_per_period: float = 32.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.amplitude == 0.0:  # zero data: every row would be zeros
+            raise ValueError(f"amplitude must be nonzero, got {self.amplitude!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -276,8 +299,10 @@ def emit_report(report: InflationReport, fmt: str, path: str) -> str:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """The experiment's name and its field values by name, with tuple
-    fields as lists (JSON arrays)."""
-    d = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
+    fields as lists (JSON arrays); fields the run never reads are left out."""
+    unread = cfg.unread_keys()
+    d = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()
+         if k not in unread}
     return {"experiment": cfg.experiment, **d}
 
 
@@ -420,7 +445,8 @@ def _inflate_point(cfg: InflateConfig, N: int) -> tuple[ReportRow, dict]:
     if on_circle:
         steps, estimate, grid, u = _split_step_on_tolerance(phi, eq, T, N, cfg)
         results["split_step"] = evo.interaction_picture(u, eq, T)
-        aux.update(split_steps=steps, split_estimate=estimate, split_grid_points=grid)
+        aux.update(split_steps=steps, split_estimate=estimate, split_grid_points=grid,
+                   picard_triples=evo.picard_triples(phi))
         try:
             results["picard"] = evo.picard_expansion(phi, eq, T, budget=cfg.picard_budget)
         except torus.BudgetExceededError:

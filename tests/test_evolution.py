@@ -665,6 +665,7 @@ def _picard_reference(phi, t, alpha, dispersion_coeff, dispersion_sign):
 
 def test_picard_pair_sum_matches_brute_force():
     seen = set()
+    alphas = set()
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(_supports(), st.integers(0, 2**32 - 1),
@@ -680,12 +681,15 @@ def test_picard_pair_sum_matches_brute_force():
         got = picard_expansion(phi, EquationSpec(alpha, coeff, sign), t)
         want, tol, branches = _picard_reference(phi, t, alpha, coeff, sign)
         seen.update(k for k, hit in zip(("series", "closed form"), branches) if hit)
+        alphas.add("factored" if alpha == 1.0 else "pair sum")
         assert got.coeffs.shape == want.shape
         assert np.all(np.abs(got.coeffs - want) <= tol)
 
     matches()
-    # the draws reach both sides of the |Phi t| < 1e-4 branch
+    # the draws reach both sides of the |Phi t| < 1e-4 branch, and both the
+    # factored alpha = 1 sum and the pair sum of alpha != 1
     assert seen == {"series", "closed form"}
+    assert alphas == {"factored", "pair sum"}
 
     # the inflate data: crit_half two-block data at N = 64 and its T_N
     sched = nl.regime_parameters("crit_half", 64, -0.5)
@@ -694,6 +698,86 @@ def test_picard_pair_sum_matches_brute_force():
     want, _, _ = _picard_reference(phi, t, 1.0, 1.0, 1)
     first = want - nl.enlarge_band(phi, got.bandwidth).coeffs
     assert np.max(np.abs(got.coeffs - want)) <= 1e-12 * np.max(np.abs(first))
+
+
+def _order_one_by_pairs(phi, t):
+    """The alpha = 1 order-1 sum through the pair sum of alpha != 1."""
+    n, c = nl.evolution._support_arrays(phi)
+    ob = max(3 * int(np.max(np.abs(n))), phi.bandwidth)
+    powers = np.arange(-ob, ob + 1, dtype=float) ** 2
+    return nl.evolution._order_one_coeffs(n, c, powers, ob, (2.0 * np.pi / phi.period) ** 2, t)
+
+
+def test_picard_alpha_one_sums_offsets_not_triples(monkeypatch):
+    cases = [nl.regime_parameters("crit_half", 64, -0.5), nl.regime_parameters("crit_half", 128, -0.5),
+             nl.regime_parameters("frac_crit", 128, -1.0, 0.1)]
+    want = [_order_one_by_pairs(nl.build_two_block_data(sched), sched.T_N) for sched in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("alpha = 1 took the pair sum")
+
+    monkeypatch.setattr(nl.evolution, "_order_one_coeffs", forbidden)
+    for sched, first in zip(cases, want):
+        phi = nl.build_two_block_data(sched)
+        got = picard_expansion(phi, EquationSpec(), sched.T_N)
+        got_first = got.coeffs - nl.enlarge_band(phi, got.bandwidth).coeffs
+        assert got_first.shape == first.shape
+        assert np.max(np.abs(got_first - first)) <= 1e-13 * np.max(np.abs(first)), sched
+
+
+def _support_field(modes, seed, period=1.0):
+    band = max(1, max(abs(m) for m in modes))
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(2 * band + 1, dtype=complex)
+    coeffs[np.array(modes) + band] = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    return SpectralField(period, coeffs)
+
+
+def test_picard_sparse_wide_supports_match_brute_force():
+    # far beyond the band 40 of the drawn supports; every offset of these
+    # takes the gathered kernel, whose cost does not grow with the span
+    supports = ([-1500, -1497, -3, 0, 2, 1499],
+                list(range(4090, 4100)) + list(range(8185, 8195)))
+    for modes in supports:
+        for seed, (coeff, sign, t) in enumerate(((1.0, 1, 1e-7), (1.0, -1, 1e-3),
+                                                 (1e-3, 1, 0.3), (0.0, 1, 0.3))):
+            phi = _support_field(modes, seed)
+            got = picard_expansion(phi, EquationSpec(1.0, coeff, sign), t)
+            want, tol, _ = _picard_reference(phi, t, 1.0, coeff, sign)
+            assert got.coeffs.shape == want.shape
+            assert np.all(np.abs(got.coeffs - want) <= tol), (modes[0], coeff, sign, t)
+
+
+def test_picard_work_on_distant_modes_stays_within_the_triple_count(monkeypatch):
+    # two modes at +-262 000: a convolution over the span of the support
+    # would take about 10^11 multiply-adds for the budget's 6 triples
+    phi = _support_field([-262_000, 262_000], seed=3)
+    triples = nl.evolution.picard_triples(phi)
+    assert triples == 6
+    work = {"multiply-adds": 0, "kernel values": 0}
+
+    def counted(fn, key, size):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            work[key] += size(args, out)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(np, "convolve", counted(np.convolve, "multiply-adds",
+                                                lambda args, out: out.size * np.size(args[1])))
+    monkeypatch.setattr(np, "matmul", counted(np.matmul, "multiply-adds",
+                                              lambda args, out: np.size(args[1])))
+    monkeypatch.setattr(nl.evolution, "duhamel_kernel",
+                        counted(duhamel_kernel, "kernel values", lambda args, out: out.size))
+    t = 1e-3
+    got = picard_expansion(phi, EquationSpec(), t)
+    # the bounds of _order_one_factored: |S|^3 kernel values, and at most
+    # _KERNEL_COST times as many multiply-adds
+    assert 0 < work["kernel values"] <= 2 * triples
+    assert 0 < work["multiply-adds"] <= 2 * nl.evolution._KERNEL_COST * triples
+    monkeypatch.undo()
+    want, tol, _ = _picard_reference(phi, t, 1.0, 1.0, 1)
+    assert np.all(np.abs(got.coeffs - want) <= tol)
 
 
 def test_picard_on_padded_fields_matches_the_unpadded_field():

@@ -107,6 +107,20 @@ def test_config_dict_round_trip():
         assert config_from_dict(config_to_dict(cls())) == cls()
 
 
+def test_inflate_echoes_only_the_keys_its_regime_reads():
+    for regime, params, echoed in (("crit_half", dict(s=-0.5), set()),
+                                   ("frac_crit", dict(s=-1.0, theta=0.1), {"theta"}),
+                                   ("negative_s", dict(s=-0.25), {"surrogate_period"})):
+        cfg = InflateConfig(regime=regime, **params)
+        d = config_to_dict(cfg)
+        assert {"theta", "surrogate_period"} & set(d) == echoed, regime
+        assert config_from_dict(d) == cfg
+    # negative_s without the key runs on the circle of circumference 32
+    unset = InflateConfig(regime="negative_s", s=-0.25)
+    assert unset == InflateConfig(regime="negative_s", s=-0.25, surrogate_period=32.0)
+    assert config_to_dict(unset)["surrogate_period"] == 32.0
+
+
 def test_each_config_class_owns_exactly_its_keys():
     own = {
         "inflate": {"regime", "alpha", "s", "theta", "dt_steps", "picard_budget",
@@ -365,9 +379,13 @@ def test_run_inflation_small_sweep():
         assert (row.regime, row.s, row.alpha) == ("crit_half", -0.5, 1.0)
     per_n = rep.metadata["per_N"]
     assert set(per_n) == {"256", "512"}
+    assert per_n["256"]["picard_triples"] == 462 * 462 * 463 // 2  # |S|^2 (|S| + 1) / 2
     for n in ("256", "512"):
         aux = per_n[n]
         assert aux["skipped"] == ["picard"]  # first-order budget exceeded
+        support = np.count_nonzero(build_two_block_data(regime_parameters("crit_half", int(n),
+                                                                          -0.5)).coeffs)
+        assert aux["picard_triples"] == support**2 * (support + 1) // 2 > cfg.picard_budget
         assert 0.0 < aux["T"] < 1e-4
         assert 0.0 < aux["projected_norm"] <= rows[int(n == "512")].norm_T
 
@@ -377,7 +395,10 @@ def test_run_inflation_methods_agree_within_budget():
     # so all three methods run and cross-check one another
     cfg = InflateConfig(regime="crit_half", s=-0.5, sweep=(64.0,))
     rep = run_inflation(cfg)
-    assert rep.metadata["per_N"]["64"]["skipped"] == []
+    aux = rep.metadata["per_N"]["64"]
+    assert aux["skipped"] == []
+    support = np.count_nonzero(build_two_block_data(regime_parameters("crit_half", 64, -0.5)).coeffs)
+    assert aux["picard_triples"] == support**2 * (support + 1) // 2 <= cfg.picard_budget
     assert rep.rows[0].method_disagreement is not None
     assert rep.rows[0].ratio > 1.0
 
@@ -407,7 +428,7 @@ def test_negative_s_runs_the_closed_form_alone():
     rep = run_inflation(cfg)
     aux = rep.metadata["per_N"]["256"]
     assert aux["skipped"] == ["picard", "split_step"]
-    assert "split_steps" not in aux and "split_grid_points" not in aux
+    assert not {"split_steps", "split_grid_points", "picard_triples"} & set(aux)
     assert rep.rows[0].method_disagreement is None
     assert rep.rows[0].ratio > 1.0
 
@@ -670,9 +691,12 @@ BENCHMARK_CONFIGS = sorted((pathlib.Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("path", BENCHMARK_CONFIGS, ids=lambda p: p.name)
 def test_benchmark_configs_load_as_inflate_configs(path):
-    # every key a benchmark config sets must stay an inflate key
-    cfg = InflateConfig(**cli.load_config_file(str(path), "inflate"))
+    # every key a benchmark config sets must stay an inflate key that its
+    # regime reads: a key the regime ignores is refused, and left out of the echo
+    keys = cli.load_config_file(str(path), "inflate")
+    cfg = InflateConfig(**keys)
     assert isinstance(cfg, InflateConfig)
+    assert set(keys) <= set(config_to_dict(cfg))
 
 
 def test_build_config_layers_defaults_file_and_flags(tmp_path):
@@ -751,7 +775,15 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("inflate", "picard_budget = -1", "picard_budget must be >= 0"),
         ("inflate", "regime = negative_s\nsurrogate_period = 0.5",
          "surrogate_period must be >= 1, got 0.5"),
-        ("inflate", "surrogate_period = 0.5", "surrogate_period must be >= 1, got 0.5"),
+        # a key that one regime alone reads is refused in the others, before
+        # its own range check (the range is checked under negative_s above)
+        ("inflate", "surrogate_period = 0.5",
+         "surrogate_period is read only by the negative_s regime, not by crit_half"),
+        ("inflate", "regime = frac_crit\ns = -1\ntheta = 0.1\nsurrogate_period = 32",
+         "surrogate_period is read only by the negative_s regime, not by frac_crit"),
+        ("inflate", "theta = 0.1", "theta is read only by the frac_crit regime, not by crit_half"),
+        ("inflate", "regime = negative_s\ns = -0.25\ntheta = 0.1",
+         "theta is read only by the frac_crit regime, not by negative_s"),
         ("inflate", "s = nan", "s must be finite, got nan"),
         ("gamma", "base_delta = 0", "base_delta must be > 0, got 0.0"),
         ("gamma", "delta_decay = 0", "delta_decay must be > 0, got 0.0"),
@@ -789,10 +821,12 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("feasibility", "regime = crit_half", "unknown config key 'regime' in [feasibility] of "),
         ("approx", "s = -0.5", "unknown config key 's' in [approx] of "),
         ("gamma", "s = -0.5", "unknown config key 's' in [gamma] of "),
-        # zero data: approx's period spread would divide by zero, and gamma's
-        # zero plateau threshold would count mode 0 as a discrepancy
+        # zero data: approx's period spread would divide by zero, gamma's
+        # zero plateau threshold would count mode 0 as a discrepancy, and
+        # periodize would write rows of zeros
         ("approx", "amplitude = 0", "amplitude must be nonzero, got 0.0"),
         ("gamma", "amplitude = 0", "amplitude must be nonzero, got 0.0"),
+        ("periodize", "amplitude = 0", "amplitude must be nonzero, got 0.0"),
         # refused before the data builder allocates its band (2N + A/2) L
         ("inflate", "sweep = 1000000000000",
          "two-block data at N=1000000000000 on period 1 needs band 2"),
