@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .torus import (
     BudgetExceededError,
     SpectralField,
     analyze,
+    next_fast_len,
     project_below,
     sobolev_norm,
     synthesize,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from .torus import (
     BudgetExceededError,
@@ -25,7 +24,10 @@ from .torus import (
     _cubic_coeffs,
     _spectrum_of_band,
     enlarge_band,
+    fft,
+    ifft,
     mean_and_l2,
+    next_fast_len,
     split_grid_size,
     synthesize,
 )
@@ -132,7 +134,7 @@ def ode_exact_evolve(
         for lo in range(0, g, chunk):
             part = u[lo : lo + chunk]
             _rotate_in_place(part, t, shift, theta[: part.size], phase[: part.size])
-        spec = fft(u, norm="forward", overwrite_x=True)
+        spec = fft(u, norm="forward", out=u)
         out = SpectralField(field.period, _band_of_spectrum(spec, m_out))
         # bins m_out+1 .. g-m_out-1 are exactly the modes outside |n| <= m_out
         dropped = spec[m_out + 1 : g - m_out]
@@ -171,9 +173,9 @@ def split_step_evolve(
             lo *= half_lo
             hi *= half_hi
             shift = 2.0 * (np.vdot(lo, lo).real + np.vdot(hi, hi).real) if eq.wick else 0.0
-            u = ifft(spec, norm="forward", overwrite_x=True)
+            u = ifft(spec, norm="forward", out=spec)
             _rotate_in_place(u, dt, shift, theta, phase)
-            spec = fft(u, norm="forward", overwrite_x=True)
+            spec = fft(u, norm="forward", out=u)
             spec[m + 1 : g - m] = 0.0
             lo, hi = spec[: m + 1], spec[g - m :]
             lo *= half_lo

@@ -153,6 +153,9 @@ class ApproxConfig(ExperimentConfig):
         super().__post_init__()
         if not self.sweep[0] > 0.0:
             raise ValueError(f"approx sweep values must be > 0, got {self.sweep[0]!r}")
+        if not self.sweep[0] ** 1.5 > 0.0:  # the reference delta^1.5 divides the error
+            raise ValueError(f"approx sweep value {self.sweep[0]!r} is too small: its reference "
+                             f"delta^1.5 underflows to 0")
         if self.amplitude == 0.0:  # zero data: the period spread divides by zero errors
             raise ValueError(f"amplitude must be nonzero, got {self.amplitude!r}")
 

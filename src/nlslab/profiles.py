@@ -89,21 +89,37 @@ def _panel_rule(edges, n: int):
     return (mid + half * t).reshape(shape), (half * w).reshape(shape)
 
 
+# transform points times quadrature nodes per block of mollifier_transform
+# and CompactProfile._base_transform: bounds their points x nodes
+# temporaries (16 MB of floats) whatever the number of points.  The
+# largest call of the CLI defaults, periodize's 4097 points at 400 nodes,
+# fits one block
+_TRANSFORM_BLOCK = 1 << 21
+
+
+def _row_blocks(points: int, nodes: int):
+    """Slices of consecutive points, _TRANSFORM_BLOCK // nodes at a time."""
+    rows = max(1, _TRANSFORM_BLOCK // nodes)
+    return [slice(lo, lo + rows) for lo in range(0, points, rows)]
+
+
 def mollifier_transform(zeta):
     """Transform of the unit bump: integral of eta(y) exp(-2 pi i zeta y) dy.
 
     Real and even in zeta.  Gauss-Legendre with enough nodes for the
     oscillation; accuracy degrades only where the value is below 1e-25.
     """
-    z = np.atleast_1d(np.asarray(zeta, dtype=float))
+    z = np.ravel(np.asarray(zeta, dtype=float))
     nodes, weights, bump = _gauss_rule(400 if np.max(np.abs(z)) <= 25.0 else 2000)
     wf = weights * bump
-    # periodize passes thousands of z at once, so the z x nodes array runs
-    # to megabytes: update one in place rather than allocate three, which
-    # the allocator would map and page in afresh on every call
-    arg = np.outer(z, nodes)
-    arg *= 2.0 * np.pi
-    vals = np.cos(arg, out=arg) @ wf
+    vals = np.empty(z.size)
+    # periodize passes thousands of z at once, so a block's z x nodes array
+    # runs to megabytes: update one in place rather than allocate three,
+    # which the allocator would map and page in afresh on every call
+    for blk in _row_blocks(z.size, nodes.size):
+        arg = np.outer(z[blk], nodes)
+        arg *= 2.0 * np.pi
+        vals[blk] = np.cos(arg, out=arg) @ wf
     return vals if np.ndim(zeta) else float(vals[0])
 
 
@@ -231,8 +247,11 @@ class CompactProfile:
         # saved in pieces alongside the derived polynomial
         p0 = np.asarray(self.pieces[0] if self.pieces else (1.0,))
         x, w = _panel_rule((-1.0, 1.0), 2000 if np.max(np.abs(xi_arr)) > 25.0 else 400)
-        ph = np.exp(-2j * np.pi * np.outer(xi_arr, x))
-        return ph @ (w * _raw_bump(x) * npoly.polyval(x, p0))
+        wf = w * _raw_bump(x) * npoly.polyval(x, p0)
+        out = np.empty(xi_arr.size, dtype=complex)
+        for blk in _row_blocks(xi_arr.size, x.size):
+            out[blk] = np.exp(-2j * np.pi * np.outer(xi_arr[blk], x)) @ wf
+        return out
 
     # -- integrals ----------------------------------------------------------
 

@@ -12,10 +12,11 @@ Sample grids are centered: x_j = j*L/G - L/2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, ifft  # the package's one FFT provider; others import from here
 
 
 class BudgetExceededError(RuntimeError):
@@ -125,7 +126,8 @@ def synthesize(field: SpectralField, grid_size: int) -> np.ndarray:
     g = int(grid_size)
     if g < 2 * m + 1:
         raise ValueError(f"grid_size {g} < 2M+1 = {2 * m + 1} would alias")
-    return ifft(_spectrum_of_band(field.coeffs, g), norm="forward", overwrite_x=True)
+    spec = _spectrum_of_band(field.coeffs, g)
+    return ifft(spec, norm="forward", out=spec)
 
 
 def analyze(samples: np.ndarray, L: float, bandwidth: int | None = None) -> SpectralField:
@@ -199,6 +201,23 @@ def enlarge_band(field: SpectralField, bandwidth: int) -> SpectralField:
     return SpectralField(field.period, c)
 
 
+@functools.cache
+def next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer 2^a 3^b 5^c 7^d 11^e >= target: a length
+    the pocketfft of numpy.fft transforms fast, and the value of
+    scipy.fft.next_fast_len for complex input.  Each odd 11-smooth q below
+    the next power of two is doubled up to the target; the least wins."""
+    n = int(target)
+    best = 1 << (n - 1).bit_length()
+    odd = {1}
+    for p in (3, 5, 7, 11):
+        for q in list(odd):
+            while q * p < best:
+                q *= p
+                odd.add(q)
+    return min(q << (-(-n // q) - 1).bit_length() for q in odd)
+
+
 def split_grid_size(bandwidth: int) -> int:
     """Grid on which the cubic term of a band-M field is exact on the band:
     next_fast_len(2 (2M + 1)).  |u|^2 u has band 3M; on G >= 4M + 1 points
@@ -210,9 +229,10 @@ def _cubic_coeffs(coeffs: np.ndarray, wick: bool = False) -> np.ndarray:
     """cubic_density on a raw band-order coefficient array."""
     m = (coeffs.size - 1) // 2
     g = split_grid_size(m)
-    u = ifft(_spectrum_of_band(coeffs, g), norm="forward", overwrite_x=True)
+    u = _spectrum_of_band(coeffs, g)
+    ifft(u, norm="forward", out=u)
     u *= u.real**2 + u.imag**2
-    cubic = _band_of_spectrum(fft(u, norm="forward", overwrite_x=True), m)
+    cubic = _band_of_spectrum(fft(u, norm="forward", out=u), m)
     if wick:
         cubic -= 2.0 * np.vdot(coeffs, coeffs).real * coeffs
     return cubic
@@ -229,16 +249,30 @@ def cubic_density(field: SpectralField, wick: bool = False) -> SpectralField:
     return field.with_coeffs(_cubic_coeffs(field.coeffs, wick))
 
 
+# largest band periodize samples: bounds its arrays of 2M + 1 points, while
+# the profile transforms bound their points x nodes quadrature in blocks.
+# At the limit, under ulimit -v 4 GB on a 2-CPU Xeon, the periodize
+# experiment at L = 16384 peaks at 138 MB in 9 s (400 nodes), and at 138
+# to 145 MB in 44 to 109 s where it takes 2000 nodes (mollified eps = 0.5
+# at 64 modes per period, derivative profile); approx at L = 65536 peaks
+# at 514 MB, its closed form on 8.4 million grid points
+MAX_PERIODIZE_BAND = 2**19
+
+
 def periodize(profile, L: float, bandwidth: int) -> SpectralField:
     """Wrap a compactly supported line profile onto the circle.
 
     Coefficients are samples of the line Fourier transform on the lattice,
     scaled by 1/L.  Requires L >= 2 * support radius so the wrapped
-    function agrees with the original on the fundamental domain.
+    function agrees with the original on the fundamental domain, and
+    refuses a band above MAX_PERIODIZE_BAND before allocating it.
     """
     K = float(profile.support_radius)
     if L < 2.0 * K:
         raise ValueError(f"period {L} < 2K = {2 * K}: periodization overlaps itself")
+    if bandwidth > MAX_PERIODIZE_BAND:
+        raise ValueError(f"periodization on period {L:g} needs band {bandwidth}, above the "
+                         f"limit {MAX_PERIODIZE_BAND}")
     n = np.arange(-bandwidth, bandwidth + 1)
     vals = profile.fourier_transform(n / L) / L
     return SpectralField(L, vals)

@@ -830,6 +830,17 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         # refused before the data builder allocates its band (2N + A/2) L
         ("inflate", "sweep = 1000000000000",
          "two-block data at N=1000000000000 on period 1 needs band 2"),
+        # refused before periodize allocates its band: unchecked, numpy
+        # asked for 127 GiB, 116 TiB and 477 GiB for the mode numbers alone
+        ("gamma", "sweep = 40", "periodization on period 2.12474e+09 needs band 8498967704, "
+                                "above the limit 524288"),
+        ("approx", "periods = 1e12", "periodization on period 1e+12 needs band 8000000000000, "
+                                     "above the limit 524288"),
+        ("periodize", "sweep = 1e9", "periodization on period 1e+09 needs band 32000000000, "
+                                     "above the limit 524288"),
+        # the reference delta^1.5 would be 0 and divide the error by zero
+        ("approx", "sweep = 1e-300", "approx sweep value 1e-300 is too small: its reference "
+                                     "delta^1.5 underflows to 0"),
     ],
 )
 def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):

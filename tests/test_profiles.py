@@ -186,6 +186,24 @@ def test_mollifier_cdf_and_transform():
     assert abs(mollifier_transform(5.0)) < 1.0
 
 
+@pytest.mark.parametrize("zmax", [20.0, 40.0])  # 400 and 2000 nodes
+def test_transforms_run_in_blocks_of_points(monkeypatch, zmax):
+    # points x nodes in blocks of _TRANSFORM_BLOCK: with the block cut to
+    # 3 or 7 points, every point still gets its own value, to within the
+    # roundoff of a matrix-vector product
+    z = np.linspace(-zmax, zmax, 1001)
+    deriv = appendix_profile("derivative", kappa=1)
+    whole = mollifier_transform(z), deriv.fourier_transform(z)
+    n = 400 if zmax <= 25.0 else 2000
+    for rows in (3, 7):
+        monkeypatch.setattr(nlslab.profiles, "_TRANSFORM_BLOCK", rows * n)
+        assert nlslab.profiles._row_blocks(z.size, n)[1] == slice(rows, 2 * rows)
+        blocked = mollifier_transform(z), deriv.fourier_transform(z)
+        for got, want in zip(blocked, whole):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_bump_mass_is_its_closed_form():
     want = math.exp(-0.5) * (scipy.special.k1(0.5) - scipy.special.k0(0.5))
     assert abs(nlslab.profiles.BUMP_MASS - want) <= 2.0 * math.ulp(want)
@@ -242,25 +260,27 @@ built = []
 leggauss = legendre.leggauss
 legendre.leggauss = lambda n: built.append(n) or leggauss(n)
 import nlslab
-print(max(built, default=0), "scipy.signal" in sys.modules,
-      nlslab.profiles._gauss_rule.cache_info().currsize,
-      "scipy.integrate" in sys.modules)
+package = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import nlslab.cli
+cli = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(max(built, default=0), nlslab.profiles._gauss_rule.cache_info().currsize,
+      ",".join(package) or "-", ",".join(cli) or "-")
 """
 
 
 def test_import_builds_no_large_quadrature_rule():
     # Importing the package must not pay for quadrature rules or modules a
     # run may never use: the 2000-node Gauss-Legendre rule (an eigenvalue
-    # problem of size 2000) is built on first use, and neither scipy.signal,
-    # slow to import, nor scipy.integrate, which the package does not use,
-    # is imported.
+    # problem of size 2000) is built on first use, and neither the package
+    # nor its command line loads any scipy module, since numpy.fft supplies
+    # every transform and scipy is a test-only dependency.
     env = dict(os.environ, PYTHONPATH=str(Path(nlslab.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout.split()
     assert int(out[0]) < 2000, f"import built a {out[0]}-node quadrature rule"
-    assert out[1] == "False", "import pulled in scipy.signal"
-    assert out[2] == "0", "import built a transform quadrature rule"
-    assert out[3] == "False", "import pulled in scipy.integrate"
+    assert out[1] == "0", "import built a transform quadrature rule"
+    assert out[2] == "-", f"import nlslab loaded scipy modules: {out[2]}"
+    assert out[3] == "-", f"import nlslab.cli loaded scipy modules: {out[3]}"
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 400, 2000])

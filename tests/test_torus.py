@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.integrate import quad
 
 import nlslab as nl
@@ -135,6 +136,19 @@ def test_band_grid_round_trip(bandwidth, extra, seed, period):
     full = analyze(u, period)  # default bandwidth: every unaliased mode
     assert full.bandwidth == (g - 1) // 2 and full.period == period
     assert coeff_gap(full, f) <= 1e-12 * scale
+
+
+def test_next_fast_len_matches_scipy():
+    # scipy is the oracle: every grid size up to 20 000, then a fixed sample
+    # up to 4e7, which covers the largest grid the package asks for: the
+    # closed form's on the out band 17 * MAX_TWO_BLOCK_BAND (k = 8)
+    next_fast_len, band = nl.torus.next_fast_len, nl.constructions.MAX_TWO_BLOCK_BAND
+    largest = 2 * (2 * 17 * band + 1)
+    assert nl.evolution.ode_grid_size(band, 17 * band) == next_fast_len(largest)
+    sample = np.random.default_rng(21).integers(20_001, 4 * 10**7, 1000).tolist()
+    smooth = [2**25, 3**15, 5**10, 7**8, 11**7, 2**6 * 3**3 * 5**2 * 7 * 11]  # 11-smooth
+    sizes = [*range(1, 20_001), *sample, largest, *(q + d for q in smooth for d in (-1, 0, 1))]
+    assert [next_fast_len(n) for n in sizes] == [scipy_next_fast_len(n) for n in sizes]
 
 
 # ---------------------------------------------------------------------------
