@@ -291,99 +291,52 @@ def _support_arrays(field: SpectralField):
 # default order-1 budget, in the triples of picard_triples: admits crit_half
 # N = 128 (6.1e6 triples) and frac_crit theta = 0.1 N = 256 (1.3e7),
 # refuses crit_half N = 256 (4.9e7) and frac_crit N = 512 (8.3e7).  The
-# alpha != 1 pair sum visits every triple; the alpha = 1 sum runs once per
-# offset n1 - n2 (_order_one_factored) in at most |S|^3 kernel values.  On
-# a 2-CPU Xeon one call takes 0.02 / 0.05 / 0.17 s at crit_half N = 64 /
-# 128 / 256 and 0.04 / 0.10 s at frac_crit N = 128 / 256 (the pair sum:
-# 0.02 / 0.17 / 1.08 s and 0.04 / 0.29 s)
+# sum runs once per offset n1 - n2 (_order_one_by_offset) in at most |S|^3
+# kernel values, for every alpha.  On a 2-CPU Xeon one alpha = 1 call takes
+# 0.02 / 0.05 / 0.17 s at crit_half N = 64 / 128 / 256 and 0.04 / 0.10 s at
+# frac_crit N = 128 / 256.  At alpha != 1 every offset gathers its kernel
+# values: alpha = 0.75 / 1.5 take 0.06 / 0.10 s and 0.44 / 0.70 s at
+# crit_half N = 64 / 128, and 0.19 / 0.19 s and 1.5 / 1.2 s at frac_crit
+# N = 128 / 256
 PICARD_BUDGET = 25_000_000
 
-# pairs, or gathered kernel values, per vectorised block of the order-1
-# sums: bounds their temporaries (about 0.5 MB per array) whatever the
-# support size
+# gathered kernel values per vectorised block of the order-1 sum: bounds
+# its temporaries (about 0.5 MB per array) whatever the support size
 _PAIR_BLOCK = 32768
 
-# cost of one duhamel_kernel value in _order_one_factored, in multiply-adds
+# cost of one duhamel_kernel value in _order_one_by_offset, in multiply-adds
 # of np.convolve: measured 37-64 ns against 0.34-0.56 ns on a 2-CPU Xeon
 _KERNEL_COST = 100
 
 
-def _order_one_coeffs(
-    n_sup: np.ndarray,
-    c_sup: np.ndarray,
-    pow_table: np.ndarray,
-    out_band: int,
-    symbol_scale: float,
+def _order_one_by_offset(
+    n_sup: np.ndarray, c_sup: np.ndarray, out_band: int, symbol_scale: float, alpha: float,
     t: float,
 ) -> np.ndarray:
-    """i * sum over n = n1 - n2 + n3 of K(Phi) c1 conj(c2) c3, on the band
-    |n| <= out_band, where pow_table[n + out_band] = |n|^(2 alpha) and
-    Phi = symbol_scale * (P[n] - P[n1] + P[n2] - P[n3]).  It serves
-    alpha != 1 only, where Phi does not factor; alpha = 1 takes
-    _order_one_factored.
+    """i * sum over n = n1 - n2 + n3 of K(Phi) c1 conj(c2) c3 on the band
+    |n| <= out_band, K = duhamel_kernel, one offset a = n1 - n2 at a time.
+    With n1 = n2 + a and n = n3 + a the resonance is Phi = symbol_scale *
+    (D_a(n3) - D_a(n2)), D_a(m) = |m + a|^(2 alpha) - |m|^(2 alpha), so for
+    each a in S - S, with X_a[n2] = c[n2 + a] conj(c[n2]) on I_a = {n2 in
+    S : n2 + a in S}, the sum is
 
-    The summand is symmetric in n1 <-> n3, so each unordered pair n1 <= n3
-    is taken once, with weight 2 off the diagonal, and every n2 in the
-    support completes it to a triple with n = n1 + n3 - n2: |S|^2 (|S|+1)/2
-    terms and no masking.
-    """
-    i1, i3 = np.triu_indices(n_sup.size)
-    b1, b3 = n_sup[i1] + out_band, n_sup[i3] + out_band  # band indices
-    b13 = b1 + b3
-    w13 = np.where(i1 == i3, 1.0, 2.0) * c_sup[i1] * c_sup[i3]
-    p13 = pow_table[b1] + pow_table[b3]
-    # No transcendental per triple: exp(-i Phi t) = rot[n] conj(rot[n1]
-    # rot[n3]) rot[n2].  Each table entry carries a rounding error of about
-    # u |symbol_scale P[k] t| (u = 2^-53), at most 2e-13 on the inflate data
-    # at N <= 256, so a triple's i K(Phi) = (1 - exp(-i Phi t)) / Phi errs
-    # by at most about 4 u max|symbol_scale P t| / |Phi|.  Taking
-    # exp(-i Phi t) directly errs as much, since the P[k] round.
-    rot = np.exp(-1j * (symbol_scale * t) * pow_table)
-    v13 = w13 * np.conj(rot[b1] * rot[b3])  # (1 - e) w13 = w13 - v13 rot[n] rot[n2]
-    size = 2 * out_band + 1
-    acc = np.zeros(size, dtype=complex)
-    cut = 1e-4 / t if t > 0.0 else np.inf  # |Phi t| < 1e-4: duhamel_kernel's series
-    with np.errstate(divide="ignore", invalid="ignore"):  # Phi = 0 is replaced below
-        for lo in range(0, b13.size, _PAIR_BLOCK):
-            blk = slice(lo, lo + _PAIR_BLOCK)
-            for b2, c2 in zip(n_sup + out_band, np.conj(c_sup)):
-                idx = b13[blk] - b2  # band index of n = n1 + n3 - n2
-                phi = symbol_scale * (pow_table[idx] - p13[blk] + pow_table[b2])
-                num = w13[blk] - v13[blk] * (rot * rot[b2])[idx]
-                re, im = num.real / phi, num.imag / phi
-                small = np.abs(phi) < cut
-                if small.any():
-                    kern = 1j * w13[blk][small] * duhamel_kernel(phi[small], t)
-                    re[small], im[small] = kern.real, kern.imag
-                acc += c2 * (np.bincount(idx, re, size) + 1j * np.bincount(idx, im, size))
-    return acc
+        acc[n3 + a] += c[n3] * sum over n2 of X_a[n2] K(Phi(n2, n3)).
 
-
-def _order_one_factored(
-    n_sup: np.ndarray, c_sup: np.ndarray, out_band: int, symbol_scale: float, t: float
-) -> np.ndarray:
-    """The order-1 sum of _order_one_coeffs for alpha = 1, where the
-    resonance factors: Phi = symbol_scale * 2 a d with a = n1 - n2 and
-    d = n3 - n2.  So for each offset a in S - S, with X_a[n2] =
-    c[n2 + a] conj(c[n2]) on I_a = {n2 in S : n2 + a in S}, the sum is one
-    Toeplitz product
-
-        acc[n3 + a] += c[n3] * sum over n2 of X_a[n2] K(symbol_scale 2 a (n3 - n2)),
-
-    with K evaluated by duhamel_kernel from the exact integer a d.  Each
-    offset takes whichever exact evaluation costs less, a kernel value
-    counting as _KERNEL_COST multiply-adds:
-    - np.convolve of X_a over its run (min I_a .. max I_a) with the kernel
-      on the run + W - 1 differences, W the span of S: run * W multiply-adds;
-    - the kernel gathered at the |I_a| |S| differences S - I_a, times X_a.
-    The sum of |I_a| over the offsets is |S|^2, so the kernel values stay
-    within |S|^3, twice the triples the budget counts, and the
-    multiply-adds within _KERNEL_COST |S|^3.
+    The kernel is gathered at the |I_a| |S| pairs (n2, n3) and multiplied
+    by X_a.  At alpha = 1, D_a(n3) - D_a(n2) is exactly the integer
+    2 a (n3 - n2) in floating point, so the sum is a Toeplitz product in
+    d = n3 - n2, and an offset may instead take np.convolve of X_a over its
+    run (min I_a .. max I_a) with the kernel on the run + W - 1
+    differences, W the span of S: run * W multiply-adds.  It does when
+    that costs less, a kernel value counting as _KERNEL_COST
+    multiply-adds.  The sum of |I_a| over the offsets is |S|^2, so the
+    kernel values stay within |S|^3, twice the triples the budget counts,
+    and the multiply-adds within _KERNEL_COST |S|^3.
     """
     k = n_sup.size
     lo_s, hi_s = int(n_sup[0]), int(n_sup[-1])  # the support is sorted
     window = hi_s - lo_s + 1
-    scale = 2.0 * symbol_scale
+    power = np.abs(n_sup) ** (2.0 * alpha)
     # the ordered pairs i1 * |S| + i2 grouped by offset; within a group i2 ascends
     diff = np.subtract.outer(n_sup, n_sup).ravel()
     order = np.argsort(diff, kind="stable")
@@ -397,14 +350,16 @@ def _order_one_factored(
         x = c_sup[i1] * np.conj(c_sup[i2])
         n2 = n_sup[i2]
         run = int(n2[-1]) - int(n2[0]) + 1
-        if run * window + _KERNEL_COST * (run + window - 1) <= _KERNEL_COST * n2.size * k:
+        if alpha == 1.0 and (run * window + _KERNEL_COST * (run + window - 1)
+                             <= _KERNEL_COST * n2.size * k):
             dense = np.zeros(run, dtype=complex)
             dense[n2 - n2[0]] = x
             d = np.arange(lo_s - int(n2[-1]), hi_s - int(n2[0]) + 1)
-            y = np.convolve(duhamel_kernel(scale * (a * d), t), dense, "valid")[n_sup - lo_s]
+            y = np.convolve(duhamel_kernel(symbol_scale * (2 * a * d), t), dense, "valid")[n_sup - lo_s]
         else:
+            shift = np.abs(n_sup + a) ** (2.0 * alpha) - power  # D_a on the support
             y = sum(np.matmul(x[j : j + rows],
-                              duhamel_kernel(scale * (a * (n_sup - n2[j : j + rows, None])), t))
+                              duhamel_kernel(symbol_scale * (shift - shift[i2[j : j + rows], None]), t))
                     for j in range(0, n2.size, rows))
         acc[n_sup + (a + out_band)] += c_sup * y
     return 1j * acc
@@ -426,10 +381,9 @@ def picard_expansion(
 
     The |S|^2 (|S| + 1) / 2 triples of picard_triples (S the support) are
     checked against ``budget`` before any O(|S|^2) work; over budget it
-    refuses with a size report.  For alpha = 1 the sum runs once per offset
-    n1 - n2 (_order_one_factored), for other alpha once per triple
-    (_order_one_coeffs).  The output band is 3 max|n| over the
-    support, or phi's own band if that is wider.  The sum has no Wick
+    refuses with a size report.  The sum runs once per offset n1 - n2
+    (_order_one_by_offset), for every alpha.  The output band is 3 max|n|
+    over the support, or phi's own band if that is wider.  The sum has no Wick
     form, so it refuses a Wick equation.
     """
     if eq.wick:
@@ -449,11 +403,7 @@ def picard_expansion(
         )
 
     out_band = max(3 * int(np.max(np.abs(n_sup))), phi.bandwidth)
-    a2 = 2.0 * eq.alpha
-    symbol_scale = eq.dispersion_sign * eq.dispersion_coeff * (2.0 * np.pi / phi.period) ** a2
-    if eq.alpha == 1.0:
-        first = _order_one_factored(n_sup, c_sup, out_band, symbol_scale, t)
-    else:
-        pow_table = np.abs(np.arange(-out_band, out_band + 1, dtype=float)) ** a2
-        first = _order_one_coeffs(n_sup, c_sup, pow_table, out_band, symbol_scale, t)
+    symbol_scale = (eq.dispersion_sign * eq.dispersion_coeff
+                    * (2.0 * np.pi / phi.period) ** (2.0 * eq.alpha))
+    first = _order_one_by_offset(n_sup, c_sup, out_band, symbol_scale, eq.alpha, t)
     return SpectralField(phi.period, enlarge_band(phi, out_band).coeffs + first)

@@ -218,6 +218,25 @@ class FeasibilityConfig(ExperimentConfig):
         if not 1 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(f"grid_points must be >= 1 and <= {MAX_GRID_POINTS} (the scan "
                              f"holds grid_points^3 floats), got {self.grid_points!r}")
+        # The scan's factors reach down to N^(-2 alpha) / 1e10 (its lowest T)
+        # and up to N^(4.25 + max(0, 1/2 + s)) (T R^3 A^2 f(A)) or N^(-s)
+        # (1 / N^s), so each must lie within 1e-300 .. 1e300.  A key that
+        # fails even at the smallest N = 4 is named, else the first N that does.
+        def decades(N):
+            x = math.log10(N)
+            return 2.0 * self.alpha * x + 10.0, max(4.25 + max(0.0, 0.5 + self.s), -self.s) * x
+        low, high = decades(4.0)
+        if low > 300.0:
+            raise ValueError(f"alpha = {self.alpha!r} is too large for the feasibility scan: "
+                             f"its horizon N^(-2 alpha) underflows a float")
+        if high > 300.0:
+            raise ValueError(f"s = {self.s!r} is out of range for the feasibility scan: "
+                             f"its powers of N overflow a float")
+        big = [N for N in self.sweep if max(decades(N)) > 300.0]
+        if big:
+            raise ValueError(f"feasibility sweep value {big[0]!r} is too large for alpha = "
+                             f"{self.alpha!r} and s = {self.s!r}: the scan's powers of N "
+                             f"leave the float range")
 
 
 @dataclass(frozen=True)
@@ -546,6 +565,10 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
         for L in cfg.periods[1:]:
             b = math.ceil(cfg.band_per_period * L)
             errs_L.append(_approx_error(profile, d_mid, L, t_full, b, cfg.dt_steps)[0])
+        if min(errs_L) == 0.0:  # data that vanishes on the grid, such as a width that underflows
+            L = cfg.periods[errs_L.index(0.0)]
+            raise ValueError(f"the approx error at delta = {d_mid!r} on period {L!r} is 0, "
+                             f"so the period spread max/min of the errors is undefined")
         spread = max(errs_L) / min(errs_L)
         report.metadata["period_errors"] = {format(L, ".12g"): e for L, e in zip(cfg.periods, errs_L)}
         report.metadata["period_spread"] = spread
@@ -626,7 +649,7 @@ def line_sobolev_norm(profile, s, homogeneous: bool = True, xi_max: float = 80.0
     density = weights * _folded_density(profile, xi)
     zero_mean = abs(profile.fourier_transform(0.0)) <= 1e-12
     norms = []
-    for order in orders:
+    for order in orders.tolist():
         beta = 0.0
         if homogeneous:
             beta = 2.0 * order + (2.0 if zero_mean else 0.0)
@@ -636,9 +659,13 @@ def line_sobolev_norm(profile, s, homogeneous: bool = True, xi_max: float = 80.0
                 norms.append(math.inf)
                 continue
         weight = (lambda x: x ** (2.0 * order)) if homogeneous else (lambda x: (1.0 + x * x) ** order)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            tail = weight(xi) @ density
+        if not math.isfinite(tail):
+            raise ValueError(f"the line norm of order s = {order} overflows a float")
         x, w = _head_rule(beta, h)
         head = w @ (weight(x) * x ** -beta * _folded_density(profile, x))
-        norms.append(math.sqrt(head + weight(xi) @ density))
+        norms.append(math.sqrt(head + tail))
     return norms[0] if np.ndim(s) == 0 else norms
 
 
@@ -650,7 +677,11 @@ def run_periodization(cfg: PeriodizeConfig) -> InflationReport:
     fields = [torus.periodize(profile, L, math.ceil(cfg.band_per_period * L)) for L in cfg.sweep]
     for s, line_norm in zip(cfg.s_list, line_norms):
         for L, f_L in zip(cfg.sweep, fields):
-            circle = torus.sobolev_norm(f_L, s, homogeneous=True)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+                circle = torus.sobolev_norm(f_L, s, homogeneous=True)
+            if not math.isfinite(circle):
+                raise ValueError(f"the circle norm of order s = {s} on period {L} "
+                                 f"overflows a float")
             rows.append(ReportRow(
                 cfg.experiment, None, s, None, 0, L,
                 circle, line_norm,

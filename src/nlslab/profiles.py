@@ -326,28 +326,10 @@ def _psi4_pieces(a: float):
 
 def solve_psi4_parameter() -> float:
     """Shift parameter that kills the second moment of the three-block
-    even profile, found by bisection on (5, 10).
-
-    The bracket is refined all the way to the floating-point floor, so
-    downstream moment residuals stay near machine precision.
-    """
-
-    def second_moment(a):
-        pieces = _psi4_pieces(a)
-        return sum(v * (b**3 - a_**3) / 3.0 for a_, b, v in pieces)
-
-    lo, hi = 5.0, 10.0
-    flo = second_moment(lo)
-    if not flo < 0.0 < second_moment(hi):
-        raise RuntimeError("second moment does not change sign on (5, 10)")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid
-        if second_moment(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    even profile.  The half-line second moment of _psi4_pieces(a) is
+    (sqrt(pi) / 3) (3 a^2 + 3 a - 114), whose positive root is
+    a = (sqrt(153) - 1) / 2."""
+    return (math.sqrt(153.0) - 1.0) / 2.0
 
 
 def appendix_profile(kind: str, kappa: int = 1, eps: float = 0.1) -> CompactProfile:

@@ -608,12 +608,11 @@ def test_picard_budget_counts_the_summed_triples(monkeypatch):
         else:
             assert required(phi, budget=nl.evolution.PICARD_BUDGET) == triples(phi)
 
-    # a refusal does no O(|S|^2) work: neither the pair sum nor its index arrays
+    # a refusal does no O(|S|^2) work: the order-1 sum never starts
     def forbidden(*args, **kwargs):
         raise AssertionError("O(|S|^2) work before the budget check")
 
-    monkeypatch.setattr(nl.evolution, "_order_one_coeffs", forbidden)
-    monkeypatch.setattr(np, "triu_indices", forbidden)
+    monkeypatch.setattr(nl.evolution, "_order_one_by_offset", forbidden)
     for key in (("crit_half", 256), ("frac_crit", 512)):
         with pytest.raises(BudgetExceededError):
             picard_expansion(data[key], EquationSpec(), 0.1)
@@ -631,13 +630,14 @@ def _picard_reference(phi, t, alpha, dispersion_coeff, dispersion_sign):
     def power(k):
         return np.abs(k).astype(float) ** (2.0 * alpha)
 
-    # The fast sum forms exp(-i Phi t) from four phase-table entries, each
-    # rounded by about u (1 + |s P t|), and three products: within
-    # 10 u (1 + |s| t max P).  The reference forms Phi first, whose P terms
-    # round by u P when alpha != 1: within 6 u (1 + |s| t max P).  Their
-    # difference delta reaches i K = (1 - exp(-i Phi t)) / Phi divided by
-    # |Phi|, at least 1e-4 / t outside the series branch (inside it the two
-    # differ only by the rounding of Phi, a smaller error).  Each sum also
+    # Both sums form Phi from the same four powers P, each rounded by about
+    # u P when alpha != 1 (exact integers at alpha = 1): the fast sum as
+    # s (D_a(n3) - D_a(n2)) with D_a(m) = P[m + a] - P[m], the reference in
+    # the order below.  So each Phi t is within about 6 u |s| t max P of the
+    # exact one, plus u |Phi t|; the bound delta allows 16 u (1 + |s| t max P)
+    # for the two.  It reaches i K = (1 - exp(-i Phi t)) / Phi divided by
+    # |Phi|, at least 1e-4 / t outside the series branch (inside it K moves
+    # by at most t^2 / 2 per unit of Phi, a smaller error).  Each sum also
     # adds its count of terms, each at most |c1 c2 c3| t, with relative
     # rounding u per add.
     delta = 16.0 * u * (1.0 + abs(s) * t * float(ob) ** (2.0 * alpha))
@@ -663,6 +663,17 @@ def _picard_reference(phi, t, alpha, dispersion_coeff, dispersion_sign):
     return want, tol, (small_seen, big_seen)
 
 
+def _first_term_gap(phi, t, alpha):
+    """max |fast - brute force| over the first Picard term, relative to
+    its largest coefficient, and whether every mode is within its tol."""
+    got = picard_expansion(phi, EquationSpec(alpha=alpha), t)
+    want, tol, _ = _picard_reference(phi, t, alpha, 1.0, 1)
+    first = want - nl.enlarge_band(phi, got.bandwidth).coeffs
+    assert got.coeffs.shape == want.shape
+    gap = np.abs(got.coeffs - want)
+    return float(np.max(gap) / np.max(np.abs(first))), bool(np.all(gap <= tol))
+
+
 def test_picard_pair_sum_matches_brute_force():
     seen = set()
     alphas = set()
@@ -681,48 +692,43 @@ def test_picard_pair_sum_matches_brute_force():
         got = picard_expansion(phi, EquationSpec(alpha, coeff, sign), t)
         want, tol, branches = _picard_reference(phi, t, alpha, coeff, sign)
         seen.update(k for k, hit in zip(("series", "closed form"), branches) if hit)
-        alphas.add("factored" if alpha == 1.0 else "pair sum")
+        alphas.add("alpha = 1" if alpha == 1.0 else "alpha != 1")
         assert got.coeffs.shape == want.shape
         assert np.all(np.abs(got.coeffs - want) <= tol)
 
     matches()
-    # the draws reach both sides of the |Phi t| < 1e-4 branch, and both the
-    # factored alpha = 1 sum and the pair sum of alpha != 1
+    # the draws reach both sides of the |Phi t| < 1e-4 branch, and alpha = 1,
+    # where offsets may take np.convolve, as well as alpha != 1
     assert seen == {"series", "closed form"}
-    assert alphas == {"factored", "pair sum"}
+    assert alphas == {"alpha = 1", "alpha != 1"}
 
-    # the inflate data: crit_half two-block data at N = 64 and its T_N
+    # the inflate data: crit_half two-block data at N = 64 and its T_N; at
+    # alpha != 1 every offset gathers its kernel
     sched = nl.regime_parameters("crit_half", 64, -0.5)
     phi, t = nl.build_two_block_data(sched), sched.T_N
-    got = picard_expansion(phi, EquationSpec(), t)
-    want, _, _ = _picard_reference(phi, t, 1.0, 1.0, 1)
-    first = want - nl.enlarge_band(phi, got.bandwidth).coeffs
-    assert np.max(np.abs(got.coeffs - want)) <= 1e-12 * np.max(np.abs(first))
-
-
-def _order_one_by_pairs(phi, t):
-    """The alpha = 1 order-1 sum through the pair sum of alpha != 1."""
-    n, c = nl.evolution._support_arrays(phi)
-    ob = max(3 * int(np.max(np.abs(n))), phi.bandwidth)
-    powers = np.arange(-ob, ob + 1, dtype=float) ** 2
-    return nl.evolution._order_one_coeffs(n, c, powers, ob, (2.0 * np.pi / phi.period) ** 2, t)
+    for alpha, bound in ((1.0, 1e-12), (0.75, 1e-13), (1.5, 1e-13)):
+        gap, within_tol = _first_term_gap(phi, t, alpha)
+        assert within_tol and gap <= bound, alpha
 
 
 def test_picard_alpha_one_sums_offsets_not_triples(monkeypatch):
+    # on two-block data, alpha = 1 offsets take the Toeplitz product by
+    # np.convolve, and the sum agrees with the brute force over all triples
     cases = [nl.regime_parameters("crit_half", 64, -0.5), nl.regime_parameters("crit_half", 128, -0.5),
              nl.regime_parameters("frac_crit", 128, -1.0, 0.1)]
-    want = [_order_one_by_pairs(nl.build_two_block_data(sched), sched.T_N) for sched in cases]
+    calls = []
+    convolve = np.convolve
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("alpha = 1 took the pair sum")
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return convolve(*args, **kwargs)
 
-    monkeypatch.setattr(nl.evolution, "_order_one_coeffs", forbidden)
-    for sched, first in zip(cases, want):
-        phi = nl.build_two_block_data(sched)
-        got = picard_expansion(phi, EquationSpec(), sched.T_N)
-        got_first = got.coeffs - nl.enlarge_band(phi, got.bandwidth).coeffs
-        assert got_first.shape == first.shape
-        assert np.max(np.abs(got_first - first)) <= 1e-13 * np.max(np.abs(first)), sched
+    monkeypatch.setattr(np, "convolve", counted)
+    for sched in cases:
+        calls.clear()
+        gap, _ = _first_term_gap(nl.build_two_block_data(sched), sched.T_N, 1.0)
+        assert calls, sched
+        assert gap <= 1e-13, sched
 
 
 def _support_field(modes, seed, period=1.0):
@@ -770,14 +776,18 @@ def test_picard_work_on_distant_modes_stays_within_the_triple_count(monkeypatch)
     monkeypatch.setattr(nl.evolution, "duhamel_kernel",
                         counted(duhamel_kernel, "kernel values", lambda args, out: out.size))
     t = 1e-3
-    got = picard_expansion(phi, EquationSpec(), t)
-    # the bounds of _order_one_factored: |S|^3 kernel values, and at most
-    # _KERNEL_COST times as many multiply-adds
-    assert 0 < work["kernel values"] <= 2 * triples
-    assert 0 < work["multiply-adds"] <= 2 * nl.evolution._KERNEL_COST * triples
+    got = {}
+    for alpha in (1.0, 1.5):
+        work.update({"multiply-adds": 0, "kernel values": 0})
+        got[alpha] = picard_expansion(phi, EquationSpec(alpha=alpha), t)
+        # the bounds of _order_one_by_offset: |S|^3 kernel values, and at
+        # most _KERNEL_COST times as many multiply-adds
+        assert 0 < work["kernel values"] <= 2 * triples, alpha
+        assert 0 < work["multiply-adds"] <= 2 * nl.evolution._KERNEL_COST * triples, alpha
     monkeypatch.undo()
-    want, tol, _ = _picard_reference(phi, t, 1.0, 1.0, 1)
-    assert np.all(np.abs(got.coeffs - want) <= tol)
+    for alpha, field in got.items():
+        want, tol, _ = _picard_reference(phi, t, alpha, 1.0, 1)
+        assert np.all(np.abs(field.coeffs - want) <= tol), alpha
 
 
 def test_picard_on_padded_fields_matches_the_unpadded_field():

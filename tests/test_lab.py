@@ -867,6 +867,19 @@ def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, messag
          "the negative_s schedule at N=256, s=-200.0 overflows a float: R = N^(-s)/log N "),
         ("inflate", "regime = frac_crit\ns = -200\ntheta = 0.1\nsweep = 256",
          "the frac_crit schedule at N=256, s=-200.0 overflows a float: R = N^(-1/2-s) "),
+        # a bump of width 1e-300 vanishes on the grid: every error is 0, and
+        # the period spread would divide by them
+        ("approx", "width = 1e-300", "the approx error at delta = 0.1 on period 32.0 is 0"),
+        # the feasibility scan's powers of N would overflow or underflow
+        ("feasibility", "sweep = 1e300", "feasibility sweep value 1e+300 is too large for "
+                                         "alpha = 0.375 and s = -0.25"),
+        ("feasibility", "alpha = 1e308", "alpha = 1e+308 is too large for the feasibility scan"),
+        ("feasibility", "s = 1e308", "s = 1e+308 is out of range for the feasibility scan"),
+        # the weight |xi|^(2s) of the line norm, and of the circle norm at s = -200
+        ("periodize", "s_list = 400", "the line norm of order s = 400.0 overflows a float"),
+        ("periodize", "s_list = 1e308", "the line norm of order s = 1e+308 overflows a float"),
+        ("periodize", "profile = bump\ns_list = -200",
+         "the circle norm of order s = -200.0 on period 8.0 overflows a float"),
     ],
 )
 def test_cli_refuses_a_run_that_overflows(tmp_path, capsys, experiment, ini, message):
@@ -876,7 +889,7 @@ def test_cli_refuses_a_run_that_overflows(tmp_path, capsys, experiment, ini, mes
     assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("nlslab: error: " + message)
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists()
 
 
