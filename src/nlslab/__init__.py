@@ -38,7 +38,6 @@ from .evolution import (
     EquationSpec,
     EvolveResult,
     StepperConfig,
-    duhamel_kernel,
     free_rotation_rates,
     galilean_boost,
     gauge_transform,

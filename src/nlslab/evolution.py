@@ -12,11 +12,13 @@ pointwise rotation u = phi * exp(i |phi|^2 t).  The Wick variant replaces
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .profiles import _gauss_rule
 from .torus import (
     BudgetExceededError,
     SpectralField,
@@ -120,6 +122,11 @@ def ode_exact_evolve(
     non-negative and free of cancellation against the total mass.  The
     inflate experiment picks its out band from this value: the smallest
     band whose tail is at most 1e-20 of the data mass.
+
+    Non-finite output is refused as a blow-up.  So is a finite one whose
+    phase bound t ||phi||_FL1^2 (|phi|^2 t never exceeds it) reaches 2^52:
+    adjacent doubles there lie at least 1 apart, so the phase mod 2 pi
+    keeps no correct digit.
     """
     m = field.bandwidth
     m_out = m if out_bandwidth is None else int(out_bandwidth)
@@ -141,6 +148,10 @@ def ode_exact_evolve(
         tail = float(np.vdot(dropped, dropped).real) * field.period
     if not (np.isfinite(out.coeffs).all() and np.isfinite(tail)):
         raise BlowupError(f"non-finite coefficients in the closed form at t = {t}")
+    wiener = float(np.sum(np.abs(field.coeffs)))
+    if not wiener * wiener * t < 2.0**52:
+        raise ValueError(f"closed form at t = {t:g}: t ||phi||_FL1^2 = {wiener * wiener * t:.3e} "
+                         f"reaches 2^52, where the phase |phi|^2 t mod 2 pi keeps no correct digit")
     return EvolveResult(out, tail)
 
 
@@ -227,27 +238,6 @@ def interaction_picture(field: SpectralField, eq: EquationSpec, t: float) -> Spe
     return field.with_coeffs(field.coeffs * np.exp(1j * phase))
 
 
-def duhamel_kernel(phi: np.ndarray, t: float) -> np.ndarray:
-    """Integral over [0, t] of exp(-i phi t'), elementwise, exact at phi=0.
-
-    With z = phi t that is (1 - exp(-i z)) / (i phi) = (sin z - 2i sin^2(z/2)) / phi;
-    the half-angle form keeps 1 - cos z free of cancellation.  Below
-    |z| = 1e-4 it takes the Taylor series instead.
-    """
-    phi = np.asarray(phi, dtype=float)
-    z = phi * t
-    out = np.empty(phi.shape, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):  # phi = 0 takes the series below
-        half = np.sin(0.5 * z)
-        np.divide(np.sin(z), phi, out=out.real)
-        np.divide(-2.0 * half * half, phi, out=out.imag)
-    small = np.abs(z) < 1e-4
-    if small.any():
-        zs = z[small]
-        out[small] = t * (1.0 - 0.5j * zs - zs**2 / 6.0 + 1j * zs**3 / 24.0)
-    return out
-
-
 def gauge_transform(field: SpectralField, t: float) -> SpectralField:
     """Global phase exp(-2 i t mean|u|^2); bridges the plain and Wick flows.
     Passing -t undoes time t."""
@@ -280,130 +270,114 @@ def galilean_boost(field: SpectralField, beta: int, t: float) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# Picard iterates in the interaction picture
+# Picard's first iterate in the interaction picture
 
-def _support_arrays(field: SpectralField):
-    n = field.modes()
-    nz = field.coeffs != 0.0
-    return n[nz], field.coeffs[nz]
+# default cap on the first iterate's work Q G (picard_work): runs crit_half
+# N <= 256 (0.05 s at N = 256 on a 2-CPU Xeon) and frac_crit theta = 0.1 at
+# every N up to 4096 (0.05 s at N = 4096), refuses crit_half N = 512
+PICARD_BUDGET = 1_000_000
 
+# the largest Gauss rule the first iterate builds: the largest that the
+# tests pin against numpy's leggauss
+PICARD_MAX_NODES = 2000
 
-# default order-1 budget, in the triples of picard_triples: admits crit_half
-# N = 128 (6.1e6 triples) and frac_crit theta = 0.1 N = 256 (1.3e7),
-# refuses crit_half N = 256 (4.9e7) and frac_crit N = 512 (8.3e7).  The
-# sum runs once per offset n1 - n2 (_order_one_by_offset) in at most |S|^3
-# kernel values, for every alpha.  On a 2-CPU Xeon one alpha = 1 call takes
-# 0.02 / 0.05 / 0.17 s at crit_half N = 64 / 128 / 256 and 0.04 / 0.10 s at
-# frac_crit N = 128 / 256.  At alpha != 1 every offset gathers its kernel
-# values: alpha = 0.75 / 1.5 take 0.06 / 0.10 s and 0.44 / 0.70 s at
-# crit_half N = 64 / 128, and 0.19 / 0.19 s and 1.5 / 1.2 s at frac_crit
-# N = 128 / 256
-PICARD_BUDGET = 25_000_000
-
-# gathered kernel values per vectorised block of the order-1 sum: bounds
-# its temporaries (about 0.5 MB per array) whatever the support size
-_PAIR_BLOCK = 32768
-
-# cost of one duhamel_kernel value in _order_one_by_offset, in multiply-adds
-# of np.convolve: measured 37-64 ns against 0.34-0.56 ns on a 2-CPU Xeon
-_KERNEL_COST = 100
+# the Gauss-Legendre remainder allowed per unit of t |c1 conj(c2) c3|
+_QUADRATURE_TOL = 1e-15
 
 
-def _order_one_by_offset(
-    n_sup: np.ndarray, c_sup: np.ndarray, out_band: int, symbol_scale: float, alpha: float,
-    t: float,
-) -> np.ndarray:
-    """i * sum over n = n1 - n2 + n3 of K(Phi) c1 conj(c2) c3 on the band
-    |n| <= out_band, K = duhamel_kernel, one offset a = n1 - n2 at a time.
-    With n1 = n2 + a and n = n3 + a the resonance is Phi = symbol_scale *
-    (D_a(n3) - D_a(n2)), D_a(m) = |m + a|^(2 alpha) - |m|^(2 alpha), so for
-    each a in S - S, with X_a[n2] = c[n2 + a] conj(c[n2]) on I_a = {n2 in
-    S : n2 + a in S}, the sum is
+def _gauss_node_count(z: float) -> int:
+    """Smallest Q whose Gauss-Legendre remainder for exp(-i Phi tau) on
+    [0, t], |Phi| t <= z, per unit of t,
 
-        acc[n3 + a] += c[n3] * sum over n2 of X_a[n2] K(Phi(n2, n3)).
+        2^(2Q+1) (Q!)^4 (z/2)^(2Q) / ((2Q+1) ((2Q)!)^3),
 
-    The kernel is gathered at the |I_a| |S| pairs (n2, n3) and multiplied
-    by X_a.  At alpha = 1, D_a(n3) - D_a(n2) is exactly the integer
-    2 a (n3 - n2) in floating point, so the sum is a Toeplitz product in
-    d = n3 - n2, and an offset may instead take np.convolve of X_a over its
-    run (min I_a .. max I_a) with the kernel on the run + W - 1
-    differences, W the span of S: run * W multiply-adds.  It does when
-    that costs less, a kernel value counting as _KERNEL_COST
-    multiply-adds.  The sum of |I_a| over the offsets is |S|^2, so the
-    kernel values stay within |S|^3, twice the triples the budget counts,
-    and the multiply-adds within _KERNEL_COST |S|^3.
+    is at most _QUADRATURE_TOL.  Its logarithm is concave in Q, so once it
+    exceeds the tolerance at Q = 1 it does so up to the count sought and
+    never after: doubling brackets that count and bisection finds it."""
+    def meets(q: int) -> bool:
+        log_rem = ((2 * q + 1) * math.log(2.0) + 4.0 * math.lgamma(q + 1) + 2 * q * math.log(z / 2.0)
+                   - math.log(2 * q + 1) - 3.0 * math.lgamma(2 * q + 1))
+        return log_rem <= math.log(_QUADRATURE_TOL)
+
+    if z == 0.0 or meets(1):
+        return 1
+    lo, hi = 1, 2
+    while not meets(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return hi
+
+
+class PicardWork(NamedTuple):
+    out_band: int
+    nodes: int
+    grid_points: int
+
+
+def picard_work(phi: SpectralField, eq: EquationSpec, t: float) -> PicardWork:
+    """Output band, Gauss nodes Q and cubic-term grid G of picard_expansion.
+
+    The band is 3 max|n| over the support S of phi, or phi's own band if
+    that is wider, and G = split_grid_size of it.  Q is _gauss_node_count
+    of z = max|Phi| t, Phi the resonance of a triple n1 - n2 + n3 = n.  At
+    alpha = 1, Phi = -2 scale (n1 - n2)(n3 - n2), so max|Phi| = 2 |scale| W^2
+    with W = max S - min S; otherwise |Phi| <= |scale| (1 + 3^(2 alpha))
+    max_S |n|^(2 alpha), as |n| <= 3 max_S |n|.  Here scale = sign coeff
+    (2 pi / L)^(2 alpha).  No FFT runs.
     """
-    k = n_sup.size
-    lo_s, hi_s = int(n_sup[0]), int(n_sup[-1])  # the support is sorted
-    window = hi_s - lo_s + 1
-    power = np.abs(n_sup) ** (2.0 * alpha)
-    # the ordered pairs i1 * |S| + i2 grouped by offset; within a group i2 ascends
-    diff = np.subtract.outer(n_sup, n_sup).ravel()
-    order = np.argsort(diff, kind="stable")
-    diff = diff[order]
-    starts = np.concatenate(([0], np.flatnonzero(diff[1:] != diff[:-1]) + 1))
-    ends = np.append(starts[1:], diff.size)
-    rows = max(1, _PAIR_BLOCK // k)  # gathered rows per block: bounds the temporaries
-    acc = np.zeros(2 * out_band + 1, dtype=complex)
-    for a, lo, hi in zip(diff[starts].tolist(), starts, ends):
-        i1, i2 = np.divmod(order[lo:hi], k)
-        x = c_sup[i1] * np.conj(c_sup[i2])
-        n2 = n_sup[i2]
-        run = int(n2[-1]) - int(n2[0]) + 1
-        if alpha == 1.0 and (run * window + _KERNEL_COST * (run + window - 1)
-                             <= _KERNEL_COST * n2.size * k):
-            dense = np.zeros(run, dtype=complex)
-            dense[n2 - n2[0]] = x
-            d = np.arange(lo_s - int(n2[-1]), hi_s - int(n2[0]) + 1)
-            y = np.convolve(duhamel_kernel(symbol_scale * (2 * a * d), t), dense, "valid")[n_sup - lo_s]
-        else:
-            shift = np.abs(n_sup + a) ** (2.0 * alpha) - power  # D_a on the support
-            y = sum(np.matmul(x[j : j + rows],
-                              duhamel_kernel(symbol_scale * (shift - shift[i2[j : j + rows], None]), t))
-                    for j in range(0, n2.size, rows))
-        acc[n_sup + (a + out_band)] += c_sup * y
-    return 1j * acc
-
-
-def picard_triples(phi: SpectralField) -> int:
-    """The |S|^2 (|S| + 1) / 2 coefficient triples of the order-1 sum, S
-    the support of phi: what picard_expansion checks against its budget."""
-    k = int(np.count_nonzero(phi.coeffs))
-    return k * k * (k + 1) // 2
+    n = phi.modes()[phi.coeffs != 0.0]
+    top = int(np.max(np.abs(n), initial=0))
+    out_band = max(3 * top, phi.bandwidth)
+    scale = eq.dispersion_coeff * (2.0 * np.pi / phi.period) ** (2.0 * eq.alpha)
+    if eq.alpha == 1.0:
+        span = float(n[-1] - n[0]) if n.size else 0.0
+        z = 2.0 * scale * span * span * t
+    else:
+        z = scale * (1.0 + 3.0 ** (2.0 * eq.alpha)) * float(top) ** (2.0 * eq.alpha) * t
+    if not math.isfinite(z):
+        raise ValueError(f"first Picard iterate: max|Phi| t = {z} is not finite")
+    return PicardWork(out_band, _gauss_node_count(z), split_grid_size(out_band))
 
 
 def picard_expansion(
     phi: SpectralField, eq: EquationSpec, t: float, budget: int = PICARD_BUDGET
 ) -> SpectralField:
-    """First Picard iterate of the interaction-picture Duhamel equation:
-    phi + i sum over the resonance set n = n1 - n2 + n3 of the closed-form
-    time integral of exp(-i Phi t') times the coefficient triple product.
+    """First Picard iterate of the interaction-picture Duhamel equation,
 
-    The |S|^2 (|S| + 1) / 2 triples of picard_triples (S the support) are
-    checked against ``budget`` before any O(|S|^2) work; over budget it
-    refuses with a size report.  The sum runs once per offset n1 - n2
-    (_order_one_by_offset), for every alpha.  The output band is 3 max|n|
-    over the support, or phi's own band if that is wider.  The sum has no Wick
-    form, so it refuses a Wick equation.
+        phi + i * integral over [0, t] of exp(-i tau rate) cubic(exp(i tau rate) phi) dtau,
+
+    with the rates of free_rotation_rates and the exact cubic term
+    _cubic_coeffs (its Wick form when eq.wick), by Q-node Gauss-Legendre
+    in tau on the output band of picard_work.  The work Q G is checked
+    against ``budget``, and Q against PICARD_MAX_NODES, before any FFT;
+    either over refuses with a size report.
+
+    Mode n of the integrand is a sum of exp(-i Phi tau) c1 conj(c2) c3
+    over the triples n1 - n2 + n3 = n, and the rule's Q integrates each to
+    within 1e-15 t |c1 c2 c3|.  Rounding in the rotations and the FFTs
+    adds at most about 4 u (log2 G + t max|rate|) t ||phi||_FL1^3, u the
+    unit roundoff and the rate maximum over the output band.  So every
+    coefficient is within t (1e-15 + 4 u (log2 G + t max|rate|)) ||phi||_FL1^3
+    of the exact iterate, beyond the one rounding, about u |phi_n|, of adding phi.
     """
-    if eq.wick:
-        raise ValueError("picard_expansion has no Wick form: the order-1 sum omits the "
-                         "-2 mean|u|^2 u term")
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    n_sup, c_sup = _support_arrays(phi)
-    if n_sup.size == 0:
-        return phi
-    work = picard_triples(phi)
-    if work > budget:
+    work = picard_work(phi, eq, t)
+    if work.nodes > PICARD_MAX_NODES or work.nodes * work.grid_points > budget:
         raise BudgetExceededError(
-            f"order-1 sum over {work} coefficient triples exceeds the budget {budget}",
-            required=work,
+            f"first Picard iterate needs {work.nodes} Gauss nodes x {work.grid_points} grid "
+            f"points = {work.nodes * work.grid_points}; the limits are {PICARD_MAX_NODES} nodes "
+            f"and the budget {budget}",
+            required=work.nodes * work.grid_points,
             budget=budget,
         )
-
-    out_band = max(3 * int(np.max(np.abs(n_sup))), phi.bandwidth)
-    symbol_scale = (eq.dispersion_sign * eq.dispersion_coeff
-                    * (2.0 * np.pi / phi.period) ** (2.0 * eq.alpha))
-    first = _order_one_by_offset(n_sup, c_sup, out_band, symbol_scale, eq.alpha, t)
-    return SpectralField(phi.period, enlarge_band(phi, out_band).coeffs + first)
+    x, w, _ = _gauss_rule(work.nodes)
+    wide = enlarge_band(phi, work.out_band)
+    rates = free_rotation_rates(wide, eq)
+    first = np.zeros_like(wide.coeffs)
+    for tau, weight in zip(0.5 * t * (1.0 + x), 0.5 * t * w):
+        turn = np.exp(1j * tau * rates)
+        first += weight * np.conj(turn) * _cubic_coeffs(turn * wide.coeffs, eq.wick)
+    return wide.with_coeffs(wide.coeffs + 1j * first)

@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, asdict
 from typing import ClassVar, NamedTuple
@@ -198,6 +199,19 @@ class GammaConfig(ExperimentConfig):
             raise ValueError(f"amplitude must be nonzero, got {self.amplitude!r}")
         if not 0.0 < self.c_fraction <= 1.0:
             raise ValueError("c_fraction must lie in (0, 1]")
+        # each point takes the period L = round(delta_j^(-2.5)), delta_j =
+        # base_delta delta_decay^(j - 1), so |log delta_j| must stay below
+        # log(float max) / 2.5; base_delta is named when it alone leaves that range
+        limit = math.log(sys.float_info.max) / 2.5
+        if abs(math.log(self.base_delta)) >= limit:
+            raise ValueError(f"base_delta = {self.base_delta!r} is out of range: its "
+                             f"delta^(-2.5) leaves the float range")
+        for j in self.sweep:
+            log_delta = math.log(self.base_delta) + (j - 1) * math.log(self.delta_decay)
+            if abs(log_delta) >= limit:
+                raise ValueError(f"gamma sweep value {j!r} with delta_decay = {self.delta_decay!r} "
+                                 f"gives delta_j = exp({log_delta:.6g}), whose delta_j^(-2.5) "
+                                 f"leaves the float range")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -467,8 +481,9 @@ def _inflate_point(cfg: InflateConfig, N: int) -> tuple[ReportRow, dict]:
     if on_circle:
         steps, estimate, grid, u = _split_step_on_tolerance(phi, eq, T, N, cfg)
         results["split_step"] = evo.interaction_picture(u, eq, T)
+        work = evo.picard_work(phi, eq, T)
         aux.update(split_steps=steps, split_estimate=estimate, split_grid_points=grid,
-                   picard_triples=evo.picard_triples(phi))
+                   picard_nodes=work.nodes, picard_grid_points=work.grid_points)
         try:
             results["picard"] = evo.picard_expansion(phi, eq, T, budget=cfg.picard_budget)
         except torus.BudgetExceededError:

@@ -379,13 +379,17 @@ def test_run_inflation_small_sweep():
         assert (row.regime, row.s, row.alpha) == ("crit_half", -0.5, 1.0)
     per_n = rep.metadata["per_N"]
     assert set(per_n) == {"256", "512"}
-    assert per_n["256"]["picard_triples"] == 462 * 462 * 463 // 2  # |S|^2 (|S| + 1) / 2
-    for n in ("256", "512"):
+    # Gauss nodes and grid points of the first Picard iterate: within the
+    # default budget at N = 256, over it at N = 512
+    assert (per_n["256"]["picard_nodes"], per_n["256"]["picard_grid_points"]) == (93, 7546)
+    assert (per_n["512"]["picard_nodes"], per_n["512"]["picard_grid_points"]) == (92, 15092)
+    for n, skipped in (("256", []), ("512", ["picard"])):
         aux = per_n[n]
-        assert aux["skipped"] == ["picard"]  # first-order budget exceeded
-        support = np.count_nonzero(build_two_block_data(regime_parameters("crit_half", int(n),
-                                                                          -0.5)).coeffs)
-        assert aux["picard_triples"] == support**2 * (support + 1) // 2 > cfg.picard_budget
+        assert aux["skipped"] == skipped
+        phi = build_two_block_data(regime_parameters("crit_half", int(n), -0.5))
+        work = evolution.picard_work(phi, evolution.EquationSpec(), aux["T"])
+        assert (aux["picard_nodes"], aux["picard_grid_points"]) == (work.nodes, work.grid_points)
+        assert (work.nodes * work.grid_points <= cfg.picard_budget) == (not skipped)
         assert 0.0 < aux["T"] < 1e-4
         assert 0.0 < aux["projected_norm"] <= rows[int(n == "512")].norm_T
 
@@ -397,8 +401,7 @@ def test_run_inflation_methods_agree_within_budget():
     rep = run_inflation(cfg)
     aux = rep.metadata["per_N"]["64"]
     assert aux["skipped"] == []
-    support = np.count_nonzero(build_two_block_data(regime_parameters("crit_half", 64, -0.5)).coeffs)
-    assert aux["picard_triples"] == support**2 * (support + 1) // 2 <= cfg.picard_budget
+    assert aux["picard_nodes"] * aux["picard_grid_points"] <= cfg.picard_budget
     assert rep.rows[0].method_disagreement is not None
     assert rep.rows[0].ratio > 1.0
 
@@ -428,7 +431,7 @@ def test_negative_s_runs_the_closed_form_alone():
     rep = run_inflation(cfg)
     aux = rep.metadata["per_N"]["256"]
     assert aux["skipped"] == ["picard", "split_step"]
-    assert not {"split_steps", "split_grid_points", "picard_triples"} & set(aux)
+    assert not {"split_steps", "split_grid_points", "picard_nodes", "picard_grid_points"} & set(aux)
     assert rep.rows[0].method_disagreement is None
     assert rep.rows[0].ratio > 1.0
 
@@ -841,6 +844,19 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         # the reference delta^1.5 would be 0 and divide the error by zero
         ("approx", "sweep = 1e-300", "approx sweep value 1e-300 is too small: its reference "
                                      "delta^1.5 underflows to 0"),
+        # gamma's period round(delta_j^(-2.5)) would overflow a float
+        ("gamma", "base_delta = 1e-300", "base_delta = 1e-300 is out of range: its delta^(-2.5) "
+                                         "leaves the float range"),
+        ("gamma", "delta_decay = 1e-10\nsweep = 1 40",
+         "gamma sweep value 40.0 with delta_decay = 1e-10 gives delta_j = exp(-899.841), whose "
+         "delta_j^(-2.5) leaves the float range"),
+        ("gamma", "sweep = 1700", "gamma sweep value 1700.0 with delta_decay = 0.8408964152537145 "
+                                  "gives delta_j = exp("),
+        # the closed form's phase |phi|^2 t would keep no correct digit mod 2 pi
+        ("approx", "time_horizon = 1e300", "closed form at t = 5e+299: t ||phi||_FL1^2 = "
+                                           "1.022e+299 reaches 2^52"),
+        ("gamma", "time_horizon = 1e300", "closed form at t = 1e+300: t ||phi||_FL1^2 = "
+                                          "1.317e+301 reaches 2^52"),
     ],
 )
 def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):
