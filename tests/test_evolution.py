@@ -10,7 +10,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.fft import next_fast_len
 
 import nlslab as nl
@@ -627,9 +627,7 @@ def test_picard_budget_counts_nodes_times_grid_points(monkeypatch):
                       ("frac_crit", 1024), ("frac_crit", 2048), ("frac_crit", 4096)):
         phi, eq, t = data(regime, N)
         assert picard_expansion(phi, eq, t).bandwidth == nl.evolution.picard_work(phi, eq, t).out_band
-    refused = [data("crit_half", 512), data("crit_half", 64, alpha=1.5),
-               (_support_field([-262_000, 262_000], seed=3), EquationSpec(), 1e-3),
-               (_support_field([-262_000, 262_000], seed=3), EquationSpec(alpha=1.5), 1e-3)]
+    refused = [data("crit_half", 512), data("crit_half", 64, alpha=1.5)]
 
     # a refusal runs no FFT: the cubic term is never evaluated
     def forbidden(*args, **kwargs):
@@ -647,6 +645,93 @@ def test_picard_budget_counts_nodes_times_grid_points(monkeypatch):
     assert work.nodes > nl.evolution.PICARD_MAX_NODES
     with pytest.raises(BudgetExceededError, match="Gauss nodes"):
         picard_expansion(phi, eq, t, budget=10 * work.nodes * work.grid_points)
+
+
+def _triple_sum(coeffs):
+    """Brute-force sum of a1 conj(a2) a3 over the triples n1 - n2 + n3 = n
+    of the support of a band-order array, kept on its band."""
+    m = (coeffs.size - 1) // 2
+    n = np.flatnonzero(coeffs) - m
+    n1, n2, n3 = (k.ravel() for k in np.meshgrid(n, n, n, indexing="ij"))
+    out = n1 - n2 + n3
+    keep = np.abs(out) <= m
+    terms = coeffs[n1 + m] * np.conj(coeffs[n2 + m]) * coeffs[n3 + m]
+    total = np.zeros(coeffs.size, dtype=complex)
+    np.add.at(total, out[keep] + m, terms[keep])
+    return total
+
+
+def test_picard_budget_counts_the_summed_triples(monkeypatch):
+    # the budget's unit is the work the iterate does: Q evaluations of the
+    # triple sum over n1 - n2 + n3 = n, one per Gauss node, each on the G
+    # points of its grid, so a run uses exactly the count it was checked on
+    grids = []
+    cubic = nl.evolution._cubic_coeffs
+
+    def counted(coeffs, wick=False):
+        out = cubic(coeffs, wick)
+        if not grids:  # the first node's evaluation against the brute force
+            scale = float(np.sum(np.abs(coeffs))) ** 3
+            assert np.max(np.abs(out - _triple_sum(coeffs))) <= 1e-13 * scale
+        grids.append(split_grid_size((coeffs.size - 1) // 2))
+        return out
+
+    monkeypatch.setattr(nl.evolution, "_cubic_coeffs", counted)
+    outcomes = set()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_supports(), st.integers(0, 2**32 - 1), st.sampled_from((0.75, 1.0)),
+           st.sampled_from((1e-5, 1e-3, 0.1)))
+    @example((3, [-3, 1, 3]), 0, 1.0, 1e-3)  # runs on 8 nodes
+    @example((40, [-40, 40]), 0, 1.0, 0.1)  # refused: 17 185 nodes
+    def counts(drawn, seed, alpha, t):
+        band, modes = drawn
+        rng = np.random.default_rng(seed)
+        coeffs = np.zeros(2 * band + 1, dtype=complex)
+        coeffs[np.array(modes) + band] = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+        phi, eq = SpectralField(1.0, coeffs), EquationSpec(alpha=alpha)
+        grids.clear()
+        with pytest.raises(BudgetExceededError) as err:
+            picard_expansion(phi, eq, t, budget=0)
+        required = err.value.required
+        assert not grids and required > 0
+        work = nl.evolution.picard_work(phi, eq, t)
+        if work.nodes > nl.evolution.PICARD_MAX_NODES:
+            with pytest.raises(BudgetExceededError):
+                picard_expansion(phi, eq, t, budget=required)
+            assert not grids
+            outcomes.add("refused")
+            return
+        picard_expansion(phi, eq, t, budget=required)
+        assert grids == [work.grid_points] * work.nodes
+        assert sum(grids) == required
+        outcomes.add("runs")
+
+    counts()
+    assert outcomes == {"runs", "refused"}
+
+
+def test_picard_work_on_distant_modes_stays_within_the_triple_count(monkeypatch):
+    # two modes at +-262 000 make 6 triples, but an output band of 786 000:
+    # the default budget refuses the Q G it would take, at either alpha,
+    # and the refusal evaluates no triple sum, so the work done, none,
+    # stays within the 6 triples
+    phi = _support_field([-262_000, 262_000], seed=3)
+    nz = np.flatnonzero(phi.coeffs)
+    assert len(nz) ** 2 * (len(nz) + 1) // 2 == 6
+    evaluations = []
+    monkeypatch.setattr(nl.evolution, "_cubic_coeffs",
+                        lambda c, wick=False: evaluations.append(c.size) or np.zeros_like(c))
+    for alpha in (1.0, 1.5):
+        eq = EquationSpec(alpha=alpha)
+        work = nl.evolution.picard_work(phi, eq, 1e-3)
+        assert (work.out_band, work.grid_points) == (786_000, split_grid_size(786_000))
+        assert work.grid_points > nl.evolution.PICARD_BUDGET
+        with pytest.raises(BudgetExceededError) as err:
+            picard_expansion(phi, eq, 1e-3)
+        assert err.value.required == work.nodes * work.grid_points
+        assert err.value.budget == nl.evolution.PICARD_BUDGET
+        assert evaluations == [], alpha
 
 
 def _first_term_gap(phi, eq, t):
@@ -668,6 +753,8 @@ def test_picard_quadrature_matches_brute_force():
            st.sampled_from((1.0, 0.75, 1.5)), st.sampled_from((-1, 1)),
            st.sampled_from((0.0, 1e-3, 1.0)), st.sampled_from((0.0, 1e-7, 1e-5, 1e-3, 0.3)),
            st.sampled_from((1.0, 2.5)), st.sampled_from((nl.evolution.PICARD_BUDGET, 20_000)))
+    @example((3, [-3, 1, 3]), 0, 1.0, 1, 1.0, 1e-3, 1.0, 20_000)  # runs
+    @example((40, [-40, 40]), 0, 1.0, 1, 1.0, 0.3, 1.0, 20_000)  # refused
     def matches(drawn, seed, alpha, sign, coeff, t, period, budget):
         band, modes = drawn
         rng = np.random.default_rng(seed)
