@@ -2,7 +2,7 @@
 
 Layout: `torus` (band-limited fields, norms, periodization), `profiles`
 (compactly supported line profiles and their transforms), `evolution`
-(exact, split-step, Runge–Kutta, and series integrators plus symmetry
+(exact, split-step, Lawson RK4, and series integrators plus symmetry
 maps), `constructions` (two-block data, series terms, schedules), and
 `lab` (experiment runners, reports, CSV/JSON emission).
 """
@@ -11,7 +11,6 @@ from .torus import (
     BudgetExceededError,
     SpectralField,
     analyze,
-    cubic_density,
     enlarge_band,
     fourier_lebesgue_norm,
     mean_and_l2,

@@ -196,34 +196,41 @@ def split_step_evolve(
     return field.with_coeffs(_band_of_spectrum(spec, m))
 
 
+def _turned_cubic(v: np.ndarray, rates: np.ndarray, tau: float, wick: bool) -> np.ndarray:
+    """The interaction-picture cubic term exp(-i tau rate) _cubic_coeffs(exp(i tau rate) v)."""
+    turn = np.exp(1j * tau * rates)
+    return np.conj(turn) * _cubic_coeffs(turn * v, wick)
+
+
 def rk4_spectral_evolve(
     field: SpectralField, eq: EquationSpec, t: float, cfg: StepperConfig
 ) -> SpectralField:
-    """Classical RK4 on the truncated coefficient system.
-
-    Independent of the splitting scheme; used to cross-check it.
-    """
+    """Lawson's integrating-factor RK4: classical RK4 on the interaction
+    picture v' = i _turned_cubic(v, tau), mapped back by interaction_picture
+    at -t; with zero dispersion it is classical RK4 on the coefficients.
+    Independent of the splitting scheme; used to cross-check it.  The
+    rotations add about u t max|rate| of rounding, u the unit roundoff."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return field
     rates = free_rotation_rates(field, eq)
 
-    def rhs(c):
-        return 1j * (rates * c + _cubic_coeffs(c, eq.wick))
+    def rhs(v, tau):
+        return 1j * _turned_cubic(v, rates, tau, eq.wick)
 
     n_steps = max(1, round(t / cfg.dt))
     dt = t / n_steps
-    c = field.coeffs.copy()
-    for _ in range(n_steps):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * dt * k1)
-        k3 = rhs(c + 0.5 * dt * k2)
-        k4 = rhs(c + dt * k3)
-        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(c)):
+    v = field.coeffs
+    for tau in dt * np.arange(n_steps):
+        k1 = rhs(v, tau)
+        k2 = rhs(v + 0.5 * dt * k1, tau + 0.5 * dt)
+        k3 = rhs(v + 0.5 * dt * k2, tau + 0.5 * dt)
+        k4 = rhs(v + dt * k3, tau + dt)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(v)):
             raise BlowupError(f"non-finite coefficients at step size {dt}")
-    return field.with_coeffs(c)
+    return interaction_picture(field.with_coeffs(v), eq, -t)
 
 
 def interaction_picture(field: SpectralField, eq: EquationSpec, t: float) -> SpectralField:
@@ -348,11 +355,10 @@ def picard_expansion(
 
         phi + i * integral over [0, t] of exp(-i tau rate) cubic(exp(i tau rate) phi) dtau,
 
-    with the rates of free_rotation_rates and the exact cubic term
-    _cubic_coeffs (its Wick form when eq.wick), by Q-node Gauss-Legendre
-    in tau on the output band of picard_work.  The work Q G is checked
-    against ``budget``, and Q against PICARD_MAX_NODES, before any FFT;
-    either over refuses with a size report.
+    the integrand being _turned_cubic (its Wick form when eq.wick), by
+    Q-node Gauss-Legendre in tau on the output band of picard_work.  The
+    work Q G is checked against ``budget``, and Q against PICARD_MAX_NODES,
+    before any FFT; either over refuses with a size report.
 
     Mode n of the integrand is a sum of exp(-i Phi tau) c1 conj(c2) c3
     over the triples n1 - n2 + n3 = n, and the rule's Q integrates each to
@@ -378,6 +384,5 @@ def picard_expansion(
     rates = free_rotation_rates(wide, eq)
     first = np.zeros_like(wide.coeffs)
     for tau, weight in zip(0.5 * t * (1.0 + x), 0.5 * t * w):
-        turn = np.exp(1j * tau * rates)
-        first += weight * np.conj(turn) * _cubic_coeffs(turn * wide.coeffs, eq.wick)
+        first += weight * _turned_cubic(wide.coeffs, rates, tau, eq.wick)
     return wide.with_coeffs(wide.coeffs + 1j * first)

@@ -66,7 +66,7 @@ class ExperimentConfig:
     threads: int = 1
     # lower bounds and positivity, checked on whichever of these keys a config has
     _at_least = {"threads": 1, "dt_steps": 1, "picard_budget": 0, "surrogate_period": 1}
-    _positive = ("alpha", "time_horizon", "band_per_period", "base_delta", "delta_decay")
+    _positive = ("alpha", "time_horizon", "band_per_period", "base_delta", "delta_decay", "margin")
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -201,17 +201,34 @@ class GammaConfig(ExperimentConfig):
             raise ValueError("c_fraction must lie in (0, 1]")
         # each point takes the period L = round(delta_j^(-2.5)), delta_j =
         # base_delta delta_decay^(j - 1), so |log delta_j| must stay below
-        # log(float max) / 2.5; base_delta is named when it alone leaves that range
+        # log(float max) / 2.5, and L must hold the support [-K, K] of the
+        # profile; base_delta is named when it alone fails
         limit = math.log(sys.float_info.max) / 2.5
         if abs(math.log(self.base_delta)) >= limit:
             raise ValueError(f"base_delta = {self.base_delta!r} is out of range: its "
                              f"delta^(-2.5) leaves the float range")
+        diameter = 2.0 * prof.centered_two_step(self.amplitude, self.eps).support_radius
         for j in self.sweep:
             log_delta = math.log(self.base_delta) + (j - 1) * math.log(self.delta_decay)
             if abs(log_delta) >= limit:
                 raise ValueError(f"gamma sweep value {j!r} with delta_decay = {self.delta_decay!r} "
                                  f"gives delta_j = exp({log_delta:.6g}), whose delta_j^(-2.5) "
                                  f"leaves the float range")
+            delta, L = self.delta_and_period(int(j))
+            if L < diameter and j == 1:
+                raise ValueError(f"base_delta = {self.base_delta!r} gives the period "
+                                 f"L = round(base_delta^(-2.5)) = {L:g}, below the profile's "
+                                 f"support diameter 2K = {diameter:g}")
+            if L < diameter:
+                raise ValueError(f"gamma sweep value {j!r} with delta_decay = {self.delta_decay!r} "
+                                 f"gives delta_j = {delta:.6g}, whose period L = "
+                                 f"round(delta_j^(-2.5)) = {L:g} is below the profile's support "
+                                 f"diameter 2K = {diameter:g}")
+
+    def delta_and_period(self, j: int) -> tuple[float, float]:
+        """(delta_j, period L = round(delta_j^(-2.5))) of schedule index j."""
+        delta = self.base_delta * self.delta_decay ** (j - 1)
+        return delta, float(round(delta ** (-2.5)))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -761,8 +778,7 @@ def measure_plateau(w_field: torus.SpectralField, c_fraction: float) -> tuple[fl
 
 
 def _gamma_point(cfg: GammaConfig, j: int) -> ReportRow:
-    delta = cfg.base_delta * cfg.delta_decay ** (j - 1)
-    L = float(round(delta ** (-2.5)))
+    delta, L = cfg.delta_and_period(j)
     profile = prof.centered_two_step(cfg.amplitude, cfg.eps)
     band = math.ceil(cfg.band_per_period * L)
     phi = torus.periodize(profile, L, band)

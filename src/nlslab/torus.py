@@ -226,7 +226,11 @@ def split_grid_size(bandwidth: int) -> int:
 
 
 def _cubic_coeffs(coeffs: np.ndarray, wick: bool = False) -> np.ndarray:
-    """cubic_density on a raw band-order coefficient array."""
+    """Coefficients of |u|^2 u on a band-order coefficient array, truncated
+    to the band.  The product of three band-M series is band-3M; on the grid
+    of split_grid_size (at least 4M+1 points) its aliases all land outside
+    the band, so the retained coefficients equal the triple convolution sum
+    over n = n1 - n2 + n3 exactly.  The Wick variant subtracts 2 (mean of |u|^2) u."""
     m = (coeffs.size - 1) // 2
     g = split_grid_size(m)
     u = _spectrum_of_band(coeffs, g)
@@ -236,17 +240,6 @@ def _cubic_coeffs(coeffs: np.ndarray, wick: bool = False) -> np.ndarray:
     if wick:
         cubic -= 2.0 * np.vdot(coeffs, coeffs).real * coeffs
     return cubic
-
-
-def cubic_density(field: SpectralField, wick: bool = False) -> SpectralField:
-    """Coefficients of |u|^2 u, exactly, truncated back to the band.
-
-    The product of three band-M series is band-3M; on the grid of
-    split_grid_size (at least 4M+1 points) its aliases all land outside the
-    band, so the retained coefficients equal the triple convolution sum
-    over n = n1 - n2 + n3.  The Wick variant subtracts 2 * (mean of |u|^2) * u.
-    """
-    return field.with_coeffs(_cubic_coeffs(field.coeffs, wick))
 
 
 # largest band periodize samples: bounds its arrays of 2M + 1 points, while

@@ -525,6 +525,23 @@ def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
         assert missed > lab.SPLIT_STEP_REL
 
 
+@pytest.mark.parametrize("regime", ["crit_half", "frac_crit"])
+@pytest.mark.parametrize("N", [64, 128, 256])
+def test_split_step_lies_within_its_estimate_of_lawson_rk4(regime, N):
+    # the same equation by a second integrator: Lawson RK4 at 100 steps on
+    # split-step's band; a wrong rotation in split-step can still meet the
+    # halving tolerance, which compares split-step only with itself
+    cfg = InflateConfig(regime=regime, sweep=(float(N),), **INFLATE_REGIMES[regime][0])
+    sched = regime_parameters(regime, N, cfg.s, cfg.theta)
+    phi, T, eq = build_two_block_data(sched), sched.T_N, evolution.EquationSpec()
+    _, estimate, _, u = lab._split_step_on_tolerance(phi, eq, T, N, cfg)
+    wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
+    lawson = evolution.rk4_spectral_evolve(wide, eq, T, evolution.StepperConfig(dt=T / 100))
+    gap = lab._fl_inf_distance(evolution.interaction_picture(u, eq, T),
+                               evolution.interaction_picture(lawson, eq, T))
+    assert gap <= estimate * torus.fourier_lebesgue_norm(phi, 0.0, np.inf), (gap, estimate)
+
+
 def test_reported_split_grid_is_the_grid_split_step_ran_on(tmp_path, monkeypatch):
     bands = []
 
@@ -852,6 +869,17 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
          "delta_j^(-2.5) leaves the float range"),
         ("gamma", "sweep = 1700", "gamma sweep value 1700.0 with delta_decay = 0.8408964152537145 "
                                   "gives delta_j = exp("),
+        # gamma's period must hold the profile's support, of diameter 2K = 2 (2 + eps)
+        ("gamma", "base_delta = 2", "base_delta = 2.0 gives the period L = round(base_delta^(-2.5)) "
+                                    "= 0, below the profile's support diameter 2K = 4.6"),
+        ("gamma", "base_delta = 1.3", "base_delta = 1.3 gives the period L = round(base_delta^"
+                                      "(-2.5)) = 1, below the profile's support diameter"),
+        ("gamma", "delta_decay = 2", "gamma sweep value 3.0 with delta_decay = 2.0 gives delta_j = "
+                                     "0.64, whose period L = round(delta_j^(-2.5)) = 3 is below "
+                                     "the profile's support diameter 2K = 4.6"),
+        # a margin <= 0 would count every scanned triple as feasible
+        ("feasibility", "margin = -1", "margin must be > 0, got -1.0"),
+        ("feasibility", "margin = 0", "margin must be > 0, got 0.0"),
         # the closed form's phase |phi|^2 t would keep no correct digit mod 2 pi
         ("approx", "time_horizon = 1e300", "closed form at t = 5e+299: t ||phi||_FL1^2 = "
                                            "1.022e+299 reaches 2^52"),

@@ -17,7 +17,6 @@ from nlslab import (
     SpectralField,
     analyze,
     appendix_profile,
-    cubic_density,
     enlarge_band,
     fourier_lebesgue_norm,
     mean_and_l2,
@@ -27,6 +26,7 @@ from nlslab import (
     sobolev_norm,
     synthesize,
 )
+from nlslab.torus import _cubic_coeffs
 
 from _helpers import coeff_gap, l2_norm, random_field
 
@@ -236,9 +236,9 @@ def test_project_below_is_a_contraction():
 def test_cubic_density_constant_pins():
     c = 1.5 - 0.5j
     f = SpectralField(1.0, np.array([0, c, 0], dtype=complex))
-    plain = cubic_density(f)
+    plain = f.with_coeffs(_cubic_coeffs(f.coeffs))
     assert abs(plain.coefficient(0) - abs(c) ** 2 * c) <= 1e-12
-    wick = cubic_density(f, wick=True)
+    wick = f.with_coeffs(_cubic_coeffs(f.coeffs, wick=True))
     assert abs(wick.coefficient(0) - (-abs(c) ** 2 * c)) <= 1e-12
 
 
@@ -247,7 +247,7 @@ def test_cubic_density_single_mode_is_resonant():
     coeffs = np.zeros(7, dtype=complex)
     coeffs[3 + 2] = c
     f = SpectralField(2.0, coeffs)
-    d = cubic_density(f)
+    d = f.with_coeffs(_cubic_coeffs(f.coeffs))
     assert abs(d.coefficient(2) - abs(c) ** 2 * c) <= 1e-12
     rest = d.coeffs.copy()
     rest[3 + 2] = 0.0
@@ -273,7 +273,7 @@ def _brute_cubic(field, wick):
 @pytest.mark.parametrize("wick", [False, True])
 def test_cubic_density_matches_brute_force(bandwidth, wick):
     f = random_field(1.5, bandwidth, seed=11 + bandwidth, decay=0.5)
-    got = cubic_density(f, wick=wick)
+    got = f.with_coeffs(_cubic_coeffs(f.coeffs, wick=wick))
     want = _brute_cubic(f, wick)
     assert coeff_gap(got, want) <= 1e-12
 
