@@ -200,20 +200,14 @@ class Xi1Measurement(NamedTuple):
     constant: float
 
 
-def xi1_lower_measurement(
-    phi: SpectralField,
-    t: float,
-    s: float,
-    N: int,
-    R: float | None = None,
-    A: float | None = None,
-) -> Xi1Measurement:
-    """Low-frequency mass of the first series term against the reference
-    t R^3 A^2 f(A); the returned constant is their ratio."""
-    if R is None or A is None:
-        nz = np.abs(phi.coeffs[phi.coeffs != 0.0])
-        R = float(nz.max()) if R is None else R
-        A = float(nz.size / 2.0) if A is None else A
+def xi1_lower_measurement(phi: SpectralField, t: float, s: float, N: int) -> Xi1Measurement:
+    """Low-frequency mass of the first series term below N, against the
+    reference t R^3 A^2 f(A); the returned constant is their ratio.  R and
+    A are read off phi: R is its largest coefficient size and A half its
+    count of nonzero modes, which for two-block data on L = 1 are the
+    block height and, within one mode, the block width."""
+    nz = np.abs(phi.coeffs[phi.coeffs != 0.0])
+    R, A = float(nz.max()), float(nz.size / 2.0)
     xi1 = xi_term(phi, 1, t)
     low = project_below(xi1, N)
     measured = sobolev_norm(low, s)

@@ -66,7 +66,8 @@ class ExperimentConfig:
     threads: int = 1
     # lower bounds and positivity, checked on whichever of these keys a config has
     _at_least = {"threads": 1, "dt_steps": 1, "picard_budget": 0, "surrogate_period": 1}
-    _positive = ("alpha", "time_horizon", "band_per_period", "base_delta", "delta_decay", "margin")
+    _positive = ("alpha", "time_horizon", "band_per_period", "base_delta", "delta_decay", "margin",
+                 "eps", "width")
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -108,8 +109,6 @@ class InflateConfig(ExperimentConfig):
     sweep: tuple[float, ...] = (256.0, 512.0, 1024.0, 2048.0, 4096.0)
     s: float = -0.5
     theta: float | None = None
-    # the largest split-step count the step doubling may reach
-    dt_steps: int = 200
     picard_budget: int = evo.PICARD_BUDGET
     # unset outside negative_s, which takes 32 when it is unset
     surrogate_period: float | None = None
@@ -310,19 +309,6 @@ def _fmt_cell(v) -> str:
     return format(float(v), ".12g")
 
 
-def _plain(obj):
-    """Recursively convert to JSON-serializable builtin types."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def report_to_csv(report: InflationReport) -> str:
     buf = io.StringIO()
     buf.write(",".join(CSV_COLUMNS) + "\n")
@@ -333,7 +319,7 @@ def report_to_csv(report: InflationReport) -> str:
 
 
 def report_to_json(report: InflationReport) -> str:
-    payload = _plain({"metadata": report.metadata, "rows": [asdict(r) for r in report.rows]})
+    payload = {"metadata": report.metadata, "rows": [asdict(r) for r in report.rows]}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -432,42 +418,42 @@ def _closed_form_on_tail_target(phi: torus.SpectralField, T: float,
         f"(2*{k}+1)*{phi.bandwidth}, above {ODE_TAIL_REL:g} of the data mass {mass:.6g}")
 
 
-# Split-step runs Strang at n and 2n steps, n = dt_steps // 8 doubling while
-# 2n <= dt_steps, and stops at the first pair whose halving estimate
-# ||u_2n - u_n||_FLinf / 3 of u_2n's error is at most SPLIT_STEP_REL of
-# ||phi||_FLinf.  Strang is symmetric, so its error runs in even powers of
-# dt and the Richardson value (4 u_2n - u_n) / 3 cancels the dt^2 term.
+# Split-step runs Strang at n and 2n steps, n = SPLIT_STEP_START doubling
+# while 2n <= SPLIT_STEP_MAX (25/50, 50/100, 100/200), and stops at the
+# first pair whose halving estimate ||u_2n - u_n||_FLinf / 3 of u_2n's
+# error is at most SPLIT_STEP_REL of ||phi||_FLinf.  Strang is symmetric,
+# so its error runs in even powers of dt and the Richardson value
+# (4 u_2n - u_n) / 3 cancels the dt^2 term.  The ceiling leaves headroom:
+# every regime and N of the default and benchmark configs stops at 50 or
+# 100 steps.
 SPLIT_STEP_REL = 1e-3
+SPLIT_STEP_START = 25
+SPLIT_STEP_MAX = 200
 
 
-def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: float, N: int,
-                             cfg: InflateConfig) -> tuple[int, float, int, torus.SpectralField]:
+def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: float,
+                             N: int) -> tuple[int, float, int, torus.SpectralField]:
     """(2n, halving estimate over ||phi||_FLinf, grid points, Richardson
     value at T) for the first step pair that meets SPLIT_STEP_REL; refuses
-    if none does.  Split-step runs on the band 3 n_max, and each run's
-    2n-step field is the next pair's n-step one."""
+    if none up to SPLIT_STEP_MAX steps does.  Split-step runs on the band
+    3 n_max, and each run's 2n-step field is the next pair's n-step one."""
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
     scale = torus.fourier_lebesgue_norm(phi, 0.0, np.inf)
 
     def strang(steps: int) -> torus.SpectralField:
         return evo.split_step_evolve(wide, eq, T, evo.StepperConfig(dt=T / steps))
 
-    n = max(1, cfg.dt_steps // 8)
-    coarse = None
-    while 2 * n <= cfg.dt_steps:
-        if coarse is None:
-            coarse = strang(n)
+    n, coarse = SPLIT_STEP_START, strang(SPLIT_STEP_START)
+    while 2 * n <= SPLIT_STEP_MAX:
         fine = strang(2 * n)
         estimate = float(np.max(np.abs(fine.coeffs - coarse.coeffs))) / (3.0 * scale)
         if estimate <= SPLIT_STEP_REL:
             return (2 * n, estimate, evo.split_grid_size(wide.bandwidth),
                     fine.with_coeffs((4.0 * fine.coeffs - coarse.coeffs) / 3.0))
         coarse, n = fine, 2 * n
-    tried = (f"at {n} steps, the largest count dt_steps = {cfg.dt_steps} allows, the estimate "
-             f"is {estimate:.3e}"
-             if coarse is not None else f"dt_steps = {cfg.dt_steps} allows no step pair (n, 2n)")
     raise StepTargetError(f"split-step at N={N} misses the halving tolerance "
-                          f"{SPLIT_STEP_REL:g} of ||phi||_FLinf: {tried}")
+                          f"{SPLIT_STEP_REL:g} of ||phi||_FLinf: at {n} steps, the most "
+                          f"it tries, the estimate is {estimate:.3e}")
 
 
 def _inflate_point(cfg: InflateConfig, N: int) -> tuple[ReportRow, dict]:
@@ -496,7 +482,7 @@ def _inflate_point(cfg: InflateConfig, N: int) -> tuple[ReportRow, dict]:
     results = {"ode": ode.field}
     skipped = [] if on_circle else ["picard", "split_step"]
     if on_circle:
-        steps, estimate, grid, u = _split_step_on_tolerance(phi, eq, T, N, cfg)
+        steps, estimate, grid, u = _split_step_on_tolerance(phi, eq, T, N)
         results["split_step"] = evo.interaction_picture(u, eq, T)
         work = evo.picard_work(phi, eq, T)
         aux.update(split_steps=steps, split_estimate=estimate, split_grid_points=grid,

@@ -197,7 +197,6 @@ class CompactProfile:
     kappa: int = 0
     poly: tuple = ()
     pole_power: int = 0
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in ("step", "mollified", "bump", "derivative"):
@@ -342,16 +341,16 @@ def appendix_profile(kind: str, kappa: int = 1, eps: float = 0.1) -> CompactProf
     asymmetric bump, sign-calibrated so its quintic integral is negative.
     """
     if kind == "psi1":
-        return CompactProfile("step", _psi1_pieces(), 5.0, label="psi1")
+        return CompactProfile("step", _psi1_pieces(), 5.0)
     if kind == "psi2":
-        return CompactProfile("step", _psi2_pieces(), 5.0, label="psi2")
+        return CompactProfile("step", _psi2_pieces(), 5.0)
     if kind == "psi4":
         a = solve_psi4_parameter()
-        return CompactProfile("step", _psi4_pieces(a), a + 1.0, label="psi4")
+        return CompactProfile("step", _psi4_pieces(a), a + 1.0)
     if kind == "mollified":
-        if not 0.0 < eps <= 0.5:
+        if eps > 0.5:
             raise ValueError("mollification width must lie in (0, 0.5]")
-        return CompactProfile("mollified", _psi1_pieces(), 5.0 + eps, eps=eps, label="mollified-psi1")
+        return mollify(appendix_profile("psi1"), eps)
     if kind == "derivative":
         if kappa < 1:
             raise ValueError("derivative kind needs kappa >= 1")
@@ -377,7 +376,6 @@ def _derivative_profile(kappa: int) -> CompactProfile:
         kappa=kappa,
         poly=tuple(np.asarray(p)),
         pole_power=m,
-        label=f"derivative-{kappa}",
     )
 
 
@@ -385,32 +383,22 @@ def smooth_bump(amplitude: float = 1.0, width: float = 2.0) -> CompactProfile:
     """amplitude * exp(-1/(1-(x/width)^2)), supported on (-width, width)."""
     if width <= 0.0:
         raise ValueError("width must be positive")
-    return CompactProfile("bump", support_radius=width, width=width, amplitude=amplitude, label="bump")
+    return CompactProfile("bump", support_radius=width, width=width, amplitude=amplitude)
 
 
 def centered_two_step(amplitude: float = 0.7, eps: float = 0.3) -> CompactProfile:
     """Mean-zero two-step profile on [-2, 2] (heights amplitude * sqrt(pi)
     and -2 amplitude * sqrt(pi)), smoothed by the eps bump.  The workhorse
     data for the small-dispersion discrepancy counting."""
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
     pieces = ((-2.0, 0.0, amplitude * SQRT_PI), (1.0, 2.0, -2.0 * amplitude * SQRT_PI))
-    return CompactProfile("mollified", pieces, 2.0 + eps, eps=eps, label="two-step")
+    return mollify(CompactProfile("step", pieces, 2.0), eps)
 
 
 def mollify(profile: CompactProfile, eps: float) -> CompactProfile:
     """Convolve a step profile with the eps bump."""
     if profile.kind != "step":
         raise ValueError("mollify is defined for step profiles")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    return CompactProfile(
-        "mollified",
-        profile.pieces,
-        profile.support_radius + eps,
-        eps=eps,
-        label=(profile.label + "-mollified") if profile.label else "mollified",
-    )
+    return CompactProfile("mollified", profile.pieces, profile.support_radius + eps, eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -364,7 +364,7 @@ def test_split_step_grid_matches_the_wider_grid(monkeypatch):
             new, old = on_both_grids(lambda: split_step_evolve(wide, eq, sched.T_N, cfg_dt))
             assert coeff_gap(new, old) <= 1e-12 * scale, (regime, N, steps)
         new, old = on_both_grids(
-            lambda: nl.lab._split_step_on_tolerance(phi, eq, sched.T_N, N, cfg))
+            lambda: nl.lab._split_step_on_tolerance(phi, eq, sched.T_N, N))
         assert new[0] == old[0], (regime, N)
 
     t, cfg_dt = 0.2, StepperConfig(dt=5e-3)

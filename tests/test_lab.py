@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib.util
+import inspect
 import json
 import math
 import pathlib
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -47,7 +50,7 @@ from nlslab import (
     smooth_bump,
     wiener_error_budget,
 )
-from nlslab import cli, evolution, lab, torus
+from nlslab import cli, constructions, evolution, lab, torus
 
 from _helpers import random_field
 
@@ -69,7 +72,7 @@ def small_report():
         (dict(experiment="inflate", sweep=(2.0, 1.0)), "sweep must be strictly increasing"),
         (dict(experiment="inflate", sweep=(1.0,), fmt="xml"), "fmt must be csv or json, got 'xml'"),
         (dict(experiment="inflate", sweep=(1.0,), threads=0), "threads must be >= 1"),
-        (dict(experiment="inflate", sweep=(1.0,), dt_steps=0), "dt_steps must be >= 1"),
+        (dict(experiment="approx", dt_steps=0), "dt_steps must be >= 1"),
         (dict(experiment="gamma", c_fraction=0.0), "c_fraction must lie in"),
         (dict(experiment="feasibility", grid_points=0), "grid_points must be >= 1"),
         # config echoes of reports written before a key was retired
@@ -82,6 +85,8 @@ def small_report():
          r"unknown config key 'regime' in \[approx\]"),
         (dict(experiment="gamma", s=-0.5), r"unknown config key 's' in \[gamma\]"),
         (dict(experiment="periodize", alpha=1.0), r"unknown config key 'alpha' in \[periodize\]"),
+        # an inflate echo written while the step doubling's ceiling was a key
+        (dict(experiment="inflate", dt_steps=200), r"unknown config key 'dt_steps' in \[inflate\]"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):
@@ -123,8 +128,7 @@ def test_inflate_echoes_only_the_keys_its_regime_reads():
 
 def test_each_config_class_owns_exactly_its_keys():
     own = {
-        "inflate": {"regime", "alpha", "s", "theta", "dt_steps", "picard_budget",
-                    "surrogate_period"},
+        "inflate": {"regime", "alpha", "s", "theta", "picard_budget", "surrogate_period"},
         "approx": {"dt_steps", "profile", "amplitude", "width", "eps", "time_horizon",
                    "periods", "band_per_period"},
         "periodize": {"profile", "amplitude", "width", "eps", "s_list", "band_per_period"},
@@ -138,7 +142,7 @@ def test_each_config_class_owns_exactly_its_keys():
     for name, cls in lab.CONFIGS.items():
         assert cls.experiment == name
         assert {f.name for f in dataclasses.fields(cls)} == shared | own[name], name
-    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 59
+    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 58
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +168,24 @@ def test_json_report_is_canonical():
     assert payload["metadata"]["seed"] == 0
     assert payload["rows"][0]["regime"] == "crit_half"
     assert payload["rows"][0]["ratio"] is None
+
+
+@pytest.mark.parametrize("cfg", [
+    InflateConfig(sweep=(64.0,)),
+    ApproxConfig(sweep=(0.1, 0.2), periods=(32.0, 64.0), dt_steps=20),
+    PeriodizeConfig(sweep=(8.0,), s_list=(-0.5, 1.0)),
+    GammaConfig(sweep=(1.0,), dt_steps=20),
+    FeasibilityConfig(grid_points=5),
+], ids=lambda cfg: cfg.experiment)
+def test_every_experiment_writes_canonical_json(cfg, tmp_path):
+    # report_to_json dumps the payload as it is, so a numpy integer left in
+    # the metadata or rows fails here rather than in a benchmark run
+    path = tmp_path / "report.json"
+    emit_report(run_experiment(cfg), "json", str(path))
+    text = path.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == text
+    assert config_from_dict(payload["metadata"]["config"]) == cfg
 
 
 def test_emit_report_writes_both_formats(tmp_path):
@@ -500,7 +522,7 @@ def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
     # split-step runs on the band 3 n_max, on that band's grid
     assert aux["split_grid_points"] == evolution.split_grid_size(3 * phi.bandwidth)
     T, eq = aux["T"], evolution.EquationSpec()
-    steps, estimate, grid, u = lab._split_step_on_tolerance(phi, eq, T, N, cfg)
+    steps, estimate, grid, u = lab._split_step_on_tolerance(phi, eq, T, N)
     assert (steps, estimate, grid) == (aux["split_steps"], aux["split_estimate"],
                                        aux["split_grid_points"])
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
@@ -518,7 +540,7 @@ def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
     assert err < float(np.max(np.abs(strang(steps) - ref)))
 
     # the chosen count is the smallest in the sequence that meets the tolerance
-    first = 2 * max(1, cfg.dt_steps // 8)
+    first = 2 * lab.SPLIT_STEP_START
     if steps > first:
         n = steps // 2
         missed = float(np.max(np.abs(strang(n) - strang(n // 2)))) / (3.0 * scale)
@@ -534,7 +556,7 @@ def test_split_step_lies_within_its_estimate_of_lawson_rk4(regime, N):
     cfg = InflateConfig(regime=regime, sweep=(float(N),), **INFLATE_REGIMES[regime][0])
     sched = regime_parameters(regime, N, cfg.s, cfg.theta)
     phi, T, eq = build_two_block_data(sched), sched.T_N, evolution.EquationSpec()
-    _, estimate, _, u = lab._split_step_on_tolerance(phi, eq, T, N, cfg)
+    _, estimate, _, u = lab._split_step_on_tolerance(phi, eq, T, N)
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
     lawson = evolution.rk4_spectral_evolve(wide, eq, T, evolution.StepperConfig(dt=T / 100))
     gap = lab._fl_inf_distance(evolution.interaction_picture(u, eq, T),
@@ -559,18 +581,17 @@ def test_reported_split_grid_is_the_grid_split_step_ran_on(tmp_path, monkeypatch
     assert aux["split_grid_points"] == evolution.split_grid_size(bands[0])
 
 
-@pytest.mark.parametrize("patch,dt_steps,message", [
+@pytest.mark.parametrize("patch,steps,message", [
     (True, 200, "misses the halving tolerance 0 of ||phi||_FLinf: at 200 steps, "
-                "the largest count dt_steps = 200 allows, the estimate is "),
-    (False, 1, "misses the halving tolerance 0.001 of ||phi||_FLinf: "
-               "dt_steps = 1 allows no step pair (n, 2n)"),
+                "the most it tries, the estimate is "),
 ])
-def test_cli_refuses_an_unmet_step_tolerance(patch, dt_steps, message, tmp_path, monkeypatch,
+def test_cli_refuses_an_unmet_step_tolerance(patch, steps, message, tmp_path, monkeypatch,
                                              capsys):
     if patch:
         monkeypatch.setattr(lab, "SPLIT_STEP_REL", 0.0)
+    assert steps == lab.SPLIT_STEP_MAX
     ini = tmp_path / "inflate.ini"
-    ini.write_text(f"[inflate]\nsweep = 64\ndt_steps = {dt_steps}\n", encoding="utf-8")
+    ini.write_text("[inflate]\nsweep = 64\n", encoding="utf-8")
     out = tmp_path / "report.csv"
     assert cli.main(["inflate", "--config", str(ini), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -719,15 +740,42 @@ def test_benchmark_configs_load_as_inflate_configs(path):
     assert set(keys) <= set(config_to_dict(cfg))
 
 
+def test_tracer_wraps_names_that_exist():
+    # benchmarks/tracer.py wraps these functions by name and reads some of
+    # their arguments by position; a rename here would fail only traced runs
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("nlslab_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {"torus": torus, "evolution": evolution, "constructions": constructions,
+               "lab": lab, "cli": cli}
+    assert set(tracer.TRACED) == set(modules)
+    for mod_name, names in tracer.TRACED.items():
+        for name in names:
+            assert callable(getattr(modules[mod_name], name, None)), f"{mod_name}.{name}"
+    assert tracer.FOURIER == "profiles.fourier_transform"
+    assert callable(CompactProfile.fourier_transform)
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(torus.synthesize)[1] == "grid_size"
+    assert params(torus.analyze)[0] == "samples"
+    assert params(evolution.split_step_evolve)[2:4] == ["t", "cfg"]
+    assert typing.get_type_hints(evolution.split_step_evolve)["cfg"] is evolution.StepperConfig
+    assert "dt" in {f.name for f in dataclasses.fields(evolution.StepperConfig)}
+    assert params(evolution.picard_expansion)[0] == "phi"
+
+
 def test_build_config_layers_defaults_file_and_flags(tmp_path):
     path = tmp_path / "exp.ini"
-    path.write_text("[inflate]\nsweep = 256 512\ndt_steps = 50\n", encoding="utf-8")
+    path.write_text("[inflate]\nsweep = 256 512\npicard_budget = 50\n", encoding="utf-8")
     parser = cli.make_parser()
     args = parser.parse_args(["inflate", "--config", str(path), "--format", "json",
                               "--threads", "2", "--seed", "9"])
     cfg = cli.build_config("inflate", args)
     assert cfg.regime == "crit_half" and cfg.s == -0.5  # class defaults
-    assert cfg.sweep == (256.0, 512.0) and cfg.dt_steps == 50  # file
+    assert cfg.sweep == (256.0, 512.0) and cfg.picard_budget == 50  # file
     assert cfg.fmt == "json" and cfg.threads == 2 and cfg.seed == 9  # flags
     args = parser.parse_args(["inflate", "--seed", "-1"])
     with pytest.raises(ValueError, match="unsigned 64-bit"):
@@ -835,6 +883,7 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("gamma", "profile = bump", "unknown config key 'profile' in [gamma] of "),
         ("feasibility", "N_list = 65536", "unknown config key 'N_list' in [feasibility] of "),
         ("inflate", "timing = true", "unknown config key 'timing' in [inflate] of "),
+        ("inflate", "dt_steps = 200", "unknown config key 'dt_steps' in [inflate] of "),
         # keys retired from the experiments that only echoed them into rows
         ("periodize", "regime = crit_half", "unknown config key 'regime' in [periodize] of "),
         ("gamma", "regime = crit_half", "unknown config key 'regime' in [gamma] of "),
@@ -880,6 +929,11 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         # a margin <= 0 would count every scanned triple as feasible
         ("feasibility", "margin = -1", "margin must be > 0, got -1.0"),
         ("feasibility", "margin = 0", "margin must be > 0, got 0.0"),
+        # profile sizes, refused by key whichever profile the run builds
+        ("approx", "eps = -1", "eps must be > 0, got -1.0"),
+        ("periodize", "width = 0", "width must be > 0, got 0.0"),
+        ("approx", "profile = two_step\nwidth = -2", "width must be > 0, got -2.0"),
+        ("gamma", "eps = -1", "eps must be > 0, got -1.0"),
         # the closed form's phase |phi|^2 t would keep no correct digit mod 2 pi
         ("approx", "time_horizon = 1e300", "closed form at t = 5e+299: t ||phi||_FL1^2 = "
                                            "1.022e+299 reaches 2^52"),
