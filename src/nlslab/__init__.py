@@ -45,6 +45,7 @@ from .evolution import (
     picard_expansion,
     rk4_spectral_evolve,
     split_step_evolve,
+    split_step_stack,
 )
 from .constructions import (
     REGIMES,

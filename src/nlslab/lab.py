@@ -136,6 +136,16 @@ class InflateConfig(ExperimentConfig):
         return {key for key, regime in self._regime_keys.items() if regime != self.regime}
 
 
+# the profile keys of approx and periodize that each profile reads
+# (_approx_profile); the appendix profiles other than mollified read none
+_PROFILE_KEYS = {"bump": {"amplitude", "width"}, "two_step": {"amplitude", "eps"},
+                 "mollified": {"eps"}}
+
+
+def _unread_profile_keys(profile: str) -> set[str]:
+    return {"amplitude", "width", "eps"} - _PROFILE_KEYS.get(profile, set())
+
+
 @dataclass(frozen=True, kw_only=True)
 class ApproxConfig(ExperimentConfig):
     experiment = "approx"
@@ -159,6 +169,9 @@ class ApproxConfig(ExperimentConfig):
         if self.amplitude == 0.0:  # zero data: the period spread divides by zero errors
             raise ValueError(f"amplitude must be nonzero, got {self.amplitude!r}")
 
+    def unread_keys(self) -> set[str]:
+        return _unread_profile_keys(self.profile)
+
 
 @dataclass(frozen=True, kw_only=True)
 class PeriodizeConfig(ExperimentConfig):
@@ -175,6 +188,9 @@ class PeriodizeConfig(ExperimentConfig):
         super().__post_init__()
         if self.amplitude == 0.0:  # zero data: every row would be zeros
             raise ValueError(f"amplitude must be nonzero, got {self.amplitude!r}")
+
+    def unread_keys(self) -> set[str]:
+        return _unread_profile_keys(self.profile)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -537,35 +553,41 @@ def _approx_profile(cfg: ApproxConfig | PeriodizeConfig) -> prof.CompactProfile:
     return prof.appendix_profile(cfg.profile, eps=cfg.eps)
 
 
+def _approx_errors(phi: torus.SpectralField, deltas, t: float,
+                   steps: int) -> tuple[list[float], float]:
+    """H^1(T_L) distances at time t between the small-dispersion flow at
+    each delta, run as one split-step stack, and the exact dispersionless
+    flow; also the latter's spectral tail mass.  The stack runs first, so
+    a blow-up is refused by split-step's message."""
+    eqs = [evo.EquationSpec.small_dispersion(delta) for delta in deltas]
+    flows = evo.split_step_stack(phi, eqs, t, evo.StepperConfig(dt=t / steps))
+    w = evo.ode_exact_evolve(phi, t)
+    errs = [torus.sobolev_norm(v.with_coeffs(v.coeffs - w.field.coeffs), 1.0) for v in flows]
+    return errs, w.tail_mass
+
+
 def _approx_error(profile, delta: float, L: float, t: float, band: int,
                   steps: int) -> tuple[float, float]:
-    """H^1(T_L) distance at time t between the small-dispersion flow and
-    the exact dispersionless flow; also the latter's spectral tail mass."""
-    phi = torus.periodize(profile, L, band)
-    eq = evo.EquationSpec.small_dispersion(delta)
-    v = evo.split_step_evolve(phi, eq, t, evo.StepperConfig(dt=t / steps))
-    w = evo.ode_exact_evolve(phi, t)
-    diff = v.with_coeffs(v.coeffs - w.field.coeffs)
-    return torus.sobolev_norm(diff, 1.0), w.tail_mass
+    """_approx_errors of one delta on the periodization of the profile."""
+    errs, tail = _approx_errors(torus.periodize(profile, L, band), (delta,), t, steps)
+    return errs[0], tail
 
 
 def run_approximation(cfg: ApproxConfig) -> InflationReport:
     """Small-dispersion vs dispersionless error scaling."""
     profile = _approx_profile(cfg)
     L0 = cfg.periods[0]
-    band0 = math.ceil(cfg.band_per_period * L0)
-    t_half, t_full = cfg.time_horizon / 2.0, cfg.time_horizon
-
-    def point(delta: float) -> ReportRow:
-        e_half, _ = _approx_error(profile, delta, L0, t_half, band0, cfg.dt_steps)
-        e_full, tail = _approx_error(profile, delta, L0, t_full, band0, cfg.dt_steps)
+    phi = torus.periodize(profile, L0, math.ceil(cfg.band_per_period * L0))
+    horizons = _map_ordered(lambda t: _approx_errors(phi, cfg.sweep, t, cfg.dt_steps),
+                            [cfg.time_horizon / 2.0, cfg.time_horizon], cfg.threads)
+    (errs_half, _), (errs_full, tail) = horizons
+    rows = []
+    for delta, e_half, e_full in zip(cfg.sweep, errs_half, errs_full):
         ref = delta**1.5
-        return ReportRow(  # H^1 errors of the alpha = 1 flow, as _approx_error takes them
+        rows.append(ReportRow(  # H^1 errors of the alpha = 1 flow, as _approx_errors takes them
             cfg.experiment, None, 1.0, 1.0, 0, delta,
             e_half, e_full, e_full / e_half if e_half else None,
-            ref, e_full / ref, tail, None)
-
-    rows = _map_ordered(point, list(cfg.sweep), cfg.threads)
+            ref, e_full / ref, tail, None))
     report = InflationReport(rows, _metadata(cfg))
 
     deltas = np.array([r.param for r in rows], dtype=float)
@@ -582,7 +604,7 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
         errs_L = [rows[i_mid].norm_T]
         for L in cfg.periods[1:]:
             b = math.ceil(cfg.band_per_period * L)
-            errs_L.append(_approx_error(profile, d_mid, L, t_full, b, cfg.dt_steps)[0])
+            errs_L.append(_approx_error(profile, d_mid, L, cfg.time_horizon, b, cfg.dt_steps)[0])
         if min(errs_L) == 0.0:  # data that vanishes on the grid, such as a width that underflows
             L = cfg.periods[errs_L.index(0.0)]
             raise ValueError(f"the approx error at delta = {d_mid!r} on period {L!r} is 0, "
@@ -598,7 +620,6 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
 # periodize
 
 LINE_PANELS = 160  # panel width 0.5 on [0, 80]
-LINE_CHUNK = 512  # transform points per call: bounds mollifier_transform's z x nodes array
 
 
 @functools.cache
@@ -623,14 +644,9 @@ def _head_rule(beta: float, h: float):
 
 
 def _folded_density(profile, xi):
-    """|F(xi)|^2 + |F(-xi)|^2, LINE_CHUNK transform points per call."""
-    out = np.empty_like(xi)
-    step = LINE_CHUNK // 2
-    for i in range(0, xi.size, step):
-        part = xi[i:i + step]
-        f = profile.fourier_transform(np.concatenate([part, -part]))
-        out[i:i + step] = np.sum(np.abs(f.reshape(2, -1)) ** 2, axis=0)
-    return out
+    """|F(xi)|^2 + |F(-xi)|^2, from one transform call on [xi, -xi]."""
+    f = profile.fourier_transform(np.concatenate([xi, -xi]))
+    return np.sum(np.abs(f.reshape(2, -1)) ** 2, axis=0)
 
 
 def line_sobolev_norm(profile, s, homogeneous: bool = True, xi_max: float = 80.0):

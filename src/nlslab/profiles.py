@@ -89,12 +89,14 @@ def _panel_rule(edges, n: int):
     return (mid + half * t).reshape(shape), (half * w).reshape(shape)
 
 
-# transform points times quadrature nodes per block of mollifier_transform
-# and CompactProfile._base_transform: bounds their points x nodes
-# temporaries (16 MB of floats) whatever the number of points.  The
-# largest call of the CLI defaults, periodize's 4097 points at 400 nodes,
-# fits one block
-_TRANSFORM_BLOCK = 1 << 21
+# points times quadrature nodes per block of _node_sums, the sums of
+# mollifier_transform and CompactProfile._base_transform: bounds their
+# points x nodes temporaries (1 MB of floats) whatever the number of
+# points.  On a 2-CPU Xeon, line_sobolev_norm's call (10 240 distinct |xi|
+# at 200 folded nodes) took 34 ms in one 16 MB block and 23-25 ms in
+# blocks of 1 MB down to 0.5 MB, which also keep the block out of the
+# run's peak memory
+_TRANSFORM_BLOCK = 1 << 17
 
 
 def _row_blocks(points: int, nodes: int):
@@ -103,24 +105,48 @@ def _row_blocks(points: int, nodes: int):
     return [slice(lo, lo + rows) for lo in range(0, points, rows)]
 
 
+def _transform_rule(points: np.ndarray):
+    """Nodes, weights and unit bump of the positive half of the symmetric
+    Gauss rule for the transforms at these points: 400 nodes while
+    max|point| <= 25, else 2000 (both even, so no node sits at 0)."""
+    rule = _gauss_rule(400 if np.max(np.abs(points)) <= 25.0 else 2000)
+    half = rule[0].size // 2
+    return tuple(a[half:] for a in rule)
+
+
+def _node_sums(trig, points: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The sum over the nodes of weights * trig(2 pi point node), for each
+    point, in the blocks of _row_blocks.  Each point's row is summed alone
+    (a BLAS product's order of summation depends on the row's place in its
+    block), so a value does not depend on the points beside it."""
+    out = np.empty(points.size)
+    # periodize passes thousands of points at once, so a block's points x
+    # nodes array runs to megabytes: update one in place rather than
+    # allocate three, which the allocator would map and page in afresh on
+    # every call
+    for blk in _row_blocks(points.size, nodes.size):
+        arg = np.outer(points[blk], nodes)
+        arg *= 2.0 * np.pi
+        trig(arg, out=arg)
+        arg *= weights
+        out[blk] = arg.sum(axis=1)
+    return out
+
+
 def mollifier_transform(zeta):
     """Transform of the unit bump: integral of eta(y) exp(-2 pi i zeta y) dy.
 
     Real and even in zeta.  Gauss-Legendre with enough nodes for the
     oscillation; accuracy degrades only where the value is below 1e-25.
+    Both evennesses are folded: the sum runs once per distinct |zeta|,
+    over the rule's positive nodes with doubled weights, and the values
+    are scattered back to the order given.
     """
     z = np.ravel(np.asarray(zeta, dtype=float))
-    nodes, weights, bump = _gauss_rule(400 if np.max(np.abs(z)) <= 25.0 else 2000)
-    wf = weights * bump
-    vals = np.empty(z.size)
-    # periodize passes thousands of z at once, so a block's z x nodes array
-    # runs to megabytes: update one in place rather than allocate three,
-    # which the allocator would map and page in afresh on every call
-    for blk in _row_blocks(z.size, nodes.size):
-        arg = np.outer(z[blk], nodes)
-        arg *= 2.0 * np.pi
-        vals[blk] = np.cos(arg, out=arg) @ wf
-    return vals if np.ndim(zeta) else float(vals[0])
+    nodes, weights, bump = _transform_rule(z)
+    a, back = np.unique(np.abs(z), return_inverse=True)
+    vals = _node_sums(np.cos, a, nodes, 2.0 * weights * bump)
+    return vals[back] if np.ndim(zeta) else float(vals[0])
 
 
 def mollifier_cdf(u):
@@ -243,14 +269,18 @@ class CompactProfile:
 
     def _base_transform(self, xi_arr):
         # quadrature transform of the underived base eta_raw * p0, with p0
-        # saved in pieces alongside the derived polynomial
+        # saved in pieces alongside the derived polynomial.  The base is
+        # real, so F(xi) = C(|xi|) - i sign(xi) S(|xi|): its cos and sin sums
+        # run once per distinct |xi|, over the rule's positive nodes with
+        # the even and odd parts of the base
         p0 = np.asarray(self.pieces[0] if self.pieces else (1.0,))
-        x, w = _panel_rule((-1.0, 1.0), 2000 if np.max(np.abs(xi_arr)) > 25.0 else 400)
-        wf = w * _raw_bump(x) * npoly.polyval(x, p0)
-        out = np.empty(xi_arr.size, dtype=complex)
-        for blk in _row_blocks(xi_arr.size, x.size):
-            out[blk] = np.exp(-2j * np.pi * np.outer(xi_arr[blk], x)) @ wf
-        return out
+        x, w, _ = _transform_rule(xi_arr)
+        wb = w * _raw_bump(x)
+        right, left = npoly.polyval(x, p0), npoly.polyval(-x, p0)
+        even, odd = wb * (right + left), wb * (right - left)
+        a, back = np.unique(np.abs(xi_arr), return_inverse=True)
+        cos_sum, sin_sum = _node_sums(np.cos, a, x, even), _node_sums(np.sin, a, x, odd)
+        return cos_sum[back] - 1j * (np.sign(xi_arr) * sin_sum[back])
 
     # -- integrals ----------------------------------------------------------
 

@@ -81,8 +81,9 @@ class SpectralField:
 
 def _negate_odd_modes(a: np.ndarray, first_mode: int) -> None:
     """Negate, in place, the entries of a run of consecutive modes
-    first_mode, first_mode + 1, ... whose mode number is odd."""
-    a[(first_mode + 1) % 2 :: 2] *= -1.0
+    first_mode, first_mode + 1, ... along the last axis whose mode number
+    is odd."""
+    a[..., (first_mode + 1) % 2 :: 2] *= -1.0
 
 
 # The band <-> grid path.  exp(2*pi*i*(n/L)*x_j) at x_j = j*L/G - L/2 picks
@@ -92,15 +93,16 @@ def _negate_odd_modes(a: np.ndarray, first_mode: int) -> None:
 
 
 def _spectrum_of_band(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    """Scatter band coefficients (mode n at index n + M) into a length-G
-    DFT-order spectrum with the (-1)^n twiddle; ifft(..., norm="forward")
-    of it is the field on the centered grid.  Needs G >= 2M + 1."""
-    m = (coeffs.size - 1) // 2
-    spec = np.zeros(grid_size, dtype=complex)
-    spec[: m + 1] = coeffs[m:]
-    spec[grid_size - m :] = coeffs[:m]
-    _negate_odd_modes(spec[: m + 1], 0)
-    _negate_odd_modes(spec[grid_size - m :], -m)
+    """Scatter band coefficients (mode n at index n + M along the last
+    axis) into a length-G DFT-order spectrum with the (-1)^n twiddle;
+    ifft(..., norm="forward") of it is the field on the centered grid.
+    Leading axes are kept: one spectrum per row.  Needs G >= 2M + 1."""
+    m = (coeffs.shape[-1] - 1) // 2
+    spec = np.zeros(coeffs.shape[:-1] + (grid_size,), dtype=complex)
+    spec[..., : m + 1] = coeffs[..., m:]
+    spec[..., grid_size - m :] = coeffs[..., :m]
+    _negate_odd_modes(spec[..., : m + 1], 0)
+    _negate_odd_modes(spec[..., grid_size - m :], -m)
     return spec
 
 
@@ -245,10 +247,11 @@ def _cubic_coeffs(coeffs: np.ndarray, wick: bool = False) -> np.ndarray:
 # largest band periodize samples: bounds its arrays of 2M + 1 points, while
 # the profile transforms bound their points x nodes quadrature in blocks.
 # At the limit, under ulimit -v 4 GB on a 2-CPU Xeon, the periodize
-# experiment at L = 16384 peaks at 138 MB in 9 s (400 nodes), and at 138
-# to 145 MB in 44 to 109 s where it takes 2000 nodes (mollified eps = 0.5
-# at 64 modes per period, derivative profile); approx at L = 65536 peaks
-# at 514 MB, its closed form on 8.4 million grid points
+# experiment peaks at 139 MB in 2 s at L = 16384 (400 nodes), and where it
+# takes 2000 nodes at 139 MB in 7 s (mollified eps = 0.5 at 64 modes per
+# period, L = 8192) and 119 MB in 13 s (derivative profile, L = 16384);
+# approx at L = 65536 peaks at 514 MB, its closed form on 8.4 million grid
+# points
 MAX_PERIODIZE_BAND = 2**19
 
 

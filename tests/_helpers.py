@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from nlslab import SpectralField, enlarge_band, sobolev_norm
 from nlslab.evolution import free_rotation_rates, picard_work
+from nlslab.profiles import _gauss_rule, _raw_bump
 
 
 def random_field(period, bandwidth, seed, l2=None, decay=0.0, mean_zero=False,
@@ -108,3 +110,25 @@ def picard_bound(phi, eq, t):
     rounding = 4.0 * u * (np.log2(work.grid_points) + t * float(np.max(np.abs(rates))))
     wiener = float(np.sum(np.abs(phi.coeffs)))
     return t * (1e-15 + rounding) * wiener**3 + 2.0 * u * float(np.max(np.abs(phi.coeffs)))
+
+
+def _transform_nodes(points):
+    """The transforms' node count: 400 while max|point| <= 25, else 2000."""
+    return 400 if np.max(np.abs(points)) <= 25.0 else 2000
+
+
+def unfolded_mollifier_transform(zeta):
+    """The unit bump's transform at each zeta as one sum over every node of
+    the Gauss rule, unfolded in zeta and in the nodes."""
+    z = np.atleast_1d(np.asarray(zeta, dtype=float))
+    nodes, weights, bump = _gauss_rule(_transform_nodes(z))
+    return np.cos(2.0 * np.pi * np.outer(z, nodes)) @ (weights * bump)
+
+
+def unfolded_base_transform(profile, xi):
+    """The derivative profile's base transform, integral of eta_raw(x)
+    p0(x) exp(-2 pi i xi x) dx, as one complex sum over every node."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    nodes, weights, _ = _gauss_rule(_transform_nodes(xi))
+    wf = weights * _raw_bump(nodes) * npoly.polyval(nodes, np.asarray(profile.pieces[0]))
+    return np.exp(-2j * np.pi * np.outer(xi, nodes)) @ wf

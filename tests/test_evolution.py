@@ -30,6 +30,7 @@ from nlslab import (
     rk4_spectral_evolve,
     sobolev_norm,
     split_step_evolve,
+    split_step_stack,
     synthesize,
     xi_term,
 )
@@ -243,6 +244,46 @@ def test_split_step_blowup_diagnostic():
     big = SpectralField(1.0, np.full(9, 1e200, dtype=complex))
     with pytest.raises(BlowupError):
         split_step_evolve(big, EquationSpec(), 0.01, StepperConfig(dt=0.01))
+
+
+def test_split_step_stack_rows_equal_one_row_runs(monkeypatch):
+    # every operation of the stacked loop acts on each row alone, so each
+    # row is bitwise its own split_step_evolve: plain and Wick rows, and
+    # dispersions that differ in size, order and sign, in one loop, in
+    # loops of two rows, and one row per loop when the cap is below one row
+    f = random_field(4.0, 32, seed=41, l2=1.5, decay=0.5)
+    eqs = [EquationSpec.small_dispersion(0.05), EquationSpec(wick=True),
+           EquationSpec.small_dispersion(0.2),
+           EquationSpec(alpha=0.75, dispersion_coeff=0.3, dispersion_sign=-1, wick=True),
+           EquationSpec(dispersion_coeff=0.0)]
+    cfg = StepperConfig(dt=0.3 / 40)
+    want = [split_step_evolve(f, eq, 0.3, cfg).coeffs for eq in eqs]
+    strang, loops = nl.evolution._strang_rows, []
+
+    def counted(field, rows, *args):
+        loops.append(len(rows))
+        return strang(field, rows, *args)
+
+    monkeypatch.setattr(nl.evolution, "_strang_rows", counted)
+    g = split_grid_size(f.bandwidth)
+    for cap, sizes in ((nl.evolution.SPLIT_STACK_POINTS, [5]), (2 * g, [2, 2, 1]),
+                       (g - 1, [1, 1, 1, 1, 1])):
+        monkeypatch.setattr(nl.evolution, "SPLIT_STACK_POINTS", cap)
+        loops.clear()
+        got = split_step_stack(f, eqs, 0.3, cfg)
+        assert loops == sizes
+        assert all(np.array_equal(v.coeffs, w) for v, w in zip(got, want, strict=True))
+
+
+def test_split_step_stack_refusals_and_time_zero():
+    f = random_field(1.0, 4, seed=42, l2=0.5)
+    eqs = [EquationSpec(), EquationSpec(wick=True)]
+    assert [v is f for v in split_step_stack(f, eqs, 0.0, StepperConfig(dt=0.1))] == [True, True]
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        split_step_stack(f, eqs, -1.0, StepperConfig(dt=0.1))
+    big = SpectralField(1.0, np.full(9, 1e200, dtype=complex))
+    with pytest.raises(BlowupError, match="non-finite coefficients at step size 0.01"):
+        split_step_stack(big, eqs, 0.01, StepperConfig(dt=0.01))
 
 
 def _direct_synthesis(field, g):

@@ -126,6 +126,26 @@ def test_inflate_echoes_only_the_keys_its_regime_reads():
     assert config_to_dict(unset)["surrogate_period"] == 32.0
 
 
+@pytest.mark.parametrize("cls", [ApproxConfig, PeriodizeConfig])
+@pytest.mark.parametrize("profile, unread", [
+    ("bump", {"eps"}),
+    ("two_step", {"width"}),
+    ("mollified", {"amplitude", "width"}),
+    ("psi1", {"amplitude", "width", "eps"}),
+    ("derivative", {"amplitude", "width", "eps"}),
+])
+def test_profile_configs_echo_only_the_keys_their_profile_reads(cls, profile, unread):
+    cfg = cls(profile=profile, amplitude=2.0, width=3.0, eps=0.25)
+    d = config_to_dict(cfg)
+    assert cfg.unread_keys() == unread
+    assert {"amplitude", "width", "eps"} - set(d) == unread
+    rebuilt = config_from_dict(json.loads(json.dumps(d)))
+    assert config_to_dict(rebuilt) == d
+    # the keys left out are the ones the run never reads: the rebuilt
+    # config, which takes their defaults, builds the same profile
+    assert lab._approx_profile(rebuilt) == lab._approx_profile(cfg)
+
+
 def test_each_config_class_owns_exactly_its_keys():
     own = {
         "inflate": {"regime", "alpha", "s", "theta", "picard_budget", "surrogate_period"},
@@ -614,6 +634,19 @@ def test_run_approximation_report():
         assert abs(row.reference - row.param**1.5) <= 1e-15
         assert abs(row.constant - row.norm_T / row.reference) <= 1e-12
     assert rep.rows[2].method_disagreement == meta["period_spread"]
+
+
+def test_approx_rows_are_the_errors_of_each_delta_alone():
+    # approx runs its deltas as one split-step stack per horizon; each row
+    # is bitwise what _approx_error gives for its delta alone
+    cfg = ApproxConfig(periods=(32.0,), threads=2)
+    rows = run_approximation(cfg).rows
+    profile = lab._approx_profile(cfg)
+    band = math.ceil(cfg.band_per_period * 32.0)
+    for delta, row in zip(cfg.sweep, rows, strict=True):
+        e_half, _ = lab._approx_error(profile, delta, 32.0, 0.5, band, cfg.dt_steps)
+        e_full, tail = lab._approx_error(profile, delta, 32.0, 1.0, band, cfg.dt_steps)
+        assert (row.param, row.norm_t0, row.norm_T, row.tail_mass) == (delta, e_half, e_full, tail)
 
 
 def test_feasibility_scan_finds_nothing_at_the_obstructed_exponents():

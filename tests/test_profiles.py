@@ -25,6 +25,8 @@ from nlslab import (
     solve_psi4_parameter,
 )
 
+from _helpers import unfolded_base_transform, unfolded_mollifier_transform
+
 SQRT_PI = math.sqrt(math.pi)
 
 
@@ -186,22 +188,53 @@ def test_mollifier_cdf_and_transform():
     assert abs(mollifier_transform(5.0)) < 1.0
 
 
-@pytest.mark.parametrize("zmax", [20.0, 40.0])  # 400 and 2000 nodes
+@pytest.mark.parametrize("zmax", [20.0, 40.0])  # 400 and 2000 nodes, folded to 200 and 1000
 def test_transforms_run_in_blocks_of_points(monkeypatch, zmax):
-    # points x nodes in blocks of _TRANSFORM_BLOCK: with the block cut to
-    # 3 or 7 points, every point still gets its own value, to within the
-    # roundoff of a matrix-vector product
-    z = np.linspace(-zmax, zmax, 1001)
+    # distinct |points| x folded nodes in blocks of _TRANSFORM_BLOCK: with
+    # the block cut to 3 or 7 points, every point still gets its own value
+    z = np.linspace(-zmax, zmax, 1001)  # 501 distinct |z|
     deriv = appendix_profile("derivative", kappa=1)
     whole = mollifier_transform(z), deriv.fourier_transform(z)
-    n = 400 if zmax <= 25.0 else 2000
+    half = (400 if zmax <= 25.0 else 2000) // 2
     for rows in (3, 7):
-        monkeypatch.setattr(nlslab.profiles, "_TRANSFORM_BLOCK", rows * n)
-        assert nlslab.profiles._row_blocks(z.size, n)[1] == slice(rows, 2 * rows)
+        monkeypatch.setattr(nlslab.profiles, "_TRANSFORM_BLOCK", rows * half)
+        assert nlslab.profiles._row_blocks(501, half)[1] == slice(rows, 2 * rows)
         blocked = mollifier_transform(z), deriv.fourier_transform(z)
         for got, want in zip(blocked, whole):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+# unsorted, repeated, of both signs and with 0; below and above the
+# 400/2000-node switch at max|zeta| = 25
+_FOLD_POINTS = np.array([3.5, -0.25, 0.0, 7.0, -3.5, 3.5, 0.25, -7.0, 12.125, -0.25])
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_folded_mollifier_transform_matches_the_unfolded_sum(scale):
+    z = scale * _FOLD_POINTS
+    want = unfolded_mollifier_transform(z)
+    got = mollifier_transform(z)
+    assert got.shape == z.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # a value does not depend on the order of the points beside it
+    assert np.array_equal(mollifier_transform(z[::-1]), got[::-1])
+    for zeta in z[:3]:
+        scalar = mollifier_transform(float(zeta))
+        assert isinstance(scalar, float)
+        assert abs(scalar - unfolded_mollifier_transform(zeta)[0]) <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_folded_base_transform_matches_the_unfolded_sum(scale):
+    # the derivative base is real and asymmetric: F(-xi) = conj F(xi) folds
+    # xi onto |xi|, and its even and odd parts fold the nodes
+    xi = scale * _FOLD_POINTS
+    deriv = appendix_profile("derivative", kappa=2)
+    want = unfolded_base_transform(deriv, xi)
+    got = deriv._base_transform(xi)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(got[[0, 4]], [got[0], np.conj(got[0])])
 
 
 def test_bump_mass_is_its_closed_form():

@@ -1,0 +1,198 @@
+"""Time nlslab's primitives at the sizes its reports run them.
+
+    PYTHONPATH=src python3 tools/layers.py [--out layers.json] [--repeats 15] [--tiny]
+
+Each case runs once untimed, then --repeats times; its entry holds the
+median and the interquartile range of those calls in seconds, unscaled.
+The cases:
+
+- `mollifier_transform` on the largest lattice of the `periodize`,
+  `approx` and `gamma` defaults;
+- split-step per row and step, one row and stacked 2, 4 and 8 rows, on
+  1 029 (`approx`), 7 546 and 120 000 points (`inflate`'s smallest and
+  largest split-step grids), from calls of STACK_STEPS steps, so an
+  eighth of a call's setup is in each step;
+- one Lawson RK4 step, `synthesize`/`analyze` and `_cubic_coeffs` on the
+  same bands;
+- the closed form `ode_exact_evolve` on 17 640 and 330 750 points;
+- `picard_expansion` at the `crit_half` point N = 256;
+- `sobolev_norm` on the 120 000-point band, and `line_sobolev_norm` of
+  the `periodize` default profile at its four orders (`psi1`, whose
+  transform is closed-form, with `--tiny`).
+
+The JSON written holds the machine, the Python and numpy versions, the
+git commit of the checkout and whether its files differ from it, and one
+entry per case.  `--tiny` runs every
+case at a few dozen points, to check that the script still runs; its
+timings mean nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from nlslab import constructions as cons
+from nlslab import evolution as evo
+from nlslab import lab
+from nlslab import profiles as prof
+from nlslab import torus
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# split-step bands whose grids, split_grid_size(M), are the 1 029, 7 546
+# and 120 000 points named above
+SPLIT_BANDS = (256, 1886, 29999)
+STACK_ROWS = (1, 2, 4, 8)
+STACK_STEPS = 8
+# closed-form bands, on ode_grid_size(M, M) = 8 (2M + 1) rounded up to a
+# fast length: 17 640 and 330 750 points
+ODE_BANDS = (1100, 20625)
+PICARD_N = 256
+
+
+def _stats(times: list[float]) -> dict:
+    q1, med, q3 = np.percentile(times, [25.0, 50.0, 75.0])
+    return {"median_s": float(med), "iqr_s": float(q3 - q1), "repeats": len(times)}
+
+
+def _time(fn, repeats: int) -> dict:
+    fn()
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return _stats(times)
+
+
+def _field(bandwidth: int) -> torus.SpectralField:
+    """Band-M data of unit coefficients' size, decaying like 1/(1 + |n|)."""
+    n = np.arange(-bandwidth, bandwidth + 1)
+    phase = np.exp(2j * np.pi * (n * n % 97) / 97.0)
+    return torus.SpectralField(1.0, phase / (1.0 + np.abs(n)))
+
+
+def _transform_lattices(tiny: bool) -> dict[str, np.ndarray]:
+    """The mollifier_transform argument of each default config's largest
+    periodize call: scale * n / L for |n| <= band."""
+    if tiny:
+        return {"tiny": np.arange(-16, 17) / 8.0}
+    approx, period, gamma = lab.ApproxConfig(), lab.PeriodizeConfig(), lab.GammaConfig()
+    L_gamma = gamma.delta_and_period(int(gamma.sweep[-1]))[1]
+    cases = {"periodize": (period.eps, period.sweep[-1], period.band_per_period),
+             "approx": (approx.width, approx.periods[-1], approx.band_per_period),
+             "gamma": (gamma.eps, L_gamma, gamma.band_per_period)}
+    out = {}
+    for name, (scale, L, per_period) in cases.items():
+        band = int(np.ceil(per_period * L))
+        out[name] = scale * np.arange(-band, band + 1) / L
+    return out
+
+
+def run(repeats: int, tiny: bool) -> list[dict]:
+    entries = []
+
+    def add(name: str, size: dict, stats: dict):
+        entries.append({"name": name, **size, **stats})
+        print(f"{name:24s} {json.dumps(size):40s} median {stats['median_s'] * 1e3:9.3f} ms "
+              f"iqr {stats['iqr_s'] * 1e3:8.3f} ms", file=sys.stderr)
+
+    for name, zeta in _transform_lattices(tiny).items():
+        add("mollifier_transform", {"lattice": name, "points": int(zeta.size)},
+            _time(lambda: prof.mollifier_transform(zeta), repeats))
+
+    eq = evo.EquationSpec.small_dispersion(0.1)
+    for band in (8, 16) if tiny else SPLIT_BANDS:
+        phi = _field(band)
+        g = evo.split_grid_size(band)
+        size = {"band": band, "grid_points": g}
+        for rows in STACK_ROWS:
+            eqs = [evo.EquationSpec.small_dispersion(0.1 * (k + 1)) for k in range(rows)]
+            stats = _time(lambda: evo._strang_rows(phi, eqs, 1e-3, STACK_STEPS, g), repeats)
+            per_step = {k: v / (rows * STACK_STEPS) if k != "repeats" else v
+                        for k, v in stats.items()}
+            add("split_step_per_row_step", {**size, "rows": rows, "steps": STACK_STEPS}, per_step)
+        cfg = evo.StepperConfig(dt=1e-3)
+        add("rk4_step", size, _time(lambda: evo.rk4_spectral_evolve(phi, eq, 1e-3, cfg), repeats))
+        add("synthesize", size, _time(lambda: torus.synthesize(phi, g), repeats))
+        u = torus.synthesize(phi, g)
+        add("analyze", size, _time(lambda: torus.analyze(u, 1.0, band), repeats))
+        add("cubic_coeffs", size, _time(lambda: torus._cubic_coeffs(phi.coeffs), repeats))
+    add("sobolev_norm", {"band": band}, _time(lambda: torus.sobolev_norm(phi, -0.5), repeats))
+
+    for band in (8,) if tiny else ODE_BANDS:
+        phi = _field(band)
+        add("ode_exact_evolve", {"band": band, "grid_points": evo.ode_grid_size(band, band)},
+            _time(lambda: evo.ode_exact_evolve(phi, 0.5), repeats))
+
+    N = 16 if tiny else PICARD_N
+    sched = cons.regime_parameters("crit_half", N, -0.5)
+    phi = cons.build_two_block_data(sched, 1.0)
+    work = evo.picard_work(phi, evo.EquationSpec(), sched.T_N)
+    add("picard_expansion", {"regime": "crit_half", "N": N, "nodes": work.nodes,
+                             "grid_points": work.grid_points},
+        _time(lambda: evo.picard_expansion(phi, evo.EquationSpec(), sched.T_N), repeats))
+
+    period = lab.PeriodizeConfig(profile="psi1" if tiny else "two_step")
+    profile = lab._approx_profile(period)
+    add("line_sobolev_norm", {"profile": period.profile, "orders": len(period.s_list)},
+        _time(lambda: lab.line_sobolev_norm(profile, period.s_list), repeats))
+    return entries
+
+
+def _git(*args: str) -> str | None:
+    try:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _cpu() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", help="JSON path; standard output without it")
+    ap.add_argument("--repeats", type=int, default=15, help="timed calls per case (default 15)")
+    ap.add_argument("--tiny", action="store_true", help="every case at a few dozen points")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    result = {
+        "machine": {"cpu": _cpu(), "nproc": os.cpu_count(), "platform": platform.platform()},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "commit": _git("rev-parse", "HEAD"),
+        "dirty": None if (status := _git("status", "--porcelain")) is None else bool(status),
+        "tiny": args.tiny,
+        "timings": run(args.repeats, args.tiny),
+    }
+    text = json.dumps(result, indent=1) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
