@@ -23,12 +23,9 @@ from .profiles import _gauss_rule
 from .torus import (
     BudgetExceededError,
     SpectralField,
-    _band_of_spectrum,
     _cubic_coeffs,
-    _spectrum_of_band,
     enlarge_band,
-    fft,
-    ifft,
+    grid_plan,
     mean_and_l2,
     next_fast_len,
     split_grid_size,
@@ -118,10 +115,13 @@ def ode_exact_evolve(
     """Closed-form dispersionless solution phi * exp(i |phi|^2 t).
 
     The rotation is not band-limited, so it is sampled on the grid of
-    ode_grid_size and re-analyzed.  The discarded tail mass, L times the
-    grid spectrum's mass beyond the retained band |n| <= M_out, is summed
-    directly over the discarded FFT bins (Parseval), so it is
-    non-negative and free of cancellation against the total mass.  The
+    ode_grid_size and re-analyzed through the grid's plan
+    (torus.GridPlan).  The retained band |n| <= M_out is gathered from
+    column slabs of the plan's layout.  The discarded tail mass, L times
+    the grid spectrum's mass beyond that band, is summed directly over the
+    discarded FFT bins (Parseval), a contiguous run of columns in each row
+    of the layout, so it is non-negative and free of cancellation against
+    the total mass; neither step builds an index array.  The
     inflate experiment picks its out band from this value: the smallest
     band whose tail is at most 1e-20 of the data mass.
 
@@ -135,7 +135,8 @@ def ode_exact_evolve(
     if m_out < m:
         raise ValueError("out_bandwidth cannot be below the input band")
     g = ode_grid_size(m, m_out)
-    u = synthesize(field, g)
+    plan = grid_plan(g)
+    u = synthesize(field, g)  # natural order: a flat view of the plan's layout
     shift = 2.0 * mean_and_l2(field)[1] if wick else None
     chunk = min(g, _ROTATE_CHUNK)
     theta, phase = np.empty(chunk), np.empty(chunk, dtype=complex)
@@ -143,11 +144,10 @@ def ode_exact_evolve(
         for lo in range(0, g, chunk):
             part = u[lo : lo + chunk]
             _rotate_in_place(part, t, shift, theta[: part.size], phase[: part.size])
-        spec = fft(u, norm="forward", out=u)
-        out = SpectralField(field.period, _band_of_spectrum(spec, m_out))
+        spec = plan.forward(u.reshape(plan.shape))
+        out = SpectralField(field.period, plan.band(spec, m_out))
         # bins m_out+1 .. g-m_out-1 are exactly the modes outside |n| <= m_out
-        dropped = spec[m_out + 1 : g - m_out]
-        tail = float(np.vdot(dropped, dropped).real) * field.period
+        tail = plan.bin_mass(spec, m_out + 1, g - m_out) * field.period
     if not (np.isfinite(out.coeffs).all() and np.isfinite(tail)):
         raise BlowupError(f"non-finite coefficients in the closed form at t = {t}")
     wiener = float(np.sum(np.abs(field.coeffs)))
@@ -158,12 +158,13 @@ def ode_exact_evolve(
 
 
 # rows x grid points of one Strang loop in split_step_stack; further rows
-# run in further loops.  Per row and step on a 2-CPU Xeon (tools/layers.py
-# and interleaved calls of 8 steps), one row alone -> in a stack of 4:
-# 0.065 -> 0.043 ms at 1 029 points, 0.36 -> 0.29 ms at 7 546, 4.6 -> 3.9
-# ms at 60 025 in one set but 5.0 -> 4.8 ms in another, and 7.3 -> 7.6 ms
-# at 120 000.  So rows stack up to 65 536 points, and a 120 000-point grid
-# runs one row at a time
+# run in further loops.  Per row and step on a 2-CPU Xeon (tools/layers.py,
+# calls of 8 steps, medians of 15), one row alone -> in stacks of 2 and 4:
+# 0.088 -> 0.061, 0.052 ms at 1 029 points, 0.42 -> 0.39, 0.39 ms at 7 546
+# and 1.87 -> 1.80, 1.59 ms at 30 184 (1-D transforms), but 4.1 -> 4.8,
+# 5.2 ms at 60 000 (four-step); at 120 000 the spread between runs exceeded
+# the differences.  So rows stack up to 65 536 points: two rows at 30 184
+# points, and one row at a time on every four-step grid (over 32 768)
 SPLIT_STACK_POINTS = 1 << 16
 
 
@@ -182,7 +183,7 @@ def split_step_stack(
     """split_step_evolve of one field under each equation of `eqs`, on
     one grid with one dt: the fields at t, in the order of `eqs`.
 
-    The rows advance together as a (rows, grid) array, each with its own
+    The rows advance together as one array, each with its own
     half-step phases and Wick shift, at most SPLIT_STACK_POINTS // G rows
     per loop (one at least).  Every operation acts on each row alone, so
     a row's output is bitwise that of its own one-row run.  A non-finite
@@ -203,34 +204,37 @@ def split_step_stack(
 def _strang_rows(field: SpectralField, eqs: Sequence[EquationSpec], dt: float, n_steps: int,
                  g: int) -> list[SpectralField]:
     """Strang's n_steps steps of size dt, one row per equation, on the
-    G-point grid.  The coefficients are scattered once into DFT-order
-    spectra, and every step runs on that array and its grid values in
-    place; they are gathered back to fields once at the end.  Only the
-    rotation's terms of order (dt |u|^2)^2 and above alias into the band."""
+    G-point grid.  The whole loop runs on one (rows, P, Q) array in the
+    layout of the grid's plan (torus.GridPlan): the coefficients are
+    scattered once into its bin order, every step transforms that array
+    in place between bin and sample order, and the band is gathered back
+    to fields once at the end.  The half-step phases are one array of the
+    same shape, zero off the band, so the multiply after each forward
+    transform also zeroes the off-band bins.  P = 1 below the plan's
+    crossover: the plain 1-D loop.  Only the rotation's terms of order
+    (dt |u|^2)^2 and above alias into the band."""
     m, rows = field.bandwidth, len(eqs)
-    half = np.exp(1j * np.stack([free_rotation_rates(field, eq) for eq in eqs]) * dt / 2.0)
-    half_lo, half_hi = half[:, m:], half[:, :m]  # modes 0..M and -M..-1, as in the spectrum
+    plan = grid_plan(g)
+    half = np.zeros((rows, *plan.shape), dtype=complex)  # zero off the band
+    plan.put_band(half, np.exp(1j * np.stack([free_rotation_rates(field, eq) for eq in eqs])
+                               * dt / 2.0))
     wick = [i for i, eq in enumerate(eqs) if eq.wick]
-    shift = np.zeros((rows, 1)) if wick else None
-    theta, phase = np.empty((rows, g)), np.empty((rows, g), dtype=complex)
-    spec = _spectrum_of_band(np.broadcast_to(field.coeffs, (rows, 2 * m + 1)), g)
+    shift = np.zeros((rows, 1, 1)) if wick else None
+    theta, phase = np.empty(half.shape), np.empty(half.shape, dtype=complex)
+    spec = plan.spectrum(np.broadcast_to(field.coeffs, (rows, 2 * m + 1)))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite output is refused below
         for _ in range(n_steps):
-            lo, hi = spec[:, : m + 1], spec[:, g - m :]  # the band bins
-            lo *= half_lo
-            hi *= half_hi
-            for i in wick:
-                shift[i] = 2.0 * (np.vdot(lo[i], lo[i]).real + np.vdot(hi[i], hi[i]).real)
-            u = ifft(spec, norm="forward", out=spec)
+            spec *= half
+            for i in wick:  # 2 mean|u|^2: the mass of the band bins 0..M and G-M..G-1
+                shift[i] = 2.0 * (plan.bin_mass(spec[i], 0, m + 1)
+                                  + plan.bin_mass(spec[i], g - m, g))
+            u = plan.inverse(spec)
             _rotate_in_place(u, dt, shift, theta, phase)
-            spec = fft(u, norm="forward", out=u)
-            spec[:, m + 1 : g - m] = 0.0
-            lo, hi = spec[:, : m + 1], spec[:, g - m :]
-            lo *= half_lo
-            hi *= half_hi
-            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            spec = plan.forward(u)
+            spec *= half  # the half step, and the off-band bins zeroed
+            if not np.isfinite(spec).all():
                 raise BlowupError(f"non-finite coefficients at step size {dt}")
-    return [field.with_coeffs(_band_of_spectrum(row, m)) for row in spec]
+    return [field.with_coeffs(c) for c in plan.band(spec, m)]
 
 
 def _turned_cubic(v: np.ndarray, rates: np.ndarray, tau: float, wick: bool) -> np.ndarray:

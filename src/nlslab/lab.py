@@ -146,6 +146,12 @@ def _unread_profile_keys(profile: str) -> set[str]:
     return {"amplitude", "width", "eps"} - _PROFILE_KEYS.get(profile, set())
 
 
+def _require_nonzero_amplitude(cfg: ApproxConfig | PeriodizeConfig) -> None:
+    """Refuse amplitude 0 where the profile reads it; the others ignore it."""
+    if "amplitude" not in cfg.unread_keys() and cfg.amplitude == 0.0:
+        raise ValueError(f"amplitude must be nonzero, got {cfg.amplitude!r}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class ApproxConfig(ExperimentConfig):
     experiment = "approx"
@@ -166,8 +172,8 @@ class ApproxConfig(ExperimentConfig):
         if not self.sweep[0] ** 1.5 > 0.0:  # the reference delta^1.5 divides the error
             raise ValueError(f"approx sweep value {self.sweep[0]!r} is too small: its reference "
                              f"delta^1.5 underflows to 0")
-        if self.amplitude == 0.0:  # zero data: the period spread divides by zero errors
-            raise ValueError(f"amplitude must be nonzero, got {self.amplitude!r}")
+        # zero data: the period spread divides by zero errors
+        _require_nonzero_amplitude(self)
 
     def unread_keys(self) -> set[str]:
         return _unread_profile_keys(self.profile)
@@ -186,8 +192,7 @@ class PeriodizeConfig(ExperimentConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.amplitude == 0.0:  # zero data: every row would be zeros
-            raise ValueError(f"amplitude must be nonzero, got {self.amplitude!r}")
+        _require_nonzero_amplitude(self)  # zero data: every row would be zeros
 
     def unread_keys(self) -> set[str]:
         return _unread_profile_keys(self.profile)
@@ -519,10 +524,7 @@ def _inflate_point(cfg: InflateConfig, N: int) -> tuple[ReportRow, dict]:
                 raise MethodDisagreementError(
                     f"{a} vs {b} differ by {d:.3e} > 10x budget {budget:.3e} at N={N}")
 
-    w = ode.field
-    normT = torus.sobolev_norm(w, s)
-    cutoff = int(round(N * phi.period))
-    norm_low = torus.sobolev_norm(torus.project_below(w, cutoff), s)
+    normT, norm_low = torus.sobolev_norm_and_projection(ode.field, s, int(round(N * phi.period)))
     ref = sched.predicted_lower_bound
     row = ReportRow(
         cfg.experiment, cfg.regime, s, cfg.alpha, N, N,

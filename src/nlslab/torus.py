@@ -13,10 +13,11 @@ Sample grids are centered: x_j = j*L/G - L/2.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import fft, ifft  # the package's one FFT provider; others import from here
+from numpy.fft import fft, ifft  # the package's one FFT provider, used by GridPlan alone
 
 
 class BudgetExceededError(RuntimeError):
@@ -90,32 +91,196 @@ def _negate_odd_modes(a: np.ndarray, first_mode: int) -> None:
 # up (-1)^n against the standard DFT kernel exp(2*pi*i*n*j/G), and mode n
 # sits in DFT bin n mod G: bins 0..M hold n = 0..M, bins G-M..G-1 hold
 # n = -M..-1.
+#
+# Every transform runs through the GridPlan of its grid size.  At and above
+# FOUR_STEP_POINTS points a plan factors G = P Q and runs Bailey's four-step
+# FFT on the (P, Q) view of the natural-order samples, sample n = n1 Q + n2
+# at [n1, n2]: the spectrum stays in the transposed bin order, bin
+# k = k1 + P k2 at [k1, k2], so each column k2 holds the P consecutive bins
+# k2 P .. k2 P + P - 1.  Below FOUR_STEP_POINTS, P = 1 and the one row is
+# the plain 1-D transform.  On a 2-CPU Xeon (tools/layers.py, case
+# fft_pair, medians of 15), a forward + inverse pair took (1-D ->
+# four-step) 0.33 -> 0.34 ms at 7 546 points, 0.67 -> 0.71 ms at 15 092,
+# 1.41 -> 1.42 ms at 30 184, 10.3 -> 5.7 ms at 120 000, 16.2 -> 14.1 ms at
+# 279 936 and 145 -> 70 ms at 1 317 120; in 150 interleaved pairs the two
+# were level at 35 200 and the four-step 1.6x faster at 46 200.  So grids
+# from 2^15 points on take the four-step, and the split-step grids up to
+# 30 184 points (crit_half N <= 1024) keep the 1-D transform
+FOUR_STEP_POINTS = 1 << 15
+
+# bytes of samples per twiddle-and-row-FFT block of a four-step transform:
+# a block stays in cache between its twiddle multiply and its row FFTs.
+# On a 2-CPU Xeon (2 MB L2 per core), a forward + inverse pair at 120 000 /
+# 279 936 / 1 317 120 / 5 248 800 points took 3.6 / 12.6 / 76 / 393 ms
+# with 256 KiB blocks and 3.9 / 9.8 / 56 / 332 ms with 512 KiB; at 512 KiB
+# the largest plan's tables stay under 1 MB
+_BLOCK_BYTES = 1 << 19
 
 
-def _spectrum_of_band(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    """Scatter band coefficients (mode n at index n + M along the last
-    axis) into a length-G DFT-order spectrum with the (-1)^n twiddle;
-    ifft(..., norm="forward") of it is the field on the centered grid.
-    Leading axes are kept: one spectrum per row.  Needs G >= 2M + 1."""
-    m = (coeffs.shape[-1] - 1) // 2
-    spec = np.zeros(coeffs.shape[:-1] + (grid_size,), dtype=complex)
-    spec[..., : m + 1] = coeffs[..., m:]
-    spec[..., grid_size - m :] = coeffs[..., :m]
-    _negate_odd_modes(spec[..., : m + 1], 0)
-    _negate_odd_modes(spec[..., grid_size - m :], -m)
-    return spec
+def _nearest_divisor(n: int, target: float) -> int:
+    """The divisor of n nearest target, the smaller one on a tie."""
+    divisors = (e for d in range(1, math.isqrt(n) + 1) if n % d == 0 for e in (d, n // d))
+    return min(divisors, key=lambda e: (abs(e - target), e))
 
 
-def _band_of_spectrum(spec: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Gather modes |n| <= bandwidth of a DFT-order spectrum (such as
-    fft(u, norm="forward") on the centered grid) back to band order, undoing
-    the (-1)^n twiddle.  Needs 2 * bandwidth + 1 <= spec.size."""
-    m = bandwidth
-    out = np.empty(2 * m + 1, dtype=complex)
-    out[m:] = spec[: m + 1]
-    out[:m] = spec[spec.size - m :]
-    _negate_odd_modes(out, -m)
-    return out
+def _roots(g: int, exponents: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i e / g) of integer exponents e, each reduced to a turn
+    in [-1/2, 1/2] first so the argument of exp is at most pi."""
+    turns = (exponents % g) / g
+    turns[turns > 0.5] -= 1.0
+    return np.exp(-2j * np.pi * turns)
+
+
+class GridPlan:
+    """The transforms of one grid size G, on (..., P, Q) layout arrays.
+
+    ``shape`` is (P, Q), with P the divisor of G nearest sqrt(G) at and
+    above FOUR_STEP_POINTS points and P = 1 below.  Samples lie in natural
+    order (sample n at [n // Q, n % Q]) and spectra in the transposed bin
+    order (bin k at [k % P, k // P]); see the comment above.  Leading axes
+    are rows, each transformed alone.
+
+    The twiddles w^(k1 n2) of the four-step, w = exp(-2 pi i / G), are
+    stored as factors, not as G entries: with k1 = r + i, r a multiple of
+    the block's R rows (R Q samples make _BLOCK_BYTES) and i < R, and
+    n2 = c + C d, C the divisor of Q nearest sqrt(Q), they are w^(i n2)
+    (R x Q) times w^(r c) w^(r C d) (P/R rows of C and of Q/C), so
+    R Q + (P/R)(C + Q/C) entries, within O(P sqrt(Q)): 0.76 MB at
+    5 248 800 points, where the twiddles themselves would take 84 MB.
+    A block's R x Q twiddles are formed from them just before the block
+    is multiplied.
+    """
+
+    def __init__(self, size: int):
+        g = int(size)
+        p = 1 if g < FOUR_STEP_POINTS else _nearest_divisor(g, math.sqrt(g))
+        q = g // p
+        self.size, self.shape = g, (p, q)
+        self._block_rows = max(1, min(p, _BLOCK_BYTES // (16 * q)))
+        self._tables = None
+        if p > 1:
+            c = _nearest_divisor(q, math.sqrt(q))
+            r = np.arange(0, p, self._block_rows)[:, None]
+            self._tables = (_roots(g, np.arange(self._block_rows)[:, None] * np.arange(q)),
+                            _roots(g, r * (c * np.arange(q // c))), _roots(g, r * np.arange(c)))
+
+    def _blocks(self, a: np.ndarray, inverse: bool):
+        """(rows, twiddles) over the blocks of layout rows of a at P > 1: a
+        view of the block and its R x Q twiddles, conjugated for the
+        inverse, for the caller to apply."""
+        p, q = self.shape
+        step = self._block_rows
+        inner, by_d, by_c = self._tables
+        scratch = np.empty((step, q), dtype=complex)
+        for b, lo in enumerate(range(0, p, step)):  # lo is the tables' r = b R
+            n = min(step, p - lo)
+            outer = np.multiply.outer(by_d[b], by_c[b]).reshape(q)  # w^(r n2), n2 = c + C d
+            w = np.multiply(inner[:n], outer, out=scratch[:n])
+            if inverse:
+                np.conjugate(w, out=w)
+            yield a[..., lo : lo + n, :], w
+
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        """In place: natural-order samples on the layout array a become
+        their DFT times 1/G (fft with norm="forward") in bin order; returns a."""
+        if self._tables is None:
+            return fft(a, norm="forward", out=a)
+        fft(a, axis=-2, norm="forward", out=a)
+        for rows, w in self._blocks(a, inverse=False):
+            rows *= w
+            fft(rows, norm="forward", out=rows)
+        return a
+
+    def inverse(self, a: np.ndarray) -> np.ndarray:
+        """In place: a spectrum in bin order on the layout array a becomes
+        the unscaled inverse DFT (ifft with norm="forward") in natural
+        order; returns a."""
+        if self._tables is None:
+            return ifft(a, norm="forward", out=a)
+        for rows, w in self._blocks(a, inverse=True):
+            ifft(rows, norm="forward", out=rows)
+            rows *= w
+        return ifft(a, axis=-2, norm="forward", out=a)
+
+    def _bin_runs(self, lo: int, hi: int):
+        """(columns, rows, start, stop) runs covering bins lo..hi-1: bins
+        lo + start .. lo + stop - 1 are the entries [rows, columns] of the
+        layout, a part of one column or a slab of whole columns."""
+        p, k = self.shape[0], lo
+        while k < hi:
+            col, row = divmod(k, p)
+            if row or hi - k < p:
+                stop = min(hi, (col + 1) * p)
+                yield col, slice(row, row + stop - k), k - lo, stop - lo
+            else:
+                stop = k + (hi - k) // p * p
+                yield slice(col, stop // p), slice(None), k - lo, stop - lo
+            k = stop
+
+    def _put_bins(self, spec: np.ndarray, lo: int, values: np.ndarray) -> None:
+        if self._tables is None:  # P = 1: the one row is the spectrum in bin order
+            spec[..., 0, lo : lo + values.shape[-1]] = values
+            return
+        lead = values.shape[:-1]
+        for cols, rows, start, stop in self._bin_runs(lo, lo + values.shape[-1]):
+            part = values[..., start:stop]
+            if isinstance(cols, slice):  # whole columns: values run down each column
+                part = part.reshape(lead + (-1, self.shape[0])).swapaxes(-1, -2)
+            spec[..., rows, cols] = part
+
+    def _take_bins(self, spec: np.ndarray, lo: int, out: np.ndarray) -> None:
+        if self._tables is None:
+            out[...] = spec[..., 0, lo : lo + out.shape[-1]]
+            return
+        lead = out.shape[:-1]
+        for cols, rows, start, stop in self._bin_runs(lo, lo + out.shape[-1]):
+            part = out[..., start:stop]
+            if isinstance(cols, slice):
+                part = part.reshape(lead + (-1, self.shape[0])).swapaxes(-1, -2)
+            part[...] = spec[..., rows, cols]
+
+    def put_band(self, spec: np.ndarray, band: np.ndarray) -> None:
+        """Write band-order values (mode n at index n + M along the last
+        axis) into bins n mod G of the layout array spec, row by row."""
+        m = (band.shape[-1] - 1) // 2
+        self._put_bins(spec, 0, band[..., m:])
+        self._put_bins(spec, self.size - m, band[..., :m])
+
+    def spectrum(self, coeffs: np.ndarray) -> np.ndarray:
+        """The layout spectrum of band coefficients with the (-1)^n
+        twiddle, one per row of coeffs: inverse() of it is the field on
+        the centered grid.  Needs G >= 2M + 1."""
+        c = np.array(coeffs, dtype=complex)
+        _negate_odd_modes(c, -((c.shape[-1] - 1) // 2))
+        spec = np.zeros(c.shape[:-1] + self.shape, dtype=complex)
+        self.put_band(spec, c)
+        return spec
+
+    def band(self, spec: np.ndarray, bandwidth: int) -> np.ndarray:
+        """Modes |n| <= bandwidth of a layout spectrum (such as forward()
+        of samples on the centered grid), read from bins n mod G, in band
+        order with the (-1)^n twiddle undone, one per row of spec; inverse
+        of spectrum().  Needs 2 * bandwidth + 1 <= G."""
+        m = bandwidth
+        out = np.empty(spec.shape[:-2] + (2 * m + 1,), dtype=complex)
+        self._take_bins(spec, 0, out[..., m:])
+        self._take_bins(spec, self.size - m, out[..., :m])
+        _negate_odd_modes(out, -m)
+        return out
+
+    def bin_mass(self, spec: np.ndarray, lo: int, hi: int) -> float:
+        """Sum of |X_k|^2 over the bins lo <= k < hi of one layout
+        spectrum: in row k1 they are the contiguous columns
+        ceil((lo - k1) / P) .. ceil((hi - k1) / P) - 1."""
+        p = self.shape[0]
+        parts = (spec[k1, -((k1 - lo) // p) : -((k1 - hi) // p)] for k1 in range(p))
+        return math.fsum(np.vdot(part, part).real for part in parts)
+
+
+@functools.cache
+def grid_plan(grid_size: int) -> GridPlan:
+    """The cached GridPlan of a grid size; built on first use."""
+    return GridPlan(grid_size)
 
 
 def synthesize(field: SpectralField, grid_size: int) -> np.ndarray:
@@ -128,8 +293,8 @@ def synthesize(field: SpectralField, grid_size: int) -> np.ndarray:
     g = int(grid_size)
     if g < 2 * m + 1:
         raise ValueError(f"grid_size {g} < 2M+1 = {2 * m + 1} would alias")
-    spec = _spectrum_of_band(field.coeffs, g)
-    return ifft(spec, norm="forward", out=spec)
+    plan = grid_plan(g)
+    return plan.inverse(plan.spectrum(field.coeffs)).reshape(g)
 
 
 def analyze(samples: np.ndarray, L: float, bandwidth: int | None = None) -> SpectralField:
@@ -138,14 +303,15 @@ def analyze(samples: np.ndarray, L: float, bandwidth: int | None = None) -> Spec
     Uses the trapezoid rule (forward FFT / G), exact for band-limited
     input with G >= 2M+1.  Default bandwidth keeps every unaliased mode.
     """
-    u = np.asarray(samples, dtype=complex)
+    u = np.array(samples, dtype=complex)  # a copy: the plan transforms it in place
     if u.ndim != 1 or u.size == 0:
         raise ValueError("samples must be a nonempty 1-d array")
     g = u.size
     m = (g - 1) // 2 if bandwidth is None else int(bandwidth)
     if 2 * m + 1 > g:
         raise ValueError(f"bandwidth {m} not resolved by {g} samples")
-    return SpectralField(L, _band_of_spectrum(fft(u, norm="forward"), m))
+    plan = grid_plan(g)
+    return SpectralField(L, plan.band(plan.forward(u.reshape(plan.shape)), m))
 
 
 def sobolev_norm(field: SpectralField, s: float, homogeneous: bool = False) -> float:
@@ -164,6 +330,20 @@ def sobolev_norm(field: SpectralField, s: float, homogeneous: bool = False) -> f
         w = (1.0 + xi * xi) ** s
         total = np.sum(w * a2)
     return float(np.sqrt(field.period * total))
+
+
+def sobolev_norm_and_projection(field: SpectralField, s: float, N: int) -> tuple[float, float]:
+    """sobolev_norm(field, s) and sobolev_norm(project_below(field, N), s),
+    to the bit, from one pass of the weights and no copy of the field."""
+    if N <= 0:
+        raise ValueError("N must be positive")
+    xi = field.frequencies()
+    terms = (1.0 + xi * xi) ** s * np.abs(field.coeffs) ** 2
+    total = np.sum(terms)
+    m = field.bandwidth
+    terms[: max(m - N + 1, 0)] = 0.0  # the modes |n| >= N, as project_below zeroes them
+    terms[m + N :] = 0.0
+    return float(np.sqrt(field.period * total)), float(np.sqrt(field.period * np.sum(terms)))
 
 
 def fourier_lebesgue_norm(field: SpectralField, s: float, p: float) -> float:
@@ -234,11 +414,10 @@ def _cubic_coeffs(coeffs: np.ndarray, wick: bool = False) -> np.ndarray:
     the band, so the retained coefficients equal the triple convolution sum
     over n = n1 - n2 + n3 exactly.  The Wick variant subtracts 2 (mean of |u|^2) u."""
     m = (coeffs.size - 1) // 2
-    g = split_grid_size(m)
-    u = _spectrum_of_band(coeffs, g)
-    ifft(u, norm="forward", out=u)
+    plan = grid_plan(split_grid_size(m))
+    u = plan.inverse(plan.spectrum(coeffs))
     u *= u.real**2 + u.imag**2
-    cubic = _band_of_spectrum(fft(u, norm="forward", out=u), m)
+    cubic = plan.band(plan.forward(u), m)
     if wick:
         cubic -= 2.0 * np.vdot(coeffs, coeffs).real * coeffs
     return cubic

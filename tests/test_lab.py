@@ -926,6 +926,8 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         # zero data: approx's period spread would divide by zero, gamma's
         # zero plateau threshold would count mode 0 as a discrepancy, and
         # periodize would write rows of zeros
+        # (the approx default profile bump reads amplitude; psi1, which does
+        # not, accepts 0: test_amplitude_zero_is_accepted_where_the_profile_ignores_it)
         ("approx", "amplitude = 0", "amplitude must be nonzero, got 0.0"),
         ("gamma", "amplitude = 0", "amplitude must be nonzero, got 0.0"),
         ("periodize", "amplitude = 0", "amplitude must be nonzero, got 0.0"),
@@ -983,6 +985,20 @@ def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, messag
     assert err.startswith("nlslab: error: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, ini", [
+    ("approx", "profile = psi1\namplitude = 0"),
+    ("periodize", "profile = mollified\namplitude = 0"),
+])
+def test_amplitude_zero_is_accepted_where_the_profile_ignores_it(tmp_path, experiment, ini):
+    # psi1 and mollified never read amplitude, so 0 is not zero data there
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[{experiment}]\n{ini}\n", encoding="utf-8")
+    cfg = cli.build_config(experiment, cli.make_parser().parse_args([experiment, "--config",
+                                                                     str(path)]))
+    assert cfg.amplitude == 0.0 and "amplitude" in cfg.unread_keys()
+    assert "amplitude" not in config_to_dict(cfg)
 
 
 # amplitude 1e200 overflows |u|^2 t in the first split step (approx) and in

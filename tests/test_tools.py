@@ -24,9 +24,13 @@ def test_layer_harness_runs_at_tiny_sizes(tmp_path, capsys):
     assert {"cpu", "nproc", "platform"} <= set(result["machine"])
     assert {"commit", "dirty"} <= set(result)
     names = {entry["name"] for entry in result["timings"]}
-    assert names == {"mollifier_transform", "split_step_per_row_step", "rk4_step", "synthesize",
+    assert names == {"mollifier_transform", "fft_pair", "split_step_per_row_step", "rk4_step",
+                     "synthesize",
                      "analyze", "cubic_coeffs", "sobolev_norm", "ode_exact_evolve",
                      "picard_expansion", "line_sobolev_norm"}
+    pairs = [(e["method"], e["P"]) for e in result["timings"] if e["name"] == "fft_pair"]
+    assert {method for method, _ in pairs} == {"numpy_1d", "four_step"}
+    assert all(p > 1 for method, p in pairs if method == "four_step")  # a P > 1 plan runs
     stacked = [e["rows"] for e in result["timings"] if e["name"] == "split_step_per_row_step"]
     assert stacked == [*layers.STACK_ROWS] * 2
     for entry in result["timings"]:

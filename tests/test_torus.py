@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import inspect
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +153,145 @@ def test_next_fast_len_matches_scipy():
     smooth = [2**25, 3**15, 5**10, 7**8, 11**7, 2**6 * 3**3 * 5**2 * 7 * 11]  # 11-smooth
     sizes = [*range(1, 20_001), *sample, largest, *(q + d for q in smooth for d in (-1, 0, 1))]
     assert [next_fast_len(n) for n in sizes] == [scipy_next_fast_len(n) for n in sizes]
+
+
+# ---------------------------------------------------------------------------
+# grid plans
+
+# every grid the five benchmark configs (benchmarks/configs/*.ini) build a
+# plan for, as recorded from the plans built by running them: split-step,
+# Picard's cubic term, the closed form at each out band it tries, and the
+# data builder's synthesize/analyze
+BENCHMARK_GRIDS = (
+    1890, 3150, 3564, 3773, 4400, 5929, 6272, 7040, 7546, 8800, 11760, 12544, 14000, 15092,
+    17600, 23232, 25088, 27720, 30184, 35200, 46200, 50176, 54880, 60000, 70400, 91476, 100000,
+    109350, 120000, 139968, 182250, 200000, 279936, 330000, 658560, 1317120, 2624400, 5248800,
+)
+
+
+@pytest.fixture
+def crossover(monkeypatch):
+    """Set torus.FOUR_STEP_POINTS for the test, with no plan of another
+    crossover left in the cache before or after."""
+    def set_to(points):
+        monkeypatch.setattr(nl.torus, "FOUR_STEP_POINTS", points)
+        nl.torus.grid_plan.cache_clear()
+
+    yield set_to
+    nl.torus.grid_plan.cache_clear()
+
+
+def _rel_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b|| / ||b|| over two (P, Q) arrays, a block of rows at a time."""
+    step = max(1, (1 << 18) // a.shape[1])
+    gap = sum(float(np.sum(np.abs(a[i : i + step] - b[i : i + step]) ** 2))
+              for i in range(0, a.shape[0], step))
+    return math.sqrt(gap) / float(np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("g", BENCHMARK_GRIDS)
+def test_grid_plan_matches_numpy_fft(g):
+    # forward on natural-order samples, and inverse on a spectrum in bin
+    # order (bin k at [k % P, k // P]), each on the very input numpy takes
+    plan = nl.torus.grid_plan(g)
+    p, q = plan.shape
+    assert p * q == g and (p > 1) == (g >= nl.torus.FOUR_STEP_POINTS)
+    rng = np.random.default_rng(g)
+    x = rng.standard_normal(g) + 1j * rng.standard_normal(g)
+    a = x.reshape(p, q).copy()
+    assert plan.forward(a) is a
+    np.fft.fft(x, norm="forward", out=x)
+    in_bin_order = x.reshape(q, p).T
+    assert _rel_gap(a, in_bin_order) <= 1e-15
+    a[...] = in_bin_order
+    assert plan.inverse(a) is a
+    np.fft.ifft(x, norm="forward", out=x)
+    assert _rel_gap(a, x.reshape(p, q)) <= 1e-15
+
+
+@pytest.mark.parametrize("points", [0, math.inf])
+def test_grid_plan_rows_transform_alone(crossover, points):
+    # a stack of rows is, row for row and to the bit, its rows one at a time
+    crossover(points)
+    rng = np.random.default_rng(5)
+    for g in (60, 97, 1029, 7546):
+        plan = nl.torus.grid_plan(g)
+        assert (plan.shape[0] > 1) == (points == 0 and g != 97)  # 97 is prime
+        stack = rng.standard_normal((3, *plan.shape)) + 1j * rng.standard_normal((3, *plan.shape))
+        for step in (plan.forward, plan.inverse):
+            rows = [step(row.copy()) for row in stack]
+            step(stack)
+            assert all(np.array_equal(a, b) for a, b in zip(stack, rows))
+
+
+@pytest.mark.parametrize("g, bandwidth", [(64, 31), (64, 8), (60, 7), (60, 5), (7546, 1886)])
+def test_grid_plan_band_bins_and_mass(crossover, g, bandwidth):
+    # a band's modes land in bins n mod G and come back; the mass of any
+    # run of bins is the sum over those bins in natural order; band edges
+    # mid-column and on a column's edge
+    crossover(0)
+    plan = nl.torus.grid_plan(g)
+    p, q = plan.shape
+    assert p > 1
+    band = random_field(1.0, bandwidth, seed=g + bandwidth).coeffs
+    spec = np.zeros((2, p, q), dtype=complex)
+    plan.put_band(spec, np.stack([band, 2.0 * band]))
+    natural = spec[0].T.reshape(g)
+    assert np.array_equal(natural[: bandwidth + 1], band[bandwidth:])
+    assert np.array_equal(natural[g - bandwidth :], band[:bandwidth])
+    assert not natural[bandwidth + 1 : g - bandwidth].any()
+    # band() undoes the (-1)^n twiddle that spectrum() applies
+    back = plan.band(spec, bandwidth) * (-1.0) ** np.arange(-bandwidth, bandwidth + 1)
+    assert np.array_equal(back[1], 2.0 * band)
+    assert np.array_equal(plan.band(plan.spectrum(band), bandwidth), band)
+    full = np.random.default_rng(g).standard_normal((p, q)) + 0j
+    natural = full.T.reshape(g)
+    for lo, hi in ((0, g), (bandwidth + 1, g - bandwidth), (p - 1, p + 1), (p, 2 * p), (3, 3)):
+        assert plan.bin_mass(full, lo, hi) == pytest.approx(np.sum(natural[lo:hi] ** 2), rel=1e-14)
+
+
+def test_import_builds_no_grid_plan():
+    src = pathlib.Path(nl.__file__).resolve().parents[1]
+    code = "import nlslab; print(nlslab.torus.grid_plan.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0"
+
+
+def test_largest_benchmark_plan_keeps_its_twiddles_small():
+    # the closed form's 5 248 800 points (negative_s N = 4096): the factor
+    # tables hold under 1 MB, where the twiddles themselves would be 84 MB
+    plan = nl.torus.GridPlan(BENCHMARK_GRIDS[-1])
+    assert plan.shape == (2187, 2400)
+    assert sum(table.nbytes for table in plan._tables) < 2**20
+
+
+@pytest.mark.parametrize("regime, s, theta", [("crit_half", -0.5, None), ("frac_crit", -1.0, 0.1)])
+def test_four_step_and_one_dimensional_transforms_agree(crossover, regime, s, theta):
+    # the inflate data at N = 256 under every grid on one 1-D FFT and under
+    # every grid on the four-step: 100 split-step steps and the closed form
+    # agree within 1e-13 of ||phi||_FLinf (they read 3e-14..5e-14 and 5e-16),
+    # the cubic term within 1e-13 of its own FLinf norm (7e-16; off its
+    # support it is roundoff of that norm, far above ||phi||_FLinf), and
+    # the closed form's tail stays non-negative and within the tail target
+    sched = nl.regime_parameters(regime, 256, s, theta)
+    phi = nl.build_two_block_data(sched, 1.0)
+    wide = enlarge_band(phi, 3 * phi.bandwidth)
+    scale = fourier_lebesgue_norm(phi, 0.0, np.inf)
+    mass = mean_and_l2(phi)[1] * phi.period
+    out_band = 7 * phi.bandwidth  # k = 3, the crit_half out band
+    runs = {}
+    for points in (0, math.inf):
+        crossover(points)
+        ode = nl.ode_exact_evolve(phi, sched.T_N, out_bandwidth=out_band)
+        assert 0.0 <= ode.tail_mass <= nl.lab.ODE_TAIL_REL * mass
+        runs[points] = (
+            nl.split_step_evolve(wide, nl.EquationSpec(), sched.T_N,
+                                 nl.StepperConfig(dt=sched.T_N / 100)).coeffs,
+            _cubic_coeffs(wide.coeffs), ode.field.coeffs)
+    for four_step, one_d, size in zip(runs[0], runs[math.inf],
+                                      (scale, np.max(np.abs(runs[0][1])), scale)):
+        assert np.max(np.abs(four_step - one_d)) <= 1e-13 * size
 
 
 # ---------------------------------------------------------------------------

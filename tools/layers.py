@@ -8,10 +8,14 @@ The cases:
 
 - `mollifier_transform` on the largest lattice of the `periodize`,
   `approx` and `gamma` defaults;
+- one forward + inverse transform pair on FFT_PAIR_GRIDS points, by
+  numpy's 1-D FFT and by a four-step `torus.GridPlan` built whatever the
+  crossover `torus.FOUR_STEP_POINTS` (the `P` of each entry is its
+  layout's row count); the crossover is set from this case;
 - split-step per row and step, one row and stacked 2, 4 and 8 rows, on
-  1 029 (`approx`), 7 546 and 120 000 points (`inflate`'s smallest and
-  largest split-step grids), from calls of STACK_STEPS steps, so an
-  eighth of a call's setup is in each step;
+  1 029 (`approx`), 7 546, 30 184, 60 000 and 120 000 points (`inflate`'s
+  split-step grids from N = 256 to 4096 at `crit_half`), from calls of
+  STACK_STEPS steps, so an eighth of a call's setup is in each step;
 - one Lawson RK4 step, `synthesize`/`analyze` and `_cubic_coeffs` on the
   same bands;
 - the closed form `ode_exact_evolve` on 17 640 and 330 750 points;
@@ -48,9 +52,12 @@ from nlslab import torus
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# split-step bands whose grids, split_grid_size(M), are the 1 029, 7 546
-# and 120 000 points named above
-SPLIT_BANDS = (256, 1886, 29999)
+# inflate's split-step grids 7 546 .. 120 000 and the closed form's
+# 279 936 (crit_half N = 4096) and 1 317 120 (frac_crit N = 4096)
+FFT_PAIR_GRIDS = (7546, 15092, 30184, 120000, 279936, 1317120)
+# split-step bands whose grids, split_grid_size(M), are the 1 029, 7 546,
+# 30 184, 60 000 and 120 000 points named above
+SPLIT_BANDS = (256, 1886, 7545, 14999, 29999)
 STACK_ROWS = (1, 2, 4, 8)
 STACK_STEPS = 8
 # closed-form bands, on ode_grid_size(M, M) = 8 (2M + 1) rounded up to a
@@ -72,6 +79,16 @@ def _time(fn, repeats: int) -> dict:
         fn()
         times.append(time.perf_counter() - t0)
     return _stats(times)
+
+
+def _four_step_plan(g: int) -> torus.GridPlan:
+    """A GridPlan of g points that factors g whatever the crossover."""
+    crossover = torus.FOUR_STEP_POINTS
+    torus.FOUR_STEP_POINTS = 0
+    try:
+        return torus.GridPlan(g)
+    finally:
+        torus.FOUR_STEP_POINTS = crossover
 
 
 def _field(bandwidth: int) -> torus.SpectralField:
@@ -109,6 +126,24 @@ def run(repeats: int, tiny: bool) -> list[dict]:
     for name, zeta in _transform_lattices(tiny).items():
         add("mollifier_transform", {"lattice": name, "points": int(zeta.size)},
             _time(lambda: prof.mollifier_transform(zeta), repeats))
+
+    for g in (48, 60) if tiny else FFT_PAIR_GRIDS:
+        u = np.exp(2j * np.pi * (np.arange(g) ** 2 % 97) / 97.0)
+        b = np.empty(g, dtype=complex)
+        four_step = _four_step_plan(g)
+        a = np.empty(four_step.shape, dtype=complex)
+
+        def numpy_pair():  # in place, as the plan runs
+            b[:] = u
+            np.fft.ifft(np.fft.fft(b, norm="forward", out=b), norm="forward", out=b)
+
+        def plan_pair():
+            a.reshape(g)[:] = u
+            four_step.inverse(four_step.forward(a))
+
+        for method, fn, rows in (("numpy_1d", numpy_pair, 1), ("four_step", plan_pair,
+                                                              four_step.shape[0])):
+            add("fft_pair", {"grid_points": g, "method": method, "P": rows}, _time(fn, repeats))
 
     eq = evo.EquationSpec.small_dispersion(0.1)
     for band in (8, 16) if tiny else SPLIT_BANDS:
