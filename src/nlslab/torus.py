@@ -202,49 +202,35 @@ class GridPlan:
             rows *= w
         return ifft(a, axis=-2, norm="forward", out=a)
 
-    def _bin_runs(self, lo: int, hi: int):
-        """(columns, rows, start, stop) runs covering bins lo..hi-1: bins
-        lo + start .. lo + stop - 1 are the entries [rows, columns] of the
-        layout, a part of one column or a slab of whole columns."""
-        p, k = self.shape[0], lo
+    def _bin_views(self, lo: int, arr: np.ndarray):
+        """(index into a layout array, view of arr) pairs covering the bins
+        lo .. lo + n - 1, n = arr.shape[-1], whose values run along arr's
+        last axis: a part of one column, or a slab of whole columns down
+        which the values run."""
+        p, hi = self.shape[0], lo + arr.shape[-1]
+        if p == 1:  # the one row is the spectrum in bin order
+            yield (..., 0, slice(lo, hi)), arr
+            return
+        k = lo
         while k < hi:
             col, row = divmod(k, p)
             if row or hi - k < p:
                 stop = min(hi, (col + 1) * p)
-                yield col, slice(row, row + stop - k), k - lo, stop - lo
+                yield (..., slice(row, row + stop - k), col), arr[..., k - lo : stop - lo]
             else:
                 stop = k + (hi - k) // p * p
-                yield slice(col, stop // p), slice(None), k - lo, stop - lo
+                part = arr[..., k - lo : stop - lo]
+                yield ((..., slice(None), slice(col, stop // p)),
+                       part.reshape(part.shape[:-1] + (-1, p)).swapaxes(-1, -2))
             k = stop
-
-    def _put_bins(self, spec: np.ndarray, lo: int, values: np.ndarray) -> None:
-        if self._tables is None:  # P = 1: the one row is the spectrum in bin order
-            spec[..., 0, lo : lo + values.shape[-1]] = values
-            return
-        lead = values.shape[:-1]
-        for cols, rows, start, stop in self._bin_runs(lo, lo + values.shape[-1]):
-            part = values[..., start:stop]
-            if isinstance(cols, slice):  # whole columns: values run down each column
-                part = part.reshape(lead + (-1, self.shape[0])).swapaxes(-1, -2)
-            spec[..., rows, cols] = part
-
-    def _take_bins(self, spec: np.ndarray, lo: int, out: np.ndarray) -> None:
-        if self._tables is None:
-            out[...] = spec[..., 0, lo : lo + out.shape[-1]]
-            return
-        lead = out.shape[:-1]
-        for cols, rows, start, stop in self._bin_runs(lo, lo + out.shape[-1]):
-            part = out[..., start:stop]
-            if isinstance(cols, slice):
-                part = part.reshape(lead + (-1, self.shape[0])).swapaxes(-1, -2)
-            part[...] = spec[..., rows, cols]
 
     def put_band(self, spec: np.ndarray, band: np.ndarray) -> None:
         """Write band-order values (mode n at index n + M along the last
         axis) into bins n mod G of the layout array spec, row by row."""
         m = (band.shape[-1] - 1) // 2
-        self._put_bins(spec, 0, band[..., m:])
-        self._put_bins(spec, self.size - m, band[..., :m])
+        for lo, values in ((0, band[..., m:]), (self.size - m, band[..., :m])):
+            for index, part in self._bin_views(lo, values):
+                spec[index] = part
 
     def spectrum(self, coeffs: np.ndarray) -> np.ndarray:
         """The layout spectrum of band coefficients with the (-1)^n
@@ -263,8 +249,9 @@ class GridPlan:
         of spectrum().  Needs 2 * bandwidth + 1 <= G."""
         m = bandwidth
         out = np.empty(spec.shape[:-2] + (2 * m + 1,), dtype=complex)
-        self._take_bins(spec, 0, out[..., m:])
-        self._take_bins(spec, self.size - m, out[..., :m])
+        for lo, values in ((0, out[..., m:]), (self.size - m, out[..., :m])):
+            for index, part in self._bin_views(lo, values):
+                part[...] = spec[index]
         _negate_odd_modes(out, -m)
         return out
 
