@@ -102,10 +102,12 @@ def _negate_odd_modes(a: np.ndarray, first_mode: int) -> None:
 # fft_pair, medians of 15), a forward + inverse pair took (1-D ->
 # four-step) 0.33 -> 0.34 ms at 7 546 points, 0.67 -> 0.71 ms at 15 092,
 # 1.41 -> 1.42 ms at 30 184, 10.3 -> 5.7 ms at 120 000, 16.2 -> 14.1 ms at
-# 279 936 and 145 -> 70 ms at 1 317 120; in 150 interleaved pairs the two
-# were level at 35 200 and the four-step 1.6x faster at 46 200.  So grids
-# from 2^15 points on take the four-step, and the split-step grids up to
-# 30 184 points (crit_half N <= 1024) keep the 1-D transform
+# 279 936 and 145 -> 70 ms at 1 317 120 (a second run read the four-step
+# 7-51 % faster from 7 546 to 30 184 points); in 150 interleaved pairs the
+# two were level at 35 200 and the four-step 1.6x faster at 46 200.  So
+# grids from 2^15 points on take the four-step, and the split-step grids up
+# to 30 184 points (crit_half N <= 1024) keep the 1-D transform, which
+# also keeps every report whose grids all lie below bit for bit as before
 FOUR_STEP_POINTS = 1 << 15
 
 # bytes of samples per twiddle-and-row-FFT block of a four-step transform:
