@@ -102,12 +102,12 @@ def picard_reference(phi, t, alpha=1.0, dispersion_coeff=1.0, dispersion_sign=1)
 
 def picard_bound(phi, eq, t):
     """The error bound of picard_expansion's docstring on every coefficient,
-    t (1e-15 + 4 u (log2 G + t max|rate|)) ||phi||_FL1^3, plus 2 u max|phi_n|
+    t (1e-15 + 4 u (log2 G + 3 + t max|rate|)) ||phi||_FL1^3, plus 2 u max|phi_n|
     for the rounding of the final sum with phi, here and in a reference."""
     work = picard_work(phi, eq, t)
     rates = free_rotation_rates(enlarge_band(phi, work.out_band), eq)
     u = np.finfo(float).eps / 2.0
-    rounding = 4.0 * u * (np.log2(work.grid_points) + t * float(np.max(np.abs(rates))))
+    rounding = 4.0 * u * (np.log2(work.grid_points) + 3.0 + t * float(np.max(np.abs(rates))))
     wiener = float(np.sum(np.abs(phi.coeffs)))
     return t * (1e-15 + rounding) * wiener**3 + 2.0 * u * float(np.max(np.abs(phi.coeffs)))
 

@@ -20,6 +20,11 @@ The cases:
   same bands;
 - the closed form `ode_exact_evolve` on 17 640 and 330 750 points;
 - `picard_expansion` at the `crit_half` point N = 256;
+- `unit_phase`: the two callers of `evolution._unit_phase` that run
+  per step or node, `_rotate_in_place` on the split-step grids of
+  7 546, 30 184 and 120 000 points and on one 65 536-point chunk
+  of the closed form's 330 750-point grid, and `_turned_cubic` on
+  Picard's output band at that `crit_half` point;
 - `sobolev_norm` on the 120 000-point band, and `line_sobolev_norm` of
   the `periodize` default profile at its four orders (`psi1`, whose
   transform is closed-form, with `--tiny`).
@@ -64,6 +69,9 @@ STACK_STEPS = 8
 # fast length: 17 640 and 330 750 points
 ODE_BANDS = (1100, 20625)
 PICARD_N = 256
+# bands whose split-step grids are the 7 546, 30 184 and 120 000 points
+# the rotation runs on
+ROTATE_BANDS = (1886, 7545, 29999)
 
 
 def _stats(times: list[float]) -> dict:
@@ -79,6 +87,13 @@ def _time(fn, repeats: int) -> dict:
         fn()
         times.append(time.perf_counter() - t0)
     return _stats(times)
+
+
+def _rotation(u: np.ndarray, t: float, repeats: int) -> dict:
+    """_rotate_in_place of u by t, in place and again on each call: the
+    rotation keeps |u|, so every call turns by the same angles."""
+    theta, phase = np.empty(u.shape), np.empty(u.shape, dtype=complex)
+    return _time(lambda: evo._rotate_in_place(u, t, None, theta, phase), repeats)
 
 
 def _four_step_plan(g: int) -> torus.GridPlan:
@@ -176,6 +191,20 @@ def run(repeats: int, tiny: bool) -> list[dict]:
     add("picard_expansion", {"regime": "crit_half", "N": N, "nodes": work.nodes,
                              "grid_points": work.grid_points},
         _time(lambda: evo.picard_expansion(phi, evo.EquationSpec(), sched.T_N), repeats))
+
+    for band in (8,) if tiny else ROTATE_BANDS:
+        u = torus.synthesize(_field(band), evo.split_grid_size(band))
+        add("unit_phase", {"caller": "_rotate_in_place", "grid": "split_step",
+                           "grid_points": u.size}, _rotation(u, 1e-3, repeats))
+    band = 8 if tiny else ODE_BANDS[-1]
+    u = torus.synthesize(_field(band), evo.ode_grid_size(band, band))[: evo._ROTATE_CHUNK]
+    add("unit_phase", {"caller": "_rotate_in_place", "grid": "closed_form_chunk",
+                       "grid_points": u.size}, _rotation(u, 0.5, repeats))
+    wide = torus.enlarge_band(phi, work.out_band)
+    rates = evo.free_rotation_rates(wide, evo.EquationSpec())
+    add("unit_phase", {"caller": "_turned_cubic", "regime": "crit_half", "N": N,
+                       "band": work.out_band, "grid_points": work.grid_points},
+        _time(lambda: evo._turned_cubic(wide.coeffs, rates, 0.5 * sched.T_N, False), repeats))
 
     period = lab.PeriodizeConfig(profile="psi1" if tiny else "two_step")
     profile = lab._approx_profile(period)
