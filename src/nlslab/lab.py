@@ -48,29 +48,49 @@ class StepTargetError(RuntimeError):
     """No allowed split-step count brings the halving estimate under its tolerance."""
 
 
+def _key(default, *, at_least=None, above=None, nonzero=False, read_by=None, when_read=None):
+    """A config field with its own checks, which ExperimentConfig enforces.
+    A value that is set must be >= at_least and > above.  read_by = (key,
+    *values): the run reads this field only while that key takes one of
+    the values.  A field the run does not read is left out of the report
+    echo, and refused when set if its default is None; one that it reads
+    takes when_read in place of None, and refuses 0 if declared nonzero."""
+    return dc_field(default=default, metadata=dict(at_least=at_least, above=above, nonzero=nonzero,
+                                                   read_by=read_by, when_read=when_read))
+
+
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """The keys and checks every experiment shares.  Each experiment's
-    subclass adds its own keys and defaults; the command line derives its
-    INI keys and their parsers from those annotated fields.
+    subclass adds its own keys and defaults, each declaring its checks
+    through _key; the command line derives its INI keys and their parsers
+    from those annotated fields.
 
     `sweep` holds the swept values: N for 'inflate' and 'feasibility',
     delta for 'approx', the period L for 'periodize', the index j for 'gamma'.
     """
 
     experiment: ClassVar[str]
+    integer_sweep = False  # unannotated, so no INI key: whether sweep values must be integers
     sweep: tuple[float, ...]
     output_path: str | None = None
     fmt: str = "csv"
     seed: int = 0
-    threads: int = 1
-    # lower bounds and positivity, checked on whichever of these keys a config has
-    _at_least = {"threads": 1, "dt_steps": 1, "picard_budget": 0, "surrogate_period": 1}
-    _positive = ("alpha", "time_horizon", "band_per_period", "base_delta", "delta_decay", "margin",
-                 "eps", "width")
+    threads: int = _key(1, at_least=1)
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
+        keys = dataclasses.fields(self)
+        # an unread key is refused before its own range check
+        for f in keys:
+            value = getattr(self, f.name)
+            if not self._reads(f):
+                if value is not None and f.default is None:
+                    selector, *readers = f.metadata["read_by"]
+                    raise ValueError(f"{f.name} is read only by the {', '.join(readers)} "
+                                     f"{selector}, not by {getattr(self, selector)}")
+            elif value is None and f.metadata.get("when_read") is not None:
+                object.__setattr__(self, f.name, f.metadata["when_read"])
+        for f in keys:
             value = getattr(self, f.name)
             if value is None:  # an unset optional key
                 continue
@@ -80,103 +100,86 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be finite, got {bad[0]!r}")
             if not items:
                 raise ValueError(f"{f.name} must be nonempty")
-            if f.name in self._at_least and not value >= self._at_least[f.name]:
-                raise ValueError(f"{f.name} must be >= {self._at_least[f.name]}, got {value!r}")
-            if f.name in self._positive and not value > 0.0:
-                raise ValueError(f"{f.name} must be > 0, got {value!r}")
+            at_least, above = f.metadata.get("at_least"), f.metadata.get("above")
+            if at_least is not None and not value >= at_least:
+                raise ValueError(f"{f.name} must be >= {at_least}, got {value!r}")
+            if above is not None and not value > above:
+                raise ValueError(f"{f.name} must be > {above}, got {value!r}")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ValueError("sweep must be strictly increasing")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"fmt must be csv or json, got {self.fmt!r}")
+        bad = [v for v in self.sweep if not float(v).is_integer()]
+        if self.integer_sweep and bad:
+            raise ValueError(f"{self.experiment} sweep values must be integers, got {bad[0]!r}")
+        self._check_sweep()
+        for f in keys:
+            if f.metadata.get("nonzero") and self._reads(f) and getattr(self, f.name) == 0.0:
+                raise ValueError(f"{f.name} must be nonzero, got {getattr(self, f.name)!r}")
+
+    def _check_sweep(self):
+        """The experiment's own refusals of its sweep values, which come
+        after the shared ones and before the nonzero keys."""
+
+    def _reads(self, f: dataclasses.Field) -> bool:
+        read_by = f.metadata.get("read_by")
+        return read_by is None or getattr(self, read_by[0]) in read_by[1:]
 
     def unread_keys(self) -> set[str]:
         """Fields this config's run never reads; the report echo leaves them out."""
-        return set()
-
-    def _require_integer_sweep(self):
-        bad = [v for v in self.sweep if not float(v).is_integer()]
-        if bad:
-            raise ValueError(f"{self.experiment} sweep values must be integers, got {bad[0]!r}")
+        return {f.name for f in dataclasses.fields(self) if not self._reads(f)}
 
 
 @dataclass(frozen=True, kw_only=True)
 class InflateConfig(ExperimentConfig):
     experiment = "inflate"
+    integer_sweep = True
     regime: str = "crit_half"
-    alpha: float = 1.0
+    alpha: float = _key(1.0, above=0)
     sweep: tuple[float, ...] = (256.0, 512.0, 1024.0, 2048.0, 4096.0)
     s: float = -0.5
-    theta: float | None = None
-    picard_budget: int = evo.PICARD_BUDGET
-    # unset outside negative_s, which takes 32 when it is unset
-    surrogate_period: float | None = None
-    # keys that one regime alone reads; the others refuse them
-    _regime_keys = {"theta": "frac_crit", "surrogate_period": "negative_s"}
+    theta: float | None = _key(None, read_by=("regime", "frac_crit"))
+    picard_budget: int = _key(evo.PICARD_BUDGET, at_least=0)
+    surrogate_period: float | None = _key(None, at_least=1, read_by=("regime", "negative_s"),
+                                          when_read=32.0)
 
     def __post_init__(self):
         if self.regime not in cons.REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; expected one of "
                              f"{', '.join(cons.REGIMES)}")
-        for key in self.unread_keys():
-            if getattr(self, key) is not None:
-                raise ValueError(f"{key} is read only by the {self._regime_keys[key]} regime, "
-                                 f"not by {self.regime}")
-        if self.regime == "negative_s" and self.surrogate_period is None:
-            object.__setattr__(self, "surrogate_period", 32.0)
         super().__post_init__()
-        self._require_integer_sweep()
+
+    def _check_sweep(self):
         # sweeps are increasing, so sweep[0] is the smallest value
         if self.sweep[0] < cons.MIN_BLOCK_N:
             raise ValueError(f"inflate sweep values must be >= {cons.MIN_BLOCK_N} (the smallest N "
                              f"of the two-block schedules), got {self.sweep[0]!r}")
 
-    def unread_keys(self) -> set[str]:
-        return {key for key, regime in self._regime_keys.items() if regime != self.regime}
 
-
-# the profile keys of approx and periodize that each profile reads
-# (_approx_profile); the appendix profiles other than mollified read none
-_PROFILE_KEYS = {"bump": {"amplitude", "width"}, "two_step": {"amplitude", "eps"},
-                 "mollified": {"eps"}}
-
-
-def _unread_profile_keys(profile: str) -> set[str]:
-    return {"amplitude", "width", "eps"} - _PROFILE_KEYS.get(profile, set())
-
-
-def _require_nonzero_amplitude(cfg: ApproxConfig | PeriodizeConfig) -> None:
-    """Refuse amplitude 0 where the profile reads it; the others ignore it."""
-    if "amplitude" not in cfg.unread_keys() and cfg.amplitude == 0.0:
-        raise ValueError(f"amplitude must be nonzero, got {cfg.amplitude!r}")
-
-
+# approx and periodize build their data by _approx_profile, whose appendix
+# profiles other than mollified read none of amplitude, width and eps
 @dataclass(frozen=True, kw_only=True)
 class ApproxConfig(ExperimentConfig):
     experiment = "approx"
     sweep: tuple[float, ...] = (0.025, 0.05, 0.1, 0.2)
-    dt_steps: int = 200
+    dt_steps: int = _key(200, at_least=1)
     profile: str = "bump"
-    amplitude: float = 1.0
-    width: float = 2.0
-    eps: float = 0.1
-    time_horizon: float = 1.0
+    # zero data: the period spread divides by zero errors
+    amplitude: float = _key(1.0, nonzero=True, read_by=("profile", "bump", "two_step"))
+    width: float = _key(2.0, above=0, read_by=("profile", "bump"))
+    eps: float = _key(0.1, above=0, read_by=("profile", "two_step", "mollified"))
+    time_horizon: float = _key(1.0, above=0)
     periods: tuple[float, ...] = (32.0, 64.0, 128.0)
-    band_per_period: float = 8.0
+    band_per_period: float = _key(8.0, above=0)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_sweep(self):
         if not self.sweep[0] > 0.0:
             raise ValueError(f"approx sweep values must be > 0, got {self.sweep[0]!r}")
         if not self.sweep[0] ** 1.5 > 0.0:  # the reference delta^1.5 divides the error
             raise ValueError(f"approx sweep value {self.sweep[0]!r} is too small: its reference "
                              f"delta^1.5 underflows to 0")
-        # zero data: the period spread divides by zero errors
-        _require_nonzero_amplitude(self)
-
-    def unread_keys(self) -> set[str]:
-        return _unread_profile_keys(self.profile)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -184,39 +187,32 @@ class PeriodizeConfig(ExperimentConfig):
     experiment = "periodize"
     sweep: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
     profile: str = "two_step"
-    amplitude: float = 1.0
-    width: float = 2.0
-    eps: float = 0.1
+    # zero data: every row would be zeros
+    amplitude: float = _key(1.0, nonzero=True, read_by=("profile", "bump", "two_step"))
+    width: float = _key(2.0, above=0, read_by=("profile", "bump"))
+    eps: float = _key(0.1, above=0, read_by=("profile", "two_step", "mollified"))
     s_list: tuple[float, ...] = (-1.0, -0.5, 0.0, 1.0)
-    band_per_period: float = 32.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require_nonzero_amplitude(self)  # zero data: every row would be zeros
-
-    def unread_keys(self) -> set[str]:
-        return _unread_profile_keys(self.profile)
+    band_per_period: float = _key(32.0, above=0)
 
 
 @dataclass(frozen=True, kw_only=True)
 class GammaConfig(ExperimentConfig):
     experiment = "gamma"
-    alpha: float = 1.0
+    integer_sweep = True
+    alpha: float = _key(1.0, above=0)
     sweep: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
-    dt_steps: int = 200
-    amplitude: float = 0.7
-    eps: float = 0.3
-    time_horizon: float = 1.0
-    band_per_period: float = 4.0
+    dt_steps: int = _key(200, at_least=1)
+    # zero data: a zero plateau threshold counts mode 0
+    amplitude: float = _key(0.7, nonzero=True)
+    eps: float = _key(0.3, above=0)
+    time_horizon: float = _key(1.0, above=0)
+    band_per_period: float = _key(4.0, above=0)
     c_fraction: float = 0.5
-    base_delta: float = 0.16
-    delta_decay: float = 0.8408964152537145  # 2**(-1/4)
+    base_delta: float = _key(0.16, above=0)
+    delta_decay: float = _key(0.8408964152537145, above=0)  # 2**(-1/4)
 
     def __post_init__(self):
         super().__post_init__()
-        self._require_integer_sweep()
-        if self.amplitude == 0.0:  # zero data: a zero plateau threshold counts mode 0
-            raise ValueError(f"amplitude must be nonzero, got {self.amplitude!r}")
         if not 0.0 < self.c_fraction <= 1.0:
             raise ValueError("c_fraction must lie in (0, 1]")
         # each point takes the period L = round(delta_j^(-2.5)), delta_j =
@@ -254,18 +250,15 @@ class GammaConfig(ExperimentConfig):
 @dataclass(frozen=True, kw_only=True)
 class FeasibilityConfig(ExperimentConfig):
     experiment = "feasibility"
-    alpha: float = 0.375
+    integer_sweep = True
+    alpha: float = _key(0.375, above=0)
     sweep: tuple[float, ...] = (2.0**16, 2.0**24, 2.0**32, 2.0**40, 2.0**48)
     s: float = -0.25
     grid_points: int = 50
-    margin: float = 10.0
+    margin: float = _key(10.0, above=0)
 
     def __post_init__(self):
         super().__post_init__()
-        self._require_integer_sweep()
-        if self.sweep[0] < 4:
-            raise ValueError(f"feasibility sweep values must be >= 4 (the A grid runs over "
-                             f"[4, N]), got {self.sweep[0]!r}")
         if not 1 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(f"grid_points must be >= 1 and <= {MAX_GRID_POINTS} (the scan "
                              f"holds grid_points^3 floats), got {self.grid_points!r}")
@@ -288,6 +281,11 @@ class FeasibilityConfig(ExperimentConfig):
             raise ValueError(f"feasibility sweep value {big[0]!r} is too large for alpha = "
                              f"{self.alpha!r} and s = {self.s!r}: the scan's powers of N "
                              f"leave the float range")
+
+    def _check_sweep(self):
+        if self.sweep[0] < 4:
+            raise ValueError(f"feasibility sweep values must be >= 4 (the A grid runs over "
+                             f"[4, N]), got {self.sweep[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -568,13 +566,6 @@ def _approx_errors(phi: torus.SpectralField, deltas, t: float,
     return errs, w.tail_mass
 
 
-def _approx_error(profile, delta: float, L: float, t: float, band: int,
-                  steps: int) -> tuple[float, float]:
-    """_approx_errors of one delta on the periodization of the profile."""
-    errs, tail = _approx_errors(torus.periodize(profile, L, band), (delta,), t, steps)
-    return errs[0], tail
-
-
 def run_approximation(cfg: ApproxConfig) -> InflationReport:
     """Small-dispersion vs dispersionless error scaling."""
     profile = _approx_profile(cfg)
@@ -605,8 +596,8 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
         # the first period's error is the mid row's norm_T: same delta, period and band
         errs_L = [rows[i_mid].norm_T]
         for L in cfg.periods[1:]:
-            b = math.ceil(cfg.band_per_period * L)
-            errs_L.append(_approx_error(profile, d_mid, L, cfg.time_horizon, b, cfg.dt_steps)[0])
+            phi_L = torus.periodize(profile, L, math.ceil(cfg.band_per_period * L))
+            errs_L += _approx_errors(phi_L, (d_mid,), cfg.time_horizon, cfg.dt_steps)[0]
         if min(errs_L) == 0.0:  # data that vanishes on the grid, such as a width that underflows
             L = cfg.periods[errs_L.index(0.0)]
             raise ValueError(f"the approx error at delta = {d_mid!r} on period {L!r} is 0, "

@@ -491,6 +491,13 @@ def test_rk4_zero_field_stays_zero():
     assert np.max(np.abs(out.coeffs)) == 0.0
 
 
+def test_rk4_time_zero_and_negative_time():
+    f = random_field(1.0, 4, seed=43, l2=0.5)
+    assert rk4_spectral_evolve(f, EquationSpec(), 0.0, StepperConfig(dt=0.1)) is f
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        rk4_spectral_evolve(f, EquationSpec(), -1.0, StepperConfig(dt=0.1))
+
+
 def test_rk4_matches_exact_flow_without_dispersion():
     eq = EquationSpec(dispersion_coeff=0.0)
     for seed in range(100, 105):
@@ -626,6 +633,8 @@ def test_galilean_boost_maps_trajectories_to_trajectories():
 def test_picard_time_zero_and_single_mode():
     f = random_field(1.0, 5, seed=22)
     assert coeff_gap(picard_expansion(f, EquationSpec(), 0.0), f) <= 1e-15
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        picard_expansion(f, EquationSpec(), -0.1)
     c = 0.8 + 0.1j
     coeffs = np.zeros(7, dtype=complex)
     coeffs[3 + 2] = c

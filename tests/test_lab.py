@@ -526,6 +526,20 @@ def test_cli_refuses_an_unmet_tail_target(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_cli_refuses_methods_that_differ_beyond_the_budget(tmp_path, monkeypatch, capsys):
+    # the cross-method gate can fail: under a zero budget any gap between
+    # the closed form, split-step and Picard exceeds it
+    monkeypatch.setattr(lab, "wiener_error_budget", lambda phi, T, N: 0.0)
+    ini = tmp_path / "inflate.ini"
+    ini.write_text("[inflate]\nsweep = 16 32\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main(["inflate", "--config", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"nlslab: error: (ode|picard) vs (picard|split_step) differ by "
+                        r"\d\.\d{3}e[-+]\d+ > 10x budget 0\.000e\+00 at N=16\n", err), err
+    assert not out.exists()
+
+
 # cheap sizes of the two split-step regimes, and the step count each picks
 SPLIT_CASES = [("crit_half", 64, 100), ("crit_half", 256, 100),
                ("frac_crit", 128, 50), ("frac_crit", 256, 50)]
@@ -638,14 +652,13 @@ def test_run_approximation_report():
 
 def test_approx_rows_are_the_errors_of_each_delta_alone():
     # approx runs its deltas as one split-step stack per horizon; each row
-    # is bitwise what _approx_error gives for its delta alone
+    # is bitwise what _approx_errors gives for its delta alone
     cfg = ApproxConfig(periods=(32.0,), threads=2)
     rows = run_approximation(cfg).rows
-    profile = lab._approx_profile(cfg)
-    band = math.ceil(cfg.band_per_period * 32.0)
+    phi = torus.periodize(lab._approx_profile(cfg), 32.0, math.ceil(cfg.band_per_period * 32.0))
     for delta, row in zip(cfg.sweep, rows, strict=True):
-        e_half, _ = lab._approx_error(profile, delta, 32.0, 0.5, band, cfg.dt_steps)
-        e_full, tail = lab._approx_error(profile, delta, 32.0, 1.0, band, cfg.dt_steps)
+        (e_half,), _ = lab._approx_errors(phi, (delta,), 0.5, cfg.dt_steps)
+        (e_full,), tail = lab._approx_errors(phi, (delta,), 1.0, cfg.dt_steps)
         assert (row.param, row.norm_t0, row.norm_T, row.tail_mass) == (delta, e_half, e_full, tail)
 
 
@@ -862,6 +875,7 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
     "experiment, ini, message",
     [
         ("inflate", "methods = picard", "unknown config key 'methods'"),
+        ("inflate", "sweep = 64\nsweep = 128", "malformed config file"),
         ("approx", "periods =", "periods must be nonempty"),
         ("inflate", "sweep = 64.7", "inflate sweep values must be integers, got 64.7"),
         ("gamma", "sweep = 0.5", "gamma sweep values must be integers, got 0.5"),
@@ -984,6 +998,63 @@ def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, messag
     err = capsys.readouterr().err
     assert err.startswith("nlslab: error: ") and message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _declared_rule_cases():
+    """(experiment, key, rule, INI lines, message) for each rule a config
+    field declares, with a value that breaks it.  A key the run reads only
+    under some value of another key is set under the first such value,
+    except for the refusal of an unread key, which keeps that key's default."""
+    cases = []
+    for name, cls in lab.CONFIGS.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            rule = f.metadata
+            selector, *readers = rule.get("read_by") or (None,)
+            read = f"{selector} = {readers[0]}\n" if selector else ""
+            if rule.get("at_least") is not None:
+                bound = rule["at_least"]
+                value = bound - 1 if hints[f.name] is int else bound - 0.5
+                cases.append((name, f.name, "at_least", f"{read}{f.name} = {value}",
+                              f"{f.name} must be >= {bound}, got {value!r}"))
+            if rule.get("above") is not None:
+                bound = rule["above"]
+                cases.append((name, f.name, "above", f"{read}{f.name} = {bound}",
+                              f"{f.name} must be > {bound}, got {float(bound)!r}"))
+            if rule.get("nonzero"):
+                cases.append((name, f.name, "nonzero", f"{read}{f.name} = 0",
+                              f"{f.name} must be nonzero, got 0.0"))
+            if selector and f.default is None:
+                other = getattr(cls(), selector)
+                assert other not in readers
+                cases.append((name, f.name, "read_by", f"{f.name} = 1",
+                              f"{f.name} is read only by the {', '.join(readers)} {selector}, "
+                              f"not by {other}"))
+    return cases
+
+
+DECLARED_RULE_CASES = _declared_rule_cases()
+
+
+def test_every_experiment_declares_key_rules():
+    # threads on each experiment, and 4 inflate, 6 approx, 4 periodize,
+    # 8 gamma and 2 feasibility keys; surrogate_period carries two rules
+    assert len(DECLARED_RULE_CASES) == 30
+    covered = {(name, key) for name, key, *_ in DECLARED_RULE_CASES}
+    assert {("gamma", "dt_steps"), ("periodize", "eps")} <= covered
+    assert {name for name, _ in covered} == set(lab.CONFIGS)
+
+
+@pytest.mark.parametrize("experiment, key, rule, ini, message", DECLARED_RULE_CASES,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in DECLARED_RULE_CASES])
+def test_cli_refuses_each_declared_key_rule(tmp_path, capsys, experiment, key, rule, ini,
+                                            message):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{experiment}]\n{ini}\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"nlslab: error: {message}\n"
     assert not out.exists()
 
 

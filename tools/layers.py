@@ -58,7 +58,7 @@ from nlslab import torus
 ROOT = Path(__file__).resolve().parents[1]
 
 # inflate's split-step grids 7 546 .. 120 000 and the closed form's
-# 279 936 (crit_half N = 4096) and 1 317 120 (frac_crit N = 4096)
+# 279 936 (crit_half N = 4096) and 1 317 120 (negative_s N = 1024)
 FFT_PAIR_GRIDS = (7546, 15092, 30184, 120000, 279936, 1317120)
 # split-step bands whose grids, split_grid_size(M), are the 1 029, 7 546,
 # 30 184, 60 000 and 120 000 points named above
