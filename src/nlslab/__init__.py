@@ -68,11 +68,8 @@ from .lab import (
     GammaCount,
     InflateConfig,
     InflationReport,
-    MethodDisagreementError,
     PeriodizeConfig,
     ReportRow,
-    StepTargetError,
-    TailTargetError,
     config_from_dict,
     config_to_dict,
     emit_report,

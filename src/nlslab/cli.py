@@ -16,7 +16,6 @@ import types
 import typing
 
 from . import lab
-from .evolution import BlowupError
 
 
 def _split_items(raw: str) -> list[str]:
@@ -109,8 +108,7 @@ def main(argv=None) -> int:
         report = lab.run_experiment(cfg)
         path = cfg.output_path or f"{cfg.experiment}_report.{cfg.fmt}"
         lab.emit_report(report, cfg.fmt, path)
-    except (ValueError, OSError, OverflowError, BlowupError, lab.MethodDisagreementError,
-            lab.TailTargetError, lab.StepTargetError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"nlslab: error: {exc}", file=sys.stderr)
         return 1
     print(f"nlslab: wrote {cfg.experiment} report ({len(report.rows)} rows) to {path}")

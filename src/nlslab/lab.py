@@ -36,18 +36,6 @@ VERSION = "nlslab-0.1.0"
 MAX_GRID_POINTS = 200
 
 
-class MethodDisagreementError(RuntimeError):
-    """Evolution methods disagreed beyond their stated error budget."""
-
-
-class TailTargetError(RuntimeError):
-    """No allowed out band brings the closed form's tail under its target."""
-
-
-class StepTargetError(RuntimeError):
-    """No allowed split-step count brings the halving estimate under its tolerance."""
-
-
 def _key(default, *, at_least=None, above=None, nonzero=False, read_by=None, when_read=None):
     """A config field with its own checks, which ExperimentConfig enforces.
     A value that is set must be >= at_least and > above.  read_by = (key,
@@ -180,6 +168,9 @@ class ApproxConfig(ExperimentConfig):
         if not self.sweep[0] ** 1.5 > 0.0:  # the reference delta^1.5 divides the error
             raise ValueError(f"approx sweep value {self.sweep[0]!r} is too small: its reference "
                              f"delta^1.5 underflows to 0")
+        if not self.sweep[-1] * self.sweep[-1] < math.inf:
+            raise ValueError(f"approx sweep value {self.sweep[-1]!r} is too large: its dispersion "
+                             f"coefficient delta^2 overflows a float")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -432,7 +423,7 @@ def _closed_form_on_tail_target(phi: torus.SpectralField, T: float,
         ode = evo.ode_exact_evolve(phi, T, out_bandwidth=(2 * k + 1) * phi.bandwidth)
         if ode.tail_mass <= ODE_TAIL_REL * mass:
             return k, ode
-    raise TailTargetError(
+    raise ValueError(
         f"closed form at N={N} keeps a tail of {ode.tail_mass:.3e} at out band "
         f"(2*{k}+1)*{phi.bandwidth}, above {ODE_TAIL_REL:g} of the data mass {mass:.6g}")
 
@@ -470,9 +461,9 @@ def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: 
             return (2 * n, estimate, evo.split_grid_size(wide.bandwidth),
                     fine.with_coeffs((4.0 * fine.coeffs - coarse.coeffs) / 3.0))
         coarse, n = fine, 2 * n
-    raise StepTargetError(f"split-step at N={N} misses the halving tolerance "
-                          f"{SPLIT_STEP_REL:g} of ||phi||_FLinf: at {n} steps, the most "
-                          f"it tries, the estimate is {estimate:.3e}")
+    raise ValueError(f"split-step at N={N} misses the halving tolerance "
+                     f"{SPLIT_STEP_REL:g} of ||phi||_FLinf: at {n} steps, the most "
+                     f"it tries, the estimate is {estimate:.3e}")
 
 
 def _inflate_point(cfg: InflateConfig, N: int) -> tuple[ReportRow, dict]:
@@ -519,7 +510,7 @@ def _inflate_point(cfg: InflateConfig, N: int) -> tuple[ReportRow, dict]:
             d = _fl_inf_distance(results[a], results[b])
             disagreement = d if disagreement is None else max(disagreement, d)
             if d > 10.0 * budget:
-                raise MethodDisagreementError(
+                raise ValueError(
                     f"{a} vs {b} differ by {d:.3e} > 10x budget {budget:.3e} at N={N}")
 
     normT, norm_low = torus.sobolev_norm_and_projection(ode.field, s, int(round(N * phi.period)))
@@ -545,6 +536,12 @@ def run_inflation(cfg: InflateConfig) -> InflationReport:
 # ---------------------------------------------------------------------------
 # approx
 
+def _periodize(profile, L: float, band_per_period: float) -> torus.SpectralField:
+    """torus.periodize at band ceil(band_per_period L); it refuses an inf band as too wide."""
+    band = band_per_period * L
+    return torus.periodize(profile, L, math.ceil(band) if band < math.inf else band)
+
+
 def _approx_profile(cfg: ApproxConfig | PeriodizeConfig) -> prof.CompactProfile:
     if cfg.profile == "bump":
         return prof.smooth_bump(cfg.amplitude, cfg.width)
@@ -569,8 +566,7 @@ def _approx_errors(phi: torus.SpectralField, deltas, t: float,
 def run_approximation(cfg: ApproxConfig) -> InflationReport:
     """Small-dispersion vs dispersionless error scaling."""
     profile = _approx_profile(cfg)
-    L0 = cfg.periods[0]
-    phi = torus.periodize(profile, L0, math.ceil(cfg.band_per_period * L0))
+    phi = _periodize(profile, cfg.periods[0], cfg.band_per_period)
     horizons = _map_ordered(lambda t: _approx_errors(phi, cfg.sweep, t, cfg.dt_steps),
                             [cfg.time_horizon / 2.0, cfg.time_horizon], cfg.threads)
     (errs_half, _), (errs_full, tail) = horizons
@@ -596,7 +592,7 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
         # the first period's error is the mid row's norm_T: same delta, period and band
         errs_L = [rows[i_mid].norm_T]
         for L in cfg.periods[1:]:
-            phi_L = torus.periodize(profile, L, math.ceil(cfg.band_per_period * L))
+            phi_L = _periodize(profile, L, cfg.band_per_period)
             errs_L += _approx_errors(phi_L, (d_mid,), cfg.time_horizon, cfg.dt_steps)[0]
         if min(errs_L) == 0.0:  # data that vanishes on the grid, such as a width that underflows
             L = cfg.periods[errs_L.index(0.0)]
@@ -655,9 +651,10 @@ def line_sobolev_norm(profile, s, homogeneous: bool = True, xi_max: float = 80.0
     not smooth at 0 unless 2s is an integer, so it takes 64-node
     Gauss-Jacobi (_head_rule) with the weight xi^beta built in: beta =
     2s, or 2s + 2 with the density divided by xi^2 when the profile has
-    vanishing mean.  The rule matches a tight scipy quad oracle to 1e-12
-    relative, fractional s included, and doubling the panels moves it by
-    less than that.
+    vanishing mean, |F(0)| at most 1e-12 of the largest |F| on the other
+    panels' nodes: a test free of the profile's scale.  The rule matches a
+    tight scipy quad oracle to 1e-12 relative, fractional s included, and
+    doubling the panels moves it by less than that.
 
     The cutoff xi_max is part of the norm: a circle norm whose band stops
     below it misses the share beyond that band, which at s >= 0 is what
@@ -673,8 +670,9 @@ def line_sobolev_norm(profile, s, homogeneous: bool = True, xi_max: float = 80.0
     orders = np.atleast_1d(np.asarray(s, dtype=float))
     h = xi_max / LINE_PANELS
     xi, weights = prof._panel_rule(h * np.arange(1, LINE_PANELS + 1), 64)
-    density = weights * _folded_density(profile, xi)
-    zero_mean = abs(profile.fourier_transform(0.0)) <= 1e-12
+    folded = _folded_density(profile, xi)
+    density = weights * folded
+    zero_mean = abs(profile.fourier_transform(0.0)) <= 1e-12 * math.sqrt(folded.max())
     norms = []
     for order in orders.tolist():
         beta = 0.0
@@ -701,7 +699,7 @@ def run_periodization(cfg: PeriodizeConfig) -> InflationReport:
     profile = _approx_profile(cfg)
     rows = []
     line_norms = line_sobolev_norm(profile, cfg.s_list, homogeneous=True)
-    fields = [torus.periodize(profile, L, math.ceil(cfg.band_per_period * L)) for L in cfg.sweep]
+    fields = [_periodize(profile, L, cfg.band_per_period) for L in cfg.sweep]
     for s, line_norm in zip(cfg.s_list, line_norms):
         for L, f_L in zip(cfg.sweep, fields):
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -775,8 +773,7 @@ def measure_plateau(w_field: torus.SpectralField, c_fraction: float) -> tuple[fl
 def _gamma_point(cfg: GammaConfig, j: int) -> ReportRow:
     delta, L = cfg.delta_and_period(j)
     profile = prof.centered_two_step(cfg.amplitude, cfg.eps)
-    band = math.ceil(cfg.band_per_period * L)
-    phi = torus.periodize(profile, L, band)
+    phi = _periodize(profile, L, cfg.band_per_period)
     t = cfg.time_horizon
     w = evo.ode_exact_evolve(phi, t).field
     eq = evo.EquationSpec.small_dispersion(delta, cfg.alpha)

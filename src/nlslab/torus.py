@@ -20,7 +20,7 @@ import numpy as np
 from numpy.fft import fft, ifft  # the package's one FFT provider, used by GridPlan alone
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(ValueError):
     """A computation would exceed its declared size budget.
 
     Attributes:
@@ -210,9 +210,6 @@ class GridPlan:
         last axis: a part of one column, or a slab of whole columns down
         which the values run."""
         p, hi = self.shape[0], lo + arr.shape[-1]
-        if p == 1:  # the one row is the spectrum in bin order
-            yield (..., 0, slice(lo, hi)), arr
-            return
         k = lo
         while k < hi:
             col, row = divmod(k, p)

@@ -3,6 +3,7 @@ terms of the dispersionless solution."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,6 +294,47 @@ def test_xi_series_tail_bounds_the_sup_without_sampling():
     phi = SpectralField(1.0, np.array([0.0, 0.0, 0.0, 1.0, np.exp(1j * math.pi / 40)]))
     l2 = math.sqrt(2.0)
     assert xi_series_tail(phi, 0, 1.0) >= (1.0 - 1e-12) * l2 * (math.exp(4.0) - 1.0)
+
+
+def _exact_remainders(r: float, k_max: int) -> list[Fraction]:
+    """sum_{k>K} r^k/k! for K = 0..k_max in exact arithmetic, the sum cut
+    where its terms fall below 1e-60 of the smallest remainder."""
+    terms, term, k = [], Fraction(1), 0
+    while k <= k_max + 1 or term > terms[k_max + 1] * Fraction(1, 10**60):
+        terms.append(term)
+        k += 1
+        term = term * Fraction(r) / k
+    rests, rest = [], sum(terms[k_max + 1 :], Fraction(0))
+    for K in range(k_max, -1, -1):
+        rests.append(rest)
+        rest += terms[K]
+    return rests[::-1]
+
+
+@pytest.mark.parametrize("r", [1e-6, 1e-3, 0.1, 1.0, 2.0, 5.0, 10.0, 37.3, 100.0])
+def test_xi_series_tail_is_the_exact_remainder_from_above(r):
+    # the remainder of exp(r) is summed from its first term, so it keeps
+    # its digits where exp(r) minus the partial sum cancelled to roundoff;
+    # phi = 1 at mode 0 has ||phi||_L2 = 1 and ||phi||_FL1^2 = 1, so t = r
+    phi = SpectralField(1.0, np.array([0.0, 1.0, 0.0]))
+    for K, exact in enumerate(_exact_remainders(r, 80)):
+        got = xi_series_tail(phi, K, r)
+        if float(exact) < 1e-300:  # subnormal and below: no relative digits to compare
+            assert 0.0 <= got <= 1e-300
+            continue
+        assert exact <= Fraction(got) <= exact * (1 + Fraction(1, 10**12)), (K, got, float(exact))
+
+
+def test_certify_tail_at_remainders_far_below_exp_r():
+    # exp(r) minus the partial sum read 0 at K = 32 for t = 5, where the
+    # remainder is 1.57e-14, and never fell below 1e-15 for t = 2 by K = 80
+    phi = SpectralField(1.0, np.array([0.0, 1.0, 0.0]))
+    for t, target, K_want in ((5.0, 1e-25, 45), (2.0, 1e-15, 22)):
+        exact = _exact_remainders(t, K_want)
+        K, bound = certify_tail(phi, t, target)
+        assert K == K_want and exact[K] <= Fraction(bound) < target
+        assert exact[K - 1] >= target
+    assert abs(float(_exact_remainders(5.0, 32)[32]) - 1.57e-14) <= 0.01e-14
 
 
 def test_certify_tail_returns_minimal_order():

@@ -9,6 +9,7 @@ import inspect
 import json
 import math
 import pathlib
+import pkgutil
 import re
 import typing
 
@@ -50,6 +51,7 @@ from nlslab import (
     smooth_bump,
     wiener_error_budget,
 )
+import nlslab
 from nlslab import cli, constructions, evolution, lab, torus
 
 from _helpers import random_field
@@ -354,6 +356,19 @@ def test_line_sobolev_norm_refuses_zero_mean_below_minus_three_halves():
     assert math.isfinite(line_sobolev_norm(psi1, -1.25))
     with pytest.raises(ValueError, match="needs s > -3/2"):
         line_sobolev_norm(psi1, (0.0, -1.5))
+
+
+@pytest.mark.parametrize("make", [smooth_bump, centered_two_step], ids=["bump", "two_step"])
+def test_line_sobolev_norm_scales_with_the_amplitude(make):
+    # the mean test weighs F(0) against the transform's own size: a bump of
+    # amplitude 1e-13 keeps its nonzero mean, and so its inf norms
+    unit = line_sobolev_norm(make(1.0), ORDERS)
+    for amplitude in (1e-13, 1e13):
+        for s, a, b in zip(ORDERS, unit, line_sobolev_norm(make(amplitude), ORDERS)):
+            if a == math.inf:
+                assert b == math.inf, (amplitude, s, b)
+            else:
+                assert abs(b - amplitude * a) <= 1e-12 * amplitude * a, (amplitude, s, b)
 
 
 def test_periodization_evaluates_the_transform_a_few_times(monkeypatch):
@@ -988,6 +1003,25 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
                                            "1.022e+299 reaches 2^52"),
         ("gamma", "time_horizon = 1e300", "closed form at t = 1e+300: t ||phi||_FL1^2 = "
                                           "1.317e+301 reaches 2^52"),
+        # a band ceil(band_per_period L) that overflows a float is refused as
+        # above the limit, not by math.ceil's "cannot convert float infinity"
+        ("approx", "band_per_period = 1e308", "periodization on period 32 needs band inf, "
+                                              "above the limit 524288"),
+        ("periodize", "band_per_period = 1e308", "periodization on period 8 needs band inf, "
+                                                 "above the limit 524288"),
+        ("gamma", "band_per_period = 1e308", "periodization on period 98 needs band inf, "
+                                             "above the limit 524288"),
+        ("approx", "periods = 1e308", "periodization on period 1e+308 needs band inf, "
+                                      "above the limit 524288"),
+        ("periodize", "sweep = 1e308", "periodization on period 1e+308 needs band inf, "
+                                       "above the limit 524288"),
+        # the dispersion coefficient delta^2 of the small-dispersion flow
+        ("approx", "sweep = 0.1 1e200", "approx sweep value 1e+200 is too large: its dispersion "
+                                        "coefficient delta^2 overflows a float"),
+        # crit_half's R is 1: what overflows is N^2 in its time T_N
+        ("inflate", "sweep = 256 1e300", "the crit_half schedule at N=1e+300, s=-0.5 overflows a "
+                                         "float: N^2 in T_N = 1/(N^2 (log N)^(1/8)) is out of "
+                                         "float range"),
     ],
 )
 def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):
@@ -1074,13 +1108,16 @@ def test_amplitude_zero_is_accepted_where_the_profile_ignores_it(tmp_path, exper
 
 # amplitude 1e200 overflows |u|^2 t in the first split step (approx) and in
 # the closed form, which gamma evolves first; the block amplitude R of the
-# negative_s and frac_crit schedules overflows a float at s = -200.  Numpy's
-# RuntimeWarning is an error under the test settings, so none may escape.
+# negative_s and frac_crit schedules overflows a float at s = -200, and the
+# free rotation rates of split-step at alpha = 1e300.  Numpy's RuntimeWarning
+# is an error under the test settings, so none may escape.
 @pytest.mark.parametrize(
     "experiment, ini, message",
     [
         ("approx", "amplitude = 1e200", "non-finite coefficients at step size "),
         ("gamma", "amplitude = 1e200", "non-finite coefficients in the closed form at t = 1.0"),
+        ("inflate", "alpha = 1e300", "non-finite coefficients at step size "),
+        ("gamma", "alpha = 1e300", "non-finite coefficients at step size 0.005"),
         ("inflate", "regime = negative_s\ns = -200\nsweep = 256",
          "the negative_s schedule at N=256, s=-200.0 overflows a float: R = N^(-s)/log N "),
         ("inflate", "regime = frac_crit\ns = -200\ntheta = 0.1\nsweep = 256",
@@ -1108,6 +1145,31 @@ def test_cli_refuses_a_run_that_overflows(tmp_path, capsys, experiment, ini, mes
     err = capsys.readouterr().err
     assert err.startswith("nlslab: error: " + message)
     assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not out.exists()
+
+
+def test_every_exception_class_of_the_package_is_a_value_error():
+    # the command line turns every refusal into "nlslab: error: ..." by
+    # catching ValueError, so a refusal class must be one
+    names = sorted(info.name for info in pkgutil.iter_modules(nlslab.__path__))
+    classes = {obj for name in names for obj in vars(importlib.import_module(f"nlslab.{name}")).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == f"nlslab.{name}"}
+    assert {"BlowupError", "BudgetExceededError"} <= {cls.__name__ for cls in classes}
+    assert [cls.__name__ for cls in classes if not issubclass(cls, ValueError)] == []
+
+
+def test_cli_refuses_a_runner_that_exceeds_a_budget(tmp_path, monkeypatch, capsys):
+    def over_budget(sched, period=1.0):
+        raise torus.BudgetExceededError(f"two-block data at N={sched.N} is over budget",
+                                        required=2, budget=1)
+
+    monkeypatch.setattr(constructions, "build_two_block_data", over_budget)
+    ini = tmp_path / "inflate.ini"
+    ini.write_text("[inflate]\nsweep = 64\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main(["inflate", "--config", str(ini), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "nlslab: error: two-block data at N=64 is over budget\n"
     assert not out.exists()
 
 
