@@ -79,7 +79,7 @@ def load_config_file(path: str, experiment: str) -> dict:
 def build_config(experiment: str, args: argparse.Namespace) -> lab.ExperimentConfig:
     """The experiment's config: its class defaults, then the INI file, then the flags."""
     kwargs = load_config_file(args.config, experiment) if args.config is not None else {}
-    flags = {"output_path": args.out, "fmt": args.format, "threads": args.threads, "seed": args.seed}
+    flags = {"threads": args.threads, "seed": args.seed}
     kwargs.update((key, value) for key, value in flags.items() if value is not None)
     return lab.CONFIGS[experiment](**kwargs)
 
@@ -94,7 +94,7 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=runner.__doc__)
         p.add_argument("--config", default=None, help="INI config file with an [%s] section" % name)
         p.add_argument("--out", default=None, help="output path (default: %s_report.<format>)" % name)
-        p.add_argument("--format", default=None, choices=("csv", "json"), help="report format (default csv)")
+        p.add_argument("--format", default="csv", choices=("csv", "json"), help="report format (default csv)")
         p.add_argument("--threads", default=None, type=int, help="worker threads (>=1)")
         p.add_argument("--seed", default=None, type=int, help="unsigned 64-bit seed echoed into the report")
     return parser
@@ -106,8 +106,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args.experiment, args)
         report = lab.run_experiment(cfg)
-        path = cfg.output_path or f"{cfg.experiment}_report.{cfg.fmt}"
-        lab.emit_report(report, cfg.fmt, path)
+        path = lab.emit_report(report, args.format, args.out or f"{cfg.experiment}_report.{args.format}")
     except (ValueError, OSError, OverflowError) as exc:
         print(f"nlslab: error: {exc}", file=sys.stderr)
         return 1

@@ -74,6 +74,18 @@ def free_rotation_rates(field: SpectralField, eq: EquationSpec) -> np.ndarray:
     return eq.dispersion_sign * eq.dispersion_coeff * xi ** (2.0 * eq.alpha)
 
 
+def _checked_rates(name: str, t: float, rates, angle: str = "max|rate| |t|", phase: str = "rate t"):
+    """rates, once a call of `name` is known to form no angle max|rates| |t|
+    of 2^52 or more; it is refused otherwise, as adjacent doubles there lie
+    at least 1 apart and the phase mod 2 pi keeps no correct digit.  An inf
+    angle is refused; a NaN is left to the caller's non-finite check."""
+    top = float(np.max(np.abs(rates), initial=0.0)) * abs(t)
+    if top >= 2.0**52:
+        raise ValueError(f"{name} at t = {t:g}: {angle} = {top:.3e} reaches 2^52, where the phase "
+                         f"{phase} mod 2 pi keeps no correct digit")
+    return rates
+
+
 class EvolveResult(NamedTuple):
     field: SpectralField
     tail_mass: float
@@ -150,10 +162,9 @@ def ode_exact_evolve(
     inflate experiment picks its out band from this value: the smallest
     band whose tail is at most 1e-20 of the data mass.
 
-    Non-finite output is refused as a blow-up.  So is a finite one whose
-    phase bound t ||phi||_FL1^2 (|phi|^2 t never exceeds it) reaches 2^52:
-    adjacent doubles there lie at least 1 apart, so the phase mod 2 pi
-    keeps no correct digit.
+    Non-finite output is refused as a blow-up, and so is a finite one
+    whose phase bound t ||phi||_FL1^2 (|phi|^2 t never exceeds it) reaches
+    2^52 (_checked_rates).
     """
     m = field.bandwidth
     m_out = m if out_bandwidth is None else int(out_bandwidth)
@@ -176,9 +187,7 @@ def ode_exact_evolve(
     if not (np.isfinite(out.coeffs).all() and np.isfinite(tail)):
         raise BlowupError(f"non-finite coefficients in the closed form at t = {t}")
     wiener = float(np.sum(np.abs(field.coeffs)))
-    if not wiener * wiener * t < 2.0**52:
-        raise ValueError(f"closed form at t = {t:g}: t ||phi||_FL1^2 = {wiener * wiener * t:.3e} "
-                         f"reaches 2^52, where the phase |phi|^2 t mod 2 pi keeps no correct digit")
+    _checked_rates("closed form", t, wiener * wiener, "t ||phi||_FL1^2", "|phi|^2 t")
     return EvolveResult(out, tail)
 
 
@@ -212,12 +221,15 @@ def split_step_stack(
     Strang phases and Wick shift, at most SPLIT_STACK_POINTS // G rows
     per loop (one at least).  Every operation acts on each row alone, so
     a row's output is bitwise that of its own one-row run.  A non-finite
-    coefficient in any row refuses the call with BlowupError.
+    coefficient in any row refuses the call with BlowupError, and an angle
+    max|rate| t of 2^52 or more is refused before any transform.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return [field] * len(eqs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here or below
+        _checked_rates("split-step", t, [free_rotation_rates(field, eq) for eq in eqs])
     n_steps = max(1, round(t / cfg.dt))
     dt = t / n_steps
     g = split_grid_size(field.bandwidth)
@@ -289,7 +301,7 @@ def rk4_spectral_evolve(
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return field
-    rates = free_rotation_rates(field, eq)
+    rates = _checked_rates("Lawson RK4", t, free_rotation_rates(field, eq))
 
     def rhs(v, tau):
         return 1j * _turned_cubic(v, rates, tau, eq.wick)
@@ -316,7 +328,8 @@ def interaction_picture(field: SpectralField, eq: EquationSpec, t: float) -> Spe
     A free solution becomes constant in time; all weighted-coefficient
     norms are unchanged (modulus-1 multipliers).
     """
-    return field.with_coeffs(field.coeffs * _unit_phase(-free_rotation_rates(field, eq) * t))
+    rates = _checked_rates("interaction picture", t, free_rotation_rates(field, eq))
+    return field.with_coeffs(field.coeffs * _unit_phase(-rates * t))
 
 
 def gauge_transform(field: SpectralField, t: float) -> SpectralField:
@@ -432,7 +445,8 @@ def picard_expansion(
     the integrand being _turned_cubic (its Wick form when eq.wick), by
     Q-node Gauss-Legendre in tau on the output band of picard_work.  The
     work Q G is checked against ``budget``, and Q against PICARD_MAX_NODES,
-    before any FFT; either over refuses with a size report.
+    before any FFT; either over refuses with a size report, as does then
+    an angle max|rate| t of 2^52 or more.
 
     Mode n of the integrand is a sum of exp(-i Phi tau) c1 conj(c2) c3
     over the triples n1 - n2 + n3 = n, and the rule's Q integrates each to
@@ -458,7 +472,7 @@ def picard_expansion(
         )
     x, w, _ = _gauss_rule(work.nodes)
     wide = enlarge_band(phi, work.out_band)
-    rates = free_rotation_rates(wide, eq)
+    rates = _checked_rates("first Picard iterate", t, free_rotation_rates(wide, eq))
     first = np.zeros_like(wide.coeffs)
     for tau, weight in zip(0.5 * t * (1.0 + x), 0.5 * t * w):
         first += weight * _turned_cubic(wide.coeffs, rates, tau, eq.wick)

@@ -5,8 +5,8 @@ Five experiments: 'inflate' (norm growth of two-block data), 'approx'
 norms), 'gamma' (discrepancy-mode counting along a dilation schedule),
 and 'feasibility' (parameter-space scan).  Each returns an
 InflationReport whose rows serialize to CSV with a fixed column order,
-or to JSON with the full metadata.  Reports are deterministic: the same
-config and seed produce identical bytes regardless of thread count.
+or to JSON with the full metadata.  No report depends on its output path,
+and only the JSON's echoed `threads` on the thread count.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, asdict
@@ -36,38 +38,52 @@ VERSION = "nlslab-0.1.0"
 MAX_GRID_POINTS = 200
 
 
-def _key(default, *, at_least=None, above=None, nonzero=False, read_by=None, when_read=None):
+def _key(default, *, at_least=None, above=None, at_most=None, below=None, choices=None,
+         integer=False, nonzero=False, read_by=None, when_read=None):
     """A config field with its own checks, which ExperimentConfig enforces.
-    A value that is set must be >= at_least and > above.  read_by = (key,
-    *values): the run reads this field only while that key takes one of
-    the values.  A field the run does not read is left out of the report
-    echo, and refused when set if its default is None; one that it reads
-    takes when_read in place of None, and refuses 0 if declared nonzero."""
-    return dc_field(default=default, metadata=dict(at_least=at_least, above=above, nonzero=nonzero,
-                                                   read_by=read_by, when_read=when_read))
+    A value that is set must be in `choices`; it, or each item of a tuple,
+    must be >= at_least, > above, <= at_most, < below, and whole if `integer`.
+    read_by = (key, *values): the run reads this field only while that key
+    takes one of the values.  A field the run does not read is left out of
+    the report echo, and refused when set if its default is None; one that
+    it reads takes when_read in place of None, and refuses 0 if declared
+    nonzero."""
+    return dc_field(default=default, metadata=dict(
+        at_least=at_least, above=above, at_most=at_most, below=below, choices=choices,
+        integer=integer, nonzero=nonzero, read_by=read_by, when_read=when_read))
+
+
+# each rule of _key that every item of a value keeps: its name, refusal and test
+_ITEM_RULES = (("at_least", "must be >= {}", operator.ge), ("above", "must be > {}", operator.gt),
+               ("at_most", "must be <= {}", operator.le), ("below", "must be < {}", operator.lt),
+               ("integer", "must be integers", lambda v, on: not on or float(v).is_integer()))
 
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """The keys and checks every experiment shares.  Each experiment's
-    subclass adds its own keys and defaults, each declaring its checks
-    through _key; the command line derives its INI keys and their parsers
-    from those annotated fields.
+    """What a run reads, and not where its report goes.  Each experiment's
+    subclass adds its own keys, each declaring its single-key checks through
+    _key, from which the command line derives its INI keys and parsers.
+    __post_init__ overrides hold only the rules across keys or on derived
+    floats: approx's delta^2 and delta^1.5, gamma's periods and
+    feasibility's powers of N.
 
     `sweep` holds the swept values: N for 'inflate' and 'feasibility',
     delta for 'approx', the period L for 'periodize', the index j for 'gamma'.
     """
 
     experiment: ClassVar[str]
-    integer_sweep = False  # unannotated, so no INI key: whether sweep values must be integers
     sweep: tuple[float, ...]
-    output_path: str | None = None
-    fmt: str = "csv"
-    seed: int = 0
+    seed: int = _key(0, at_least=0, below=2**64)  # echoed into the report: an unsigned 64-bit integer
     threads: int = _key(1, at_least=1)
 
     def __post_init__(self):
         keys = dataclasses.fields(self)
+        # choices first, so that a selector is valid before read_by asks it
+        for f in keys:
+            choices, value = f.metadata.get("choices"), getattr(self, f.name)
+            if choices is not None and value not in choices:
+                raise ValueError(f"unknown {f.name} {value!r}; expected one of {', '.join(choices)}")
         # an unread key is refused before its own range check
         for f in keys:
             value = getattr(self, f.name)
@@ -88,28 +104,15 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be finite, got {bad[0]!r}")
             if not items:
                 raise ValueError(f"{f.name} must be nonempty")
-            at_least, above = f.metadata.get("at_least"), f.metadata.get("above")
-            if at_least is not None and not value >= at_least:
-                raise ValueError(f"{f.name} must be >= {at_least}, got {value!r}")
-            if above is not None and not value > above:
-                raise ValueError(f"{f.name} must be > {above}, got {value!r}")
+            what = f"{self.experiment} {f.name} values" if isinstance(value, tuple) else f.name
+            for (rule, refusal, holds), v in itertools.product(_ITEM_RULES, items):
+                if f.metadata.get(rule) is not None and not holds(v, f.metadata[rule]):
+                    raise ValueError(f"{what} {refusal.format(f.metadata[rule])}, got {v!r}")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ValueError("sweep must be strictly increasing")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"fmt must be csv or json, got {self.fmt!r}")
-        bad = [v for v in self.sweep if not float(v).is_integer()]
-        if self.integer_sweep and bad:
-            raise ValueError(f"{self.experiment} sweep values must be integers, got {bad[0]!r}")
-        self._check_sweep()
         for f in keys:
             if f.metadata.get("nonzero") and self._reads(f) and getattr(self, f.name) == 0.0:
                 raise ValueError(f"{f.name} must be nonzero, got {getattr(self, f.name)!r}")
-
-    def _check_sweep(self):
-        """The experiment's own refusals of its sweep values, which come
-        after the shared ones and before the nonzero keys."""
 
     def _reads(self, f: dataclasses.Field) -> bool:
         read_by = f.metadata.get("read_by")
@@ -123,27 +126,16 @@ class ExperimentConfig:
 @dataclass(frozen=True, kw_only=True)
 class InflateConfig(ExperimentConfig):
     experiment = "inflate"
-    integer_sweep = True
-    regime: str = "crit_half"
+    regime: str = _key("crit_half", choices=cons.REGIMES)  # those with a two-block schedule
     alpha: float = _key(1.0, above=0)
-    sweep: tuple[float, ...] = (256.0, 512.0, 1024.0, 2048.0, 4096.0)
+    # no two-block schedule has N below MIN_BLOCK_N
+    sweep: tuple[float, ...] = _key((256.0, 512.0, 1024.0, 2048.0, 4096.0), integer=True,
+                                    at_least=cons.MIN_BLOCK_N)
     s: float = -0.5
     theta: float | None = _key(None, read_by=("regime", "frac_crit"))
     picard_budget: int = _key(evo.PICARD_BUDGET, at_least=0)
     surrogate_period: float | None = _key(None, at_least=1, read_by=("regime", "negative_s"),
                                           when_read=32.0)
-
-    def __post_init__(self):
-        if self.regime not in cons.REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}; expected one of "
-                             f"{', '.join(cons.REGIMES)}")
-        super().__post_init__()
-
-    def _check_sweep(self):
-        # sweeps are increasing, so sweep[0] is the smallest value
-        if self.sweep[0] < cons.MIN_BLOCK_N:
-            raise ValueError(f"inflate sweep values must be >= {cons.MIN_BLOCK_N} (the smallest N "
-                             f"of the two-block schedules), got {self.sweep[0]!r}")
 
 
 # approx and periodize build their data by _approx_profile, whose appendix
@@ -151,7 +143,7 @@ class InflateConfig(ExperimentConfig):
 @dataclass(frozen=True, kw_only=True)
 class ApproxConfig(ExperimentConfig):
     experiment = "approx"
-    sweep: tuple[float, ...] = (0.025, 0.05, 0.1, 0.2)
+    sweep: tuple[float, ...] = _key((0.025, 0.05, 0.1, 0.2), above=0)
     dt_steps: int = _key(200, at_least=1)
     profile: str = "bump"
     # zero data: the period spread divides by zero errors
@@ -162,15 +154,15 @@ class ApproxConfig(ExperimentConfig):
     periods: tuple[float, ...] = (32.0, 64.0, 128.0)
     band_per_period: float = _key(8.0, above=0)
 
-    def _check_sweep(self):
-        if not self.sweep[0] > 0.0:
-            raise ValueError(f"approx sweep values must be > 0, got {self.sweep[0]!r}")
-        if not self.sweep[0] ** 1.5 > 0.0:  # the reference delta^1.5 divides the error
-            raise ValueError(f"approx sweep value {self.sweep[0]!r} is too small: its reference "
-                             f"delta^1.5 underflows to 0")
+    def __post_init__(self):
+        super().__post_init__()
+        # sweep[-1] is the largest delta: with its delta^2 finite, sweep[0] ** 1.5 cannot overflow
         if not self.sweep[-1] * self.sweep[-1] < math.inf:
             raise ValueError(f"approx sweep value {self.sweep[-1]!r} is too large: its dispersion "
                              f"coefficient delta^2 overflows a float")
+        if not self.sweep[0] ** 1.5 > 0.0:  # the reference delta^1.5 divides the error
+            raise ValueError(f"approx sweep value {self.sweep[0]!r} is too small: its reference "
+                             f"delta^1.5 underflows to 0")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -189,23 +181,20 @@ class PeriodizeConfig(ExperimentConfig):
 @dataclass(frozen=True, kw_only=True)
 class GammaConfig(ExperimentConfig):
     experiment = "gamma"
-    integer_sweep = True
     alpha: float = _key(1.0, above=0)
-    sweep: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
+    sweep: tuple[float, ...] = _key((1.0, 2.0, 3.0, 4.0), integer=True)
     dt_steps: int = _key(200, at_least=1)
     # zero data: a zero plateau threshold counts mode 0
     amplitude: float = _key(0.7, nonzero=True)
     eps: float = _key(0.3, above=0)
     time_horizon: float = _key(1.0, above=0)
     band_per_period: float = _key(4.0, above=0)
-    c_fraction: float = 0.5
+    c_fraction: float = _key(0.5, above=0, at_most=1)
     base_delta: float = _key(0.16, above=0)
     delta_decay: float = _key(0.8408964152537145, above=0)  # 2**(-1/4)
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.c_fraction <= 1.0:
-            raise ValueError("c_fraction must lie in (0, 1]")
         # each point takes the period L = round(delta_j^(-2.5)), delta_j =
         # base_delta delta_decay^(j - 1), so |log delta_j| must stay below
         # log(float max) / 2.5, and L must hold the support [-K, K] of the
@@ -241,18 +230,16 @@ class GammaConfig(ExperimentConfig):
 @dataclass(frozen=True, kw_only=True)
 class FeasibilityConfig(ExperimentConfig):
     experiment = "feasibility"
-    integer_sweep = True
     alpha: float = _key(0.375, above=0)
-    sweep: tuple[float, ...] = (2.0**16, 2.0**24, 2.0**32, 2.0**40, 2.0**48)
+    # the A grid runs over [4, N]
+    sweep: tuple[float, ...] = _key((2.0**16, 2.0**24, 2.0**32, 2.0**40, 2.0**48), at_least=4,
+                                    integer=True)
     s: float = -0.25
-    grid_points: int = 50
+    grid_points: int = _key(50, at_least=1, at_most=MAX_GRID_POINTS)  # see MAX_GRID_POINTS
     margin: float = _key(10.0, above=0)
 
     def __post_init__(self):
         super().__post_init__()
-        if not 1 <= self.grid_points <= MAX_GRID_POINTS:
-            raise ValueError(f"grid_points must be >= 1 and <= {MAX_GRID_POINTS} (the scan "
-                             f"holds grid_points^3 floats), got {self.grid_points!r}")
         # The scan's factors reach down to N^(-2 alpha) / 1e10 (its lowest T)
         # and up to N^(4.25 + max(0, 1/2 + s)) (T R^3 A^2 f(A)) or N^(-s)
         # (1 / N^s), so each must lie within 1e-300 .. 1e300.  A key that
@@ -272,11 +259,6 @@ class FeasibilityConfig(ExperimentConfig):
             raise ValueError(f"feasibility sweep value {big[0]!r} is too large for alpha = "
                              f"{self.alpha!r} and s = {self.s!r}: the scan's powers of N "
                              f"leave the float range")
-
-    def _check_sweep(self):
-        if self.sweep[0] < 4:
-            raise ValueError(f"feasibility sweep values must be >= 4 (the A grid runs over "
-                             f"[4, N]), got {self.sweep[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -334,7 +316,7 @@ def report_to_json(report: InflationReport) -> str:
 
 
 def emit_report(report: InflationReport, fmt: str, path: str) -> str:
-    """Write the report; returns the path.  Byte-stable for fixed config."""
+    """Write the report as fmt (csv or json) to path; returns path.  The text is the report's alone."""
     if fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
     text = report_to_csv(report) if fmt == "csv" else report_to_json(report)

@@ -329,6 +329,27 @@ def test_split_step_stack_refusals_and_time_zero():
         split_step_stack(big, eqs, 0.01, StepperConfig(dt=0.01))
 
 
+# Mode 1 alone on the unit circle (band 1): under dispersion_coeff c its
+# largest rate is c (2 pi)^2, and (6 pi)^2 c on Picard's output band 3.
+# Each integrator runs at t = 1 with max|rate| t just below 2^52, and
+# refuses it just above, where the phase mod 2 pi keeps no correct digit.
+@pytest.mark.parametrize("name, top_mode, run", [
+    ("split-step", 1, lambda f, eq: split_step_evolve(f, eq, 1.0, StepperConfig(dt=1.0))),
+    ("Lawson RK4", 1, lambda f, eq: rk4_spectral_evolve(f, eq, 1.0, StepperConfig(dt=1.0))),
+    ("interaction picture", 1, lambda f, eq: interaction_picture(f, eq, 1.0)),
+    ("first Picard iterate", 3, lambda f, eq: picard_expansion(f, eq, 1.0)),
+], ids=["split_step", "rk4", "interaction_picture", "picard"])
+def test_every_integrator_refuses_a_free_rotation_that_keeps_no_digit(name, top_mode, run):
+    field = SpectralField(1.0, np.array([0.0, 0.0, 0.5], dtype=complex))
+    coeff = 2.0**52 / (2.0 * np.pi * top_mode) ** 2
+    below = run(field, EquationSpec(dispersion_coeff=coeff * (1.0 - 1e-9)))
+    assert np.isfinite(below.coeffs).all()
+    with pytest.raises(ValueError, match=rf"^{name} at t = 1: max\|rate\| \|t\| = 4\.504e\+15 "
+                                         r"reaches 2\^52, where the phase rate t mod 2 pi keeps "
+                                         r"no correct digit$"):
+        run(field, EquationSpec(dispersion_coeff=coeff * (1.0 + 1e-9)))
+
+
 def _direct_synthesis(field, g):
     """sum_n c_n exp(2 pi i (n/L) x_j) at x_j = j L/G - L/2, term by term."""
     x = np.arange(g) / g - 0.5  # in units of L

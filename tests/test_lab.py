@@ -71,14 +71,16 @@ def small_report():
     [
         (dict(experiment="nope", sweep=(1.0,)), "unknown experiment 'nope'"),
         (dict(experiment="inflate", sweep=()), "sweep must be nonempty"),
-        (dict(experiment="inflate", sweep=(2.0, 1.0)), "sweep must be strictly increasing"),
-        (dict(experiment="inflate", sweep=(1.0,), fmt="xml"), "fmt must be csv or json, got 'xml'"),
-        (dict(experiment="inflate", sweep=(1.0,), threads=0), "threads must be >= 1"),
+        (dict(experiment="inflate", sweep=(512.0, 256.0)), "sweep must be strictly increasing"),
+        # the report's format and path, echoed before they left the config
+        (dict(experiment="inflate", fmt="json"), r"unknown config key 'fmt' in \[inflate\]"),
+        (dict(experiment="inflate", sweep=(256.0,), threads=0), "threads must be >= 1"),
         (dict(experiment="approx", dt_steps=0), "dt_steps must be >= 1"),
-        (dict(experiment="gamma", c_fraction=0.0), "c_fraction must lie in"),
+        (dict(experiment="gamma", c_fraction=0.0), "c_fraction must be > 0, got 0.0"),
         (dict(experiment="feasibility", grid_points=0), "grid_points must be >= 1"),
         # config echoes of reports written before a key was retired
         (dict(experiment="inflate", timing=False), r"unknown config key 'timing' in \[inflate\]"),
+
         (dict(experiment="inflate", methods=["ode", "split_step"]),
          r"unknown config key 'methods' in \[inflate\]"),
         (dict(sweep=(256.0,)), "config has no 'experiment' key"),
@@ -89,6 +91,8 @@ def small_report():
         (dict(experiment="periodize", alpha=1.0), r"unknown config key 'alpha' in \[periodize\]"),
         # an inflate echo written while the step doubling's ceiling was a key
         (dict(experiment="inflate", dt_steps=200), r"unknown config key 'dt_steps' in \[inflate\]"),
+        (dict(experiment="gamma", output_path="gamma.json"),
+         r"unknown config key 'output_path' in \[gamma\]"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):
@@ -158,13 +162,13 @@ def test_each_config_class_owns_exactly_its_keys():
                   "c_fraction", "base_delta", "delta_decay"},
         "feasibility": {"alpha", "s", "grid_points", "margin"},
     }
-    shared = {"sweep", "output_path", "fmt", "seed", "threads"}
+    shared = {"sweep", "seed", "threads"}
     assert {f.name for f in dataclasses.fields(lab.ExperimentConfig)} == shared
     assert set(lab.CONFIGS) == set(own)
     for name, cls in lab.CONFIGS.items():
         assert cls.experiment == name
         assert {f.name for f in dataclasses.fields(cls)} == shared | own[name], name
-    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 58
+    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 48
 
 
 # ---------------------------------------------------------------------------
@@ -837,12 +841,12 @@ def test_build_config_layers_defaults_file_and_flags(tmp_path):
     cfg = cli.build_config("inflate", args)
     assert cfg.regime == "crit_half" and cfg.s == -0.5  # class defaults
     assert cfg.sweep == (256.0, 512.0) and cfg.picard_budget == 50  # file
-    assert cfg.fmt == "json" and cfg.threads == 2 and cfg.seed == 9  # flags
+    assert cfg.threads == 2 and cfg.seed == 9  # flags; --format is not the config's
     args = parser.parse_args(["inflate", "--seed", "-1"])
-    with pytest.raises(ValueError, match="unsigned 64-bit"):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         cli.build_config("inflate", args)
     args = parser.parse_args(["inflate", "--seed", str(2**64)])
-    with pytest.raises(ValueError, match="unsigned 64-bit"):
+    with pytest.raises(ValueError, match=f"seed must be < {2**64}, got {2**64}"):
         cli.build_config("inflate", args)
     # with no file and no flags, the command line runs the class defaults
     for name, cls in lab.CONFIGS.items():
@@ -873,6 +877,17 @@ def test_cli_main_success_and_default_output(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "feasibility_report.csv").exists()
 
 
+def test_json_report_bytes_do_not_depend_on_the_output_path(tmp_path):
+    # the config echo holds what the run read; --out and --format are not part of it
+    first, second = tmp_path / "a.json", tmp_path / "sub" / "b.json"
+    second.parent.mkdir()
+    for out in (first, second):
+        assert cli.main(["feasibility", "--format", "json", "--out", str(out)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    echo = json.loads(first.read_text(encoding="utf-8"))["metadata"]["config"]
+    assert not {"output_path", "fmt"} & set(echo)
+
+
 def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[gamma]\nbogus = 1\n", encoding="utf-8")
@@ -883,7 +898,7 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
     assert cli.main(["gamma", "--config", str(missing)]) == 1
     assert "no [gamma] section" in capsys.readouterr().err
     assert cli.main(["feasibility", "--seed", "-3"]) == 1
-    assert "unsigned 64-bit" in capsys.readouterr().err
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -895,12 +910,9 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("inflate", "sweep = 64.7", "inflate sweep values must be integers, got 64.7"),
         ("gamma", "sweep = 0.5", "gamma sweep values must be integers, got 0.5"),
         ("feasibility", "grid_points = 0", "grid_points must be >= 1"),
-        ("feasibility", "grid_points = 201",
-         "grid_points must be >= 1 and <= 200 (the scan holds grid_points^3 floats), got 201"),
-        ("inflate", "sweep = 1", "inflate sweep values must be >= 16 (the smallest N of the two-block "
-                                 "schedules), got 1.0"),
-        ("inflate", "sweep = 0", "inflate sweep values must be >= 16 (the smallest N of the two-block "
-                                 "schedules), got 0.0"),
+        ("feasibility", "grid_points = 201", "grid_points must be <= 200, got 201"),
+        ("inflate", "sweep = 1", "inflate sweep values must be >= 16, got 1.0"),
+        ("inflate", "sweep = 0", "inflate sweep values must be >= 16, got 0.0"),
         ("approx", "sweep = -0.1 0.1", "approx sweep values must be > 0, got -0.1"),
         ("inflate", "picard_budget = -1", "picard_budget must be >= 0"),
         ("inflate", "regime = negative_s\nsurrogate_period = 0.5",
@@ -919,25 +931,27 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("gamma", "delta_decay = 0", "delta_decay must be > 0, got 0.0"),
         ("approx", "time_horizon = 0", "time_horizon must be > 0, got 0.0"),
         ("periodize", "band_per_period = 0", "band_per_period must be > 0, got 0.0"),
-        ("inflate", "sweep = 2", "inflate sweep values must be >= 16 (the smallest N of the two-block "
-                                 "schedules), got 2.0"),
-        ("feasibility", "seed = -5", "seed must fit in an unsigned 64-bit integer, got -5"),
+        ("inflate", "sweep = 2", "inflate sweep values must be >= 16, got 2.0"),
+        ("feasibility", "seed = -5", "seed must be >= 0, got -5"),
         ("feasibility", "seed = 18446744073709551616",
-         "seed must fit in an unsigned 64-bit integer, got 18446744073709551616"),
+         "seed must be < 18446744073709551616, got 18446744073709551616"),
         ("approx", "alpha = 0.5", "unknown config key 'alpha' in [approx] of "),
-        ("gamma", "fmt = xml", "fmt must be csv or json, got 'xml'"),
+        ("gamma", "fmt = json", "unknown config key 'fmt' in [gamma] of "),
+        ("inflate", "output_path = r.csv", "unknown config key 'output_path' in [inflate] of "),
         ("approx", "regime = crit_half", "unknown config key 'regime' in [approx] of "),
         ("inflate", "regime = bogus",
          "unknown regime 'bogus'; expected one of crit_half, negative_s, frac_crit"),
         ("inflate", "regime = supercritical_scaling", "unknown regime 'supercritical_scaling'"),
+        # regime is checked before the keys it selects
+        ("inflate", "regime = bogus\ntheta = 0.1",
+         "unknown regime 'bogus'; expected one of crit_half, negative_s, frac_crit"),
         ("periodize", "alpha = -3", "unknown config key 'alpha' in [periodize] of "),
         ("gamma", "alpha = -3", "alpha must be > 0, got -3.0"),
         ("feasibility", "alpha = -3", "alpha must be > 0, got -3.0"),
         ("feasibility", "sweep = 65536.5", "feasibility sweep values must be integers, got 65536.5"),
-        ("feasibility", "sweep = 2", "feasibility sweep values must be >= 4 (the A grid runs over "
-                                     "[4, N]), got 2.0"),
-        ("feasibility", "sweep = 1", "feasibility sweep values must be >= 4"),
-        ("feasibility", "sweep = 0", "feasibility sweep values must be >= 4"),
+        ("feasibility", "sweep = 2", "feasibility sweep values must be >= 4, got 2.0"),
+        ("feasibility", "sweep = 1", "feasibility sweep values must be >= 4, got 1.0"),
+        ("feasibility", "sweep = 0", "feasibility sweep values must be >= 4, got 0.0"),
         # each experiment refuses a key it does not own
         ("approx", "picard_budget = 5", "unknown config key 'picard_budget' in [approx] of "),
         ("inflate", "grid_points = 10", "unknown config key 'grid_points' in [inflate] of "),
@@ -998,11 +1012,18 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("periodize", "width = 0", "width must be > 0, got 0.0"),
         ("approx", "profile = two_step\nwidth = -2", "width must be > 0, got -2.0"),
         ("gamma", "eps = -1", "eps must be > 0, got -1.0"),
-        # the closed form's phase |phi|^2 t would keep no correct digit mod 2 pi
-        ("approx", "time_horizon = 1e300", "closed form at t = 5e+299: t ||phi||_FL1^2 = "
-                                           "1.022e+299 reaches 2^52"),
+        # the phase would keep no correct digit mod 2 pi: approx runs its
+        # split-step stack first, gamma its closed form with phase |phi|^2 t
+        ("approx", "time_horizon = 1e300", "split-step at t = 5e+299: max|rate| |t| = 5.053e+301 "
+                                           "reaches 2^52"),
         ("gamma", "time_horizon = 1e300", "closed form at t = 1e+300: t ||phi||_FL1^2 = "
                                           "1.317e+301 reaches 2^52"),
+        # split-step's free rotation max|rate| |t| would keep no correct digit mod 2 pi
+        ("approx", "sweep = 0.1 1e10", "split-step at t = 0.5: max|rate| |t| = 1.263e+23 reaches "
+                                       "2^52, where the phase rate t mod 2 pi keeps no correct "
+                                       "digit"),
+        ("gamma", "alpha = 20", "split-step at t = 1: max|rate| |t| = 1.494e+24 reaches 2^52, "
+                                "where the phase rate t mod 2 pi keeps no correct digit"),
         # a band ceil(band_per_period L) that overflows a float is refused as
         # above the limit, not by math.ceil's "cannot convert float infinity"
         ("approx", "band_per_period = 1e308", "periodization on period 32 needs band inf, "
@@ -1018,6 +1039,9 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         # the dispersion coefficient delta^2 of the small-dispersion flow
         ("approx", "sweep = 0.1 1e200", "approx sweep value 1e+200 is too large: its dispersion "
                                         "coefficient delta^2 overflows a float"),
+        # delta^2 is checked first, so the reference delta^1.5 cannot overflow
+        ("approx", "sweep = 1e300", "approx sweep value 1e+300 is too large: its dispersion "
+                                    "coefficient delta^2 overflows a float"),
         # crit_half's R is 1: what overflows is N^2 in its time T_N
         ("inflate", "sweep = 256 1e300", "the crit_half schedule at N=1e+300, s=-0.5 overflows a "
                                          "float: N^2 in T_N = 1/(N^2 (log N)^(1/8)) is out of "
@@ -1037,9 +1061,11 @@ def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, messag
 
 def _declared_rule_cases():
     """(experiment, key, rule, INI lines, message) for each rule a config
-    field declares, with a value that breaks it.  A key the run reads only
-    under some value of another key is set under the first such value,
-    except for the refusal of an unread key, which keeps that key's default."""
+    field declares, with a value that breaks it; a tuple key's bound is
+    broken once more by its last item, after a first item that keeps it.
+    A key the run reads only under some value of another key is set under
+    the first such value, except for the refusal of an unread key, which
+    keeps that key's default."""
     cases = []
     for name, cls in lab.CONFIGS.items():
         hints = typing.get_type_hints(cls)
@@ -1047,15 +1073,30 @@ def _declared_rule_cases():
             rule = f.metadata
             selector, *readers = rule.get("read_by") or (None,)
             read = f"{selector} = {readers[0]}\n" if selector else ""
-            if rule.get("at_least") is not None:
-                bound = rule["at_least"]
-                value = bound - 1 if hints[f.name] is int else bound - 0.5
-                cases.append((name, f.name, "at_least", f"{read}{f.name} = {value}",
-                              f"{f.name} must be >= {bound}, got {value!r}"))
-            if rule.get("above") is not None:
-                bound = rule["above"]
-                cases.append((name, f.name, "above", f"{read}{f.name} = {bound}",
-                              f"{f.name} must be > {bound}, got {float(bound)!r}"))
+            whole = hints[f.name] is int
+            # each bound, its sign, and how far past it the breaking value lies
+            for kind, sign, step in (("at_least", ">=", -1), ("above", ">", 0),
+                                     ("at_most", "<=", 1), ("below", "<", 0)):
+                bound = rule.get(kind)
+                if bound is None:
+                    continue
+                value = bound + step if whole else float(bound + step / 2)
+                what = f"{name} {f.name} values" if isinstance(f.default, tuple) else f.name
+                message = f"{what} must be {sign} {bound}, got {value!r}"
+                cases.append((name, f.name, kind, f"{read}{f.name} = {value}", message))
+                if isinstance(f.default, tuple):
+                    cases.append((name, f.name, f"{kind}-item",
+                                  f"{read}{f.name} = {f.default[0]} {value}", message))
+            if rule.get("integer"):
+                whole_cases = ((f"{f.default[0] + 0.5}", f.default[0] + 0.5),
+                               (f"{f.default[0]} {f.default[-1] + 0.5}", f.default[-1] + 0.5))
+                for kind, (items, bad) in zip(("integer", "integer-item"), whole_cases):
+                    cases.append((name, f.name, kind, f"{read}{f.name} = {items}",
+                                  f"{name} {f.name} values must be integers, got {bad!r}"))
+            if rule.get("choices"):
+                cases.append((name, f.name, "choices", f"{read}{f.name} = bogus",
+                              f"unknown {f.name} 'bogus'; expected one of "
+                              f"{', '.join(rule['choices'])}"))
             if rule.get("nonzero"):
                 cases.append((name, f.name, "nonzero", f"{read}{f.name} = 0",
                               f"{f.name} must be nonzero, got 0.0"))
@@ -1072,11 +1113,18 @@ DECLARED_RULE_CASES = _declared_rule_cases()
 
 
 def test_every_experiment_declares_key_rules():
-    # threads on each experiment, and 4 inflate, 6 approx, 4 periodize,
-    # 8 gamma and 2 feasibility keys; surrogate_period carries two rules
-    assert len(DECLARED_RULE_CASES) == 30
+    # threads and seed (two bounds) on each experiment, and 6 inflate, 7
+    # approx, 4 periodize, 9 gamma and 4 feasibility keys; surrogate_period
+    # and c_fraction carry two rules, grid_points two bounds, the inflate
+    # and feasibility sweeps a bound and the integer rule, gamma's the
+    # integer rule, and each sweep rule a second case whose bad value is
+    # not its first item
+    assert len(DECLARED_RULE_CASES) == 57
     covered = {(name, key) for name, key, *_ in DECLARED_RULE_CASES}
     assert {("gamma", "dt_steps"), ("periodize", "eps")} <= covered
+    rules = {rule for *_, rule, _, _ in DECLARED_RULE_CASES}
+    assert {"at_least", "above", "at_most", "below", "choices", "integer", "at_least-item",
+            "above-item", "integer-item"} <= rules
     assert {name for name, _ in covered} == set(lab.CONFIGS)
 
 
@@ -1109,14 +1157,16 @@ def test_amplitude_zero_is_accepted_where_the_profile_ignores_it(tmp_path, exper
 # amplitude 1e200 overflows |u|^2 t in the first split step (approx) and in
 # the closed form, which gamma evolves first; the block amplitude R of the
 # negative_s and frac_crit schedules overflows a float at s = -200, and the
-# free rotation rates of split-step at alpha = 1e300.  Numpy's RuntimeWarning
-# is an error under the test settings, so none may escape.
+# free rotation rates of split-step at alpha = 1e300 (inflate's inf angle
+# is refused before any step, gamma's 0 times inf is a NaN blow-up).
+# Numpy's RuntimeWarning is an error under the test settings, so none may escape.
 @pytest.mark.parametrize(
     "experiment, ini, message",
     [
         ("approx", "amplitude = 1e200", "non-finite coefficients at step size "),
         ("gamma", "amplitude = 1e200", "non-finite coefficients in the closed form at t = 1.0"),
-        ("inflate", "alpha = 1e300", "non-finite coefficients at step size "),
+        ("inflate", "alpha = 1e300", "split-step at t = 1.23177e-05: max|rate| |t| = inf reaches "
+                                     "2^52, where the phase rate t mod 2 pi keeps no correct digit"),
         ("gamma", "alpha = 1e300", "non-finite coefficients at step size 0.005"),
         ("inflate", "regime = negative_s\ns = -200\nsweep = 256",
          "the negative_s schedule at N=256, s=-200.0 overflows a float: R = N^(-s)/log N "),

@@ -1,14 +1,18 @@
-"""Smoke test of the layer harness tools/layers.py: it runs, and writes
-what it promises.  No timing is asserted."""
+"""Smoke tests of the tools: the layer harness tools/layers.py runs and
+writes what it promises (no timing is asserted), and the report comparer
+tools/compare.py passes identical reports and fails a moved row value."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import pathlib
 import platform
 
 import numpy as np
+
+import nlslab as nl
 
 
 def test_layer_harness_runs_at_tiny_sizes(tmp_path, capsys):
@@ -40,3 +44,40 @@ def test_layer_harness_runs_at_tiny_sizes(tmp_path, capsys):
         assert entry["repeats"] == 2
         assert {"median_s", "iqr_s"} <= set(entry)
     assert "median" in capsys.readouterr().err  # one progress line per case
+
+
+def _compare_tool():
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare.py"
+    spec = importlib.util.spec_from_file_location("nlslab_compare", path)
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    return compare
+
+
+def test_compare_fails_on_a_one_ulp_row_move_and_passes_an_echo_change(tmp_path, capsys):
+    compare = _compare_tool()
+    report = nl.run_experiment(nl.FeasibilityConfig(grid_points=5))
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    nl.emit_report(report, "json", str(a / "feasibility.json"))
+    nl.emit_report(report, "csv", str(a / "feasibility.csv"))
+    nl.emit_report(report, "json", str(b / "feasibility.json"))
+    nl.emit_report(report, "csv", str(b / "feasibility.csv"))
+    assert compare.main([str(a), str(b)]) == 0
+    assert "feasibility.json: bytes match" in capsys.readouterr().out
+
+    payload = json.loads((b / "feasibility.json").read_text(encoding="utf-8"))
+    payload["metadata"]["config"]["threads"] = 2  # an echo change alone passes
+    (b / "feasibility.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert compare.main([str(a / "feasibility.json"), str(b / "feasibility.json")]) == 0
+    out = capsys.readouterr().out
+    assert "metadata.config.threads: 1 values differ, max abs 1, max rel 0.5 (config echo)" in out
+
+    value = payload["rows"][2]["constant"]
+    payload["rows"][2]["constant"] = float(np.nextafter(value, math.inf))
+    (b / "feasibility.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert compare.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "  rows[].constant: 1 values differ, max abs " in out
+    assert "feasibility.csv: bytes match" in out
