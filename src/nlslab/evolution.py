@@ -58,6 +58,14 @@ class EquationSpec:
     def small_dispersion(delta: float, alpha: float = 1.0) -> "EquationSpec":
         return EquationSpec(alpha=alpha, dispersion_coeff=delta ** (2.0 * alpha))
 
+    @staticmethod
+    def paper(alpha: float = 1.0) -> "EquationSpec":
+        """The equation of arXiv:1508.00827, posed on R/2piZ where mode n
+        rotates as |n|^(2 alpha), written on the unit circle: coefficient
+        (2 pi)^(-2 alpha), which cancels the (2 pi)^(2 alpha) of the unit
+        circle's frequencies 2 pi n."""
+        return EquationSpec(alpha=alpha, dispersion_coeff=(2.0 * math.pi) ** (-2.0 * alpha))
+
 
 @dataclass(frozen=True)
 class StepperConfig:
@@ -69,16 +77,28 @@ class StepperConfig:
 
 
 def free_rotation_rates(field: SpectralField, eq: EquationSpec) -> np.ndarray:
-    """Per-mode angular rates: mode n rotates as exp(+i rate t) freely."""
+    """Per-mode angular rates: mode n rotates as exp(+i rate t) freely.  A
+    rate that leaves the float range is inf or NaN, with no warning; every
+    integrator refuses it (_checked_rates)."""
     xi = np.abs(2.0 * np.pi * field.frequencies())
-    return eq.dispersion_sign * eq.dispersion_coeff * xi ** (2.0 * eq.alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return eq.dispersion_sign * eq.dispersion_coeff * xi ** (2.0 * eq.alpha)
 
 
-def _checked_rates(name: str, t: float, rates, angle: str = "max|rate| |t|", phase: str = "rate t"):
+def _checked_rates(name: str, t: float, rates, eqs: Sequence[EquationSpec] = (),
+                   angle: str = "max|rate| |t|", phase: str = "rate t"):
     """rates, once a call of `name` is known to form no angle max|rates| |t|
     of 2^52 or more; it is refused otherwise, as adjacent doubles there lie
-    at least 1 apart and the phase mod 2 pi keeps no correct digit.  An inf
-    angle is refused; a NaN is left to the caller's non-finite check."""
+    at least 1 apart and the phase mod 2 pi keeps no correct digit.  Row i
+    of rates (the only row when they are 1-D) holds the free rotation rates
+    of eqs[i], and a non-finite one is refused first, naming that
+    equation's alpha and coefficient: the rates never depend on the data,
+    so no blow-up hides behind it."""
+    for eq, row in zip(eqs, np.atleast_2d(rates)):
+        if not np.isfinite(row).all():
+            raise ValueError(f"{name} at t = {t:g}: the free rotation rates at alpha = "
+                             f"{eq.alpha:g} and dispersion coefficient {eq.dispersion_coeff:g} "
+                             f"are not finite: coeff (2 pi |n| / L)^(2 alpha) leaves the float range")
     top = float(np.max(np.abs(rates), initial=0.0)) * abs(t)
     if top >= 2.0**52:
         raise ValueError(f"{name} at t = {t:g}: {angle} = {top:.3e} reaches 2^52, where the phase "
@@ -187,7 +207,7 @@ def ode_exact_evolve(
     if not (np.isfinite(out.coeffs).all() and np.isfinite(tail)):
         raise BlowupError(f"non-finite coefficients in the closed form at t = {t}")
     wiener = float(np.sum(np.abs(field.coeffs)))
-    _checked_rates("closed form", t, wiener * wiener, "t ||phi||_FL1^2", "|phi|^2 t")
+    _checked_rates("closed form", t, wiener * wiener, angle="t ||phi||_FL1^2", phase="|phi|^2 t")
     return EvolveResult(out, tail)
 
 
@@ -228,8 +248,7 @@ def split_step_stack(
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return [field] * len(eqs)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here or below
-        _checked_rates("split-step", t, [free_rotation_rates(field, eq) for eq in eqs])
+    _checked_rates("split-step", t, [free_rotation_rates(field, eq) for eq in eqs], eqs)
     n_steps = max(1, round(t / cfg.dt))
     dt = t / n_steps
     g = split_grid_size(field.bandwidth)
@@ -301,7 +320,7 @@ def rk4_spectral_evolve(
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return field
-    rates = _checked_rates("Lawson RK4", t, free_rotation_rates(field, eq))
+    rates = _checked_rates("Lawson RK4", t, free_rotation_rates(field, eq), (eq,))
 
     def rhs(v, tau):
         return 1j * _turned_cubic(v, rates, tau, eq.wick)
@@ -328,7 +347,7 @@ def interaction_picture(field: SpectralField, eq: EquationSpec, t: float) -> Spe
     A free solution becomes constant in time; all weighted-coefficient
     norms are unchanged (modulus-1 multipliers).
     """
-    rates = _checked_rates("interaction picture", t, free_rotation_rates(field, eq))
+    rates = _checked_rates("interaction picture", t, free_rotation_rates(field, eq), (eq,))
     return field.with_coeffs(field.coeffs * _unit_phase(-rates * t))
 
 
@@ -424,14 +443,18 @@ def picard_work(phi: SpectralField, eq: EquationSpec, t: float) -> PicardWork:
     n = phi.modes()[phi.coeffs != 0.0]
     top = int(np.max(np.abs(n), initial=0))
     out_band = max(3 * top, phi.bandwidth)
-    scale = eq.dispersion_coeff * (2.0 * np.pi / phi.period) ** (2.0 * eq.alpha)
-    if eq.alpha == 1.0:
-        span = float(n[-1] - n[0]) if n.size else 0.0
-        z = 2.0 * scale * span * span * t
-    else:
-        z = scale * (1.0 + 3.0 ** (2.0 * eq.alpha)) * float(top) ** (2.0 * eq.alpha) * t
+    try:
+        scale = eq.dispersion_coeff * (2.0 * np.pi / phi.period) ** (2.0 * eq.alpha)
+        if eq.alpha == 1.0:
+            span = float(n[-1] - n[0]) if n.size else 0.0
+            z = 2.0 * scale * span * span * t
+        else:
+            z = scale * (1.0 + 3.0 ** (2.0 * eq.alpha)) * float(top) ** (2.0 * eq.alpha) * t
+    except OverflowError:  # a power beyond the float range: refused below
+        z = math.inf
     if not math.isfinite(z):
-        raise ValueError(f"first Picard iterate: max|Phi| t = {z} is not finite")
+        raise ValueError(f"first Picard iterate at t = {t:g}: max|Phi| t = {z} is not finite at "
+                         f"alpha = {eq.alpha:g} and dispersion coefficient {eq.dispersion_coeff:g}")
     return PicardWork(out_band, _gauss_node_count(z), split_grid_size(out_band))
 
 
@@ -472,7 +495,7 @@ def picard_expansion(
         )
     x, w, _ = _gauss_rule(work.nodes)
     wide = enlarge_band(phi, work.out_band)
-    rates = _checked_rates("first Picard iterate", t, free_rotation_rates(wide, eq))
+    rates = _checked_rates("first Picard iterate", t, free_rotation_rates(wide, eq), (eq,))
     first = np.zeros_like(wide.coeffs)
     for tau, weight in zip(0.5 * t * (1.0 + x), 0.5 * t * w):
         first += weight * _turned_cubic(wide.coeffs, rates, tau, eq.wick)

@@ -350,6 +350,27 @@ def test_every_integrator_refuses_a_free_rotation_that_keeps_no_digit(name, top_
         run(field, EquationSpec(dispersion_coeff=coeff * (1.0 + 1e-9)))
 
 
+@pytest.mark.parametrize("name, run", [
+    ("split-step", lambda f, eq: split_step_evolve(f, eq, 1.0, StepperConfig(dt=1.0))),
+    ("Lawson RK4", lambda f, eq: rk4_spectral_evolve(f, eq, 1.0, StepperConfig(dt=1.0))),
+    ("interaction picture", lambda f, eq: interaction_picture(f, eq, 1.0)),
+], ids=["split_step", "rk4", "interaction_picture"])
+def test_every_integrator_refuses_free_rotation_rates_that_overflow(name, run):
+    # (2 pi)^(2 alpha) overflows at alpha = 1e300 and 0 times it is NaN: the
+    # call is refused by its equation, not as a blow-up of the data.  Picard
+    # refuses the same equation earlier, when it sizes its quadrature.
+    field = SpectralField(1.0, np.array([0.0, 0.0, 0.5], dtype=complex))
+    eq = EquationSpec(alpha=1e300, dispersion_coeff=0.0)
+    with pytest.raises(ValueError, match=rf"^{name} at t = 1: the free rotation rates at "
+                                         r"alpha = 1e\+300 and dispersion coefficient 0 are "
+                                         r"not finite: "):
+        run(field, eq)
+    with pytest.raises(ValueError, match=r"^first Picard iterate at t = 1: max\|Phi\| t = inf is "
+                                         r"not finite at alpha = 1e\+300 and dispersion "
+                                         r"coefficient 0$"):
+        picard_expansion(field, eq, 1.0)
+
+
 def _direct_synthesis(field, g):
     """sum_n c_n exp(2 pi i (n/L) x_j) at x_j = j L/G - L/2, term by term."""
     x = np.arange(g) / g - 0.5  # in units of L
@@ -476,7 +497,7 @@ def test_split_step_grid_matches_the_wider_grid(monkeypatch):
             patch.setattr(nl.evolution, "split_grid_size", old_grid)
             return new, run()
 
-    eq = EquationSpec()
+    eq = EquationSpec.paper()  # the equation inflate evolves
     for regime, N, params in (("crit_half", 64, dict(s=-0.5)), ("crit_half", 256, dict(s=-0.5)),
                               ("frac_crit", 128, dict(s=-1.0, theta=0.1)),
                               ("frac_crit", 256, dict(s=-1.0, theta=0.1))):

@@ -212,6 +212,11 @@ def test_every_experiment_writes_canonical_json(cfg, tmp_path):
     payload = json.loads(text)
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == text
     assert config_from_dict(payload["metadata"]["config"]) == cfg
+    # the numpy and SIMD targets whose tan the report's last bits depend on
+    from numpy._core import _multiarray_umath as umath
+    host = payload["metadata"]["host"]
+    assert host["numpy"] == np.__version__
+    assert host["simd"] == [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]
 
 
 def test_emit_report_writes_both_formats(tmp_path):
@@ -440,17 +445,17 @@ def test_run_inflation_small_sweep():
         assert (row.regime, row.s, row.alpha) == ("crit_half", -0.5, 1.0)
     per_n = rep.metadata["per_N"]
     assert set(per_n) == {"256", "512"}
-    # Gauss nodes and grid points of the first Picard iterate: within the
-    # default budget at N = 256, over it at N = 512
-    assert (per_n["256"]["picard_nodes"], per_n["256"]["picard_grid_points"]) == (93, 7546)
-    assert (per_n["512"]["picard_nodes"], per_n["512"]["picard_grid_points"]) == (92, 15092)
-    for n, skipped in (("256", []), ("512", ["picard"])):
+    # Gauss nodes and grid points of the first Picard iterate of the
+    # paper's equation: within the default budget at both N
+    assert (per_n["256"]["picard_nodes"], per_n["256"]["picard_grid_points"]) == (11, 7546)
+    assert (per_n["512"]["picard_nodes"], per_n["512"]["picard_grid_points"]) == (11, 15092)
+    for n in ("256", "512"):
         aux = per_n[n]
-        assert aux["skipped"] == skipped
+        assert aux["skipped"] == []
         phi = build_two_block_data(regime_parameters("crit_half", int(n), -0.5))
-        work = evolution.picard_work(phi, evolution.EquationSpec(), aux["T"])
+        work = evolution.picard_work(phi, evolution.EquationSpec.paper(), aux["T"])
         assert (aux["picard_nodes"], aux["picard_grid_points"]) == (work.nodes, work.grid_points)
-        assert (work.nodes * work.grid_points <= cfg.picard_budget) == (not skipped)
+        assert work.nodes * work.grid_points <= cfg.picard_budget
         assert 0.0 < aux["T"] < 1e-4
         assert 0.0 < aux["projected_norm"] <= rows[int(n == "512")].norm_T
 
@@ -482,7 +487,37 @@ def test_inflate_passes_one_equation_spec_to_every_integrator(monkeypatch):
     assert {name for name, _ in seen} == {"split_step_evolve", "interaction_picture",
                                           "picard_expansion"}
     assert all(eq is seen[0][1] for _, eq in seen)
-    assert seen[0][1] == evolution.EquationSpec(alpha=0.75)
+    assert seen[0][1] == evolution.EquationSpec.paper(0.75)
+    assert seen[0][1].dispersion_coeff == (2.0 * math.pi) ** -1.5
+    assert rep.metadata["equation"] == {"convention": "R/2piZ: mode n rotates as |n|^(2 alpha)",
+                                        "dispersion_coeff": (2.0 * math.pi) ** -1.5}
+
+
+def test_inflate_split_step_ratio_inflates_in_the_paper_convention():
+    # split-step's own ratio, the NLS value beside the closed form's: in
+    # the paper's convention it exceeds 1.3 and rises with N; with this
+    # code's unit-circle dispersion (coefficient 1) it reads 1.008
+    rep = run_inflation(InflateConfig(regime="crit_half", s=-0.5, sweep=(256.0, 512.0)))
+    per_n = rep.metadata["per_N"]
+    ratios = [per_n[n]["split_ratio"] for n in ("256", "512")]
+    assert 1.3 < ratios[0] < ratios[1], ratios
+    for row in rep.rows:
+        aux = per_n[str(int(row.N_or_j))]
+        assert aux["split_ratio"] == aux["split_norm_T"] / row.norm_t0
+        assert aux["split_ratio"] < row.ratio  # below the dispersionless flow's
+
+
+def test_inflate_rows_do_not_depend_on_the_convention_but_for_the_disagreement(monkeypatch):
+    # the closed form supplies every norm column: with split-step and Picard
+    # back on coefficient 1, only method_disagreement may move
+    cfg = InflateConfig(regime="crit_half", s=-0.5, sweep=(64.0,))
+    paper = run_inflation(cfg).rows[0]
+    monkeypatch.setattr(evolution.EquationSpec, "paper",
+                        staticmethod(lambda alpha=1.0: evolution.EquationSpec(alpha=alpha)))
+    unit = run_inflation(cfg).rows[0]
+    assert paper.method_disagreement != unit.method_disagreement
+    assert (dataclasses.replace(paper, method_disagreement=None)
+            == dataclasses.replace(unit, method_disagreement=None))
 
 
 def test_negative_s_runs_the_closed_form_alone():
@@ -560,7 +595,7 @@ def test_cli_refuses_methods_that_differ_beyond_the_budget(tmp_path, monkeypatch
 
 
 # cheap sizes of the two split-step regimes, and the step count each picks
-SPLIT_CASES = [("crit_half", 64, 100), ("crit_half", 256, 100),
+SPLIT_CASES = [("crit_half", 64, 50), ("crit_half", 256, 50),
                ("frac_crit", 128, 50), ("frac_crit", 256, 50)]
 
 
@@ -574,7 +609,7 @@ def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
     phi = build_two_block_data(regime_parameters(regime, N, cfg.s, cfg.theta))
     # split-step runs on the band 3 n_max, on that band's grid
     assert aux["split_grid_points"] == evolution.split_grid_size(3 * phi.bandwidth)
-    T, eq = aux["T"], evolution.EquationSpec()
+    T, eq = aux["T"], evolution.EquationSpec.paper()
     steps, estimate, grid, u = lab._split_step_on_tolerance(phi, eq, T, N)
     assert (steps, estimate, grid) == (aux["split_steps"], aux["split_estimate"],
                                        aux["split_grid_points"])
@@ -608,7 +643,7 @@ def test_split_step_lies_within_its_estimate_of_lawson_rk4(regime, N):
     # halving tolerance, which compares split-step only with itself
     cfg = InflateConfig(regime=regime, sweep=(float(N),), **INFLATE_REGIMES[regime][0])
     sched = regime_parameters(regime, N, cfg.s, cfg.theta)
-    phi, T, eq = build_two_block_data(sched), sched.T_N, evolution.EquationSpec()
+    phi, T, eq = build_two_block_data(sched), sched.T_N, evolution.EquationSpec.paper()
     _, estimate, _, u = lab._split_step_on_tolerance(phi, eq, T, N)
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
     lawson = evolution.rk4_spectral_evolve(wide, eq, T, evolution.StepperConfig(dt=T / 100))
@@ -630,7 +665,7 @@ def test_reported_split_grid_is_the_grid_split_step_ran_on(tmp_path, monkeypatch
     ini.write_text("[inflate]\nsweep = 64\n", encoding="utf-8")
     assert cli.main(["inflate", "--config", str(ini), "--out", str(out), "--format", "json"]) == 0
     aux = json.loads(out.read_text(encoding="utf-8"))["metadata"]["per_N"]["64"]
-    assert len(bands) == 3 and len(set(bands)) == 1  # 25, 50 and 100 steps, one band
+    assert len(bands) == 2 and len(set(bands)) == 1  # 25 and 50 steps, one band
     assert aux["split_grid_points"] == evolution.split_grid_size(bands[0])
 
 
@@ -657,7 +692,7 @@ def test_run_approximation_report():
     cfg = ApproxConfig(profile="bump", sweep=(0.025, 0.05, 0.1, 0.2))
     rep = run_approximation(cfg)
     meta = rep.metadata
-    assert set(meta) == {"version", "seed", "config", "fitted_slope",
+    assert set(meta) == {"version", "seed", "config", "host", "fitted_slope",
                          "period_errors", "period_spread"}
     assert 1.5 <= meta["fitted_slope"] <= 2.2
     assert 1.0 <= meta["period_spread"] <= 1.001
@@ -1154,20 +1189,24 @@ def test_amplitude_zero_is_accepted_where_the_profile_ignores_it(tmp_path, exper
     assert "amplitude" not in config_to_dict(cfg)
 
 
+OVERFLOWING_RATES = ("split-step at t = {t}: the free rotation rates at alpha = 1e+300 and "
+                     "dispersion coefficient 0 are not finite")
+
+
 # amplitude 1e200 overflows |u|^2 t in the first split step (approx) and in
 # the closed form, which gamma evolves first; the block amplitude R of the
 # negative_s and frac_crit schedules overflows a float at s = -200, and the
-# free rotation rates of split-step at alpha = 1e300 (inflate's inf angle
-# is refused before any step, gamma's 0 times inf is a NaN blow-up).
+# free rotation rates of split-step at alpha = 1e300, where both inflate's
+# coefficient (2 pi)^(-2 alpha) and gamma's delta^(2 alpha) underflow to 0
+# and 0 times the overflowed (2 pi |n| / L)^(2 alpha) is NaN.
 # Numpy's RuntimeWarning is an error under the test settings, so none may escape.
 @pytest.mark.parametrize(
     "experiment, ini, message",
     [
         ("approx", "amplitude = 1e200", "non-finite coefficients at step size "),
         ("gamma", "amplitude = 1e200", "non-finite coefficients in the closed form at t = 1.0"),
-        ("inflate", "alpha = 1e300", "split-step at t = 1.23177e-05: max|rate| |t| = inf reaches "
-                                     "2^52, where the phase rate t mod 2 pi keeps no correct digit"),
-        ("gamma", "alpha = 1e300", "non-finite coefficients at step size 0.005"),
+        ("inflate", "alpha = 1e300", OVERFLOWING_RATES.format(t="1.23177e-05")),
+        ("gamma", "alpha = 1e300", OVERFLOWING_RATES.format(t="1")),
         ("inflate", "regime = negative_s\ns = -200\nsweep = 256",
          "the negative_s schedule at N=256, s=-200.0 overflows a float: R = N^(-s)/log N "),
         ("inflate", "regime = frac_crit\ns = -200\ntheta = 0.1\nsweep = 256",
@@ -1196,6 +1235,23 @@ def test_cli_refuses_a_run_that_overflows(tmp_path, capsys, experiment, ini, mes
     assert err.startswith("nlslab: error: " + message)
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["inflate", "gamma"])
+def test_rates_that_overflow_are_refused_before_any_step(experiment, tmp_path, monkeypatch,
+                                                         capsys):
+    steps = []
+
+    def strang(*args, _fn=evolution._strang_rows):
+        steps.append(args[3])
+        return _fn(*args)
+
+    monkeypatch.setattr(evolution, "_strang_rows", strang)
+    path = tmp_path / "big.ini"
+    path.write_text(f"[{experiment}]\nalpha = 1e300\n", encoding="utf-8")
+    assert cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 1
+    assert "alpha = 1e+300 and dispersion coefficient 0 are not finite" in capsys.readouterr().err
+    assert steps == []
 
 
 def test_every_exception_class_of_the_package_is_a_value_error():

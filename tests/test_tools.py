@@ -68,11 +68,13 @@ def test_compare_fails_on_a_one_ulp_row_move_and_passes_an_echo_change(tmp_path,
     assert "feasibility.json: bytes match" in capsys.readouterr().out
 
     payload = json.loads((b / "feasibility.json").read_text(encoding="utf-8"))
-    payload["metadata"]["config"]["threads"] = 2  # an echo change alone passes
+    payload["metadata"]["config"]["threads"] = 2  # an echo or host change alone passes
+    payload["metadata"]["host"]["numpy"] = "0.0.0"
     (b / "feasibility.json").write_text(json.dumps(payload), encoding="utf-8")
     assert compare.main([str(a / "feasibility.json"), str(b / "feasibility.json")]) == 0
     out = capsys.readouterr().out
     assert "metadata.config.threads: 1 values differ, max abs 1, max rel 0.5 (config echo)" in out
+    assert f"metadata.host.numpy: 1 values changed, first {np.__version__!r} -> '0.0.0' (host)" in out
 
     value = payload["rows"][2]["constant"]
     payload["rows"][2]["constant"] = float(np.nextafter(value, math.inf))

@@ -11,10 +11,11 @@ and the values one side lacks.  List indices are folded, so
 `rows[].norm_T` covers every row.  A CSV report is read as its rows.
 
 It exits 1 when a row value differs, or a metadata value outside the
-config echo `metadata["config"]`, or a report exists on one side only;
-otherwise 0.  Echo differences are printed but do not fail: a change to
-what the echo holds is not a change to what the run computed.  There are
-no per-column tolerances: any move, one ulp included, fails.
+config echo `metadata["config"]` and the host `metadata["host"]`, or a
+report exists on one side only; otherwise 0.  Echo and host differences
+are printed but do not fail: a change to what the echo holds, or to the
+numpy that ran, is not a change to what the run computed.  There are no
+per-column tolerances: any move, one ulp included, fails.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import re
 import sys
 from pathlib import Path
 
-ECHO = "metadata.config"
+# metadata that is printed when it differs but does not fail: {path: label}
+PASSING = {"metadata.config": "config echo", "metadata.host": "host"}
 
 
 def _cell(text: str):
@@ -100,16 +102,16 @@ def _moves(a: dict, b: dict) -> list[tuple[str, str]]:
 
 def compare_pair(a: Path, b: Path, out=None) -> bool:
     """Print the comparison of reports a and b; True when none of their
-    row values or metadata outside the config echo differ."""
+    row values or metadata outside PASSING differ."""
     if a.read_bytes() == b.read_bytes():
         print(f"{a.name}: bytes match", file=out)
         return True
     print(f"{a.name}: bytes differ", file=out)
     ok = True
     for key, what in _moves(_load(a), _load(b)):
-        echo = key == ECHO or key.startswith(ECHO + ".")
-        ok = ok and echo
-        print(f"  {key}: {what}" + (" (config echo)" if echo else ""), file=out)
+        label = next((v for k, v in PASSING.items() if key == k or key.startswith(k + ".")), None)
+        ok = ok and label is not None
+        print(f"  {key}: {what}" + (f" ({label})" if label else ""), file=out)
     return ok
 
 
@@ -130,7 +132,8 @@ def main(argv=None, out=None) -> int:
     for name in lone:
         print(f"{name}: only in {'A' if (args.a / name).exists() else 'B'}", file=out)
     failed = [a.name for a, b in pairs if not compare_pair(a, b, out)]
-    print(f"compare: {len(pairs)} pairs, {len(failed) + len(lone)} differ beyond the config echo",
+    print(f"compare: {len(pairs)} pairs, {len(failed) + len(lone)} differ beyond the config "
+          "echo and host",
           file=out)
     return 1 if failed or lone else 0
 

@@ -19,7 +19,8 @@ The cases:
 - one Lawson RK4 step, `synthesize`/`analyze` and `_cubic_coeffs` on the
   same bands;
 - the closed form `ode_exact_evolve` on 17 640 and 330 750 points;
-- `picard_expansion` at the `crit_half` point N = 256;
+- `picard_expansion` at the `crit_half` point N = 256, in the paper's
+  convention (`EquationSpec.paper`), as `inflate` runs it;
 - `unit_phase`: the two callers of `evolution._unit_phase` that run
   per step or node, `_rotate_in_place` on the split-step grids of
   7 546, 30 184 and 120 000 points and on one 65 536-point chunk
@@ -187,10 +188,11 @@ def run(repeats: int, tiny: bool) -> list[dict]:
     N = 16 if tiny else PICARD_N
     sched = cons.regime_parameters("crit_half", N, -0.5)
     phi = cons.build_two_block_data(sched, 1.0)
-    work = evo.picard_work(phi, evo.EquationSpec(), sched.T_N)
+    paper = evo.EquationSpec.paper()  # the equation inflate evolves
+    work = evo.picard_work(phi, paper, sched.T_N)
     add("picard_expansion", {"regime": "crit_half", "N": N, "nodes": work.nodes,
                              "grid_points": work.grid_points},
-        _time(lambda: evo.picard_expansion(phi, evo.EquationSpec(), sched.T_N), repeats))
+        _time(lambda: evo.picard_expansion(phi, paper, sched.T_N), repeats))
 
     for band in (8,) if tiny else ROTATE_BANDS:
         u = torus.synthesize(_field(band), evo.split_grid_size(band))
@@ -201,7 +203,7 @@ def run(repeats: int, tiny: bool) -> list[dict]:
     add("unit_phase", {"caller": "_rotate_in_place", "grid": "closed_form_chunk",
                        "grid_points": u.size}, _rotation(u, 0.5, repeats))
     wide = torus.enlarge_band(phi, work.out_band)
-    rates = evo.free_rotation_rates(wide, evo.EquationSpec())
+    rates = evo.free_rotation_rates(wide, paper)
     add("unit_phase", {"caller": "_turned_cubic", "regime": "crit_half", "N": N,
                        "band": work.out_band, "grid_points": work.grid_points},
         _time(lambda: evo._turned_cubic(wide.coeffs, rates, 0.5 * sched.T_N, False), repeats))
