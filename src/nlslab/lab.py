@@ -418,42 +418,76 @@ def _closed_form_on_tail_target(phi: torus.SpectralField, T: float,
         f"(2*{k}+1)*{phi.bandwidth}, above {ODE_TAIL_REL:g} of the data mass {mass:.6g}")
 
 
-# Split-step runs Strang at n and 2n steps, n = SPLIT_STEP_START doubling
-# while 2n <= SPLIT_STEP_MAX (25/50, 50/100, 100/200), and stops at the
-# first pair whose halving estimate ||u_2n - u_n||_FLinf / 3 of u_2n's
-# error is at most SPLIT_STEP_REL of ||phi||_FLinf.  Strang is symmetric,
-# so its error runs in even powers of dt and the Richardson value
-# (4 u_2n - u_n) / 3 cancels the dt^2 term.  The ceiling leaves headroom:
-# every regime and N of the default and benchmark configs stops at 50
-# steps, the first pair.
+# Split-step runs Strang at n, 2n and 4n steps, n = SPLIT_STEP_START
+# doubling while 4n <= SPLIT_STEP_MAX (3/6/12, 6/12/24, ..., 48/96/192),
+# and reads the differences d1 = ||u_2n - u_n||_FLinf, d2 = ||u_4n - u_2n||
+# and the observed order p = log2(d1 / d2) (Roache 1994, J. Fluids Eng.
+# 116).  Strang is symmetric, so its error runs in even powers of the step
+# h: u_h = u + C h^2 + D h^4.  With h the step of u_4n and r = D h^2 / C,
+#     d2 = 3 C h^2 (1 + 5r),   d1 / d2 = 4 (1 + 20r) / (1 + 5r),
+# and u_4n errs by C h^2 (1 + r).  p in SPLIT_ORDER_WINDOW = [1.5, 2.5]
+# holds r in [-0.0178, 0.0320]; there d2 / 3 lies within 0.93..1.12 of
+# u_4n's error (it understates it by at most 1.08 times), and the
+# Richardson value (4 u_4n - u_2n) / 3 = u - 4 D h^4 errs by at most 0.11
+# of d2 / 3.  In the window the run reports that value with the estimate
+# d2 / 3.  Outside it Strang is not in its asymptotic range: the run
+# reports u_4n with the estimate d2 / (2^min(p, 2) - 1), the sum of the
+# later differences if each shrinks by 2^-p, never assuming more than
+# order 2; differences that do not shrink (p <= 0) give no estimate.  The
+# first triple whose estimate is at most SPLIT_STEP_REL of ||phi||_FLinf
+# is taken.  At alpha = 1 every crit_half and frac_crit point at N = 128
+# ... 4096 stops at the first triple, 21 steps in all, with p in 2.00..2.07;
+# crit_half N = 64 misses it (1.07e-3) and stops at 6/12/24.
 SPLIT_STEP_REL = 1e-3
-SPLIT_STEP_START = 25
-SPLIT_STEP_MAX = 200
+SPLIT_STEP_START = 3
+SPLIT_STEP_MAX = 192
+SPLIT_ORDER_WINDOW = (1.5, 2.5)
+
+
+class SplitStepRun(NamedTuple):
+    steps: int  # 4n, the finest run of the accepted triple
+    estimate: float  # of the reported field's error, over ||phi||_FLinf
+    order: float  # the observed order p
+    grid_points: int
+    angle_roundoff: float  # 2^-53 max|rate| T on the band split-step ran on
+    field: torus.SpectralField
 
 
 def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: float,
-                             N: int) -> tuple[int, float, int, torus.SpectralField]:
-    """(2n, halving estimate over ||phi||_FLinf, grid points, Richardson
-    value at T) for the first step pair that meets SPLIT_STEP_REL; refuses
-    if none up to SPLIT_STEP_MAX steps does.  Split-step runs on the band
-    3 n_max, and each run's 2n-step field is the next pair's n-step one."""
+                             N: int) -> SplitStepRun:
+    """Split-step at T on the first step triple that meets SPLIT_STEP_REL,
+    as the comment above says; refuses if none up to SPLIT_STEP_MAX steps
+    does.  Split-step runs on the band 3 n_max, and each triple's 2n- and
+    4n-step fields are the next triple's n- and 2n-step ones."""
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
     scale = torus.fourier_lebesgue_norm(phi, 0.0, np.inf)
 
     def strang(steps: int) -> torus.SpectralField:
         return evo.split_step_evolve(wide, eq, T, evo.StepperConfig(dt=T / steps))
 
-    n, coarse = SPLIT_STEP_START, strang(SPLIT_STEP_START)
-    while 2 * n <= SPLIT_STEP_MAX:
-        fine = strang(2 * n)
-        estimate = float(np.max(np.abs(fine.coeffs - coarse.coeffs))) / (3.0 * scale)
+    def gap(a: torus.SpectralField, b: torus.SpectralField) -> float:
+        return float(np.max(np.abs(a.coeffs - b.coeffs))) / scale
+
+    n = SPLIT_STEP_START
+    u_n, u_2n = strang(n), strang(2 * n)
+    while 4 * n <= SPLIT_STEP_MAX:
+        u_4n = strang(4 * n)
+        d1, d2 = gap(u_2n, u_n), gap(u_4n, u_2n)
+        order = math.log2(d1 / d2) if d1 > 0.0 and d2 > 0.0 else math.nan
+        if SPLIT_ORDER_WINDOW[0] <= order <= SPLIT_ORDER_WINDOW[1]:
+            estimate, u = d2 / 3.0, u_4n.with_coeffs((4.0 * u_4n.coeffs - u_2n.coeffs) / 3.0)
+        elif order > 0.0:
+            estimate, u = d2 / (2.0 ** min(order, 2.0) - 1.0), u_4n
+        else:
+            estimate = math.inf
         if estimate <= SPLIT_STEP_REL:
-            return (2 * n, estimate, evo.split_grid_size(wide.bandwidth),
-                    fine.with_coeffs((4.0 * fine.coeffs - coarse.coeffs) / 3.0))
-        coarse, n = fine, 2 * n
-    raise ValueError(f"split-step at N={N} misses the halving tolerance "
-                     f"{SPLIT_STEP_REL:g} of ||phi||_FLinf: at {n} steps, the most "
-                     f"it tries, the estimate is {estimate:.3e}")
+            top = float(np.max(np.abs(evo.free_rotation_rates(wide, eq))))
+            return SplitStepRun(4 * n, estimate, order, evo.split_grid_size(wide.bandwidth),
+                                2.0**-53 * top * T, u)
+        u_n, u_2n, n = u_2n, u_4n, 2 * n
+    raise ValueError(f"split-step at N={N} misses the tolerance {SPLIT_STEP_REL:g} of "
+                     f"||phi||_FLinf: at {2 * n} steps, the most it tries, the estimate is "
+                     f"{estimate:.3e} at observed order {order:.3f}")
 
 
 def _inflate_point(cfg: InflateConfig, eq: evo.EquationSpec, N: int) -> tuple[ReportRow, dict]:
@@ -481,11 +515,13 @@ def _inflate_point(cfg: InflateConfig, eq: evo.EquationSpec, N: int) -> tuple[Re
     results = {"ode": ode.field}
     skipped = [] if on_circle else ["picard", "split_step"]
     if on_circle:
-        steps, estimate, grid, u = _split_step_on_tolerance(phi, eq, T, N)
-        results["split_step"] = evo.interaction_picture(u, eq, T)
+        split = _split_step_on_tolerance(phi, eq, T, N)
+        results["split_step"] = evo.interaction_picture(split.field, eq, T)
         work = evo.picard_work(phi, eq, T)
-        split_norm = torus.sobolev_norm(u, s)  # the NLS value, beside the closed form's
-        aux.update(split_steps=steps, split_estimate=estimate, split_grid_points=grid,
+        split_norm = torus.sobolev_norm(split.field, s)  # the NLS value, beside the closed form's
+        aux.update(split_steps=split.steps, split_estimate=split.estimate,
+                   split_order=split.order, split_angle_roundoff=split.angle_roundoff,
+                   split_grid_points=split.grid_points,
                    split_norm_T=split_norm, split_ratio=split_norm / norm0,
                    picard_nodes=work.nodes, picard_grid_points=work.grid_points)
         try:

@@ -594,9 +594,33 @@ def test_cli_refuses_methods_that_differ_beyond_the_budget(tmp_path, monkeypatch
     assert not out.exists()
 
 
-# cheap sizes of the two split-step regimes, and the step count each picks
-SPLIT_CASES = [("crit_half", 64, 50), ("crit_half", 256, 50),
-               ("frac_crit", 128, 50), ("frac_crit", 256, 50)]
+# cheap sizes of the two split-step regimes, and the step count 4n each picks
+SPLIT_CASES = [("crit_half", 64, 24), ("crit_half", 256, 12),
+               ("frac_crit", 128, 12), ("frac_crit", 256, 12)]
+
+
+def _strang_runs(phi, eq, T):
+    """(strang, ||.||_FLinf over ||phi||_FLinf): Strang's coefficients at T
+    on split-step's padded band for a step count, and the scaled norm."""
+    wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
+    scale = float(np.max(np.abs(phi.coeffs)))
+
+    def strang(k):
+        return evolution.split_step_evolve(wide, eq, T, evolution.StepperConfig(dt=T / k)).coeffs
+
+    return strang, lambda a: float(np.max(np.abs(a))) / scale
+
+
+def _triple(strang, norm, n):
+    """(observed order, estimate) of the triple n, 2n, 4n by the rule the
+    comment above lab.SPLIT_STEP_REL states, written out once more."""
+    u_n, u_2n, u_4n = strang(n), strang(2 * n), strang(4 * n)
+    d1, d2 = norm(u_2n - u_n), norm(u_4n - u_2n)
+    p = math.log2(d1 / d2)
+    low, high = lab.SPLIT_ORDER_WINDOW
+    if low <= p <= high:
+        return p, d2 / 3.0
+    return p, d2 / (2.0 ** min(p, 2.0) - 1.0) if p > 0.0 else math.inf
 
 
 @pytest.mark.parametrize("regime,N,steps_want", SPLIT_CASES)
@@ -605,33 +629,36 @@ def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
     aux = run_inflation(cfg).metadata["per_N"][str(N)]
     assert aux["split_steps"] == steps_want
     assert 0.0 < aux["split_estimate"] <= lab.SPLIT_STEP_REL
+    low, high = lab.SPLIT_ORDER_WINDOW
+    assert low <= aux["split_order"] <= high  # Strang in its asymptotic range at alpha = 1
 
     phi = build_two_block_data(regime_parameters(regime, N, cfg.s, cfg.theta))
     # split-step runs on the band 3 n_max, on that band's grid
     assert aux["split_grid_points"] == evolution.split_grid_size(3 * phi.bandwidth)
     T, eq = aux["T"], evolution.EquationSpec.paper()
-    steps, estimate, grid, u = lab._split_step_on_tolerance(phi, eq, T, N)
-    assert (steps, estimate, grid) == (aux["split_steps"], aux["split_estimate"],
-                                       aux["split_grid_points"])
+    run = lab._split_step_on_tolerance(phi, eq, T, N)
+    assert (run.steps, run.estimate, run.order, run.angle_roundoff, run.grid_points) == (
+        aux["split_steps"], aux["split_estimate"], aux["split_order"],
+        aux["split_angle_roundoff"], aux["split_grid_points"])
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
-    scale = float(np.max(np.abs(phi.coeffs)))
-
-    def strang(k):
-        return evolution.split_step_evolve(wide, eq, T, evolution.StepperConfig(dt=T / k)).coeffs
+    top = float(np.max(np.abs(evolution.free_rotation_rates(wide, eq))))
+    assert run.angle_roundoff == 2.0**-53 * top * T
+    strang, norm = _strang_runs(phi, eq, T)
+    steps = run.steps
+    assert (run.order, run.estimate) == _triple(strang, norm, steps // 4)
 
     # the reported field lies within its estimate of a fine reference, and
-    # closer to it than the finer run of its pair: it is the Richardson value
+    # closer to it than the finest run of its triple: it is the Richardson value
     coarse, fine = strang(1600), strang(3200)
     ref = (4.0 * fine - coarse) / 3.0
-    err = float(np.max(np.abs(u.coeffs - ref)))
-    assert err <= estimate * scale
-    assert err < float(np.max(np.abs(strang(steps) - ref)))
+    err = norm(run.field.coeffs - ref)
+    assert err <= run.estimate
+    assert err < norm(strang(steps) - ref)
 
-    # the chosen count is the smallest in the sequence that meets the tolerance
-    first = 2 * lab.SPLIT_STEP_START
+    # the chosen count is the smallest in the ladder that meets the tolerance
+    first = 4 * lab.SPLIT_STEP_START
     if steps > first:
-        n = steps // 2
-        missed = float(np.max(np.abs(strang(n) - strang(n // 2)))) / (3.0 * scale)
+        missed = _triple(strang, norm, steps // 8)[1]
         assert missed > lab.SPLIT_STEP_REL
 
 
@@ -640,16 +667,76 @@ def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
 def test_split_step_lies_within_its_estimate_of_lawson_rk4(regime, N):
     # the same equation by a second integrator: Lawson RK4 at 100 steps on
     # split-step's band; a wrong rotation in split-step can still meet the
-    # halving tolerance, which compares split-step only with itself
+    # step tolerance, which compares split-step only with itself
     cfg = InflateConfig(regime=regime, sweep=(float(N),), **INFLATE_REGIMES[regime][0])
     sched = regime_parameters(regime, N, cfg.s, cfg.theta)
     phi, T, eq = build_two_block_data(sched), sched.T_N, evolution.EquationSpec.paper()
-    _, estimate, _, u = lab._split_step_on_tolerance(phi, eq, T, N)
+    run = lab._split_step_on_tolerance(phi, eq, T, N)
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
     lawson = evolution.rk4_spectral_evolve(wide, eq, T, evolution.StepperConfig(dt=T / 100))
-    gap = lab._fl_inf_distance(evolution.interaction_picture(u, eq, T),
+    gap = lab._fl_inf_distance(evolution.interaction_picture(run.field, eq, T),
                                evolution.interaction_picture(lawson, eq, T))
-    assert gap <= estimate * torus.fourier_lebesgue_norm(phi, 0.0, np.inf), (gap, estimate)
+    assert gap <= run.estimate * torus.fourier_lebesgue_norm(phi, 0.0, np.inf), (gap, run.estimate)
+
+
+def _crit_half_run(alpha, N):
+    """(run, strang, norm) of split-step on crit_half data at N in the
+    paper's convention at alpha."""
+    sched = regime_parameters("crit_half", N, -0.5)
+    phi, eq = build_two_block_data(sched), evolution.EquationSpec.paper(alpha)
+    run = lab._split_step_on_tolerance(phi, eq, sched.T_N, N)
+    return run, *_strang_runs(phi, eq, sched.T_N)
+
+
+def test_split_step_past_the_order_window_reports_its_finest_run():
+    # alpha = 1.25: the 24/48/96 triple meets the tolerance at an observed
+    # order of 3, outside the window, so its Richardson value, built for
+    # order 2, is not reported; the finest run is, with the estimate
+    # d2 / (2^2 - 1), and a fine reference lies within it
+    run, strang, norm = _crit_half_run(1.25, 64)
+    assert run.steps == 96 and 2.95 <= run.order <= 3.05
+    assert run.order > lab.SPLIT_ORDER_WINDOW[1]
+    assert np.array_equal(run.field.coeffs, strang(96))
+    assert (run.order, run.estimate) == _triple(strang, norm, 24)
+    assert run.estimate == norm(strang(96) - strang(48)) / 3.0
+    assert _triple(strang, norm, 12)[1] > lab.SPLIT_STEP_REL  # 12/24/48 missed it
+    ref = (4.0 * strang(3200) - strang(1600)) / 3.0
+    assert norm(run.field.coeffs - ref) <= run.estimate
+
+
+def test_split_step_on_a_first_order_floor_reports_an_order_aware_estimate():
+    # alpha = 0.5: the differences shrink by 2^-0.63 .. 2^-0.98 per halving,
+    # first order, not Strang's second; the first triple already meets the
+    # tolerance, and the run reports u_12 with d2 / (2^p - 1), which a
+    # fine run lies within, where d2 / 3 would understate the error
+    run, strang, norm = _crit_half_run(0.5, 64)
+    assert run.steps == 12 and 0.0 < run.order < lab.SPLIT_ORDER_WINDOW[0]
+    assert np.array_equal(run.field.coeffs, strang(12))
+    d2 = norm(strang(12) - strang(6))
+    assert run.estimate == d2 / (2.0**run.order - 1.0) == _triple(strang, norm, 3)[1]
+    err = norm(run.field.coeffs - strang(3200))
+    assert d2 / 3.0 < err <= run.estimate
+
+
+def test_cli_refuses_a_split_step_whose_order_stays_off_strang(tmp_path, capsys):
+    # alpha = 1.5: the observed order reads -0.16 .. 0.72 at every triple up
+    # to the ceiling, so no triple is trusted, and the refusal names the
+    # last triple's estimate and order
+    sched = regime_parameters("crit_half", 256, -0.5)
+    phi = build_two_block_data(sched)
+    strang, norm = _strang_runs(phi, evolution.EquationSpec.paper(1.5), sched.T_N)
+    top = lab.SPLIT_STEP_MAX // 4
+    order, estimate = _triple(strang, norm, top)
+    assert 0.0 < order < lab.SPLIT_ORDER_WINDOW[0] and estimate > lab.SPLIT_STEP_REL
+    ini = tmp_path / "inflate.ini"
+    ini.write_text("[inflate]\nalpha = 1.5\nsweep = 256\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main(["inflate", "--config", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"nlslab: error: split-step at N=256 misses the tolerance 0.001 of "
+                   f"||phi||_FLinf: at {4 * top} steps, the most it tries, the estimate is "
+                   f"{estimate:.3e} at observed order {order:.3f}\n")
+    assert not out.exists()
 
 
 def test_reported_split_grid_is_the_grid_split_step_ran_on(tmp_path, monkeypatch):
@@ -665,12 +752,12 @@ def test_reported_split_grid_is_the_grid_split_step_ran_on(tmp_path, monkeypatch
     ini.write_text("[inflate]\nsweep = 64\n", encoding="utf-8")
     assert cli.main(["inflate", "--config", str(ini), "--out", str(out), "--format", "json"]) == 0
     aux = json.loads(out.read_text(encoding="utf-8"))["metadata"]["per_N"]["64"]
-    assert len(bands) == 2 and len(set(bands)) == 1  # 25 and 50 steps, one band
+    assert len(bands) == 4 and len(set(bands)) == 1  # 3, 6, 12 and 24 steps, one band
     assert aux["split_grid_points"] == evolution.split_grid_size(bands[0])
 
 
 @pytest.mark.parametrize("patch,steps,message", [
-    (True, 200, "misses the halving tolerance 0 of ||phi||_FLinf: at 200 steps, "
+    (True, 192, "misses the tolerance 0 of ||phi||_FLinf: at 192 steps, "
                 "the most it tries, the estimate is "),
 ])
 def test_cli_refuses_an_unmet_step_tolerance(patch, steps, message, tmp_path, monkeypatch,

@@ -21,6 +21,10 @@ The cases:
 - the closed form `ode_exact_evolve` on 17 640 and 330 750 points;
 - `picard_expansion` at the `crit_half` point N = 256, in the paper's
   convention (`EquationSpec.paper`), as `inflate` runs it;
+- `split_step_ladder`: `inflate`'s whole split-step driver
+  (`lab._split_step_on_tolerance`) at the `crit_half` and `frac_crit`
+  points N = 256, its entry with the steps, estimate and observed order
+  the ladder stopped at;
 - `unit_phase`: the two callers of `evolution._unit_phase` that run
   per step or node, `_rotate_in_place` on the split-step grids of
   7 546, 30 184 and 120 000 points and on one 65 536-point chunk
@@ -193,6 +197,14 @@ def run(repeats: int, tiny: bool) -> list[dict]:
     add("picard_expansion", {"regime": "crit_half", "N": N, "nodes": work.nodes,
                              "grid_points": work.grid_points},
         _time(lambda: evo.picard_expansion(phi, paper, sched.T_N), repeats))
+
+    for regime, s, theta in (("crit_half", -0.5, None), ("frac_crit", -1.0, 0.1)):
+        point = cons.regime_parameters(regime, N, s, theta)
+        data = cons.build_two_block_data(point, 1.0)
+        run = lab._split_step_on_tolerance(data, paper, point.T_N, N)
+        add("split_step_ladder", {"regime": regime, "N": N, "steps": run.steps,
+                                  "estimate": run.estimate, "order": run.order},
+            _time(lambda: lab._split_step_on_tolerance(data, paper, point.T_N, N), repeats))
 
     for band in (8,) if tiny else ROTATE_BANDS:
         u = torus.synthesize(_field(band), evo.split_grid_size(band))
