@@ -19,6 +19,7 @@ import numpy as np
 from .torus import (
     BudgetExceededError,
     SpectralField,
+    _frozen,
     analyze,
     next_fast_len,
     project_below,
@@ -140,7 +141,7 @@ def build_two_block_data(sched: RegimeSchedule, period: float = 1.0) -> Spectral
                          f"the limit {MAX_TWO_BLOCK_BAND}")
     xi = np.arange(-m, m + 1) / L
     in_blocks = (np.abs(xi - N) <= A / 2.0) | (np.abs(xi - 2.0 * N) <= A / 2.0)
-    return SpectralField(L, np.where(in_blocks, complex(R / L), 0j))
+    return SpectralField(L, _frozen(np.where(in_blocks, complex(R / L), 0j)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .torus import (
     BudgetExceededError,
     SpectralField,
     _cubic_coeffs,
+    _frozen,
     enlarge_band,
     grid_plan,
     mean_and_l2,
@@ -163,6 +164,24 @@ def ode_grid_size(bandwidth: int, out_bandwidth: int) -> int:
     return next_fast_len(max(8 * (2 * bandwidth + 1), 2 * (2 * out_bandwidth + 1)))
 
 
+def _rotated_band(field: SpectralField, t: float, shift: float | None, m_out: int,
+                  g: int) -> tuple[np.ndarray, float]:
+    """(band |n| <= m_out, tail mass) of the field rotated by t on the
+    g-point grid, as ode_exact_evolve describes them.  The grid and the
+    rotation's scratch are freed on return, so the caller's checks run
+    beside the band alone."""
+    plan = grid_plan(g)
+    u = synthesize(field, g)  # natural order: a flat view of the plan's layout
+    chunk = min(g, _ROTATE_CHUNK)
+    theta, phase = np.empty(chunk), np.empty(chunk, dtype=complex)
+    for lo in range(0, g, chunk):
+        part = u[lo : lo + chunk]
+        _rotate_in_place(part, t, shift, theta[: part.size], phase[: part.size])
+    spec = plan.forward(u.reshape(plan.shape))
+    # bins m_out+1 .. g-m_out-1 are exactly the modes outside |n| <= m_out
+    return plan.band(spec, m_out), plan.bin_mass(spec, m_out + 1, g - m_out) * field.period
+
+
 def ode_exact_evolve(
     field: SpectralField,
     t: float,
@@ -180,7 +199,9 @@ def ode_exact_evolve(
     of the layout, so it is non-negative and free of cancellation against
     the total mass; neither step builds an index array.  The
     inflate experiment picks its out band from this value: the smallest
-    band whose tail is at most 1e-20 of the data mass.
+    band whose tail is at most 1e-20 of the data mass.  At its peak the
+    call holds the grid, the gathered band (the field takes it without a
+    copy) and the rotation's scratch.
 
     Non-finite output is refused as a blow-up, and so is a finite one
     whose phase bound t ||phi||_FL1^2 (|phi|^2 t never exceeds it) reaches
@@ -190,20 +211,10 @@ def ode_exact_evolve(
     m_out = m if out_bandwidth is None else int(out_bandwidth)
     if m_out < m:
         raise ValueError("out_bandwidth cannot be below the input band")
-    g = ode_grid_size(m, m_out)
-    plan = grid_plan(g)
-    u = synthesize(field, g)  # natural order: a flat view of the plan's layout
     shift = 2.0 * mean_and_l2(field)[1] if wick else None
-    chunk = min(g, _ROTATE_CHUNK)
-    theta, phase = np.empty(chunk), np.empty(chunk, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite output is refused below
-        for lo in range(0, g, chunk):
-            part = u[lo : lo + chunk]
-            _rotate_in_place(part, t, shift, theta[: part.size], phase[: part.size])
-        spec = plan.forward(u.reshape(plan.shape))
-        out = SpectralField(field.period, plan.band(spec, m_out))
-        # bins m_out+1 .. g-m_out-1 are exactly the modes outside |n| <= m_out
-        tail = plan.bin_mass(spec, m_out + 1, g - m_out) * field.period
+        band, tail = _rotated_band(field, t, shift, m_out, ode_grid_size(m, m_out))
+    out = SpectralField(field.period, _frozen(band))
     if not (np.isfinite(out.coeffs).all() and np.isfinite(tail)):
         raise BlowupError(f"non-finite coefficients in the closed form at t = {t}")
     wiener = float(np.sum(np.abs(field.coeffs)))

@@ -39,20 +39,24 @@ class SpectralField:
     """Band-limited field on the circle of circumference ``period``.
 
     ``coeffs`` has odd length 2M+1; entry i holds the coefficient of
-    mode n = i - M.
+    mode n = i - M.  The field keeps as is a complex array that is
+    read-only and owns its data, as the package's constructors hand over
+    the fresh arrays they build (_frozen); it copies anything else, so a
+    caller's writeable array stays decoupled from the field.
     """
 
     period: float
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = self.coeffs
+        if not (isinstance(c, np.ndarray) and c.dtype == complex and c.flags.owndata
+                and not c.flags.writeable):
+            c = _frozen(np.array(c, dtype=complex))
         if c.ndim != 1 or c.size % 2 == 0 or c.size < 3:
             raise ValueError("coeffs must be 1-d with odd length >= 3")
         if not self.period >= 1.0:
             raise ValueError(f"period must be >= 1, got {self.period}")
-        c = c.copy()
-        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -78,6 +82,13 @@ class SpectralField:
 
     def with_coeffs(self, coeffs) -> "SpectralField":
         return SpectralField(self.period, coeffs)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a fresh array that SpectralField then keeps
+    without a copy.  The caller must keep no writeable view of it."""
+    a.flags.writeable = False
+    return a
 
 
 def _negate_odd_modes(a: np.ndarray, first_mode: int) -> None:
@@ -166,15 +177,22 @@ class GridPlan:
             self._tables = (_roots(g, np.arange(self._block_rows)[:, None] * np.arange(q)),
                             _roots(g, r * (c * np.arange(q // c))), _roots(g, r * np.arange(c)))
 
-    def _blocks(self, a: np.ndarray, inverse: bool):
+    def _blocks(self, a: np.ndarray, inverse: bool, bins: np.ndarray | None = None):
         """(rows, twiddles) over the blocks of layout rows of a at P > 1: a
         view of the block and its R x Q twiddles, conjugated for the
-        inverse, for the caller to apply."""
+        inverse, for the caller to apply.  With bins, only the blocks that
+        hold one of them: bin k lies in layout row k mod P."""
         p, q = self.shape
         step = self._block_rows
         inner, by_d, by_c = self._tables
+        blocks = range(len(by_d))
+        if bins is not None:
+            hit = np.zeros(len(by_d), dtype=bool)
+            hit[bins % p // step] = True
+            blocks = np.flatnonzero(hit).tolist()
         scratch = np.empty((step, q), dtype=complex)
-        for b, lo in enumerate(range(0, p, step)):  # lo is the tables' r = b R
+        for b in blocks:
+            lo = b * step  # the tables' r
             n = min(step, p - lo)
             outer = np.multiply.outer(by_d[b], by_c[b]).reshape(q)  # w^(r n2), n2 = c + C d
             w = np.multiply(inner[:n], outer, out=scratch[:n])
@@ -193,13 +211,15 @@ class GridPlan:
             fft(rows, norm="forward", out=rows)
         return a
 
-    def inverse(self, a: np.ndarray) -> np.ndarray:
+    def inverse(self, a: np.ndarray, bins: np.ndarray | None = None) -> np.ndarray:
         """In place: a spectrum in bin order on the layout array a becomes
         the unscaled inverse DFT (ifft with norm="forward") in natural
-        order; returns a."""
+        order; returns a.  bins, when given, holds every bin at which a may
+        be nonzero: the row pass then skips the blocks of rows that hold
+        none of them, which are zero and stay so."""
         if self._tables is None:
             return ifft(a, norm="forward", out=a)
-        for rows, w in self._blocks(a, inverse=True):
+        for rows, w in self._blocks(a, inverse=True, bins=bins):
             ifft(rows, norm="forward", out=rows)
             rows *= w
         return ifft(a, axis=-2, norm="forward", out=a)
@@ -273,14 +293,25 @@ def synthesize(field: SpectralField, grid_size: int) -> np.ndarray:
     """Evaluate the field on the centered grid x_j = j*L/G - L/2.
 
     Refuses G < 2M+1: the inverse FFT would alias modes on a shorter grid
-    and analyze() could not undo it.
+    and analyze() could not undo it.  Data whose coefficients hold fewer
+    nonzero parts (real or imaginary) than the plan has layout rows
+    leaves rows empty: the inverse then gets the bins n mod G of its
+    nonzero modes, and its row pass runs only on the blocks of rows that
+    hold one.  Denser data pays only that count.
     """
     m = field.bandwidth
     g = int(grid_size)
     if g < 2 * m + 1:
         raise ValueError(f"grid_size {g} < 2M+1 = {2 * m + 1} would alias")
     plan = grid_plan(g)
-    return plan.inverse(plan.spectrum(field.coeffs)).reshape(g)
+    c = field.coeffs
+    bins = None
+    # counted on the parts' bits, 0.4 ns a part, where a count of nonzero
+    # complex values takes 3 ns a value (25 % of a 60 000-point transform);
+    # a -0.0 part counts, which can only skip less
+    if plan.shape[0] > 1 and np.count_nonzero(c.view(np.int64)) < plan.shape[0]:
+        bins = (np.flatnonzero(c) - m) % g
+    return plan.inverse(plan.spectrum(c), bins=bins).reshape(g)
 
 
 def analyze(samples: np.ndarray, L: float, bandwidth: int | None = None) -> SpectralField:
@@ -297,7 +328,7 @@ def analyze(samples: np.ndarray, L: float, bandwidth: int | None = None) -> Spec
     if 2 * m + 1 > g:
         raise ValueError(f"bandwidth {m} not resolved by {g} samples")
     plan = grid_plan(g)
-    return SpectralField(L, plan.band(plan.forward(u.reshape(plan.shape)), m))
+    return SpectralField(L, _frozen(plan.band(plan.forward(u.reshape(plan.shape)), m)))
 
 
 def sobolev_norm(field: SpectralField, s: float, homogeneous: bool = False) -> float:
@@ -366,7 +397,7 @@ def enlarge_band(field: SpectralField, bandwidth: int) -> SpectralField:
         raise ValueError("enlarge_band cannot shrink the band")
     c = np.zeros(2 * bandwidth + 1, dtype=complex)
     c[bandwidth - m : bandwidth + m + 1] = field.coeffs
-    return SpectralField(field.period, c)
+    return SpectralField(field.period, _frozen(c))
 
 
 @functools.cache
@@ -435,5 +466,4 @@ def periodize(profile, L: float, bandwidth: int) -> SpectralField:
         raise ValueError(f"periodization on period {L:g} needs band {bandwidth}, above the "
                          f"limit {MAX_PERIODIZE_BAND}")
     n = np.arange(-bandwidth, bandwidth + 1)
-    vals = profile.fourier_transform(n / L) / L
-    return SpectralField(L, vals)
+    return SpectralField(L, _frozen(profile.fourier_transform(n / L) / L))

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,27 @@ def test_ode_exact_samples_the_data_through_synthesize(monkeypatch):
     f = random_field(1.0, 8, seed=3, l2=0.3)
     ode_exact_evolve(f, 1.0, out_bandwidth=40)
     assert grids == [nl.evolution.ode_grid_size(8, 40)]
+
+
+def test_ode_exact_holds_one_grid_and_one_band():
+    # negative_s data at N = 256 on the surrogate circle L = 32, on the out
+    # band 5M inflate keeps there: the call holds its G-point grid and the
+    # gathered out band, which the field takes without a copy.  The slack
+    # is the rotation's scratch (24 B per chunk point) and 64 KiB; a second
+    # copy of the band (2.6 MB) would exceed it
+    sched = nl.regime_parameters("negative_s", 256, -0.25)
+    phi = nl.build_two_block_data(sched, 32.0)
+    m_out = 5 * phi.bandwidth
+    g = nl.evolution.ode_grid_size(phi.bandwidth, m_out)
+    assert g == 330000
+    ode_exact_evolve(phi, sched.T_N, out_bandwidth=m_out)  # builds the cached grid plan
+    tracemalloc.start()
+    try:
+        ode_exact_evolve(phi, sched.T_N, out_bandwidth=m_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (g + 2 * m_out + 1) * 16 + 24 * nl.evolution._ROTATE_CHUNK + 2**16
 
 
 def test_ode_exact_parameter_validation():

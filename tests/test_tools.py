@@ -31,6 +31,7 @@ def test_layer_harness_runs_at_tiny_sizes(tmp_path, capsys):
     assert names == {"mollifier_transform", "fft_pair", "split_step_per_row_step", "rk4_step",
                      "synthesize",
                      "analyze", "cubic_coeffs", "sobolev_norm", "ode_exact_evolve",
+                     "ode_exact_two_block",
                      "picard_expansion", "split_step_ladder", "unit_phase",
                      "line_sobolev_norm"}
     pairs = [(e["method"], e["P"]) for e in result["timings"] if e["name"] == "fft_pair"]

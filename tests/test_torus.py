@@ -58,6 +58,28 @@ def test_sobolev_norm_signature():
     assert params["homogeneous"].default is False
 
 
+def test_spectral_field_copies_what_a_caller_can_still_write():
+    # a writeable caller array is copied, so mutating it later leaves the
+    # field as it was; a read-only array that owns its data is kept as is,
+    # and a read-only view (whose base may still be written) is copied
+    c = np.array([1.0, 2.0, 3.0], dtype=complex)
+    f = SpectralField(1.0, c)
+    c[:] = 7.0
+    assert np.array_equal(f.coeffs, [1.0, 2.0, 3.0]) and not f.coeffs.flags.writeable
+    frozen = np.array([1.0, 2.0, 3.0], dtype=complex)
+    frozen.flags.writeable = False
+    assert SpectralField(1.0, frozen).coeffs is frozen
+    base = np.array([1.0, 2.0, 3.0, 4.0, 5.0], dtype=complex)
+    view = base[1:4]
+    view.flags.writeable = False
+    g = SpectralField(1.0, view)
+    base[:] = 0.0
+    assert np.array_equal(g.coeffs, [2.0, 3.0, 4.0])
+    # the package's constructors hand over fresh arrays, which the field keeps
+    for field in (enlarge_band(f, 3), analyze(synthesize(f, 8), 1.0, 1)):
+        assert field.coeffs.flags.owndata and not field.coeffs.flags.writeable
+
+
 def test_enlarge_band_pads_and_refuses_shrink():
     f = SpectralField(1.0, np.array([1.0, 2.0, 3.0], dtype=complex))
     g = enlarge_band(f, 3)
@@ -264,6 +286,71 @@ def test_largest_benchmark_plan_keeps_its_twiddles_small():
     plan = nl.torus.GridPlan(BENCHMARK_GRIDS[-1])
     assert plan.shape == (2187, 2400)
     assert sum(table.nbytes for table in plan._tables) < 2**20
+
+
+def _sparse_bands(bandwidth: int, seed: int) -> dict[str, np.ndarray]:
+    """Band-order coefficients that leave layout rows empty: two narrow
+    runs like the negative_s blocks, single modes (at 1, -1 and the band's
+    edges) and a run that wraps across bin 0."""
+    rng = np.random.default_rng(seed)
+    m = bandwidth
+
+    def values(n):
+        return 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    bands = {}
+    for name, modes in (("two_runs", np.r_[2 * m // 5 - 9 : 2 * m // 5 + 10,
+                                           4 * m // 5 - 9 : 4 * m // 5 + 10]),
+                        ("one", [1]), ("minus_one", [-1]), ("edges", [-m, m]),
+                        ("wrap", np.arange(-20, 21))):
+        c = np.zeros(2 * m + 1, dtype=complex)
+        c[np.asarray(modes) + m] = values(len(modes))
+        bands[name] = c
+    return bands
+
+
+def _dense_synthesize(field: SpectralField, grid_size: int) -> np.ndarray:
+    """synthesize with the inverse's row pass over every row: the
+    reference for the row skip."""
+    plan = nl.torus.grid_plan(grid_size)
+    return plan.inverse(plan.spectrum(field.coeffs)).reshape(grid_size)
+
+
+@pytest.mark.parametrize("g", [35200, 330000])
+def test_row_skip_changes_no_bits(monkeypatch, g):
+    # synthesize hands the inverse the bins of the nonzero modes, and its
+    # row pass runs only on the row blocks that hold one; on sparse data it
+    # equals the pass over every row bit for bit, and so does the closed
+    # form built on it.  At 35 200 points the plan has one block of rows,
+    # at 330 000 eleven, most of them empty here
+    m = (g // 8 - 1) // 2
+    assert nl.evolution.ode_grid_size(m, m) == g
+    plan = nl.torus.grid_plan(g)
+    p, step = plan.shape[0], plan._block_rows
+    passed = []
+    inverse = nl.torus.GridPlan.inverse
+
+    def spy(self, a, bins=None):
+        passed.append(bins)
+        return inverse(self, a, bins)
+
+    monkeypatch.setattr(nl.torus.GridPlan, "inverse", spy)
+    bands = _sparse_bands(m, seed=g)
+    closed = {}
+    for name, c in bands.items():
+        f = SpectralField(1.0, c)
+        fast = synthesize(f, g)
+        bins = passed[-1]
+        assert np.array_equal(bins, (np.flatnonzero(c) - m) % g), name
+        assert fast.tobytes() == _dense_synthesize(f, g).tobytes(), name
+        if g == 330000:
+            assert np.unique(bins % p // step).size < -(-p // step), name
+        closed[name] = nl.ode_exact_evolve(f, 0.7)
+    monkeypatch.setattr(nl.evolution, "synthesize", _dense_synthesize)
+    for name, c in bands.items():
+        dense = nl.ode_exact_evolve(SpectralField(1.0, c), 0.7)
+        assert dense.field.coeffs.tobytes() == closed[name].field.coeffs.tobytes(), name
+        assert dense.tail_mass == closed[name].tail_mass, name
 
 
 @pytest.mark.parametrize("regime, s, theta", [("crit_half", -0.5, None), ("frac_crit", -1.0, 0.1)])

@@ -19,6 +19,10 @@ The cases:
 - one Lawson RK4 step, `synthesize`/`analyze` and `_cubic_coeffs` on the
   same bands;
 - the closed form `ode_exact_evolve` on 17 640 and 330 750 points;
+- `ode_exact_two_block`: the closed form as `inflate` runs it on
+  `negative_s` two-block data (s = -1/4, surrogate circle L = 32, out band
+  5M) at N = 256 and 1024, on 330 000 and 1 317 120 points, where the
+  data's few modes leave most layout rows of the grid empty;
 - `picard_expansion` at the `crit_half` point N = 256, in the paper's
   convention (`EquationSpec.paper`), as `inflate` runs it;
 - `split_step_ladder`: `inflate`'s whole split-step driver
@@ -73,6 +77,10 @@ STACK_STEPS = 8
 # closed-form bands, on ode_grid_size(M, M) = 8 (2M + 1) rounded up to a
 # fast length: 17 640 and 330 750 points
 ODE_BANDS = (1100, 20625)
+# negative_s points of the closed form on two-block data (inflate-sweep's
+# s and surrogate period; out band 5M, the k = 2 inflate keeps there)
+TWO_BLOCK_NS = (256, 1024)
+TWO_BLOCK_S, TWO_BLOCK_PERIOD = -0.25, 32.0
 PICARD_N = 256
 # bands whose split-step grids are the 7 546, 30 184 and 120 000 points
 # the rotation runs on
@@ -188,6 +196,15 @@ def run(repeats: int, tiny: bool) -> list[dict]:
         phi = _field(band)
         add("ode_exact_evolve", {"band": band, "grid_points": evo.ode_grid_size(band, band)},
             _time(lambda: evo.ode_exact_evolve(phi, 0.5), repeats))
+
+    for N, L in ((16, 1.0),) if tiny else ((N, TWO_BLOCK_PERIOD) for N in TWO_BLOCK_NS):
+        sched = cons.regime_parameters("negative_s", N, TWO_BLOCK_S)
+        phi = cons.build_two_block_data(sched, L)
+        out_band = 5 * phi.bandwidth
+        add("ode_exact_two_block", {"regime": "negative_s", "N": N, "band": phi.bandwidth,
+                                    "out_band": out_band,
+                                    "grid_points": evo.ode_grid_size(phi.bandwidth, out_band)},
+            _time(lambda: evo.ode_exact_evolve(phi, sched.T_N, out_bandwidth=out_band), repeats))
 
     N = 16 if tiny else PICARD_N
     sched = cons.regime_parameters("crit_half", N, -0.5)
