@@ -114,9 +114,9 @@ def regime_parameters(regime: str, N: int, s: float, theta: float | None = None)
 # largest band floor((2N + A/2) L) build_two_block_data allocates, twice the
 # 262 277 of negative_s at N = 4096 on L = 32.  An inflate point near it is
 # costly: negative_s at N = 4096 on L = 63 (band 516 358) runs the closed
-# form on 10.3 million grid points and peaks at 570 MB in 3.6 s on a 2-CPU
-# Xeon, and data that needs a wider out band than 5x the band (lab's
-# ODE_K_RANGE) grows that grid up to 17/5-fold
+# form on 10 333 575 grid points and peaks at 292 MB in 0.8-0.9 s (in
+# process, one thread) on a 2-CPU Xeon, and data that needs a wider out
+# band than 5x the band (lab's ODE_K_RANGE) grows that grid up to 17/5-fold
 MAX_TWO_BLOCK_BAND = 2**19
 
 

