@@ -86,12 +86,12 @@ def build_config(experiment: str, args: argparse.Namespace) -> lab.ExperimentCon
 
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="nlslab",
+        prog="nlslab", allow_abbrev=False,  # a prefix such as --s would run as --seed
         description="Spectral experiments for norm growth of cubic dispersive flows on scaled tori.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, runner in lab.RUNNERS.items():
-        p = sub.add_parser(name, help=runner.__doc__)
+        p = sub.add_parser(name, help=runner.__doc__, allow_abbrev=False)
         p.add_argument("--config", default=None, help="INI config file with an [%s] section" % name)
         p.add_argument("--out", default=None, help="output path (default: %s_report.<format>)" % name)
         p.add_argument("--format", default="csv", choices=("csv", "json"), help="report format (default csv)")

@@ -259,20 +259,21 @@ def split_step_stack(
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return [field] * len(eqs)
-    _checked_rates("split-step", t, [free_rotation_rates(field, eq) for eq in eqs], eqs)
+    rates = _checked_rates("split-step", t, np.stack([free_rotation_rates(field, eq) for eq in eqs]), eqs)
     n_steps = max(1, round(t / cfg.dt))
     dt = t / n_steps
     g = split_grid_size(field.bandwidth)
     rows = max(1, SPLIT_STACK_POINTS // g)
     return [v for lo in range(0, len(eqs), rows)
-            for v in _strang_rows(field, eqs[lo : lo + rows], dt, n_steps, g)]
+            for v in _strang_rows(field, eqs[lo : lo + rows], rates[lo : lo + rows], dt, n_steps, g)]
 
 
-def _strang_rows(field: SpectralField, eqs: Sequence[EquationSpec], dt: float, n_steps: int,
-                 g: int) -> list[SpectralField]:
+def _strang_rows(field: SpectralField, eqs: Sequence[EquationSpec], rates: np.ndarray, dt: float,
+                 n_steps: int, g: int) -> list[SpectralField]:
     """Strang's n_steps steps of size dt, one row per equation, on the
-    G-point grid.  The first and last half steps multiply the band-order
-    coefficients (2M + 1 per row) by the half-step phases exp(i rate dt/2).
+    G-point grid, row i turning freely at rates[i].  The first and last
+    half steps multiply the band-order coefficients (2M + 1 per row) by
+    the half-step phases exp(i rate dt/2).
     Between them the loop runs on one (rows, P, Q) array in the layout of
     the grid's plan (torus.GridPlan): the coefficients are scattered once
     into its bin order, every step transforms that array in place between
@@ -295,7 +296,6 @@ def _strang_rows(field: SpectralField, eqs: Sequence[EquationSpec], dt: float, n
     full = np.zeros((rows, *plan.shape), dtype=complex)  # zero off the band
     theta, phase = np.empty(full.shape), np.empty(full.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite output is refused below
-        rates = np.stack([free_rotation_rates(field, eq) for eq in eqs])
         half = _unit_phase(rates * dt / 2.0)
         plan.put_band(full, _unit_phase(rates * dt))
         spec = plan.spectrum(field.coeffs * half)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -167,9 +167,13 @@ def mollifier_cdf(u):
 # derivative-of-bump machinery: d^k/dx^k [eta_raw(x) p0(x)] = eta_raw(x) *
 # p(x)/(1-x^2)^m with polynomial p, tracked exactly by recurrence
 
-def _derivative_rep(p0_coeffs, kappa):
+DERIVATIVE_BASE = (1.0, 0.5)  # the profiles' p0 = 1 + x/2: asymmetric, so odd kappa survives the quintic
+
+
+@functools.cache
+def _derivative_rep(kappa: int):
     """Return (p, m) with d^kappa[eta_raw * p0] = eta_raw * p/(1-x^2)^m."""
-    p = np.asarray(p0_coeffs, dtype=float)
+    p = np.asarray(DERIVATIVE_BASE, dtype=float)
     m = 0
     base = np.array([1.0, 0.0, -1.0])  # 1 - x^2
     for _ in range(kappa):
@@ -181,7 +185,7 @@ def _derivative_rep(p0_coeffs, kappa):
         term3 = npoly.polymul([0.0, -2.0], p)
         p = npoly.polyadd(npoly.polyadd(term1, term2), term3)
         m += 2
-    return p, m
+    return tuple(p), m  # a tuple: the cache hands the same result to every caller
 
 
 def _eval_poly_over_bump(x, p, m):
@@ -210,19 +214,17 @@ class CompactProfile:
     kind 'step': sum of value * indicator([a,b]) over pieces.
     kind 'mollified': the same convolved with a bump of half-width eps.
     kind 'bump': amplitude * exp(-1/(1-(x/width)^2)).
-    kind 'derivative': amplitude * d^kappa/dx^kappa of a fixed smooth
-    bump-times-polynomial base, stored as (poly, pole_power).
+    kind 'derivative': amplitude * d^kappa/dx^kappa of the fixed base
+    eta_raw * (1 + x/2) (DERIVATIVE_BASE).
     """
 
     kind: str
     pieces: tuple = ()
-    support_radius: float = 1.0
+    _: KW_ONLY
     eps: float = 0.0
     width: float = 1.0
     amplitude: complex = 1.0 + 0.0j
     kappa: int = 0
-    poly: tuple = ()
-    pole_power: int = 0
 
     def __post_init__(self):
         if self.kind not in ("step", "mollified", "bump", "derivative"):
@@ -231,6 +233,16 @@ class CompactProfile:
             raise ValueError("mollified profile needs eps > 0")
         if self.support_radius <= 0.0:
             raise ValueError("support_radius must be positive")
+
+    @property
+    def support_radius(self) -> float:
+        """K with the support in [-K, K], derived from the fields that define the profile."""
+        if self.kind == "bump":
+            return self.width
+        if self.kind == "derivative":
+            return 1.0
+        reach = max((max(abs(a), abs(b)) for a, b, _ in self.pieces), default=0.0)
+        return float(reach) + self.eps if self.kind == "mollified" else float(reach)
 
     # -- pointwise values ---------------------------------------------------
 
@@ -248,8 +260,7 @@ class CompactProfile:
             return out
         if self.kind == "bump":
             return self.amplitude * _raw_bump(x / self.width)
-        p = np.asarray(self.poly)
-        return self.amplitude * _eval_poly_over_bump(x, p, self.pole_power)
+        return self.amplitude * _eval_poly_over_bump(x, *_derivative_rep(self.kappa))
 
     # -- line Fourier transform --------------------------------------------
 
@@ -268,15 +279,13 @@ class CompactProfile:
         return out if np.ndim(xi) else complex(out[0])
 
     def _base_transform(self, xi_arr):
-        # quadrature transform of the underived base eta_raw * p0, with p0
-        # saved in pieces alongside the derived polynomial.  The base is
-        # real, so F(xi) = C(|xi|) - i sign(xi) S(|xi|): its cos and sin sums
-        # run once per distinct |xi|, over the rule's positive nodes with
-        # the even and odd parts of the base
-        p0 = np.asarray(self.pieces[0] if self.pieces else (1.0,))
+        # quadrature transform of the underived base eta_raw * p0.  The base
+        # is real, so F(xi) = C(|xi|) - i sign(xi) S(|xi|): its cos and sin
+        # sums run once per distinct |xi|, over the rule's positive nodes
+        # with the even and odd parts of the base
         x, w, _ = _transform_rule(xi_arr)
         wb = w * _raw_bump(x)
-        right, left = npoly.polyval(x, p0), npoly.polyval(-x, p0)
+        right, left = npoly.polyval(x, DERIVATIVE_BASE), npoly.polyval(-x, DERIVATIVE_BASE)
         even, odd = wb * (right + left), wb * (right - left)
         a, back = np.unique(np.abs(xi_arr), return_inverse=True)
         cos_sum, sin_sum = _node_sums(np.cos, a, x, even), _node_sums(np.sin, a, x, odd)
@@ -291,7 +300,7 @@ class CompactProfile:
         if self.kind == "mollified":
             # moments of a convolution: binomial combination with the even
             # bump's moments (odd ones vanish)
-            step = CompactProfile("step", self.pieces, self.support_radius - self.eps)
+            step = CompactProfile("step", self.pieces)
             total = 0.0 + 0.0j
             for i in range(j + 1):
                 mu = _bump_moment(j - i) * self.eps ** (j - i)
@@ -371,12 +380,11 @@ def appendix_profile(kind: str, kappa: int = 1, eps: float = 0.1) -> CompactProf
     asymmetric bump, sign-calibrated so its quintic integral is negative.
     """
     if kind == "psi1":
-        return CompactProfile("step", _psi1_pieces(), 5.0)
+        return CompactProfile("step", _psi1_pieces())
     if kind == "psi2":
-        return CompactProfile("step", _psi2_pieces(), 5.0)
+        return CompactProfile("step", _psi2_pieces())
     if kind == "psi4":
-        a = solve_psi4_parameter()
-        return CompactProfile("step", _psi4_pieces(a), a + 1.0)
+        return CompactProfile("step", _psi4_pieces(solve_psi4_parameter()))
     if kind == "mollified":
         if eps > 0.5:
             raise ValueError("mollification width must lie in (0, 0.5]")
@@ -389,31 +397,21 @@ def appendix_profile(kind: str, kappa: int = 1, eps: float = 0.1) -> CompactProf
 
 
 def _derivative_profile(kappa: int) -> CompactProfile:
-    base = (1.0, 0.5)  # 1 + x/2, asymmetric so odd kappa survives the quintic
-    p, m = _derivative_rep(base, kappa)
+    p, m = _derivative_rep(kappa)
     nodes, wts, _ = _gauss_rule(2000)
-    vals = _eval_poly_over_bump(nodes, np.asarray(p), m)
+    vals = _eval_poly_over_bump(nodes, p, m)
     quintic = float(np.sum(wts * vals**5))
     scale = float(np.max(np.abs(vals))) or 1.0
     if abs(quintic) < 1e-14 * scale**5:
         raise ValueError(f"quintic integral degenerate for kappa={kappa}: construction hypothesis fails")
-    sign = -1.0 if quintic > 0.0 else 1.0
-    return CompactProfile(
-        "derivative",
-        pieces=(base,),
-        support_radius=1.0,
-        amplitude=sign,
-        kappa=kappa,
-        poly=tuple(np.asarray(p)),
-        pole_power=m,
-    )
+    return CompactProfile("derivative", amplitude=-1.0 if quintic > 0.0 else 1.0, kappa=kappa)
 
 
 def smooth_bump(amplitude: float = 1.0, width: float = 2.0) -> CompactProfile:
     """amplitude * exp(-1/(1-(x/width)^2)), supported on (-width, width)."""
     if width <= 0.0:
         raise ValueError("width must be positive")
-    return CompactProfile("bump", support_radius=width, width=width, amplitude=amplitude)
+    return CompactProfile("bump", width=width, amplitude=amplitude)
 
 
 def centered_two_step(amplitude: float = 0.7, eps: float = 0.3) -> CompactProfile:
@@ -421,14 +419,14 @@ def centered_two_step(amplitude: float = 0.7, eps: float = 0.3) -> CompactProfil
     and -2 amplitude * sqrt(pi)), smoothed by the eps bump.  The workhorse
     data for the small-dispersion discrepancy counting."""
     pieces = ((-2.0, 0.0, amplitude * SQRT_PI), (1.0, 2.0, -2.0 * amplitude * SQRT_PI))
-    return mollify(CompactProfile("step", pieces, 2.0), eps)
+    return mollify(CompactProfile("step", pieces), eps)
 
 
 def mollify(profile: CompactProfile, eps: float) -> CompactProfile:
     """Convolve a step profile with the eps bump."""
     if profile.kind != "step":
         raise ValueError("mollify is defined for step profiles")
-    return CompactProfile("mollified", profile.pieces, profile.support_radius + eps, eps=eps)
+    return CompactProfile("mollified", profile.pieces, eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from numpy.polynomial import polynomial as npoly
 
 from nlslab import SpectralField, enlarge_band, sobolev_norm
 from nlslab.evolution import free_rotation_rates, picard_work
-from nlslab.profiles import _gauss_rule, _raw_bump
+from nlslab.profiles import DERIVATIVE_BASE, _gauss_rule, _raw_bump
 
 
 def random_field(period, bandwidth, seed, l2=None, decay=0.0, mean_zero=False,
@@ -125,10 +125,10 @@ def unfolded_mollifier_transform(zeta):
     return np.cos(2.0 * np.pi * np.outer(z, nodes)) @ (weights * bump)
 
 
-def unfolded_base_transform(profile, xi):
-    """The derivative profile's base transform, integral of eta_raw(x)
+def unfolded_base_transform(xi):
+    """The derivative profiles' base transform, integral of eta_raw(x)
     p0(x) exp(-2 pi i xi x) dx, as one complex sum over every node."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     nodes, weights, _ = _gauss_rule(_transform_nodes(xi))
-    wf = weights * _raw_bump(nodes) * npoly.polyval(nodes, np.asarray(profile.pieces[0]))
+    wf = weights * _raw_bump(nodes) * npoly.polyval(nodes, np.asarray(DERIVATIVE_BASE))
     return np.exp(-2j * np.pi * np.outer(xi, nodes)) @ wf

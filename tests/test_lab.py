@@ -283,7 +283,7 @@ def test_gamma_discrepancy_pins():
 
 
 def test_line_sobolev_norm_pins():
-    box = CompactProfile("step", ((-0.5, 0.5, 1.0),), 0.5)
+    box = CompactProfile("step", ((-0.5, 0.5, 1.0),))
     assert line_sobolev_norm(box, -0.5) == math.inf
     psi1 = appendix_profile("psi1")
     assert abs(line_sobolev_norm(psi1, -0.5) - 10.11032672199179) <= 1e-9
@@ -301,7 +301,7 @@ def _line_profiles():
     return {
         "two_step": centered_two_step(1.0, 0.1),
         "psi1": appendix_profile("psi1"),
-        "box": CompactProfile("step", ((-0.5, 0.5, 1.0),), 0.5),
+        "box": CompactProfile("step", ((-0.5, 0.5, 1.0),)),
         "mollified": appendix_profile("mollified", eps=0.1),
         "bump": smooth_bump(1.0, 2.0),
     }
@@ -997,6 +997,20 @@ def test_cli_main_success_and_default_output(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["feasibility"]) == 0
     assert (tmp_path / "feasibility_report.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--s", "--th", "--se", "--form", "--con"])
+def test_cli_refuses_abbreviated_flags(tmp_path, monkeypatch, capsys, flag):
+    # argparse would otherwise expand a unique prefix: --s 3 ran as --seed 3
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["feasibility", flag, "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    args = cli.make_parser().parse_args(["feasibility", "--seed", "3", "--threads", "2",
+                                         "--format", "json", "--out", "r.json", "--config", "c.ini"])
+    assert (args.seed, args.threads, args.format, args.out, args.config) == (3, 2, "json", "r.json", "c.ini")
 
 
 def test_json_report_bytes_do_not_depend_on_the_output_path(tmp_path):

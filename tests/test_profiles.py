@@ -1,6 +1,7 @@
 """Compactly supported line profiles: moments, phase integrals, mollification."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -22,6 +23,7 @@ from nlslab import (
     mollify,
     phase_integral,
     centered_two_step,
+    smooth_bump,
     solve_psi4_parameter,
 )
 
@@ -35,17 +37,63 @@ SQRT_PI = math.sqrt(math.pi)
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        CompactProfile("nope", ((0.0, 1.0, 1.0),), 1.0)
+        CompactProfile("nope", ((0.0, 1.0, 1.0),))
+    with pytest.raises(ValueError, match="support_radius must be positive"):
+        CompactProfile("step", ())  # no extent
     with pytest.raises(ValueError):
-        CompactProfile("step", ((0.0, 1.0, 1.0),), 0.0)
-    with pytest.raises(ValueError):
-        CompactProfile("mollified", ((0.0, 1.0, 1.0),), 1.0, eps=0.0)
+        CompactProfile("mollified", ((0.0, 1.0, 1.0),), eps=0.0)
     with pytest.raises(ValueError):
         appendix_profile("nope")
     with pytest.raises(ValueError):
         appendix_profile("mollified", eps=0.6)
     with pytest.raises(ValueError):
         appendix_profile("derivative", kappa=0)
+
+
+def test_profile_fields_define_it_and_the_radius_is_derived():
+    assert [f.name for f in dataclasses.fields(CompactProfile)] == [
+        "kind", "pieces", "eps", "width", "amplitude", "kappa"]
+    psi1 = appendix_profile("psi1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        psi1.support_radius = 1.0
+    with pytest.raises(TypeError):  # a radius given by position lands nowhere
+        CompactProfile("step", ((0.0, 1.0, 1.0),), 1.0)
+    with pytest.raises(TypeError):
+        CompactProfile("step", ((0.0, 1.0, 1.0),), support_radius=1.0)
+
+
+def test_named_profiles_keep_their_support_radius():
+    a = solve_psi4_parameter()
+    for eps in (0.1, 0.3):
+        assert centered_two_step(0.7, eps).support_radius == 2.0 + eps
+        assert appendix_profile("mollified", eps=eps).support_radius == 5.0 + eps
+    assert appendix_profile("psi1").support_radius == 5.0
+    assert appendix_profile("psi2").support_radius == 5.0
+    assert appendix_profile("psi4").support_radius == a + 1.0
+    assert smooth_bump(1.0, 2.5).support_radius == 2.5
+    for kappa in (1, 2, 3):
+        assert appendix_profile("derivative", kappa=kappa).support_radius == 1.0
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+def test_directly_built_derivative_profile_is_the_named_one(kappa):
+    named = appendix_profile("derivative", kappa=kappa)
+    direct = CompactProfile("derivative", kappa=kappa)
+    x = np.linspace(-1.2, 1.2, 97)
+    assert np.array_equal(direct.evaluate(x) * named.amplitude, named.evaluate(x))
+    xi = np.array([-2.5, -0.3, 0.0, 0.7, 4.0])
+    assert np.array_equal(direct.fourier_transform(xi) * named.amplitude, named.fourier_transform(xi))
+    assert direct.support_radius == named.support_radius == 1.0
+
+
+@pytest.mark.parametrize("width", [0.5, 1.0, 2.0, 3.5])
+def test_directly_built_bump_is_smooth_bump(width):
+    direct, named = CompactProfile("bump", width=width), smooth_bump(1.0, width)
+    assert direct.support_radius == named.support_radius == width
+    x = np.linspace(-4.0, 4.0, 81)
+    assert np.array_equal(direct.evaluate(x), named.evaluate(x))
+    xi = np.array([0.0, 0.25, 1.5])
+    assert np.array_equal(direct.fourier_transform(xi), named.fourier_transform(xi))
 
 
 def test_psi1_pieces_and_breakpoints():
@@ -83,7 +131,7 @@ def test_psi2_is_even_extension():
 def _three_block_even(a):
     half = ((1.0, 2.0, SQRT_PI), (4.0, 5.0, -2.0 * SQRT_PI), (a, a + 1.0, SQRT_PI))
     mirrored = tuple((-b, -x, v) for (x, b, v) in reversed(half))
-    return CompactProfile("step", mirrored + half, a + 1.0)
+    return CompactProfile("step", mirrored + half)
 
 
 def test_second_moment_sign_change_on_bracket():
@@ -125,7 +173,7 @@ def test_phase_integral_step_pins():
     assert abs(phase_integral(psi1, 1.0) - (-4.0 * SQRT_PI)) <= 1e-10
     psi2 = appendix_profile("psi2")
     assert abs(abs(phase_integral(psi2, 1.0)) - 8.0 * SQRT_PI) <= 1e-10
-    zero = CompactProfile("step", ((-0.5, 0.5, 0.0),), 0.5)
+    zero = CompactProfile("step", ((-0.5, 0.5, 0.0),))
     assert phase_integral(zero, 1.0) == 0.0
     # at t0 = 0 the two blocks cancel exactly (mean zero)
     assert abs(phase_integral(psi1, 0.0)) <= 1e-15
@@ -231,7 +279,7 @@ def test_folded_base_transform_matches_the_unfolded_sum(scale):
     # xi onto |xi|, and its even and odd parts fold the nodes
     xi = scale * _FOLD_POINTS
     deriv = appendix_profile("derivative", kappa=2)
-    want = unfolded_base_transform(deriv, xi)
+    want = unfolded_base_transform(xi)
     got = deriv._base_transform(xi)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     assert np.array_equal(got[[0, 4]], [got[0], np.conj(got[0])])

@@ -512,13 +512,13 @@ def test_cubic_density_matches_brute_force(bandwidth, wick):
 # periodization
 
 def test_periodize_zero_profile():
-    zero = CompactProfile("step", ((-0.5, 0.5, 0.0),), 0.5)
+    zero = CompactProfile("step", ((-0.5, 0.5, 0.0),))
     f = periodize(zero, 2.0, 8)
     assert np.max(np.abs(f.coeffs)) == 0.0
 
 
 def test_periodize_indicator_sinc_pin():
-    box = CompactProfile("step", ((-0.5, 0.5, 1.0),), 0.5)
+    box = CompactProfile("step", ((-0.5, 0.5, 1.0),))
     f = periodize(box, 2.0, 16)
     n = np.arange(-16, 17)
     want = 0.5 * np.sinc(n / 2.0)
@@ -529,6 +529,15 @@ def test_periodize_refuses_overlapping_period():
     psi1 = appendix_profile("psi1")
     with pytest.raises(ValueError):
         periodize(psi1, 8.0, 64)
+
+
+@pytest.mark.parametrize("pieces, period", [(((0.0, 3.0, 1.0),), 2.0), (((-1.5, 0.5, 1.0),), 2.5)])
+def test_periodize_refuses_a_built_step_reaching_past_half_the_period(pieces, period):
+    # the radius is the pieces' reach, so no field can claim a smaller one
+    step = CompactProfile("step", pieces)
+    with pytest.raises(ValueError, match="periodization overlaps itself"):
+        periodize(step, period, 8)
+    periodize(step, 2.0 * step.support_radius, 8)  # twice the reach is accepted
 
 
 def test_periodize_psi1_pointwise_reconstruction():
@@ -550,7 +559,7 @@ def test_periodize_psi1_pointwise_reconstruction():
 
 
 def test_profile_fourier_zero_frequency_is_integral():
-    box = CompactProfile("step", ((0.0, 1.0, 1.0),), 1.0)
+    box = CompactProfile("step", ((0.0, 1.0, 1.0),))
     assert abs(box.fourier_transform(0.0) - 1.0) <= 1e-14
     psi1 = appendix_profile("psi1")
     assert abs(psi1.fourier_transform(0.0)) <= 1e-14
@@ -559,7 +568,7 @@ def test_profile_fourier_zero_frequency_is_integral():
 
 
 def test_profile_fourier_indicator_integer_zero():
-    box = CompactProfile("step", ((0.0, 1.0, 1.0),), 1.0)
+    box = CompactProfile("step", ((0.0, 1.0, 1.0),))
     assert abs(box.fourier_transform(1.0)) <= 1e-15
 
 

@@ -180,7 +180,8 @@ def run(repeats: int, tiny: bool) -> list[dict]:
         size = {"band": band, "grid_points": g}
         for rows in STACK_ROWS:
             eqs = [evo.EquationSpec.small_dispersion(0.1 * (k + 1)) for k in range(rows)]
-            stats = _time(lambda: evo._strang_rows(phi, eqs, 1e-3, STACK_STEPS, g), repeats)
+            rates = np.stack([evo.free_rotation_rates(phi, eq) for eq in eqs])
+            stats = _time(lambda: evo._strang_rows(phi, eqs, rates, 1e-3, STACK_STEPS, g), repeats)
             per_step = {k: v / (rows * STACK_STEPS) if k != "repeats" else v
                         for k, v in stats.items()}
             add("split_step_per_row_step", {**size, "rows": rows, "steps": STACK_STEPS}, per_step)
