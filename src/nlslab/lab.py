@@ -33,11 +33,6 @@ from . import torus
 
 VERSION = "nlslab-0.1.0"
 
-# feasibility_scan holds P^3 float64 temporaries for grid_points = P; the
-# peak RSS of run_feasibility at the CLI's s and alpha is 63 MB at P = 50,
-# 103 MB at P = 100 and 432 MB at P = 200
-MAX_GRID_POINTS = 200
-
 
 def _key(default, *, at_least=None, above=None, at_most=None, below=None, choices=None,
          integer=False, nonzero=False, read_by=None, when_read=None):
@@ -66,8 +61,8 @@ class ExperimentConfig:
     subclass adds its own keys, each declaring its single-key checks through
     _key, from which the command line derives its INI keys and parsers.
     __post_init__ overrides hold only the rules across keys or on derived
-    floats: approx's delta^2 and delta^1.5, gamma's periods and
-    feasibility's powers of N.
+    floats: approx's delta^2, delta^1.5 and distinct periods, gamma's
+    periods and feasibility's powers of N.
 
     `sweep` holds the swept values: N for 'inflate' and 'feasibility',
     delta for 'approx', the period L for 'periodize', the index j for 'gamma'.
@@ -145,7 +140,6 @@ class InflateConfig(ExperimentConfig):
 class ApproxConfig(ExperimentConfig):
     experiment = "approx"
     sweep: tuple[float, ...] = _key((0.025, 0.05, 0.1, 0.2), above=0)
-    dt_steps: int = _key(200, at_least=1)
     profile: str = "bump"
     # zero data: the period spread divides by zero errors
     amplitude: float = _key(1.0, nonzero=True, read_by=("profile", "bump", "two_step"))
@@ -164,6 +158,11 @@ class ApproxConfig(ExperimentConfig):
         if not self.sweep[0] ** 1.5 > 0.0:  # the reference delta^1.5 divides the error
             raise ValueError(f"approx sweep value {self.sweep[0]!r} is too small: its reference "
                              f"delta^1.5 underflows to 0")
+        keys = [format(L, ".12g") for L in self.periods]  # as period_errors keys them
+        for L, key in zip(self.periods, keys):
+            if keys.count(key) > 1:
+                raise ValueError(f"approx period {L!r} is given twice: period_errors, keyed by "
+                                 f"12 significant digits, would keep one")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -184,7 +183,6 @@ class GammaConfig(ExperimentConfig):
     experiment = "gamma"
     alpha: float = _key(1.0, above=0)
     sweep: tuple[float, ...] = _key((1.0, 2.0, 3.0, 4.0), integer=True)
-    dt_steps: int = _key(200, at_least=1)
     # zero data: a zero plateau threshold counts mode 0
     amplitude: float = _key(0.7, nonzero=True)
     eps: float = _key(0.3, above=0)
@@ -236,7 +234,6 @@ class FeasibilityConfig(ExperimentConfig):
     sweep: tuple[float, ...] = _key((2.0**16, 2.0**24, 2.0**32, 2.0**40, 2.0**48), at_least=4,
                                     integer=True)
     s: float = -0.25
-    grid_points: int = _key(50, at_least=1, at_most=MAX_GRID_POINTS)  # see MAX_GRID_POINTS
     margin: float = _key(10.0, above=0)
 
     def __post_init__(self):
@@ -581,14 +578,17 @@ def _approx_profile(cfg: ApproxConfig | PeriodizeConfig) -> prof.CompactProfile:
     return prof.appendix_profile(cfg.profile, eps=cfg.eps)
 
 
-def _approx_errors(phi: torus.SpectralField, deltas, t: float,
-                   steps: int) -> tuple[list[float], float]:
+# Strang steps of the small-dispersion flows of approx and gamma, whatever t
+DT_STEPS = 200
+
+
+def _approx_errors(phi: torus.SpectralField, deltas, t: float) -> tuple[list[float], float]:
     """H^1(T_L) distances at time t between the small-dispersion flow at
-    each delta, run as one split-step stack, and the exact dispersionless
-    flow; also the latter's spectral tail mass.  The stack runs first, so
-    a blow-up is refused by split-step's message."""
+    each delta, run as one split-step stack of DT_STEPS steps, and the
+    exact dispersionless flow; also the latter's spectral tail mass.  The
+    stack runs first, so a blow-up is refused by split-step's message."""
     eqs = [evo.EquationSpec.small_dispersion(delta) for delta in deltas]
-    flows = evo.split_step_stack(phi, eqs, t, evo.StepperConfig(dt=t / steps))
+    flows = evo.split_step_stack(phi, eqs, t, evo.StepperConfig(dt=t / DT_STEPS))
     w = evo.ode_exact_evolve(phi, t)
     errs = [torus.sobolev_norm(v.with_coeffs(v.coeffs - w.field.coeffs), 1.0) for v in flows]
     return errs, w.tail_mass
@@ -598,7 +598,7 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
     """Small-dispersion vs dispersionless error scaling."""
     profile = _approx_profile(cfg)
     phi = _periodize(profile, cfg.periods[0], cfg.band_per_period)
-    horizons = _map_ordered(lambda t: _approx_errors(phi, cfg.sweep, t, cfg.dt_steps),
+    horizons = _map_ordered(lambda t: _approx_errors(phi, cfg.sweep, t),
                             [cfg.time_horizon / 2.0, cfg.time_horizon], cfg.threads)
     (errs_half, _), (errs_full, tail) = horizons
     rows = []
@@ -624,7 +624,7 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
         errs_L = [rows[i_mid].norm_T]
         for L in cfg.periods[1:]:
             phi_L = _periodize(profile, L, cfg.band_per_period)
-            errs_L += _approx_errors(phi_L, (d_mid,), cfg.time_horizon, cfg.dt_steps)[0]
+            errs_L += _approx_errors(phi_L, (d_mid,), cfg.time_horizon)[0]
         if min(errs_L) == 0.0:  # data that vanishes on the grid, such as a width that underflows
             L = cfg.periods[errs_L.index(0.0)]
             raise ValueError(f"the approx error at delta = {d_mid!r} on period {L!r} is 0, "
@@ -808,7 +808,7 @@ def _gamma_point(cfg: GammaConfig, j: int) -> ReportRow:
     t = cfg.time_horizon
     w = evo.ode_exact_evolve(phi, t).field
     eq = evo.EquationSpec.small_dispersion(delta, cfg.alpha)
-    v = evo.split_step_evolve(phi, eq, t, evo.StepperConfig(dt=t / cfg.dt_steps))
+    v = evo.split_step_evolve(phi, eq, t, evo.StepperConfig(dt=t / DT_STEPS))
     c_measured, C0 = measure_plateau(w, cfg.c_fraction)
     g = gamma_discrepancy(w, v, L, c_measured, C0, delta, cfg.alpha)
     # ratio column carries the raw discrepancy count for this experiment
@@ -829,6 +829,11 @@ def run_gamma(cfg: GammaConfig) -> InflationReport:
 # ---------------------------------------------------------------------------
 # feasibility
 
+# points P per axis of the feasibility scan, whose P^3 float64 temporaries
+# put the peak RSS of run_feasibility at the CLI's s and alpha at 63 MB
+GRID_POINTS = 50
+
+
 def feasibility_scan(cfg: FeasibilityConfig) -> InflationReport:
     """Log-grid scan of (R, A, T) at each N for the four requirements:
     (a) small data R*sqrt(A)*N^s, (b) contractive horizon T*R^2*A^2,
@@ -836,7 +841,7 @@ def feasibility_scan(cfg: FeasibilityConfig) -> InflationReport:
     T <= N^(-2*alpha).  A triple is feasible when every requirement holds
     with the stated margin; the row reports the feasible-triple count and
     the best point's exponents log_N R, log_N A, log_N T."""
-    s, alpha, P = cfg.s, cfg.alpha, cfg.grid_points
+    s, alpha, P = cfg.s, cfg.alpha, GRID_POINTS
     rows = []
     for N in cfg.sweep:
         N = float(N)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import KW_ONLY, dataclass
+import numbers
+from dataclasses import KW_ONLY, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -231,6 +232,11 @@ class CompactProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind == "mollified" and not self.eps > 0.0:
             raise ValueError("mollified profile needs eps > 0")
+        if self.kind == "derivative" and not (isinstance(self.kappa, numbers.Integral) and self.kappa >= 1):
+            raise ValueError(f"derivative kind needs kappa >= 1, an integer; got {self.kappa!r}")
+        for a, b, _ in self.pieces:
+            if a > b:
+                raise ValueError(f"a step piece [a, b) needs a <= b, got a = {a!r}, b = {b!r}")
         if self.support_radius <= 0.0:
             raise ValueError("support_radius must be positive")
 
@@ -343,17 +349,8 @@ def _bump_moment(k: int) -> float:
 # ---------------------------------------------------------------------------
 # named profiles
 
-def _psi1_pieces():
-    return ((1.0, 3.0, SQRT_PI), (4.0, 5.0, -2.0 * SQRT_PI))
-
-
-def _psi2_pieces():
-    return (
-        (-5.0, -4.0, -2.0 * SQRT_PI),
-        (-3.0, -1.0, SQRT_PI),
-        (1.0, 3.0, SQRT_PI),
-        (4.0, 5.0, -2.0 * SQRT_PI),
-    )
+_PSI1_PIECES = ((1.0, 3.0, SQRT_PI), (4.0, 5.0, -2.0 * SQRT_PI))
+_PSI2_PIECES = ((-5.0, -4.0, -2.0 * SQRT_PI), (-3.0, -1.0, SQRT_PI)) + _PSI1_PIECES
 
 
 def _psi4_pieces(a: float):
@@ -380,9 +377,9 @@ def appendix_profile(kind: str, kappa: int = 1, eps: float = 0.1) -> CompactProf
     asymmetric bump, sign-calibrated so its quintic integral is negative.
     """
     if kind == "psi1":
-        return CompactProfile("step", _psi1_pieces())
+        return CompactProfile("step", _PSI1_PIECES)
     if kind == "psi2":
-        return CompactProfile("step", _psi2_pieces())
+        return CompactProfile("step", _PSI2_PIECES)
     if kind == "psi4":
         return CompactProfile("step", _psi4_pieces(solve_psi4_parameter()))
     if kind == "mollified":
@@ -390,21 +387,19 @@ def appendix_profile(kind: str, kappa: int = 1, eps: float = 0.1) -> CompactProf
             raise ValueError("mollification width must lie in (0, 0.5]")
         return mollify(appendix_profile("psi1"), eps)
     if kind == "derivative":
-        if kappa < 1:
-            raise ValueError("derivative kind needs kappa >= 1")
         return _derivative_profile(kappa)
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
 def _derivative_profile(kappa: int) -> CompactProfile:
-    p, m = _derivative_rep(kappa)
+    profile = CompactProfile("derivative", kappa=kappa)  # checks kappa before the work below
     nodes, wts, _ = _gauss_rule(2000)
-    vals = _eval_poly_over_bump(nodes, p, m)
+    vals = profile.evaluate(nodes).real  # at amplitude 1, before the sign is chosen
     quintic = float(np.sum(wts * vals**5))
     scale = float(np.max(np.abs(vals))) or 1.0
     if abs(quintic) < 1e-14 * scale**5:
         raise ValueError(f"quintic integral degenerate for kappa={kappa}: construction hypothesis fails")
-    return CompactProfile("derivative", amplitude=-1.0 if quintic > 0.0 else 1.0, kappa=kappa)
+    return replace(profile, amplitude=-1.0 if quintic > 0.0 else 1.0)
 
 
 def smooth_bump(amplitude: float = 1.0, width: float = 2.0) -> CompactProfile:

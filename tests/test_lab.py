@@ -75,9 +75,10 @@ def small_report():
         # the report's format and path, echoed before they left the config
         (dict(experiment="inflate", fmt="json"), r"unknown config key 'fmt' in \[inflate\]"),
         (dict(experiment="inflate", sweep=(256.0,), threads=0), "threads must be >= 1"),
-        (dict(experiment="approx", dt_steps=0), "dt_steps must be >= 1"),
+        (dict(experiment="approx", dt_steps=200), r"unknown config key 'dt_steps' in \[approx\]"),
         (dict(experiment="gamma", c_fraction=0.0), "c_fraction must be > 0, got 0.0"),
-        (dict(experiment="feasibility", grid_points=0), "grid_points must be >= 1"),
+        (dict(experiment="feasibility", grid_points=50),
+         r"unknown config key 'grid_points' in \[feasibility\]"),
         # config echoes of reports written before a key was retired
         (dict(experiment="inflate", timing=False), r"unknown config key 'timing' in \[inflate\]"),
 
@@ -93,6 +94,9 @@ def small_report():
         (dict(experiment="inflate", dt_steps=200), r"unknown config key 'dt_steps' in \[inflate\]"),
         (dict(experiment="gamma", output_path="gamma.json"),
          r"unknown config key 'output_path' in \[gamma\]"),
+        # echoes written while approx and gamma's Strang step count and the
+        # feasibility scan's points per axis were keys
+        (dict(experiment="gamma", dt_steps=200), r"unknown config key 'dt_steps' in \[gamma\]"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):
@@ -102,7 +106,7 @@ def test_experiment_config_validation(kwargs, message):
 
 
 def test_feasibility_sweeps_the_N_values():
-    cfg = FeasibilityConfig(grid_points=10)
+    cfg = FeasibilityConfig()
     assert cfg.sweep == tuple(2.0**k for k in (16, 24, 32, 40, 48))
     rows = feasibility_scan(cfg).rows
     assert [r.N_or_j for r in rows] == list(cfg.sweep)
@@ -155,12 +159,12 @@ def test_profile_configs_echo_only_the_keys_their_profile_reads(cls, profile, un
 def test_each_config_class_owns_exactly_its_keys():
     own = {
         "inflate": {"regime", "alpha", "s", "theta", "picard_budget", "surrogate_period"},
-        "approx": {"dt_steps", "profile", "amplitude", "width", "eps", "time_horizon",
+        "approx": {"profile", "amplitude", "width", "eps", "time_horizon",
                    "periods", "band_per_period"},
         "periodize": {"profile", "amplitude", "width", "eps", "s_list", "band_per_period"},
-        "gamma": {"alpha", "dt_steps", "amplitude", "eps", "time_horizon", "band_per_period",
+        "gamma": {"alpha", "amplitude", "eps", "time_horizon", "band_per_period",
                   "c_fraction", "base_delta", "delta_decay"},
-        "feasibility": {"alpha", "s", "grid_points", "margin"},
+        "feasibility": {"alpha", "s", "margin"},
     }
     shared = {"sweep", "seed", "threads"}
     assert {f.name for f in dataclasses.fields(lab.ExperimentConfig)} == shared
@@ -168,7 +172,7 @@ def test_each_config_class_owns_exactly_its_keys():
     for name, cls in lab.CONFIGS.items():
         assert cls.experiment == name
         assert {f.name for f in dataclasses.fields(cls)} == shared | own[name], name
-    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 48
+    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 45
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +202,10 @@ def test_json_report_is_canonical():
 
 @pytest.mark.parametrize("cfg", [
     InflateConfig(sweep=(64.0,)),
-    ApproxConfig(sweep=(0.1, 0.2), periods=(32.0, 64.0), dt_steps=20),
+    ApproxConfig(sweep=(0.1, 0.2), periods=(32.0, 64.0)),
     PeriodizeConfig(sweep=(8.0,), s_list=(-0.5, 1.0)),
-    GammaConfig(sweep=(1.0,), dt_steps=20),
-    FeasibilityConfig(grid_points=5),
+    GammaConfig(sweep=(1.0,)),
+    FeasibilityConfig(),
 ], ids=lambda cfg: cfg.experiment)
 def test_every_experiment_writes_canonical_json(cfg, tmp_path):
     # report_to_json dumps the payload as it is, so a numpy integer left in
@@ -798,8 +802,8 @@ def test_approx_rows_are_the_errors_of_each_delta_alone():
     rows = run_approximation(cfg).rows
     phi = torus.periodize(lab._approx_profile(cfg), 32.0, math.ceil(cfg.band_per_period * 32.0))
     for delta, row in zip(cfg.sweep, rows, strict=True):
-        (e_half,), _ = lab._approx_errors(phi, (delta,), 0.5, cfg.dt_steps)
-        (e_full,), tail = lab._approx_errors(phi, (delta,), 1.0, cfg.dt_steps)
+        (e_half,), _ = lab._approx_errors(phi, (delta,), 0.5)
+        (e_full,), tail = lab._approx_errors(phi, (delta,), 1.0)
         assert (row.param, row.norm_t0, row.norm_T, row.tail_mass) == (delta, e_half, e_full, tail)
 
 
@@ -831,11 +835,11 @@ def test_rows_state_the_regime_order_and_equation_they_used():
     # regime only where a two-block schedule ran, s the order of the norm
     # columns, alpha the order of the evolved equation; empty otherwise
     cases = [
-        (ApproxConfig(sweep=(0.2,), periods=(32.0,), dt_steps=20), [(None, 1.0, 1.0)]),
+        (ApproxConfig(sweep=(0.2,), periods=(32.0,)), [(None, 1.0, 1.0)]),
         (PeriodizeConfig(sweep=(8.0,), s_list=(-0.5, 1.0)),
          [(None, -0.5, None), (None, 1.0, None)]),
-        (GammaConfig(sweep=(1.0,), alpha=0.75, dt_steps=20), [(None, None, 0.75)]),
-        (FeasibilityConfig(grid_points=5, s=-0.5, alpha=0.5), [(None, -0.5, 0.5)] * 5),
+        (GammaConfig(sweep=(1.0,), alpha=0.75), [(None, None, 0.75)]),
+        (FeasibilityConfig(s=-0.5, alpha=0.5), [(None, -0.5, 0.5)] * 5),
     ]
     for cfg, want in cases:
         rep = run_experiment(cfg)
@@ -845,7 +849,7 @@ def test_rows_state_the_regime_order_and_equation_they_used():
 
 
 def test_run_experiment_dispatches():
-    cfg = FeasibilityConfig(grid_points=10, s=-0.5, alpha=1.0)
+    cfg = FeasibilityConfig(s=-0.5, alpha=1.0)
     direct = feasibility_scan(cfg)
     routed = run_experiment(cfg)
     assert routed.rows == direct.rows
@@ -888,13 +892,12 @@ def test_load_config_file(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(
         "[feasibility]\n"
-        "grid_points = 10\n"
         "margin = 5\n"
         "sweep = 65536 16777216\n",
         encoding="utf-8",
     )
     got = cli.load_config_file(str(path), "feasibility")
-    assert got == {"grid_points": 10, "margin": 5.0, "sweep": (65536.0, 16777216.0)}
+    assert got == {"margin": 5.0, "sweep": (65536.0, 16777216.0)}
     wrong_case = tmp_path / "case.ini"
     wrong_case.write_text("[feasibility]\nSweep = 8\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key 'Sweep'"):
@@ -1045,8 +1048,8 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("approx", "periods =", "periods must be nonempty"),
         ("inflate", "sweep = 64.7", "inflate sweep values must be integers, got 64.7"),
         ("gamma", "sweep = 0.5", "gamma sweep values must be integers, got 0.5"),
-        ("feasibility", "grid_points = 0", "grid_points must be >= 1"),
-        ("feasibility", "grid_points = 201", "grid_points must be <= 200, got 201"),
+        ("approx", "dt_steps = 200", "unknown config key 'dt_steps' in [approx] of "),
+        ("feasibility", "grid_points = 50", "unknown config key 'grid_points' in [feasibility] of "),
         ("inflate", "sweep = 1", "inflate sweep values must be >= 16, got 1.0"),
         ("inflate", "sweep = 0", "inflate sweep values must be >= 16, got 0.0"),
         ("approx", "sweep = -0.1 0.1", "approx sweep values must be > 0, got -0.1"),
@@ -1096,6 +1099,7 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("feasibility", "N_list = 65536", "unknown config key 'N_list' in [feasibility] of "),
         ("inflate", "timing = true", "unknown config key 'timing' in [inflate] of "),
         ("inflate", "dt_steps = 200", "unknown config key 'dt_steps' in [inflate] of "),
+        ("gamma", "dt_steps = 200", "unknown config key 'dt_steps' in [gamma] of "),
         # keys retired from the experiments that only echoed them into rows
         ("periodize", "regime = crit_half", "unknown config key 'regime' in [periodize] of "),
         ("gamma", "regime = crit_half", "unknown config key 'regime' in [gamma] of "),
@@ -1182,6 +1186,11 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("inflate", "sweep = 256 1e300", "the crit_half schedule at N=1e+300, s=-0.5 overflows a "
                                          "float: N^2 in T_N = 1/(N^2 (log N)^(1/8)) is out of "
                                          "float range"),
+        # period_errors keys each period by its 12 significant digits, so a
+        # repeated period would write one entry for two periods
+        ("approx", "periods = 32 32 64", "approx period 32.0 is given twice"),
+        ("approx", "periods = 64 32 32.0000000000001", "approx period 32.0 is given twice: "
+                                                        "period_errors, keyed by 12 significant"),
     ],
 )
 def test_cli_refuses_bad_config_values(tmp_path, capsys, experiment, ini, message):
@@ -1249,15 +1258,14 @@ DECLARED_RULE_CASES = _declared_rule_cases()
 
 
 def test_every_experiment_declares_key_rules():
-    # threads and seed (two bounds) on each experiment, and 6 inflate, 7
-    # approx, 4 periodize, 9 gamma and 4 feasibility keys; surrogate_period
-    # and c_fraction carry two rules, grid_points two bounds, the inflate
-    # and feasibility sweeps a bound and the integer rule, gamma's the
-    # integer rule, and each sweep rule a second case whose bad value is
-    # not its first item
-    assert len(DECLARED_RULE_CASES) == 57
+    # threads and seed (two bounds) on each experiment, and 6 inflate, 6
+    # approx, 4 periodize, 9 gamma and 3 feasibility keys; surrogate_period
+    # and c_fraction carry two rules, the inflate and feasibility sweeps a
+    # bound and the integer rule, gamma's the integer rule, and each sweep
+    # rule a second case whose bad value is not its first item
+    assert len(DECLARED_RULE_CASES) == 53
     covered = {(name, key) for name, key, *_ in DECLARED_RULE_CASES}
-    assert {("gamma", "dt_steps"), ("periodize", "eps")} <= covered
+    assert {("gamma", "c_fraction"), ("periodize", "eps")} <= covered
     rules = {rule for *_, rule, _, _ in DECLARED_RULE_CASES}
     assert {"at_least", "above", "at_most", "below", "choices", "integer", "at_least-item",
             "above-item", "integer-item"} <= rules

@@ -46,8 +46,20 @@ def test_profile_validation():
         appendix_profile("nope")
     with pytest.raises(ValueError):
         appendix_profile("mollified", eps=0.6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="derivative kind needs kappa >= 1"):
         appendix_profile("derivative", kappa=0)
+    # the direct constructor keeps the same rule: kappa = -1 evaluated as
+    # the underived base while its transform divided by xi
+    for kappa in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="derivative kind needs kappa >= 1"):
+            CompactProfile("derivative", kappa=kappa)
+
+
+@pytest.mark.parametrize("kind, eps", [("step", 0.0), ("mollified", 0.1)])
+def test_profile_refuses_a_piece_that_ends_before_it_starts(kind, eps):
+    # [3, 1) evaluated to 0 everywhere while its transform at 0 read -2
+    with pytest.raises(ValueError, match=r"needs a <= b, got a = 3.0, b = 1.0"):
+        CompactProfile(kind, ((0.0, 1.0, 1.0), (3.0, 1.0, 1.0)), eps=eps)
 
 
 def test_profile_fields_define_it_and_the_radius_is_derived():

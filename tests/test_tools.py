@@ -61,7 +61,7 @@ def _compare_tool():
 
 def test_compare_fails_on_a_one_ulp_row_move_and_passes_an_echo_change(tmp_path, capsys):
     compare = _compare_tool()
-    report = nl.run_experiment(nl.FeasibilityConfig(grid_points=5))
+    report = nl.run_experiment(nl.FeasibilityConfig())
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir()
     b.mkdir()
