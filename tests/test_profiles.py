@@ -48,8 +48,8 @@ def test_profile_validation():
         appendix_profile("mollified", eps=0.6)
     with pytest.raises(ValueError, match="derivative kind needs kappa >= 1"):
         appendix_profile("derivative", kappa=0)
-    # the direct constructor keeps the same rule: kappa = -1 evaluated as
-    # the underived base while its transform divided by xi
+    # the direct constructor keeps the same rule: at kappa = -1 the values
+    # would be the underived base while the transform divides by xi
     for kappa in (0, -1, 1.5):
         with pytest.raises(ValueError, match="derivative kind needs kappa >= 1"):
             CompactProfile("derivative", kappa=kappa)
@@ -57,7 +57,7 @@ def test_profile_validation():
 
 @pytest.mark.parametrize("kind, eps", [("step", 0.0), ("mollified", 0.1)])
 def test_profile_refuses_a_piece_that_ends_before_it_starts(kind, eps):
-    # [3, 1) evaluated to 0 everywhere while its transform at 0 read -2
+    # [3, 1) would evaluate to 0 everywhere while its transform at 0 reads -2
     with pytest.raises(ValueError, match=r"needs a <= b, got a = 3.0, b = 1.0"):
         CompactProfile(kind, ((0.0, 1.0, 1.0), (3.0, 1.0, 1.0)), eps=eps)
 
