@@ -417,10 +417,12 @@ def _closed_form_on_tail_target(phi: torus.SpectralField, T: float,
 
 # Split-step runs Strang at n, 2n and 4n steps, n = SPLIT_STEP_START
 # doubling while 4n <= SPLIT_STEP_MAX (3/6/12, 6/12/24, ..., 48/96/192),
-# and reads the differences d1 = ||u_2n - u_n||_FLinf, d2 = ||u_4n - u_2n||
-# and the observed order p = log2(d1 / d2) (Roache 1994, J. Fluids Eng.
-# 116).  Strang is symmetric, so its error runs in even powers of the step
-# h: u_h = u + C h^2 + D h^4.  With h the step of u_4n and r = D h^2 / C,
+# and reads the differences d1 = ||u_2n - u_n|| and d2 = ||u_4n - u_2n||,
+# in a gap norm over a scale that each caller states (FLinf over
+# ||phi||_FLinf in inflate), and the observed order p = log2(d1 / d2)
+# (Roache 1994, J. Fluids Eng. 116).  Strang is symmetric, so its error
+# runs in even powers of the step h: u_h = u + C h^2 + D h^4.  With h the
+# step of u_4n and r = D h^2 / C,
 #     d2 = 3 C h^2 (1 + 5r),   d1 / d2 = 4 (1 + 20r) / (1 + 5r),
 # and u_4n errs by C h^2 (1 + r).  p in SPLIT_ORDER_WINDOW = [1.5, 2.5]
 # holds r in [-0.0178, 0.0320]; there d2 / 3 lies within 0.93..1.12 of
@@ -430,15 +432,69 @@ def _closed_form_on_tail_target(phi: torus.SpectralField, T: float,
 # d2 / 3.  Outside it Strang is not in its asymptotic range: the run
 # reports u_4n with the estimate d2 / (2^min(p, 2) - 1), the sum of the
 # later differences if each shrinks by 2^-p, never assuming more than
-# order 2; differences that do not shrink (p <= 0) give no estimate.  The
-# first triple whose estimate is at most SPLIT_STEP_REL of ||phi||_FLinf
-# is taken.  At alpha = 1 every crit_half and frac_crit point at N = 128
-# ... 4096 stops at the first triple, 21 steps in all, with p in 2.00..2.07;
-# crit_half N = 64 misses it (1.07e-3) and stops at 6/12/24.
+# order 2; differences that do not shrink (p <= 0) give no estimate, and
+# u_4n = u_2n in the gap norm (data that vanishes in it) gives 0.  The
+# first triple whose estimate is at most SPLIT_STEP_REL is taken.  At
+# alpha = 1 every crit_half and frac_crit point of inflate at N = 128 ...
+# 4096 stops at the first triple, 21 steps in all, with p in 2.00..2.07;
+# crit_half N = 64 misses it (1.07e-3) and stops at 6/12/24.  Every row of
+# approx's defaults stops at the first triple too, with p in 1.42..2.14.
 SPLIT_STEP_REL = 1e-3
 SPLIT_STEP_START = 3
 SPLIT_STEP_MAX = 192
 SPLIT_ORDER_WINDOW = (1.5, 2.5)
+
+
+class StrangRun(NamedTuple):
+    steps: int  # 4n, the finest run of the accepted triple
+    estimate: float  # of the reported field's error, over the row's scale
+    order: float  # the observed order p
+    field: torus.SpectralField
+
+
+def _strang_ladder(strang, rows: int, gap, scale, where, of: str) -> list[StrangRun]:
+    """Each of `rows` rows on its first step triple that meets
+    SPLIT_STEP_REL, as the comment above says.  strang(steps, live) gives
+    the fields of the rows numbered in `live` at that step count, gap(a, b)
+    the norm of a - b, and scale(i, u) row i's scale at its finest run u.
+    Each triple's 2n- and 4n-step fields are the next triple's n- and
+    2n-step ones.  The rows run together until each settles, and the rest
+    go on together, so a row that strang computes on its own gives the run
+    it would give alone.  A row that no triple up to SPLIT_STEP_MAX settles
+    is refused, the message opening with where(i) and naming `of`, the
+    scale."""
+    runs: list[StrangRun | None] = [None] * rows
+    live, n = list(range(rows)), SPLIT_STEP_START
+    pairs = list(zip(strang(n, live), strang(2 * n, live)))
+    while 4 * n <= SPLIT_STEP_MAX:
+        missed = []
+        for i, (u_n, u_2n), u_4n in zip(live, pairs, strang(4 * n, live)):
+            g2 = gap(u_4n, u_2n)
+            if g2 == 0.0:  # so is the scale of data that vanishes in the gap norm
+                estimate, order, u = 0.0, math.nan, u_4n
+            else:
+                s = scale(i, u_4n)
+                d1, d2 = gap(u_2n, u_n) / s, g2 / s
+                order = math.log2(d1 / d2) if d1 > 0.0 and d2 > 0.0 else math.nan
+                if SPLIT_ORDER_WINDOW[0] <= order <= SPLIT_ORDER_WINDOW[1]:
+                    estimate = d2 / 3.0
+                    u = u_4n.with_coeffs((4.0 * u_4n.coeffs - u_2n.coeffs) / 3.0)
+                elif order > 0.0:
+                    estimate, u = d2 / (2.0 ** min(order, 2.0) - 1.0), u_4n
+                else:
+                    estimate = math.inf
+            if estimate <= SPLIT_STEP_REL:
+                runs[i] = StrangRun(4 * n, estimate, order, u)
+            else:
+                missed.append((i, (u_2n, u_4n), estimate, order))
+        if not missed:
+            return runs
+        live, pairs = [m[0] for m in missed], [m[1] for m in missed]
+        n *= 2
+    i, _, estimate, order = missed[0]
+    raise ValueError(f"{where(i)} misses the tolerance {SPLIT_STEP_REL:g} of {of}: at {2 * n} "
+                     f"steps, the most it tries, the estimate is {estimate:.3e} at observed "
+                     f"order {order:.3f}")
 
 
 class SplitStepRun(NamedTuple):
@@ -452,39 +508,19 @@ class SplitStepRun(NamedTuple):
 
 def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: float,
                              N: int) -> SplitStepRun:
-    """Split-step at T on the first step triple that meets SPLIT_STEP_REL,
-    as the comment above says; refuses if none up to SPLIT_STEP_MAX steps
-    does.  Split-step runs on the band 3 n_max, and each triple's 2n- and
-    4n-step fields are the next triple's n- and 2n-step ones."""
+    """Split-step at T on the Strang ladder (_strang_ladder), one row with
+    FLinf gaps over ||phi||_FLinf; refuses if no triple up to
+    SPLIT_STEP_MAX steps meets SPLIT_STEP_REL.  Split-step runs on the band
+    3 n_max."""
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
     scale = torus.fourier_lebesgue_norm(phi, 0.0, np.inf)
-
-    def strang(steps: int) -> torus.SpectralField:
-        return evo.split_step_evolve(wide, eq, T, evo.StepperConfig(dt=T / steps))
-
-    def gap(a: torus.SpectralField, b: torus.SpectralField) -> float:
-        return float(np.max(np.abs(a.coeffs - b.coeffs))) / scale
-
-    n = SPLIT_STEP_START
-    u_n, u_2n = strang(n), strang(2 * n)
-    while 4 * n <= SPLIT_STEP_MAX:
-        u_4n = strang(4 * n)
-        d1, d2 = gap(u_2n, u_n), gap(u_4n, u_2n)
-        order = math.log2(d1 / d2) if d1 > 0.0 and d2 > 0.0 else math.nan
-        if SPLIT_ORDER_WINDOW[0] <= order <= SPLIT_ORDER_WINDOW[1]:
-            estimate, u = d2 / 3.0, u_4n.with_coeffs((4.0 * u_4n.coeffs - u_2n.coeffs) / 3.0)
-        elif order > 0.0:
-            estimate, u = d2 / (2.0 ** min(order, 2.0) - 1.0), u_4n
-        else:
-            estimate = math.inf
-        if estimate <= SPLIT_STEP_REL:
-            top = float(np.max(np.abs(evo.free_rotation_rates(wide, eq))))
-            return SplitStepRun(4 * n, estimate, order, evo.split_grid_size(wide.bandwidth),
-                                2.0**-53 * top * T, u)
-        u_n, u_2n, n = u_2n, u_4n, 2 * n
-    raise ValueError(f"split-step at N={N} misses the tolerance {SPLIT_STEP_REL:g} of "
-                     f"||phi||_FLinf: at {2 * n} steps, the most it tries, the estimate is "
-                     f"{estimate:.3e} at observed order {order:.3f}")
+    (run,) = _strang_ladder(
+        lambda steps, live: [evo.split_step_evolve(wide, eq, T, evo.StepperConfig(dt=T / steps))],
+        1, lambda a, b: float(np.max(np.abs(a.coeffs - b.coeffs))), lambda i, u: scale,
+        lambda i: f"split-step at N={N}", "||phi||_FLinf")
+    top = float(np.max(np.abs(evo.free_rotation_rates(wide, eq))))
+    return SplitStepRun(run.steps, run.estimate, run.order, evo.split_grid_size(wide.bandwidth),
+                        2.0**-53 * top * T, run.field)
 
 
 def _inflate_point(cfg: InflateConfig, eq: evo.EquationSpec, N: int) -> tuple[ReportRow, dict]:
@@ -578,29 +614,44 @@ def _approx_profile(cfg: ApproxConfig | PeriodizeConfig) -> prof.CompactProfile:
     return prof.appendix_profile(cfg.profile, eps=cfg.eps)
 
 
-# Strang steps of the small-dispersion flows of approx and gamma, whatever t
-DT_STEPS = 200
-
-
-def _approx_errors(phi: torus.SpectralField, deltas, t: float) -> tuple[list[float], float]:
+def _approx_errors(phi: torus.SpectralField, deltas, t: float,
+                   log: list | None = None) -> tuple[list[float], float]:
     """H^1(T_L) distances at time t between the small-dispersion flow at
-    each delta, run as one split-step stack of DT_STEPS steps, and the
-    exact dispersionless flow; also the latter's spectral tail mass.  The
-    stack runs first, so a blow-up is refused by split-step's message."""
+    each delta and the exact dispersionless flow; also the latter's
+    spectral tail mass.  The flows run as one split-step stack on the
+    Strang ladder (_strang_ladder), with H^1 gaps over each row's own
+    H^1 error, so each error is known to SPLIT_STEP_REL of itself.  Each
+    row's delta, period, t, steps, estimate and observed order are
+    appended to `log` when given.  The stack runs first, so a blow-up is
+    refused by split-step's message."""
     eqs = [evo.EquationSpec.small_dispersion(delta) for delta in deltas]
-    flows = evo.split_step_stack(phi, eqs, t, evo.StepperConfig(dt=t / DT_STEPS))
-    w = evo.ode_exact_evolve(phi, t)
-    errs = [torus.sobolev_norm(v.with_coeffs(v.coeffs - w.field.coeffs), 1.0) for v in flows]
-    return errs, w.tail_mass
+    exact = functools.cache(lambda: evo.ode_exact_evolve(phi, t))
+
+    def h1(a: torus.SpectralField, b: torus.SpectralField) -> float:
+        return torus.sobolev_norm(a.with_coeffs(a.coeffs - b.coeffs), 1.0)
+
+    ladder = _strang_ladder(
+        lambda steps, live: evo.split_step_stack(phi, [eqs[i] for i in live], t,
+                                                 evo.StepperConfig(dt=t / steps)),
+        len(eqs), h1, lambda i, u: h1(u, exact().field),
+        lambda i: f"split-step at delta = {deltas[i]!r} on period {phi.period!r} and t = {t!r}",
+        "its H^1 error")
+    if log is not None:
+        log += [dict(delta=delta, period=phi.period, t=t, steps=run.steps, estimate=run.estimate,
+                     order=run.order) for delta, run in zip(deltas, ladder)]
+    return [h1(run.field, exact().field) for run in ladder], exact().tail_mass
 
 
 def run_approximation(cfg: ApproxConfig) -> InflationReport:
     """Small-dispersion vs dispersionless error scaling."""
     profile = _approx_profile(cfg)
     phi = _periodize(profile, cfg.periods[0], cfg.band_per_period)
-    horizons = _map_ordered(lambda t: _approx_errors(phi, cfg.sweep, t),
-                            [cfg.time_horizon / 2.0, cfg.time_horizon], cfg.threads)
+    times = [cfg.time_horizon / 2.0, cfg.time_horizon]
+    logs = ([], [])  # each horizon's split-step rows, apart so that threads keep their order
+    horizons = _map_ordered(lambda k: _approx_errors(phi, cfg.sweep, times[k], logs[k]),
+                            [0, 1], cfg.threads)
     (errs_half, _), (errs_full, tail) = horizons
+    ladder = logs[0] + logs[1]
     rows = []
     for delta, e_half, e_full in zip(cfg.sweep, errs_half, errs_full):
         ref = delta**1.5
@@ -609,6 +660,7 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
             e_half, e_full, e_full / e_half if e_half else None,
             ref, e_full / ref, tail, None))
     report = InflationReport(rows, _metadata(cfg))
+    report.metadata["split_step"] = ladder
 
     deltas = np.array([r.param for r in rows], dtype=float)
     errs = np.array([r.norm_T for r in rows], dtype=float)
@@ -624,7 +676,7 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
         errs_L = [rows[i_mid].norm_T]
         for L in cfg.periods[1:]:
             phi_L = _periodize(profile, L, cfg.band_per_period)
-            errs_L += _approx_errors(phi_L, (d_mid,), cfg.time_horizon)[0]
+            errs_L += _approx_errors(phi_L, (d_mid,), cfg.time_horizon, ladder)[0]
         if min(errs_L) == 0.0:  # data that vanishes on the grid, such as a width that underflows
             L = cfg.periods[errs_L.index(0.0)]
             raise ValueError(f"the approx error at delta = {d_mid!r} on period {L!r} is 0, "
@@ -748,6 +800,12 @@ def run_periodization(cfg: PeriodizeConfig) -> InflationReport:
 
 # ---------------------------------------------------------------------------
 # gamma
+
+# Strang steps of gamma's small-dispersion flow, whatever t.  gamma keeps a
+# fixed count: on its band (4 per period) Strang converges at first order,
+# and the ladder's first triple puts its error 2.2-4.6 times too low.
+DT_STEPS = 200
+
 
 class GammaCount(NamedTuple):
     count: int

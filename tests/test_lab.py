@@ -784,10 +784,18 @@ def test_run_approximation_report():
     rep = run_approximation(cfg)
     meta = rep.metadata
     assert set(meta) == {"version", "seed", "config", "host", "fitted_slope",
-                         "period_errors", "period_spread"}
+                         "period_errors", "period_spread", "split_step"}
     assert 1.5 <= meta["fitted_slope"] <= 2.2
     assert 1.0 <= meta["period_spread"] <= 1.001
     assert set(meta["period_errors"]) == {"32", "64", "128"}
+    # one split-step entry per delta and horizon on the first period, then
+    # one per further period at the mid delta and the full horizon
+    assert [(e["t"], e["period"], e["delta"]) for e in meta["split_step"]] == (
+        [(0.5, 32.0, d) for d in cfg.sweep] + [(1.0, 32.0, d) for d in cfg.sweep]
+        + [(1.0, 64.0, 0.1), (1.0, 128.0, 0.1)])
+    for entry in meta["split_step"]:
+        assert entry["steps"] == 4 * lab.SPLIT_STEP_START
+        assert 0.0 < entry["estimate"] <= lab.SPLIT_STEP_REL and entry["order"] > 0.0
     for row in rep.rows:
         assert row.norm_t0 > 0.0 and row.norm_T > 0.0
         assert abs(row.reference - row.param**1.5) <= 1e-15
@@ -805,6 +813,58 @@ def test_approx_rows_are_the_errors_of_each_delta_alone():
         (e_half,), _ = lab._approx_errors(phi, (delta,), 0.5)
         (e_full,), tail = lab._approx_errors(phi, (delta,), 1.0)
         assert (row.param, row.norm_t0, row.norm_T, row.tail_mass) == (delta, e_half, e_full, tail)
+
+
+def test_approx_estimates_bound_the_error_against_a_fine_reference():
+    # each split-step entry's field, rebuilt by the ladder's rule from its
+    # steps and order, is the one whose H^1 error the report holds, and it
+    # lies within its estimate (times that error) of a Richardson reference
+    # of 1600/3200 Strang steps on the same band; its steps are a ladder count
+    cfg = ApproxConfig(sweep=(0.05, 0.2), periods=(32.0, 64.0))
+    report = json.loads(report_to_json(run_approximation(cfg)))
+    meta, rows = report["metadata"], report["rows"]
+    reported = [row["norm_t0"] for row in rows] + [row["norm_T"] for row in rows]
+    reported.append(meta["period_errors"]["64"])
+    assert len(meta["split_step"]) == len(reported) == 5
+    ladder = [lab.SPLIT_STEP_START * 2**k for k in range(2, 7)]
+    assert ladder[-1] == lab.SPLIT_STEP_MAX
+    low, high = lab.SPLIT_ORDER_WINDOW
+    profile = lab._approx_profile(cfg)
+    for entry, error in zip(meta["split_step"], reported, strict=True):
+        steps = entry["steps"]
+        assert steps in ladder
+        phi = torus.periodize(profile, entry["period"], math.ceil(cfg.band_per_period * entry["period"]))
+        t, eq = entry["t"], evolution.EquationSpec.small_dispersion(entry["delta"])
+
+        def strang(k):
+            return evolution.split_step_evolve(phi, eq, t, evolution.StepperConfig(dt=t / k)).coeffs
+
+        def h1(c):
+            return torus.sobolev_norm(phi.with_coeffs(c), 1.0)
+
+        field = strang(steps)
+        if low <= entry["order"] <= high:
+            field = (4.0 * field - strang(steps // 2)) / 3.0
+        assert h1(field - ode_exact_evolve(phi, t).field.coeffs) == error
+        ref = (4.0 * strang(3200) - strang(1600)) / 3.0
+        assert h1(field - ref) <= entry["estimate"] * error, entry
+
+
+def test_approx_refuses_an_unmet_step_tolerance(tmp_path, monkeypatch, capsys):
+    # no triple meets a zero tolerance: the refusal names the first row's
+    # delta, period and time, and the CLI reports it without a traceback
+    monkeypatch.setattr(lab, "SPLIT_STEP_REL", 0.0)
+    message = (f"split-step at delta = 0.025 on period 32.0 and t = 0.5 misses the tolerance 0 "
+               f"of its H^1 error: at {lab.SPLIT_STEP_MAX} steps, the most it tries, the "
+               f"estimate is ")
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        run_approximation(ApproxConfig())
+    out = tmp_path / "approx.csv"
+    assert cli.main(["approx", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlslab: error: " + message) and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_feasibility_scan_finds_nothing_at_the_obstructed_exponents():

@@ -32,7 +32,7 @@ def test_layer_harness_runs_at_tiny_sizes(tmp_path, capsys):
                      "synthesize",
                      "analyze", "cubic_coeffs", "sobolev_norm", "ode_exact_evolve",
                      "ode_exact_two_block",
-                     "picard_expansion", "split_step_ladder", "unit_phase",
+                     "picard_expansion", "split_step_ladder", "approx_ladder", "unit_phase",
                      "line_sobolev_norm"}
     pairs = [(e["method"], e["P"]) for e in result["timings"] if e["name"] == "fft_pair"]
     assert {method for method, _ in pairs} == {"numpy_1d", "four_step"}
@@ -43,6 +43,10 @@ def test_layer_harness_runs_at_tiny_sizes(tmp_path, capsys):
     ladders = [e for e in result["timings"] if e["name"] == "split_step_ladder"]
     assert [e["regime"] for e in ladders] == ["crit_half", "frac_crit"]
     assert all({"steps", "estimate", "order"} <= set(e) for e in ladders)
+    approx = [e for e in result["timings"] if e["name"] == "approx_ladder"]
+    assert [(e["method"], e["rows"]) for e in approx] == [("ladder", 4), ("fixed", 4)]
+    assert approx[1]["steps"] == [layers.APPROX_FIXED_STEPS] * 4
+    assert all(steps in (12, 24, 48, 96, 192) for steps in approx[0]["steps"])
     stacked = [e["rows"] for e in result["timings"] if e["name"] == "split_step_per_row_step"]
     assert stacked == [*layers.STACK_ROWS] * 2
     for entry in result["timings"]:

@@ -29,6 +29,11 @@ The cases:
   (`lab._split_step_on_tolerance`) at the `crit_half` and `frac_crit`
   points N = 256, its entry with the steps, estimate and observed order
   the ladder stopped at;
+- `approx_ladder`: `approx`'s H^1 errors at t = 1 for its four default
+  deltas, one split-step stack on the 1 029-point grid, closed form and
+  norms included: on the Strang ladder (`lab._approx_errors`, its entry
+  with the steps each row settled at) and at a fixed 200 Strang steps,
+  as `approx` ran before the ladder;
 - `unit_phase`: the two callers of `evolution._unit_phase` that run
   per step or node, `_rotate_in_place` on the split-step grids of
   7 546, 30 184 and 120 000 points and on one 65 536-point chunk
@@ -82,6 +87,8 @@ ODE_BANDS = (1100, 20625)
 TWO_BLOCK_NS = (256, 1024)
 TWO_BLOCK_S, TWO_BLOCK_PERIOD = -0.25, 32.0
 PICARD_N = 256
+# Strang steps per row of approx before it ran on the ladder
+APPROX_FIXED_STEPS = 200
 # bands whose split-step grids are the 7 546, 30 184 and 120 000 points
 # the rotation runs on
 ROTATE_BANDS = (1886, 7545, 29999)
@@ -223,6 +230,23 @@ def run(repeats: int, tiny: bool) -> list[dict]:
         add("split_step_ladder", {"regime": regime, "N": N, "steps": run.steps,
                                   "estimate": run.estimate, "order": run.order},
             _time(lambda: lab._split_step_on_tolerance(data, paper, point.T_N, N), repeats))
+
+    approx = lab.ApproxConfig(band_per_period=0.5 if tiny else 8.0)
+    phi = lab._periodize(lab._approx_profile(approx), approx.periods[0], approx.band_per_period)
+    eqs = [evo.EquationSpec.small_dispersion(delta) for delta in approx.sweep]
+    size = {"rows": len(eqs), "grid_points": evo.split_grid_size(phi.bandwidth), "t": 1.0}
+
+    def fixed_steps():
+        flows = evo.split_step_stack(phi, eqs, 1.0, evo.StepperConfig(dt=1.0 / APPROX_FIXED_STEPS))
+        w = evo.ode_exact_evolve(phi, 1.0).field
+        return [torus.sobolev_norm(v.with_coeffs(v.coeffs - w.coeffs), 1.0) for v in flows]
+
+    log = []
+    lab._approx_errors(phi, approx.sweep, 1.0, log)
+    add("approx_ladder", {**size, "method": "ladder", "steps": [e["steps"] for e in log]},
+        _time(lambda: lab._approx_errors(phi, approx.sweep, 1.0), repeats))
+    add("approx_ladder", {**size, "method": "fixed", "steps": [APPROX_FIXED_STEPS] * len(eqs)},
+        _time(fixed_steps, repeats))
 
     for band in (8,) if tiny else ROTATE_BANDS:
         u = torus.synthesize(_field(band), evo.split_grid_size(band))
