@@ -433,12 +433,13 @@ def _closed_form_on_tail_target(phi: torus.SpectralField, T: float,
 # reports u_4n with the estimate d2 / (2^min(p, 2) - 1), the sum of the
 # later differences if each shrinks by 2^-p, never assuming more than
 # order 2; differences that do not shrink (p <= 0) give no estimate, and
-# u_4n = u_2n in the gap norm (data that vanishes in it) gives 0.  The
-# first triple whose estimate is at most SPLIT_STEP_REL is taken.  At
-# alpha = 1 every crit_half and frac_crit point of inflate at N = 128 ...
-# 4096 stops at the first triple, 21 steps in all, with p in 2.00..2.07;
-# crit_half N = 64 misses it (1.07e-3) and stops at 6/12/24.  Every row of
-# approx's defaults stops at the first triple too, with p in 1.42..2.14.
+# u_4n = u_2n in the gap norm (data that vanishes in it) gives 0, with no
+# order.  The first triple whose estimate is at most SPLIT_STEP_REL is
+# taken.  At alpha = 1 every crit_half and frac_crit point of inflate at
+# N = 128 ... 4096 stops at the first triple, 21 steps in all, with p in
+# 2.00..2.07; crit_half N = 64 misses it (1.07e-3) and stops at 6/12/24.
+# Every row of approx's defaults stops at the first triple too, with p in
+# 1.42..2.14.
 SPLIT_STEP_REL = 1e-3
 SPLIT_STEP_START = 3
 SPLIT_STEP_MAX = 192
@@ -448,7 +449,7 @@ SPLIT_ORDER_WINDOW = (1.5, 2.5)
 class StrangRun(NamedTuple):
     steps: int  # 4n, the finest run of the accepted triple
     estimate: float  # of the reported field's error, over the row's scale
-    order: float  # the observed order p
+    order: float | None  # the observed order p; None where u_4n = u_2n
     field: torus.SpectralField
 
 
@@ -470,8 +471,8 @@ def _strang_ladder(strang, rows: int, gap, scale, where, of: str) -> list[Strang
         missed = []
         for i, (u_n, u_2n), u_4n in zip(live, pairs, strang(4 * n, live)):
             g2 = gap(u_4n, u_2n)
-            if g2 == 0.0:  # so is the scale of data that vanishes in the gap norm
-                estimate, order, u = 0.0, math.nan, u_4n
+            if g2 == 0.0:  # on data that vanishes in the gap norm the scale is 0 too
+                estimate, order, u = 0.0, None, u_4n
             else:
                 s = scale(i, u_4n)
                 d1, d2 = gap(u_2n, u_n) / s, g2 / s

@@ -850,6 +850,17 @@ def test_approx_estimates_bound_the_error_against_a_fine_reference():
         assert h1(field - ref) <= entry["estimate"] * error, entry
 
 
+def test_approx_on_vanishing_data_settles_with_a_zero_estimate():
+    # a bump of width 1e-300 vanishes in H^1: each row's two finest runs
+    # agree exactly in the gap norm, so it settles at the first triple with
+    # the estimate 0 and no observed order, and the JSON stays strict
+    report = run_approximation(ApproxConfig(width=1e-300, periods=(32.0,)))
+    assert all(row.norm_t0 == row.norm_T == 0.0 for row in report.rows)
+    payload = json.loads(report_to_json(report), parse_constant=pytest.fail)
+    assert [(e["steps"], e["estimate"], e["order"]) for e in payload["metadata"]["split_step"]] == (
+        [(4 * lab.SPLIT_STEP_START, 0.0, None)] * 8)
+
+
 def test_approx_refuses_an_unmet_step_tolerance(tmp_path, monkeypatch, capsys):
     # no triple meets a zero tolerance: the refusal names the first row's
     # delta, period and time, and the CLI reports it without a traceback
