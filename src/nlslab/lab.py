@@ -434,16 +434,27 @@ def _closed_form_on_tail_target(phi: torus.SpectralField, T: float,
 # later differences if each shrinks by 2^-p, never assuming more than
 # order 2; differences that do not shrink (p <= 0) give no estimate, and
 # u_4n = u_2n in the gap norm (data that vanishes in it) gives 0, with no
-# order.  The first triple whose estimate is at most SPLIT_STEP_REL is
-# taken.  At alpha = 1 every crit_half and frac_crit point of inflate at
-# N = 128 ... 4096 stops at the first triple, 21 steps in all, with p in
-# 2.00..2.07; crit_half N = 64 misses it (1.07e-3) and stops at 6/12/24.
-# Every row of approx's defaults stops at the first triple too, with p in
-# 1.42..2.14.
+# order.  The first triple whose estimate is at most SPLIT_STEP_REL (in
+# gamma 1 / GAMMA_MARGIN_FACTOR) is taken.  At alpha = 1 every crit_half
+# and frac_crit point of inflate at N = 128 ... 4096 stops at the first
+# triple, 21 steps in all, with p in 2.00..2.07; crit_half N = 64 misses
+# it (1.07e-3) and stops at 6/12/24.  Every row of approx's defaults
+# stops at the first triple too, with p in 1.42..2.14.
 SPLIT_STEP_REL = 1e-3
 SPLIT_STEP_START = 3
 SPLIT_STEP_MAX = 192
 SPLIT_ORDER_WINDOW = (1.5, 2.5)
+# gamma's counts are integers: a field that errs in FLinf by less than
+# its count margin (GammaCount.margin) counts as the exact flow does.  So
+# gamma's scale is the margin of u_4n, and a row settles once this factor
+# times the estimate is at most it.  The factor is there because the
+# estimate cannot be trusted as it stands on gamma's bands: with the band
+# projection Strang is second order only in part (Lubich 2008, Math. Comp.
+# 77).  Against a 6400/12800-step Richardson reference the settled
+# estimate understates the field's FLinf error up to 4.6 times at the
+# defaults (each j at 3/6/12, margin over error 19.7 .. 57) and 2.0 times
+# at 8 modes per period (j = 1-3 at 12/24/48, j = 4 at 6/12/24).
+GAMMA_MARGIN_FACTOR = 10.0
 
 
 class StrangRun(NamedTuple):
@@ -453,11 +464,12 @@ class StrangRun(NamedTuple):
     field: torus.SpectralField
 
 
-def _strang_ladder(strang, rows: int, gap, scale, where, of: str) -> list[StrangRun]:
-    """Each of `rows` rows on its first step triple that meets
-    SPLIT_STEP_REL, as the comment above says.  strang(steps, live) gives
-    the fields of the rows numbered in `live` at that step count, gap(a, b)
-    the norm of a - b, and scale(i, u) row i's scale at its finest run u.
+def _strang_ladder(strang, rows: int, gap, scale, where, of: str, tol: float) -> list[StrangRun]:
+    """Each of `rows` rows on its first step triple whose estimate is at
+    most `tol` (SPLIT_STEP_REL but in gamma), as the comment above says.
+    strang(steps, live) gives the fields of the rows numbered in `live` at
+    that step count, gap(a, b) the norm of a - b, and scale(i, u) row i's
+    scale at its finest run u.
     Each triple's 2n- and 4n-step fields are the next triple's n- and
     2n-step ones.  The rows run together until each settles, and the rest
     go on together, so a row that strang computes on its own gives the run
@@ -484,7 +496,7 @@ def _strang_ladder(strang, rows: int, gap, scale, where, of: str) -> list[Strang
                     estimate, u = d2 / (2.0 ** min(order, 2.0) - 1.0), u_4n
                 else:
                     estimate = math.inf
-            if estimate <= SPLIT_STEP_REL:
+            if estimate <= tol:
                 runs[i] = StrangRun(4 * n, estimate, order, u)
             else:
                 missed.append((i, (u_2n, u_4n), estimate, order))
@@ -493,7 +505,7 @@ def _strang_ladder(strang, rows: int, gap, scale, where, of: str) -> list[Strang
         live, pairs = [m[0] for m in missed], [m[1] for m in missed]
         n *= 2
     i, _, estimate, order = missed[0]
-    raise ValueError(f"{where(i)} misses the tolerance {SPLIT_STEP_REL:g} of {of}: at {2 * n} "
+    raise ValueError(f"{where(i)} misses the tolerance {tol:g} of {of}: at {2 * n} "
                      f"steps, the most it tries, the estimate is {estimate:.3e} at observed "
                      f"order {order:.3f}")
 
@@ -518,7 +530,7 @@ def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: 
     (run,) = _strang_ladder(
         lambda steps, live: [evo.split_step_evolve(wide, eq, T, evo.StepperConfig(dt=T / steps))],
         1, lambda a, b: float(np.max(np.abs(a.coeffs - b.coeffs))), lambda i, u: scale,
-        lambda i: f"split-step at N={N}", "||phi||_FLinf")
+        lambda i: f"split-step at N={N}", "||phi||_FLinf", SPLIT_STEP_REL)
     top = float(np.max(np.abs(evo.free_rotation_rates(wide, eq))))
     return SplitStepRun(run.steps, run.estimate, run.order, evo.split_grid_size(wide.bandwidth),
                         2.0**-53 * top * T, run.field)
@@ -636,7 +648,7 @@ def _approx_errors(phi: torus.SpectralField, deltas, t: float,
                                                  evo.StepperConfig(dt=t / steps)),
         len(eqs), h1, lambda i, u: h1(u, exact().field),
         lambda i: f"split-step at delta = {deltas[i]!r} on period {phi.period!r} and t = {t!r}",
-        "its H^1 error")
+        "its H^1 error", SPLIT_STEP_REL)
     if log is not None:
         log += [dict(delta=delta, period=phi.period, t=t, steps=run.steps, estimate=run.estimate,
                      order=run.order) for delta, run in zip(deltas, ladder)]
@@ -802,16 +814,11 @@ def run_periodization(cfg: PeriodizeConfig) -> InflationReport:
 # ---------------------------------------------------------------------------
 # gamma
 
-# Strang steps of gamma's small-dispersion flow, whatever t.  gamma keeps a
-# fixed count: on its band (4 per period) Strang converges at first order,
-# and the ladder's first triple puts its error 2.2-4.6 times too low.
-DT_STEPS = 200
-
-
 class GammaCount(NamedTuple):
     count: int
     reference: float
     complement_count: int
+    margin: float  # the window's least | |w_n - v_n| - c_measured/(4L) |
 
 
 def gamma_discrepancy(
@@ -827,7 +834,9 @@ def gamma_discrepancy(
     c_measured/(4L), against the reference size L*delta^(2*alpha).
 
     The complement count — window modes that stay close — is the set the
-    surviving-mass lower bound runs over.
+    surviving-mass lower bound runs over.  The margin is the least distance
+    of a window mode's |w_n - v_n| from the threshold: any v' within it of
+    v in FLinf gives both counts unchanged.
     """
     if abs(w_field.period - L) > 1e-9 * L or abs(v_field.period - L) > 1e-9 * L:
         raise ValueError("fields must live on the stated period")
@@ -836,9 +845,11 @@ def gamma_discrepancy(
                   - torus.enlarge_band(v_field, m).coeffs)
     n = np.arange(-m, m + 1)
     window = np.abs(n) <= C0 * L
-    bad = window & (diff >= c_measured / (4.0 * L))
+    threshold = c_measured / (4.0 * L)
+    bad = window & (diff >= threshold)
     return GammaCount(int(np.sum(bad)), L * delta ** (2.0 * alpha),
-                      int(np.sum(window) - np.sum(bad)))
+                      int(np.sum(window) - np.sum(bad)),
+                      float(np.min(np.abs(diff[window] - threshold))))
 
 
 def measure_plateau(w_field: torus.SpectralField, c_fraction: float) -> tuple[float, float]:
@@ -860,29 +871,58 @@ def measure_plateau(w_field: torus.SpectralField, c_fraction: float) -> tuple[fl
     return c_measured, k / L
 
 
-def _gamma_point(cfg: GammaConfig, j: int) -> ReportRow:
+def _gamma_point(cfg: GammaConfig, j: int) -> tuple[ReportRow, dict]:
+    """Point j's row, and its split-step entry: the small-dispersion flow
+    v runs on the Strang ladder (_strang_ladder), one row with FLinf gaps,
+    settling at the first triple whose estimate times GAMMA_MARGIN_FACTOR
+    is at most the count margin of its finest run.  A zero margin, which
+    leaves a count undecided, is refused."""
     delta, L = cfg.delta_and_period(j)
     profile = prof.centered_two_step(cfg.amplitude, cfg.eps)
     phi = _periodize(profile, L, cfg.band_per_period)
     t = cfg.time_horizon
     w = evo.ode_exact_evolve(phi, t).field
     eq = evo.EquationSpec.small_dispersion(delta, cfg.alpha)
-    v = evo.split_step_evolve(phi, eq, t, evo.StepperConfig(dt=t / DT_STEPS))
     c_measured, C0 = measure_plateau(w, cfg.c_fraction)
-    g = gamma_discrepancy(w, v, L, c_measured, C0, delta, cfg.alpha)
+    where = f"split-step at j = {j}, delta = {delta!r} on period {L!r}"
+    margins = []  # of each field counted, the last one for a refusal
+
+    def counted(v: torus.SpectralField) -> GammaCount:
+        g = gamma_discrepancy(w, v, L, c_measured, C0, delta, cfg.alpha)
+        if g.margin == 0.0:
+            raise ValueError(f"{where} has the count margin 0: a window mode's |w_n - v_n| "
+                             f"lies on its threshold c_measured/(4L) = {c_measured / (4.0 * L):.6g}, "
+                             f"so the count is undecided")
+        margins.append(g.margin)
+        return g
+
+    (run,) = _strang_ladder(
+        lambda steps, live: [evo.split_step_evolve(phi, eq, t, evo.StepperConfig(dt=t / steps))],
+        1, _fl_inf_distance, lambda i, u: counted(u).margin,
+        lambda i: f"{where} with the count margin {margins[-1]:.6g}", "its count margin",
+        1.0 / GAMMA_MARGIN_FACTOR)
+    g = counted(run.field)
+    entry = dict(j=j, delta=delta, period=L, t=t, steps=run.steps, estimate=run.estimate,
+                 order=run.order, margin=g.margin)
     # ratio column carries the raw discrepancy count for this experiment
-    return ReportRow(
+    row = ReportRow(
         cfg.experiment, None, None, cfg.alpha, j, delta,
         c_measured, C0, float(g.count), g.reference,
         g.count / g.reference if g.reference else None,
         None, float(g.complement_count))
+    return row, entry
 
 
 def run_gamma(cfg: GammaConfig) -> InflationReport:
-    """Discrepancy-mode counting along a dilation schedule."""
-    rows = _map_ordered(lambda j: _gamma_point(cfg, int(j)),
-                        list(cfg.sweep), cfg.threads)
-    return InflationReport(rows, _metadata(cfg))
+    """Discrepancy-mode counting along a dilation schedule.  JSON
+    metadata["split_step"] lists each point's settled steps, estimate (over
+    the count margin of its finest run), observed order and the count
+    margin of the field it counted."""
+    pairs = _map_ordered(lambda j: _gamma_point(cfg, int(j)),
+                         list(cfg.sweep), cfg.threads)
+    report = InflationReport([p[0] for p in pairs], _metadata(cfg))
+    report.metadata["split_step"] = [p[1] for p in pairs]
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,11 @@ def test_gamma_discrepancy_pins():
     coeffs[8 + 1] += 1.0 / (2.0 * l)
     bumped = gamma_discrepancy(f, SpectralField(l, coeffs), l, 1.0, c0, delta)
     assert bumped.count == 1 and bumped.complement_count == 4
+    # the margin is the least distance of a window mode from the threshold
+    assert same.margin == 1.0 / (4.0 * l) and abs(bumped.margin - 1.0 / (4.0 * l)) <= 1e-15
+    coeffs[8] += 0.06
+    near = gamma_discrepancy(f, SpectralField(l, coeffs), l, 1.0, c0, delta)
+    assert near.count == 1 and abs(near.margin - 0.0025) <= 1e-15
     with pytest.raises(ValueError, match="must live on the stated period"):
         gamma_discrepancy(f, random_field(2.0, 8, seed=52), l, 1.0, c0, delta)
 
@@ -430,6 +435,82 @@ def test_run_gamma_counts_and_quotients():
     deltas = [r.param for r in rows]
     assert deltas[0] == 0.16
     assert all(abs(b / a - 2.0**-0.25) <= 1e-12 for a, b in zip(deltas, deltas[1:]))
+
+
+@pytest.mark.parametrize("kwargs, counts", [
+    ({}, [13, 19, 29, 45]),
+    (dict(amplitude=1.0, eps=0.1, band_per_period=8.0), [25, 39, 59, 91]),  # C13's
+], ids=["defaults", "band8"])
+def test_gamma_counts_match_a_fine_reference(kwargs, counts):
+    # each point's counts are those of a Richardson reference of 1600/3200
+    # Strang steps on the same band; its field, rebuilt by the ladder's
+    # rule from its entry's steps and order, is the one the entry's margin
+    # was taken on, and it errs in FLinf by less than that margin
+    cfg = GammaConfig(**kwargs)
+    report = json.loads(report_to_json(run_gamma(cfg)))
+    rows, entries = report["rows"], report["metadata"]["split_step"]
+    assert [int(row["ratio"]) for row in rows] == counts
+    assert [row["method_disagreement"] for row in rows] == [0.0] * 4  # the complement counts
+    ladder = [lab.SPLIT_STEP_START * 2**k for k in range(2, 7)]
+    low, high = lab.SPLIT_ORDER_WINDOW
+    profile, t = centered_two_step(cfg.amplitude, cfg.eps), cfg.time_horizon
+    for row, entry in zip(rows, entries, strict=True):
+        j, steps = entry["j"], entry["steps"]
+        delta, L = cfg.delta_and_period(j)
+        assert (row["N_or_j"], entry["delta"], entry["period"], entry["t"]) == (j, delta, L, t)
+        assert steps in ladder and 0.0 < entry["estimate"] <= 1.0 / lab.GAMMA_MARGIN_FACTOR
+        phi = lab._periodize(profile, L, cfg.band_per_period)
+        eq = evolution.EquationSpec.small_dispersion(delta, cfg.alpha)
+
+        def strang(k):
+            return evolution.split_step_evolve(phi, eq, t, evolution.StepperConfig(dt=t / k)).coeffs
+
+        field = strang(steps)
+        if low <= entry["order"] <= high:
+            field = (4.0 * field - strang(steps // 2)) / 3.0
+        ref = (4.0 * strang(3200) - strang(1600)) / 3.0
+        w = ode_exact_evolve(phi, t).field
+        c_measured, C0 = measure_plateau(w, cfg.c_fraction)
+        settled, fine = (gamma_discrepancy(w, phi.with_coeffs(c), L, c_measured, C0, delta,
+                                           cfg.alpha) for c in (field, ref))
+        assert settled.margin == entry["margin"]
+        assert (row["ratio"], row["method_disagreement"]) == (fine.count, fine.complement_count)
+        assert np.max(np.abs(field - ref)) < entry["margin"], entry
+
+
+def _refused_gamma(message: str, tmp_path, capsys):
+    """run_gamma at its defaults and the CLI each refuse with `message` (a regex)."""
+    with pytest.raises(ValueError, match="^" + message):
+        run_gamma(GammaConfig())
+    out = tmp_path / "gamma.csv"
+    assert cli.main(["gamma", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.match("nlslab: error: " + message, err) and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gamma_refuses_an_unmet_count_margin(tmp_path, monkeypatch, capsys):
+    # an infinite factor leaves a zero tolerance, which no triple meets:
+    # the refusal names the first point's j, delta, period and margin
+    monkeypatch.setattr(lab, "GAMMA_MARGIN_FACTOR", math.inf)
+    _refused_gamma(re.escape("split-step at j = 1, delta = 0.16 on period 98.0 with the count "
+                             "margin ") + r"0\.0\d+ "
+                   + re.escape(f"misses the tolerance 0 of its count margin: at "
+                               f"{lab.SPLIT_STEP_MAX} steps, the most it tries, the estimate is "),
+                   tmp_path, capsys)
+
+
+def test_gamma_refuses_a_zero_count_margin(tmp_path, monkeypatch, capsys):
+    # a window mode whose |w_n - v_n| lies exactly on the threshold leaves
+    # its count undecided, and the ladder would divide by the zero margin
+    def on_threshold(*args, _fn=lab.gamma_discrepancy):
+        return _fn(*args)._replace(margin=0.0)
+
+    monkeypatch.setattr(lab, "gamma_discrepancy", on_threshold)
+    _refused_gamma(re.escape("split-step at j = 1, delta = 0.16 on period 98.0 has the count "
+                             "margin 0: a window mode's |w_n - v_n| lies on its threshold "
+                             "c_measured/(4L) = "), tmp_path, capsys)
 
 
 def test_run_inflation_small_sweep():

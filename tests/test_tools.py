@@ -32,8 +32,8 @@ def test_layer_harness_runs_at_tiny_sizes(tmp_path, capsys):
                      "synthesize",
                      "analyze", "cubic_coeffs", "sobolev_norm", "ode_exact_evolve",
                      "ode_exact_two_block",
-                     "picard_expansion", "split_step_ladder", "approx_ladder", "unit_phase",
-                     "line_sobolev_norm"}
+                     "picard_expansion", "split_step_ladder", "approx_ladder", "gamma_ladder",
+                     "unit_phase", "line_sobolev_norm"}
     pairs = [(e["method"], e["P"]) for e in result["timings"] if e["name"] == "fft_pair"]
     assert {method for method, _ in pairs} == {"numpy_1d", "four_step"}
     assert all(p > 1 for method, p in pairs if method == "four_step")  # a P > 1 plan runs
@@ -45,8 +45,13 @@ def test_layer_harness_runs_at_tiny_sizes(tmp_path, capsys):
     assert all({"steps", "estimate", "order"} <= set(e) for e in ladders)
     approx = [e for e in result["timings"] if e["name"] == "approx_ladder"]
     assert [(e["method"], e["rows"]) for e in approx] == [("ladder", 4), ("fixed", 4)]
-    assert approx[1]["steps"] == [layers.APPROX_FIXED_STEPS] * 4
+    assert approx[1]["steps"] == [layers.FIXED_STEPS] * 4
     assert all(steps in (12, 24, 48, 96, 192) for steps in approx[0]["steps"])
+    gamma = [e for e in result["timings"] if e["name"] == "gamma_ladder"]
+    assert [(e["method"], e["j"]) for e in gamma] == [("ladder", 1), ("fixed", 1)]
+    assert gamma[0]["steps"] in (12, 24, 48, 96, 192)
+    assert gamma[1]["steps"] == layers.FIXED_STEPS
+    assert all(e["margin"] > 0.0 for e in gamma)
     stacked = [e["rows"] for e in result["timings"] if e["name"] == "split_step_per_row_step"]
     assert stacked == [*layers.STACK_ROWS] * 2
     for entry in result["timings"]:
