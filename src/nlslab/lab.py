@@ -34,24 +34,24 @@ from . import torus
 VERSION = "nlslab-0.1.0"
 
 
-def _key(default, *, at_least=None, above=None, at_most=None, below=None, choices=None,
+def _key(default, *, at_least=None, above=None, below=None, choices=None,
          integer=False, nonzero=False, read_by=None, when_read=None):
     """A config field with its own checks, which ExperimentConfig enforces.
     A value that is set must be in `choices`; it, or each item of a tuple,
-    must be >= at_least, > above, <= at_most, < below, and whole if `integer`.
+    must be >= at_least, > above, < below, and whole if `integer`.
     read_by = (key, *values): the run reads this field only while that key
     takes one of the values.  A field the run does not read is left out of
     the report echo, and refused when set if its default is None; one that
     it reads takes when_read in place of None, and refuses 0 if declared
     nonzero."""
     return dc_field(default=default, metadata=dict(
-        at_least=at_least, above=above, at_most=at_most, below=below, choices=choices,
+        at_least=at_least, above=above, below=below, choices=choices,
         integer=integer, nonzero=nonzero, read_by=read_by, when_read=when_read))
 
 
 # each rule of _key that every item of a value keeps: its name, refusal and test
 _ITEM_RULES = (("at_least", "must be >= {}", operator.ge), ("above", "must be > {}", operator.gt),
-               ("at_most", "must be <= {}", operator.le), ("below", "must be < {}", operator.lt),
+               ("below", "must be < {}", operator.lt),
                ("integer", "must be integers", lambda v, on: not on or float(v).is_integer()))
 
 
@@ -178,6 +178,13 @@ class PeriodizeConfig(ExperimentConfig):
     band_per_period: float = _key(32.0, above=0)
 
 
+# gamma's dilation schedule delta_j = GAMMA_BASE_DELTA GAMMA_DELTA_DECAY^(j - 1),
+# and the plateau level of its window, a fraction of L |w_0| (measure_plateau)
+GAMMA_BASE_DELTA = 0.16
+GAMMA_DELTA_DECAY = 0.8408964152537145  # 2**(-1/4)
+PLATEAU_FRACTION = 0.5
+
+
 @dataclass(frozen=True, kw_only=True)
 class GammaConfig(ExperimentConfig):
     experiment = "gamma"
@@ -188,41 +195,28 @@ class GammaConfig(ExperimentConfig):
     eps: float = _key(0.3, above=0)
     time_horizon: float = _key(1.0, above=0)
     band_per_period: float = _key(4.0, above=0)
-    c_fraction: float = _key(0.5, above=0, at_most=1)
-    base_delta: float = _key(0.16, above=0)
-    delta_decay: float = _key(0.8408964152537145, above=0)  # 2**(-1/4)
 
     def __post_init__(self):
         super().__post_init__()
-        # each point takes the period L = round(delta_j^(-2.5)), delta_j =
-        # base_delta delta_decay^(j - 1), so |log delta_j| must stay below
-        # log(float max) / 2.5, and L must hold the support [-K, K] of the
-        # profile; base_delta is named when it alone fails
+        # each point takes the period L = round(delta_j^(-2.5)), so |log
+        # delta_j| must stay below log(float max) / 2.5, and L must hold the
+        # support [-K, K] of the profile
         limit = math.log(sys.float_info.max) / 2.5
-        if abs(math.log(self.base_delta)) >= limit:
-            raise ValueError(f"base_delta = {self.base_delta!r} is out of range: its "
-                             f"delta^(-2.5) leaves the float range")
         diameter = 2.0 * prof.centered_two_step(self.amplitude, self.eps).support_radius
         for j in self.sweep:
-            log_delta = math.log(self.base_delta) + (j - 1) * math.log(self.delta_decay)
+            log_delta = math.log(GAMMA_BASE_DELTA) + (j - 1) * math.log(GAMMA_DELTA_DECAY)
             if abs(log_delta) >= limit:
-                raise ValueError(f"gamma sweep value {j!r} with delta_decay = {self.delta_decay!r} "
-                                 f"gives delta_j = exp({log_delta:.6g}), whose delta_j^(-2.5) "
-                                 f"leaves the float range")
+                raise ValueError(f"gamma sweep value {j!r} gives delta_j = exp({log_delta:.6g}), "
+                                 f"whose delta_j^(-2.5) leaves the float range")
             delta, L = self.delta_and_period(int(j))
-            if L < diameter and j == 1:
-                raise ValueError(f"base_delta = {self.base_delta!r} gives the period "
-                                 f"L = round(base_delta^(-2.5)) = {L:g}, below the profile's "
-                                 f"support diameter 2K = {diameter:g}")
             if L < diameter:
-                raise ValueError(f"gamma sweep value {j!r} with delta_decay = {self.delta_decay!r} "
-                                 f"gives delta_j = {delta:.6g}, whose period L = "
-                                 f"round(delta_j^(-2.5)) = {L:g} is below the profile's support "
-                                 f"diameter 2K = {diameter:g}")
+                raise ValueError(f"gamma sweep value {j!r} gives delta_j = {delta:.6g}, whose "
+                                 f"period L = round(delta_j^(-2.5)) = {L:g} is below the "
+                                 f"profile's support diameter 2K = {diameter:g}")
 
     def delta_and_period(self, j: int) -> tuple[float, float]:
         """(delta_j, period L = round(delta_j^(-2.5))) of schedule index j."""
-        delta = self.base_delta * self.delta_decay ** (j - 1)
+        delta = GAMMA_BASE_DELTA * GAMMA_DELTA_DECAY ** (j - 1)
         return delta, float(round(delta ** (-2.5)))
 
 
@@ -234,7 +228,6 @@ class FeasibilityConfig(ExperimentConfig):
     sweep: tuple[float, ...] = _key((2.0**16, 2.0**24, 2.0**32, 2.0**40, 2.0**48), at_least=4,
                                     integer=True)
     s: float = -0.25
-    margin: float = _key(10.0, above=0)
 
     def __post_init__(self):
         super().__post_init__()
@@ -529,7 +522,7 @@ def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: 
     scale = torus.fourier_lebesgue_norm(phi, 0.0, np.inf)
     (run,) = _strang_ladder(
         lambda steps, live: [evo.split_step_evolve(wide, eq, T, evo.StepperConfig(dt=T / steps))],
-        1, lambda a, b: float(np.max(np.abs(a.coeffs - b.coeffs))), lambda i, u: scale,
+        1, _fl_inf_distance, lambda i, u: scale,
         lambda i: f"split-step at N={N}", "||phi||_FLinf", SPLIT_STEP_REL)
     top = float(np.max(np.abs(evo.free_rotation_rates(wide, eq))))
     return SplitStepRun(run.steps, run.estimate, run.order, evo.split_grid_size(wide.bandwidth),
@@ -883,7 +876,7 @@ def _gamma_point(cfg: GammaConfig, j: int) -> tuple[ReportRow, dict]:
     t = cfg.time_horizon
     w = evo.ode_exact_evolve(phi, t).field
     eq = evo.EquationSpec.small_dispersion(delta, cfg.alpha)
-    c_measured, C0 = measure_plateau(w, cfg.c_fraction)
+    c_measured, C0 = measure_plateau(w, PLATEAU_FRACTION)
     where = f"split-step at j = {j}, delta = {delta!r} on period {L!r}"
     margins = []  # of each field counted, the last one for a refusal
 
@@ -931,6 +924,8 @@ def run_gamma(cfg: GammaConfig) -> InflationReport:
 # points P per axis of the feasibility scan, whose P^3 float64 temporaries
 # put the peak RSS of run_feasibility at the CLI's s and alpha at 63 MB
 GRID_POINTS = 50
+# a triple is feasible when each requirement's quotient is at least this
+FEASIBILITY_MARGIN = 10.0
 
 
 def feasibility_scan(cfg: FeasibilityConfig) -> InflationReport:
@@ -938,8 +933,8 @@ def feasibility_scan(cfg: FeasibilityConfig) -> InflationReport:
     (a) small data R*sqrt(A)*N^s, (b) contractive horizon T*R^2*A^2,
     (c) large first-order transfer T*R^3*A^2*f(A), (d) dispersion window
     T <= N^(-2*alpha).  A triple is feasible when every requirement holds
-    with the stated margin; the row reports the feasible-triple count and
-    the best point's exponents log_N R, log_N A, log_N T."""
+    with the margin FEASIBILITY_MARGIN; the row reports the feasible-triple
+    count and the best point's exponents log_N R, log_N A, log_N T."""
     s, alpha, P = cfg.s, cfg.alpha, GRID_POINTS
     rows = []
     for N in cfg.sweep:
@@ -956,13 +951,13 @@ def feasibility_scan(cfg: FeasibilityConfig) -> InflationReport:
         q4 = N ** (-2.0 * alpha) / T
         q = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
         best = float(np.max(q))
-        feasible = int(np.sum(q >= cfg.margin))
+        feasible = int(np.sum(q >= FEASIBILITY_MARGIN))
         i, jj, kk = np.unravel_index(int(np.argmax(q)), q.shape)
         bR, bA, bT = float(R[i, 0, 0]), float(A[0, jj, 0]), float(T[0, 0, kk])
         rows.append(ReportRow(
             cfg.experiment, None, s, alpha, N, feasible,
             math.log(bR) / logN, math.log(bA) / logN, math.log(bT) / logN,
-            cfg.margin, best, None, None))
+            FEASIBILITY_MARGIN, best, None, None))
     return InflationReport(rows, _metadata(cfg))
 
 

@@ -282,7 +282,7 @@ def test_criterion_14_feasibility_obstruction_and_window():
     cfg = FeasibilityConfig()
     blocked = feasibility_scan(cfg)
     none_found = all(int(r.param) == 0 for r in blocked.rows)
-    margins_small = all(r.constant < cfg.margin for r in blocked.rows)
+    margins_small = all(r.constant < nl.lab.FEASIBILITY_MARGIN for r in blocked.rows)
     open_scan = feasibility_scan(FeasibilityConfig(s=-0.75))
     all_found = all(int(r.param) > 0 for r in open_scan.rows)
     # hand-built reference point at N = 2^48: R = N^(1/4), A = N/8, T = 2^-123

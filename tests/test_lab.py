@@ -76,7 +76,7 @@ def small_report():
         (dict(experiment="inflate", fmt="json"), r"unknown config key 'fmt' in \[inflate\]"),
         (dict(experiment="inflate", sweep=(256.0,), threads=0), "threads must be >= 1"),
         (dict(experiment="approx", dt_steps=200), r"unknown config key 'dt_steps' in \[approx\]"),
-        (dict(experiment="gamma", c_fraction=0.0), "c_fraction must be > 0, got 0.0"),
+        (dict(experiment="gamma", c_fraction=0.0), r"unknown config key 'c_fraction' in \[gamma\]"),
         (dict(experiment="feasibility", grid_points=50),
          r"unknown config key 'grid_points' in \[feasibility\]"),
         # config echoes of reports written before a key was retired
@@ -103,6 +103,20 @@ def test_experiment_config_validation(kwargs, message):
     # config_from_dict picks the class from the `experiment` key
     with pytest.raises(ValueError, match=message):
         config_from_dict(kwargs)
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("gamma", "base_delta", 0.16),
+    ("gamma", "delta_decay", 0.8408964152537145),
+    ("gamma", "c_fraction", 0.5),
+    ("feasibility", "margin", 10.0),
+])
+def test_config_echo_of_a_retired_key_is_refused(experiment, key, value):
+    # gamma's dilation schedule and plateau level and the feasibility margin
+    # were keys, echoed at these values; they are now lab constants
+    echo = {**config_to_dict(lab.CONFIGS[experiment]()), key: value}
+    with pytest.raises(ValueError, match=rf"^unknown config key '{key}' in \[{experiment}\]$"):
+        config_from_dict(json.loads(json.dumps(echo, sort_keys=True)))
 
 
 def test_feasibility_sweeps_the_N_values():
@@ -162,9 +176,8 @@ def test_each_config_class_owns_exactly_its_keys():
         "approx": {"profile", "amplitude", "width", "eps", "time_horizon",
                    "periods", "band_per_period"},
         "periodize": {"profile", "amplitude", "width", "eps", "s_list", "band_per_period"},
-        "gamma": {"alpha", "amplitude", "eps", "time_horizon", "band_per_period",
-                  "c_fraction", "base_delta", "delta_decay"},
-        "feasibility": {"alpha", "s", "margin"},
+        "gamma": {"alpha", "amplitude", "eps", "time_horizon", "band_per_period"},
+        "feasibility": {"alpha", "s"},
     }
     shared = {"sweep", "seed", "threads"}
     assert {f.name for f in dataclasses.fields(lab.ExperimentConfig)} == shared
@@ -172,7 +185,7 @@ def test_each_config_class_owns_exactly_its_keys():
     for name, cls in lab.CONFIGS.items():
         assert cls.experiment == name
         assert {f.name for f in dataclasses.fields(cls)} == shared | own[name], name
-    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 45
+    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 41
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +483,7 @@ def test_gamma_counts_match_a_fine_reference(kwargs, counts):
             field = (4.0 * field - strang(steps // 2)) / 3.0
         ref = (4.0 * strang(3200) - strang(1600)) / 3.0
         w = ode_exact_evolve(phi, t).field
-        c_measured, C0 = measure_plateau(w, cfg.c_fraction)
+        c_measured, C0 = measure_plateau(w, lab.PLATEAU_FRACTION)
         settled, fine = (gamma_discrepancy(w, phi.with_coeffs(c), L, c_measured, C0, delta,
                                            cfg.alpha) for c in (field, ref))
         assert settled.margin == entry["margin"]
@@ -966,7 +979,7 @@ def test_feasibility_scan_finds_nothing_at_the_obstructed_exponents():
     assert len(rep.rows) == 5
     best = [r.constant for r in rep.rows]
     assert [int(r.param) for r in rep.rows] == [0, 0, 0, 0, 0]
-    assert all(b < cfg.margin for b in best)
+    assert all(b < lab.FEASIBILITY_MARGIN for b in best)
     assert all(b2 > b1 for b1, b2 in zip(best, best[1:]))
     assert abs(best[0] - 1.72245) <= 1e-4 * best[0]
     assert abs(best[-1] - 4.87605) <= 1e-4 * best[-1]
@@ -978,7 +991,7 @@ def test_feasibility_scan_fills_up_at_lower_regularity():
     assert all((r.s, r.alpha) == (-0.75, 0.375) for r in rep.rows)
     assert rep.metadata["config"]["s"] == -0.75
     assert [int(r.param) for r in rep.rows] == [10, 1093, 3026, 3464, 3468]
-    assert all(r.constant >= cfg.margin for r in rep.rows)
+    assert all(r.constant >= lab.FEASIBILITY_MARGIN for r in rep.rows)
     best = [r.constant for r in rep.rows]
     assert abs(best[-1] - 2738.99) <= 1e-4 * best[-1]
 
@@ -1044,12 +1057,12 @@ def test_load_config_file(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(
         "[feasibility]\n"
-        "margin = 5\n"
+        "alpha = 0.5\n"
         "sweep = 65536 16777216\n",
         encoding="utf-8",
     )
     got = cli.load_config_file(str(path), "feasibility")
-    assert got == {"margin": 5.0, "sweep": (65536.0, 16777216.0)}
+    assert got == {"alpha": 0.5, "sweep": (65536.0, 16777216.0)}
     wrong_case = tmp_path / "case.ini"
     wrong_case.write_text("[feasibility]\nSweep = 8\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key 'Sweep'"):
@@ -1218,8 +1231,12 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("inflate", "regime = negative_s\ns = -0.25\ntheta = 0.1",
          "theta is read only by the frac_crit regime, not by negative_s"),
         ("inflate", "s = nan", "s must be finite, got nan"),
-        ("gamma", "base_delta = 0", "base_delta must be > 0, got 0.0"),
-        ("gamma", "delta_decay = 0", "delta_decay must be > 0, got 0.0"),
+        # gamma's dilation schedule and plateau level and the feasibility
+        # margin, keys until they became lab constants
+        ("gamma", "base_delta = 0", "unknown config key 'base_delta' in [gamma] of "),
+        ("gamma", "delta_decay = 0", "unknown config key 'delta_decay' in [gamma] of "),
+        ("gamma", "c_fraction = 0.5", "unknown config key 'c_fraction' in [gamma] of "),
+        ("feasibility", "margin = 0", "unknown config key 'margin' in [feasibility] of "),
         ("approx", "time_horizon = 0", "time_horizon must be > 0, got 0.0"),
         ("periodize", "band_per_period = 0", "band_per_period must be > 0, got 0.0"),
         ("inflate", "sweep = 2", "inflate sweep values must be >= 16, got 2.0"),
@@ -1281,24 +1298,12 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("approx", "sweep = 1e-300", "approx sweep value 1e-300 is too small: its reference "
                                      "delta^1.5 underflows to 0"),
         # gamma's period round(delta_j^(-2.5)) would overflow a float
-        ("gamma", "base_delta = 1e-300", "base_delta = 1e-300 is out of range: its delta^(-2.5) "
-                                         "leaves the float range"),
-        ("gamma", "delta_decay = 1e-10\nsweep = 1 40",
-         "gamma sweep value 40.0 with delta_decay = 1e-10 gives delta_j = exp(-899.841), whose "
-         "delta_j^(-2.5) leaves the float range"),
-        ("gamma", "sweep = 1700", "gamma sweep value 1700.0 with delta_decay = 0.8408964152537145 "
-                                  "gives delta_j = exp("),
+        ("gamma", "sweep = 1700", "gamma sweep value 1700.0 gives delta_j = exp(-296.247), whose "
+                                  "delta_j^(-2.5) leaves the float range"),
         # gamma's period must hold the profile's support, of diameter 2K = 2 (2 + eps)
-        ("gamma", "base_delta = 2", "base_delta = 2.0 gives the period L = round(base_delta^(-2.5)) "
-                                    "= 0, below the profile's support diameter 2K = 4.6"),
-        ("gamma", "base_delta = 1.3", "base_delta = 1.3 gives the period L = round(base_delta^"
-                                      "(-2.5)) = 1, below the profile's support diameter"),
-        ("gamma", "delta_decay = 2", "gamma sweep value 3.0 with delta_decay = 2.0 gives delta_j = "
-                                     "0.64, whose period L = round(delta_j^(-2.5)) = 3 is below "
-                                     "the profile's support diameter 2K = 4.6"),
-        # a margin <= 0 would count every scanned triple as feasible
-        ("feasibility", "margin = -1", "margin must be > 0, got -1.0"),
-        ("feasibility", "margin = 0", "margin must be > 0, got 0.0"),
+        ("gamma", "eps = 50", "gamma sweep value 1.0 gives delta_j = 0.16, whose period L = "
+                              "round(delta_j^(-2.5)) = 98 is below the profile's support "
+                              "diameter 2K = 104"),
         # profile sizes, refused by key whichever profile the run builds
         ("approx", "eps = -1", "eps must be > 0, got -1.0"),
         ("periodize", "width = 0", "width must be > 0, got 0.0"),
@@ -1373,7 +1378,7 @@ def _declared_rule_cases():
             whole = hints[f.name] is int
             # each bound, its sign, and how far past it the breaking value lies
             for kind, sign, step in (("at_least", ">=", -1), ("above", ">", 0),
-                                     ("at_most", "<=", 1), ("below", "<", 0)):
+                                     ("below", "<", 0)):
                 bound = rule.get(kind)
                 if bound is None:
                     continue
@@ -1411,15 +1416,15 @@ DECLARED_RULE_CASES = _declared_rule_cases()
 
 def test_every_experiment_declares_key_rules():
     # threads and seed (two bounds) on each experiment, and 6 inflate, 6
-    # approx, 4 periodize, 9 gamma and 3 feasibility keys; surrogate_period
-    # and c_fraction carry two rules, the inflate and feasibility sweeps a
-    # bound and the integer rule, gamma's the integer rule, and each sweep
-    # rule a second case whose bad value is not its first item
-    assert len(DECLARED_RULE_CASES) == 53
+    # approx, 4 periodize, 6 gamma and 2 feasibility keys; surrogate_period
+    # carries two rules, the inflate and feasibility sweeps a bound and the
+    # integer rule, gamma's the integer rule, and each sweep rule a second
+    # case whose bad value is not its first item
+    assert len(DECLARED_RULE_CASES) == 48
     covered = {(name, key) for name, key, *_ in DECLARED_RULE_CASES}
-    assert {("gamma", "c_fraction"), ("periodize", "eps")} <= covered
+    assert {("inflate", "surrogate_period"), ("periodize", "eps")} <= covered
     rules = {rule for *_, rule, _, _ in DECLARED_RULE_CASES}
-    assert {"at_least", "above", "at_most", "below", "choices", "integer", "at_least-item",
+    assert {"at_least", "above", "below", "choices", "integer", "at_least-item",
             "above-item", "integer-item"} <= rules
     assert {name for name, _ in covered} == set(lab.CONFIGS)
 

@@ -31,14 +31,12 @@ The cases:
   the ladder stopped at;
 - `approx_ladder`: `approx`'s H^1 errors at t = 1 for its four default
   deltas, one split-step stack on the 1 029-point grid, closed form and
-  norms included: on the Strang ladder (`lab._approx_errors`, its entry
-  with the steps each row settled at) and at a fixed 200 Strang steps,
-  as `approx` ran before the ladder;
+  norms included, on the Strang ladder (`lab._approx_errors`, its entry
+  with the steps each row settled at);
 - `gamma_ladder`: `gamma`'s point j = 4 at its defaults, on 5 760
-  points, closed form, plateau and counts included: on the Strang ladder
+  points, closed form, plateau and counts included, on the Strang ladder
   (`lab._gamma_point`, its entry with the steps it settled at and its
-  count margin) and at a fixed 200 Strang steps, as `gamma` ran before
-  the ladder (`--tiny`: j = 1 at base_delta 0.5, period 6, on 98 points);
+  count margin; `--tiny`: j = 1, period 98, on 1 575 points);
 - `unit_phase`: the two callers of `evolution._unit_phase` that run
   per step or node, `_rotate_in_place` on the split-step grids of
   7 546, 30 184 and 120 000 points and on one 65 536-point chunk
@@ -92,9 +90,6 @@ ODE_BANDS = (1100, 20625)
 TWO_BLOCK_NS = (256, 1024)
 TWO_BLOCK_S, TWO_BLOCK_PERIOD = -0.25, 32.0
 PICARD_N = 256
-# Strang steps per row of approx and per point of gamma before each ran on
-# the ladder
-FIXED_STEPS = 200
 # bands whose split-step grids are the 7 546, 30 184 and 120 000 points
 # the rotation runs on
 ROTATE_BANDS = (1886, 7545, 29999)
@@ -238,44 +233,24 @@ def run(repeats: int, tiny: bool) -> list[dict]:
             _time(lambda: lab._split_step_on_tolerance(data, paper, point.T_N, N), repeats))
 
     approx = lab.ApproxConfig(band_per_period=0.5 if tiny else 8.0)
-    phi = lab._periodize(lab._approx_profile(approx), approx.periods[0], approx.band_per_period)
-    eqs = [evo.EquationSpec.small_dispersion(delta) for delta in approx.sweep]
-    size = {"rows": len(eqs), "grid_points": evo.split_grid_size(phi.bandwidth), "t": 1.0}
-
-    def fixed_steps():
-        flows = evo.split_step_stack(phi, eqs, 1.0, evo.StepperConfig(dt=1.0 / FIXED_STEPS))
-        w = evo.ode_exact_evolve(phi, 1.0).field
-        return [torus.sobolev_norm(v.with_coeffs(v.coeffs - w.coeffs), 1.0) for v in flows]
-
+    # not phi, which _turned_cubic below runs on
+    field = lab._periodize(lab._approx_profile(approx), approx.periods[0], approx.band_per_period)
     log = []
-    lab._approx_errors(phi, approx.sweep, 1.0, log)
-    add("approx_ladder", {**size, "method": "ladder", "steps": [e["steps"] for e in log]},
-        _time(lambda: lab._approx_errors(phi, approx.sweep, 1.0), repeats))
-    add("approx_ladder", {**size, "method": "fixed", "steps": [FIXED_STEPS] * len(eqs)},
-        _time(fixed_steps, repeats))
+    lab._approx_errors(field, approx.sweep, 1.0, log)
+    add("approx_ladder", {"rows": len(approx.sweep), "grid_points":
+                          evo.split_grid_size(field.bandwidth), "t": 1.0,
+                          "steps": [e["steps"] for e in log]},
+        _time(lambda: lab._approx_errors(field, approx.sweep, 1.0), repeats))
 
-    gamma = lab.GammaConfig(base_delta=0.5) if tiny else lab.GammaConfig()
+    gamma = lab.GammaConfig()
     j = 1 if tiny else int(gamma.sweep[-1])
-    delta, L = gamma.delta_and_period(j)
-    profile = prof.centered_two_step(gamma.amplitude, gamma.eps)
-    eq = evo.EquationSpec.small_dispersion(delta, gamma.alpha)
-    grid = evo.split_grid_size(lab._periodize(profile, L, gamma.band_per_period).bandwidth)
-    size = {"j": j, "period": L, "grid_points": grid}
-
-    def fixed_gamma():  # _gamma_point's work at a fixed step count
-        phi = lab._periodize(profile, L, gamma.band_per_period)
-        w = evo.ode_exact_evolve(phi, gamma.time_horizon).field
-        v = evo.split_step_evolve(phi, eq, gamma.time_horizon,
-                                  evo.StepperConfig(dt=gamma.time_horizon / FIXED_STEPS))
-        c_measured, C0 = lab.measure_plateau(w, gamma.c_fraction)
-        return lab.gamma_discrepancy(w, v, L, c_measured, C0, delta, gamma.alpha)
-
     _, entry = lab._gamma_point(gamma, j)
-    add("gamma_ladder", {**size, "method": "ladder", "steps": entry["steps"],
+    profile = prof.centered_two_step(gamma.amplitude, gamma.eps)
+    band = lab._periodize(profile, entry["period"], gamma.band_per_period).bandwidth
+    add("gamma_ladder", {"j": j, "period": entry["period"], "grid_points":
+                         evo.split_grid_size(band), "steps": entry["steps"],
                          "margin": entry["margin"]},
         _time(lambda: lab._gamma_point(gamma, j), repeats))
-    add("gamma_ladder", {**size, "method": "fixed", "steps": FIXED_STEPS,
-                         "margin": fixed_gamma().margin}, _time(fixed_gamma, repeats))
 
     for band in (8,) if tiny else ROTATE_BANDS:
         u = torus.synthesize(_field(band), evo.split_grid_size(band))
