@@ -3,7 +3,10 @@
 These are the initial-data building blocks that get periodized onto a
 circle.  Step profiles carry exact closed forms (transform, moments,
 phase integral); smooth kinds are integrated by Gauss-Legendre on panels
-(`_panel_rule`).
+(`_panel_rule`).  The transforms of the unit bump and of the derivative
+base are Gauss-Legendre sums; up to TABLE_REACH they are read from a
+piecewise Chebyshev table of the 400-node sums, built once per process
+on first use and within 1.1e-16 of those sums above 1 (5.6e-16 below).
 """
 
 from __future__ import annotations
@@ -90,14 +93,15 @@ def _panel_rule(edges, n: int):
     return (mid + half * t).reshape(shape), (half * w).reshape(shape)
 
 
-# points times quadrature nodes per block of _node_sums, the sums of
-# mollifier_transform and CompactProfile._base_transform: bounds their
-# points x nodes temporaries (1 MB of floats) whatever the number of
-# points.  On a 2-CPU Xeon, line_sobolev_norm's call (10 240 distinct |xi|
-# at 200 folded nodes) took 34 ms in one 16 MB block and 23-25 ms in
-# blocks of 1 MB down to 0.5 MB, which also keep the block out of the
-# run's peak memory
-_TRANSFORM_BLOCK = 1 << 17
+# points times quadrature nodes (or table points) per block of _node_sums
+# and _table_values: bounds their points x nodes temporaries (0.5 MB of
+# floats) whatever the number of points, which keeps them out of the run's
+# peak memory.  On a 2-CPU Xeon, line_sobolev_norm's transform call on the
+# periodize profile (20 352 points, 10 176 distinct |xi|) took 34 ms summed
+# at 200 folded nodes in one 16 MB block and 23-25 ms in blocks of 1 MB
+# down to 0.5 MB; read from the table it takes 3.1 ms in 1 MB blocks and
+# 2.0 ms in 0.5 MB blocks down to 0.25 MB
+_TRANSFORM_BLOCK = 1 << 16
 
 
 def _row_blocks(points: int, nodes: int):
@@ -106,27 +110,47 @@ def _row_blocks(points: int, nodes: int):
     return [slice(lo, lo + rows) for lo in range(0, points, rows)]
 
 
-def _transform_rule(points: np.ndarray):
+def _transform_rule(n: int):
     """Nodes, weights and unit bump of the positive half of the symmetric
-    Gauss rule for the transforms at these points: 400 nodes while
-    max|point| <= 25, else 2000 (both even, so no node sits at 0)."""
-    rule = _gauss_rule(400 if np.max(np.abs(points)) <= 25.0 else 2000)
-    half = rule[0].size // 2
-    return tuple(a[half:] for a in rule)
+    n-node Gauss rule (n even, so no node sits at 0): 400 nodes build the
+    transforms' table (_transform_table), 2000 sum the calls beyond its
+    reach TABLE_REACH."""
+    rule = _gauss_rule(n)
+    return tuple(a[n // 2:] for a in rule)
 
 
-def _node_sums(trig, points: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The sum over the nodes of weights * trig(2 pi point node), for each
-    point, in the blocks of _row_blocks.  Each point's row is summed alone
-    (a BLAS product's order of summation depends on the row's place in its
-    block), so a value does not depend on the points beside it."""
+def _exact_turns(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The outer product points x nodes modulo 1, in [-1/2, 1/2], from the
+    product's exact head and tail (Dekker's split, Numer. Math. 18, 1971):
+    2 pi times it rounds by at most 4e-16, where 2 pi point node, near 150
+    at point 25, rounds by up to 3e-14."""
+    c = 134217729.0 * points[:, None]  # 2^27 + 1
+    ph = c - (c - points[:, None])  # 26 bits
+    c = 134217729.0 * nodes
+    nh = c - (c - nodes)
+    turns = np.outer(points, nodes)
+    tail = ph * nh - turns  # exact, as is ph * (nodes - nh); the last term
+    tail += ph * (nodes - nh)  # rounds by 2^-80 of the point
+    tail += (points[:, None] - ph) * nodes
+    turns -= np.rint(turns)
+    turns += tail
+    return turns
+
+
+def _node_sums(trig, points: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
+               turns=np.outer) -> np.ndarray:
+    """The sum over the nodes of weights * trig(2 pi turns(point, node)),
+    for each point, in the blocks of _row_blocks; turns is the outer
+    product, or _exact_turns.  Each point's row is summed alone (a BLAS
+    product's order of summation depends on the row's place in its block),
+    so a value does not depend on the points beside it."""
     out = np.empty(points.size)
     # periodize passes thousands of points at once, so a block's points x
     # nodes array runs to megabytes: update one in place rather than
     # allocate three, which the allocator would map and page in afresh on
     # every call
     for blk in _row_blocks(points.size, nodes.size):
-        arg = np.outer(points[blk], nodes)
+        arg = turns(points[blk], nodes)
         arg *= 2.0 * np.pi
         trig(arg, out=arg)
         arg *= weights
@@ -134,20 +158,97 @@ def _node_sums(trig, points: np.ndarray, nodes: np.ndarray, weights: np.ndarray)
     return out
 
 
+def _transform_part(part: str, nodes: np.ndarray, weights: np.ndarray, bump: np.ndarray):
+    """(trig, weights) of one transform sum over a positive half rule.
+    'bump': the unit bump's transform, the cos sum with doubled weights.
+    'base_cos', 'base_sin': the cos and sin sums of the derivative base
+    eta_raw * p0 (DERIVATIVE_BASE), with its even and odd parts."""
+    if part == "bump":
+        return np.cos, 2.0 * weights * bump
+    wb = weights * _raw_bump(nodes)
+    right, left = npoly.polyval(nodes, DERIVATIVE_BASE), npoly.polyval(-nodes, DERIVATIVE_BASE)
+    return (np.cos, wb * (right + left)) if part == "base_cos" else (np.sin, wb * (right - left))
+
+
+# The transforms' table on [0, TABLE_REACH]: _TABLE_PIECES pieces of width
+# 0.5, each interpolated at _TABLE_DEGREE + 1 second-kind Chebyshev points
+# by the barycentric formula (Berrut and Trefethen, SIAM Rev. 46, 2004).
+# The sums are entire in the point and vary on the scale 1/(2 pi), so the
+# degree-16 interpolant of a piece falls below roundoff.  The tabulated
+# sums turn by exact products (_exact_turns).  Against the 400-node rule
+# summed in long double at 100 002 points, the bump's table errs by at most
+# 5.6e-16 on [0, 1] (2.5 ulp of values near 1; the rule summed in double
+# by 2.2e-16) and by 1.1e-16 above 1 (the rule in double by 8.2e-16).  Its
+# 850 sums take 3-5 ms on a 2-CPU Xeon, once per process
+TABLE_REACH = 25.0
+_TABLE_PIECES = 50
+_TABLE_DEGREE = 16
+# by math, not numpy: a numpy ufunc at import pages in code a run may never use
+_CHEB_POINTS = np.array([math.sin(math.pi * k / (2 * _TABLE_DEGREE))
+                         for k in range(-_TABLE_DEGREE, _TABLE_DEGREE + 1, 2)])
+_CHEB_WEIGHTS = np.array([(-1.0) ** j * (0.5 if j in (0, _TABLE_DEGREE) else 1.0)
+                          for j in range(_TABLE_DEGREE + 1)])
+
+
+@functools.cache
+def _transform_table(part: str) -> np.ndarray:
+    """part's sums (_transform_part) over the folded 400-node rule at the
+    table's points: row p holds the piece [p/2, (p + 1)/2]."""
+    nodes, weights, bump = _transform_rule(400)
+    trig, w = _transform_part(part, nodes, weights, bump)
+    width = TABLE_REACH / _TABLE_PIECES
+    points = width * (np.arange(_TABLE_PIECES)[:, None] + 0.5 * (_CHEB_POINTS + 1.0))
+    return _node_sums(trig, points.ravel(), nodes, w, _exact_turns).reshape(points.shape)
+
+
+def _table_values(table: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The table's interpolant at each point of a, in [0, TABLE_REACH]: the
+    barycentric formula on the point's piece, each row summed alone.  A
+    point on one of the piece's points divides by 0 and reads NaN, and
+    takes the tabulated value instead."""
+    out = np.empty(a.size)
+    for blk in _row_blocks(a.size, _TABLE_DEGREE + 1):
+        s = a[blk] * (_TABLE_PIECES / TABLE_REACH)
+        piece = np.minimum(s.astype(np.intp), _TABLE_PIECES - 1)
+        t = 2.0 * (s - piece) - 1.0
+        q = np.subtract.outer(t, _CHEB_POINTS)
+        values = np.take(table, piece, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(_CHEB_WEIGHTS, q, out=q)
+            vals = np.einsum("ij,ij->i", q, values)
+            vals /= q.sum(axis=1)
+        hit = np.flatnonzero(np.isnan(vals))
+        vals[hit] = values[hit, np.argmax(t[hit, None] == _CHEB_POINTS, axis=1)]
+        out[blk] = vals
+    return out
+
+
+def _transform_sums(part: str, a: np.ndarray) -> np.ndarray:
+    """part's sum at each point of the 1-d a >= 0: from the table while
+    max a <= TABLE_REACH, else over the folded 2000-node rule, once per
+    distinct point."""
+    if np.max(a, initial=0.0) <= TABLE_REACH:
+        return _table_values(_transform_table(part), a)
+    nodes, weights, bump = _transform_rule(2000)
+    trig, w = _transform_part(part, nodes, weights, bump)
+    u, back = np.unique(a, return_inverse=True)
+    return _node_sums(trig, u, nodes, w)[back]
+
+
 def mollifier_transform(zeta):
     """Transform of the unit bump: integral of eta(y) exp(-2 pi i zeta y) dy.
 
-    Real and even in zeta.  Gauss-Legendre with enough nodes for the
-    oscillation; accuracy degrades only where the value is below 1e-25.
-    Both evennesses are folded: the sum runs once per distinct |zeta|,
-    over the rule's positive nodes with doubled weights, and the values
-    are scattered back to the order given.
+    Real and even in zeta, and of zeta's shape.  While max|zeta| <=
+    TABLE_REACH = 25 each value is read from a piecewise Chebyshev table of
+    the 400-node Gauss-Legendre sum, within 5.6e-16 of the exact sum (the
+    sum taken in double errs by up to 8.2e-16); beyond, the sum runs over
+    2000 nodes, once per distinct |zeta|.  Either way the sum is folded
+    onto the rule's positive nodes with doubled weights, and accuracy
+    degrades only where the value is below 1e-25.
     """
-    z = np.ravel(np.asarray(zeta, dtype=float))
-    nodes, weights, bump = _transform_rule(z)
-    a, back = np.unique(np.abs(z), return_inverse=True)
-    vals = _node_sums(np.cos, a, nodes, 2.0 * weights * bump)
-    return vals[back] if np.ndim(zeta) else float(vals[0])
+    z = np.asarray(zeta, dtype=float)
+    vals = _transform_sums("bump", np.abs(z).ravel()).reshape(z.shape)
+    return vals if z.ndim else float(vals)
 
 
 def mollifier_cdf(u):
@@ -271,8 +372,9 @@ class CompactProfile:
     # -- line Fourier transform --------------------------------------------
 
     def fourier_transform(self, xi):
-        """F[f](xi) = integral of f(x) exp(-2 pi i xi x) dx."""
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
+        """F[f](xi) = integral of f(x) exp(-2 pi i xi x) dx, of xi's shape."""
+        xi = np.asarray(xi, dtype=float)
+        xi_arr = xi.ravel()
         if self.kind in ("step", "mollified"):
             out = _step_transform(self.pieces, xi_arr)
             if self.kind == "mollified":
@@ -282,20 +384,17 @@ class CompactProfile:
         else:
             base = self._base_transform(xi_arr)
             out = self.amplitude * (2j * np.pi * xi_arr) ** self.kappa * base
-        return out if np.ndim(xi) else complex(out[0])
+        out = out.reshape(xi.shape)
+        return out if out.ndim else complex(out)
 
     def _base_transform(self, xi_arr):
         # quadrature transform of the underived base eta_raw * p0.  The base
-        # is real, so F(xi) = C(|xi|) - i sign(xi) S(|xi|): its cos and sin
-        # sums run once per distinct |xi|, over the rule's positive nodes
-        # with the even and odd parts of the base
-        x, w, _ = _transform_rule(xi_arr)
-        wb = w * _raw_bump(x)
-        right, left = npoly.polyval(x, DERIVATIVE_BASE), npoly.polyval(-x, DERIVATIVE_BASE)
-        even, odd = wb * (right + left), wb * (right - left)
-        a, back = np.unique(np.abs(xi_arr), return_inverse=True)
-        cos_sum, sin_sum = _node_sums(np.cos, a, x, even), _node_sums(np.sin, a, x, odd)
-        return cos_sum[back] - 1j * (np.sign(xi_arr) * sin_sum[back])
+        # is real, so F(xi) = C(|xi|) - i sign(xi) S(|xi|), with its cos and
+        # sin sums over the rule's positive nodes with the even and odd
+        # parts of the base
+        a = np.abs(xi_arr)
+        cos_sum, sin_sum = _transform_sums("base_cos", a), _transform_sums("base_sin", a)
+        return cos_sum - 1j * (np.sign(xi_arr) * sin_sum)
 
     # -- integrals ----------------------------------------------------------
 

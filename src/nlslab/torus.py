@@ -335,16 +335,21 @@ def _sobolev_terms(field: SpectralField, s: float, homogeneous: bool) -> np.ndar
     """The terms w |c_n|^2 of the squared norm sobolev_norm sums over its
     modes, w = |n/L|^(2s) (homogeneous, n != 0) or (1 + |n/L|^2)^s: one
     fresh array, built in place by the steps of the plain expression, so
-    that every term matches it to the bit."""
-    terms, coeffs = field.frequencies(), field.coeffs
+    that every term matches it to the bit.  The weights are formed on
+    n >= 0 and mirrored, as -n/L is exactly -(n/L)."""
+    m, coeffs = field.bandwidth, field.coeffs
     if homogeneous:
-        terms, coeffs = np.delete(terms, field.bandwidth), np.delete(coeffs, field.bandwidth)
-        np.abs(terms, out=terms)
-        terms **= 2.0 * s  # **= keeps numpy's fast paths for the exponents 1, 2, 1/2, -1
+        coeffs = np.delete(coeffs, m)
+    terms = np.empty(coeffs.size)
+    half = terms[m:]  # n >= 0, or n >= 1 when the mean mode is left out
+    np.divide(np.arange(m + 1 - half.size, m + 1), field.period, out=half)
+    if homogeneous:
+        half **= 2.0 * s  # **= keeps numpy's fast paths for the exponents 1, 2, 1/2, -1
     else:
-        terms *= terms
-        terms += 1.0
-        terms **= s
+        half *= half
+        half += 1.0
+        half **= s
+    terms[:m] = half[::-1][:m]
     a2 = np.abs(coeffs)
     a2 *= a2
     terms *= a2
@@ -377,9 +382,10 @@ def fourier_lebesgue_norm(field: SpectralField, s: float, p: float) -> float:
     """Weighted l^p norm of the coefficients, counting measure on modes."""
     if not (1.0 <= p or p == np.inf):
         raise ValueError("p must lie in [1, inf]")
-    xi = field.frequencies()
-    w = (1.0 + xi * xi) ** (s / 2.0)
-    vals = w * np.abs(field.coeffs)
+    vals = np.abs(field.coeffs)
+    if s != 0.0:  # at s = 0 every weight is exactly 1
+        xi = field.frequencies()
+        vals *= (1.0 + xi * xi) ** (s / 2.0)
     if p == np.inf:
         return float(np.max(vals))
     return float(np.sum(vals**p) ** (1.0 / p))

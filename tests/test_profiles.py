@@ -297,6 +297,68 @@ def test_folded_base_transform_matches_the_unfolded_sum(scale):
     assert np.array_equal(got[[0, 4]], [got[0], np.conj(got[0])])
 
 
+def _table_bound_points():
+    """A dense grid on [0, 25], every piece edge and 25 itself, and
+    line_sobolev_norm's nodes (its panels' and its first panel's, at the
+    periodize orders) times eps = 0.1."""
+    h = 80.0 / nlslab.lab.LINE_PANELS
+    panels, _ = nlslab.profiles._panel_rule(h * np.arange(1, nlslab.lab.LINE_PANELS + 1), 64)
+    heads = [nlslab.lab._head_rule(2.0 * s + 2.0, h)[0] for s in nlslab.PeriodizeConfig().s_list]
+    edges = np.arange(nlslab.profiles._TABLE_PIECES + 1) * 0.5
+    return np.concatenate([np.linspace(0.0, 25.0, 2001), edges, 0.1 * panels, 0.1 * np.concatenate(heads)])
+
+
+def test_transform_table_is_within_1e15_of_the_unfolded_sum():
+    # the table (max|zeta| <= 25) against the 400-node rule summed over
+    # every node, for the bump and for the derivative base, both signs
+    z = _table_bound_points()
+    assert z.max() == nlslab.profiles.TABLE_REACH == 25.0
+    deriv = appendix_profile("derivative", kappa=1)
+    for chunk in np.array_split(z, 8):  # bounds the helpers' points x 400 products
+        zeta = np.concatenate([chunk, -chunk])
+        assert np.max(np.abs(mollifier_transform(zeta) - unfolded_mollifier_transform(zeta))) <= 1e-15
+        assert np.max(np.abs(deriv._base_transform(zeta) - unfolded_base_transform(zeta))) <= 1e-15
+
+
+def test_transform_table_is_built_once_from_the_rule_at_its_points():
+    # the table holds the rule's sums at its points, so a point of the table
+    # reads its tabulated value; built on first use, then reused
+    profiles = nlslab.profiles
+    profiles._transform_table.cache_clear()
+    edges = np.arange(profiles._TABLE_PIECES + 1) * 0.5
+    got = mollifier_transform(edges)
+    assert profiles._transform_table.cache_info().currsize == 1
+    table = profiles._transform_table("bump")
+    assert table.shape == (profiles._TABLE_PIECES, profiles._TABLE_DEGREE + 1)
+    assert np.array_equal(got, np.append(table[:, 0], table[-1, -1]))
+    assert np.array_equal(table[1:, 0], table[:-1, -1])  # a shared edge has one value
+    mollifier_transform(np.linspace(0.0, 25.0, 7))
+    assert profiles._transform_table.cache_info().misses == 1
+
+
+_SHAPES = [np.float64(0.7), np.array([0.7, -1.3, 0.0]), np.array([[0.7, -1.3, 0.0], [2.5, -2.5, 30.0]]),
+           np.zeros(0), np.zeros((2, 0))]
+
+
+@pytest.mark.parametrize("arg", _SHAPES, ids=["0-d", "1-d", "2-d", "empty", "empty-2-d"])
+@pytest.mark.parametrize("profile", [appendix_profile("psi1"), appendix_profile("mollified"),
+                                     smooth_bump(), appendix_profile("derivative", kappa=2)],
+                         ids=["step", "mollified", "bump", "derivative"])
+def test_transforms_keep_the_argument_shape(profile, arg):
+    got = profile.fourier_transform(arg)
+    flat = profile.fourier_transform(np.ravel(arg))
+    assert flat.shape == (np.size(arg),)
+    if np.ndim(arg) == 0:
+        assert isinstance(got, complex) and got == flat[0]
+    else:
+        assert got.shape == np.shape(arg)
+        assert np.array_equal(got.ravel(), flat)
+    bump = mollifier_transform(arg)
+    assert np.shape(bump) == np.shape(arg)
+    assert isinstance(bump, float) if np.ndim(arg) == 0 else np.array_equal(
+        bump.ravel(), mollifier_transform(np.ravel(arg)))
+
+
 def test_bump_mass_is_its_closed_form():
     want = math.exp(-0.5) * (scipy.special.k1(0.5) - scipy.special.k0(0.5))
     assert abs(nlslab.profiles.BUMP_MASS - want) <= 2.0 * math.ulp(want)

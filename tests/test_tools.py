@@ -28,7 +28,7 @@ def test_layer_harness_runs_at_tiny_sizes(tmp_path, capsys):
     assert {"cpu", "nproc", "platform"} <= set(result["machine"])
     assert {"commit", "dirty"} <= set(result)
     names = {entry["name"] for entry in result["timings"]}
-    assert names == {"mollifier_transform", "fft_pair", "split_step_per_row_step", "rk4_step",
+    assert names == {"mollifier_transform", "bump_table", "fft_pair", "split_step_per_row_step", "rk4_step",
                      "synthesize",
                      "analyze", "cubic_coeffs", "sobolev_norm", "ode_exact_evolve",
                      "ode_exact_two_block",

@@ -423,6 +423,25 @@ def test_fourier_lebesgue_pins():
     assert fourier_lebesgue_norm(two, 0.0, 1.0) == float(count) == 462.0
 
 
+@pytest.mark.parametrize("bandwidth", [1, 2, 7, 64, 1001])
+@pytest.mark.parametrize("period", [1.0, 3.7, 32.0])
+def test_norm_weights_match_the_plain_expressions_to_the_bit(bandwidth, period):
+    # the Sobolev weights formed on n >= 0 and mirrored, and the FL norms
+    # with no weight at s = 0, against the weights over the whole band
+    f = random_field(period, bandwidth, seed=bandwidth)
+    xi, c = f.frequencies(), f.coeffs
+    for s in (-1.0, -0.5, -0.25, 0.0, 0.5, 1.0, 2.0):
+        plain = (1.0 + xi * xi) ** s * np.abs(c) ** 2
+        assert np.array_equal(nl.torus._sobolev_terms(f, s, False), plain)
+        nz = xi != 0.0
+        plain = np.abs(xi[nz]) ** (2.0 * s) * np.abs(c[nz]) ** 2
+        assert np.array_equal(nl.torus._sobolev_terms(f, s, True), plain)
+    vals = (1.0 + xi * xi) ** 0.0 * np.abs(c)
+    assert fourier_lebesgue_norm(f, 0.0, np.inf) == float(np.max(vals))
+    for p in (1.0, 2.0):
+        assert fourier_lebesgue_norm(f, 0.0, p) == float(np.sum(vals**p) ** (1.0 / p))
+
+
 def test_mean_and_l2_quadrature():
     f = random_field(4.0, 9, seed=6)
     mean, msq = mean_and_l2(f)

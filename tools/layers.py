@@ -7,7 +7,10 @@ median and the interquartile range of those calls in seconds, unscaled.
 The cases:
 
 - `mollifier_transform` on the largest lattice of the `periodize`,
-  `approx` and `gamma` defaults;
+  `approx` and `gamma` defaults, read from the unit bump's transform
+  table;
+- `bump_table`: the build of that table (`profiles._transform_table`),
+  its cache cleared before each call: what one cold CLI run pays once;
 - one forward + inverse transform pair on FFT_PAIR_GRIDS points, by
   numpy's 1-D FFT and by a four-step `torus.GridPlan` built whatever the
   crossover `torus.FOUR_STEP_POINTS` (the `P` of each entry is its
@@ -100,10 +103,13 @@ def _stats(times: list[float]) -> dict:
     return {"median_s": float(med), "iqr_s": float(q3 - q1), "repeats": len(times)}
 
 
-def _time(fn, repeats: int) -> dict:
+def _time(fn, repeats: int, before=None) -> dict:
+    """fn timed, with before (untimed) ahead of each call."""
     fn()
     times = []
     for _ in range(repeats):
+        if before is not None:
+            before()
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -162,6 +168,10 @@ def run(repeats: int, tiny: bool) -> list[dict]:
     for name, zeta in _transform_lattices(tiny).items():
         add("mollifier_transform", {"lattice": name, "points": int(zeta.size)},
             _time(lambda: prof.mollifier_transform(zeta), repeats))
+    table = prof._transform_table("bump")
+    add("bump_table", {"pieces": table.shape[0], "points": table.size,
+                       "nodes": prof._transform_rule(400)[0].size},
+        _time(lambda: prof._transform_table("bump"), repeats, prof._transform_table.cache_clear))
 
     for g in (48, 60) if tiny else FFT_PAIR_GRIDS:
         u = np.exp(2j * np.pi * (np.arange(g) ** 2 % 97) / 97.0)
