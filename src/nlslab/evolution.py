@@ -25,6 +25,7 @@ from .torus import (
     SpectralField,
     _cubic_coeffs,
     _frozen,
+    _row_mass,
     enlarge_band,
     grid_plan,
     mean_and_l2,
@@ -303,7 +304,7 @@ def _strang_rows(field: SpectralField, eqs: Sequence[EquationSpec], rates: np.nd
             if step:
                 spec *= full  # two half steps, and the off-band bins zeroed
             for i in wick:  # 2 mean|u|^2: every off-band bin is zero here
-                shift[i] = 2.0 * np.vdot(spec[i], spec[i]).real
+                shift[i] = 2.0 * _row_mass(spec[i])
             u = plan.inverse(spec)
             _rotate_in_place(u, dt, shift, theta, phase)
             spec = plan.forward(u)

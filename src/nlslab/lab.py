@@ -145,9 +145,7 @@ class ApproxConfig(ExperimentConfig):
     amplitude: float = _key(1.0, nonzero=True, read_by=("profile", "bump", "two_step"))
     width: float = _key(2.0, above=0, read_by=("profile", "bump"))
     eps: float = _key(0.1, above=0, read_by=("profile", "two_step", "mollified"))
-    time_horizon: float = _key(1.0, above=0)
     periods: tuple[float, ...] = (32.0, 64.0, 128.0)
-    band_per_period: float = _key(8.0, above=0)
 
     def __post_init__(self):
         super().__post_init__()
@@ -175,14 +173,14 @@ class PeriodizeConfig(ExperimentConfig):
     width: float = _key(2.0, above=0, read_by=("profile", "bump"))
     eps: float = _key(0.1, above=0, read_by=("profile", "two_step", "mollified"))
     s_list: tuple[float, ...] = (-1.0, -0.5, 0.0, 1.0)
-    band_per_period: float = _key(32.0, above=0)
 
 
-# gamma's dilation schedule delta_j = GAMMA_BASE_DELTA GAMMA_DELTA_DECAY^(j - 1),
-# and the plateau level of its window, a fraction of L |w_0| (measure_plateau)
+# gamma's dilation schedule delta_j = GAMMA_BASE_DELTA GAMMA_DELTA_DECAY^(j - 1), the
+# plateau level of its window, a fraction of L |w_0| (measure_plateau), and its time
 GAMMA_BASE_DELTA = 0.16
 GAMMA_DELTA_DECAY = 0.8408964152537145  # 2**(-1/4)
 PLATEAU_FRACTION = 0.5
+GAMMA_HORIZON = 1.0
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -193,7 +191,6 @@ class GammaConfig(ExperimentConfig):
     # zero data: a zero plateau threshold counts mode 0
     amplitude: float = _key(0.7, nonzero=True)
     eps: float = _key(0.3, above=0)
-    time_horizon: float = _key(1.0, above=0)
     band_per_period: float = _key(4.0, above=0)
 
     def __post_init__(self):
@@ -503,30 +500,18 @@ def _strang_ladder(strang, rows: int, gap, scale, where, of: str, tol: float) ->
                      f"order {order:.3f}")
 
 
-class SplitStepRun(NamedTuple):
-    steps: int  # 4n, the finest run of the accepted triple
-    estimate: float  # of the reported field's error, over ||phi||_FLinf
-    order: float  # the observed order p
-    grid_points: int
-    angle_roundoff: float  # 2^-53 max|rate| T on the band split-step ran on
-    field: torus.SpectralField
-
-
 def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: float,
-                             N: int) -> SplitStepRun:
+                             N: int) -> StrangRun:
     """Split-step at T on the Strang ladder (_strang_ladder), one row with
     FLinf gaps over ||phi||_FLinf; refuses if no triple up to
     SPLIT_STEP_MAX steps meets SPLIT_STEP_REL.  Split-step runs on the band
-    3 n_max."""
+    3 n_max, which the settled field keeps."""
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
     scale = torus.fourier_lebesgue_norm(phi, 0.0, np.inf)
-    (run,) = _strang_ladder(
+    return _strang_ladder(
         lambda steps, live: [evo.split_step_evolve(wide, eq, T, evo.StepperConfig(dt=T / steps))],
         1, _fl_inf_distance, lambda i, u: scale,
-        lambda i: f"split-step at N={N}", "||phi||_FLinf", SPLIT_STEP_REL)
-    top = float(np.max(np.abs(evo.free_rotation_rates(wide, eq))))
-    return SplitStepRun(run.steps, run.estimate, run.order, evo.split_grid_size(wide.bandwidth),
-                        2.0**-53 * top * T, run.field)
+        lambda i: f"split-step at N={N}", "||phi||_FLinf", SPLIT_STEP_REL)[0]
 
 
 def _inflate_point(cfg: InflateConfig, eq: evo.EquationSpec, N: int) -> tuple[ReportRow, dict]:
@@ -558,9 +543,10 @@ def _inflate_point(cfg: InflateConfig, eq: evo.EquationSpec, N: int) -> tuple[Re
         results["split_step"] = evo.interaction_picture(split.field, eq, T)
         work = evo.picard_work(phi, eq, T)
         split_norm = torus.sobolev_norm(split.field, s)  # the NLS value, beside the closed form's
+        top = float(np.max(np.abs(evo.free_rotation_rates(split.field, eq))))  # on its band
         aux.update(split_steps=split.steps, split_estimate=split.estimate,
-                   split_order=split.order, split_angle_roundoff=split.angle_roundoff,
-                   split_grid_points=split.grid_points,
+                   split_order=split.order, split_angle_roundoff=2.0**-53 * top * T,
+                   split_grid_points=evo.split_grid_size(split.field.bandwidth),
                    split_norm_T=split_norm, split_ratio=split_norm / norm0,
                    picard_nodes=work.nodes, picard_grid_points=work.grid_points)
         try:
@@ -606,6 +592,10 @@ def run_inflation(cfg: InflateConfig) -> InflationReport:
 # ---------------------------------------------------------------------------
 # approx
 
+APPROX_HORIZON = 1.0  # the errors are measured at this time and half of it
+APPROX_BAND_PER_PERIOD = 8.0  # on the band ceil(8 L) of each period L
+
+
 def _periodize(profile, L: float, band_per_period: float) -> torus.SpectralField:
     """torus.periodize at band ceil(band_per_period L); it refuses an inf band as too wide."""
     band = band_per_period * L
@@ -620,16 +610,16 @@ def _approx_profile(cfg: ApproxConfig | PeriodizeConfig) -> prof.CompactProfile:
     return prof.appendix_profile(cfg.profile, eps=cfg.eps)
 
 
-def _approx_errors(phi: torus.SpectralField, deltas, t: float,
-                   log: list | None = None) -> tuple[list[float], float]:
+def _approx_errors(phi: torus.SpectralField, deltas,
+                   t: float) -> tuple[list[float], float, list[dict]]:
     """H^1(T_L) distances at time t between the small-dispersion flow at
     each delta and the exact dispersionless flow; also the latter's
-    spectral tail mass.  The flows run as one split-step stack on the
-    Strang ladder (_strang_ladder), with H^1 gaps over each row's own
-    H^1 error, so each error is known to SPLIT_STEP_REL of itself.  Each
-    row's delta, period, t, steps, estimate and observed order are
-    appended to `log` when given.  The stack runs first, so a blow-up is
-    refused by split-step's message."""
+    spectral tail mass, and each row's ladder entry: its delta, period, t,
+    steps, estimate and observed order.  The flows run as one split-step
+    stack on the Strang ladder (_strang_ladder), with H^1 gaps over each
+    row's own H^1 error, so each error is known to SPLIT_STEP_REL of
+    itself.  The stack runs first, so a blow-up is refused by split-step's
+    message."""
     eqs = [evo.EquationSpec.small_dispersion(delta) for delta in deltas]
     exact = functools.cache(lambda: evo.ode_exact_evolve(phi, t))
 
@@ -642,22 +632,18 @@ def _approx_errors(phi: torus.SpectralField, deltas, t: float,
         len(eqs), h1, lambda i, u: h1(u, exact().field),
         lambda i: f"split-step at delta = {deltas[i]!r} on period {phi.period!r} and t = {t!r}",
         "its H^1 error", SPLIT_STEP_REL)
-    if log is not None:
-        log += [dict(delta=delta, period=phi.period, t=t, steps=run.steps, estimate=run.estimate,
-                     order=run.order) for delta, run in zip(deltas, ladder)]
-    return [h1(run.field, exact().field) for run in ladder], exact().tail_mass
+    entries = [dict(delta=delta, period=phi.period, t=t, steps=run.steps, estimate=run.estimate,
+                    order=run.order) for delta, run in zip(deltas, ladder)]
+    return [h1(run.field, exact().field) for run in ladder], exact().tail_mass, entries
 
 
 def run_approximation(cfg: ApproxConfig) -> InflationReport:
     """Small-dispersion vs dispersionless error scaling."""
     profile = _approx_profile(cfg)
-    phi = _periodize(profile, cfg.periods[0], cfg.band_per_period)
-    times = [cfg.time_horizon / 2.0, cfg.time_horizon]
-    logs = ([], [])  # each horizon's split-step rows, apart so that threads keep their order
-    horizons = _map_ordered(lambda k: _approx_errors(phi, cfg.sweep, times[k], logs[k]),
-                            [0, 1], cfg.threads)
-    (errs_half, _), (errs_full, tail) = horizons
-    ladder = logs[0] + logs[1]
+    phi = _periodize(profile, cfg.periods[0], APPROX_BAND_PER_PERIOD)
+    (errs_half, _, ladder_half), (errs_full, tail, ladder_full) = _map_ordered(
+        lambda t: _approx_errors(phi, cfg.sweep, t), [APPROX_HORIZON / 2.0, APPROX_HORIZON],
+        cfg.threads)
     rows = []
     for delta, e_half, e_full in zip(cfg.sweep, errs_half, errs_full):
         ref = delta**1.5
@@ -666,7 +652,7 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
             e_half, e_full, e_full / e_half if e_half else None,
             ref, e_full / ref, tail, None))
     report = InflationReport(rows, _metadata(cfg))
-    report.metadata["split_step"] = ladder
+    report.metadata["split_step"] = ladder_half + ladder_full
 
     deltas = np.array([r.param for r in rows], dtype=float)
     errs = np.array([r.norm_T for r in rows], dtype=float)
@@ -681,8 +667,10 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
         # the first period's error is the mid row's norm_T: same delta, period and band
         errs_L = [rows[i_mid].norm_T]
         for L in cfg.periods[1:]:
-            phi_L = _periodize(profile, L, cfg.band_per_period)
-            errs_L += _approx_errors(phi_L, (d_mid,), cfg.time_horizon, ladder)[0]
+            (e_L,), _, entries = _approx_errors(_periodize(profile, L, APPROX_BAND_PER_PERIOD),
+                                                (d_mid,), APPROX_HORIZON)
+            errs_L.append(e_L)
+            report.metadata["split_step"] += entries
         if min(errs_L) == 0.0:  # data that vanishes on the grid, such as a width that underflows
             L = cfg.periods[errs_L.index(0.0)]
             raise ValueError(f"the approx error at delta = {d_mid!r} on period {L!r} is 0, "
@@ -698,6 +686,7 @@ def run_approximation(cfg: ApproxConfig) -> InflationReport:
 # periodize
 
 LINE_PANELS = 160  # panel width 0.5 on [0, 80]
+PERIODIZE_BAND_PER_PERIOD = 32.0  # circle norms keep the band ceil(32 L): |n / L| <= 32
 
 
 @functools.cache
@@ -722,9 +711,9 @@ def _head_rule(beta: float, h: float):
 
 
 def _folded_density(profile, xi):
-    """|F(xi)|^2 + |F(-xi)|^2, from one transform call on [xi, -xi]."""
-    f = profile.fourier_transform(np.concatenate([xi, -xi]))
-    return np.sum(np.abs(f.reshape(2, -1)) ** 2, axis=0)
+    """|F(xi)|^2 + |F(-xi)|^2 = 2 |F(xi)|^2: a CompactProfile is real, so
+    |F(-xi)| = |F(xi)|, and to the bit at every kind's transform."""
+    return 2.0 * np.abs(profile.fourier_transform(xi)) ** 2
 
 
 def line_sobolev_norm(profile, s, homogeneous: bool = True, xi_max: float = 80.0):
@@ -733,7 +722,7 @@ def line_sobolev_norm(profile, s, homogeneous: bool = True, xi_max: float = 80.0
     w = |xi|^(2s) (homogeneous) or (1 + xi^2)^s.
 
     The integrand is folded onto [0, xi_max] as w(xi) (|F(xi)|^2 +
-    |F(-xi)|^2), which holds for complex profiles too, and cut into
+    |F(-xi)|^2) = 2 w(xi) |F(xi)|^2, as the profile is real, and cut into
     LINE_PANELS equal panels (width 0.5 at the default xi_max, so 0 and 1
     are panel edges).  Every panel but the first takes 64-node
     Gauss-Legendre (profiles._panel_rule).  On the first, |xi|^(2s) is
@@ -788,7 +777,7 @@ def run_periodization(cfg: PeriodizeConfig) -> InflationReport:
     profile = _approx_profile(cfg)
     rows = []
     line_norms = line_sobolev_norm(profile, cfg.s_list, homogeneous=True)
-    fields = [_periodize(profile, L, cfg.band_per_period) for L in cfg.sweep]
+    fields = [_periodize(profile, L, PERIODIZE_BAND_PER_PERIOD) for L in cfg.sweep]
     for s, line_norm in zip(cfg.s_list, line_norms):
         for L, f_L in zip(cfg.sweep, fields):
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -873,7 +862,7 @@ def _gamma_point(cfg: GammaConfig, j: int) -> tuple[ReportRow, dict]:
     delta, L = cfg.delta_and_period(j)
     profile = prof.centered_two_step(cfg.amplitude, cfg.eps)
     phi = _periodize(profile, L, cfg.band_per_period)
-    t = cfg.time_horizon
+    t = GAMMA_HORIZON
     w = evo.ode_exact_evolve(phi, t).field
     eq = evo.EquationSpec.small_dispersion(delta, cfg.alpha)
     c_measured, C0 = measure_plateau(w, PLATEAU_FRACTION)

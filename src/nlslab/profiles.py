@@ -325,7 +325,7 @@ class CompactProfile:
     _: KW_ONLY
     eps: float = 0.0
     width: float = 1.0
-    amplitude: complex = 1.0 + 0.0j
+    amplitude: float = 1.0
     kappa: int = 0
 
     def __post_init__(self):
@@ -338,6 +338,9 @@ class CompactProfile:
         for a, b, _ in self.pieces:
             if a > b:
                 raise ValueError(f"a step piece [a, b) needs a <= b, got a = {a!r}, b = {b!r}")
+        for value in (self.amplitude, *(v for _, _, v in self.pieces)):
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"a profile's amplitude and piece values must be real, got {value!r}")
         if self.support_radius <= 0.0:
             raise ValueError("support_radius must be positive")
 

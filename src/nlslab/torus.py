@@ -91,6 +91,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _row_mass(rows) -> float:
+    """Sum of |v|^2 over some 1-D complex arrays, each summed by numpy with
+    no larger temporary, not by BLAS (np.vdot runs the threaded zdotc).
+    add.reduce skips np.sum's wrapper: on a 2-CPU Xeon, bin_mass takes 57 ms
+    per inflate-sweep pass, 76 ms by np.sum, 19 ms by np.vdot on one thread."""
+    return math.fsum(float(np.add.reduce(r.real * r.real + r.imag * r.imag)) for r in rows)
+
+
 def _negate_odd_modes(a: np.ndarray, first_mode: int) -> None:
     """Negate, in place, the entries of a run of consecutive modes
     first_mode, first_mode + 1, ... along the last axis whose mode number
@@ -279,8 +287,7 @@ class GridPlan:
         spectrum: in row k1 they are the contiguous columns
         ceil((lo - k1) / P) .. ceil((hi - k1) / P) - 1."""
         p = self.shape[0]
-        parts = (spec[k1, -((k1 - lo) // p) : -((k1 - hi) // p)] for k1 in range(p))
-        return math.fsum(np.vdot(part, part).real for part in parts)
+        return _row_mass(spec[k1, -((k1 - lo) // p) : -((k1 - hi) // p)] for k1 in range(p))
 
 
 @functools.cache
@@ -452,7 +459,7 @@ def _cubic_coeffs(coeffs: np.ndarray, wick: bool = False) -> np.ndarray:
     u *= u.real**2 + u.imag**2
     cubic = plan.band(plan.forward(u), m)
     if wick:
-        cubic -= 2.0 * np.vdot(coeffs, coeffs).real * coeffs
+        cubic -= 2.0 * _row_mass((coeffs,)) * coeffs
     return cubic
 
 

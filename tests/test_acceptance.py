@@ -243,14 +243,14 @@ def test_criterion_11_profile_algebra():
 
 
 def test_criterion_12_periodization_error_decreases():
-    stated = PeriodizeConfig(profile="mollified", eps=0.1, band_per_period=32.0,
+    stated = PeriodizeConfig(profile="mollified", eps=0.1,
                              sweep=(8.0, 16.0, 32.0, 64.0), s_list=(-1.0, -0.5, 0.0, 1.0))
     refusal = None
     try:
         run_periodization(stated)
     except ValueError as exc:
         refusal = str(exc)
-    admissible = PeriodizeConfig(profile="mollified", eps=0.1, band_per_period=32.0,
+    admissible = PeriodizeConfig(profile="mollified", eps=0.1,
                                  sweep=(16.0, 32.0, 64.0), s_list=(-1.0, -0.5, 0.0, 1.0))
     rows = run_periodization(admissible).rows
     notes = []

@@ -110,10 +110,15 @@ def test_experiment_config_validation(kwargs, message):
     ("gamma", "delta_decay", 0.8408964152537145),
     ("gamma", "c_fraction", 0.5),
     ("feasibility", "margin", 10.0),
+    ("approx", "time_horizon", 1.0),
+    ("gamma", "time_horizon", 1.0),
+    ("approx", "band_per_period", 8.0),
+    ("periodize", "band_per_period", 32.0),
 ])
 def test_config_echo_of_a_retired_key_is_refused(experiment, key, value):
-    # gamma's dilation schedule and plateau level and the feasibility margin
-    # were keys, echoed at these values; they are now lab constants
+    # gamma's dilation schedule and plateau level, the feasibility margin,
+    # the approx and gamma horizons and the approx and periodize bands were
+    # keys, echoed at these values; they are now lab constants
     echo = {**config_to_dict(lab.CONFIGS[experiment]()), key: value}
     with pytest.raises(ValueError, match=rf"^unknown config key '{key}' in \[{experiment}\]$"):
         config_from_dict(json.loads(json.dumps(echo, sort_keys=True)))
@@ -173,10 +178,9 @@ def test_profile_configs_echo_only_the_keys_their_profile_reads(cls, profile, un
 def test_each_config_class_owns_exactly_its_keys():
     own = {
         "inflate": {"regime", "alpha", "s", "theta", "picard_budget", "surrogate_period"},
-        "approx": {"profile", "amplitude", "width", "eps", "time_horizon",
-                   "periods", "band_per_period"},
-        "periodize": {"profile", "amplitude", "width", "eps", "s_list", "band_per_period"},
-        "gamma": {"alpha", "amplitude", "eps", "time_horizon", "band_per_period"},
+        "approx": {"profile", "amplitude", "width", "eps", "periods"},
+        "periodize": {"profile", "amplitude", "width", "eps", "s_list"},
+        "gamma": {"alpha", "amplitude", "eps", "band_per_period"},
         "feasibility": {"alpha", "s"},
     }
     shared = {"sweep", "seed", "threads"}
@@ -185,7 +189,7 @@ def test_each_config_class_owns_exactly_its_keys():
     for name, cls in lab.CONFIGS.items():
         assert cls.experiment == name
         assert {f.name for f in dataclasses.fields(cls)} == shared | own[name], name
-    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 41
+    assert sum(len(dataclasses.fields(cls)) for cls in lab.CONFIGS.values()) == 37
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +470,7 @@ def test_gamma_counts_match_a_fine_reference(kwargs, counts):
     assert [row["method_disagreement"] for row in rows] == [0.0] * 4  # the complement counts
     ladder = [lab.SPLIT_STEP_START * 2**k for k in range(2, 7)]
     low, high = lab.SPLIT_ORDER_WINDOW
-    profile, t = centered_two_step(cfg.amplitude, cfg.eps), cfg.time_horizon
+    profile, t = centered_two_step(cfg.amplitude, cfg.eps), lab.GAMMA_HORIZON
     for row, entry in zip(rows, entries, strict=True):
         j, steps = entry["j"], entry["steps"]
         delta, L = cfg.delta_and_period(j)
@@ -735,12 +739,12 @@ def test_inflate_split_step_meets_the_step_tolerance(regime, N, steps_want):
     assert aux["split_grid_points"] == evolution.split_grid_size(3 * phi.bandwidth)
     T, eq = aux["T"], evolution.EquationSpec.paper()
     run = lab._split_step_on_tolerance(phi, eq, T, N)
-    assert (run.steps, run.estimate, run.order, run.angle_roundoff, run.grid_points) == (
-        aux["split_steps"], aux["split_estimate"], aux["split_order"],
-        aux["split_angle_roundoff"], aux["split_grid_points"])
+    assert (run.steps, run.estimate, run.order) == (
+        aux["split_steps"], aux["split_estimate"], aux["split_order"])
+    assert run.field.bandwidth == 3 * phi.bandwidth
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
     top = float(np.max(np.abs(evolution.free_rotation_rates(wide, eq))))
-    assert run.angle_roundoff == 2.0**-53 * top * T
+    assert aux["split_angle_roundoff"] == 2.0**-53 * top * T
     strang, norm = _strang_runs(phi, eq, T)
     steps = run.steps
     assert (run.order, run.estimate) == _triple(strang, norm, steps // 4)
@@ -902,10 +906,11 @@ def test_approx_rows_are_the_errors_of_each_delta_alone():
     # is bitwise what _approx_errors gives for its delta alone
     cfg = ApproxConfig(periods=(32.0,), threads=2)
     rows = run_approximation(cfg).rows
-    phi = torus.periodize(lab._approx_profile(cfg), 32.0, math.ceil(cfg.band_per_period * 32.0))
+    phi = torus.periodize(lab._approx_profile(cfg), 32.0,
+                          math.ceil(lab.APPROX_BAND_PER_PERIOD * 32.0))
     for delta, row in zip(cfg.sweep, rows, strict=True):
-        (e_half,), _ = lab._approx_errors(phi, (delta,), 0.5)
-        (e_full,), tail = lab._approx_errors(phi, (delta,), 1.0)
+        (e_half,), _, _ = lab._approx_errors(phi, (delta,), 0.5)
+        (e_full,), tail, _ = lab._approx_errors(phi, (delta,), 1.0)
         assert (row.param, row.norm_t0, row.norm_T, row.tail_mass) == (delta, e_half, e_full, tail)
 
 
@@ -927,7 +932,8 @@ def test_approx_estimates_bound_the_error_against_a_fine_reference():
     for entry, error in zip(meta["split_step"], reported, strict=True):
         steps = entry["steps"]
         assert steps in ladder
-        phi = torus.periodize(profile, entry["period"], math.ceil(cfg.band_per_period * entry["period"]))
+        phi = torus.periodize(profile, entry["period"],
+                              math.ceil(lab.APPROX_BAND_PER_PERIOD * entry["period"]))
         t, eq = entry["t"], evolution.EquationSpec.small_dispersion(entry["delta"])
 
         def strang(k):
@@ -1237,8 +1243,10 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("gamma", "delta_decay = 0", "unknown config key 'delta_decay' in [gamma] of "),
         ("gamma", "c_fraction = 0.5", "unknown config key 'c_fraction' in [gamma] of "),
         ("feasibility", "margin = 0", "unknown config key 'margin' in [feasibility] of "),
-        ("approx", "time_horizon = 0", "time_horizon must be > 0, got 0.0"),
-        ("periodize", "band_per_period = 0", "band_per_period must be > 0, got 0.0"),
+        # the approx and gamma horizons and the approx and periodize bands,
+        # keys until they became lab constants
+        ("approx", "time_horizon = 0", "unknown config key 'time_horizon' in [approx] of "),
+        ("periodize", "band_per_period = 0", "unknown config key 'band_per_period' in [periodize] of "),
         ("inflate", "sweep = 2", "inflate sweep values must be >= 16, got 2.0"),
         ("feasibility", "seed = -5", "seed must be >= 0, got -5"),
         ("feasibility", "seed = 18446744073709551616",
@@ -1309,12 +1317,10 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("periodize", "width = 0", "width must be > 0, got 0.0"),
         ("approx", "profile = two_step\nwidth = -2", "width must be > 0, got -2.0"),
         ("gamma", "eps = -1", "eps must be > 0, got -1.0"),
-        # the phase would keep no correct digit mod 2 pi: approx runs its
-        # split-step stack first, gamma its closed form with phase |phi|^2 t
-        ("approx", "time_horizon = 1e300", "split-step at t = 5e+299: max|rate| |t| = 5.053e+301 "
-                                           "reaches 2^52"),
-        ("gamma", "time_horizon = 1e300", "closed form at t = 1e+300: t ||phi||_FL1^2 = "
-                                          "1.317e+301 reaches 2^52"),
+        # the phase would keep no correct digit mod 2 pi: gamma runs its
+        # closed form, with phase |phi|^2 t, first
+        ("gamma", "amplitude = 1e30", "closed form at t = 1: t ||phi||_FL1^2 = 2.688e+61 "
+                                      "reaches 2^52"),
         # split-step's free rotation max|rate| |t| would keep no correct digit mod 2 pi
         ("approx", "sweep = 0.1 1e10", "split-step at t = 0.5: max|rate| |t| = 1.263e+23 reaches "
                                        "2^52, where the phase rate t mod 2 pi keeps no correct "
@@ -1323,10 +1329,6 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
                                 "where the phase rate t mod 2 pi keeps no correct digit"),
         # a band ceil(band_per_period L) that overflows a float is refused as
         # above the limit, not by math.ceil's "cannot convert float infinity"
-        ("approx", "band_per_period = 1e308", "periodization on period 32 needs band inf, "
-                                              "above the limit 524288"),
-        ("periodize", "band_per_period = 1e308", "periodization on period 8 needs band inf, "
-                                                 "above the limit 524288"),
         ("gamma", "band_per_period = 1e308", "periodization on period 98 needs band inf, "
                                              "above the limit 524288"),
         ("approx", "periods = 1e308", "periodization on period 1e+308 needs band inf, "
@@ -1415,12 +1417,12 @@ DECLARED_RULE_CASES = _declared_rule_cases()
 
 
 def test_every_experiment_declares_key_rules():
-    # threads and seed (two bounds) on each experiment, and 6 inflate, 6
-    # approx, 4 periodize, 6 gamma and 2 feasibility keys; surrogate_period
+    # threads and seed (two bounds) on each experiment, and 6 inflate, 4
+    # approx, 3 periodize, 5 gamma and 2 feasibility keys; surrogate_period
     # carries two rules, the inflate and feasibility sweeps a bound and the
     # integer rule, gamma's the integer rule, and each sweep rule a second
     # case whose bad value is not its first item
-    assert len(DECLARED_RULE_CASES) == 48
+    assert len(DECLARED_RULE_CASES) == 44
     covered = {(name, key) for name, key, *_ in DECLARED_RULE_CASES}
     assert {("inflate", "surrogate_period"), ("periodize", "eps")} <= covered
     rules = {rule for *_, rule, _, _ in DECLARED_RULE_CASES}

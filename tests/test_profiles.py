@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,19 @@ def test_profile_refuses_a_piece_that_ends_before_it_starts(kind, eps):
     # [3, 1) would evaluate to 0 everywhere while its transform at 0 reads -2
     with pytest.raises(ValueError, match=r"needs a <= b, got a = 3.0, b = 1.0"):
         CompactProfile(kind, ((0.0, 1.0, 1.0), (3.0, 1.0, 1.0)), eps=eps)
+
+
+@pytest.mark.parametrize("kind, pieces, amplitude, bad", [
+    ("bump", (), 1j, "1j"),
+    ("derivative", (), np.complex128(1.0), "np.complex128(1+0j)"),
+    ("step", ((0.0, 1.0, 1.0), (1.0, 2.0, 1.0 + 0.5j)), 1.0, "(1+0.5j)"),
+    ("mollified", ((0.0, 1.0, 0j),), 1.0, "0j"),
+], ids=["bump", "derivative", "step", "mollified"])
+def test_profile_refuses_a_complex_amplitude_or_piece_value(kind, pieces, amplitude, bad):
+    # line_sobolev_norm folds |F(-xi)|^2 onto |F(xi)|^2, which needs a real profile
+    with pytest.raises(ValueError, match=re.escape(
+            f"a profile's amplitude and piece values must be real, got {bad}")):
+        CompactProfile(kind, pieces, eps=0.1, amplitude=amplitude, kappa=1)
 
 
 def test_profile_fields_define_it_and_the_radius_is_derived():

@@ -272,6 +272,32 @@ def test_grid_plan_band_bins_and_mass(crossover, g, bandwidth):
         assert plan.bin_mass(full, lo, hi) == pytest.approx(np.sum(natural[lo:hi] ** 2), rel=1e-14)
 
 
+@pytest.mark.parametrize("points", [0, math.inf])
+def test_mass_sums_call_no_blas(monkeypatch, crossover, points):
+    # np.vdot runs BLAS's zdotc, threaded unless the environment says
+    # otherwise; the closed form's tail mass, split-step's Wick shift and
+    # the Wick cubic term sum |v|^2 by numpy, on either layout
+    crossover(points)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.vdot called")
+
+    monkeypatch.setattr(np, "vdot", refuse)
+    f = random_field(1.0, 40, seed=71, l2=0.5)
+    plan = nl.torus.grid_plan(nl.torus.split_grid_size(f.bandwidth))
+    assert (plan.shape[0] > 1) == (points == 0)
+    msq = nl.mean_and_l2(f)[1]
+    tail = nl.ode_exact_evolve(f, 0.1, out_bandwidth=3 * f.bandwidth).tail_mass
+    assert 0.0 < tail < msq
+    wick = _cubic_coeffs(f.coeffs, wick=True)
+    assert np.max(np.abs(wick - (_cubic_coeffs(f.coeffs) - 2.0 * msq * f.coeffs))) <= 1e-15
+    # one Strang step: the Wick shift turns the plain step by exp(-2 i t mean|u|^2)
+    t = 0.01
+    plain, wick = (nl.split_step_evolve(f, nl.EquationSpec(wick=w), t, nl.StepperConfig(dt=t))
+                   for w in (False, True))
+    assert np.max(np.abs(wick.coeffs - plain.coeffs * np.exp(-2j * t * msq))) <= 1e-15
+
+
 def test_import_builds_no_grid_plan():
     src = pathlib.Path(nl.__file__).resolve().parents[1]
     code = "import nlslab; print(nlslab.torus.grid_plan.cache_info().currsize)"

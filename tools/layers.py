@@ -147,8 +147,8 @@ def _transform_lattices(tiny: bool) -> dict[str, np.ndarray]:
         return {"tiny": np.arange(-16, 17) / 8.0}
     approx, period, gamma = lab.ApproxConfig(), lab.PeriodizeConfig(), lab.GammaConfig()
     L_gamma = gamma.delta_and_period(int(gamma.sweep[-1]))[1]
-    cases = {"periodize": (period.eps, period.sweep[-1], period.band_per_period),
-             "approx": (approx.width, approx.periods[-1], approx.band_per_period),
+    cases = {"periodize": (period.eps, period.sweep[-1], lab.PERIODIZE_BAND_PER_PERIOD),
+             "approx": (approx.width, approx.periods[-1], lab.APPROX_BAND_PER_PERIOD),
              "gamma": (gamma.eps, L_gamma, gamma.band_per_period)}
     out = {}
     for name, (scale, L, per_period) in cases.items():
@@ -242,15 +242,16 @@ def run(repeats: int, tiny: bool) -> list[dict]:
                                   "estimate": run.estimate, "order": run.order},
             _time(lambda: lab._split_step_on_tolerance(data, paper, point.T_N, N), repeats))
 
-    approx = lab.ApproxConfig(band_per_period=0.5 if tiny else 8.0)
+    approx = lab.ApproxConfig()
     # not phi, which _turned_cubic below runs on
-    field = lab._periodize(lab._approx_profile(approx), approx.periods[0], approx.band_per_period)
-    log = []
-    lab._approx_errors(field, approx.sweep, 1.0, log)
+    field = lab._periodize(lab._approx_profile(approx), approx.periods[0],
+                           0.5 if tiny else lab.APPROX_BAND_PER_PERIOD)
+    t = lab.APPROX_HORIZON
+    ladder = lab._approx_errors(field, approx.sweep, t)[2]
     add("approx_ladder", {"rows": len(approx.sweep), "grid_points":
-                          evo.split_grid_size(field.bandwidth), "t": 1.0,
-                          "steps": [e["steps"] for e in log]},
-        _time(lambda: lab._approx_errors(field, approx.sweep, 1.0), repeats))
+                          evo.split_grid_size(field.bandwidth), "t": t,
+                          "steps": [e["steps"] for e in ladder]},
+        _time(lambda: lab._approx_errors(field, approx.sweep, t), repeats))
 
     gamma = lab.GammaConfig()
     j = 1 if tiny else int(gamma.sweep[-1])
