@@ -113,7 +113,8 @@ class EvolveResult(NamedTuple):
     tail_mass: float
 
 
-def _unit_phase(angle: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _unit_phase(angle: np.ndarray, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
     """exp(i angle) into the complex array out of angle's shape (a new one
     when out is None), from the half-angle tangent tau = tan(angle / 2):
 
@@ -125,38 +126,60 @@ def _unit_phase(angle: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     most 3.2e-16 absolute for |angle| up to 2^52, and |out| - 1 by at most
     4.5e-16; near odd multiples of pi, tau is about 1e16 and the form
     stays accurate.  A non-finite angle gives a NaN phase.  angle is
-    scratch: on return it holds tau.  Returns out."""
+    scratch: on return it holds tau, and 2 / (1 + tau^2) is formed in the
+    float array scratch of its shape (a new one when None), so each
+    strided part of out is written once.  Returns out."""
     if out is None:
         out = np.empty(angle.shape, dtype=complex)
+    inv = np.empty(angle.shape) if scratch is None else scratch
     angle *= 0.5
     np.tan(angle, out=angle)
-    inv = out.real
     np.multiply(angle, angle, out=inv)
     inv += 1.0
     np.divide(2.0, inv, out=inv)
     np.multiply(angle, inv, out=out.imag)
-    inv -= 1.0
+    np.subtract(inv, 1.0, out=out.real)
     return out
 
 
-def _rotate_in_place(u: np.ndarray, t: float, shift: float | np.ndarray | None,
-                     theta: np.ndarray, phase: np.ndarray) -> None:
+def _rotate_in_place(u: np.ndarray, t: float | np.ndarray, shift: float | np.ndarray | None,
+                     theta: np.ndarray, phase: np.ndarray, scratch: np.ndarray) -> None:
     """u *= exp(i t (|u|^2 - shift)) pointwise, with no shift when it is
-    None, the phase formed by _unit_phase; theta (float) and phase
-    (complex) are scratch arrays of u's shape, and shift is a number or
-    broadcasts against u (one per row)."""
+    None, the phase formed by _unit_phase; theta and scratch (float) and
+    phase (complex) are scratch arrays of u's shape, and t and shift are
+    numbers or broadcast against u (one per row)."""
     np.multiply(u.real, u.real, out=theta)
-    np.multiply(u.imag, u.imag, out=phase.real)  # phase is free until _unit_phase
-    theta += phase.real
+    np.multiply(u.imag, u.imag, out=scratch)
+    theta += scratch
     if shift is not None:
         theta -= shift
     theta *= t
-    u *= _unit_phase(theta, phase)
+    u *= _unit_phase(theta, phase, scratch)
 
 
-# grid points per rotation chunk of the closed form: bounds its scratch
-# arrays (1.5 MB together) whatever the grid size
-_ROTATE_CHUNK = 1 << 16
+# grid points per rotation chunk: bounds the rotation's scratch arrays
+# (256 KiB together) whatever the grid size and the number of rows
+_ROTATE_CHUNK = 1 << 13
+
+
+def _rotation_scratch(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch of _rotate_rows over `points` points: theta, phase, scratch."""
+    n = min(points, _ROTATE_CHUNK)
+    return np.empty(n), np.empty(n, dtype=complex), np.empty(n)
+
+
+def _rotate_rows(u: np.ndarray, t: np.ndarray, shift: np.ndarray | None, scratch) -> None:
+    """_rotate_in_place of row i of the (rows, G) array u by t[i] and
+    shift[i], (rows, 1) columns (no shift when None), in chunks of at most
+    _ROTATE_CHUNK points: whole rows where one fits, else parts of one row.
+    scratch is _rotation_scratch of u's points."""
+    rows, g = u.shape
+    per, width = max(1, _ROTATE_CHUNK // g), min(g, _ROTATE_CHUNK)
+    for r in range(0, rows, per):
+        for lo in range(0, g, width):
+            part = u[r : r + per, lo : lo + width]
+            _rotate_in_place(part, t[r : r + per], None if shift is None else shift[r : r + per],
+                             *(a[: part.size].reshape(part.shape) for a in scratch))
 
 
 def ode_grid_size(bandwidth: int, out_bandwidth: int) -> int:
@@ -173,11 +196,8 @@ def _rotated_band(field: SpectralField, t: float, shift: float | None, m_out: in
     beside the band alone."""
     plan = grid_plan(g)
     u = synthesize(field, g)  # natural order: a flat view of the plan's layout
-    chunk = min(g, _ROTATE_CHUNK)
-    theta, phase = np.empty(chunk), np.empty(chunk, dtype=complex)
-    for lo in range(0, g, chunk):
-        part = u[lo : lo + chunk]
-        _rotate_in_place(part, t, shift, theta[: part.size], phase[: part.size])
+    _rotate_rows(u.reshape(1, g), np.full((1, 1), t), None if shift is None else np.full((1, 1), shift),
+                 _rotation_scratch(g))
     spec = plan.forward(u.reshape(plan.shape))
     # bins m_out+1 .. g-m_out-1 are exactly the modes outside |n| <= m_out
     return plan.band(spec, m_out), plan.bin_mass(spec, m_out + 1, g - m_out) * field.period
@@ -238,80 +258,104 @@ def split_step_evolve(
     field: SpectralField, eq: EquationSpec, t: float, cfg: StepperConfig
 ) -> SpectralField:
     """Strang splitting: exact free half-steps around the exact pointwise
-    nonlinear rotation.  Second order in dt globally.  The one-row case of
-    split_step_stack, which says how it runs."""
-    return split_step_stack(field, (eq,), t, cfg)[0]
+    nonlinear rotation.  Second order in dt globally.  The one-row,
+    one-count case of split_step_stack, which says how it runs, at
+    round(t / dt) steps (one at least)."""
+    return split_step_stack(field, (eq,), t, (max(1, round(t / cfg.dt)),))[0][0]
 
 
 def split_step_stack(
-    field: SpectralField, eqs: Sequence[EquationSpec], t: float, cfg: StepperConfig
-) -> list[SpectralField]:
-    """split_step_evolve of one field under each equation of `eqs`, on
-    one grid with one dt: the fields at t, in the order of `eqs`.
+    field: SpectralField, eqs: Sequence[EquationSpec], t: float, steps: Sequence[int]
+) -> list[list[SpectralField]]:
+    """split_step_evolve of one field under each equation of `eqs` at each
+    step count of `steps` (a repeated one runs once), on one grid: one
+    list of fields at t per count, in the order of `eqs`.
 
-    The rows advance together as one array, each with its own
-    Strang phases and Wick shift, at most SPLIT_STACK_POINTS // G rows
-    per loop (one at least).  Every operation acts on each row alone, so
-    a row's output is bitwise that of its own one-row run.  A non-finite
-    coefficient in any row refuses the call with BlowupError, and an angle
-    max|rate| t of 2^52 or more is refused before any transform.
+    The (count, equation) rows advance together as one array, most steps
+    first, each with its own dt = t / count, Strang phases and Wick shift,
+    at most SPLIT_STACK_POINTS // G rows per loop (one at least).  Every
+    operation acts on each row alone, so a row's output is bitwise that of
+    its own one-row run.  The rates are formed once, and an angle
+    max|rate| t of 2^52 or more is refused before any transform.  A NaN or
+    inf stays non-finite through the transforms, the zero multiply and tan,
+    so the gathered bands are checked once, count by count in the order of
+    `steps`: a blow-up is refused with BlowupError at the step size of the
+    first count with a non-finite row, as separate calls would be.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
+    counts = sorted({int(n) for n in steps}, reverse=True)
+    if counts and counts[-1] < 1:
+        raise ValueError("step counts must be >= 1")
     if t == 0.0:
-        return [field] * len(eqs)
+        return [[field] * len(eqs) for _ in steps]
     rates = _checked_rates("split-step", t, np.stack([free_rotation_rates(field, eq) for eq in eqs]), eqs)
-    n_steps = max(1, round(t / cfg.dt))
-    dt = t / n_steps
+    jobs = [(n, i) for n in counts for i in range(len(eqs))]
     g = split_grid_size(field.bandwidth)
-    rows = max(1, SPLIT_STACK_POINTS // g)
-    return [v for lo in range(0, len(eqs), rows)
-            for v in _strang_rows(field, eqs[lo : lo + rows], rates[lo : lo + rows], dt, n_steps, g)]
+    cap = max(1, SPLIT_STACK_POINTS // g)
+    bands = {}
+    for lo in range(0, len(jobs), cap):
+        part = jobs[lo : lo + cap]
+        n, i = (np.array(column) for column in zip(*part))
+        bands.update(zip(part, _strang_rows(field, [eqs[k] for k in i], rates[i], t / n[:, None], n, g)))
+    out = []
+    for n in (int(n) for n in steps):
+        row = [bands[n, i] for i in range(len(eqs))]
+        if not all(np.isfinite(band).all() for band in row):
+            raise BlowupError(f"non-finite coefficients at step size {t / n}")
+        out.append([field.with_coeffs(band) for band in row])
+    return out
 
 
-def _strang_rows(field: SpectralField, eqs: Sequence[EquationSpec], rates: np.ndarray, dt: float,
-                 n_steps: int, g: int) -> list[SpectralField]:
-    """Strang's n_steps steps of size dt, one row per equation, on the
-    G-point grid, row i turning freely at rates[i].  The first and last
-    half steps multiply the band-order coefficients (2M + 1 per row) by
-    the half-step phases exp(i rate dt/2).
+def _strang_rows(field: SpectralField, eqs: Sequence[EquationSpec], rates: np.ndarray,
+                 dt: np.ndarray, counts: np.ndarray, g: int) -> np.ndarray:
+    """The rows' bands after Strang's steps on the G-point grid, one row
+    per equation: row i takes counts[i] steps of size dt[i] (counts
+    falling, dt a (rows, 1) column), turning freely at rates[i].  The
+    first and last half steps multiply the band-order coefficients
+    (2M + 1 per row) by the half-step phases exp(i rate dt/2).
     Between them the loop runs on one (rows, P, Q) array in the layout of
     the grid's plan (torus.GridPlan): the coefficients are scattered once
-    into its bin order, every step transforms that array in place between
-    bin and sample order, and the band is gathered back to fields once at
-    the end.  The two half steps that meet between rotations are one
+    into its bin order, every step transforms the rows still running, a
+    leading slice of the array as the counts fall, in place between bin
+    and sample order, and each row's band is gathered after its last
+    step.  The two half steps that meet between rotations are one
     multiply by the full-step phases exp(i rate dt), an array of the
     layout's shape that is zero off the band, so it also zeroes the
     off-band bins the rotation filled; it runs before every step but the
-    first.  Every phase comes from _unit_phase.  P = 1 below the plan's
-    crossover: the plain 1-D loop.  Only the rotation's terms of order
-    (dt |u|^2)^2 and above alias into the band.
-
-    Finiteness is checked once, on the gathered band: a NaN or inf stays
-    non-finite through the transforms, the zero multiply and tan, so a
-    blow-up at any step is refused with BlowupError."""
+    first.  Every phase comes from _unit_phase, and the rotation runs in
+    chunks (_rotate_rows).  P = 1 below the plan's crossover: the plain
+    1-D loop.  Only the rotation's terms of order (dt |u|^2)^2 and above
+    alias into the band."""
     m, rows = field.bandwidth, len(eqs)
     plan = grid_plan(g)
     wick = [i for i, eq in enumerate(eqs) if eq.wick]
-    shift = np.zeros((rows, 1, 1)) if wick else None
+    shift = np.zeros((rows, 1)) if wick else None
     full = np.zeros((rows, *plan.shape), dtype=complex)  # zero off the band
-    theta, phase = np.empty(full.shape), np.empty(full.shape, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite output is refused below
+    scratch = _rotation_scratch(rows * g)
+    bands = np.empty((rows, 2 * m + 1), dtype=complex)
+    live = rows
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses non-finite output
         half = _unit_phase(rates * dt / 2.0)
         plan.put_band(full, _unit_phase(rates * dt))
         spec = plan.spectrum(field.coeffs * half)
-        for step in range(n_steps):
+        for step in range(counts[0] + 1):
+            done = live
+            while live and counts[live - 1] == step:
+                live -= 1
+            if live < done:  # rows live .. done - 1 have taken their steps
+                np.multiply(plan.band(spec[live:done], m), half[live:done], out=bands[live:done])
+            if not live:
+                return bands
+            u = spec[:live]
             if step:
-                spec *= full  # two half steps, and the off-band bins zeroed
+                u *= full[:live]  # two half steps, and the off-band bins zeroed
             for i in wick:  # 2 mean|u|^2: every off-band bin is zero here
-                shift[i] = 2.0 * _row_mass(spec[i])
-            u = plan.inverse(spec)
-            _rotate_in_place(u, dt, shift, theta, phase)
-            spec = plan.forward(u)
-        band = plan.band(spec, m) * half
-    if not np.isfinite(band).all():
-        raise BlowupError(f"non-finite coefficients at step size {dt}")
-    return [field.with_coeffs(c) for c in band]
+                if i < live:
+                    shift[i] = 2.0 * _row_mass(u[i])
+            plan.inverse(u)
+            _rotate_rows(u.reshape(live, g), dt[:live], None if shift is None else shift[:live], scratch)
+            plan.forward(u)
 
 
 def _turned_cubic(v: np.ndarray, rates: np.ndarray, tau: float, wick: bool) -> np.ndarray:

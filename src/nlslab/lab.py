@@ -457,21 +457,24 @@ class StrangRun(NamedTuple):
 def _strang_ladder(strang, rows: int, gap, scale, where, of: str, tol: float) -> list[StrangRun]:
     """Each of `rows` rows on its first step triple whose estimate is at
     most `tol` (SPLIT_STEP_REL but in gamma), as the comment above says.
-    strang(steps, live) gives the fields of the rows numbered in `live` at
-    that step count, gap(a, b) the norm of a - b, and scale(i, u) row i's
-    scale at its finest run u.
-    Each triple's 2n- and 4n-step fields are the next triple's n- and
-    2n-step ones.  The rows run together until each settles, and the rest
+    strang(counts, live) gives, for each step count of `counts`, the
+    fields of the rows numbered in `live` at that count (one
+    evolution.split_step_stack call), gap(a, b) the norm of a - b, and
+    scale(i, u) row i's scale at its finest run u.
+    The first triple's three counts run in one call; each later triple's
+    2n- and 4n-step fields are the previous one's, and its 4n-step fields
+    run alone.  The rows run together until each settles, and the rest
     go on together, so a row that strang computes on its own gives the run
     it would give alone.  A row that no triple up to SPLIT_STEP_MAX settles
     is refused, the message opening with where(i) and naming `of`, the
     scale."""
     runs: list[StrangRun | None] = [None] * rows
     live, n = list(range(rows)), SPLIT_STEP_START
-    pairs = list(zip(strang(n, live), strang(2 * n, live)))
-    while 4 * n <= SPLIT_STEP_MAX:
+    first, second, finest = strang((n, 2 * n, 4 * n), live)
+    pairs = list(zip(first, second))
+    while True:
         missed = []
-        for i, (u_n, u_2n), u_4n in zip(live, pairs, strang(4 * n, live)):
+        for i, (u_n, u_2n), u_4n in zip(live, pairs, finest):
             g2 = gap(u_4n, u_2n)
             if g2 == 0.0:  # on data that vanishes in the gap norm the scale is 0 too
                 estimate, order, u = 0.0, None, u_4n
@@ -494,6 +497,9 @@ def _strang_ladder(strang, rows: int, gap, scale, where, of: str, tol: float) ->
             return runs
         live, pairs = [m[0] for m in missed], [m[1] for m in missed]
         n *= 2
+        if 4 * n > SPLIT_STEP_MAX:
+            break
+        (finest,) = strang((4 * n,), live)
     i, _, estimate, order = missed[0]
     raise ValueError(f"{where(i)} misses the tolerance {tol:g} of {of}: at {2 * n} "
                      f"steps, the most it tries, the estimate is {estimate:.3e} at observed "
@@ -509,7 +515,7 @@ def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: 
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
     scale = torus.fourier_lebesgue_norm(phi, 0.0, np.inf)
     return _strang_ladder(
-        lambda steps, live: [evo.split_step_evolve(wide, eq, T, evo.StepperConfig(dt=T / steps))],
+        lambda counts, live: evo.split_step_stack(wide, (eq,), T, counts),
         1, _fl_inf_distance, lambda i, u: scale,
         lambda i: f"split-step at N={N}", "||phi||_FLinf", SPLIT_STEP_REL)[0]
 
@@ -627,8 +633,7 @@ def _approx_errors(phi: torus.SpectralField, deltas,
         return torus.sobolev_norm(a.with_coeffs(a.coeffs - b.coeffs), 1.0)
 
     ladder = _strang_ladder(
-        lambda steps, live: evo.split_step_stack(phi, [eqs[i] for i in live], t,
-                                                 evo.StepperConfig(dt=t / steps)),
+        lambda counts, live: evo.split_step_stack(phi, [eqs[i] for i in live], t, counts),
         len(eqs), h1, lambda i, u: h1(u, exact().field),
         lambda i: f"split-step at delta = {deltas[i]!r} on period {phi.period!r} and t = {t!r}",
         "its H^1 error", SPLIT_STEP_REL)
@@ -879,7 +884,7 @@ def _gamma_point(cfg: GammaConfig, j: int) -> tuple[ReportRow, dict]:
         return g
 
     (run,) = _strang_ladder(
-        lambda steps, live: [evo.split_step_evolve(phi, eq, t, evo.StepperConfig(dt=t / steps))],
+        lambda counts, live: evo.split_step_stack(phi, (eq,), t, counts),
         1, _fl_inf_distance, lambda i, u: counted(u).margin,
         lambda i: f"{where} with the count margin {margins[-1]:.6g}", "its count margin",
         1.0 / GAMMA_MARGIN_FACTOR)

@@ -140,7 +140,7 @@ def test_ode_exact_holds_one_grid_and_one_band():
     # negative_s data at N = 256 on the surrogate circle L = 32, on the out
     # band 5M inflate keeps there: the call holds its G-point grid and the
     # gathered out band, which the field takes without a copy.  The slack
-    # is the rotation's scratch (24 B per chunk point) and 64 KiB; a second
+    # is the rotation's scratch (32 B per chunk point) and 64 KiB; a second
     # copy of the band (2.6 MB) would exceed it
     sched = nl.regime_parameters("negative_s", 256, -0.25)
     phi = nl.build_two_block_data(sched, 32.0)
@@ -154,7 +154,7 @@ def test_ode_exact_holds_one_grid_and_one_band():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (g + 2 * m_out + 1) * 16 + 24 * nl.evolution._ROTATE_CHUNK + 2**16
+    assert peak <= (g + 2 * m_out + 1) * 16 + 32 * nl.evolution._ROTATE_CHUNK + 2**16
 
 
 def test_ode_exact_parameter_validation():
@@ -202,16 +202,40 @@ def test_unit_phase_of_a_non_finite_angle_is_not_finite():
     assert not np.isfinite(out[:3]).any() and np.isfinite(out[3])
 
 
-def test_rotate_in_place_with_and_without_the_wick_shift():
+def _rotation_formula(u0, t, shift):
+    """u0 exp(i t (|u0|^2 - shift)) by _unit_phase's half-angle formula,
+    one IEEE operation at a time in the order _rotate_in_place takes them."""
+    theta = u0.real * u0.real + u0.imag * u0.imag
+    if shift is not None:
+        theta = theta - shift
+    tau = np.tan(theta * t * 0.5)
+    inv = 2.0 / (tau * tau + 1.0)
+    phase = np.empty(u0.shape, dtype=complex)
+    phase.real, phase.imag = inv - 1.0, tau * inv
+    return u0 * phase
+
+
+def test_rotate_in_place_with_and_without_the_wick_shift(monkeypatch):
     rng = np.random.default_rng(44)
     u0 = rng.normal(size=(3, 2, 50)) + 1j * rng.normal(size=(3, 2, 50))
     per_row = np.array([0.5, 2.0, 7.0])[:, None, None]
     for shift in (None, 1.25, per_row):
         u = u0.copy()
         nl.evolution._rotate_in_place(u, 0.3, shift, np.empty(u.shape),
-                                      np.empty(u.shape, dtype=complex))
+                                      np.empty(u.shape, dtype=complex), np.empty(u.shape))
         want = u0 * np.exp(1j * 0.3 * (np.abs(u0) ** 2 - (0.0 if shift is None else shift)))
         assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(u0)), shift
+        assert np.array_equal(u, _rotation_formula(u0, 0.3, shift)), shift
+    # _rotate_rows: per-row times and shifts, whole rows per chunk and parts
+    # of one row per chunk, bitwise the formula
+    t = np.array([0.3, 0.1, 2.0])[:, None]
+    flat = u0.reshape(3, 100)
+    for chunk in (40, 100, 250):
+        monkeypatch.setattr(nl.evolution, "_ROTATE_CHUNK", chunk)
+        for shift in (None, per_row[:, :, 0]):
+            u = flat.copy()
+            nl.evolution._rotate_rows(u, t, shift, nl.evolution._rotation_scratch(u.size))
+            assert np.array_equal(u, _rotation_formula(flat, t, shift)), (chunk, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -313,42 +337,84 @@ def test_split_step_blowup_diagnostic():
 
 def test_split_step_stack_rows_equal_one_row_runs(monkeypatch):
     # every operation of the stacked loop acts on each row alone, so each
-    # row is bitwise its own split_step_evolve: plain and Wick rows, and
-    # dispersions that differ in size, order and sign, in one loop, in
-    # loops of two rows, and one row per loop when the cap is below one row
+    # (count, equation) row is bitwise its own split_step_evolve: plain and
+    # Wick rows, dispersions that differ in size, order and sign, and step
+    # counts that differ and repeat, in one loop, in loops of two rows, and
+    # one row per loop when the cap is below one row.  The rows run most
+    # steps first, a repeated count once, and t = 0 returns the field
     f = random_field(4.0, 32, seed=41, l2=1.5, decay=0.5)
     eqs = [EquationSpec.small_dispersion(0.05), EquationSpec(wick=True),
            EquationSpec.small_dispersion(0.2),
            EquationSpec(alpha=0.75, dispersion_coeff=0.3, dispersion_sign=-1, wick=True),
            EquationSpec(dispersion_coeff=0.0)]
-    cfg = StepperConfig(dt=0.3 / 40)
-    want = [split_step_evolve(f, eq, 0.3, cfg).coeffs for eq in eqs]
+    t, steps = 0.3, (20, 40, 5, 40)
+    want = [[split_step_evolve(f, eq, t, StepperConfig(dt=t / n)).coeffs for eq in eqs]
+            for n in steps]
     strang, loops = nl.evolution._strang_rows, []
 
-    def counted(field, rows, *args):
-        loops.append(len(rows))
-        return strang(field, rows, *args)
+    def counted(field, rows, rates, dt, counts, g):
+        loops.append(counts.tolist())
+        return strang(field, rows, rates, dt, counts, g)
 
     monkeypatch.setattr(nl.evolution, "_strang_rows", counted)
     g = split_grid_size(f.bandwidth)
-    for cap, sizes in ((nl.evolution.SPLIT_STACK_POINTS, [5]), (2 * g, [2, 2, 1]),
-                       (g - 1, [1, 1, 1, 1, 1])):
+    for cap, sizes in ((nl.evolution.SPLIT_STACK_POINTS, [15]), (2 * g, [2] * 7 + [1]),
+                       (g - 1, [1] * 15)):
         monkeypatch.setattr(nl.evolution, "SPLIT_STACK_POINTS", cap)
         loops.clear()
-        got = split_step_stack(f, eqs, 0.3, cfg)
-        assert loops == sizes
-        assert all(np.array_equal(v.coeffs, w) for v, w in zip(got, want, strict=True))
+        got = split_step_stack(f, eqs, t, steps)
+        assert [len(counts) for counts in loops] == sizes
+        assert sum(loops, []) == [40] * 5 + [20] * 5 + [5] * 5
+        assert len(got) == len(steps)
+        for fields, rows in zip(got, want, strict=True):
+            assert all(np.array_equal(v.coeffs, w) for v, w in zip(fields, rows, strict=True))
+    loops.clear()
+    assert all(v is f for fields in split_step_stack(f, eqs, 0.0, steps) for v in fields)
+    assert split_step_evolve(f, eqs[1], 0.0, StepperConfig(dt=0.1)) is f and loops == []
 
 
 def test_split_step_stack_refusals_and_time_zero():
     f = random_field(1.0, 4, seed=42, l2=0.5)
     eqs = [EquationSpec(), EquationSpec(wick=True)]
-    assert [v is f for v in split_step_stack(f, eqs, 0.0, StepperConfig(dt=0.1))] == [True, True]
+    assert [[v is f for v in fields] for fields in split_step_stack(f, eqs, 0.0, (3, 6))] == [
+        [True, True], [True, True]]
     with pytest.raises(ValueError, match="t must be >= 0"):
-        split_step_stack(f, eqs, -1.0, StepperConfig(dt=0.1))
+        split_step_stack(f, eqs, -1.0, (3,))
+    with pytest.raises(ValueError, match="step counts must be >= 1"):
+        split_step_stack(f, eqs, 0.1, (3, 0))
     big = SpectralField(1.0, np.full(9, 1e200, dtype=complex))
     with pytest.raises(BlowupError, match="non-finite coefficients at step size 0.01"):
-        split_step_stack(big, eqs, 0.01, StepperConfig(dt=0.01))
+        split_step_stack(big, eqs, 0.01, (1,))
+
+
+def test_split_step_stack_refuses_at_the_first_count_that_blows_up(monkeypatch):
+    # separate calls at the counts in turn would refuse at the first count
+    # any of whose rows blows up, so the stack names that count's step
+    # size, whatever order its loop ran the rows in: on data that
+    # overflows at every count, on non-finite data, and with one row of
+    # the 12-step count alone made non-finite
+    eqs = [EquationSpec(), EquationSpec(wick=True)]
+    t = 0.12
+    big = SpectralField(1.0, np.full(9, 1e200, dtype=complex))
+    nan = SpectralField(1.0, np.array([0.1, 0.2, np.nan, 0.2, 0.1], dtype=complex))
+    for field in (big, nan):
+        for steps in ((3, 6, 12), (12, 6, 3), (24,)):
+            with pytest.raises(BlowupError, match=f"non-finite coefficients at step size "
+                                                  f"{t / steps[0]}$"):
+                split_step_stack(field, eqs, t, steps)
+    strang = nl.evolution._strang_rows
+
+    def planted(field, rows, rates, dt, counts, g):
+        bands = strang(field, rows, rates, dt, counts, g)
+        bands[np.flatnonzero(counts == 12)[-1:], 1] = np.nan  # the Wick row
+        return bands
+
+    monkeypatch.setattr(nl.evolution, "_strang_rows", planted)
+    f = random_field(1.0, 4, seed=43, l2=0.5)
+    for steps in ((3, 6, 12), (6, 12, 3)):
+        with pytest.raises(BlowupError, match=f"at step size {t / 12}$"):
+            split_step_stack(f, eqs, t, steps)
+    assert len(split_step_stack(f, eqs, t, (3, 6))) == 2
 
 
 # Mode 1 alone on the unit circle (band 1): under dispersion_coeff c its

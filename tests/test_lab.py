@@ -578,15 +578,15 @@ def test_inflate_passes_one_equation_spec_to_every_integrator(monkeypatch):
     # alpha = 0.75 at N = 64 runs all three methods; each dispersive one
     # must receive the very spec _inflate_point builds from the config
     seen = []
-    for name in ("split_step_evolve", "interaction_picture", "picard_expansion"):
+    for name in ("split_step_stack", "interaction_picture", "picard_expansion"):
         def recorder(field, eq, *args, _fn=getattr(evolution, name), _name=name, **kwargs):
-            seen.append((_name, eq))
+            seen.extend((_name, e) for e in (eq if _name == "split_step_stack" else (eq,)))
             return _fn(field, eq, *args, **kwargs)
         monkeypatch.setattr(evolution, name, recorder)
     cfg = InflateConfig(regime="crit_half", s=-0.5, alpha=0.75, sweep=(64.0,))
     rep = run_inflation(cfg)
     assert rep.metadata["per_N"]["64"]["skipped"] == []
-    assert {name for name, _ in seen} == {"split_step_evolve", "interaction_picture",
+    assert {name for name, _ in seen} == {"split_step_stack", "interaction_picture",
                                           "picard_expansion"}
     assert all(eq is seen[0][1] for _, eq in seen)
     assert seen[0][1] == evolution.EquationSpec.paper(0.75)
@@ -842,19 +842,21 @@ def test_cli_refuses_a_split_step_whose_order_stays_off_strang(tmp_path, capsys)
 
 
 def test_reported_split_grid_is_the_grid_split_step_ran_on(tmp_path, monkeypatch):
-    bands = []
+    bands, counts = [], []
 
-    def spy(field, *args, _fn=evolution.split_step_evolve, **kwargs):
+    def spy(field, eqs, t, steps, _fn=evolution.split_step_stack):
         bands.append(field.bandwidth)
-        return _fn(field, *args, **kwargs)
+        counts.append(tuple(steps))
+        return _fn(field, eqs, t, steps)
 
-    monkeypatch.setattr(evolution, "split_step_evolve", spy)
+    monkeypatch.setattr(evolution, "split_step_stack", spy)
     out = tmp_path / "inflate.json"
     ini = tmp_path / "inflate.ini"
     ini.write_text("[inflate]\nsweep = 64\n", encoding="utf-8")
     assert cli.main(["inflate", "--config", str(ini), "--out", str(out), "--format", "json"]) == 0
     aux = json.loads(out.read_text(encoding="utf-8"))["metadata"]["per_N"]["64"]
-    assert len(bands) == 4 and len(set(bands)) == 1  # 3, 6, 12 and 24 steps, one band
+    # 3, 6 and 12 steps in one stack, then 24 alone, on one band
+    assert counts == [(3, 6, 12), (24,)] and len(set(bands)) == 1
     assert aux["split_grid_points"] == evolution.split_grid_size(bands[0])
 
 

@@ -32,14 +32,17 @@ def test_layer_harness_runs_at_tiny_sizes(tmp_path, capsys):
                      "synthesize",
                      "analyze", "cubic_coeffs", "sobolev_norm", "ode_exact_evolve",
                      "ode_exact_two_block",
-                     "picard_expansion", "split_step_ladder", "approx_ladder", "gamma_ladder",
-                     "unit_phase", "line_sobolev_norm"}
+                     "picard_expansion", "ladder_triple", "split_step_ladder", "approx_ladder",
+                     "gamma_ladder", "unit_phase", "line_sobolev_norm"}
     pairs = [(e["method"], e["P"]) for e in result["timings"] if e["name"] == "fft_pair"]
     assert {method for method, _ in pairs} == {"numpy_1d", "four_step"}
     assert all(p > 1 for method, p in pairs if method == "four_step")  # a P > 1 plan runs
     callers = [(e["caller"], e.get("grid")) for e in result["timings"] if e["name"] == "unit_phase"]
     assert callers == [("_rotate_in_place", "split_step"), ("_rotate_in_place", "closed_form_chunk"),
                        ("_turned_cubic", None)]
+    triples = [(e["method"], e["grid_points"]) for e in result["timings"] if e["name"] == "ladder_triple"]
+    assert [method for method, _ in triples] == ["stack", "one_row"]  # one point with --tiny
+    assert triples[0][1] == triples[1][1]
     ladders = [e for e in result["timings"] if e["name"] == "split_step_ladder"]
     assert [e["regime"] for e in ladders] == ["crit_half", "frac_crit"]
     assert all({"steps", "estimate", "order"} <= set(e) for e in ladders)
@@ -96,3 +99,17 @@ def test_compare_fails_on_a_one_ulp_row_move_and_passes_an_echo_change(tmp_path,
     out = capsys.readouterr().out
     assert "  rows[].constant: 1 values differ, max abs " in out
     assert "feasibility.csv: bytes match" in out
+
+
+def test_compare_trees_passes_the_repository_against_itself(capsys):
+    # both sides run the feasibility default from this checkout's sources
+    # in a child interpreter, as CSV and as JSON, and match byte for byte
+    compare = _compare_tool()
+    root = pathlib.Path(__file__).resolve().parents[1]
+    assert compare.main(["--trees", str(root), str(root), "--reports", "default_feasibility"]) == 0
+    out = capsys.readouterr().out
+    assert "default_feasibility.csv: bytes match" in out
+    assert "default_feasibility.json: bytes match" in out
+    assert "compare: 2 pairs, 0 differ" in out
+    assert compare.main(["--trees", str(root), str(root), "--reports", "no_such_report"]) == 1
+    assert "no report named no_such_report" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Compare nlslab reports field by field.
 
     python3 tools/compare.py A B
+    python3 tools/compare.py --trees PARENT CHANGE [--reports NAME ...]
 
 A and B are two report files, or two directories whose same-named
 `*.csv` and `*.json` reports are compared pairwise.  For each pair the
@@ -16,21 +17,38 @@ report exists on one side only; otherwise 0.  Echo and host differences
 are printed but do not fail: a change to what the echo holds, or to the
 numpy that ran, is not a change to what the run computed.  There are no
 per-column tolerances: any move, one ulp included, fails.
+
+With --trees, A and B are two checkouts of the repository.  In each, the
+script writes the reports of the 5 experiments at their CLI defaults
+(named `default_<experiment>`) and of every `benchmarks/configs/*.ini`
+(named for the file; the experiment is the file's section), as CSV and
+as JSON, running `python3 -m nlslab.cli ... --threads 1` with
+PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1, and then compares the
+two sets as two directories.  The INI files are read, never edited.
+--reports keeps only the reports named.  A run that fails prints its
+error and makes the script exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 # metadata that is printed when it differs but does not fail: {path: label}
 PASSING = {"metadata.config": "config echo", "metadata.host": "host"}
+
+# the experiments whose CLI defaults --trees runs
+EXPERIMENTS = ("inflate", "approx", "periodize", "gamma", "feasibility")
 
 
 def _cell(text: str):
@@ -123,19 +141,76 @@ def _pairs(a: Path, b: Path):
     return [(a / n, b / n) for n in sorted(names) if n not in lone], lone
 
 
-def main(argv=None, out=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("a", type=Path, help="report file or directory of reports")
-    ap.add_argument("b", type=Path, help="report file or directory of reports")
-    args = ap.parse_args(argv)
-    pairs, lone = _pairs(args.a, args.b)
+def _tree_runs(tree: Path) -> dict[str, tuple[str, Path | None]]:
+    """{report name: (experiment, INI path or None)} of one checkout."""
+    runs = {f"default_{name}": (name, None) for name in EXPERIMENTS}
+    for ini in sorted((tree / "benchmarks" / "configs").glob("*.ini")):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(ini, encoding="utf-8")
+        (section,) = parser.sections()
+        runs[ini.stem] = (section, ini)
+    return runs
+
+
+def write_tree_reports(tree: Path, dest: Path, names=None, out=None) -> bool:
+    """Each report of _tree_runs(tree) (those in `names` when given) as
+    dest/<name>.csv and .json, run from tree's own sources; False when a
+    run fails."""
+    dest.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    runs = _tree_runs(tree)
+    unknown = sorted(set(names or ()) - set(runs))
+    if unknown:
+        print(f"{tree}: no report named {', '.join(unknown)}", file=out)
+    ok = not unknown
+    for name, (experiment, ini) in runs.items():
+        if names is not None and name not in names:
+            continue
+        for fmt in ("csv", "json"):
+            argv = [sys.executable, "-m", "nlslab.cli", experiment, "--format", fmt,
+                    "--threads", "1", "--out", str(dest.resolve() / f"{name}.{fmt}")]
+            if ini is not None:
+                argv += ["--config", str(ini.resolve())]
+            run = subprocess.run(argv, env=env, cwd=dest, capture_output=True, text=True)
+            if run.returncode != 0:
+                print(f"{tree}: {name}.{fmt} failed: {run.stderr.strip()}", file=out)
+                ok = False
+    return ok
+
+
+def compare_dirs(a: Path, b: Path, out=None) -> int:
+    """Compare the same-named reports of directories (or files) a and b;
+    the exit status of main."""
+    pairs, lone = _pairs(a, b)
     for name in lone:
-        print(f"{name}: only in {'A' if (args.a / name).exists() else 'B'}", file=out)
-    failed = [a.name for a, b in pairs if not compare_pair(a, b, out)]
+        print(f"{name}: only in {'A' if (a / name).exists() else 'B'}", file=out)
+    failed = [x.name for x, y in pairs if not compare_pair(x, y, out)]
     print(f"compare: {len(pairs)} pairs, {len(failed) + len(lone)} differ beyond the config "
           "echo and host",
           file=out)
     return 1 if failed or lone else 0
+
+
+def compare_trees(a: Path, b: Path, names=None, out=None) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ran = [write_tree_reports(tree, root / side, names, out) for tree, side in ((a, "a"), (b, "b"))]
+        status = compare_dirs(root / "a", root / "b", out)
+    return 0 if all(ran) and status == 0 else 1
+
+
+def main(argv=None, out=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("a", type=Path, help="report file or directory of reports (a checkout with --trees)")
+    ap.add_argument("b", type=Path, help="report file or directory of reports (a checkout with --trees)")
+    ap.add_argument("--trees", action="store_true", help="run the reports of two checkouts, then compare")
+    ap.add_argument("--reports", nargs="+", metavar="NAME", help="with --trees: only these reports")
+    args = ap.parse_args(argv)
+    if args.reports and not args.trees:
+        ap.error("--reports needs --trees")
+    if args.trees:
+        return compare_trees(args.a, args.b, args.reports, out)
+    return compare_dirs(args.a, args.b, out)
 
 
 if __name__ == "__main__":

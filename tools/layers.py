@@ -28,6 +28,12 @@ The cases:
   data's few modes leave most layout rows of the grid empty;
 - `picard_expansion` at the `crit_half` point N = 256, in the paper's
   convention (`EquationSpec.paper`), as `inflate` runs it;
+- `ladder_triple`: the first triple of `inflate`'s Strang ladder, 3, 6
+  and 12 steps, as one `evolution.split_step_stack` call (`stack`) and
+  as three one-row `split_step_evolve` calls (`one_row`), at the
+  `picard-series` points whose split-step grids are 1 890, 3 564 and
+  7 546 points (`crit_half` N = 64, `frac_crit` N = 128, `crit_half`
+  N = 256);
 - `split_step_ladder`: `inflate`'s whole split-step driver
   (`lab._split_step_on_tolerance`) at the `crit_half` and `frac_crit`
   points N = 256, its entry with the steps, estimate and observed order
@@ -42,8 +48,9 @@ The cases:
   count margin; `--tiny`: j = 1, period 98, on 1 575 points);
 - `unit_phase`: the two callers of `evolution._unit_phase` that run
   per step or node, `_rotate_in_place` on the split-step grids of
-  7 546, 30 184 and 120 000 points and on one 65 536-point chunk
-  of the closed form's 330 750-point grid, and `_turned_cubic` on
+  7 546, 30 184 and 120 000 points and on one chunk
+  (`evolution._ROTATE_CHUNK`, 8 192 points) of the closed form's
+  330 750-point grid, and `_turned_cubic` on
   Picard's output band at that `crit_half` point;
 - `sobolev_norm` on the 120 000-point band, and `line_sobolev_norm` of
   the `periodize` default profile at its four orders (`psi1`, whose
@@ -96,6 +103,9 @@ PICARD_N = 256
 # bands whose split-step grids are the 7 546, 30 184 and 120 000 points
 # the rotation runs on
 ROTATE_BANDS = (1886, 7545, 29999)
+# picard-series points of ladder_triple: (regime, N, s, theta)
+TRIPLE_POINTS = (("crit_half", 64, -0.5, None), ("frac_crit", 128, -1.0, 0.1),
+                 ("crit_half", 256, -0.5, None))
 
 
 def _stats(times: list[float]) -> dict:
@@ -119,8 +129,8 @@ def _time(fn, repeats: int, before=None) -> dict:
 def _rotation(u: np.ndarray, t: float, repeats: int) -> dict:
     """_rotate_in_place of u by t, in place and again on each call: the
     rotation keeps |u|, so every call turns by the same angles."""
-    theta, phase = np.empty(u.shape), np.empty(u.shape, dtype=complex)
-    return _time(lambda: evo._rotate_in_place(u, t, None, theta, phase), repeats)
+    theta, phase, scratch = np.empty(u.shape), np.empty(u.shape, dtype=complex), np.empty(u.shape)
+    return _time(lambda: evo._rotate_in_place(u, t, None, theta, phase, scratch), repeats)
 
 
 def _four_step_plan(g: int) -> torus.GridPlan:
@@ -199,7 +209,8 @@ def run(repeats: int, tiny: bool) -> list[dict]:
         for rows in STACK_ROWS:
             eqs = [evo.EquationSpec.small_dispersion(0.1 * (k + 1)) for k in range(rows)]
             rates = np.stack([evo.free_rotation_rates(phi, eq) for eq in eqs])
-            stats = _time(lambda: evo._strang_rows(phi, eqs, rates, 1e-3, STACK_STEPS, g), repeats)
+            dt, counts = np.full((rows, 1), 1e-3), np.full(rows, STACK_STEPS)
+            stats = _time(lambda: evo._strang_rows(phi, eqs, rates, dt, counts, g), repeats)
             per_step = {k: v / (rows * STACK_STEPS) if k != "repeats" else v
                         for k, v in stats.items()}
             add("split_step_per_row_step", {**size, "rows": rows, "steps": STACK_STEPS}, per_step)
@@ -233,6 +244,18 @@ def run(repeats: int, tiny: bool) -> list[dict]:
     add("picard_expansion", {"regime": "crit_half", "N": N, "nodes": work.nodes,
                              "grid_points": work.grid_points},
         _time(lambda: evo.picard_expansion(phi, paper, sched.T_N), repeats))
+
+    for regime, n, s, theta in (("crit_half", 16, -0.5, None),) if tiny else TRIPLE_POINTS:
+        point = cons.regime_parameters(regime, n, s, theta)
+        data = cons.build_two_block_data(point, 1.0)
+        wide = torus.enlarge_band(data, 3 * data.bandwidth)  # as inflate's ladder runs it
+        size = {"regime": regime, "N": n, "grid_points": evo.split_grid_size(wide.bandwidth)}
+        T = point.T_N
+        add("ladder_triple", {**size, "method": "stack"},
+            _time(lambda: evo.split_step_stack(wide, (paper,), T, (3, 6, 12)), repeats))
+        add("ladder_triple", {**size, "method": "one_row"},
+            _time(lambda: [evo.split_step_evolve(wide, paper, T, evo.StepperConfig(dt=T / k))
+                           for k in (3, 6, 12)], repeats))
 
     for regime, s, theta in (("crit_half", -0.5, None), ("frac_crit", -1.0, 0.1)):
         point = cons.regime_parameters(regime, N, s, theta)
