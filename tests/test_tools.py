@@ -106,10 +106,10 @@ def test_compare_trees_passes_the_repository_against_itself(capsys):
     # in a child interpreter, as CSV and as JSON, and match byte for byte
     compare = _compare_tool()
     root = pathlib.Path(__file__).resolve().parents[1]
-    assert compare.main(["--trees", str(root), str(root), "--reports", "default_feasibility"]) == 0
+    assert compare.compare_trees(root, root, ["default_feasibility"]) == 0
     out = capsys.readouterr().out
     assert "default_feasibility.csv: bytes match" in out
     assert "default_feasibility.json: bytes match" in out
     assert "compare: 2 pairs, 0 differ" in out
-    assert compare.main(["--trees", str(root), str(root), "--reports", "no_such_report"]) == 1
+    assert compare.compare_trees(root, root, ["no_such_report"]) == 1
     assert "no report named no_such_report" in capsys.readouterr().out

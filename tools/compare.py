@@ -1,7 +1,7 @@
 """Compare nlslab reports field by field.
 
     python3 tools/compare.py A B
-    python3 tools/compare.py --trees PARENT CHANGE [--reports NAME ...]
+    python3 tools/compare.py --trees PARENT CHANGE
 
 A and B are two report files, or two directories whose same-named
 `*.csv` and `*.json` reports are compared pairwise.  For each pair the
@@ -25,8 +25,7 @@ script writes the reports of the 5 experiments at their CLI defaults
 as JSON, running `python3 -m nlslab.cli ... --threads 1` with
 PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1, and then compares the
 two sets as two directories.  The INI files are read, never edited.
---reports keeps only the reports named.  A run that fails prints its
-error and makes the script exit 1.
+A run that fails prints its error and makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -192,6 +191,8 @@ def compare_dirs(a: Path, b: Path, out=None) -> int:
 
 
 def compare_trees(a: Path, b: Path, names=None, out=None) -> int:
+    """Run the reports of checkouts a and b (those in `names` when given)
+    and compare them; the exit status of main with --trees."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         ran = [write_tree_reports(tree, root / side, names, out) for tree, side in ((a, "a"), (b, "b"))]
@@ -204,12 +205,9 @@ def main(argv=None, out=None) -> int:
     ap.add_argument("a", type=Path, help="report file or directory of reports (a checkout with --trees)")
     ap.add_argument("b", type=Path, help="report file or directory of reports (a checkout with --trees)")
     ap.add_argument("--trees", action="store_true", help="run the reports of two checkouts, then compare")
-    ap.add_argument("--reports", nargs="+", metavar="NAME", help="with --trees: only these reports")
     args = ap.parse_args(argv)
-    if args.reports and not args.trees:
-        ap.error("--reports needs --trees")
     if args.trees:
-        return compare_trees(args.a, args.b, args.reports, out)
+        return compare_trees(args.a, args.b, out=out)
     return compare_dirs(args.a, args.b, out)
 
 
