@@ -35,24 +35,25 @@ VERSION = "nlslab-0.1.0"
 
 
 def _key(default, *, at_least=None, above=None, below=None, choices=None,
-         integer=False, nonzero=False, read_by=None, when_read=None):
+         integer=False, nonzero=False, read_by=None):
     """A config field with its own checks, which ExperimentConfig enforces.
     A value that is set must be in `choices`; it, or each item of a tuple,
-    must be >= at_least, > above, < below, and whole if `integer`.
-    read_by = (key, *values): the run reads this field only while that key
-    takes one of the values.  A field the run does not read is left out of
-    the report echo, and refused when set if its default is None; one that
-    it reads takes when_read in place of None, and refuses 0 if declared
-    nonzero."""
-    return dc_field(default=default, metadata=dict(
-        at_least=at_least, above=above, below=below, choices=choices,
-        integer=integer, nonzero=nonzero, read_by=read_by, when_read=when_read))
+    must be >= at_least, > above, < below, whole if `integer` and not 0 if
+    `nonzero`.  read_by = (key, *values): the run reads this field only
+    while that key takes one of the values.  Such a field is None until the
+    run reads it, and then takes `default`; set where the run does not read
+    it, it is refused.  A field the run does not read is left out of the
+    report echo."""
+    return dc_field(default=None if read_by else default, metadata=dict(
+        default=default, at_least=at_least, above=above, below=below, choices=choices,
+        integer=integer, nonzero=nonzero, read_by=read_by))
 
 
 # each rule of _key that every item of a value keeps: its name, refusal and test
 _ITEM_RULES = (("at_least", "must be >= {}", operator.ge), ("above", "must be > {}", operator.gt),
                ("below", "must be < {}", operator.lt),
-               ("integer", "must be integers", lambda v, on: not on or float(v).is_integer()))
+               ("integer", "must be integers", lambda v, on: not on or float(v).is_integer()),
+               ("nonzero", "must be nonzero", lambda v, on: not on or v != 0.0))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -80,19 +81,17 @@ class ExperimentConfig:
             choices, value = f.metadata.get("choices"), getattr(self, f.name)
             if choices is not None and value not in choices:
                 raise ValueError(f"unknown {f.name} {value!r}; expected one of {', '.join(choices)}")
-        # an unread key is refused before its own range check
+        # a set key the run does not read is refused, an unset one it reads takes its default
         for f in keys:
             value = getattr(self, f.name)
-            if not self._reads(f):
-                if value is not None and f.default is None:
-                    selector, *readers = f.metadata["read_by"]
-                    raise ValueError(f"{f.name} is read only by the {', '.join(readers)} "
-                                     f"{selector}, not by {getattr(self, selector)}")
-            elif value is None and f.metadata.get("when_read") is not None:
-                object.__setattr__(self, f.name, f.metadata["when_read"])
-        for f in keys:
-            value = getattr(self, f.name)
-            if value is None:  # an unset optional key
+            if value is not None and not self._reads(f):
+                selector, *readers = f.metadata["read_by"]
+                raise ValueError(f"{f.name} is read only by the {', '.join(readers)} "
+                                 f"{selector}, not by {getattr(self, selector)}")
+            if value is None and self._reads(f):
+                value = f.metadata.get("default")
+                object.__setattr__(self, f.name, value)
+            if value is None:  # unread, or an optional key such as theta
                 continue
             items = value if isinstance(value, tuple) else (value,)
             bad = [v for v in items if isinstance(v, float) and not math.isfinite(v)]
@@ -106,9 +105,6 @@ class ExperimentConfig:
                     raise ValueError(f"{what} {refusal.format(f.metadata[rule])}, got {v!r}")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ValueError("sweep must be strictly increasing")
-        for f in keys:
-            if f.metadata.get("nonzero") and self._reads(f) and getattr(self, f.name) == 0.0:
-                raise ValueError(f"{f.name} must be nonzero, got {getattr(self, f.name)!r}")
 
     def _reads(self, f: dataclasses.Field) -> bool:
         read_by = f.metadata.get("read_by")
@@ -130,21 +126,23 @@ class InflateConfig(ExperimentConfig):
     s: float = -0.5
     theta: float | None = _key(None, read_by=("regime", "frac_crit"))
     picard_budget: int = _key(evo.PICARD_BUDGET, at_least=0)
-    surrogate_period: float | None = _key(None, at_least=1, read_by=("regime", "negative_s"),
-                                          when_read=32.0)
+    surrogate_period: float | None = _key(32.0, at_least=1, read_by=("regime", "negative_s"))
 
 
 # approx and periodize build their data by _approx_profile, whose appendix
 # profiles other than mollified read none of amplitude, width and eps
+PROFILES = ("bump", "two_step", *prof.APPENDIX_KINDS)
+
+
 @dataclass(frozen=True, kw_only=True)
 class ApproxConfig(ExperimentConfig):
     experiment = "approx"
     sweep: tuple[float, ...] = _key((0.025, 0.05, 0.1, 0.2), above=0)
-    profile: str = "bump"
+    profile: str = _key("bump", choices=PROFILES)
     # zero data: the period spread divides by zero errors
-    amplitude: float = _key(1.0, nonzero=True, read_by=("profile", "bump", "two_step"))
-    width: float = _key(2.0, above=0, read_by=("profile", "bump"))
-    eps: float = _key(0.1, above=0, read_by=("profile", "two_step", "mollified"))
+    amplitude: float | None = _key(1.0, nonzero=True, read_by=("profile", "bump", "two_step"))
+    width: float | None = _key(2.0, above=0, read_by=("profile", "bump"))
+    eps: float | None = _key(0.1, above=0, read_by=("profile", "two_step", "mollified"))
     periods: tuple[float, ...] = (32.0, 64.0, 128.0)
 
     def __post_init__(self):
@@ -167,11 +165,11 @@ class ApproxConfig(ExperimentConfig):
 class PeriodizeConfig(ExperimentConfig):
     experiment = "periodize"
     sweep: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
-    profile: str = "two_step"
+    profile: str = _key("two_step", choices=PROFILES)
     # zero data: every row would be zeros
-    amplitude: float = _key(1.0, nonzero=True, read_by=("profile", "bump", "two_step"))
-    width: float = _key(2.0, above=0, read_by=("profile", "bump"))
-    eps: float = _key(0.1, above=0, read_by=("profile", "two_step", "mollified"))
+    amplitude: float | None = _key(1.0, nonzero=True, read_by=("profile", "bump", "two_step"))
+    width: float | None = _key(2.0, above=0, read_by=("profile", "bump"))
+    eps: float | None = _key(0.1, above=0, read_by=("profile", "two_step", "mollified"))
     s_list: tuple[float, ...] = (-1.0, -0.5, 0.0, 1.0)
 
 
@@ -454,23 +452,22 @@ class StrangRun(NamedTuple):
     field: torus.SpectralField
 
 
-def _strang_ladder(strang, rows: int, gap, scale, where, of: str, tol: float) -> list[StrangRun]:
-    """Each of `rows` rows on its first step triple whose estimate is at
-    most `tol` (SPLIT_STEP_REL but in gamma), as the comment above says.
-    strang(counts, live) gives, for each step count of `counts`, the
-    fields of the rows numbered in `live` at that count (one
-    evolution.split_step_stack call), gap(a, b) the norm of a - b, and
-    scale(i, u) row i's scale at its finest run u.
-    The first triple's three counts run in one call; each later triple's
-    2n- and 4n-step fields are the previous one's, and its 4n-step fields
-    run alone.  The rows run together until each settles, and the rest
-    go on together, so a row that strang computes on its own gives the run
-    it would give alone.  A row that no triple up to SPLIT_STEP_MAX settles
+def _strang_ladder(field: torus.SpectralField, eqs, t: float, gap, scale, where, of: str,
+                   tol: float) -> list[StrangRun]:
+    """field evolved to t under each equation of `eqs`, each row on its
+    first step triple whose estimate is at most `tol` (SPLIT_STEP_REL but
+    in gamma), as the comment above says.  gap(a, b) is the norm of a - b,
+    and scale(i, u) row i's scale at its finest run u.
+    The first triple's three counts run as one evolution.split_step_stack
+    call; each later triple's 2n- and 4n-step fields are the previous one's,
+    and its 4n-step fields run alone.  The rows run together until each
+    settles, and the rest go on together, so each row gives the run it
+    would give alone.  A row that no triple up to SPLIT_STEP_MAX settles
     is refused, the message opening with where(i) and naming `of`, the
     scale."""
-    runs: list[StrangRun | None] = [None] * rows
-    live, n = list(range(rows)), SPLIT_STEP_START
-    first, second, finest = strang((n, 2 * n, 4 * n), live)
+    runs: list[StrangRun | None] = [None] * len(eqs)
+    live, n = list(range(len(eqs))), SPLIT_STEP_START
+    first, second, finest = evo.split_step_stack(field, eqs, t, (n, 2 * n, 4 * n))
     pairs = list(zip(first, second))
     while True:
         missed = []
@@ -499,7 +496,7 @@ def _strang_ladder(strang, rows: int, gap, scale, where, of: str, tol: float) ->
         n *= 2
         if 4 * n > SPLIT_STEP_MAX:
             break
-        (finest,) = strang((4 * n,), live)
+        (finest,) = evo.split_step_stack(field, [eqs[i] for i in live], t, (4 * n,))
     i, _, estimate, order = missed[0]
     raise ValueError(f"{where(i)} misses the tolerance {tol:g} of {of}: at {2 * n} "
                      f"steps, the most it tries, the estimate is {estimate:.3e} at observed "
@@ -514,10 +511,8 @@ def _split_step_on_tolerance(phi: torus.SpectralField, eq: evo.EquationSpec, T: 
     3 n_max, which the settled field keeps."""
     wide = torus.enlarge_band(phi, 3 * phi.bandwidth)
     scale = torus.fourier_lebesgue_norm(phi, 0.0, np.inf)
-    return _strang_ladder(
-        lambda counts, live: evo.split_step_stack(wide, (eq,), T, counts),
-        1, _fl_inf_distance, lambda i, u: scale,
-        lambda i: f"split-step at N={N}", "||phi||_FLinf", SPLIT_STEP_REL)[0]
+    return _strang_ladder(wide, (eq,), T, _fl_inf_distance, lambda i, u: scale,
+                          lambda i: f"split-step at N={N}", "||phi||_FLinf", SPLIT_STEP_REL)[0]
 
 
 def _inflate_point(cfg: InflateConfig, eq: evo.EquationSpec, N: int) -> tuple[ReportRow, dict]:
@@ -633,8 +628,7 @@ def _approx_errors(phi: torus.SpectralField, deltas,
         return torus.sobolev_norm(a.with_coeffs(a.coeffs - b.coeffs), 1.0)
 
     ladder = _strang_ladder(
-        lambda counts, live: evo.split_step_stack(phi, [eqs[i] for i in live], t, counts),
-        len(eqs), h1, lambda i, u: h1(u, exact().field),
+        phi, eqs, t, h1, lambda i, u: h1(u, exact().field),
         lambda i: f"split-step at delta = {deltas[i]!r} on period {phi.period!r} and t = {t!r}",
         "its H^1 error", SPLIT_STEP_REL)
     entries = [dict(delta=delta, period=phi.period, t=t, steps=run.steps, estimate=run.estimate,
@@ -884,8 +878,7 @@ def _gamma_point(cfg: GammaConfig, j: int) -> tuple[ReportRow, dict]:
         return g
 
     (run,) = _strang_ladder(
-        lambda counts, live: evo.split_step_stack(phi, (eq,), t, counts),
-        1, _fl_inf_distance, lambda i, u: counted(u).margin,
+        phi, (eq,), t, _fl_inf_distance, lambda i, u: counted(u).margin,
         lambda i: f"{where} with the count margin {margins[-1]:.6g}", "its count margin",
         1.0 / GAMMA_MARGIN_FACTOR)
     g = counted(run.field)

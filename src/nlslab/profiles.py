@@ -469,8 +469,11 @@ def solve_psi4_parameter() -> float:
     return (math.sqrt(153.0) - 1.0) / 2.0
 
 
+APPENDIX_KINDS = ("psi1", "psi2", "psi4", "mollified", "derivative")
+
+
 def appendix_profile(kind: str, kappa: int = 1, eps: float = 0.1) -> CompactProfile:
-    """Named initial-data profiles.
+    """The initial-data profile named by one of APPENDIX_KINDS.
 
     'psi1', 'psi2', 'psi4': exact step profiles with 1, 2, 4 vanishing
     moments.  'mollified': psi1 convolved with a bump of half-width eps
@@ -490,7 +493,7 @@ def appendix_profile(kind: str, kappa: int = 1, eps: float = 0.1) -> CompactProf
         return mollify(appendix_profile("psi1"), eps)
     if kind == "derivative":
         return _derivative_profile(kappa)
-    raise ValueError(f"unknown profile kind {kind!r}")
+    raise ValueError(f"unknown profile kind {kind!r}; expected one of {', '.join(APPENDIX_KINDS)}")
 
 
 def _derivative_profile(kappa: int) -> CompactProfile:

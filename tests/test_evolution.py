@@ -2,11 +2,7 @@
 symmetry maps, and the low-order expansion of the Duhamel solution."""
 from __future__ import annotations
 
-import dataclasses
-import importlib.util
-import inspect
 import math
-import pathlib
 import tracemalloc
 
 import numpy as np
@@ -58,26 +54,6 @@ def test_equation_spec_validation():
 def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt=0.0)
-
-
-def test_signatures_the_benchmark_tracer_reads():
-    # benchmarks/tracer.py wraps each function its TRACED table names, and
-    # reads integrator arguments by position or name: _split_step_notes
-    # takes t and cfg.dt from split_step_evolve's 3rd and 4th, _picard_notes
-    # takes phi from picard_expansion's 1st.  Renaming or moving them would
-    # break its trace mode without any other test failing.
-    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for module, names in tracer.TRACED.items():
-        for name in names:
-            owner = importlib.import_module(f"nlslab.{module}")
-            assert callable(getattr(owner, name, None)), f"{module}.{name}"
-    assert callable(nl.CompactProfile.fourier_transform)  # tracer.FOURIER
-    assert list(inspect.signature(split_step_evolve).parameters)[2:4] == ["t", "cfg"]
-    assert "dt" in {f.name for f in dataclasses.fields(StepperConfig)}
-    assert list(inspect.signature(picard_expansion).parameters)[0] == "phi"
 
 
 # ---------------------------------------------------------------------------

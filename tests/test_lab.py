@@ -53,6 +53,7 @@ from nlslab import (
 )
 import nlslab
 from nlslab import cli, constructions, evolution, lab, torus
+from nlslab.profiles import APPENDIX_KINDS
 
 from _helpers import random_field
 
@@ -162,17 +163,30 @@ def test_inflate_echoes_only_the_keys_its_regime_reads():
     ("mollified", {"amplitude", "width"}),
     ("psi1", {"amplitude", "width", "eps"}),
     ("derivative", {"amplitude", "width", "eps"}),
+    ("psi2", {"amplitude", "width", "eps"}),
+    ("psi4", {"amplitude", "width", "eps"}),
 ])
 def test_profile_configs_echo_only_the_keys_their_profile_reads(cls, profile, unread):
-    cfg = cls(profile=profile, amplitude=2.0, width=3.0, eps=0.25)
+    values = {"amplitude": 2.0, "width": 3.0, "eps": 0.25}
+    cfg = cls(profile=profile, **{key: v for key, v in values.items() if key not in unread})
     d = config_to_dict(cfg)
     assert cfg.unread_keys() == unread
-    assert {"amplitude", "width", "eps"} - set(d) == unread
-    rebuilt = config_from_dict(json.loads(json.dumps(d)))
-    assert config_to_dict(rebuilt) == d
-    # the keys left out are the ones the run never reads: the rebuilt
-    # config, which takes their defaults, builds the same profile
-    assert lab._approx_profile(rebuilt) == lab._approx_profile(cfg)
+    assert set(values) - set(d) == unread
+    assert config_from_dict(json.loads(json.dumps(d))) == cfg
+    # a key the profile never reads is refused when set, never dropped
+    for key in unread:
+        with pytest.raises(ValueError, match=rf"^{key} is read only by the [a-z_, ]+ profile, "
+                                             rf"not by {profile}$"):
+            cls(profile=profile, **{key: values[key]})
+
+
+def test_each_profile_choice_builds_a_profile():
+    # profile's choices are the kinds _approx_profile builds, so an unknown
+    # one is refused by the config before any run
+    assert lab.PROFILES == ("bump", "two_step", *APPENDIX_KINDS)
+    for cls in (ApproxConfig, PeriodizeConfig):
+        for profile in lab.PROFILES:
+            assert isinstance(lab._approx_profile(cls(profile=profile)), CompactProfile), profile
 
 
 def test_each_config_class_owns_exactly_its_keys():
@@ -1289,7 +1303,7 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         # zero plateau threshold would count mode 0 as a discrepancy, and
         # periodize would write rows of zeros
         # (the approx default profile bump reads amplitude; psi1, which does
-        # not, accepts 0: test_amplitude_zero_is_accepted_where_the_profile_ignores_it)
+        # not, refuses it: test_amplitude_is_refused_where_the_profile_ignores_it)
         ("approx", "amplitude = 0", "amplitude must be nonzero, got 0.0"),
         ("gamma", "amplitude = 0", "amplitude must be nonzero, got 0.0"),
         ("periodize", "amplitude = 0", "amplitude must be nonzero, got 0.0"),
@@ -1314,10 +1328,14 @@ def test_cli_main_reports_errors_as_exit_one(tmp_path, capsys):
         ("gamma", "eps = 50", "gamma sweep value 1.0 gives delta_j = 0.16, whose period L = "
                               "round(delta_j^(-2.5)) = 98 is below the profile's support "
                               "diameter 2K = 104"),
-        # profile sizes, refused by key whichever profile the run builds
-        ("approx", "eps = -1", "eps must be > 0, got -1.0"),
-        ("periodize", "width = 0", "width must be > 0, got 0.0"),
-        ("approx", "profile = two_step\nwidth = -2", "width must be > 0, got -2.0"),
+        # profile sizes, each under a profile that reads it
+        ("approx", "profile = two_step\neps = -1", "eps must be > 0, got -1.0"),
+        ("periodize", "profile = bump\nwidth = 0", "width must be > 0, got 0.0"),
+        ("approx", "profile = bump\nwidth = -2", "width must be > 0, got -2.0"),
+        # profile is checked before the keys it selects
+        ("approx", "profile = nosuch\namplitude = 3",
+         "unknown profile 'nosuch'; expected one of bump, two_step, psi1, psi2, psi4, mollified, "
+         "derivative"),
         ("gamma", "eps = -1", "eps must be > 0, got -1.0"),
         # the phase would keep no correct digit mod 2 pi: gamma runs its
         # closed form, with phase |phi|^2 t, first
@@ -1370,8 +1388,8 @@ def _declared_rule_cases():
     field declares, with a value that breaks it; a tuple key's bound is
     broken once more by its last item, after a first item that keeps it.
     A key the run reads only under some value of another key is set under
-    the first such value, except for the refusal of an unread key, which
-    keeps that key's default."""
+    the first such value, and its refusal as an unread key under the first
+    value of that key's choices that does not read it."""
     cases = []
     for name, cls in lab.CONFIGS.items():
         hints = typing.get_type_hints(cls)
@@ -1406,10 +1424,11 @@ def _declared_rule_cases():
             if rule.get("nonzero"):
                 cases.append((name, f.name, "nonzero", f"{read}{f.name} = 0",
                               f"{f.name} must be nonzero, got 0.0"))
-            if selector and f.default is None:
-                other = getattr(cls(), selector)
-                assert other not in readers
-                cases.append((name, f.name, "read_by", f"{f.name} = 1",
+            if selector:
+                (choices,) = [g.metadata["choices"] for g in dataclasses.fields(cls)
+                              if g.name == selector]
+                other = next(value for value in choices if value not in readers)
+                cases.append((name, f.name, "read_by", f"{selector} = {other}\n{f.name} = 1",
                               f"{f.name} is read only by the {', '.join(readers)} {selector}, "
                               f"not by {other}"))
     return cases
@@ -1419,17 +1438,19 @@ DECLARED_RULE_CASES = _declared_rule_cases()
 
 
 def test_every_experiment_declares_key_rules():
-    # threads and seed (two bounds) on each experiment, and 6 inflate, 4
-    # approx, 3 periodize, 5 gamma and 2 feasibility keys; surrogate_period
-    # carries two rules, the inflate and feasibility sweeps a bound and the
+    # threads and seed (two bounds) on each experiment, and 6 inflate, 5
+    # approx, 4 periodize, 5 gamma and 2 feasibility keys; each of the 8
+    # keys read under a regime or profile carries its read_by refusal,
+    # surrogate_period and each profile key but periodize's amplitude a
+    # second rule, the inflate and feasibility sweeps a bound and the
     # integer rule, gamma's the integer rule, and each sweep rule a second
     # case whose bad value is not its first item
-    assert len(DECLARED_RULE_CASES) == 44
+    assert len(DECLARED_RULE_CASES) == 52
     covered = {(name, key) for name, key, *_ in DECLARED_RULE_CASES}
     assert {("inflate", "surrogate_period"), ("periodize", "eps")} <= covered
     rules = {rule for *_, rule, _, _ in DECLARED_RULE_CASES}
-    assert {"at_least", "above", "below", "choices", "integer", "at_least-item",
-            "above-item", "integer-item"} <= rules
+    assert {"at_least", "above", "below", "choices", "integer", "nonzero", "read_by",
+            "at_least-item", "above-item", "integer-item"} <= rules
     assert {name for name, _ in covered} == set(lab.CONFIGS)
 
 
@@ -1445,18 +1466,22 @@ def test_cli_refuses_each_declared_key_rule(tmp_path, capsys, experiment, key, r
     assert not out.exists()
 
 
-@pytest.mark.parametrize("experiment, ini", [
-    ("approx", "profile = psi1\namplitude = 0"),
-    ("periodize", "profile = mollified\namplitude = 0"),
+@pytest.mark.parametrize("experiment, ini, profile", [
+    ("approx", "profile = psi1\namplitude = 0", "psi1"),
+    ("periodize", "profile = mollified\namplitude = 0", "mollified"),
+    ("periodize", "profile = psi1\namplitude = 5", "psi1"),
 ])
-def test_amplitude_zero_is_accepted_where_the_profile_ignores_it(tmp_path, experiment, ini):
-    # psi1 and mollified never read amplitude, so 0 is not zero data there
+def test_amplitude_is_refused_where_the_profile_ignores_it(tmp_path, capsys, experiment, ini,
+                                                           profile):
+    # psi1 and mollified never read amplitude: set, even to 0, it is
+    # refused, not dropped from a run that would then exit 0
     path = tmp_path / "exp.ini"
     path.write_text(f"[{experiment}]\n{ini}\n", encoding="utf-8")
-    cfg = cli.build_config(experiment, cli.make_parser().parse_args([experiment, "--config",
-                                                                     str(path)]))
-    assert cfg.amplitude == 0.0 and "amplitude" in cfg.unread_keys()
-    assert "amplitude" not in config_to_dict(cfg)
+    out = tmp_path / "report.csv"
+    assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"nlslab: error: amplitude is read only by the bump, "
+                                       f"two_step profile, not by {profile}\n")
+    assert not out.exists()
 
 
 OVERFLOWING_RATES = ("split-step at t = {t}: the free rotation rates at alpha = 1e+300 and "

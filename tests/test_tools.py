@@ -1,6 +1,7 @@
 """Smoke tests of the tools: the layer harness tools/layers.py runs and
 writes what it promises (no timing is asserted), and the report comparer
-tools/compare.py passes identical reports and fails a moved row value."""
+tools/compare.py passes identical reports, fails a moved row value and
+writes nothing into the checkouts it compares."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import json
 import math
 import pathlib
 import platform
+import shutil
 
 import numpy as np
 
@@ -113,3 +115,18 @@ def test_compare_trees_passes_the_repository_against_itself(capsys):
     assert "compare: 2 pairs, 0 differ" in out
     assert compare.compare_trees(root, root, ["no_such_report"]) == 1
     assert "no report named no_such_report" in capsys.readouterr().out
+
+
+def test_compare_trees_leaves_no_byte_code_in_the_trees(tmp_path, capsys, monkeypatch):
+    # a __pycache__ left in src/ would change what a later benchmark run of
+    # that checkout measures at start-up, so --trees only reads the trees,
+    # whatever the caller's environment says about byte code
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    compare = _compare_tool()
+    root = pathlib.Path(__file__).resolve().parents[1]
+    tree = tmp_path / "tree"
+    shutil.copytree(root / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(root / "benchmarks" / "configs", tree / "benchmarks" / "configs")
+    assert compare.compare_trees(tree, tree, ["default_feasibility"]) == 0
+    assert "compare: 2 pairs, 0 differ" in capsys.readouterr().out
+    assert not list(tree.rglob("__pycache__"))

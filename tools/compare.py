@@ -23,8 +23,10 @@ script writes the reports of the 5 experiments at their CLI defaults
 (named `default_<experiment>`) and of every `benchmarks/configs/*.ini`
 (named for the file; the experiment is the file's section), as CSV and
 as JSON, running `python3 -m nlslab.cli ... --threads 1` with
-PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1, and then compares the
-two sets as two directories.  The INI files are read, never edited.
+PYTHONPATH=<tree>/src, OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1,
+and then compares the two sets as two directories.  The trees are read,
+never written: no INI is edited, and no byte-code cache is left in `src/`,
+whose presence moves a later benchmark run's start-up time and peak RSS.
 A run that fails prints its error and makes the script exit 1.
 """
 
@@ -156,7 +158,8 @@ def write_tree_reports(tree: Path, dest: Path, names=None, out=None) -> bool:
     dest/<name>.csv and .json, run from tree's own sources; False when a
     run fails."""
     dest.mkdir(parents=True)
-    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONDONTWRITEBYTECODE": "1"}
     runs = _tree_runs(tree)
     unknown = sorted(set(names or ()) - set(runs))
     if unknown:
