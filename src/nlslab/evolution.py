@@ -183,9 +183,14 @@ def _rotate_rows(u: np.ndarray, t: np.ndarray, shift: np.ndarray | None, scratch
 
 
 def ode_grid_size(bandwidth: int, out_bandwidth: int) -> int:
-    """Grid of the closed form: 8 times the data band, and at least twice
-    the retained output band, rounded up to a fast FFT length."""
-    return next_fast_len(max(8 * (2 * bandwidth + 1), 2 * (2 * out_bandwidth + 1)))
+    """Grid of the closed form: 8 times the data band M, and at least the
+    retained output band M_out plus two shells of 2M on each side, rounded
+    up to a fast FFT length.  Term j of the rotation's series
+    sum_j (i t |phi|^2)^j phi / j! spans |n| <= (2j + 1) M, one shell past
+    term j - 1.  So the first term past the band ends by M_out + 2M, inside
+    the summed tail window, and a mode aliases into the band only from
+    |n| >= G - M_out >= M_out + 4M + 1: two terms further out."""
+    return next_fast_len(max(8 * (2 * bandwidth + 1), 2 * (out_bandwidth + 2 * bandwidth) + 1))
 
 
 def _rotated_band(field: SpectralField, t: float, shift: float | None, m_out: int,
@@ -213,7 +218,9 @@ def ode_exact_evolve(
 
     The rotation is not band-limited, so it is sampled on the grid of
     ode_grid_size and re-analyzed through the grid's plan
-    (torus.GridPlan).  The retained band |n| <= M_out is gathered from
+    (torus.GridPlan): the next term of its series past M_out lies whole in
+    the tail below, and only terms two further out alias into the band,
+    as ode_grid_size says.  The retained band |n| <= M_out is gathered from
     column slabs of the plan's layout.  The discarded tail mass, L times
     the grid spectrum's mass beyond that band, is summed directly over the
     discarded FFT bins (Parseval), a contiguous run of columns in each row

@@ -382,9 +382,9 @@ def _fl_inf_distance(a: torus.SpectralField, b: torus.SpectralField) -> float:
 
 # The closed form keeps the out band (2k+1) n_max for the first k in
 # ODE_K_RANGE whose dropped tail is at most ODE_TAIL_REL of the data's L^2
-# mass.  k = 1 leaves 1e-13..1e-7 of it in every regime.  The grid is at
-# least twice the out band, so the modes that alias back into the band
-# carry no more than the measured tail.
+# mass.  k = 1 leaves 1e-13..1e-7 of it in every regime.  The measured
+# tail holds term k + 1 of the rotation's series whole, and only terms k + 3
+# and up alias back into the band (evolution.ode_grid_size).
 ODE_TAIL_REL = 1e-20
 ODE_K_RANGE = range(2, 9)
 

@@ -166,8 +166,8 @@ class GridPlan:
     the block's R rows (R Q samples make _BLOCK_BYTES) and i < R, and
     n2 = c + C d, C the divisor of Q nearest sqrt(Q), they are w^(i n2)
     (R x Q) times w^(r c) w^(r C d) (P/R rows of C and of Q/C), so
-    R Q + (P/R)(C + Q/C) entries, within O(P sqrt(Q)): 0.76 MB at
-    5 248 800 points, where the twiddles themselves would take 84 MB.
+    R Q + (P/R)(C + Q/C) entries, within O(P sqrt(Q)): 0.71 MB at
+    4 199 040 points, where the twiddles themselves would take 67 MB.
     A block's R x Q twiddles are formed from them just before the block
     is multiplied.
     """

@@ -122,7 +122,7 @@ def test_ode_exact_holds_one_grid_and_one_band():
     phi = nl.build_two_block_data(sched, 32.0)
     m_out = 5 * phi.bandwidth
     g = nl.evolution.ode_grid_size(phi.bandwidth, m_out)
-    assert g == 330000
+    assert g == 264000
     ode_exact_evolve(phi, sched.T_N, out_bandwidth=m_out)  # builds the cached grid plan
     tracemalloc.start()
     try:
@@ -131,6 +131,39 @@ def test_ode_exact_holds_one_grid_and_one_band():
     finally:
         tracemalloc.stop()
     assert peak <= (g + 2 * m_out + 1) * 16 + 32 * nl.evolution._ROTATE_CHUNK + 2**16
+
+
+# the inflate regimes at their benchmark s and theta, on the unit circle
+# and, for negative_s, on its surrogate circle too
+GRID_RULE_DATA = [pytest.param("crit_half", -0.5, None, 1.0, id="crit_half"),
+                  pytest.param("frac_crit", -1.0, 0.1, 1.0, id="frac_crit"),
+                  pytest.param("negative_s", -0.25, None, 1.0, id="negative_s-L1"),
+                  pytest.param("negative_s", -0.25, None, 32.0, id="negative_s-L32")]
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("regime, s, theta, period", GRID_RULE_DATA)
+def test_ode_grid_holds_the_next_term_and_keeps_aliases_out(regime, s, theta, period, N):
+    # on the out bands (2k+1) M that inflate tries, the closed form on
+    # ode_grid_size (the out band and two data-band shells on each side)
+    # reads as on a grid three times the out band: the band within 1e-14
+    # of its largest mode, the H^s norm within 1e-14, and the tail, which
+    # holds the next series term whole, within 1 % wherever it stands
+    # above roundoff (1e-28 of the mass)
+    sched = nl.regime_parameters(regime, N, s, theta)
+    phi = nl.build_two_block_data(sched, period)
+    m = phi.bandwidth
+    mass = l2_norm(phi) ** 2
+    for k in range(2, 6):
+        m_out = (2 * k + 1) * m
+        ode = ode_exact_evolve(phi, sched.T_N, out_bandwidth=m_out)
+        band, tail = nl.evolution._rotated_band(phi, sched.T_N, None, m_out,
+                                                next_fast_len(3 * (2 * m_out + 1)))
+        ref = SpectralField(period, band)
+        assert np.max(np.abs(ode.field.coeffs - band)) <= 1e-14 * np.max(np.abs(band)), k
+        assert abs(sobolev_norm(ode.field, s) - sobolev_norm(ref, s)) <= 1e-14 * sobolev_norm(ref, s), k
+        if tail > 1e-28 * mass:
+            assert abs(ode.tail_mass - tail) <= 0.01 * tail, k
 
 
 def test_ode_exact_parameter_validation():

@@ -669,7 +669,10 @@ def test_inflate_out_band_meets_the_tail_target(regime, monkeypatch):
     k = aux["ode_k"]
     assert k == k_want
     assert aux["ode_out_bandwidth"] == (2 * k + 1) * phi.bandwidth
-    assert aux["ode_grid_points"] >= 2 * (2 * aux["ode_out_bandwidth"] + 1)
+    # the grid holds the out band and two data-band shells on each side,
+    # and at least 8 data bands
+    assert aux["ode_grid_points"] >= 2 * (aux["ode_out_bandwidth"] + 2 * phi.bandwidth) + 1
+    assert aux["ode_grid_points"] >= 8 * (2 * phi.bandwidth + 1)
     assert 0.0 <= row.tail_mass <= lab.ODE_TAIL_REL * mass
     if k > lab.ODE_K_RANGE[0]:  # the chosen band is the smallest that meets the target
         narrower = ode_exact_evolve(phi, aux["T"], out_bandwidth=(2 * k - 1) * phi.bandwidth)

@@ -21,6 +21,7 @@ from nlslab import (
     SpectralField,
     analyze,
     appendix_profile,
+    cli,
     enlarge_band,
     fourier_lebesgue_norm,
     mean_and_l2,
@@ -167,9 +168,11 @@ def test_band_grid_round_trip(bandwidth, extra, seed, period):
 def test_next_fast_len_matches_scipy():
     # scipy is the oracle: every grid size up to 20 000, then a fixed sample
     # up to 4e7, which covers the largest grid the package asks for: the
-    # closed form's on the out band 17 * MAX_TWO_BLOCK_BAND (k = 8)
+    # closed form's on the out band 17 * MAX_TWO_BLOCK_BAND (k = 8), with
+    # two data-band shells on each side
     next_fast_len, band = nl.torus.next_fast_len, nl.constructions.MAX_TWO_BLOCK_BAND
-    largest = 2 * (2 * 17 * band + 1)
+    largest = 2 * (17 * band + 2 * band) + 1
+    assert next_fast_len(largest) == 19_958_400
     assert nl.evolution.ode_grid_size(band, 17 * band) == next_fast_len(largest)
     sample = np.random.default_rng(21).integers(20_001, 4 * 10**7, 1000).tolist()
     smooth = [2**25, 3**15, 5**10, 7**8, 11**7, 2**6 * 3**3 * 5**2 * 7 * 11]  # 11-smooth
@@ -185,9 +188,18 @@ def test_next_fast_len_matches_scipy():
 # Picard's cubic term, the closed form at each out band it tries, and the
 # data builder's synthesize/analyze
 BENCHMARK_GRIDS = (
-    1890, 3150, 3564, 3773, 4400, 5929, 6272, 7040, 7546, 8800, 11760, 12544, 14000, 15092,
-    17600, 23232, 25088, 27720, 30184, 35200, 46200, 50176, 54880, 60000, 70400, 91476, 100000,
-    109350, 120000, 139968, 182250, 200000, 279936, 330000, 658560, 1317120, 2624400, 5248800,
+    1890, 2520, 2835, 3564, 3773, 4752, 5040, 5670, 7040, 7546, 9375, 10080, 11319, 14000, 15092,
+    18634, 20160, 22638, 27720, 30184, 36960, 40095, 45056, 54880, 60000, 73205, 80000, 90000,
+    109350, 120000, 145530, 160000, 180000, 264000, 526848, 1053696, 2099520, 4199040,
+)
+
+# the grids the same configs built while the closed form sized its grid as
+# twice the out band: still valid FFT lengths, so the check below keeps
+# covering them beside the grids that now run
+EARLIER_BENCHMARK_GRIDS = (
+    3150, 4400, 5929, 6272, 8800, 11760, 12544, 17600, 23232, 25088, 35200, 46200, 50176,
+    70400, 91476, 100000, 139968, 182250, 200000, 279936, 330000, 658560, 1317120, 2624400,
+    5248800,
 )
 
 
@@ -211,7 +223,7 @@ def _rel_gap(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(gap) / float(np.linalg.norm(b))
 
 
-@pytest.mark.parametrize("g", BENCHMARK_GRIDS)
+@pytest.mark.parametrize("g", sorted(BENCHMARK_GRIDS + EARLIER_BENCHMARK_GRIDS))
 def test_grid_plan_matches_numpy_fft(g):
     # forward on natural-order samples, and inverse on a spectrum in bin
     # order (bin k at [k % P, k // P]), each on the very input numpy takes
@@ -229,6 +241,29 @@ def test_grid_plan_matches_numpy_fft(g):
     assert plan.inverse(a) is a
     np.fft.ifft(x, norm="forward", out=x)
     assert _rel_gap(a, x.reshape(p, q)) <= 1e-15
+
+
+def test_benchmark_grids_are_the_grids_the_benchmark_configs_build(monkeypatch, tmp_path):
+    # runs the five benchmark INIs (read, never edited) with grid_plan
+    # spied in every module that holds it: BENCHMARK_GRIDS is exactly the
+    # grids they build, so after a change to a grid rule this fails until
+    # the FFT check above covers the grids that now run
+    built = set()
+    plan = nl.torus.grid_plan
+
+    def spy(g):
+        built.add(g)
+        return plan(g)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("nlslab")]:
+        if getattr(module, "grid_plan", None) is plan:
+            monkeypatch.setattr(module, "grid_plan", spy)
+    configs = sorted((pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "configs").glob("*.ini"))
+    assert len(configs) == 5
+    for ini in configs:
+        out = tmp_path / f"{ini.stem}.csv"
+        assert cli.main(["inflate", "--config", str(ini), "--out", str(out), "--threads", "1"]) == 0
+    assert sorted(built) == list(BENCHMARK_GRIDS)
 
 
 @pytest.mark.parametrize("points", [0, math.inf])
@@ -307,10 +342,10 @@ def test_import_builds_no_grid_plan():
 
 
 def test_largest_benchmark_plan_keeps_its_twiddles_small():
-    # the closed form's 5 248 800 points (negative_s N = 4096): the factor
-    # tables hold under 1 MB, where the twiddles themselves would be 84 MB
+    # the closed form's 4 199 040 points (negative_s N = 4096): the factor
+    # tables hold under 1 MB, where the twiddles themselves would be 67 MB
     plan = nl.torus.GridPlan(BENCHMARK_GRIDS[-1])
-    assert plan.shape == (2187, 2400)
+    assert plan.shape == (1944, 2160)
     assert sum(table.nbytes for table in plan._tables) < 2**20
 
 

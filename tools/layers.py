@@ -24,7 +24,7 @@ The cases:
 - the closed form `ode_exact_evolve` on 17 640 and 330 750 points;
 - `ode_exact_two_block`: the closed form as `inflate` runs it on
   `negative_s` two-block data (s = -1/4, surrogate circle L = 32, out band
-  5M) at N = 256 and 1024, on 330 000 and 1 317 120 points, where the
+  5M) at N = 256 and 1024, on 264 000 and 1 053 696 points, where the
   data's few modes leave most layout rows of the grid empty;
 - `picard_expansion` at the `crit_half` point N = 256, in the paper's
   convention (`EquationSpec.paper`), as `inflate` runs it;
@@ -85,8 +85,8 @@ from nlslab import torus
 ROOT = Path(__file__).resolve().parents[1]
 
 # inflate's split-step grids 7 546 .. 120 000 and the closed form's
-# 279 936 (crit_half N = 4096) and 1 317 120 (negative_s N = 1024)
-FFT_PAIR_GRIDS = (7546, 15092, 30184, 120000, 279936, 1317120)
+# 180 000 (crit_half N = 4096) and 1 053 696 (negative_s N = 1024)
+FFT_PAIR_GRIDS = (7546, 15092, 30184, 120000, 180000, 1053696)
 # split-step bands whose grids, split_grid_size(M), are the 1 029, 7 546,
 # 30 184, 60 000 and 120 000 points named above
 SPLIT_BANDS = (256, 1886, 7545, 14999, 29999)
